@@ -58,11 +58,14 @@ class Searcher {
     dist_.resize(s * s);
     row_of_.assign(static_cast<std::size_t>(apsp_.num_nodes()),
                    CandidateIdx::invalid());
+    std::vector<std::int32_t> cols(s);
+    for (std::size_t k = 0; k < s; ++k) cols[k] = apsp_.core_index(sw[k]);
     for (std::size_t i = 0; i < s; ++i) {
-      const double* arow = apsp_.cost_row(sw[i]);
+      // Candidates are switches, i.e. core vertices with no leaf weight.
+      const double* arow = apsp_.cost_row(sw[i]).cost;
       double* drow = dist_.data() + i * s;
       for (std::size_t k = 0; k < s; ++k) {
-        drow[k] = arow[static_cast<std::size_t>(sw[k])];
+        drow[k] = arow[static_cast<std::size_t>(cols[k])];
       }
       row_of_[static_cast<std::size_t>(sw[i])] =
           CandidateIdx{static_cast<CandidateIdx::rep_type>(i)};
@@ -268,11 +271,10 @@ ChainSearchResult solve_tom_exhaustive(const CostModel& model,
   ExtraMatrix extra(
       from.size(), IndexedVector<CandidateIdx, double>(switches.size(), 0.0));
   for (std::size_t j = 0; j < from.size(); ++j) {
-    const double* frow = model.apsp().cost_row(from[j]);
     for (const CandidateIdx k : id_range<CandidateIdx>(switches.size())) {
-      extra[j][k] =
-          mu * frow[static_cast<std::size_t>(
-                   switches[static_cast<std::size_t>(k.value())])];
+      extra[j][k] = mu * model.apsp().cost(
+                             from[j],
+                             switches[static_cast<std::size_t>(k.value())]);
     }
   }
   return chain_search(model, static_cast<int>(from.size()), extra, config);

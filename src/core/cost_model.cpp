@@ -24,19 +24,35 @@ constexpr int kMaxGroupId = 1 << 20;
 /// Switch-block width of the attraction rebuild kernels: the block's
 /// accumulators (kSwitchBlock doubles) stay cache-resident while the flow
 /// list streams past, and blocks double as the OpenMP work unit.
-constexpr std::ptrdiff_t kSwitchBlock = 512;
+constexpr std::size_t kSwitchBlock = 512;
 
-/// Accumulates one flow's ingress contribution over a switch block into
-/// a dense accumulator (acc[j] belongs to sw[j]). The dense store plus
-/// __restrict is what lets the compiler vectorize the gather; the
-/// scatter back into ingress_ happens once per block, not per flow.
-/// tools/vec_gate.sh pins that this loop vectorizes.
-void accumulate_ingress_block(double* __restrict acc,
-                              const double* __restrict srow,
-                              const NodeId* __restrict sw, std::size_t n,
-                              double rate) {
-  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: ingress-block-gather
-    acc[j] += rate * srow[static_cast<std::size_t>(sw[j])];
+/// Accumulates one flow's contribution over a switch block into a dense
+/// accumulator: acc[j] += rate · c, where c = weight + row[j] is the
+/// flow's distance to (or from) switch j of the block, read off one
+/// contiguous core row (AllPairs::cost_row / cost_col). Per switch the
+/// flows still add in flow order. tools/vec_gate.sh pins that this loop
+/// vectorizes.
+void accumulate_block(double* __restrict acc, const double* __restrict row,
+                      double weight, std::size_t n, double rate) {
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: attraction-block
+    acc[j] += rate * (weight + row[j]);
+  }
+}
+
+/// One churned flow's patch of its group's base-vector rows:
+/// gi[j] += sb · c(src, sw_j) and ge[j] += sb · c(sw_j, dst), both read
+/// as contiguous core rows. tools/vec_gate.sh pins that this loop
+/// vectorizes.
+void patch_flow_rows(double* __restrict gi, double* __restrict ge,
+                     AllPairs::CoreRow src, AllPairs::CoreRow dst,
+                     std::size_t n, double signed_base) {
+  const double* __restrict srow = src.cost;
+  const double* __restrict drow = dst.cost;
+  const double sw = src.weight;
+  const double dw = dst.weight;
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-row-patch
+    gi[j] += signed_base * (sw + srow[j]);
+    ge[j] += signed_base * (dw + drow[j]);
   }
 }
 
@@ -59,59 +75,44 @@ CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows)
 }
 
 void CostModel::refresh() {
-  const auto n = static_cast<std::size_t>(apsp_->num_nodes());
-  ingress_.assign(n, 0.0);
-  egress_.assign(n, 0.0);
+  const std::size_t ns = num_switches();
+  ingress_.assign(ns, 0.0);
+  egress_.assign(ns, 0.0);
   lambda_sum_ = 0.0;
   for (const auto& f : *flows_) {
     PPDC_REQUIRE(f.rate >= 0.0, "negative traffic rate");
     lambda_sum_ += f.rate;
   }
-  const Graph& g = apsp_->graph();
-  const auto& switches = g.switches();
-  const auto num_switches = static_cast<std::ptrdiff_t>(switches.size());
-  const std::ptrdiff_t num_blocks =
-      (num_switches + kSwitchBlock - 1) / kSwitchBlock;
+  const auto num_blocks = static_cast<std::ptrdiff_t>(
+      (ns + kSwitchBlock - 1) / kSwitchBlock);
   // Switch-blocked rebuild. Per switch, each attraction still accumulates
   // its flow contributions in flow order — bit-identical to the naive
-  // switch-outer scan — but the memory access pattern is flat: the ingress
-  // pass streams each flow's APSP row contiguously past a cache-resident
-  // block of accumulators, the egress pass keeps one c(sw, ·) row resident
-  // while streaming the flow list.
+  // switch-outer scan — but both passes stream one contiguous core row
+  // segment per flow past a cache-resident block of accumulators: c(src,
+  // ·) for the ingress pass and the transposed c(·, dst) for the egress
+  // pass. Switch j's core position is j, so a block is a row segment.
 #if defined(PPDC_HAVE_OPENMP)
 #pragma omp parallel for schedule(static)
 #endif
   for (std::ptrdiff_t blk = 0; blk < num_blocks; ++blk) {
-    const std::ptrdiff_t b0 = blk * kSwitchBlock;
-    const std::ptrdiff_t b1 = std::min(num_switches, b0 + kSwitchBlock);
-    const std::size_t bn = static_cast<std::size_t>(b1 - b0);
-    const NodeId* swp = switches.data() + b0;
-    // Per-switch sums still accumulate in flow order starting from 0.0 —
-    // bit-identical to scattering straight into ingress_ — but the
-    // accumulator is dense, so the inner gather loop vectorizes.
-    double acc[kSwitchBlock];
-    std::fill_n(acc, bn, 0.0);
+    const std::size_t b0 = static_cast<std::size_t>(blk) * kSwitchBlock;
+    const std::size_t bn = std::min(ns, b0 + kSwitchBlock) - b0;
+    double in[kSwitchBlock];
+    double eg[kSwitchBlock];
+    std::fill_n(in, bn, 0.0);
+    std::fill_n(eg, bn, 0.0);
     for (const auto& f : *flows_) {
       // Zero-rate flows contribute nothing; skipping them also keeps the
       // sums NaN-free on degraded fabrics, where a quarantined flow's
       // endpoint distance is +inf (0 * inf = NaN).
       if (f.rate == 0.0) continue;
-      accumulate_ingress_block(acc, apsp_->cost_row(f.src_host), swp, bn,
-                               f.rate);
+      const AllPairs::CoreRow src = apsp_->cost_row(f.src_host);
+      const AllPairs::CoreRow dst = apsp_->cost_col(f.dst_host);
+      accumulate_block(in, src.cost + b0, src.weight, bn, f.rate);
+      accumulate_block(eg, dst.cost + b0, dst.weight, bn, f.rate);
     }
-    for (std::size_t j = 0; j < bn; ++j) {
-      ingress_[static_cast<std::size_t>(swp[j])] = acc[j];
-    }
-    for (std::ptrdiff_t si = b0; si < b1; ++si) {
-      const NodeId sw = switches[static_cast<std::size_t>(si)];
-      const double* swrow = apsp_->cost_row(sw);
-      double b = 0.0;
-      for (const auto& f : *flows_) {
-        if (f.rate == 0.0) continue;
-        b += f.rate * swrow[static_cast<std::size_t>(f.dst_host)];
-      }
-      egress_[static_cast<std::size_t>(sw)] = b;
-    }
+    std::copy_n(in, bn, ingress_.begin() + static_cast<std::ptrdiff_t>(b0));
+    std::copy_n(eg, bn, egress_.begin() + static_cast<std::ptrdiff_t>(b0));
   }
   rescan_minima();
   if (group_refresh_enabled()) {
@@ -132,8 +133,9 @@ void CostModel::rescan_minima() {
   min_ingress_ = std::numeric_limits<double>::infinity();
   min_egress_ = std::numeric_limits<double>::infinity();
   for (const NodeId sw : placement_candidates()) {
-    const double a = ingress_[static_cast<std::size_t>(sw)];
-    const double b = egress_[static_cast<std::size_t>(sw)];
+    const SwitchIdx j = switch_slot(sw);
+    const double a = ingress_[j];
+    const double b = egress_[j];
     if (a < min_ingress_) {
       min_ingress_ = a;
       best_ingress_ = sw;
@@ -193,7 +195,7 @@ void CostModel::enable_group_refresh(const std::vector<double>& base_rates,
 }
 
 void CostModel::rebuild_group_bases() {
-  const auto n = static_cast<std::size_t>(apsp_->num_nodes());
+  const std::size_t ns = num_switches();
   // Row compaction: one dense base-vector row per *distinct* group id, in
   // ascending id order — a dense id set keeps the historical row == id
   // layout (and recombination order) bit for bit, while a sparse set
@@ -215,52 +217,38 @@ void CostModel::rebuild_group_bases() {
     snap_src_[i] = (*flows_)[i].src_host;
     snap_dst_[i] = (*flows_)[i].dst_host;
   }
-  group_ingress_.assign(row_groups_.size() * n, 0.0);
-  group_egress_.assign(row_groups_.size() * n, 0.0);
-  const auto& switches = apsp_->graph().switches();
-  const auto num_switches = static_cast<std::ptrdiff_t>(switches.size());
-  const std::ptrdiff_t num_blocks =
-      (num_switches + kSwitchBlock - 1) / kSwitchBlock;
+  group_ingress_.assign(row_groups_.size() * ns, 0.0);
+  group_egress_.assign(row_groups_.size() * ns, 0.0);
+  const auto num_blocks = static_cast<std::ptrdiff_t>(
+      (ns + kSwitchBlock - 1) / kSwitchBlock);
   // Same switch-blocked structure as refresh(): per (group, switch) cell
-  // the contributions still land in flow order (bit-identical), while the
-  // ingress pass streams APSP rows contiguously and the egress pass keeps
-  // one c(sw, ·) row resident per switch.
+  // the contributions still land in flow order (bit-identical), and both
+  // passes stream contiguous core row segments.
 #if defined(PPDC_HAVE_OPENMP)
 #pragma omp parallel for schedule(static)
 #endif
   for (std::ptrdiff_t blk = 0; blk < num_blocks; ++blk) {
-    const std::ptrdiff_t b0 = blk * kSwitchBlock;
-    const std::ptrdiff_t b1 = std::min(num_switches, b0 + kSwitchBlock);
+    const std::size_t b0 = static_cast<std::size_t>(blk) * kSwitchBlock;
+    const std::size_t bn = std::min(ns, b0 + kSwitchBlock) - b0;
     for (std::size_t i = 0; i < groups_.size(); ++i) {
       // Zero-base flows (including fault-quarantined ones, whose distances
       // may be +inf) contribute nothing.
       if (base_rates_[i] == 0.0) continue;
-      const double* srow = apsp_->cost_row(snap_src_[i]);
-      const std::size_t row = row_of(groups_[i]) * n;
-      for (std::ptrdiff_t si = b0; si < b1; ++si) {
-        const auto col =
-            static_cast<std::size_t>(switches[static_cast<std::size_t>(si)]);
-        group_ingress_[row + col] += base_rates_[i] * srow[col];
-      }
-    }
-    for (std::ptrdiff_t si = b0; si < b1; ++si) {
-      const NodeId sw = switches[static_cast<std::size_t>(si)];
-      const auto col = static_cast<std::size_t>(sw);
-      const double* swrow = apsp_->cost_row(sw);
-      for (std::size_t i = 0; i < groups_.size(); ++i) {
-        if (base_rates_[i] == 0.0) continue;
-        const std::size_t row = row_of(groups_[i]) * n;
-        group_egress_[row + col] +=
-            base_rates_[i] * swrow[static_cast<std::size_t>(snap_dst_[i])];
-      }
+      const std::size_t row = row_of(groups_[i]) * ns + b0;
+      const AllPairs::CoreRow src = apsp_->cost_row(snap_src_[i]);
+      const AllPairs::CoreRow dst = apsp_->cost_col(snap_dst_[i]);
+      accumulate_block(group_ingress_.data() + row, src.cost + b0,
+                       src.weight, bn, base_rates_[i]);
+      accumulate_block(group_egress_.data() + row, dst.cost + b0,
+                       dst.weight, bn, base_rates_[i]);
     }
   }
 }
 
 void CostModel::patch_moved_flow(FlowId flow) {
-  const auto n = static_cast<std::size_t>(apsp_->num_nodes());
+  const std::size_t ns = num_switches();
   const auto i = static_cast<std::size_t>(flow.value());
-  const std::size_t row = row_of(groups_[i]) * n;
+  const std::size_t row = row_of(groups_[i]) * ns;
   const double base = base_rates_[i];
   const VmFlow& f = (*flows_)[i];
   if (base == 0.0) {
@@ -270,28 +258,29 @@ void CostModel::patch_moved_flow(FlowId flow) {
     return;
   }
   if (f.src_host != snap_src_[i]) {
-    const double* nrow = apsp_->cost_row(f.src_host);
-    const double* orow = apsp_->cost_row(snap_src_[i]);
-    for (const NodeId sw : apsp_->graph().switches()) {
-      const auto col = static_cast<std::size_t>(sw);
-      group_ingress_[row + col] += base * (nrow[col] - orow[col]);
+    const AllPairs::CoreRow nrow = apsp_->cost_row(f.src_host);
+    const AllPairs::CoreRow orow = apsp_->cost_row(snap_src_[i]);
+    double* gi = group_ingress_.data() + row;
+    for (std::size_t j = 0; j < ns; ++j) {
+      gi[j] += base * ((nrow.weight + nrow.cost[j]) -
+                       (orow.weight + orow.cost[j]));
     }
     snap_src_[i] = f.src_host;
   }
   if (f.dst_host != snap_dst_[i]) {
-    const auto ncol = static_cast<std::size_t>(f.dst_host);
-    const auto ocol = static_cast<std::size_t>(snap_dst_[i]);
-    for (const NodeId sw : apsp_->graph().switches()) {
-      const double* swrow = apsp_->cost_row(sw);
-      group_egress_[row + static_cast<std::size_t>(sw)] +=
-          base * (swrow[ncol] - swrow[ocol]);
+    const AllPairs::CoreRow ncol = apsp_->cost_col(f.dst_host);
+    const AllPairs::CoreRow ocol = apsp_->cost_col(snap_dst_[i]);
+    double* ge = group_egress_.data() + row;
+    for (std::size_t j = 0; j < ns; ++j) {
+      ge[j] += base * ((ncol.weight + ncol.cost[j]) -
+                       (ocol.weight + ocol.cost[j]));
     }
     snap_dst_[i] = f.dst_host;
   }
 }
 
 void CostModel::recombine(const std::vector<double>& scales) {
-  const auto n = static_cast<std::size_t>(apsp_->num_nodes());
+  const std::size_t ns = num_switches();
   // Λ is summed per flow in flow order — bit-identical to what refresh()
   // computes from rates set via diurnal_rates_grouped. Λ enters every
   // Eq. 1 score the solvers compare, where a last-ulp difference can flip
@@ -302,22 +291,21 @@ void CostModel::recombine(const std::vector<double>& scales) {
   for (std::size_t i = 0; i < base_rates_.size(); ++i) {
     lambda_sum_ += base_rates_[i] * scales[static_cast<std::size_t>(groups_[i])];
   }
-  ingress_.assign(n, 0.0);
-  egress_.assign(n, 0.0);
+  ingress_.assign(ns, 0.0);
+  egress_.assign(ns, 0.0);
   // Group-major recombination over the *mapped* rows: each pass streams
   // one base-vector row contiguously. Per switch the scaled terms still
   // add in ascending-group order (unused ids would only have added +0.0),
   // so the result is bit-identical to a switch-outer group-inner scan
   // over the full id domain.
-  const auto& switches = apsp_->graph().switches();
   for (std::size_t r = 0; r < row_groups_.size(); ++r) {
     const double scale = scales[static_cast<std::size_t>(row_groups_[r])];
-    const double* girow = group_ingress_.data() + r * n;
-    const double* gerow = group_egress_.data() + r * n;
-    for (const NodeId sw : switches) {
-      const auto col = static_cast<std::size_t>(sw);
-      ingress_[col] += scale * girow[col];
-      egress_[col] += scale * gerow[col];
+    const double* girow = group_ingress_.data() + r * ns;
+    const double* gerow = group_egress_.data() + r * ns;
+    for (const SwitchIdx j : ingress_.ids()) {
+      const auto col = static_cast<std::size_t>(j.value());
+      ingress_[j] += scale * girow[col];
+      egress_[j] += scale * gerow[col];
     }
   }
   rescan_minima();
@@ -330,28 +318,21 @@ std::size_t CostModel::ensure_group_row(int group) {
   }
   int& row = group_rows_[static_cast<std::size_t>(group)];
   if (row < 0) {
-    const auto n = static_cast<std::size_t>(apsp_->num_nodes());
+    const std::size_t ns = num_switches();
     row = static_cast<int>(row_groups_.size());
     row_groups_.push_back(group);
-    group_ingress_.resize(row_groups_.size() * n, 0.0);
-    group_egress_.resize(row_groups_.size() * n, 0.0);
+    group_ingress_.resize(row_groups_.size() * ns, 0.0);
+    group_egress_.resize(row_groups_.size() * ns, 0.0);
   }
   return static_cast<std::size_t>(row);
 }
 
 void CostModel::accumulate_flow_base(std::size_t row, double base, NodeId src,
                                      NodeId dst, double sign) {
-  const auto n = static_cast<std::size_t>(apsp_->num_nodes());
-  const double* srow = apsp_->cost_row(src);
-  double* gi = group_ingress_.data() + row * n;
-  double* ge = group_egress_.data() + row * n;
-  const double signed_base = sign * base;
-  const auto dcol = static_cast<std::size_t>(dst);
-  for (const NodeId sw : apsp_->graph().switches()) {
-    const auto col = static_cast<std::size_t>(sw);
-    gi[col] += signed_base * srow[col];
-    ge[col] += signed_base * apsp_->cost_row(sw)[dcol];
-  }
+  const std::size_t ns = num_switches();
+  patch_flow_rows(group_ingress_.data() + row * ns,
+                  group_egress_.data() + row * ns, apsp_->cost_row(src),
+                  apsp_->cost_col(dst), ns, sign * base);
 }
 
 void CostModel::rebase_flow(FlowId flow, double new_base, int new_group) {
@@ -477,9 +458,9 @@ void CostModel::restore_group_snapshot(const GroupSnapshot& snap) {
                "group snapshot sized for " +
                    std::to_string(snap.base_rates.size()) + " flows, model "
                    "bound to " + std::to_string(flows_->size()));
-  const std::size_t v = ingress_.size();  // |V|, sized by the constructor
-  PPDC_REQUIRE(snap.group_ingress.size() == snap.row_groups.size() * v &&
-                   snap.group_egress.size() == snap.row_groups.size() * v,
+  const std::size_t ns = num_switches();
+  PPDC_REQUIRE(snap.group_ingress.size() == snap.row_groups.size() * ns &&
+                   snap.group_egress.size() == snap.row_groups.size() * ns,
                "group snapshot base vectors do not match the topology");
   PPDC_REQUIRE(snap.last_scales.empty() ||
                    snap.last_scales.size() ==
@@ -499,12 +480,12 @@ void CostModel::restore_group_snapshot(const GroupSnapshot& snap) {
 
 double CostModel::ingress_attraction(NodeId a) const {
   PPDC_REQUIRE(apsp_->graph().is_switch(a), "ingress must be a switch");
-  return ingress_[static_cast<std::size_t>(a)];
+  return ingress_[switch_slot(a)];
 }
 
 double CostModel::egress_attraction(NodeId b) const {
   PPDC_REQUIRE(apsp_->graph().is_switch(b), "egress must be a switch");
-  return egress_[static_cast<std::size_t>(b)];
+  return egress_[switch_slot(b)];
 }
 
 double CostModel::chain_cost(const Placement& p) const {

@@ -25,6 +25,11 @@
 // policies (PLAN/MCF) relocate flow endpoints: stale per-flow
 // contributions are subtracted and the moved ones added in
 // O(|dirty| · |V_s|), with a full rebuild fallback for large dirty sets.
+//
+// Every attraction vector is indexed by SwitchIdx (position in
+// Graph::switches(), which is also the switch's AllPairs core position),
+// so a flow's contribution to all switches is one contiguous core row:
+// c(s(v), ·) from AllPairs::cost_row, c(·, s(v')) from cost_col.
 #pragma once
 
 #include <vector>
@@ -32,6 +37,7 @@
 #include "graph/apsp.hpp"
 #include "graph/graph.hpp"
 #include "util/ids.hpp"
+#include "util/indexed_vector.hpp"
 #include "workload/traffic.hpp"
 
 namespace ppdc {
@@ -174,8 +180,8 @@ class CostModel {
     std::vector<int> groups;
     std::vector<int> group_rows;
     std::vector<int> row_groups;
-    std::vector<double> group_ingress;
-    std::vector<double> group_egress;
+    std::vector<double> group_ingress;  ///< rows × |V_s|, SwitchIdx-wide
+    std::vector<double> group_egress;   ///< rows × |V_s|, SwitchIdx-wide
     std::vector<double> last_scales;
     std::vector<NodeId> snap_src;
     std::vector<NodeId> snap_dst;
@@ -196,6 +202,14 @@ class CostModel {
   /// Moves one flow's base-vector contributions from its snapshot
   /// endpoints to its current ones.
   void patch_moved_flow(FlowId flow);
+  /// |V_s|: the width of every attraction and base vector.
+  std::size_t num_switches() const noexcept {
+    return apsp_->graph().switches().size();
+  }
+  /// Slot of switch `sw` in the attraction vectors (its core position).
+  SwitchIdx switch_slot(NodeId sw) const {
+    return SwitchIdx{apsp_->core_index(sw)};
+  }
   /// Dense base-vector row of a group id that is known to be mapped.
   std::size_t row_of(int group) const {
     return static_cast<std::size_t>(
@@ -217,8 +231,8 @@ class CostModel {
   const std::vector<VmFlow>* flows_;
   std::vector<NodeId> candidates_;  ///< empty = all switches eligible
   double lambda_sum_ = 0.0;
-  std::vector<double> ingress_;  ///< indexed by NodeId
-  std::vector<double> egress_;
+  IndexedVector<SwitchIdx, double> ingress_;
+  IndexedVector<SwitchIdx, double> egress_;
   NodeId best_ingress_ = kInvalidNode;
   NodeId best_egress_ = kInvalidNode;
   double min_ingress_ = 0.0;
@@ -230,8 +244,8 @@ class CostModel {
   std::vector<int> groups_;            ///< group id, one per flow
   std::vector<int> group_rows_;        ///< group id -> dense row (-1 unused)
   std::vector<int> row_groups_;        ///< dense row -> group id
-  std::vector<double> group_ingress_;  ///< [row · |V| + a] = A_g(a)
-  std::vector<double> group_egress_;   ///< [row · |V| + b] = B_g(b)
+  std::vector<double> group_ingress_;  ///< [row · |V_s| + a] = A_g(a)
+  std::vector<double> group_egress_;   ///< [row · |V_s| + b] = B_g(b)
   std::vector<double> last_scales_;    ///< scales of the last recombine
   std::vector<NodeId> snap_src_;       ///< endpoints the base vectors use
   std::vector<NodeId> snap_dst_;

@@ -17,14 +17,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// NodeIds) stay L1-hot while every row re-scans them.
 constexpr std::size_t kBlock = 256;
 
-/// Gathers one APSP row through the universe into a metric row.
+/// Gathers one APSP core row through the universe into a metric row.
 /// __restrict is what lets the compiler emit the vectorized gather here —
 /// without it the mrow stores may alias the inputs and the loop stays
 /// scalar. tools/vec_gate.sh pins that this loop vectorizes.
 void build_metric_row(double* __restrict mrow, const double* __restrict arow,
-                      const NodeId* __restrict sw, std::size_t rows) {
+                      const std::int32_t* __restrict cols, std::size_t rows) {
   for (std::size_t k = 0; k < rows; ++k) {  // ppdc-vec: metric-row-gather
-    mrow[k] = arow[static_cast<std::size_t>(sw[k])];
+    mrow[k] = arow[static_cast<std::size_t>(cols[k])];
   }
 }
 
@@ -37,7 +37,8 @@ void build_metric_row(double* __restrict mrow, const double* __restrict arow,
 StrollMetric::StrollMetric(const AllPairs& apsp, std::vector<NodeId> universe)
     : apsp_(&apsp) {
   const Graph& g = apsp.graph();
-  if (universe.empty()) {
+  const bool universe_is_all = universe.empty();
+  if (universe_is_all) {
     switches_ = IndexedVector<CandidateIdx, NodeId>(g.switches());
   } else {
     for (const NodeId u : universe) {
@@ -49,21 +50,31 @@ StrollMetric::StrollMetric(const AllPairs& apsp, std::vector<NodeId> universe)
   rows_ = switches_.size();
   switch_index_.assign(static_cast<std::size_t>(g.num_nodes()),
                        CandidateIdx::invalid());
+  cols_.resize(rows_);
   for (const CandidateIdx i : switches_.ids()) {
     switch_index_[static_cast<std::size_t>(switches_[i])] = i;
+    cols_[static_cast<std::size_t>(i.value())] = apsp.core_index(switches_[i]);
+  }
+  if (universe_is_all && rows_ > 0) {
+    base_ = apsp.cost_row(switches_.raw().front()).cost;
+    stride_ = static_cast<std::size_t>(apsp.num_core());
+    return;
   }
   closure_.resize(rows_ * rows_);
   const NodeId* sw = switches().data();
   for (std::size_t i = 0; i < rows_; ++i) {
-    build_metric_row(closure_.data() + i * rows_, apsp.cost_row(sw[i]), sw,
-                     rows_);
+    // Switches are core vertices: their rows carry no leaf weight.
+    build_metric_row(closure_.data() + i * rows_, apsp.cost_row(sw[i]).cost,
+                     cols_.data(), rows_);
   }
+  base_ = closure_.data();
+  stride_ = rows_;
 }
 
 std::size_t StrollMetric::bytes() const noexcept {
   return closure_.size() * sizeof(double) +
          switch_index_.size() * sizeof(CandidateIdx) +
-         rows_ * sizeof(NodeId);
+         rows_ * (sizeof(NodeId) + sizeof(std::int32_t));
 }
 
 // ---------------------------------------------------------------------------
@@ -95,7 +106,7 @@ void StrollLevels::at_least(int count,
       // Base case (pseudocode line 2): one metric edge straight to t.
       for (std::size_t i = 0; i < rows; ++i) {
         if (sw[i] == t_) continue;  // c(t,t,1) stays +inf
-        ce[i] = m.apsp().cost_row(sw[i])[static_cast<std::size_t>(t_)];
+        ce[i] = m.apsp().cost(sw[i], t_);
         se[i] = t_;
       }
       levels_.push_back(std::move(next));
@@ -164,11 +175,13 @@ std::pair<double, NodeId> StrollTable::source_row(NodeId s, int e) const {
                "edge budget not materialized");
   const StrollMetric& m = levels_->metric();
   const NodeId t = levels_->destination();
-  const double* srow = m.apsp().cost_row(s);
   if (e == 1) {
     if (s == t) return {kInf, kInvalidNode};
-    return {srow[static_cast<std::size_t>(t)], t};
+    return {m.apsp().cost(s, t), t};
   }
+  // c(s, w) = weight + row[col(w)]: s may be a leaf host.
+  const AllPairs::CoreRow srow = m.apsp().cost_row(s);
+  const std::int32_t* cols = m.core_cols();
   const std::size_t rows = m.rows();
   const double* pc = level(e - 1).cost.data();
   const NodeId* ps = level(e - 1).succ.data();
@@ -178,7 +191,10 @@ std::pair<double, NodeId> StrollTable::source_row(NodeId s, int e) const {
   for (std::size_t k = 0; k < rows; ++k) {
     const NodeId w = sw[k];
     const bool ok = (w != s) && (w != t) && (ps[k] != s);
-    const double cand = ok ? srow[static_cast<std::size_t>(w)] + pc[k] : kInf;
+    const double cand =
+        ok ? (srow.weight + srow.cost[static_cast<std::size_t>(cols[k])]) +
+                 pc[k]
+           : kInf;
     if (cand < best) {
       best = cand;
       best_w = w;
@@ -285,14 +301,13 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
   const NodeId* sw = m.switches().data();
   while (static_cast<int>(seq.size()) < n_distinct) {
     const NodeId from = seq.empty() ? s : seq.back();
-    const double* frow = apsp.cost_row(from);
     double best_d = kInf;
     NodeId best_sw = kInvalidNode;
     std::size_t best_row = 0;
     for (std::size_t k = 0; k < rows; ++k) {
       const NodeId w = sw[k];
       if (w == s || w == t || seen[k]) continue;
-      const double d = frow[static_cast<std::size_t>(w)];
+      const double d = apsp.cost(from, w);
       if (d < best_d) {
         best_d = d;
         best_sw = w;

@@ -60,7 +60,10 @@ struct StrollResult {
 };
 
 /// Unit-rate metric closure over the DP row universe:
-/// row(i)[k] = c(switches[i], switches[k]). Immutable once built.
+/// row(i)[k] = c(switches[i], switches[k]). Immutable once built. Over
+/// every switch the closure is the switch block of the AllPairs core
+/// (switch i sits at core position i), so rows point into it; a
+/// restricted universe gathers its own copy.
 class StrollMetric {
  public:
   /// A non-empty `universe` restricts the DP rows (and hence every
@@ -70,6 +73,9 @@ class StrollMetric {
   /// switch of the topology. `apsp` must outlive the metric.
   explicit StrollMetric(const AllPairs& apsp,
                         std::vector<NodeId> universe = {});
+  /// Rows may point into the metric's own storage.
+  StrollMetric(const StrollMetric&) = delete;
+  StrollMetric& operator=(const StrollMetric&) = delete;
 
   const AllPairs& apsp() const noexcept { return *apsp_; }
   std::size_t rows() const noexcept { return rows_; }
@@ -81,17 +87,21 @@ class StrollMetric {
   CandidateIdx row_of(NodeId u) const {
     return switch_index_[static_cast<std::size_t>(u)];
   }
-  const double* row(std::size_t i) const {
-    return closure_.data() + i * rows_;
-  }
+  const double* row(std::size_t i) const { return base_ + i * stride_; }
+  /// Row -> AllPairs core position: where row k's switch sits in a core
+  /// row (AllPairs::cost_row).
+  const std::int32_t* core_cols() const noexcept { return cols_.data(); }
   std::size_t bytes() const noexcept;
 
  private:
   const AllPairs* apsp_;
   IndexedVector<CandidateIdx, NodeId> switches_;
   std::vector<CandidateIdx> switch_index_;
+  std::vector<std::int32_t> cols_;  ///< row -> core position
   std::size_t rows_ = 0;
-  std::vector<double> closure_;  ///< rows_ × rows_, row-major
+  std::vector<double> closure_;  ///< rows_ × rows_ (restricted universe)
+  const double* base_ = nullptr;  ///< row 0 of the closure
+  std::size_t stride_ = 0;        ///< distance between rows
 };
 
 /// Unit-rate level tables of Algorithm 2 toward one destination. Levels

@@ -18,6 +18,18 @@ bool all_unit_weights(const Graph& g) {
   return true;
 }
 
+/// Switches and relay hosts (degree >= 2) are core; a degree-1 host whose
+/// neighbour is core, and a degree-0 host, are leaves. Two degree-1 hosts
+/// joined only to each other both stay core.
+bool is_core(const Graph& g, NodeId v) {
+  if (g.is_switch(v)) return true;
+  const auto nbrs = g.neighbors(v);
+  if (nbrs.empty()) return false;
+  if (nbrs.size() >= 2) return true;
+  const NodeId a = nbrs[0].to;
+  return !(g.is_switch(a) || g.degree(a) >= 2);
+}
+
 }  // namespace
 
 AllPairs::AllPairs(const Graph& g) : AllPairs(g, /*allow_disconnected=*/false) {}
@@ -27,35 +39,100 @@ AllPairs::AllPairs(const Graph& g, bool allow_disconnected)
   PPDC_REQUIRE(n_ > 0, "empty graph");
   PPDC_REQUIRE(allow_disconnected || g.is_connected(),
                "PPDC graph must be connected");
-  const auto n = static_cast<std::size_t>(n_);
-  dist_.assign(n * n, kUnreachable);
-  parent_.assign(n * n, kInvalidNode);
+
+  // Core layout: switches first, in Graph::switches() order, then relay
+  // hosts by id; leaves anchor at their attach vertex.
+  anchor_.assign(static_cast<std::size_t>(n_), Anchor{});
+  core_ = g.switches();
+  for (const NodeId h : g.hosts()) {
+    if (is_core(g, h)) core_.push_back(h);
+  }
+  for (std::size_t k = 0; k < core_.size(); ++k) {
+    anchor_[static_cast<std::size_t>(core_[k])].core =
+        static_cast<std::int32_t>(k);
+  }
+  std::size_t isolated = 0;
+  for (const NodeId h : g.hosts()) {
+    auto& a = anchor_[static_cast<std::size_t>(h)];
+    if (a.core >= 0) continue;
+    const auto nbrs = g.neighbors(h);
+    if (nbrs.empty()) {
+      ++isolated;
+      continue;
+    }
+    a.core = anchor_[static_cast<std::size_t>(nbrs[0].to)].core;
+    a.weight = nbrs[0].weight;
+  }
+
+  const std::size_t m = core_.size();
+  dist_.assign(m * m, kUnreachable);
+  parent_.assign(m * m, -1);
+  unreachable_row_.assign(m, kUnreachable);
 
   const bool unit = all_unit_weights(g);
-
+  const auto num_core = static_cast<std::ptrdiff_t>(m);
+  // A leaf is never interior to a shortest path, so the core columns of a
+  // full-graph SSSP from a core source are exactly the core block's row,
+  // and every core vertex's parent is itself core.
 #if defined(PPDC_HAVE_OPENMP)
 #pragma omp parallel for schedule(dynamic, 8)
 #endif
-  for (NodeId src = 0; src < n_; ++src) {
+  for (std::ptrdiff_t x = 0; x < num_core; ++x) {
+    const NodeId src = core_[static_cast<std::size_t>(x)];
     const SsspResult r =
         unit ? bfs_shortest_paths(g, src) : dijkstra(g, src);
-    const std::size_t row = static_cast<std::size_t>(src) * n;
-    std::copy(r.dist.begin(), r.dist.end(), dist_.begin() + row);
-    std::copy(r.parent.begin(), r.parent.end(),
-              parent_.begin() + static_cast<std::ptrdiff_t>(row));
+    double* drow = dist_.data() + static_cast<std::size_t>(x) * m;
+    std::int32_t* prow = parent_.data() + static_cast<std::size_t>(x) * m;
+    for (std::size_t y = 0; y < m; ++y) {
+      const auto v = static_cast<std::size_t>(core_[y]);
+      drow[y] = r.dist[v];
+      const NodeId p = r.parent[v];
+      prow[y] = p == kInvalidNode ? -1
+                                  : anchor_[static_cast<std::size_t>(p)].core;
+    }
   }
 
-  for (const double d : dist_) {
-    if (d == kUnreachable) {
-      PPDC_REQUIRE(allow_disconnected, "graph must be connected");
-      fully_connected_ = false;
-      continue;
+  // Reachability and diameter. Per core vertex, the two heaviest attached
+  // leaves bound every pair through it: fp addition is monotone, so
+  // max (w_u + c(x,y)) + w_v is reached at the heaviest leaf of each end.
+  std::vector<double> leaf1(m, 0.0);  // heaviest attached leaf weight
+  std::vector<double> leaf2(m, 0.0);  // second heaviest
+  std::vector<int> leaves(m, 0);
+  for (const NodeId h : g.hosts()) {
+    const Anchor& a = anchor_[static_cast<std::size_t>(h)];
+    if (a.core < 0 || core_[static_cast<std::size_t>(a.core)] == h) continue;
+    const auto x = static_cast<std::size_t>(a.core);
+    ++leaves[x];
+    if (a.weight > leaf1[x]) {
+      leaf2[x] = leaf1[x];
+      leaf1[x] = a.weight;
+    } else if (a.weight > leaf2[x]) {
+      leaf2[x] = a.weight;
     }
-    diameter_ = std::max(diameter_, d);
   }
-  for (const NodeId a : g.switches()) {
-    for (const NodeId b : g.switches()) {
-      if (a != b) min_switch_dist_ = std::min(min_switch_dist_, cost(a, b));
+  if (isolated > 0 && n_ > 1) fully_connected_ = false;
+  for (std::size_t x = 0; x < m; ++x) {
+    for (std::size_t y = 0; y < m; ++y) {
+      const double d = dist_[x * m + y];
+      if (d == kUnreachable) {
+        fully_connected_ = false;
+        continue;
+      }
+      if (x == y) {
+        if (leaves[x] >= 1) diameter_ = std::max(diameter_, leaf1[x]);
+        if (leaves[x] >= 2) diameter_ = std::max(diameter_, leaf1[x] + leaf2[x]);
+        continue;
+      }
+      diameter_ = std::max(diameter_, leaf1[x] + d + leaf1[y]);
+    }
+  }
+  PPDC_REQUIRE(allow_disconnected || fully_connected_,
+               "graph must be connected");
+
+  const std::size_t num_switches = g.switches().size();
+  for (std::size_t a = 0; a < num_switches; ++a) {
+    for (std::size_t b = 0; b < num_switches; ++b) {
+      if (a != b) min_switch_dist_ = std::min(min_switch_dist_, dist_[a * m + b]);
     }
   }
   if (min_switch_dist_ == kUnreachable) {
@@ -67,17 +144,42 @@ AllPairs::AllPairs(const Graph& g, bool allow_disconnected)
   }
 }
 
+const double* AllPairs::transposed() const {
+  TransposeSlot::Block& t = *transposed_.block;
+  std::call_once(t.once, [&] {
+    const std::size_t m = core_.size();
+    t.cost.assign(m * m, 0.0);
+    for (std::size_t y = 0; y < m; ++y) {
+      for (std::size_t x = 0; x < m; ++x) t.cost[y * m + x] = dist_[x * m + y];
+    }
+  });
+  return t.cost.data();
+}
+
+AllPairs::CoreRow AllPairs::cost_col(NodeId v) const {
+  check_node(v);
+  const Anchor& a = anchor_[static_cast<std::size_t>(v)];
+  if (a.core < 0) return {unreachable_row_.data(), 0.0};
+  return {transposed() + block_index(a.core, 0), a.weight};
+}
+
 std::vector<NodeId> AllPairs::path(NodeId u, NodeId v) const {
-  PPDC_REQUIRE(u >= 0 && u < n_ && v >= 0 && v < n_, "node out of range");
+  PPDC_REQUIRE(reachable(u, v), "no path between the two nodes");
+  if (u == v) return {u};
+  const Anchor& a = anchor_[static_cast<std::size_t>(u)];
+  const Anchor& b = anchor_[static_cast<std::size_t>(v)];
+  // Built backwards: v's leaf edge, the core path b -> a, u's leaf edge.
   std::vector<NodeId> p;
-  const std::size_t row =
-      static_cast<std::size_t>(u) * static_cast<std::size_t>(n_);
-  for (NodeId cur = v; cur != kInvalidNode;
+  if (core_[static_cast<std::size_t>(b.core)] != v) p.push_back(v);
+  const std::size_t row = block_index(a.core, 0);
+  for (std::int32_t cur = b.core; cur >= 0;
        cur = parent_[row + static_cast<std::size_t>(cur)]) {
-    p.push_back(cur);
-    if (cur == u) break;
+    p.push_back(core_[static_cast<std::size_t>(cur)]);
+    if (cur == a.core) break;
   }
-  PPDC_REQUIRE(!p.empty() && p.back() == u, "broken parent chain");
+  PPDC_REQUIRE(p.back() == core_[static_cast<std::size_t>(a.core)],
+               "broken parent chain");
+  if (p.back() != u) p.push_back(u);
   std::reverse(p.begin(), p.end());
   return p;
 }

@@ -2,11 +2,22 @@
 //
 // Everything in the paper's cost model is expressed through c(u,v), the
 // shortest-path cost between two devices (§III, Table I). AllPairs
-// precomputes the full distance matrix once per topology (OpenMP-parallel
-// across sources) and serves c(u,v) in O(1) plus shortest-path vertex
-// sequences for migration frontiers.
+// precomputes the metric once per topology (OpenMP-parallel across
+// sources) and serves c(u,v) in O(1) plus shortest-path vertex sequences
+// for migration frontiers.
+//
+// Only the *core* block is stored. The core is every switch plus every
+// host of degree >= 2 (BCube and DCell hosts relay traffic); every other
+// host is a *leaf* of degree <= 1 and is stored as (attach, weight). A
+// leaf is never an interior node of a shortest path, so
+//   c(h, x) = w(h) + c(attach(h), x),   c(x, h) = c(x, attach(h)) + w(h)
+// and path() splices the leaf edge onto the core path. A degree-0 leaf
+// (an isolated host of a degraded fabric) reaches only itself. On fat-tree,
+// leaf-spine and VL2 every host is a leaf, so the block is |V_s|² instead
+// of |V|² (k=32 fat-tree: 1280² instead of 9472²).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -20,8 +31,8 @@ namespace ppdc {
 /// Precomputed all-pairs shortest path distances and parents.
 class AllPairs {
  public:
-  /// Runs one SSSP per vertex. Uses BFS when every edge weight equals 1
-  /// (hop metric) and Dijkstra otherwise. Requires a connected graph.
+  /// Runs one SSSP per core vertex. Uses BFS when every edge weight equals
+  /// 1 (hop metric) and Dijkstra otherwise. Requires a connected graph.
   explicit AllPairs(const Graph& g);
 
   /// As above, but `allow_disconnected = true` accepts graphs with
@@ -33,22 +44,59 @@ class AllPairs {
 
   /// Shortest-path cost c(u,v). O(1).
   double cost(NodeId u, NodeId v) const {
-    return dist_[index(u, v)];
+    check_node(u);
+    check_node(v);
+    if (u == v) return 0.0;
+    const Anchor& a = anchor_[static_cast<std::size_t>(u)];
+    const Anchor& b = anchor_[static_cast<std::size_t>(v)];
+    if (a.core < 0 || b.core < 0) return kUnreachable;
+    return a.weight + dist_[block_index(a.core, b.core)] + b.weight;
   }
 
-  /// Contiguous row c(u, ·) of the distance matrix, indexed by NodeId.
-  /// The flat hot kernels (stroll-DP metric closure, chain-search candidate
-  /// tables, cost-model attraction rebuilds) stream rows through this
-  /// pointer instead of paying a bounds check per cost() element.
-  const double* cost_row(NodeId u) const {
-    PPDC_REQUIRE(u >= 0 && u < n_, "node out of range");
-    return dist_.data() +
-           static_cast<std::size_t>(u) * static_cast<std::size_t>(n_);
+  /// One row of the core block plus a leaf offset: for the core node x at
+  /// position k, the cost is `weight + cost[k]` (weight is 0 for a core
+  /// endpoint; cost is an all-unreachable row for an isolated leaf).
+  struct CoreRow {
+    const double* cost;
+    double weight;
+  };
+
+  /// Contiguous row c(u, ·) over the core, indexed by core position, for
+  /// any node u. The flat hot kernels (stroll-DP metric closure,
+  /// chain-search candidate tables, cost-model attraction rebuilds) stream
+  /// rows through this pointer instead of paying a check per cost().
+  CoreRow cost_row(NodeId u) const {
+    check_node(u);
+    const Anchor& a = anchor_[static_cast<std::size_t>(u)];
+    if (a.core < 0) return {unreachable_row_.data(), 0.0};
+    return {dist_.data() + block_index(a.core, 0), a.weight};
+  }
+
+  /// Contiguous column c(·, v) over the core, indexed by core position,
+  /// for any node v. Served from a transposed copy of the core block that
+  /// is built on first use and kept for the life of the AllPairs; the
+  /// cost model's egress attraction B(b) = Σ λ c(b, dst) reads it so churn
+  /// patches stream rows instead of striding down columns.
+  CoreRow cost_col(NodeId v) const;
+
+  /// Number of core vertices. Positions 0 .. |V_s|-1 are the switches in
+  /// Graph::switches() order (a switch's core position is its SwitchIdx);
+  /// relay hosts follow in id order.
+  std::int32_t num_core() const noexcept {
+    return static_cast<std::int32_t>(core_.size());
+  }
+  /// Core position of v, or -1 when v is a leaf.
+  std::int32_t core_index(NodeId v) const {
+    check_node(v);
+    const Anchor& a = anchor_[static_cast<std::size_t>(v)];
+    return a.core >= 0 && core_[static_cast<std::size_t>(a.core)] == v
+               ? a.core
+               : -1;
   }
 
   /// True when a path u -> v exists (always true in connected mode).
   bool reachable(NodeId u, NodeId v) const {
-    return dist_[index(u, v)] != kUnreachable;
+    return cost(u, v) != kUnreachable;
   }
 
   /// True when every pair is reachable.
@@ -91,11 +139,22 @@ class AllPairs {
   bool check_triangle_inequality(int samples, std::uint64_t seed) const;
 
  private:
-  std::size_t index(NodeId u, NodeId v) const {
-    PPDC_REQUIRE(u >= 0 && u < n_ && v >= 0 && v < n_, "node out of range");
-    return static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(v);
+  /// Where a vertex sits in the core block: its own position (weight 0)
+  /// for a core vertex, its attach switch's position and the leaf edge
+  /// weight for a leaf, core = -1 for an isolated leaf.
+  struct Anchor {
+    std::int32_t core = -1;
+    double weight = 0.0;
+  };
+
+  void check_node(NodeId v) const {
+    PPDC_REQUIRE(v >= 0 && v < n_, "node out of range");
   }
+  std::size_t block_index(std::int32_t x, std::int32_t y) const {
+    return static_cast<std::size_t>(x) * core_.size() +
+           static_cast<std::size_t>(y);
+  }
+  const double* transposed() const;
 
   /// The derived() slot; never travels with a copy or a move.
   struct DerivedSlot {
@@ -110,14 +169,35 @@ class AllPairs {
     mutable std::shared_ptr<void> data;
   };
 
+  /// The transposed core block behind cost_col(); built once, on first
+  /// use, and like the derived() slot never carried by a copy or a move.
+  struct TransposeSlot {
+    struct Block {
+      std::once_flag once;
+      std::vector<double, PageAllocator<double>> cost;
+    };
+    TransposeSlot() : block(std::make_unique<Block>()) {}
+    TransposeSlot(const TransposeSlot& /*other*/) : TransposeSlot() {}
+    TransposeSlot& operator=(const TransposeSlot& /*other*/) {
+      block = std::make_unique<Block>();
+      return *this;
+    }
+    std::unique_ptr<Block> block;
+  };
+
   DerivedSlot derived_;
+  TransposeSlot transposed_;
   const Graph* g_;
   NodeId n_ = 0;
-  /// Row-major n x n, page-mapped (util/pages.hpp): fault epochs rebuild
-  /// these on worker threads.
+  std::vector<Anchor> anchor_;  ///< one per vertex
+  std::vector<NodeId> core_;    ///< core position -> vertex
+  /// Row-major |core| x |core|, page-mapped (util/pages.hpp): fault
+  /// epochs rebuild these on worker threads.
   std::vector<double, PageAllocator<double>> dist_;
-  /// parent_[u*n+v]: predecessor of v on u->v.
-  std::vector<NodeId, PageAllocator<NodeId>> parent_;
+  /// parent_[x*|core|+y]: core position of y's predecessor on x->y, -1
+  /// for y == x or unreachable y.
+  std::vector<std::int32_t, PageAllocator<std::int32_t>> parent_;
+  std::vector<double> unreachable_row_;  ///< |core| x +inf
   double diameter_ = 0.0;
   double min_switch_dist_ = kUnreachable;
   bool fully_connected_ = true;

@@ -584,7 +584,11 @@ JournalContents read_journal(const std::string& path) {
 namespace {
 
 constexpr char kEpochMagic[8] = {'P', 'P', 'D', 'C', 'E', 'J', 'L', '1'};
-constexpr std::uint32_t kEpochVersion = 1;
+// Version 2: the per-shard CostModel::GroupSnapshot base vectors are
+// |V_s| wide (SwitchIdx-indexed), not |V| wide. A version-1 journal is
+// rejected, and the sharded engine warns and starts the run fresh rather
+// than restore misaligned vectors.
+constexpr std::uint32_t kEpochVersion = 2;
 
 void put_i32(std::string& out, std::int32_t v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof v);

@@ -10,8 +10,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,6 +23,7 @@
 #include "sim/experiment.hpp"
 #include "sim/sharded.hpp"
 #include "topology/fat_tree.hpp"
+#include "util/checksum.hpp"
 #include "util/require.hpp"
 #include "workload/streaming.hpp"
 #include "workload/vm_placement.hpp"
@@ -705,6 +708,64 @@ TEST_F(CheckpointTest, EpochJournalMismatchOrCorruptionStartsFresh) {
   const SimTrace after_corruption = run(5, true);
   EXPECT_EQ(after_corruption.total_cost, reference.total_cost);
   EXPECT_EQ(after_corruption.total_comm_cost, reference.total_comm_cost);
+  remove_epoch_journal(path);
+}
+
+TEST_F(CheckpointTest, EpochJournalFromOlderVersionStartsFresh) {
+  const ShardMap map = ShardMap::by_ingress_pod(topo_);
+  const std::string path = ::testing::TempDir() + "ppdc_epoch_v1.ejl";
+  remove_epoch_journal(path);
+
+  SimConfig sim;
+  sim.hours = 6;
+  StreamingChurnConfig churn;
+  churn.arrivals_per_epoch = 4;
+  churn.departure_prob = 0.05;
+  churn.rerate_prob = 0.1;
+  ShardedStreamingConfig sharded;
+  sharded.enabled = true;
+  sharded.threads = 2;
+  sharded.churn = churn;
+  VmPlacementConfig wl;
+  wl.num_pairs = 40;
+  NoMigrationPolicy proto;
+  auto run = [&](bool with_journal) {
+    ShardedStreamingConfig cfg = sharded;
+    if (with_journal) cfg.epoch_journal = path;
+    StreamingWorkload w(topo_, wl, churn, Rng(5));
+    return run_sharded_simulation(apsp_, map, w, 3, sim, cfg, proto);
+  };
+  const SimTrace reference = run(false);
+
+  // A journal of this very run, restamped as version 1: the layout that
+  // stored |V|-wide group base vectors. The header frame's CRC is
+  // recomputed, so only the version tells it apart.
+  run(true);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  constexpr std::size_t kHeader = 8;  // magic, then [len][crc][payload]
+  std::uint32_t len = 0;
+  std::memcpy(&len, bytes.data() + kHeader, sizeof len);
+  const std::uint32_t old_version = 1;
+  std::memcpy(bytes.data() + kHeader + 8, &old_version, sizeof old_version);
+  const std::uint32_t crc = crc32(bytes.data() + kHeader + 8, len);
+  std::memcpy(bytes.data() + kHeader + 4, &crc, sizeof crc);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+  EpochJournalState state;
+  EXPECT_THROW(read_epoch_journal(path, state), PpdcError);
+  ::testing::internal::CaptureStderr();
+  const SimTrace fresh = run(true);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("has version 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("starting the sharded run fresh"), std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("resuming"), std::string::npos) << err;
+  EXPECT_EQ(fresh.total_cost, reference.total_cost);
+  EXPECT_EQ(fresh.total_comm_cost, reference.total_comm_cost);
   remove_epoch_journal(path);
 }
 

@@ -12,6 +12,7 @@
 
 #include "baselines/vm_migration.hpp"
 #include "core/placement_dp.hpp"
+#include "core/sharded_cost_model.hpp"
 #include "sim/engine.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
@@ -367,6 +368,118 @@ TEST(IncrementalRefresh, RebaseFlowPatchesBaseVectors) {
   // Batched-churn contract: recombine once, then query.
   cm.refresh_scaled({1.0, 1.0});
   expect_matches_rebuild(apsp, flows, cm);
+}
+
+TEST(IncrementalRefresh, ShardChurnPatchesEqualRebuildBitForBit) {
+  // Integer link weights (host links 2, fabric links 1) and integer base
+  // rates keep every partial sum an exact integer, so the order in which
+  // patches landed cannot matter: the churn-patched base vectors of each
+  // shard must equal a from-scratch rebuild exactly. The host links make
+  // the leaf weight of every endpoint visible in the sums.
+  Topology topo = build_fat_tree(4);
+  for (const NodeId h : topo.graph.hosts()) {
+    topo.graph.set_edge_weight(h, topo.graph.neighbors(h)[0].to, 2.0);
+  }
+  const AllPairs apsp(topo.graph);
+  const ShardMap map = ShardMap::by_ingress_pod(topo);
+  const std::vector<NodeId>& hosts = topo.graph.hosts();
+  constexpr int kGroups = 4;
+  Rng rng(29);
+  auto any_host = [&] {
+    return hosts[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
+  };
+  auto fresh_flow = [&] {
+    VmFlow f;
+    f.src_host = any_host();
+    f.dst_host = any_host();
+    f.rate = static_cast<double>(rng.uniform_int(1, 9));
+    f.group = static_cast<int>(rng.uniform_int(0, kGroups - 1));
+    return f;
+  };
+  std::vector<VmFlow> flows;
+  for (int i = 0; i < 48; ++i) flows.push_back(fresh_flow());
+  ShardedCostModel sharded(apsp, map, flows, kGroups);
+  const std::vector<double> scales(kGroups, 1.0);
+
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    FlowChurn churn;
+    for (std::size_t g = 0; g < flows.size(); ++g) {
+      const FlowId id{static_cast<std::int32_t>(g)};
+      const std::int64_t roll = rng.uniform_int(0, 9);
+      if (flows[g].rate == 0.0) {
+        if (roll < 3) {  // re-spawn into a vacant slot, any pod
+          flows[g] = fresh_flow();
+          churn.arrived.push_back(id);
+        }
+      } else if (roll == 0) {
+        flows[g].rate = 0.0;
+        churn.departed.push_back(id);
+      } else if (roll == 1) {
+        flows[g].rate = static_cast<double>(rng.uniform_int(1, 9));
+        churn.rerated.push_back(id);
+      }
+    }
+    for (int a = 0; a < 2; ++a) {  // appended global slots
+      churn.arrived.push_back(FlowId{static_cast<std::int32_t>(flows.size())});
+      flows.push_back(fresh_flow());
+    }
+    sharded.apply_churn(flows, churn);
+
+    // PLAN-style VM moves: one live flow per shard changes endpoints (its
+    // source stays in the shard's pod) and the model is told through
+    // endpoints_moved(), mirrored into the global vector.
+    for (int s = 0; s < sharded.num_shards(); ++s) {
+      ShardedCostModel::Shard& sh = sharded.shard(s);
+      sh.model->refresh_scaled(scales);
+      for (std::size_t l = 0; l < sh.flows.size(); ++l) {
+        if (sh.base_rates[l] == 0.0) continue;
+        NodeId src = any_host();
+        while (map.shard_of(src) != s) src = any_host();
+        sh.flows[l].src_host = src;
+        sh.flows[l].dst_host = any_host();
+        const auto g = static_cast<std::size_t>(sh.global_ids[l].value());
+        flows[g].src_host = sh.flows[l].src_host;
+        flows[g].dst_host = sh.flows[l].dst_host;
+        sh.model->endpoints_moved({FlowId{static_cast<std::int32_t>(l)}});
+        break;
+      }
+    }
+  }
+
+  const std::size_t ns = topo.graph.switches().size();
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    const ShardedCostModel::Shard& sh = sharded.shard(s);
+    CostModel rebuilt(apsp, sh.flows);
+    rebuilt.enable_group_refresh(sh.base_rates, sh.groups, kGroups);
+    const CostModel::GroupSnapshot got = sh.model->group_snapshot();
+    const CostModel::GroupSnapshot want = rebuilt.group_snapshot();
+    ASSERT_EQ(got.group_ingress.size(), got.row_groups.size() * ns);
+    // Rows are allocated in first-use order by the patches and in id
+    // order by the rebuild; a group emptied by churn keeps an all-zero
+    // row in the patched model only.
+    auto row = [&](const CostModel::GroupSnapshot& snap,
+                   const std::vector<double>& vec, int g, std::size_t j) {
+      if (static_cast<std::size_t>(g) >= snap.group_rows.size() ||
+          snap.group_rows[static_cast<std::size_t>(g)] < 0) {
+        return 0.0;
+      }
+      return vec[static_cast<std::size_t>(
+                     snap.group_rows[static_cast<std::size_t>(g)]) *
+                     ns +
+                 j];
+    };
+    for (int g = 0; g < kGroups; ++g) {
+      for (std::size_t j = 0; j < ns; ++j) {
+        ASSERT_EQ(row(got, got.group_ingress, g, j),
+                  row(want, want.group_ingress, g, j))
+            << "shard " << s << " group " << g << " switch slot " << j;
+        ASSERT_EQ(row(got, got.group_egress, g, j),
+                  row(want, want.group_egress, g, j))
+            << "shard " << s << " group " << g << " switch slot " << j;
+      }
+    }
+  }
 }
 
 TEST(IncrementalRefresh, FlowsAppendedExtendsModel) {
