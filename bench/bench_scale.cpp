@@ -9,7 +9,9 @@
 // over ShardMap::by_ingress_pod with a streaming workload churning
 // between epochs, and prints one row per epoch: live flows, applied
 // churn, resolved/held shard split, communication cost, epoch latency,
-// and current RSS, with peak RSS in the footer.
+// and current RSS. The footer adds the engine set-up wall (shard cost
+// models and hour-0 solves: from the run_sharded_simulation call to
+// on_run_begin), the fabric's stroll-table cache totals, and peak RSS.
 //
 // Options: --k --flows --hours --n --mu --threads --cand --seed
 //          --arrivals --depart --rerate --resolve-fraction --staleness
@@ -21,6 +23,7 @@
 
 #include "bench_common.hpp"
 #include "core/sharded_cost_model.hpp"
+#include "core/stroll_dp.hpp"
 #include "sim/sharded.hpp"
 #include "workload/streaming.hpp"
 
@@ -30,11 +33,16 @@ using Clock = std::chrono::steady_clock;
 
 /// Prints one progress row per epoch as the run executes (a long l=1M run
 /// must not be silent for minutes), tracking per-epoch wall latency from
-/// on_epoch_begin to on_epoch_end.
+/// on_epoch_begin to on_epoch_end and when the run began iterating.
 class ScaleObserver final : public ppdc::EpochObserver {
  public:
   explicit ScaleObserver(const ppdc::StreamingWorkload& workload)
       : workload_(workload) {}
+
+  void on_run_begin(ppdc::Hour /*horizon*/,
+                    const ppdc::Placement& /*initial*/) override {
+    run_begin_ = Clock::now();
+  }
 
   void on_epoch_begin(ppdc::Hour /*hour*/) override {
     epoch_start_ = Clock::now();
@@ -66,9 +74,11 @@ class ScaleObserver final : public ppdc::EpochObserver {
   double mean_epoch_ms() const {
     return epochs_ == 0 ? 0.0 : total_ms_ / epochs_;
   }
+  Clock::time_point run_begin() const { return run_begin_; }
 
  private:
   const ppdc::StreamingWorkload& workload_;
+  Clock::time_point run_begin_{};
   Clock::time_point epoch_start_{};
   int churned_ = 0;
   int resolved_ = 0;
@@ -176,6 +186,15 @@ int main(int argc, char** argv) {
             << hours << " epochs (mean "
             << TablePrinter::num(observer.mean_epoch_ms(), 1)
             << " ms/epoch, hour-0 solve included in wall only)\n";
+  const double setup_ms = std::chrono::duration<double, std::milli>(
+                              observer.run_begin() - t_run)
+                              .count();
+  std::cout << "engine set-up (shard models + hour-0 solves): "
+            << TablePrinter::num(setup_ms, 1) << " ms\n";
+  const StrollTableCache::Stats cache = StrollTableCache::of(apsp).stats();
+  std::cout << "stroll-table cache: " << cache.levels_built
+            << " level tables built, " << cache.level_hits << " hits, "
+            << bench::mib(cache.bytes) << " MiB\n";
   bench::print_rss_footer(std::cout);
   return 0;
 }

@@ -74,6 +74,14 @@ CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows)
   refresh();
 }
 
+CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
+                     const std::vector<double>& base_rates,
+                     const std::vector<int>& groups, int min_groups)
+    : apsp_(&apsp), flows_(&flows) {
+  enable_group_refresh(base_rates, groups, min_groups);
+  recombine(std::vector<double>(static_cast<std::size_t>(num_groups_), 1.0));
+}
+
 void CostModel::refresh() {
   const std::size_t ns = num_switches();
   ingress_.assign(ns, 0.0);

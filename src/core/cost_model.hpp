@@ -55,6 +55,17 @@ class CostModel {
   /// Builds the evaluator. `apsp` and `flows` must outlive the model.
   CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows);
 
+  /// Builds a grouped evaluator in one pass: enable_group_refresh(
+  /// base_rates, groups, min_groups), then Λ, A and B at unit scales.
+  /// It skips the rate rescan of the two-step path (constructor, then
+  /// enable_group_refresh), whose attractions the first refresh_scaled()
+  /// would overwrite anyway; after that call both paths hold bit-identical
+  /// state. Like after rebase_flow(), callers recombine via
+  /// refresh_scaled() before the first cost query.
+  CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
+            const std::vector<double>& base_rates,
+            const std::vector<int>& groups, int min_groups = 0);
+
   /// Re-derives Λ, A, B after the traffic rate vector changed in `flows`
   /// (full O(|V_s| · l) rescan, OpenMP-parallel over switches). With
   /// group refresh enabled, also resyncs the per-group base vectors to the

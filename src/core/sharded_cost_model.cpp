@@ -104,9 +104,8 @@ ShardedCostModel::ShardedCostModel(const AllPairs& apsp, const ShardMap& map,
   }
 
   for (auto& shard : shards_) {
-    shard->model = std::make_unique<CostModel>(apsp, shard->flows);
-    shard->model->enable_group_refresh(shard->base_rates, shard->groups,
-                                       min_groups_);
+    shard->model = std::make_unique<CostModel>(
+        apsp, shard->flows, shard->base_rates, shard->groups, min_groups_);
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <new>
 #include <utility>
 
 #include "graph/graph.hpp"
+#include "util/pages.hpp"
 #include "util/require.hpp"
 
 namespace ppdc {
@@ -82,26 +85,54 @@ std::size_t StrollMetric::bytes() const noexcept {
 // ---------------------------------------------------------------------------
 
 StrollLevels::StrollLevels(std::shared_ptr<const StrollMetric> metric,
-                           NodeId destination)
-    : metric_(std::move(metric)), t_(destination) {
+                           NodeId destination, Storage storage)
+    : metric_(std::move(metric)), t_(destination), storage_(storage) {
   PPDC_REQUIRE(metric_ != nullptr, "stroll levels need a metric");
   PPDC_REQUIRE(destination >= 0 &&
                    destination < metric_->apsp().graph().num_nodes(),
                "destination out of range");
+  const std::size_t rows = metric_->rows();
+  level_bytes_ = rows * sizeof(double) + (rows * sizeof(NodeId) + 7) / 8 * 8;
 }
 
-void StrollLevels::at_least(int count,
-                            std::vector<const Level*>& out) const {
+StrollLevels::~StrollLevels() {
+  for (const auto& [p, bytes] : blocks_) {
+    if (storage_ == Storage::kSlabs) {
+      unmap_pages(p, bytes);
+    } else {
+      ::operator delete(p);
+    }
+  }
+}
+
+std::byte* StrollLevels::carve() const {
+  if (blocks_.empty() || slab_used_ + level_bytes_ > blocks_.back().second) {
+    // Fresh mappings are zero pages until written, so a slab's untouched
+    // levels cost address space only.
+    const std::size_t bytes = storage_ == Storage::kSlabs
+                                  ? kSlabLevels * level_bytes_
+                                  : level_bytes_;
+    void* p = storage_ == Storage::kSlabs ? map_pages(bytes)
+                                          : ::operator new(bytes);
+    blocks_.emplace_back(static_cast<std::byte*>(p), bytes);
+    slab_used_ = 0;
+  }
+  std::byte* at = blocks_.back().first + slab_used_;
+  slab_used_ += level_bytes_;
+  return at;
+}
+
+void StrollLevels::at_least(int count, std::vector<Level>& out) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const StrollMetric& m = *metric_;
   const std::size_t rows = m.rows();
   const NodeId* sw = m.switches().data();
   while (static_cast<int>(levels_.size()) < count) {
-    auto next = std::make_unique<Level>();
-    next->cost.assign(rows, kInf);
-    next->succ.assign(rows, kInvalidNode);
-    double* ce = next->cost.data();
-    NodeId* se = next->succ.data();
+    std::byte* block = carve();
+    double* ce = reinterpret_cast<double*>(block);
+    NodeId* se = reinterpret_cast<NodeId*>(block + rows * sizeof(double));
+    std::uninitialized_fill_n(ce, rows, kInf);
+    std::uninitialized_fill_n(se, rows, kInvalidNode);
     if (levels_.empty()) {
       // Base case (pseudocode line 2): one metric edge straight to t.
       for (std::size_t i = 0; i < rows; ++i) {
@@ -109,11 +140,11 @@ void StrollLevels::at_least(int count,
         ce[i] = m.apsp().cost(sw[i], t_);
         se[i] = t_;
       }
-      levels_.push_back(std::move(next));
+      levels_.push_back(Level{ce, se});
       continue;
     }
-    const double* pc = levels_.back()->cost.data();
-    const NodeId* ps = levels_.back()->succ.data();
+    const double* pc = levels_.back().cost;
+    const NodeId* ps = levels_.back().succ;
     // Tiled candidate min-scan: the k tile of the shared previous-level
     // rows stays cache-resident while every row i streams its metric
     // segment past it. ce/se are the running best per row; tiles arrive in
@@ -143,12 +174,10 @@ void StrollLevels::at_least(int count,
         se[i] = best_w;
       }
     }
-    levels_.push_back(std::move(next));
+    levels_.push_back(Level{ce, se});
   }
-  bytes_.store(levels_.size() * rows * (sizeof(double) + sizeof(NodeId)),
-               std::memory_order_relaxed);
-  out.resize(levels_.size());
-  for (std::size_t e = 0; e < levels_.size(); ++e) out[e] = levels_[e].get();
+  bytes_.store(levels_.size() * level_bytes_, std::memory_order_relaxed);
+  out = levels_;
 }
 
 // ---------------------------------------------------------------------------
@@ -183,8 +212,8 @@ std::pair<double, NodeId> StrollTable::source_row(NodeId s, int e) const {
   const AllPairs::CoreRow srow = m.apsp().cost_row(s);
   const std::int32_t* cols = m.core_cols();
   const std::size_t rows = m.rows();
-  const double* pc = level(e - 1).cost.data();
-  const NodeId* ps = level(e - 1).succ.data();
+  const double* pc = level(e - 1).cost;
+  const NodeId* ps = level(e - 1).succ;
   const NodeId* sw = m.switches().data();
   double best = kInf;
   NodeId best_w = kInvalidNode;
@@ -345,9 +374,9 @@ bool StrollTable::satisfies_theorem3(const StrollResult& result) const {
     const NodeId u = result.walk[static_cast<std::size_t>(i)];
     const CandidateIdx row = m.row_of(u);
     if (!row.valid()) return false;
-    const std::vector<double>& cost = level(r - i).cost;
+    const double* cost = level(r - i).cost;
     const double suffix = cost[static_cast<std::size_t>(row.value())];
-    const double global_min = *std::min_element(cost.begin(), cost.end());
+    const double global_min = *std::min_element(cost, cost + m.rows());
     if (suffix > global_min + 1e-9) return false;
   }
   return true;
@@ -383,7 +412,8 @@ std::shared_ptr<const StrollLevels> StrollTableCache::levels(
   } else {
     // Cheap to create: the levels themselves grow on first query, under
     // their own lock.
-    slot = std::make_shared<const StrollLevels>(metric_, destination);
+    slot = std::make_shared<const StrollLevels>(
+        metric_, destination, StrollLevels::Storage::kSlabs);
     ++stats_.levels_built;
   }
   return slot;

@@ -38,9 +38,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "graph/apsp.hpp"
@@ -107,23 +109,42 @@ class StrollMetric {
 /// Unit-rate level tables of Algorithm 2 toward one destination. Levels
 /// are appended on demand and never change or move once built, so any
 /// number of threads may read them while another appends.
+///
+/// Where the level rows live follows the tables' lifetime (DESIGN.md §11).
+/// Cached tables live as long as their fabric but are often built on
+/// worker threads, whose malloc arenas would keep the memory after the
+/// fabric is gone; they carve their rows from page-mapped slabs of
+/// several levels each, and a slab only grows resident as its levels are
+/// written. Private tables die inside the solve, on the thread that built
+/// them, so plain heap blocks (one per level) serve them best.
 class StrollLevels {
  public:
   /// Level e as flat rows over the universe: the candidate min-scan is a
-  /// plain index loop over contiguous double rows.
+  /// plain index loop over contiguous rows. Both point into storage the
+  /// StrollLevels owns and stay valid as long as it does.
   struct Level {
-    std::vector<double> cost;  ///< cost[row]: best e-edge stroll from row
-    std::vector<NodeId> succ;  ///< its first hop (kInvalidNode: none)
+    const double* cost = nullptr;  ///< cost[row]: best e-edge stroll from row
+    const NodeId* succ = nullptr;  ///< its first hop (kInvalidNode: none)
   };
 
-  StrollLevels(std::shared_ptr<const StrollMetric> metric, NodeId destination);
+  enum class Storage {
+    kHeap,   ///< one heap block per level (private, short-lived tables)
+    kSlabs,  ///< page-mapped slabs of kSlabLevels levels (cached tables)
+  };
+  static constexpr std::size_t kSlabLevels = 8;
+
+  StrollLevels(std::shared_ptr<const StrollMetric> metric, NodeId destination,
+               Storage storage = Storage::kHeap);
+  ~StrollLevels();
+  StrollLevels(const StrollLevels&) = delete;
+  StrollLevels& operator=(const StrollLevels&) = delete;
 
   const StrollMetric& metric() const noexcept { return *metric_; }
   NodeId destination() const noexcept { return t_; }
 
   /// Builds levels up to `count` if needed and sets `out` to every built
-  /// level, level e at out[e-1]. The pointers live as long as this object.
-  void at_least(int count, std::vector<const Level*>& out) const;
+  /// level, level e at out[e-1].
+  void at_least(int count, std::vector<Level>& out) const;
 
   /// Bytes held by the built levels. Lock-free, so a cache can total its
   /// size while another thread is appending.
@@ -131,11 +152,23 @@ class StrollLevels {
     return bytes_.load(std::memory_order_relaxed);
   }
 
+  /// Bytes one level occupies: its cost row, then its successor row
+  /// padded to a multiple of 8 so the next level's costs stay aligned.
+  std::size_t level_bytes() const noexcept { return level_bytes_; }
+
  private:
+  /// Storage for one more level's rows, from the current slab or a new one.
+  std::byte* carve() const;
+
   std::shared_ptr<const StrollMetric> metric_;
   NodeId t_;
-  mutable std::mutex mu_;  ///< serializes appends; guards levels_
-  mutable std::vector<std::unique_ptr<const Level>> levels_;
+  Storage storage_;
+  std::size_t level_bytes_;
+  mutable std::mutex mu_;  ///< serializes appends; guards the fields below
+  mutable std::vector<Level> levels_;
+  /// Owned blocks (slabs or heap levels) and the size of each.
+  mutable std::vector<std::pair<std::byte*, std::size_t>> blocks_;
+  mutable std::size_t slab_used_ = 0;  ///< bytes carved from blocks_.back()
   mutable std::atomic<std::size_t> bytes_{0};
 };
 
@@ -175,11 +208,11 @@ class StrollTable {
 
   /// Unit-rate level e of the stroll table (must be in seen_).
   const StrollLevels::Level& level(int e) const {
-    return *seen_[static_cast<std::size_t>(e - 1)];
+    return seen_[static_cast<std::size_t>(e - 1)];
   }
 
   std::shared_ptr<const StrollLevels> levels_;
-  std::vector<const StrollLevels::Level*> seen_;  ///< levels fetched so far
+  std::vector<StrollLevels::Level> seen_;  ///< levels fetched so far
   double rate_;
 };
 
@@ -192,9 +225,11 @@ StrollResult solve_top1_dp(const AllPairs& apsp, NodeId s, NodeId t, int n,
 /// switch set and one StrollLevels per destination, shared read-only by
 /// every solver thread across shards, epochs, trials and policies. It
 /// lives in the AllPairs' derived() slot, so it is built on first use and
-/// freed with the fabric. Restricted (degraded) universes are not cached:
-/// each DegradedNetwork carries its own AllPairs, rebuilt on every
-/// topology change, so its tables rarely outlive a solve (DESIGN.md §11).
+/// freed with the fabric; its levels live in page-mapped slabs
+/// (StrollLevels::Storage::kSlabs). Restricted (degraded) universes are
+/// not cached: each DegradedNetwork carries its own AllPairs, rebuilt on
+/// every topology change, so its tables rarely outlive a solve
+/// (DESIGN.md §11).
 /// Cached and freshly built tables are the same deterministic function of
 /// their inputs, so cache state never changes a result.
 class StrollTableCache {

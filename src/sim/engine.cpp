@@ -83,11 +83,9 @@ SimTrace run_simulation(const AllPairs& apsp,
   // Hour 0: initial traffic-optimal placement (TOP, Algorithm 3) on the
   // pristine fabric.
   set_rates(state.flows, rates_at(Hour{0}));
-  CostModel model(apsp, state.flows);
-  if (grouped) {
-    model.enable_group_refresh(base_rates, groups);
-    model.refresh_scaled(scales_at(Hour{0}));
-  }
+  CostModel model = grouped ? CostModel(apsp, state.flows, base_rates, groups)
+                            : CostModel(apsp, state.flows);
+  if (grouped) model.refresh_scaled(scales_at(Hour{0}));
   const PlacementResult initial =
       solve_top_dp(model, n, config.initial_placement);
   state.placement = initial.placement;

@@ -280,16 +280,19 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
               << config.hours << " epochs already journaled\n";
   } else {
     // Hour 0: per-shard initial traffic-optimal placement on the pristine
-    // fabric (mirrors the monolithic hour-0 TOP solve per shard). It runs
-    // inline, not on the shard pool: after the first shard the solves
-    // mostly hit the stroll-table cache, and building the tables from four
-    // threads spread them over four malloc arenas for +6 MiB peak RSS on
-    // the k=16 shard_resolve benchmark against a 0.2 s set-up gain.
+    // fabric (mirrors the monolithic hour-0 TOP solve per shard), on the
+    // shard pool. Each shard touches only its own flows and model; the
+    // stroll tables its solve shares with other shards come from the
+    // fabric's cache, whose levels are a deterministic function of their
+    // destination, so the placements do not depend on the thread count.
+    // No call here enters an OpenMP region on the pristine fabric, and the
+    // cached levels live in page-mapped slabs rather than in the workers'
+    // malloc arenas (DESIGN.md §11).
     const std::vector<double> scales0 = scales_at(Hour{0});
     std::vector<std::exception_ptr> errors(
         static_cast<std::size_t>(num_shards));
     for_each_shard(
-        num_shards, 1, errors,
+        num_shards, pool, errors,
         [&](int s) {
           ShardedCostModel::Shard& sh = shards.shard(s);
           set_rates(sh.flows,

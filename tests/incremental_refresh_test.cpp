@@ -482,6 +482,101 @@ TEST(IncrementalRefresh, ShardChurnPatchesEqualRebuildBitForBit) {
   }
 }
 
+/// Asserts that two grouped models hold bit-identical state: the group
+/// snapshot, Λ, every attraction and the argmins.
+void expect_same_grouped_state(const CostModel& got, const CostModel& want) {
+  const CostModel::GroupSnapshot a = got.group_snapshot();
+  const CostModel::GroupSnapshot b = want.group_snapshot();
+  EXPECT_EQ(a.num_groups, b.num_groups);
+  EXPECT_EQ(a.base_rates, b.base_rates);
+  EXPECT_EQ(a.groups, b.groups);
+  EXPECT_EQ(a.group_rows, b.group_rows);
+  EXPECT_EQ(a.row_groups, b.row_groups);
+  EXPECT_EQ(a.group_ingress, b.group_ingress);
+  EXPECT_EQ(a.group_egress, b.group_egress);
+  EXPECT_EQ(a.last_scales, b.last_scales);
+  EXPECT_EQ(a.snap_src, b.snap_src);
+  EXPECT_EQ(a.snap_dst, b.snap_dst);
+  EXPECT_EQ(got.total_rate(), want.total_rate());
+  for (const NodeId sw : got.apsp().graph().switches()) {
+    EXPECT_EQ(got.ingress_attraction(sw), want.ingress_attraction(sw))
+        << "ingress at switch " << sw;
+    EXPECT_EQ(got.egress_attraction(sw), want.egress_attraction(sw))
+        << "egress at switch " << sw;
+  }
+  EXPECT_EQ(got.best_ingress(), want.best_ingress());
+  EXPECT_EQ(got.best_egress(), want.best_egress());
+  EXPECT_EQ(got.min_ingress_attraction(), want.min_ingress_attraction());
+  EXPECT_EQ(got.min_egress_attraction(), want.min_egress_attraction());
+}
+
+TEST(IncrementalRefresh, GroupedConstructorMatchesTwoStepPath) {
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  struct Case {
+    const char* name;
+    std::vector<int> ids;  ///< group of flow i is ids[i % ids.size()]
+    int min_groups;
+  };
+  const Case cases[] = {
+      {"dense", {0, 1}, 0},
+      {"sparse", {1, 4, 9}, 0},
+      {"min_groups", {0, 1}, 6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<VmFlow> base_flows = spatial_workload(topo, 50, 41);
+    std::vector<double> bases(base_flows.size());
+    std::vector<int> groups(base_flows.size());
+    for (std::size_t i = 0; i < base_flows.size(); ++i) {
+      bases[i] = base_flows[i].rate;
+      groups[i] = c.ids[i % c.ids.size()];
+    }
+    // Each model binds its own flow vector: the churn below mutates both
+    // the same way.
+    std::vector<VmFlow> two_flows = base_flows;
+    std::vector<VmFlow> one_flows = base_flows;
+    CostModel two_step(apsp, two_flows);
+    two_step.enable_group_refresh(bases, groups, c.min_groups);
+    CostModel one_pass(apsp, one_flows, bases, groups, c.min_groups);
+    ASSERT_EQ(one_pass.num_groups(), two_step.num_groups());
+
+    std::vector<double> scales(static_cast<std::size_t>(two_step.num_groups()),
+                               1.0);
+    for (std::size_t g = 0; g < scales.size(); ++g) {
+      scales[g] = 0.25 + 0.5 * static_cast<double>(g % 4);
+    }
+    two_step.refresh_scaled(scales);
+    one_pass.refresh_scaled(scales);
+    expect_same_grouped_state(one_pass, two_step);
+
+    // Churn afterwards: a departure, a re-spawn into a fresh group id,
+    // and two appended flows.
+    const auto& hosts = topo.graph.hosts();
+    const int fresh_group = two_step.num_groups() + 1;
+    for (std::vector<VmFlow>* flows : {&two_flows, &one_flows}) {
+      (*flows)[2].rate = 0.0;
+      (*flows)[7].src_host = hosts.front();
+      (*flows)[7].dst_host = hosts.back();
+      (*flows)[7].rate = 1.5;
+      (*flows)[7].group = fresh_group;
+      for (std::size_t j = 0; j < 2; ++j) {
+        flows->push_back({hosts[j + 1], hosts[hosts.size() - 2 - j],
+                          0.5 + static_cast<double>(j), c.ids.front()});
+      }
+    }
+    for (CostModel* cm : {&two_step, &one_pass}) {
+      cm->rebase_flow(FlowId{2}, 0.0, groups[2]);
+      cm->rebase_flow(FlowId{7}, 1.5, fresh_group);
+      cm->flows_appended({0.5, 1.5}, {c.ids.front(), c.ids.front()});
+    }
+    scales.resize(static_cast<std::size_t>(two_step.num_groups()), 2.0);
+    two_step.refresh_scaled(scales);
+    one_pass.refresh_scaled(scales);
+    expect_same_grouped_state(one_pass, two_step);
+  }
+}
+
 TEST(IncrementalRefresh, FlowsAppendedExtendsModel) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/sharded_cost_model.hpp"
+#include "core/stroll_dp.hpp"
 #include "fault/fault.hpp"
 #include "sim/audit.hpp"
 #include "sim/checkpoint.hpp"
@@ -209,6 +210,47 @@ TEST(ShardedEquivalence, LightChurnHoldsAndStaysThreadInvariant) {
   expect_equal_traces(serial, parallel);
   EXPECT_GT(serial.total_shard_holds, 0);
   EXPECT_GT(serial.total_shard_resolves, 0);
+}
+
+TEST(ShardedEquivalence, ColdCacheHourZeroIsThreadInvariant) {
+  // Hour 0 solves every shard on the shard pool. Over a fresh fabric each
+  // run builds its stroll tables from scratch, so at 4 threads the shards
+  // build (and share) cached levels concurrently.
+  const Topology topo = build_fat_tree(8);
+  const ShardMap map = ShardMap::by_ingress_pod(topo);
+  ASSERT_GT(map.num_shards(), 4);
+  StreamingChurnConfig churn;
+  churn.arrivals_per_epoch = 12;
+  churn.departure_prob = 0.05;
+  churn.rerate_prob = 0.1;
+  SimConfig sim;
+  sim.hours = 4;
+
+  auto run = [&](const AllPairs& apsp, int threads) {
+    StreamingWorkload workload(topo, workload_config(400), churn, Rng(33));
+    ShardedStreamingConfig sharded;
+    sharded.enabled = true;
+    sharded.threads = threads;
+    sharded.resolve_churn_fraction = 0.0;
+    sharded.churn = churn;
+    ParetoMigrationPolicy proto(1e3);
+    return run_sharded_simulation(apsp, map, workload, 5, sim, sharded, proto);
+  };
+  const AllPairs serial_apsp(topo.graph);
+  const SimTrace serial = run(serial_apsp, 1);
+  const AllPairs parallel_apsp(topo.graph);
+  const SimTrace parallel = run(parallel_apsp, 4);
+  ASSERT_EQ(parallel.initial_placement.size(),
+            static_cast<std::size_t>(5 * map.num_shards()));
+  expect_equal_traces(serial, parallel);
+
+  const StrollTableCache::Stats cold =
+      StrollTableCache::of(parallel_apsp).stats();
+  EXPECT_GT(cold.levels_built, 0u);
+  EXPECT_EQ(cold.levels_built,
+            StrollTableCache::of(serial_apsp).stats().levels_built);
+  // A warm cache serves the same run.
+  expect_equal_traces(run(parallel_apsp, 4), serial);
 }
 
 TEST(ShardedEquivalence, HeldShardsChargeExactCosts) {

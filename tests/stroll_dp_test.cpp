@@ -1,6 +1,9 @@
 #include "core/stroll_dp.hpp"
 
+#include <cstddef>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -284,6 +287,129 @@ TEST(StrollDp, CacheBuildsEachTableOncePerFabric) {
   const AllPairs copy = apsp;
   EXPECT_NE(&StrollTableCache::of(copy), &cache);
   EXPECT_EQ(StrollTableCache::of(copy).stats().levels_built, 0u);
+}
+
+/// Copies level rows out, so later checks see the values they had then.
+std::vector<std::vector<double>> cost_rows(
+    const std::vector<StrollLevels::Level>& levels, std::size_t rows) {
+  std::vector<std::vector<double>> out;
+  for (const StrollLevels::Level& lv : levels) {
+    out.emplace_back(lv.cost, lv.cost + rows);
+  }
+  return out;
+}
+
+void expect_same_levels(const std::vector<StrollLevels::Level>& got,
+                        const std::vector<StrollLevels::Level>& want,
+                        std::size_t rows) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    for (std::size_t i = 0; i < rows; ++i) {
+      ASSERT_EQ(got[e].cost[i], want[e].cost[i]) << "level " << e + 1;
+      ASSERT_EQ(got[e].succ[i], want[e].succ[i]) << "level " << e + 1;
+    }
+  }
+}
+
+TEST(StrollDp, SlabLevelsStayPutWhenLaterLevelsSpill) {
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const NodeId t = topo.graph.switches()[7];
+  const auto cached = StrollTableCache::of(apsp).levels(t);
+  const std::size_t rows = cached->metric().rows();
+
+  std::vector<StrollLevels::Level> early;
+  cached->at_least(3, early);
+  const auto early_costs = cost_rows(early, rows);
+  std::vector<std::vector<NodeId>> early_succ;
+  for (const auto& lv : early) early_succ.emplace_back(lv.succ, lv.succ + rows);
+
+  // Two more slabs' worth of levels.
+  const int count = static_cast<int>(2 * StrollLevels::kSlabLevels + 1);
+  std::vector<StrollLevels::Level> all;
+  cached->at_least(count, all);
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(count));
+  for (std::size_t e = 0; e < early.size(); ++e) {
+    EXPECT_EQ(all[e].cost, early[e].cost) << "level " << e + 1 << " moved";
+    EXPECT_EQ(all[e].succ, early[e].succ) << "level " << e + 1 << " moved";
+    EXPECT_EQ(std::vector<double>(early[e].cost, early[e].cost + rows),
+              early_costs[e]);
+    EXPECT_EQ(std::vector<NodeId>(early[e].succ, early[e].succ + rows),
+              early_succ[e]);
+  }
+  // One slab packs kSlabLevels consecutive levels.
+  for (std::size_t e = 0; e + 1 < StrollLevels::kSlabLevels; ++e) {
+    const auto* a = reinterpret_cast<const std::byte*>(all[e].cost);
+    const auto* b = reinterpret_cast<const std::byte*>(all[e + 1].cost);
+    EXPECT_EQ(static_cast<std::size_t>(b - a), cached->level_bytes());
+  }
+
+  // Heap-backed private levels are the same numbers.
+  const StrollLevels heap(std::make_shared<const StrollMetric>(apsp), t);
+  std::vector<StrollLevels::Level> want;
+  heap.at_least(count, want);
+  expect_same_levels(all, want, rows);
+}
+
+TEST(StrollDp, ConcurrentCachedBuildsMatchSerial) {
+  const Topology topo = build_fat_tree(8);
+  const auto& sw = topo.graph.switches();
+  constexpr int kLevels = 6;
+
+  const AllPairs serial_apsp(topo.graph);
+  StrollTableCache& serial = StrollTableCache::of(serial_apsp);
+  std::vector<std::vector<StrollLevels::Level>> want(sw.size());
+  for (std::size_t d = 0; d < sw.size(); ++d) {
+    serial.levels(sw[d])->at_least(kLevels, want[d]);
+  }
+
+  // A fresh fabric, so four threads build every destination cold.
+  const AllPairs parallel_apsp(topo.graph);
+  StrollTableCache& parallel = StrollTableCache::of(parallel_apsp);
+  std::vector<std::vector<StrollLevels::Level>> got(sw.size());
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < 4; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::size_t d = w; d < sw.size(); d += 4) {
+        parallel.levels(sw[d])->at_least(kLevels, got[d]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const std::size_t rows = parallel.metric()->rows();
+  for (std::size_t d = 0; d < sw.size(); ++d) {
+    SCOPED_TRACE("destination " + std::to_string(sw[d]));
+    expect_same_levels(got[d], want[d], rows);
+  }
+  EXPECT_EQ(parallel.stats().levels_built, sw.size());
+  EXPECT_EQ(parallel.stats().level_hits, 0u);
+  EXPECT_EQ(parallel.stats().bytes, serial.stats().bytes);
+}
+
+TEST(StrollDp, CacheBytesAccountForEveryLevel) {
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  StrollTableCache& cache = StrollTableCache::of(apsp);
+  const auto& sw = topo.graph.switches();
+  // Level counts that end inside the first slab, exactly at its end, and
+  // in a later slab.
+  const int counts[] = {1, 4, static_cast<int>(StrollLevels::kSlabLevels),
+                        static_cast<int>(StrollLevels::kSlabLevels) + 3};
+  std::size_t levels_bytes = 0;
+  std::vector<StrollLevels::Level> out;
+  for (std::size_t d = 0; d < std::size(counts); ++d) {
+    const auto levels = cache.levels(sw[d]);
+    levels->at_least(counts[d], out);
+    const std::size_t rows = levels->metric().rows();
+    EXPECT_GE(levels->level_bytes(), rows * (sizeof(double) + sizeof(NodeId)));
+    EXPECT_EQ(levels->bytes(),
+              static_cast<std::size_t>(counts[d]) * levels->level_bytes());
+    levels_bytes += levels->bytes();
+  }
+  const StrollTableCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.levels_built, std::size(counts));
+  EXPECT_EQ(stats.bytes, cache.metric()->bytes() + levels_bytes);
 }
 
 TEST(StrollDp, RejectsImpossibleQuota) {
