@@ -1,7 +1,8 @@
 // Pod-sharded view of the cost model (DESIGN.md §14).
 //
-// The monolithic epoch loop re-solves one CostModel over every flow. At
-// million-flow scale that is both too much work per epoch and needless:
+// One CostModel over every flow (the single-shard map) re-solves the
+// whole population each epoch. At million-flow scale that is both too
+// much work per epoch and needless:
 // fat-tree pods are locality units — a flow's ingress attraction is
 // anchored at its source host's pod — so the flow population factors into
 // per-ingress-pod shards whose cost models evolve independently. Each
@@ -57,8 +58,8 @@ struct ShardMap {
   /// one trailing catch-all shard.
   static ShardMap by_ingress_pod(const Topology& topo);
 
-  /// The degenerate single-shard map: every host in shard 0. A sharded
-  /// run over this map transcribes the monolithic epoch loop exactly.
+  /// The degenerate single-shard map: every host in shard 0. A churn-free
+  /// run over this map equals run_simulation's field for field.
   static ShardMap single(const Topology& topo);
 };
 

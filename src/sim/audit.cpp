@@ -71,315 +71,6 @@ AuditError::AuditError(AuditViolation violation)
     : PpdcError(format_violation(violation)),
       violation_(std::move(violation)) {}
 
-InvariantAuditor::InvariantAuditor(AuditOptions options,
-                                   std::string policy_name)
-    : options_(options), policy_(std::move(policy_name)) {}
-
-void InvariantAuditor::fail(Hour epoch, std::string invariant,
-                            std::string detail, FlowId flow,
-                            NodeId node) const {
-  AuditViolation v;
-  v.epoch = epoch;
-  v.policy = policy_;
-  v.invariant = std::move(invariant);
-  v.flow = flow;
-  v.node = node;
-  v.detail = std::move(detail);
-  throw AuditError(std::move(v));
-}
-
-void InvariantAuditor::on_run_begin(Hour horizon,
-                                    const Placement& /*initial*/) {
-  horizon_ = horizon;
-}
-
-void InvariantAuditor::on_epoch_begin(Hour hour) {
-  if (open_epoch_.valid() && !epoch_ended_) {
-    fail(hour, "event-stream",
-         "epoch began before epoch " +
-             std::to_string(open_epoch_.value()) + " ended");
-  }
-  if (last_ended_.valid() && hour <= last_ended_) {
-    fail(hour, "event-stream", "epoch hours must strictly increase");
-  }
-  open_epoch_ = hour;
-  epoch_ended_ = false;
-  saw_faults_event_ = false;
-  last_faults_ = EpochFaults{};
-  stream_quarantined_ = 0;
-  stream_penalty_ = 0.0;
-}
-
-void InvariantAuditor::on_faults(Hour hour, const EpochFaults& events) {
-  if (hour != open_epoch_) {
-    fail(hour, "event-stream", "on_faults outside its epoch");
-  }
-  saw_faults_event_ = true;
-  last_faults_ = events;
-}
-
-void InvariantAuditor::on_quarantine(Hour hour, int flows,
-                                     double /*unserved_rate*/,
-                                     double penalty) {
-  if (hour != open_epoch_) {
-    fail(hour, "event-stream", "on_quarantine outside its epoch");
-  }
-  stream_quarantined_ = flows;
-  stream_penalty_ = penalty;
-}
-
-void InvariantAuditor::on_ladder_transition(Hour hour, DegradationRung from,
-                                            DegradationRung to,
-                                            const std::string& reason) {
-  if (hour != open_epoch_) {
-    fail(hour, "event-stream", "ladder transition outside its epoch");
-  }
-  if (from != stream_rung_) {
-    fail(hour, "event-stream",
-         std::string("ladder transition from rung '") + to_string(from) +
-             "' but the stream is at '" + to_string(stream_rung_) + "'");
-  }
-  const int step = static_cast<int>(to) - static_cast<int>(from);
-  if (step != 1 && step != -1) {
-    fail(hour, "event-stream",
-         std::string("ladder must move one rung at a time, got '") +
-             to_string(from) + "' -> '" + to_string(to) + "' (" + reason +
-             ")");
-  }
-  stream_rung_ = to;
-  ++transitions_seen_;
-}
-
-void InvariantAuditor::on_epoch_end(Hour hour, const EpochDecision& d) {
-  if (hour != open_epoch_ || epoch_ended_) {
-    fail(hour, "event-stream", "on_epoch_end without a matching begin");
-  }
-  if (d.rung != stream_rung_) {
-    fail(hour, "event-stream",
-         std::string("decision executed at rung '") + to_string(d.rung) +
-             "' but the transition stream says '" + to_string(stream_rung_) +
-             "'");
-  }
-  const EpochFaults expected =
-      saw_faults_event_ ? last_faults_ : EpochFaults{};
-  if (d.switch_failures != expected.switch_failures ||
-      d.link_failures != expected.link_failures ||
-      d.repairs != expected.repairs) {
-    fail(hour, "event-stream",
-         "decision fault stamps disagree with the on_faults event");
-  }
-  if (d.quarantined_flows != stream_quarantined_ ||
-      d.quarantine_penalty != stream_penalty_) {
-    fail(hour, "event-stream",
-         "decision quarantine stamps disagree with the on_quarantine event");
-  }
-  epoch_ended_ = true;
-  last_ended_ = hour;
-  last_decision_ = d;
-}
-
-void InvariantAuditor::check_placement(const AuditContext& ctx,
-                                       const Placement& p) const {
-  if (p.size() != static_cast<std::size_t>(ctx.n)) {
-    fail(ctx.epoch, "placement-feasibility",
-         "placement length " + std::to_string(p.size()) +
-             " does not match the SFC length " + std::to_string(ctx.n));
-  }
-  try {
-    validate_placement(ctx.model->apsp().graph(), p);
-  } catch (const PpdcError& e) {
-    // Identify the offending slot for the diagnostic: first duplicate or
-    // out-of-range entry.
-    NodeId bad = p.empty() ? kInvalidNode : p.front();
-    for (std::size_t j = 0; j < p.size(); ++j) {
-      const bool dup =
-          std::find(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(j),
-                    p[j]) != p.begin() + static_cast<std::ptrdiff_t>(j);
-      if (p[j] < 0 || dup) {
-        bad = p[j];
-        break;
-      }
-    }
-    fail(ctx.epoch, "placement-feasibility", e.what(), FlowId::invalid(),
-         bad);
-  }
-  if (ctx.degraded != nullptr) {
-    for (const NodeId s : p) {
-      if (!ctx.degraded->in_core(s)) {
-        fail(ctx.epoch, "placement-feasibility",
-             "VNF sits outside the serving core of the degraded fabric",
-             FlowId::invalid(), s);
-      }
-    }
-  }
-  // Every served (non-quarantined) flow must reach the chain: a finite
-  // end-to-end cost on the epoch's metric. An infinite cost means the
-  // quarantine logic let an unreachable flow through.
-  const auto& flows = ctx.state->flows;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (flows[i].rate == 0.0) continue;
-    const double c = ctx.model->flow_cost(flows[i], p);
-    if (!std::isfinite(c)) {
-      fail(ctx.epoch, "placement-feasibility",
-           "served flow has infinite end-to-end cost (missed quarantine?)",
-           FlowId{static_cast<FlowId::rep_type>(i)}, p.front());
-    }
-  }
-}
-
-void InvariantAuditor::check_conservation(const AuditContext& ctx) const {
-  // Frozen epochs charge the previous epoch's comm cost by design, and
-  // blackout epochs serve nothing — both are exempt.
-  const EpochDecision& d = *ctx.decision;
-  if (d.service_down || d.rung == DegradationRung::kFrozen) return;
-  double sum = 0.0;
-  for (const VmFlow& f : ctx.state->flows) {
-    if (f.rate == 0.0) continue;  // quarantined: 0 x inf would be NaN
-    sum += ctx.model->flow_cost(f, ctx.state->placement);
-  }
-  if (!close(sum, d.comm_cost, options_.rel_tol, options_.abs_tol)) {
-    fail(ctx.epoch, "cost-conservation",
-         "per-flow recomputation " + std::to_string(sum) +
-             " disagrees with the charged communication cost " +
-             std::to_string(d.comm_cost));
-  }
-}
-
-void InvariantAuditor::check_injector(const AuditContext& ctx) const {
-  if (ctx.injector == nullptr) {
-    if (ctx.degraded != nullptr) {
-      fail(ctx.epoch, "injector-consistency",
-           "degraded view exists without a fault injector");
-    }
-    return;
-  }
-  const bool active = ctx.injector->any_faults_active();
-  if (active != (ctx.degraded != nullptr)) {
-    fail(ctx.epoch, "injector-consistency",
-         active ? "faults are active but no degraded view was built"
-                : "degraded view survives a fully healed fabric");
-  }
-  const auto& dead = ctx.injector->dead_nodes();
-  int dead_count = 0;
-  for (std::size_t v = 0; v < dead.size(); ++v) {
-    if (!dead[v]) continue;
-    ++dead_count;
-    const auto node = static_cast<NodeId>(v);
-    if (ctx.degraded != nullptr && ctx.degraded->in_core(node)) {
-      fail(ctx.epoch, "injector-consistency",
-           "dead switch is inside the serving core", FlowId::invalid(),
-           node);
-    }
-  }
-  if (dead_count != ctx.injector->dead_switch_count()) {
-    fail(ctx.epoch, "injector-consistency",
-         "dead_switch_count " +
-             std::to_string(ctx.injector->dead_switch_count()) +
-             " disagrees with the dead-node mask (" +
-             std::to_string(dead_count) + ")");
-  }
-  if (ctx.degraded != nullptr) {
-    const Graph& masked = ctx.degraded->apsp().graph();
-    for (const auto& [u, v] : ctx.injector->dead_edges()) {
-      if (masked.has_edge(u, v)) {
-        fail(ctx.epoch, "injector-consistency",
-             "dead link still present in the degraded graph",
-             FlowId::invalid(), u);
-      }
-    }
-    for (const NodeId s : ctx.degraded->core_switches()) {
-      if (dead[static_cast<std::size_t>(s)]) {
-        fail(ctx.epoch, "injector-consistency",
-             "serving core lists a dead switch", FlowId::invalid(), s);
-      }
-    }
-  }
-}
-
-void InvariantAuditor::check_stream(const AuditContext& ctx) const {
-  if (ctx.epoch != open_epoch_ || !epoch_ended_) {
-    fail(ctx.epoch, "event-stream",
-         "check_epoch called before the epoch's on_epoch_end");
-  }
-}
-
-void InvariantAuditor::check_epoch(const AuditContext& ctx) {
-  check_stream(ctx);
-  check_injector(ctx);
-  if (!ctx.decision->service_down) {
-    check_placement(ctx, ctx.state->placement);
-    if (options_.corrupt_placement_epoch == ctx.epoch && ctx.n >= 2) {
-      // Test-only breach: prove the detection path fires on a real run.
-      Placement corrupted = ctx.state->placement;
-      corrupted[1] = corrupted[0];
-      check_placement(ctx, corrupted);
-    }
-    if (const std::string why = stroll_cache_mismatch(*ctx.model, ctx.n);
-        !why.empty()) {
-      fail(ctx.epoch, "stroll-cache", why);
-    }
-  }
-  check_conservation(ctx);
-  ++checked_epochs_;
-}
-
-void InvariantAuditor::check_run(const SimTrace& trace) const {
-  if (open_epoch_.valid() && !epoch_ended_) {
-    fail(open_epoch_, "event-stream", "run ended inside an open epoch");
-  }
-  if (horizon_.valid() &&
-      trace.epochs.size() != static_cast<std::size_t>(horizon_.value())) {
-    fail(last_ended_, "event-stream",
-         "trace has " + std::to_string(trace.epochs.size()) +
-             " epochs for a horizon of " +
-             std::to_string(horizon_.value()));
-  }
-  if (trace.ladder_transitions != transitions_seen_) {
-    fail(last_ended_, "event-stream",
-         "trace counts " + std::to_string(trace.ladder_transitions) +
-             " ladder transitions, the stream delivered " +
-             std::to_string(transitions_seen_));
-  }
-  // TraceRecorder conservation: every total must equal the sum of its
-  // per-epoch entries (bit-identical — same values, same order).
-  double comm = 0.0;
-  double migration = 0.0;
-  double recovery = 0.0;
-  double penalty = 0.0;
-  int truncated = 0;
-  int downtime = 0;
-  for (const EpochDecision& d : trace.epochs) {
-    comm += d.comm_cost;
-    migration += d.migration_cost;
-    recovery += d.recovery_cost;
-    penalty += d.quarantine_penalty;
-    truncated += d.truncated_solves;
-    if (d.service_down) ++downtime;
-  }
-  if (comm != trace.total_comm_cost ||
-      migration != trace.total_migration_cost ||
-      recovery != trace.total_recovery_cost ||
-      penalty != trace.total_quarantine_penalty) {
-    fail(last_ended_, "cost-conservation",
-         "trace totals disagree with the per-epoch sums");
-  }
-  const double grand = comm + migration + recovery + penalty;
-  if (grand != trace.total_cost) {
-    fail(last_ended_, "cost-conservation",
-         "total_cost " + std::to_string(trace.total_cost) +
-             " is not the sum of its parts " + std::to_string(grand));
-  }
-  if (truncated != trace.total_truncated_solves ||
-      downtime != trace.downtime_epochs) {
-    fail(last_ended_, "event-stream",
-         "trace truncation/downtime totals disagree with the epochs");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedInvariantAuditor (DESIGN.md §15)
-// ---------------------------------------------------------------------------
-
 ShardedInvariantAuditor::ShardedInvariantAuditor(
     AuditOptions options, std::string policy_name,
     std::vector<std::string> shard_names)

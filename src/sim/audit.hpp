@@ -6,14 +6,15 @@
 // feasible on whatever is left of the fabric, the costs stamped into the
 // trace must equal what the cost model would recompute from scratch, the
 // injector's dead set and the degraded view must agree, and the observer
-// event stream must be shaped like a run. `InvariantAuditor` is an
-// opt-in per-epoch checker of exactly those properties: the engine
-// constructs one per run when `AuditOptions::enabled` is set, feeds it
-// the same event stream every other observer sees, and calls
-// `check_epoch` after each epoch is fully costed. A violation throws
+// event stream must be shaped like a run. `ShardedInvariantAuditor` is
+// an opt-in per-epoch checker of exactly those properties: the engine
+// (sim/sharded.hpp, also behind run_simulation) constructs one per run
+// when `AuditOptions::enabled` is set, feeds it the same event stream
+// every other observer sees, and checks every shard and then the merged
+// epoch after each epoch is fully costed. A violation throws
 // `AuditError`, which carries a structured diagnostic (epoch, policy,
-// violated invariant, offending FlowId / switch NodeId) on top of the
-// formatted message.
+// violated invariant, offending FlowId / switch NodeId, shard) on top of
+// the formatted message.
 //
 // The auditor is a pure observer of one run on one thread — parallel
 // experiment jobs each get their own instance (plain-data AuditOptions
@@ -67,7 +68,7 @@ struct AuditViolation {
   std::string detail;                  ///< human-readable specifics
 };
 
-/// Thrown by InvariantAuditor on the first violated invariant.
+/// Thrown by ShardedInvariantAuditor on the first violated invariant.
 class AuditError : public PpdcError {
  public:
   explicit AuditError(AuditViolation violation);
@@ -75,76 +76,6 @@ class AuditError : public PpdcError {
 
  private:
   AuditViolation violation_;
-};
-
-/// Everything the auditor needs to re-derive one epoch's truth.
-struct AuditContext {
-  Hour epoch = Hour::invalid();
-  /// The epoch's authoritative cost model (degraded model on faulty
-  /// epochs, the primary model otherwise).
-  const CostModel* model = nullptr;
-  const SimState* state = nullptr;
-  const EpochDecision* decision = nullptr;
-  const DegradedNetwork* degraded = nullptr;  ///< null on pristine epochs
-  const FaultInjector* injector = nullptr;    ///< null without a schedule
-  int n = 0;                                  ///< SFC length
-};
-
-/// Per-run invariant checker. Attach to the engine's event stream (it is
-/// an EpochObserver) and call `check_epoch` once per epoch after
-/// `on_epoch_end`, then `check_run` on the finished trace.
-class InvariantAuditor final : public EpochObserver {
- public:
-  InvariantAuditor(AuditOptions options, std::string policy_name);
-
-  // -- Event-stream sanity tracking (invariant "event-stream") ----------
-  void on_run_begin(Hour horizon, const Placement& initial) override;
-  void on_epoch_begin(Hour hour) override;
-  void on_faults(Hour hour, const EpochFaults& events) override;
-  void on_quarantine(Hour hour, int flows, double unserved_rate,
-                     double penalty) override;
-  void on_ladder_transition(Hour hour, DegradationRung from,
-                            DegradationRung to,
-                            const std::string& reason) override;
-  void on_epoch_end(Hour hour, const EpochDecision& decision) override;
-
-  /// Validates one fully costed epoch against the live engine state.
-  /// Must be called after the epoch's on_epoch_end was delivered.
-  void check_epoch(const AuditContext& ctx);
-
-  /// Validates the finished trace: totals must equal the per-epoch sums
-  /// (TraceRecorder conservation) and the stream must have closed.
-  void check_run(const SimTrace& trace) const;
-
-  int checked_epochs() const noexcept { return checked_epochs_; }
-
- private:
-  [[noreturn]] void fail(Hour epoch, std::string invariant,
-                         std::string detail,
-                         FlowId flow = FlowId::invalid(),
-                         NodeId node = kInvalidNode) const;
-
-  void check_placement(const AuditContext& ctx, const Placement& p) const;
-  void check_conservation(const AuditContext& ctx) const;
-  void check_injector(const AuditContext& ctx) const;
-  void check_stream(const AuditContext& ctx) const;
-
-  AuditOptions options_;
-  std::string policy_;
-  int checked_epochs_ = 0;
-  int transitions_seen_ = 0;
-
-  // Stream state accumulated from the observer callbacks.
-  Hour horizon_ = Hour::invalid();
-  Hour open_epoch_ = Hour::invalid();   ///< begun but not yet ended
-  Hour last_ended_ = Hour::invalid();
-  bool epoch_ended_ = false;            ///< on_epoch_end seen for open epoch
-  EpochDecision last_decision_;
-  EpochFaults last_faults_;             ///< on_faults payload of open epoch
-  bool saw_faults_event_ = false;
-  int stream_quarantined_ = 0;          ///< on_quarantine payload
-  double stream_penalty_ = 0.0;
-  DegradationRung stream_rung_ = DegradationRung::kFull;  ///< from transitions
 };
 
 class ShardedCostModel;  // core/sharded_cost_model.hpp
@@ -178,13 +109,14 @@ struct ShardedAuditContext {
   const FaultInjector* injector = nullptr;
 };
 
-/// Per-run invariant checker of the sharded streaming engine
-/// (sim/sharded.hpp). Reasons per shard where the monolithic auditor
-/// reasons per run: placement feasibility on each shard's degraded core,
-/// per-shard comm-cost conservation against from-scratch flow_cost sums
-/// (including the exactly-patched costs of held shards), global↔local
-/// id-map consistency in ShardedCostModel, and the merged event stream
-/// with its per-shard ladder. Attach to the engine's event stream, call
+/// Per-run invariant checker of the epoch engine (sim/sharded.hpp).
+/// Reasons per shard: placement feasibility on each shard's degraded
+/// core, with a finite cost for every served flow, per-shard comm-cost
+/// conservation against from-scratch flow_cost sums (including the
+/// exactly-patched costs of held shards), the sampled stroll-cache check,
+/// global↔local id-map consistency in ShardedCostModel (endpoints
+/// included), injector consistency, and the merged event stream with its
+/// per-shard ladder. Attach to the engine's event stream, call
 /// check_shard_epoch once per shard (fixed shard order) after
 /// on_epoch_end, then check_epoch for the merged decision, and check_run
 /// on the finished trace. Violations throw AuditError naming the shard.

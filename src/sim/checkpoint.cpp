@@ -658,11 +658,12 @@ std::vector<VmFlow> cursor_vm_flows(Cursor& c) {
 }
 
 void put_decision(std::string& out, const EpochDecision& d) {
-  // moved_flows is deliberately not journaled: the sharded engine rejects
-  // VM-relocating policies, so a sharded decision never carries any.
+  // moved_flows is deliberately not journaled: the engine applies every
+  // shard's moves before the merge, so a merged decision never carries
+  // any (the moved endpoints ride in the workload and shard snapshots).
   PPDC_REQUIRE(d.moved_flows.empty(),
-               "epoch journal cannot persist moved_flows (VM-relocating "
-               "policies are monolithic-only)");
+               "epoch journal cannot persist moved_flows (only merged "
+               "epoch decisions are journaled)");
   put_f64(out, d.comm_cost);
   put_f64(out, d.migration_cost);
   put_f64(out, d.migration_distance);

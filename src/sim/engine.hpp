@@ -8,18 +8,22 @@
 // communication cost C_a of that hour plus whatever migration traffic the
 // policy generated.
 //
+// There is one epoch loop, run_sharded_simulation (sim/sharded.hpp).
+// run_simulation is that loop over a single shard holding every flow, fed
+// by a churn-free flow source, driving the caller's own policy object.
+//
 // Cost-model maintenance is incremental on the diurnal path: the hourly
 // rescaling multiplies whole groups, so each epoch's attraction refresh is
 // an O(|groups| · |V_s|) recombination of precomputed per-group base
 // vectors instead of an O(l · |V_s|) rescan, and VM-migration policies
 // report their moved flows (EpochDecision::moved_flows) so only those are
-// patched. A custom rate_schedule disables the fast path (rates may change
-// arbitrarily per flow).
+// patched. A custom rate_schedule takes the full rescan instead (rates may
+// change arbitrarily per flow).
 //
 // Fault tolerance: an optional FaultSchedule fails and repairs switches
 // and fabric links while the simulation runs. On every topology change the
 // engine rebuilds a DegradedNetwork (masked graph + allow-disconnected
-// APSP + serving core) and a fault-epoch CostModel restricted to the
+// APSP + serving core) and fault-epoch CostModels restricted to the
 // core's alive switches. Flows cut off from the core are quarantined for
 // the epoch (rate zeroed, SLA penalty charged); VNFs stranded on dead or
 // unreachable switches are emergency-migrated to the restricted fresh
@@ -112,13 +116,13 @@ struct SimConfig {
   FaultOptions fault;  ///< recovery / quarantine knobs
   /// Graceful-degradation ladder; disabled by default (a throwing policy
   /// then aborts the run, exactly the pre-ladder contract). With the
-  /// ladder on, a policy throw is contained: the pre-policy state is
-  /// restored, the epoch is charged at the held placement, and the
-  /// ladder steps down.
+  /// ladder on, a policy throw is contained per shard: the policy's
+  /// changes are dropped, the epoch is charged at the held placement, and
+  /// the shard steps down and retries after a seeded backoff.
   LadderOptions ladder;
   /// Runtime invariant auditing (sim/audit.hpp); disabled by default.
-  /// The engine constructs one InvariantAuditor per run — plain-data
-  /// options copy safely into parallel experiment jobs.
+  /// The engine constructs one ShardedInvariantAuditor per run —
+  /// plain-data options copy safely into parallel experiment jobs.
   AuditOptions audit;
   /// Cooperative cancellation (SIGINT/SIGTERM plumbing of bench_common):
   /// when non-null and the pointee flips to true, the engine stops at the
@@ -138,14 +142,16 @@ class SimInterrupted : public PpdcError {
   using PpdcError::PpdcError;
 };
 
-/// Runs one policy over the horizon. `base_flows` carry the base rates
-/// (the diurnal scale multiplies them); `n` is the SFC length.
+/// Runs `policy` itself (not a clone) over the horizon: the single-shard
+/// run_sharded_simulation. `base_flows` carry the base rates (the diurnal
+/// scale multiplies them); `n` is the SFC length.
 ///
 /// The returned `SimTrace` (see sim/observer.hpp) is accumulated by the
 /// engine's own `TraceRecorder`; pass an `observer` to additionally
 /// receive the structured epoch event stream (epoch boundaries, fault
-/// fires/repairs, recovery, budget truncation, quarantine, blackout)
-/// while the run executes. The observer is invoked on the calling thread.
+/// fires/repairs, recovery, budget truncation, quarantine, blackout,
+/// shard batches and ladder steps) while the run executes. The observer
+/// is invoked on the calling thread.
 SimTrace run_simulation(const AllPairs& apsp,
                         const std::vector<VmFlow>& base_flows, int n,
                         const SimConfig& config, MigrationPolicy& policy,

@@ -77,7 +77,7 @@ struct ExperimentConfig {
   /// Pod-sharded streaming execution (sim/sharded.hpp). When enabled,
   /// each trial regenerates a StreamingWorkload from its per-trial RNG
   /// stream (same seeder order as the static path, so trial t's initial
-  /// flows match the monolithic runner bit for bit) and every job runs
+  /// flows match the single-shard runner bit for bit) and every job runs
   /// run_sharded_simulation over ShardMap::by_ingress_pod(topo). The
   /// churn/staleness knobs are fingerprinted; `sharded.threads` (like
   /// `threads` above) is not — any value is bit-identical.
@@ -111,11 +111,12 @@ struct PolicyStats {
   MeanCi refresh_only_epochs;       ///< epochs executed at kRefreshOnly
   MeanCi frozen_epochs;             ///< epochs executed at kFrozen
   MeanCi policy_failures;           ///< policy throws contained per run
-  // Shard accounting (the monolithic engine counts one always-resolving
-  // shard per epoch; see EpochDecision::resolved_shards).
+  // Shard accounting (a run_simulation run is one shard; see
+  // EpochDecision::resolved_shards).
   MeanCi shard_resolves;            ///< Σ per-epoch re-solved shards
   MeanCi shard_holds;               ///< Σ per-epoch held shards
-  // Shard failure containment (DESIGN.md §15; zero on monolithic runs).
+  // Shard failure containment (DESIGN.md §15; zero unless a policy throws
+  // under the ladder).
   MeanCi quarantined_shard_epochs;  ///< Σ per-epoch failure-quarantined shards
   MeanCi shard_retries;             ///< quarantine re-solve attempts per run
   MeanCi shard_penalty;             ///< Σ quarantine_sla · served rate

@@ -72,20 +72,20 @@ class EpochObserver {
                                     DegradationRung /*to*/,
                                     const std::string& /*reason*/) {}
 
-  /// Sharded runs only (sim/sharded.hpp): the epoch's shard batch was
-  /// solved — `resolved` shards re-ran their policy, `held` shards kept
-  /// their placement under the bounded-staleness rule, out of a
-  /// `churned`-flow churn applied this epoch. Fires after recovery and
-  /// before on_epoch_end; the monolithic engine never emits it.
+  /// The epoch's shard batch was solved (sim/sharded.hpp; a
+  /// run_simulation run is one shard) — `resolved` shards re-ran their
+  /// policy, `held` shards kept their placement (bounded staleness or a
+  /// held ladder rung), out of a `churned`-flow churn applied this epoch.
+  /// Fires after recovery and before on_epoch_end.
   virtual void on_shard_batch(Hour /*hour*/, int /*resolved*/, int /*held*/,
                               int /*churned*/) {}
 
-  /// Sharded runs only: shard `shard` (named `name`) stepped its private
-  /// degradation ladder from `from` to `to` for `reason` (same tags as
-  /// on_ladder_transition, per shard). The default body forwards to
-  /// on_ladder_transition, so observers written against the monolithic
-  /// stream — including TraceRecorder's transition counter — see every
-  /// per-shard step without overriding anything new.
+  /// Shard `shard` (named `name`) stepped its private degradation ladder
+  /// from `from` to `to` for `reason` (same tags as on_ladder_transition,
+  /// per shard). The default body forwards to on_ladder_transition, so
+  /// observers that only count rung changes — including TraceRecorder's
+  /// transition counter — see every per-shard step without overriding
+  /// anything new.
   virtual void on_shard_ladder_transition(Hour hour, int /*shard*/,
                                           const std::string& /*name*/,
                                           DegradationRung from,
@@ -94,18 +94,18 @@ class EpochObserver {
     on_ladder_transition(hour, from, to, reason);
   }
 
-  /// Sharded runs only: shard `shard` entered (or stayed in) failure
-  /// quarantine after its policy clone threw for the `fail_streak`-th
-  /// consecutive attempt; `required_clean` clean epochs (seeded backoff)
-  /// must pass before its next re-solve attempt.
+  /// Shard `shard` entered (or stayed in) failure quarantine after its
+  /// policy clone threw for the `fail_streak`-th consecutive attempt;
+  /// `required_clean` clean epochs (seeded backoff) must pass before its
+  /// next re-solve attempt.
   virtual void on_shard_quarantine(Hour /*hour*/, int /*shard*/,
                                    const std::string& /*name*/,
                                    int /*fail_streak*/,
                                    int /*required_clean*/) {}
 
-  /// Sharded runs only: a quarantined shard's backoff elapsed and its
-  /// policy was re-attempted this epoch; `healed` reports whether the
-  /// attempt completed (ending the quarantine) or threw again.
+  /// A quarantined shard's backoff elapsed and its policy was
+  /// re-attempted this epoch; `healed` reports whether the attempt
+  /// completed (ending the quarantine) or threw again.
   virtual void on_shard_retry(Hour /*hour*/, int /*shard*/,
                               const std::string& /*name*/, bool /*healed*/) {}
 
@@ -156,15 +156,14 @@ struct SimTrace {
   int refresh_only_epochs = 0;   ///< epochs executed at kRefreshOnly
   int frozen_epochs = 0;         ///< epochs executed at kFrozen
   int policy_failures = 0;       ///< policy throws contained by the ladder
-  /// Epochs the InvariantAuditor checked (0 when auditing is off).
+  /// Epochs the invariant auditor checked (0 when auditing is off).
   int audited_epochs = 0;
 
-  // Shard accounting (sim/sharded.hpp; the monolithic engine counts as
-  // one always-resolving shard — see EpochDecision::resolved_shards).
+  // Shard accounting (sim/sharded.hpp; see EpochDecision::resolved_shards).
   int total_shard_resolves = 0;  ///< Σ per-epoch resolved shards
   int total_shard_holds = 0;     ///< Σ per-epoch held shards
 
-  // Per-shard failure containment (sharded runs only; DESIGN.md §15).
+  // Per-shard failure containment (DESIGN.md §15).
   int quarantined_shard_epochs = 0;  ///< Σ per-epoch quarantined shards
   int total_shard_retries = 0;       ///< backoff re-solve attempts
   double total_shard_penalty = 0.0;  ///< SLA penalty for quarantined shards

@@ -81,21 +81,17 @@ struct EpochDecision {
   /// placement).
   bool policy_failed = false;
 
-  // Shard bookkeeping (sim/sharded.hpp). The monolithic engine behaves
-  // as one always-resolving shard: it stamps resolved=1/held=0 on every
-  // epoch that charged a placement through the policy path (including
-  // hour 0), resolved=0/held=1 on epochs that held it (kRefreshOnly /
-  // kFrozen), and 0/0 on blackout epochs. The sharded engine counts its
-  // shards the same way, so the single-shard run is field-for-field
-  // identical to the monolithic trace.
+  // Shard bookkeeping (sim/sharded.hpp). A shard counts as resolved on
+  // every epoch that charged its placement through the policy path
+  // (including hour 0), as held on epochs that kept it (bounded
+  // staleness, kRefreshOnly, kFrozen), and as neither on blackout epochs.
   int resolved_shards = 0;  ///< shards whose placement was re-solved
   int held_shards = 0;      ///< shards that kept their placement
 
   // Per-shard failure containment (sim/sharded.hpp, DESIGN.md §15). A
   // shard whose policy clone throws is quarantined — placement held,
   // costs patched exactly, SLA-penalized — while the other shards keep
-  // solving; the sharded engine fills these, the monolithic engine
-  // leaves them zero.
+  // solving.
   int quarantined_shards = 0;   ///< shards that spent this epoch quarantined
   int shard_retries = 0;        ///< backoff re-solve attempts this epoch
   double shard_penalty = 0.0;   ///< SLA penalty for quarantined shard-epochs

@@ -62,12 +62,11 @@ struct ShardEpochResult {
   bool retried = false;  ///< re-solve attempt of a failure-quarantined shard
 };
 
-/// Clean epochs a shard must string together before climbing one rung.
-/// First failure (and every non-throw trip) matches the monolithic ladder
-/// — `recovery_epochs` — so single-shard non-throwing runs transcribe the
-/// monolithic trace exactly. Repeat failures back off exponentially
-/// (capped) with a seeded jitter, so repeatedly-failing shards across a
-/// pod-sharded run do not retry in lockstep.
+/// Clean epochs a shard must string together before climbing one rung:
+/// `recovery_epochs` after a first failure and after every non-throw
+/// trip. Repeat failures back off exponentially (capped) with a seeded
+/// jitter, so repeatedly-failing shards across a pod-sharded run do not
+/// retry in lockstep.
 int required_clean_epochs(int shard, int fail_streak, int recovery_epochs) {
   if (fail_streak <= 1) return recovery_epochs;
   const int backoff = (1 << std::min(fail_streak - 1, 4)) - 1;
@@ -147,12 +146,6 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
                "ladder recovery needs at least one clean epoch");
   PPDC_REQUIRE(config.audit.rel_tol >= 0.0 && config.audit.abs_tol >= 0.0,
                "negative audit tolerance");
-  PPDC_REQUIRE(!config.rate_schedule,
-               "SimConfig::rate_schedule is not supported by the sharded "
-               "engine (it rides the grouped diurnal fast path, which a "
-               "per-flow schedule would invalidate every epoch); run custom "
-               "schedules on the monolithic run_simulation, or express the "
-               "traffic shape through DiurnalModel group scales");
   PPDC_REQUIRE(sharded.resolve_churn_fraction >= 0.0 &&
                    sharded.resolve_churn_fraction <= 1.0,
                "resolve_churn_fraction outside [0,1]");
@@ -188,6 +181,53 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
   const int num_shards = shards.num_shards();
   auto scales_at = [&](Hour hour) {
     return config.diurnal.group_scales(hour, n_groups);
+  };
+  // A custom rate schedule replaces the diurnal group scaling with
+  // per-flow rates over the global flow vector (validated: one
+  // non-negative rate per flow). Those rates need not decompose into
+  // base x scale, so shard models then serve each epoch by a full
+  // refresh() instead of the group recombination.
+  const bool scheduled = static_cast<bool>(config.rate_schedule);
+  auto schedule_at = [&](Hour hour) {
+    std::vector<double> r;
+    if (!scheduled) return r;
+    r = config.rate_schedule(hour);
+    const std::size_t flows = workload.flows().size();
+    PPDC_REQUIRE(r.size() == flows,
+                 "rate_schedule(hour " + std::to_string(hour.value()) +
+                     ") returned " + std::to_string(r.size()) +
+                     " rates for " + std::to_string(flows) + " flows");
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      PPDC_REQUIRE(r[i] >= 0.0,
+                   "rate_schedule(hour " + std::to_string(hour.value()) +
+                       ") returned a negative rate for flow " +
+                       std::to_string(i));
+    }
+    return r;
+  };
+  // One shard's per-slot rates for the epoch: its base rates under the
+  // group scales, or the schedule mapped through global_ids (vacant
+  // slots carry nothing).
+  auto shard_rates = [&](const ShardedCostModel::Shard& sh, Hour hour,
+                         const std::vector<double>& schedule) {
+    if (!scheduled) {
+      return diurnal_rates_grouped(config.diurnal, sh.base_rates, sh.groups,
+                                   hour);
+    }
+    std::vector<double> r(sh.flows.size(), 0.0);
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      const FlowId g = sh.global_ids[i];
+      if (g.valid()) r[i] = schedule[static_cast<std::size_t>(g.value())];
+    }
+    return r;
+  };
+  auto refresh = [&](ShardedCostModel::Shard& sh,
+                     const std::vector<double>& scales) {
+    if (scheduled) {
+      sh.model->refresh();
+    } else {
+      sh.model->refresh_scaled(scales);
+    }
   };
   std::vector<std::string> shard_names;
   shard_names.reserve(static_cast<std::size_t>(num_shards));
@@ -279,26 +319,25 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
               << sharded.epoch_journal << "': " << start_epoch << " of "
               << config.hours << " epochs already journaled\n";
   } else {
-    // Hour 0: per-shard initial traffic-optimal placement on the pristine
-    // fabric (mirrors the monolithic hour-0 TOP solve per shard), on the
-    // shard pool. Each shard touches only its own flows and model; the
-    // stroll tables its solve shares with other shards come from the
-    // fabric's cache, whose levels are a deterministic function of their
-    // destination, so the placements do not depend on the thread count.
+    // Hour 0: per-shard initial traffic-optimal placement (TOP,
+    // Algorithm 3) on the pristine fabric, on the shard pool. Each shard
+    // touches only its own flows and model; the stroll tables its solve
+    // shares with other shards come from the fabric's cache, whose levels
+    // are a deterministic function of their destination, so the
+    // placements do not depend on the thread count.
     // No call here enters an OpenMP region on the pristine fabric, and the
     // cached levels live in page-mapped slabs rather than in the workers'
     // malloc arenas (DESIGN.md §11).
     const std::vector<double> scales0 = scales_at(Hour{0});
+    const std::vector<double> schedule0 = schedule_at(Hour{0});
     std::vector<std::exception_ptr> errors(
         static_cast<std::size_t>(num_shards));
     for_each_shard(
         num_shards, pool, errors,
         [&](int s) {
           ShardedCostModel::Shard& sh = shards.shard(s);
-          set_rates(sh.flows,
-                    diurnal_rates_grouped(config.diurnal, sh.base_rates,
-                                          sh.groups, Hour{0}));
-          sh.model->refresh_scaled(scales0);
+          set_rates(sh.flows, shard_rates(sh, Hour{0}, schedule0));
+          refresh(sh, scales0);
           runs[static_cast<std::size_t>(s)].placement =
               solve_top_dp(*sh.model, n, config.initial_placement).placement;
         },
@@ -387,10 +426,11 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     }
     emit([&](EpochObserver& o) { o.on_epoch_begin(hour); });
 
-    // 0. Inter-epoch churn: the workload advances once per epoch from
-    // hour 1 on, and the shards mirror the churn with O(|V_s|) patches.
+    // 0. Inter-epoch churn: a streaming workload advances once per epoch
+    // from hour 1 on, and the shards mirror the churn with O(|V_s|)
+    // patches.
     int epoch_churn = 0;
-    if (hour >= Hour{1}) {
+    if (streaming && hour >= Hour{1}) {
       const FlowChurn churn = workload.advance();
       epoch_churn = static_cast<int>(churn.total());
       if (epoch_churn > 0) {
@@ -422,6 +462,15 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     const bool blackout = faults_active && !degraded->core_can_host(n);
 
     const std::vector<double> scales = scales_at(hour);
+    const std::vector<double> schedule = schedule_at(hour);
+    // Departed slots hold no flow, so quarantine skips them.
+    std::vector<char> departed;
+    if (faults_active) {
+      departed.assign(workload.flows().size(), 0);
+      for (const FlowId g : workload.free_slots()) {
+        departed[static_cast<std::size_t>(g.value())] = 1;
+      }
+    }
 
     // 2.-5. Per-shard epoch work — traffic, quarantine, model
     // maintenance, emergency recovery, policy or bounded-staleness hold.
@@ -443,13 +492,14 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
       r.frozen = frozen;
 
       // 2. This epoch's traffic; flows cut off from the core quarantine.
-      std::vector<double> rates =
-          diurnal_rates_grouped(config.diurnal, sh.base_rates, sh.groups,
-                                hour);
+      std::vector<double> rates = shard_rates(sh, hour, schedule);
       if (faults_active) {
         for (std::size_t i = 0; i < sh.flows.size(); ++i) {
           const VmFlow& f = sh.flows[i];
-          if (sh.base_rates[i] == 0.0) continue;  // vacant slot
+          const FlowId g = sh.global_ids[i];
+          if (!g.valid() || departed[static_cast<std::size_t>(g.value())]) {
+            continue;  // vacant slot
+          }
           const bool served = !blackout && degraded->in_core(f.src_host) &&
                               degraded->in_core(f.dst_host);
           if (!served) {
@@ -464,17 +514,17 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
 
       if (blackout) {
         // Nothing is served and nothing is charged; the stale estimate a
-        // later frozen epoch would charge is this epoch's zero (exactly
-        // the monolithic last_comm_cost bookkeeping).
+        // later frozen epoch would charge is this epoch's zero.
         r.d.service_down = true;
         run.last_comm = 0.0;
         return;
       }
 
-      // 3. Cost-model maintenance (mirrors the monolithic engine: a
-      // dedicated full-rescan model over the degraded metric while faults
-      // are active; group recombination on the pristine path, with a lazy
-      // base resync when the fabric heals).
+      // 3. Cost-model maintenance: a dedicated full-rescan model over the
+      // degraded metric, restricted to the core's alive switches, while
+      // faults are active (quarantine breaks the base x scale
+      // decomposition); group recombination on the pristine path, with a
+      // lazy base resync when the fabric heals.
       CostModel* m = sh.model.get();
       if (faults_active) {
         if (!run.degraded_model) {
@@ -487,11 +537,12 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
         m = run.degraded_model.get();
         run.resync_pending = true;
       } else if (!frozen) {
-        if (run.resync_pending) {
-          sh.model->refresh();
-          run.resync_pending = false;
-        }
-        sh.model->refresh_scaled(scales);
+        // Heal: endpoints may have moved while the degraded model was
+        // authoritative, so a full refresh resyncs the group bases first
+        // (the scheduled path refreshes in full every epoch anyway).
+        if (run.resync_pending && !scheduled) sh.model->refresh();
+        run.resync_pending = false;
+        refresh(sh, scales);
       }
 
       // 4. Emergency re-placement of VNFs stranded outside the core.
@@ -528,8 +579,9 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
 
       // 5. Policy, or a bounded-staleness hold. Held shards charge the
       // exact communication cost of the kept placement on the *refreshed*
-      // model — never a stale estimate (kFrozen excepted, as in the
-      // monolithic ladder).
+      // model — never a stale estimate (kFrozen excepted). The policy
+      // works on a copy of the shard's state, so a throw leaves nothing
+      // to roll back.
       EpochDecision& d = r.d;
       if (hour == Hour{0}) {
         d.comm_cost = sh.model->communication_cost(run.placement);
@@ -571,34 +623,42 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
               }
             } catch (const PpdcError& e) {
               throw PpdcError("policy '" + run.policy->name() +
-                              "' produced an invalid placement for shard '" +
-                              sh.name + "' at epoch " +
-                              std::to_string(hour.value()) + ": " + e.what());
+                              "' produced an invalid placement at epoch " +
+                              std::to_string(hour.value()) + " (shard '" +
+                              sh.name + "'): " + e.what());
             }
           } catch (const PpdcError&) {
             // Failure containment: with the ladder enabled the throw is
             // absorbed per shard — this shard holds its placement, gets
             // charged the exactly refreshed cost, and the post-merge
             // ladder block quarantines it; every other shard's epoch is
-            // untouched. Without the ladder the monolithic contract
-            // applies: the run aborts.
+            // untouched. Without the ladder the run aborts.
             if (!config.ladder.enabled) throw;
             d = EpochDecision{};
             d.policy_failed = true;
             d.comm_cost = m->communication_cost(run.placement);
           }
           if (!d.policy_failed) {
-            PPDC_REQUIRE(
-                d.moved_flows.empty(),
-                "policy '" + run.policy->name() +
-                    "' relocated VM endpoints (EpochDecision::moved_flows) "
-                    "at epoch " + std::to_string(hour.value()) +
-                    ": VM-migration policies such as PLAN/MCF are not "
-                    "supported by the sharded engine (shard flow vectors "
-                    "are private) — run them on the monolithic "
-                    "run_simulation, or use a placement policy "
-                    "(NoMigration/mPareto/Optimal/Resolve) here");
             run.placement = st.placement;
+            if (!d.moved_flows.empty()) {
+              // VM migration (PLAN/MCF): adopt the moved endpoints and
+              // patch only those flows; the merge mirrors them into the
+              // global flow vector. Shard models cost against the full
+              // metric, so a VM may leave its ingress pod.
+              for (const FlowId i : d.moved_flows) {
+                PPDC_REQUIRE(i.valid() && i < flow_count(sh.flows),
+                             "policy '" + run.policy->name() +
+                                 "' reported moved flow " +
+                                 std::to_string(i.value()) +
+                                 " outside its flow vector");
+                VmFlow& f = sh.flows[static_cast<std::size_t>(i.value())];
+                const VmFlow& moved =
+                    st.flows[static_cast<std::size_t>(i.value())];
+                f.src_host = moved.src_host;
+                f.dst_host = moved.dst_host;
+              }
+              m->endpoints_moved(d.moved_flows);
+            }
             if (config.downtime_factor > 0.0) {
               d.migration_cost += config.downtime_factor * m->total_rate() *
                                   d.migration_distance;
@@ -645,6 +705,12 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     for (int s = 0; s < num_shards; ++s) {
       const ShardEpochResult& r = results[static_cast<std::size_t>(s)];
       const ShardRun& run = runs[static_cast<std::size_t>(s)];
+      const ShardedCostModel::Shard& sh = shards.shard(s);
+      for (const FlowId l : r.d.moved_flows) {
+        const VmFlow& f = sh.flows[static_cast<std::size_t>(l.value())];
+        const FlowId g = sh.global_ids[static_cast<std::size_t>(l.value())];
+        if (g.valid()) workload.relocate(g, f.src_host, f.dst_host);
+      }
       quarantined += r.quarantined;
       unserved += r.unserved;
       recovery_migrations += r.recovery_migrations;
@@ -700,8 +766,8 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
 
     // 7. Per-shard ladder transitions, evaluated in fixed shard order
     // after the merge (many private control loops, one deterministic
-    // event stream). Trip priority per shard mirrors the monolithic
-    // ladder: policy-throw > blackout > solve-budget > quarantine.
+    // event stream). Trip priority per shard: policy-throw > blackout >
+    // solve-budget > quarantine.
     std::uint32_t epoch_ladder_steps = 0;
     if (config.ladder.enabled) {
       for (int s = 0; s < num_shards; ++s) {
@@ -774,9 +840,9 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
       }
     }
 
-    // 8. Runtime audit (after the ladder block, like the monolithic
-    // engine): each shard's epoch re-derived from scratch in fixed shard
-    // order, then the merged epoch's global invariants.
+    // 8. Runtime audit (after the ladder block): each shard's epoch
+    // re-derived from scratch in fixed shard order, then the merged
+    // epoch's global invariants.
     if (auditor) {
       for (int s = 0; s < num_shards; ++s) {
         const ShardRun& run = runs[static_cast<std::size_t>(s)];

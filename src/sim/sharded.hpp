@@ -1,23 +1,29 @@
-// Pod-sharded epoch loop over a streaming workload (DESIGN.md §14).
+// The epoch engine: a sharded loop over a streaming workload (DESIGN.md
+// §14). run_simulation() (sim/engine.hpp) is this loop over one shard.
 //
-// run_sharded_simulation() restructures run_simulation() around the
-// ingress-pod shards of core/sharded_cost_model.hpp: every shard owns its
-// own flow subset, cost model, policy clone, and placement, and the epoch
-// loop solves the shards concurrently on a worker pool. Between epochs the
-// StreamingWorkload churns (arrivals / departures / re-rates), and each
-// shard re-solves only when its accumulated churn crosses
+// run_sharded_simulation() runs the dynamic experiment over the shards of
+// core/sharded_cost_model.hpp (one per ingress pod, or a single shard):
+// every shard owns its own flow subset, cost model, policy clone, and
+// placement, and the epoch loop solves the shards concurrently on a
+// worker pool. Between epochs the StreamingWorkload churns (arrivals /
+// departures / re-rates), and each shard re-solves only when its
+// accumulated churn crosses
 // ShardedStreamingConfig::resolve_churn_fraction or it has been held for
 // max_staleness epochs (bounded staleness). Held shards keep their
 // placement but are re-costed *exactly* — their cost model still refreshes
 // under the epoch's diurnal scales and the epoch charges
 // communication_cost(placement), never a stale estimate.
 //
-// Determinism contract:
-//   * Shard state is exact per shard and decisions merge field-wise in
-//     fixed pod order, so the trace is bit-identical at any thread count.
-//   * Over ShardMap::single with a churn-free workload the loop
-//     transcribes the monolithic engine: the returned trace equals
-//     run_simulation's field for field (sharded_equivalence_test).
+// Determinism contract: shard state is exact per shard and decisions
+// merge field-wise in fixed pod order, so the trace is bit-identical at
+// any thread count. Over ShardMap::single with a churn-free workload the
+// trace equals run_simulation's field for field.
+//
+// Every policy family runs here. VM-migration policies (PLAN/MCF) move
+// endpoints in their shard's flows; the engine patches the shard model
+// (CostModel::endpoints_moved) and mirrors the moves into the workload's
+// global flow vector. A custom SimConfig::rate_schedule gives per-flow
+// rates over the global flow vector and is served by full refreshes.
 //
 // Fault containment (DESIGN.md §15): with the ladder enabled each shard
 // owns a private degradation ladder. A shard whose policy clone throws is
@@ -34,12 +40,6 @@
 // CRC32-framed file, rewritten atomically every `epoch_checkpoint_every`
 // epochs. A killed run relaunched with the same journal path resumes
 // mid-horizon bit-identically at any thread count.
-//
-// Restrictions vs the monolithic engine: only placement policies (the VNF
-// migration family) are supported — a policy that relocates VM endpoints
-// (PLAN/MCF, EpochDecision::moved_flows non-empty) fails by name with the
-// nearest supported alternative; custom SimConfig::rate_schedule is
-// monolithic-only.
 #pragma once
 
 #include "core/sharded_cost_model.hpp"
@@ -54,13 +54,14 @@ namespace ppdc {
 /// Knobs of the sharded streaming loop.
 struct ShardedStreamingConfig {
   /// Experiment-level gate (sim/experiment.hpp): when false the runner
-  /// takes the monolithic path and every other field is ignored.
+  /// takes the single-shard run_simulation path over its static flows
+  /// and every other field is ignored.
   bool enabled = false;
   /// Inter-epoch churn intensities of the StreamingWorkload.
   StreamingChurnConfig churn;
   /// A shard re-solves when its churned-flow count since the last solve
   /// reaches this fraction of its live flows. 0 (default) re-solves every
-  /// shard every epoch — the monolithic semantics. Fault epochs and
+  /// shard every epoch. Fault epochs and
   /// shards with stranded VNFs always re-solve regardless.
   double resolve_churn_fraction = 0.0;
   /// Hard bound on consecutive held epochs per shard (bounded staleness);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
+#include "graph/graph.hpp"
 #include "util/require.hpp"
 
 namespace ppdc {
@@ -11,7 +13,7 @@ StreamingWorkload::StreamingWorkload(const Topology& topo,
                                      const VmPlacementConfig& initial,
                                      const StreamingChurnConfig& churn,
                                      Rng rng)
-    : sampler_(topo, initial), churn_(churn), rng_(rng) {
+    : sampler_(std::in_place, topo, initial), churn_(churn), rng_(rng) {
   PPDC_REQUIRE(churn.arrivals_per_epoch >= 0, "negative arrival count");
   PPDC_REQUIRE(churn.departure_prob >= 0.0 && churn.departure_prob <= 1.0,
                "departure_prob outside [0,1]");
@@ -19,9 +21,19 @@ StreamingWorkload::StreamingWorkload(const Topology& topo,
                "rerate_prob outside [0,1]");
   flows_.reserve(static_cast<std::size_t>(initial.num_pairs));
   for (int i = 0; i < initial.num_pairs; ++i) {
-    flows_.push_back(sampler_.sample(i, rng_));
+    flows_.push_back(sampler_->sample(i, rng_));
   }
   next_index_ = initial.num_pairs;
+}
+
+StreamingWorkload::StreamingWorkload(std::vector<VmFlow> flows)
+    : flows_(std::move(flows)) {}
+
+void StreamingWorkload::relocate(FlowId id, NodeId src_host,
+                                 NodeId dst_host) {
+  VmFlow& f = flows_[static_cast<std::size_t>(id.value())];
+  f.src_host = src_host;
+  f.dst_host = dst_host;
 }
 
 FlowChurn StreamingWorkload::advance() {
@@ -50,7 +62,7 @@ FlowChurn StreamingWorkload::advance() {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     if (freed[i] != 0) continue;
     if (!rng_.bernoulli(churn_.rerate_prob)) continue;
-    flows_[i].rate = sampler_.config().rates.sample(rng_);
+    flows_[i].rate = sampler_->config().rates.sample(rng_);
     churn.rerated.push_back(FlowId{static_cast<std::int32_t>(i)});
   }
 
@@ -58,7 +70,7 @@ FlowChurn StreamingWorkload::advance() {
   // pop_back yields ascending ids), then append. Free-slot ids are all
   // smaller than appended ones, so `arrived` comes out ascending.
   for (int a = 0; a < churn_.arrivals_per_epoch; ++a) {
-    const VmFlow f = sampler_.sample(next_index_++, rng_);
+    const VmFlow f = sampler_->sample(next_index_++, rng_);
     if (!free_.empty()) {
       const FlowId id = free_.back();
       free_.pop_back();

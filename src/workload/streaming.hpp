@@ -18,8 +18,10 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "topology/topology.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
@@ -58,6 +60,10 @@ class StreamingWorkload {
   StreamingWorkload(const Topology& topo, const VmPlacementConfig& initial,
                     const StreamingChurnConfig& churn, Rng rng);
 
+  /// A churn-free source over a fixed population (`flows` carry base
+  /// rates): advance() never changes anything.
+  explicit StreamingWorkload(std::vector<VmFlow> flows);
+
   /// Slot-dense flow vector. Each flow's `rate` is its current *base*
   /// rate λ̄_i (diurnal scaling is applied downstream); vacant slots have
   /// rate 0 and keep their last valid endpoints/group. The reference is
@@ -78,6 +84,12 @@ class StreamingWorkload {
 
   const StreamingChurnConfig& churn_config() const noexcept { return churn_; }
 
+  /// Vacant (departed, not yet re-used) slots, sorted descending.
+  const std::vector<FlowId>& free_slots() const noexcept { return free_; }
+
+  /// A VM migration moved flow `id`'s endpoints; rate and group stay.
+  void relocate(FlowId id, NodeId src_host, NodeId dst_host);
+
   /// The full mutable workload state, for the epoch checkpoint journal
   /// (sim/checkpoint.hpp). restore() on a workload built with the same
   /// (topo, initial, churn) reproduces the exact churn stream: every
@@ -92,7 +104,7 @@ class StreamingWorkload {
   void restore(const Snapshot& snap);
 
  private:
-  VmFlowSampler sampler_;
+  std::optional<VmFlowSampler> sampler_;  ///< empty for churn-free sources
   StreamingChurnConfig churn_;
   Rng rng_;
   std::vector<VmFlow> flows_;

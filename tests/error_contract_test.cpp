@@ -11,15 +11,12 @@
 #include <string>
 
 #include "core/cost_model.hpp"
-#include "core/sharded_cost_model.hpp"
 #include "fault/fault.hpp"
 #include "io/serialize.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
 #include "util/require.hpp"
-#include "workload/streaming.hpp"
 #include "workload/vm_placement.hpp"
 
 namespace ppdc {
@@ -231,74 +228,6 @@ TEST(ErrorContract, EngineRejectsBadFaultConfig) {
   cfg.fault.mu = 1.0;
   cfg.fault.quarantine_penalty = -0.1;
   EXPECT_THROW(run_simulation(apsp, flows, 3, cfg, policy), PpdcError);
-}
-
-/// A policy that relocates VM endpoints (reports moved_flows), standing
-/// in for PLAN/MCF on the sharded engine.
-class VmRelocatingPolicy final : public MigrationPolicy {
- public:
-  std::string name() const override { return "VmRelocator"; }
-  std::unique_ptr<MigrationPolicy> clone() const override {
-    return std::make_unique<VmRelocatingPolicy>(*this);
-  }
-  EpochDecision on_epoch(const CostModel& model, SimState& state) override {
-    EpochDecision d;
-    d.comm_cost = model.communication_cost(state.placement);
-    d.moved_flows.push_back(FlowId{0});
-    return d;
-  }
-};
-
-// Monolithic-only features rejected by the sharded engine must name the
-// offending feature AND the nearest supported alternative — a user hitting
-// the wall learns where to go, not just that they hit it.
-TEST(ErrorContract, ShardedRateScheduleRejectionNamesAlternatives) {
-  const Topology topo = build_fat_tree(4);
-  const AllPairs apsp(topo.graph);
-  const ShardMap map = ShardMap::by_ingress_pod(topo);
-  VmPlacementConfig wl;
-  wl.num_pairs = 40;
-  StreamingWorkload workload(topo, wl, StreamingChurnConfig{}, Rng(7));
-  SimConfig cfg;
-  cfg.hours = 3;
-  cfg.rate_schedule = [](Hour) { return std::vector<double>{}; };
-  ShardedStreamingConfig sharded;
-  sharded.enabled = true;
-  sharded.threads = 1;
-  NoMigrationPolicy policy;
-  const std::string msg = error_of([&] {
-    run_sharded_simulation(apsp, map, workload, 3, cfg, sharded, policy);
-  });
-  EXPECT_TRUE(mentions(msg, "rate_schedule")) << msg;
-  EXPECT_TRUE(mentions(msg, "monolithic run_simulation")) << msg;
-  EXPECT_TRUE(mentions(msg, "DiurnalModel")) << msg;
-}
-
-TEST(ErrorContract, ShardedVmRelocationRejectionNamesAlternatives) {
-  const Topology topo = build_fat_tree(4);
-  const AllPairs apsp(topo.graph);
-  const ShardMap map = ShardMap::by_ingress_pod(topo);
-  VmPlacementConfig wl;
-  wl.num_pairs = 40;
-  StreamingWorkload workload(topo, wl, StreamingChurnConfig{}, Rng(7));
-  SimConfig cfg;
-  cfg.hours = 3;
-  // Reporting moved_flows is a contract violation, not a shard fault: the
-  // rejection must fire even with the containment ladder enabled.
-  cfg.ladder.enabled = true;
-  ShardedStreamingConfig sharded;
-  sharded.enabled = true;
-  sharded.threads = 1;
-  VmRelocatingPolicy policy;
-  const std::string msg = error_of([&] {
-    run_sharded_simulation(apsp, map, workload, 3, cfg, sharded, policy);
-  });
-  EXPECT_TRUE(mentions(msg, "policy 'VmRelocator'")) << msg;
-  EXPECT_TRUE(mentions(msg, "moved_flows")) << msg;
-  EXPECT_TRUE(mentions(msg, "at epoch 1")) << msg;
-  EXPECT_TRUE(mentions(msg, "PLAN")) << msg;
-  EXPECT_TRUE(mentions(msg, "monolithic run_simulation")) << msg;
-  EXPECT_TRUE(mentions(msg, "NoMigration/mPareto/Optimal/Resolve")) << msg;
 }
 
 TEST(ErrorContract, RestrictCandidatesValidatesItsUniverse) {

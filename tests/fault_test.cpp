@@ -13,9 +13,13 @@
 #include "core/chain_search.hpp"
 #include "core/cost_model.hpp"
 #include "core/placement_dp.hpp"
+#include "core/sharded_cost_model.hpp"
 #include "fault/degraded.hpp"
 #include "sim/engine.hpp"
+#include "sim/observer.hpp"
+#include "sim/sharded.hpp"
 #include "topology/fat_tree.hpp"
+#include "workload/streaming.hpp"
 #include "workload/vm_placement.hpp"
 
 namespace ppdc {
@@ -306,6 +310,115 @@ TEST(FaultSimulation, EmptyScheduleIsBitIdenticalToPristineRun) {
   EXPECT_EQ(tb.total_switch_failures, 0);
   EXPECT_EQ(tb.total_recovery_migrations, 0);
   EXPECT_EQ(tb.downtime_epochs, 0);
+}
+
+// A live flow with a zero base rate is still a flow: cut off from the
+// core, it counts as quarantined (only vacant slots are skipped). Both
+// entry points agree, on one shard and on the pod shards.
+TEST(FaultSimulation, ZeroRateStrandedFlowIsQuarantined) {
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const auto& rack0 = topo.racks[RackIdx{0}];
+  const auto& rack3 = topo.racks[RackIdx{3}];
+  const std::vector<VmFlow> flows{{rack0[0], rack0[1], 0.0, 0},
+                                  {rack0[1], rack0[0], 10.0, 0},
+                                  {rack3[0], rack3[1], 10.0, 1}};
+  const NodeId tor = topo.rack_switches[RackIdx{0}];
+  SimConfig cfg;
+  cfg.hours = 4;
+  cfg.faults = {{Hour{1}, FaultKind::kSwitchFail, tor, kInvalidNode,
+                 kInvalidNode},
+                {Hour{3}, FaultKind::kSwitchRepair, tor, kInvalidNode,
+                 kInvalidNode}};
+  cfg.fault.quarantine_penalty = 2.0;
+
+  const auto expect_both_rack0_flows_quarantined = [](const SimTrace& t) {
+    ASSERT_EQ(t.epochs.size(), 4u);
+    EXPECT_EQ(t.epochs[0].quarantined_flows, 0);
+    EXPECT_EQ(t.epochs[1].quarantined_flows, 2);
+    EXPECT_EQ(t.epochs[2].quarantined_flows, 2);
+    EXPECT_EQ(t.epochs[3].quarantined_flows, 0);
+    EXPECT_EQ(t.quarantined_flow_epochs, 4);
+  };
+  NoMigrationPolicy policy;
+  expect_both_rack0_flows_quarantined(
+      run_simulation(apsp, flows, 3, cfg, policy));
+
+  const ShardMap map = ShardMap::by_ingress_pod(topo);
+  StreamingWorkload workload(flows);
+  ShardedStreamingConfig sharded;
+  sharded.enabled = true;
+  expect_both_rack0_flows_quarantined(
+      run_sharded_simulation(apsp, map, workload, 3, cfg, sharded, policy));
+}
+
+/// Counts, at every on_quarantine, the live flows of `workload` with an
+/// endpoint among `cut_hosts`: exactly the flows the engine must
+/// quarantine when those hosts lose their ToR switch.
+class CutFlowProbe final : public EpochObserver {
+ public:
+  CutFlowProbe(const StreamingWorkload& workload,
+               std::vector<NodeId> cut_hosts)
+      : workload_(&workload), cut_hosts_(std::move(cut_hosts)) {}
+
+  void on_quarantine(Hour /*hour*/, int flows, double /*unserved*/,
+                     double /*penalty*/) override {
+    const auto& all = workload_->flows();
+    std::vector<char> vacant(all.size(), 0);
+    for (const FlowId g : workload_->free_slots()) {
+      vacant[static_cast<std::size_t>(g.value())] = 1;
+    }
+    const auto cut = [&](NodeId h) {
+      return std::find(cut_hosts_.begin(), cut_hosts_.end(), h) !=
+             cut_hosts_.end();
+    };
+    int live_cut = 0;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      if (!cut(all[i].src_host) && !cut(all[i].dst_host)) continue;
+      if (vacant[i] != 0) {
+        ++departed_cut;
+      } else {
+        ++live_cut;
+      }
+    }
+    EXPECT_EQ(flows, live_cut);
+    ++epochs;
+  }
+
+  int epochs = 0;
+  int departed_cut = 0;  ///< departed slots touching the cut hosts
+
+ private:
+  const StreamingWorkload* workload_;
+  std::vector<NodeId> cut_hosts_;
+};
+
+// Departed slots hold no flow: under churn that frees more slots than it
+// refills, quarantine counts only the live flows cut off from the core.
+TEST(FaultSimulation, DepartedFlowsAreNotQuarantined) {
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const ShardMap map = ShardMap::by_ingress_pod(topo);
+  VmPlacementConfig wl;
+  wl.num_pairs = 60;
+  StreamingChurnConfig churn;
+  churn.departure_prob = 0.3;
+  StreamingWorkload workload(topo, wl, churn, Rng(3));
+  SimConfig cfg;
+  cfg.hours = 5;
+  cfg.faults = {{Hour{1}, FaultKind::kSwitchFail,
+                 topo.rack_switches[RackIdx{0}], kInvalidNode,
+                 kInvalidNode}};
+  ShardedStreamingConfig sharded;
+  sharded.enabled = true;
+  sharded.churn = churn;
+  CutFlowProbe probe(workload, topo.racks[RackIdx{0}]);
+  NoMigrationPolicy policy;
+  const SimTrace t = run_sharded_simulation(apsp, map, workload, 3, cfg,
+                                            sharded, policy, &probe);
+  EXPECT_EQ(t.downtime_epochs, 0);
+  EXPECT_EQ(probe.epochs, 4);
+  EXPECT_GT(probe.departed_cut, 0);
 }
 
 // After every fault is repaired the engine resyncs the incremental

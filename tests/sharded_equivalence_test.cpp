@@ -1,22 +1,33 @@
-// Determinism contract of the sharded streaming engine (sim/sharded.hpp):
+// Determinism contract of the epoch engine (sim/sharded.hpp):
 //
-//   * Over ShardMap::single with a churn-free workload, the sharded loop
-//     transcribes run_simulation exactly — every trace total and every
-//     per-epoch decision field is bit-identical, pristine and faulted.
+//   * Single shard: run_simulation and run_sharded_simulation over
+//     ShardMap::single with a churn-free workload reproduce golden trace
+//     checksums recorded from the separate monolithic loop run_simulation
+//     used to be — pristine and faulted, PLAN/MCF, a per-flow
+//     rate_schedule, ladder truncation and downtime.
 //   * Over the multi-shard pod map, the trace is a pure function of the
 //     seed: 1 worker thread and 4 worker threads produce bit-identical
-//     traces under churn, faults, and bounded-staleness holds.
+//     traces under churn, faults, and bounded-staleness holds — VM
+//     migration policies included, and across a journal kill-resume.
+//   * A rate_schedule emitting the diurnal rates matches the grouped
+//     fast path on the pod map.
 //   * Held shards charge exact costs: with a hold-everything threshold and
 //     a placement-stable policy, the trace matches the resolve-every-epoch
 //     run bit for bit.
 //   * run_experiment's sharded path inherits the same thread invariance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "baselines/vm_migration.hpp"
+#include "core/chain_search.hpp"
 #include "core/sharded_cost_model.hpp"
 #include "core/stroll_dp.hpp"
 #include "fault/fault.hpp"
@@ -27,6 +38,8 @@
 #include "sim/observer.hpp"
 #include "sim/sharded.hpp"
 #include "topology/fat_tree.hpp"
+#include "util/checksum.hpp"
+#include "workload/diurnal.hpp"
 #include "workload/streaming.hpp"
 #include "workload/vm_placement.hpp"
 
@@ -106,57 +119,181 @@ FaultSchedule some_faults(const Topology& topo, int hours) {
   return generate_fault_schedule(topo.graph, cfg);
 }
 
-/// Single-shard, churn-free: the sharded loop must transcribe the
-/// monolithic engine bit for bit.
-void check_single_shard(int k, bool with_faults, const MigrationPolicy& proto,
-                        std::unique_ptr<MigrationPolicy> mono_policy) {
-  const Topology topo = build_fat_tree(k);
+/// Bit patterns of every trace total and every per-epoch decision field.
+/// moved_flows is left out: it is the policy's patch list, consumed by the
+/// engine, and merged epoch decisions never carry it.
+std::uint64_t trace_hash(const SimTrace& t) {
+  Hash64 h;
+  for (const NodeId v : t.initial_placement) h.i64(v);
+  h.f64(t.total_comm_cost).f64(t.total_migration_cost).f64(t.total_cost);
+  h.i64(t.total_vnf_migrations).i64(t.total_vm_migrations);
+  h.i64(t.total_switch_failures).i64(t.total_link_failures);
+  h.i64(t.total_repairs).i64(t.total_recovery_migrations);
+  h.f64(t.total_recovery_cost).i64(t.quarantined_flow_epochs);
+  h.f64(t.total_quarantine_penalty).i64(t.downtime_epochs);
+  h.i64(t.total_truncated_solves).i64(t.ladder_transitions);
+  h.i64(t.refresh_only_epochs).i64(t.frozen_epochs).i64(t.policy_failures);
+  h.i64(t.audited_epochs).i64(t.total_shard_resolves);
+  h.i64(t.total_shard_holds).i64(t.quarantined_shard_epochs);
+  h.i64(t.total_shard_retries).f64(t.total_shard_penalty);
+  for (const EpochDecision& d : t.epochs) {
+    h.f64(d.comm_cost).f64(d.migration_cost).f64(d.migration_distance);
+    h.i64(d.vnf_migrations).i64(d.vm_migrations).i64(d.truncated_solves);
+    h.i64(d.switch_failures).i64(d.link_failures).i64(d.repairs);
+    h.i64(d.recovery_migrations).f64(d.recovery_cost);
+    h.i64(d.quarantined_flows).f64(d.quarantine_penalty);
+    h.b(d.service_down).i64(static_cast<int>(d.rung)).b(d.policy_failed);
+    h.i64(d.resolved_shards).i64(d.held_shards);
+    h.i64(d.quarantined_shards).i64(d.shard_retries).f64(d.shard_penalty);
+  }
+  return h.value();
+}
+
+/// One single-shard golden case: 120 flows drawn with seed 13, n = 5.
+struct GoldenCase {
+  int k = 4;
+  int hours = 8;
+  bool faults = false;
+  double zipf = 0.0;        ///< rack skew (VM moves need a traffic centre)
+  bool schedule = false;    ///< per-flow rate_schedule instead of diurnal
+  std::function<void(SimConfig&)> tune = [](SimConfig&) {};
+};
+
+/// The case's rate schedule: a per-flow phase, not a group scaling.
+std::vector<double> scheduled_rates(const std::vector<VmFlow>& base,
+                                    Hour hour) {
+  std::vector<double> r(base.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    const auto phase = static_cast<double>(
+        (i + static_cast<std::size_t>(hour.value())) % 5);
+    r[i] = base[i].rate * (0.5 + 0.25 * phase);
+  }
+  return r;
+}
+
+/// Runs the case through run_simulation and through run_sharded_simulation
+/// over ShardMap::single with a churn-free workload. Both must reproduce
+/// `golden` — the checksum the separate monolithic epoch loop produced
+/// before run_simulation became the single-shard engine. Returns the
+/// run_simulation trace for the caller's sanity checks.
+SimTrace check_golden(const GoldenCase& c, const MigrationPolicy& proto,
+                      std::uint64_t golden) {
+  const Topology topo = build_fat_tree(c.k);
   const AllPairs apsp(topo.graph);
-  const int hours = 8;
-  const int pairs = 120;
+  VmPlacementConfig wl = workload_config(120);
+  wl.rack_zipf_s = c.zipf;
+  Rng rng(13);
+  const std::vector<VmFlow> flows = generate_vm_flows(topo, wl, rng);
 
   SimConfig sim;
-  sim.hours = hours;
-  if (with_faults) sim.faults = some_faults(topo, hours);
+  sim.hours = c.hours;
+  if (c.faults) sim.faults = some_faults(topo, c.hours);
+  c.tune(sim);
+  if (c.schedule) {
+    sim.rate_schedule = [&flows](Hour h) { return scheduled_rates(flows, h); };
+  }
 
-  Rng mono_rng(13);
-  const std::vector<VmFlow> flows =
-      generate_vm_flows(topo, workload_config(pairs), mono_rng);
-  const SimTrace mono = run_simulation(apsp, flows, 5, sim, *mono_policy);
+  const std::unique_ptr<MigrationPolicy> policy = proto.clone();
+  const SimTrace mono = run_simulation(apsp, flows, 5, sim, *policy);
+  EXPECT_EQ(trace_hash(mono), golden) << "run_simulation";
 
   const ShardMap map = ShardMap::single(topo);
-  StreamingWorkload workload(topo, workload_config(pairs),
-                             StreamingChurnConfig{}, Rng(13));
+  StreamingWorkload workload(topo, wl, StreamingChurnConfig{}, Rng(13));
   ShardedStreamingConfig sharded;
   sharded.enabled = true;
-  sharded.threads = 1;
   const SimTrace shard_trace =
       run_sharded_simulation(apsp, map, workload, 5, sim, sharded, proto);
-
+  EXPECT_EQ(trace_hash(shard_trace), golden) << "run_sharded_simulation";
   expect_equal_traces(shard_trace, mono);
+  return mono;
+}
+
+VmMigrationConfig vm_config() {
+  VmMigrationConfig vm;
+  vm.mu = 1.0;
+  vm.horizon_hours = 4.0;
+  return vm;
 }
 
 TEST(ShardedEquivalence, SingleShardPristineNoMigration) {
-  NoMigrationPolicy proto;
-  check_single_shard(4, false, proto, std::make_unique<NoMigrationPolicy>());
+  check_golden({}, NoMigrationPolicy(), 0x6d977f5041b287d8ULL);
 }
 
 TEST(ShardedEquivalence, SingleShardPristineMPareto) {
-  ParetoMigrationPolicy proto(1e3);
-  check_single_shard(4, false, proto,
-                     std::make_unique<ParetoMigrationPolicy>(1e3));
+  check_golden({}, ParetoMigrationPolicy(1e3), 0x6d977f5041b287d8ULL);
 }
 
 TEST(ShardedEquivalence, SingleShardFaultedMPareto) {
-  ParetoMigrationPolicy proto(1e3);
-  check_single_shard(4, true, proto,
-                     std::make_unique<ParetoMigrationPolicy>(1e3));
+  GoldenCase c;
+  c.faults = true;
+  check_golden(c, ParetoMigrationPolicy(1e3), 0x079c1ca67b7b2dbbULL);
 }
 
 TEST(ShardedEquivalence, SingleShardFaultedK8) {
-  ParetoMigrationPolicy proto(1e4);
-  check_single_shard(8, true, proto,
-                     std::make_unique<ParetoMigrationPolicy>(1e4));
+  GoldenCase c;
+  c.k = 8;
+  c.faults = true;
+  check_golden(c, ParetoMigrationPolicy(1e4), 0xe0fc3ad12ca33671ULL);
+}
+
+TEST(ShardedEquivalence, SingleShardPristinePlan) {
+  GoldenCase c;
+  c.zipf = 2.2;
+  c.tune = [](SimConfig& s) { s.audit.enabled = true; };
+  const SimTrace t =
+      check_golden(c, PlanPolicy(vm_config()), 0x78f1d935d66e4ff0ULL);
+  EXPECT_GT(t.total_vm_migrations, 0);
+}
+
+TEST(ShardedEquivalence, SingleShardFaultedMcf) {
+  GoldenCase c;
+  c.zipf = 2.2;
+  c.faults = true;
+  c.tune = [](SimConfig& s) {
+    s.audit.enabled = true;
+    s.fault.quarantine_penalty = 5.0;
+  };
+  const SimTrace t =
+      check_golden(c, McfPolicy(vm_config()), 0x4d9ef1247ba7e1cfULL);
+  EXPECT_GT(t.total_vm_migrations, 0);
+  EXPECT_GT(t.quarantined_flow_epochs, 0);
+}
+
+TEST(ShardedEquivalence, SingleShardFaultedRateSchedule) {
+  GoldenCase c;
+  c.zipf = 2.2;
+  c.faults = true;
+  c.schedule = true;
+  const SimTrace t =
+      check_golden(c, ParetoMigrationPolicy(1e3), 0x0089f9a7d27b7433ULL);
+  EXPECT_GT(t.total_recovery_migrations, 0);
+}
+
+TEST(ShardedEquivalence, SingleShardLadderTruncation) {
+  GoldenCase c;
+  c.zipf = 2.2;
+  c.hours = 10;
+  c.tune = [](SimConfig& s) {
+    s.ladder.enabled = true;
+    s.ladder.recovery_epochs = 2;
+    s.audit.enabled = true;
+  };
+  // A node budget of 1 truncates every exponential re-solve.
+  ChainSearchConfig tiny;
+  tiny.node_budget = 1;
+  const SimTrace t = check_golden(c, ExhaustiveMigrationPolicy(10.0, tiny),
+                                  0xae7c338ae7fd2a76ULL);
+  EXPECT_GT(t.total_truncated_solves, 0);
+  EXPECT_GT(t.ladder_transitions, 0);
+}
+
+TEST(ShardedEquivalence, SingleShardDowntime) {
+  GoldenCase c;
+  c.zipf = 2.2;
+  c.tune = [](SimConfig& s) { s.downtime_factor = 0.5; };
+  const SimTrace t =
+      check_golden(c, ParetoMigrationPolicy(1.0), 0x09e7a0fe01c0ba5fULL);
+  EXPECT_GT(t.total_vnf_migrations, 0);
 }
 
 SimTrace run_pod_sharded(int threads, double resolve_fraction,
@@ -297,37 +434,21 @@ TEST(ShardedEquivalence, HeldShardsChargeExactCosts) {
   EXPECT_EQ(hold_mostly.total_shard_holds, (sim.hours - 1) * shards);
 }
 
-TEST(ShardedEquivalence, MonolithicOnlyFeaturesAreRejected) {
+TEST(ShardedEquivalence, PodShardedAuditCoversEveryEpoch) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);
   const ShardMap map = ShardMap::by_ingress_pod(topo);
   NoMigrationPolicy proto;
   ShardedStreamingConfig sharded;
   sharded.enabled = true;
-
-  {
-    StreamingWorkload workload(topo, workload_config(40),
-                               StreamingChurnConfig{}, Rng(1));
-    SimConfig sim;
-    sim.hours = 2;
-    sim.rate_schedule = [](Hour) { return std::vector<double>{}; };
-    EXPECT_THROW(run_sharded_simulation(apsp, map, workload, 3, sim, sharded,
-                                        proto),
-                 PpdcError);
-  }
-  // SimConfig::audit is no longer monolithic-only: the sharded engine
-  // attaches a ShardedInvariantAuditor and a clean run passes with full
-  // epoch coverage.
-  {
-    StreamingWorkload workload(topo, workload_config(40),
-                               StreamingChurnConfig{}, Rng(1));
-    SimConfig sim;
-    sim.hours = 2;
-    sim.audit.enabled = true;
-    const SimTrace t =
-        run_sharded_simulation(apsp, map, workload, 3, sim, sharded, proto);
-    EXPECT_EQ(t.audited_epochs, 2);
-  }
+  StreamingWorkload workload(topo, workload_config(40),
+                             StreamingChurnConfig{}, Rng(1));
+  SimConfig sim;
+  sim.hours = 2;
+  sim.audit.enabled = true;
+  const SimTrace t =
+      run_sharded_simulation(apsp, map, workload, 3, sim, sharded, proto);
+  EXPECT_EQ(t.audited_epochs, 2);
 }
 
 /// Prototype whose `throwing_clone`-th clone() (1-based) yields a policy
@@ -600,6 +721,156 @@ TEST(ShardedEpochJournal, KillResumeBitIdentityAcrossThreadCounts) {
   kill_and_resume(1, 4);
   kill_and_resume(4, 1);
   remove_epoch_journal(journal);
+}
+
+/// Pod-sharded stress setup of the VM-migration and rate-schedule tests:
+/// churn, switch faults, the ladder and the auditor all on. Skewed racks
+/// give PLAN/MCF a traffic centre to move VMs towards.
+struct PodStress {
+  Topology topo = build_fat_tree(4);
+  AllPairs apsp{topo.graph};
+  ShardMap map = ShardMap::by_ingress_pod(topo);
+  StreamingChurnConfig churn;
+  SimConfig sim;
+
+  PodStress() {
+    churn.arrivals_per_epoch = 10;
+    churn.departure_prob = 0.05;
+    churn.rerate_prob = 0.1;
+    sim.hours = 10;
+    sim.ladder.enabled = true;
+    sim.audit.enabled = true;
+    FaultScheduleConfig fc;
+    fc.hours = sim.hours;
+    fc.switch_mtbf = 8.0;
+    fc.switch_mttr = 2.0;
+    fc.seed = 99;
+    sim.faults = generate_fault_schedule(topo, fc);
+  }
+
+  StreamingWorkload workload() const {
+    VmPlacementConfig wl = workload_config(150);
+    wl.rack_zipf_s = 2.2;
+    return StreamingWorkload(topo, wl, churn, Rng(77));
+  }
+
+  ShardedStreamingConfig sharded(int threads,
+                                 const std::string& journal = {}) const {
+    ShardedStreamingConfig cfg;
+    cfg.enabled = true;
+    cfg.threads = threads;
+    cfg.churn = churn;
+    cfg.resolve_churn_fraction = 0.25;
+    cfg.max_staleness = 3;
+    cfg.quarantine_sla = 1.0;
+    cfg.epoch_journal = journal;
+    return cfg;
+  }
+
+  SimTrace run(const MigrationPolicy& proto, int threads) const {
+    StreamingWorkload w = workload();
+    return run_sharded_simulation(apsp, map, w, 5, sim, sharded(threads),
+                                  proto);
+  }
+};
+
+TEST(ShardedVmMigration, PlanAndMcfAreThreadInvariantOnPodShards) {
+  const PodStress ps;
+  ASSERT_FALSE(ps.sim.faults.empty());
+  const PlanPolicy plan(vm_config());
+  const McfPolicy mcf(vm_config());
+  for (const MigrationPolicy* proto :
+       std::vector<const MigrationPolicy*>{&plan, &mcf}) {
+    const SimTrace serial = ps.run(*proto, 1);
+    expect_equal_traces(serial, ps.run(*proto, 4));
+    // VMs really moved, under faults, with every epoch audited (the
+    // auditor checks local endpoints against the mirrored global flows).
+    EXPECT_GT(serial.total_vm_migrations, 0) << proto->name();
+    EXPECT_GT(serial.total_switch_failures, 0) << proto->name();
+    EXPECT_EQ(serial.audited_epochs, ps.sim.hours) << proto->name();
+  }
+}
+
+TEST(ShardedVmMigration, JournaledPlanRunResumesBitIdentically) {
+  const PodStress ps;
+  const std::string journal = "sharded_plan_journal_test.bin";
+  const PlanPolicy proto(vm_config());
+  const SimTrace reference = ps.run(proto, 1);
+  // The kill lands after VMs moved, so the resume must restore moved
+  // endpoints from the journaled workload and shard snapshots.
+  int moved_before_kill = 0;
+  for (int h = 0; h <= 4; ++h) {
+    moved_before_kill += reference.epochs[static_cast<std::size_t>(h)]
+                             .vm_migrations;
+  }
+  EXPECT_GT(moved_before_kill, 0);
+
+  auto kill_and_resume = [&](int kill_threads, int resume_threads) {
+    remove_epoch_journal(journal);
+    {
+      std::atomic<bool> cancel{false};
+      CancelAtEpoch canceller(&cancel, 4);
+      SimConfig interrupted = ps.sim;
+      interrupted.cancel = &cancel;
+      StreamingWorkload w = ps.workload();
+      EXPECT_THROW(run_sharded_simulation(ps.apsp, ps.map, w, 5, interrupted,
+                                          ps.sharded(kill_threads, journal),
+                                          proto, &canceller),
+                   SimInterrupted);
+    }
+    StreamingWorkload w = ps.workload();
+    const SimTrace resumed = run_sharded_simulation(
+        ps.apsp, ps.map, w, 5, ps.sim, ps.sharded(resume_threads, journal),
+        proto);
+    expect_equal_traces(resumed, reference);
+  };
+  kill_and_resume(1, 4);
+  kill_and_resume(4, 1);
+  remove_epoch_journal(journal);
+}
+
+TEST(ShardedRateSchedule, DiurnalScheduleMatchesGroupedRun) {
+  // A schedule that emits exactly the diurnal rates of the live workload
+  // takes the full-refresh path on every shard; it must reproduce the
+  // grouped fast path's costs up to summation order. The two paths may
+  // break an exact cost tie differently (a chain of equal cost on other
+  // switches), so emergency-recovery distances, which depend on where
+  // the tied chain sits, are not compared.
+  const PodStress ps;
+  const ParetoMigrationPolicy proto(1e3);
+  const SimTrace grouped = ps.run(proto, 2);
+
+  StreamingWorkload w = ps.workload();
+  SimConfig sim = ps.sim;
+  sim.rate_schedule = [&w, &ps](Hour hour) {
+    return diurnal_rates_grouped(ps.sim.diurnal, rates_of(w.flows()),
+                                 groups_of(w.flows()), hour);
+  };
+  const SimTrace scheduled = run_sharded_simulation(
+      ps.apsp, ps.map, w, 5, sim, ps.sharded(2), proto);
+
+  // incremental_refresh_test's tolerance: 1e-9 relative.
+  const auto near = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
+  };
+  ASSERT_EQ(scheduled.epochs.size(), grouped.epochs.size());
+  for (std::size_t h = 0; h < grouped.epochs.size(); ++h) {
+    const EpochDecision& a = scheduled.epochs[h];
+    const EpochDecision& b = grouped.epochs[h];
+    EXPECT_TRUE(near(a.comm_cost, b.comm_cost)) << "hour " << h;
+    EXPECT_TRUE(near(a.migration_cost, b.migration_cost)) << "hour " << h;
+    EXPECT_TRUE(near(a.quarantine_penalty, b.quarantine_penalty))
+        << "hour " << h;
+    EXPECT_EQ(a.quarantined_flows, b.quarantined_flows) << "hour " << h;
+    EXPECT_EQ(a.vnf_migrations, b.vnf_migrations) << "hour " << h;
+    EXPECT_EQ(a.resolved_shards, b.resolved_shards) << "hour " << h;
+    EXPECT_EQ(a.rung, b.rung) << "hour " << h;
+  }
+  EXPECT_TRUE(near(scheduled.total_comm_cost, grouped.total_comm_cost));
+  EXPECT_TRUE(near(scheduled.total_migration_cost,
+                   grouped.total_migration_cost));
+  EXPECT_EQ(scheduled.audited_epochs, ps.sim.hours);
+  EXPECT_GT(grouped.quarantined_flow_epochs, 0);
 }
 
 TEST(ShardedEquivalence, ExperimentRunnerThreadInvariant) {

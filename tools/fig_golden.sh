@@ -1,0 +1,74 @@
+#!/usr/bin/env bash
+# Golden-stdout check of the dynamic-simulation figure benches. Runs
+# bench_fig11_dynamic (all five Fig. 11 policies, PLAN/MCF included) and
+# bench_ablation_faults (switch/link failures, quarantine, recovery) at a
+# smoke size and diffs their stdout against the files recorded in
+# tests/golden/. Neither bench prints timings, --threads is pinned and the
+# measured "peak RSS:" line is dropped, so any difference is a change in
+# simulated results: an intentional one lands as a reviewed golden diff
+# (rerun with --update).
+#
+# Usage: tools/fig_golden.sh [--build-dir DIR] [--update]
+#   --build-dir DIR   where to find bench/ (default: build)
+#   --update          rewrite the golden files instead of diffing
+set -u
+
+cd "$(dirname "$0")/.." || exit 1
+
+BUILD_DIR=build
+UPDATE=0
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --build-dir)
+      BUILD_DIR=$2
+      shift 2
+      ;;
+    --update)
+      UPDATE=1
+      shift
+      ;;
+    *)
+      echo "unknown option: $1" >&2
+      exit 2
+      ;;
+  esac
+done
+
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+status=0
+
+# check NAME ARGS...: runs build/bench/NAME ARGS and compares its stdout
+# with tests/golden/NAME.txt.
+check() {
+  local name=$1
+  shift
+  local bench=$BUILD_DIR/bench/$name
+  local golden=tests/golden/$name.txt
+  if [ ! -x "$bench" ]; then
+    echo "fig_golden: $bench not built (configure with PPDC_BUILD_BENCH=ON)" >&2
+    exit 2
+  fi
+  "$bench" "$@" > "$WORK/$name.raw" 2> "$WORK/$name.err" || {
+    echo "fig_golden: FAIL: $name exited $? (stderr: $(cat "$WORK/$name.err"))" >&2
+    status=1
+    return
+  }
+  grep -v '^peak RSS:' "$WORK/$name.raw" > "$WORK/$name.out"
+  if [ "$UPDATE" -eq 1 ]; then
+    cp "$WORK/$name.out" "$golden"
+    echo "== fig_golden: rewrote $golden"
+  elif diff -u "$golden" "$WORK/$name.out"; then
+    echo "== fig_golden: $name matches $golden"
+  else
+    echo "fig_golden: FAIL: $name stdout differs from $golden" >&2
+    status=1
+  fi
+}
+
+check bench_fig11_dynamic --k 8 --trials 2 --l 200 --n 5 --hours 12 \
+  --lvalues 100,200 --nvalues 3,5 --mu 1000 --host-capacity 0 --seed 7 \
+  --threads 2
+check bench_ablation_faults --trials 3 --hours 48 --seed 7 --threads 2
+
+exit $status
