@@ -18,14 +18,11 @@
 #include <string>
 #include <vector>
 
-#if defined(PPDC_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 #include "graph/apsp.hpp"
 #include "sim/experiment.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/checksum.hpp"
+#include "util/executor.hpp"
 #include "util/options.hpp"
 #include "util/rss.hpp"
 #include "util/stats.hpp"
@@ -234,7 +231,7 @@ struct BenchBuildInfo {
   std::string cxx_flags;
   std::string compiler;
   bool native = false;
-  int threads = 1;
+  int threads = 1;  ///< parallel_width() where the kernels were timed
 };
 
 inline BenchBuildInfo bench_build_info() {
@@ -243,11 +240,7 @@ inline BenchBuildInfo bench_build_info() {
   b.cxx_flags = PPDC_BENCH_CXX_FLAGS;
   b.compiler = PPDC_BENCH_COMPILER;
   b.native = PPDC_BENCH_NATIVE != 0;
-#if defined(PPDC_HAVE_OPENMP)
-  b.threads = omp_get_max_threads();
-#else
-  b.threads = 1;
-#endif
+  b.threads = parallel_width();
   return b;
 }
 

@@ -22,6 +22,7 @@
 #include "net/link_load.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/checksum.hpp"
+#include "util/executor.hpp"
 #include "workload/vm_placement.hpp"
 
 namespace {
@@ -314,18 +315,28 @@ BenchRecord pin_cost_refresh() {
   return rec;
 }
 
+/// Emits the pinned artifacts. The committed baselines are
+/// single-threaded, so every kernel is timed (and the provenance taken)
+/// inside serially(), where the parallel APSP and refresh run on this
+/// thread alone.
 int run_pinned(const std::string& dir) {
-  const bench::BenchBuildInfo build = bench::bench_build_info();
-  const BenchRecord records[] = {
-      pin_all_pairs(), pin_stroll_dp(), pin_placement_dp(),
-      pin_pareto_migration(), pin_cost_refresh()};
-  for (const BenchRecord& rec : records) {
-    if (!bench::write_bench_json(dir, rec, build, g_smoke)) return 1;
-    std::cout << "BENCH_" << rec.kernel << ".json  best "
-              << rec.timing.best_ns / 1e6 << " ms  checksum "
-              << bench::bench_hex64(rec.checksum) << "\n";
-  }
-  return 0;
+  int rc = 0;
+  serially([&]() noexcept {
+    const bench::BenchBuildInfo build = bench::bench_build_info();
+    const BenchRecord records[] = {
+        pin_all_pairs(), pin_stroll_dp(), pin_placement_dp(),
+        pin_pareto_migration(), pin_cost_refresh()};
+    for (const BenchRecord& rec : records) {
+      if (!bench::write_bench_json(dir, rec, build, g_smoke)) {
+        rc = 1;
+        return;
+      }
+      std::cout << "BENCH_" << rec.kernel << ".json  best "
+                << rec.timing.best_ns / 1e6 << " ms  checksum "
+                << bench::bench_hex64(rec.checksum) << "\n";
+    }
+  });
+  return rc;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "graph/graph.hpp"
+#include "util/executor.hpp"
 #include "util/require.hpp"
 
 namespace ppdc {
@@ -23,7 +24,7 @@ constexpr int kMaxGroupId = 1 << 20;
 
 /// Switch-block width of the attraction rebuild kernels: the block's
 /// accumulators (kSwitchBlock doubles) stay cache-resident while the flow
-/// list streams past, and blocks double as the OpenMP work unit.
+/// list streams past, and blocks double as the parallel work unit.
 constexpr std::size_t kSwitchBlock = 512;
 
 /// Accumulates one flow's contribution over a switch block into a dense
@@ -91,19 +92,15 @@ void CostModel::refresh() {
     PPDC_REQUIRE(f.rate >= 0.0, "negative traffic rate");
     lambda_sum_ += f.rate;
   }
-  const auto num_blocks = static_cast<std::ptrdiff_t>(
-      (ns + kSwitchBlock - 1) / kSwitchBlock);
+  const std::size_t num_blocks = (ns + kSwitchBlock - 1) / kSwitchBlock;
   // Switch-blocked rebuild. Per switch, each attraction still accumulates
   // its flow contributions in flow order — bit-identical to the naive
   // switch-outer scan — but both passes stream one contiguous core row
   // segment per flow past a cache-resident block of accumulators: c(src,
   // ·) for the ingress pass and the transposed c(·, dst) for the egress
   // pass. Switch j's core position is j, so a block is a row segment.
-#if defined(PPDC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t blk = 0; blk < num_blocks; ++blk) {
-    const std::size_t b0 = static_cast<std::size_t>(blk) * kSwitchBlock;
+  parallel_for(num_blocks, 1, [&](std::size_t blk) noexcept {
+    const std::size_t b0 = blk * kSwitchBlock;
     const std::size_t bn = std::min(ns, b0 + kSwitchBlock) - b0;
     double in[kSwitchBlock];
     double eg[kSwitchBlock];
@@ -121,7 +118,7 @@ void CostModel::refresh() {
     }
     std::copy_n(in, bn, ingress_.begin() + static_cast<std::ptrdiff_t>(b0));
     std::copy_n(eg, bn, egress_.begin() + static_cast<std::ptrdiff_t>(b0));
-  }
+  });
   rescan_minima();
   if (group_refresh_enabled()) {
     // Keep the base vectors coherent with any endpoint changes the caller
@@ -227,16 +224,12 @@ void CostModel::rebuild_group_bases() {
   }
   group_ingress_.assign(row_groups_.size() * ns, 0.0);
   group_egress_.assign(row_groups_.size() * ns, 0.0);
-  const auto num_blocks = static_cast<std::ptrdiff_t>(
-      (ns + kSwitchBlock - 1) / kSwitchBlock);
+  const std::size_t num_blocks = (ns + kSwitchBlock - 1) / kSwitchBlock;
   // Same switch-blocked structure as refresh(): per (group, switch) cell
   // the contributions still land in flow order (bit-identical), and both
   // passes stream contiguous core row segments.
-#if defined(PPDC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t blk = 0; blk < num_blocks; ++blk) {
-    const std::size_t b0 = static_cast<std::size_t>(blk) * kSwitchBlock;
+  parallel_for(num_blocks, 1, [&](std::size_t blk) noexcept {
+    const std::size_t b0 = blk * kSwitchBlock;
     const std::size_t bn = std::min(ns, b0 + kSwitchBlock) - b0;
     for (std::size_t i = 0; i < groups_.size(); ++i) {
       // Zero-base flows (including fault-quarantined ones, whose distances
@@ -250,7 +243,7 @@ void CostModel::rebuild_group_bases() {
       accumulate_block(group_egress_.data() + row, dst.cost + b0,
                        dst.weight, bn, base_rates_[i]);
     }
-  }
+  });
 }
 
 void CostModel::patch_moved_flow(FlowId flow) {

@@ -67,7 +67,7 @@ class CostModel {
             const std::vector<int>& groups, int min_groups = 0);
 
   /// Re-derives Λ, A, B after the traffic rate vector changed in `flows`
-  /// (full O(|V_s| · l) rescan, OpenMP-parallel over switches). With
+  /// (full O(|V_s| · l) rescan, parallel over switch blocks). With
   /// group refresh enabled, also resyncs the per-group base vectors to the
   /// flows' current endpoints.
   void refresh();
@@ -208,7 +208,7 @@ class CostModel {
 
  private:
   /// Rebuilds the per-group base vectors and endpoint snapshot from
-  /// scratch (OpenMP-parallel over switches).
+  /// scratch (parallel over switch blocks).
   void rebuild_group_bases();
   /// Moves one flow's base-vector contributions from its snapshot
   /// endpoints to its current ones.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/executor.hpp"
 #include "util/rng.hpp"
 
 namespace ppdc {
@@ -70,19 +71,16 @@ AllPairs::AllPairs(const Graph& g, bool allow_disconnected)
   unreachable_row_.assign(m, kUnreachable);
 
   const bool unit = all_unit_weights(g);
-  const auto num_core = static_cast<std::ptrdiff_t>(m);
   // A leaf is never interior to a shortest path, so the core columns of a
   // full-graph SSSP from a core source are exactly the core block's row,
-  // and every core vertex's parent is itself core.
-#if defined(PPDC_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 8)
-#endif
-  for (std::ptrdiff_t x = 0; x < num_core; ++x) {
-    const NodeId src = core_[static_cast<std::size_t>(x)];
+  // and every core vertex's parent is itself core. Each source writes
+  // only its own row.
+  parallel_for(m, 8, [&](std::size_t x) noexcept {
+    const NodeId src = core_[x];
     const SsspResult r =
         unit ? bfs_shortest_paths(g, src) : dijkstra(g, src);
-    double* drow = dist_.data() + static_cast<std::size_t>(x) * m;
-    std::int32_t* prow = parent_.data() + static_cast<std::size_t>(x) * m;
+    double* drow = dist_.data() + x * m;
+    std::int32_t* prow = parent_.data() + x * m;
     for (std::size_t y = 0; y < m; ++y) {
       const auto v = static_cast<std::size_t>(core_[y]);
       drow[y] = r.dist[v];
@@ -90,7 +88,7 @@ AllPairs::AllPairs(const Graph& g, bool allow_disconnected)
       prow[y] = p == kInvalidNode ? -1
                                   : anchor_[static_cast<std::size_t>(p)].core;
     }
-  }
+  });
 
   // Reachability and diameter. Per core vertex, the two heaviest attached
   // leaves bound every pair through it: fp addition is monotone, so

@@ -2,9 +2,9 @@
 //
 // Everything in the paper's cost model is expressed through c(u,v), the
 // shortest-path cost between two devices (§III, Table I). AllPairs
-// precomputes the metric once per topology (OpenMP-parallel across
-// sources) and serves c(u,v) in O(1) plus shortest-path vertex sequences
-// for migration frontiers.
+// precomputes the metric once per topology (parallel across sources, on
+// util/executor.hpp) and serves c(u,v) in O(1) plus shortest-path vertex
+// sequences for migration frontiers.
 //
 // Only the *core* block is stored. The core is every switch plus every
 // host of degree >= 2 (BCube and DCell hosts relay traffic); every other

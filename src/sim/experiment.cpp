@@ -8,7 +8,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "core/sharded_cost_model.hpp"
@@ -17,6 +16,7 @@
 #include "sim/observer.hpp"
 #include "sim/policy.hpp"
 #include "util/checksum.hpp"
+#include "util/executor.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 #include "workload/streaming.hpp"
@@ -103,13 +103,7 @@ std::uint64_t attempt_seed(std::uint64_t seed, std::size_t trial,
 }  // namespace
 
 int resolve_experiment_threads(int requested) {
-  if (requested >= 1) return requested;
-#if defined(PPDC_TSAN)
-  return 1;
-#else
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : static_cast<int>(hc);
-#endif
+  return requested >= 1 ? requested : parallel_width();
 }
 
 std::vector<PolicyStats> run_experiment(
@@ -336,16 +330,9 @@ std::vector<PolicyStats> run_experiment(
   };
 
   const int want = resolve_experiment_threads(config.threads);
-  const std::size_t pool = std::min<std::size_t>(
-      static_cast<std::size_t>(want), std::max<std::size_t>(jobs.size(), 1));
-  if (pool <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
+  parallel_run(static_cast<int>(std::min<std::size_t>(
+                   static_cast<std::size_t>(want), jobs.size())),
+               worker);
 
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
     // Cooperative stop (SIGINT/SIGTERM via bench_common): report what is

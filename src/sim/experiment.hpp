@@ -10,7 +10,11 @@
 // tens of thousands of flows tractable.
 //
 // Execution model: the trials × policies grid is decomposed into
-// independent SimJobs dispatched to a worker pool. Each job derives its
+// independent SimJobs pulled by the workers of one executor region
+// (util/executor.hpp). When that region runs on several workers, a job's
+// own shard loop and kernels run inline on its worker, so regions never
+// nest; at one worker (threads = 1, or a single job) they keep the full
+// width. Each job derives its
 // own policy instance from the caller's prototype via
 // MigrationPolicy::clone() and consumes a pre-split, trial-indexed RNG
 // stream, so no mutable state is shared between jobs. Per-job
@@ -52,10 +56,8 @@ struct ExperimentConfig {
   std::uint64_t seed = 42;
   VmPlacementConfig workload;  ///< how flows are generated each trial
   int sfc_length = 7;          ///< n
-  /// Worker threads of the SimJob pool. 0 = auto: hardware concurrency
-  /// (1 under PPDC_TSAN builds, where parallel runs are opt-in so the
-  /// default instrumented suite stays serial). Any value yields
-  /// bit-identical results; only wall-clock changes.
+  /// Worker threads of the SimJob pool. 0 = auto: hardware concurrency.
+  /// Any value yields bit-identical results; only wall-clock changes.
   int threads = 0;
   /// Crash-safe journal path (empty = no checkpointing). When the file
   /// exists its fingerprint is validated against this experiment and the
@@ -178,8 +180,8 @@ class ExperimentInterrupted : public PpdcError {
 
 /// Resolves an ExperimentConfig::threads request to the worker count the
 /// pool will actually use: values >= 1 pass through; 0 (auto) means
-/// std::thread::hardware_concurrency(), except under PPDC_TSAN builds
-/// where auto is 1.
+/// parallel_width() — the hardware concurrency, or 1 where regions run
+/// inline (util/executor.hpp).
 int resolve_experiment_threads(int requested);
 
 /// Runs every policy over `config.trials` independently seeded workloads.

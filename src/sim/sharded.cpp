@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "util/checksum.hpp"
+#include "util/executor.hpp"
 #include "util/ids.hpp"
 #include "util/require.hpp"
 #include "workload/diurnal.hpp"
@@ -76,28 +76,16 @@ int required_clean_epochs(int shard, int fail_streak, int recovery_epochs) {
   return recovery_epochs + backoff + jitter;
 }
 
-/// Runs `work(s)` for every shard on `pool` threads (inline when pool <= 1)
-/// until `stop()` turns true. A throw lands in errors[s]: the inline path
-/// stops there, the workers carry on with the remaining shards. Callers
-/// surface errors in shard order, so either path fails the same way.
+/// Runs `work(s)` for every shard on a `pool`-wide region until `stop()`
+/// turns true. A throw lands in errors[s] and the remaining shards still
+/// run; callers surface errors in shard order, so every width fails the
+/// same way.
 template <class Work, class Stop>
 void for_each_shard(int num_shards, int pool,
                     std::vector<std::exception_ptr>& errors, Work&& work,
                     Stop&& stop) {
-  if (pool <= 1) {
-    for (int s = 0; s < num_shards; ++s) {
-      if (stop()) break;
-      try {
-        work(s);
-      } catch (...) {
-        errors[static_cast<std::size_t>(s)] = std::current_exception();
-        break;
-      }
-    }
-    return;
-  }
   std::atomic<int> next{0};
-  auto worker = [&]() noexcept {
+  parallel_run(pool, [&]() noexcept {
     for (;;) {
       if (stop()) return;
       const int s = next.fetch_add(1, std::memory_order_relaxed);
@@ -108,11 +96,7 @@ void for_each_shard(int num_shards, int pool,
         errors[static_cast<std::size_t>(s)] = std::current_exception();
       }
     }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(pool));
-  for (int t = 0; t < pool; ++t) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
+  });
 }
 
 /// Rethrows the first error in shard order, if any.
@@ -155,6 +139,12 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
                "negative shard quarantine SLA penalty");
   PPDC_REQUIRE(sharded.epoch_checkpoint_every >= 1,
                "epoch checkpoint cadence must be >= 1");
+  // The journal's run fingerprint cannot hash a std::function, so a
+  // journal written under one schedule would resume under another.
+  PPDC_REQUIRE(!config.rate_schedule || sharded.epoch_journal.empty(),
+               "a custom rate_schedule cannot be combined with an epoch "
+               "journal (the journal cannot fingerprint the schedule); run "
+               "without epoch_journal, or use the built-in diurnal model");
 
   const Graph& graph = apsp.graph();
   std::optional<FaultInjector> injector;
@@ -325,9 +315,10 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     // shares with other shards come from the fabric's cache, whose levels
     // are a deterministic function of their destination, so the
     // placements do not depend on the thread count.
-    // No call here enters an OpenMP region on the pristine fabric, and the
-    // cached levels live in page-mapped slabs rather than in the workers'
-    // malloc arenas (DESIGN.md §11).
+    // A parallel kernel called here (a full refresh) runs inline on its
+    // shard's worker when the shard pool is wider than one, and the cached
+    // levels live in page-mapped slabs rather than in the workers' malloc
+    // arenas (DESIGN.md §11).
     const std::vector<double> scales0 = scales_at(Hour{0});
     const std::vector<double> schedule0 = schedule_at(Hour{0});
     std::vector<std::exception_ptr> errors(

@@ -4,10 +4,10 @@
 // run_sharded_simulation() runs the dynamic experiment over the shards of
 // core/sharded_cost_model.hpp (one per ingress pod, or a single shard):
 // every shard owns its own flow subset, cost model, policy clone, and
-// placement, and the epoch loop solves the shards concurrently on a
-// worker pool. Between epochs the StreamingWorkload churns (arrivals /
-// departures / re-rates), and each shard re-solves only when its
-// accumulated churn crosses
+// placement, and the epoch loop solves the shards concurrently in one
+// executor region (util/executor.hpp). Between epochs the
+// StreamingWorkload churns (arrivals / departures / re-rates), and each
+// shard re-solves only when its accumulated churn crosses
 // ShardedStreamingConfig::resolve_churn_fraction or it has been held for
 // max_staleness epochs (bounded staleness). Held shards keep their
 // placement but are re-costed *exactly* — their cost model still refreshes
@@ -68,8 +68,9 @@ struct ShardedStreamingConfig {
   /// only consulted when resolve_churn_fraction > 0.
   int max_staleness = 4;
   /// Worker threads solving shards concurrently. 0 = auto (hardware
-  /// concurrency; 1 under PPDC_TSAN). Any value is bit-identical — the
-  /// merge order is fixed — so threads are never fingerprinted.
+  /// concurrency). A run_experiment job on a multi-worker job pool solves
+  /// its shards inline (util/executor.hpp). Any value is bit-identical —
+  /// the merge order is fixed — so threads are never fingerprinted.
   int threads = 1;
   /// SLA penalty per unit of served traffic rate per quarantined
   /// shard-epoch (a shard sitting out its failure backoff still serves on
@@ -81,7 +82,8 @@ struct ShardedStreamingConfig {
   /// Purely a wall-clock/durability knob — never fingerprinted; the
   /// journal itself is fingerprint-keyed so a stale file from another run
   /// is detected and ignored. The experiment runner derives one path per
-  /// (trial, policy) cell from this base.
+  /// (trial, policy) cell from this base. Rejected together with a custom
+  /// SimConfig::rate_schedule, which the fingerprint cannot hash.
   std::string epoch_journal;
   /// Journal rewrite cadence in epochs (>= 1). Each write is a full
   /// atomic rewrite carrying the resume-state frame, so larger values

@@ -14,9 +14,11 @@
 #include "fault/fault.hpp"
 #include "io/serialize.hpp"
 #include "sim/engine.hpp"
+#include "sim/sharded.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
 #include "util/require.hpp"
+#include "workload/streaming.hpp"
 #include "workload/vm_placement.hpp"
 
 namespace ppdc {
@@ -76,6 +78,32 @@ TEST(ErrorContract, RateScheduleNegativeRateNamesFlow) {
       [&] { run_simulation(apsp, flows, 2, cfg, policy); });
   EXPECT_TRUE(mentions(msg, "rate_schedule(hour 1)")) << msg;
   EXPECT_TRUE(mentions(msg, "negative rate for flow 2")) << msg;
+}
+
+TEST(ErrorContract, RateScheduleRejectsEpochJournal) {
+  // The journal fingerprint cannot hash a std::function, so a resumed run
+  // could silently continue under another schedule: the combination is
+  // refused up front, before any journal is read or written.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  VmPlacementConfig wl;
+  wl.num_pairs = 6;
+  StreamingWorkload workload(topo, wl, StreamingChurnConfig{}, Rng(3));
+  NoMigrationPolicy policy;
+  SimConfig cfg;
+  cfg.hours = 2;
+  cfg.rate_schedule = [](Hour) { return std::vector<double>(6, 1.0); };
+  ShardedStreamingConfig sharded;
+  sharded.enabled = true;
+  sharded.epoch_journal = "error_contract_schedule_journal.bin";
+  const std::string msg = error_of([&] {
+    run_sharded_simulation(apsp, ShardMap::single(topo), workload, 2, cfg,
+                           sharded, policy);
+  });
+  EXPECT_TRUE(mentions(msg, "rate_schedule")) << msg;
+  EXPECT_TRUE(mentions(msg, "epoch journal")) << msg;
+  EXPECT_TRUE(mentions(msg, "built-in diurnal model")) << msg;
+  EXPECT_FALSE(std::filesystem::exists(sharded.epoch_journal));
 }
 
 /// A policy that hands back a corrupt placement (duplicate switch).

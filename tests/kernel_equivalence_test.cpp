@@ -16,6 +16,7 @@
 // noise: tolerances would defeat the purpose.
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "graph/apsp.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/weights.hpp"
+#include "util/executor.hpp"
 #include "util/indexed_vector.hpp"
 #include "workload/vm_placement.hpp"
 
@@ -673,20 +675,68 @@ TEST(KernelEquivalence, ExhaustiveFrontierMigrationMatchesSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// CostModel attraction equivalence: the blocked (and OpenMP-parallel)
-// rescans must reproduce a naive per-switch flow-order sum bit-exactly,
-// because each accumulator still adds its terms in flow order.
+// Width invariance of the parallel kernels: each writes disjoint rows or
+// switch blocks, so the all-pairs build and the attraction rescans run
+// inside serially(…) (on the calling thread alone) must equal the
+// full-width run bit for bit.
+// ---------------------------------------------------------------------------
+TEST(KernelEquivalence, AllPairsBuildIsWidthInvariant) {
+  for (const std::uint64_t weight_seed : {0u, 5u}) {
+    Topology topo = build_fat_tree(8);
+    if (weight_seed != 0) {
+      apply_uniform_delay_weights(topo.graph, weight_seed);  // Dijkstra
+    }
+    const AllPairs wide(topo.graph);
+    std::unique_ptr<AllPairs> serial;
+    serially([&]() noexcept {
+      serial = std::make_unique<AllPairs>(topo.graph);
+    });
+    ASSERT_EQ(serial->num_core(), wide.num_core());
+    const auto m = static_cast<std::size_t>(wide.num_core());
+    std::size_t cost_mismatches = 0;
+    for (NodeId u = 0; u < topo.graph.num_nodes(); ++u) {
+      const AllPairs::CoreRow a = wide.cost_row(u);
+      const AllPairs::CoreRow b = serial->cost_row(u);
+      if (a.weight != b.weight) ++cost_mismatches;
+      for (std::size_t y = 0; y < m; ++y) {
+        if (a.cost[y] != b.cost[y]) ++cost_mismatches;
+      }
+    }
+    EXPECT_EQ(cost_mismatches, 0u) << "weights=" << weight_seed;
+    EXPECT_EQ(serial->diameter(), wide.diameter());
+    EXPECT_EQ(serial->min_switch_distance(), wide.min_switch_distance());
+    const auto& hosts = topo.graph.hosts();
+    for (std::size_t i = 0; i < hosts.size(); i += 7) {
+      const NodeId u = hosts[i];
+      const NodeId v = hosts[(i * 13 + 5) % hosts.size()];
+      EXPECT_EQ(serial->path(u, v), wide.path(u, v))
+          << "weights=" << weight_seed << " " << u << "->" << v;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CostModel attraction equivalence: the blocked (and parallel) rescans
+// must reproduce a naive per-switch flow-order sum bit-exactly, because
+// each accumulator still adds its terms in flow order. k=24 has 720
+// switches, so its rescans span two switch blocks; a model built and
+// refreshed inside serially(…) must equal the full-width one.
 // ---------------------------------------------------------------------------
 TEST(KernelEquivalence, AttractionsMatchNaiveFlowOrderSums) {
   struct Scenario {
     int k, l;
     std::uint64_t seed;
   };
-  for (const Scenario sc : {Scenario{4, 37, 3}, Scenario{8, 200, 19}}) {
+  for (const Scenario sc : {Scenario{4, 37, 3}, Scenario{8, 200, 19},
+                            Scenario{24, 150, 23}}) {
     const Topology topo = build_fat_tree(sc.k);
     const AllPairs apsp(topo.graph);
     auto flows = workload(topo, sc.l, sc.seed);
     CostModel cm(apsp, flows);
+    std::unique_ptr<CostModel> serial;
+    serially([&]() noexcept {
+      serial = std::make_unique<CostModel>(apsp, flows);
+    });
     const auto check = [&] {
       double lambda = 0.0;
       for (const VmFlow& f : flows) lambda += f.rate;
@@ -699,6 +749,8 @@ TEST(KernelEquivalence, AttractionsMatchNaiveFlowOrderSums) {
         }
         EXPECT_EQ(cm.ingress_attraction(sw), a) << "switch " << sw;
         EXPECT_EQ(cm.egress_attraction(sw), b) << "switch " << sw;
+        EXPECT_EQ(serial->ingress_attraction(sw), a) << "switch " << sw;
+        EXPECT_EQ(serial->egress_attraction(sw), b) << "switch " << sw;
       }
     };
     check();
@@ -708,53 +760,68 @@ TEST(KernelEquivalence, AttractionsMatchNaiveFlowOrderSums) {
     std::reverse(rates.begin(), rates.end());
     set_rates(flows, rates);
     cm.refresh();
+    serially([&]() noexcept { serial->refresh(); });
     check();
   }
 }
 
 TEST(KernelEquivalence, GroupRecombineMatchesNaiveGroupOrderSums) {
-  const Topology topo = build_fat_tree(4);
-  const AllPairs apsp(topo.graph);
-  auto flows = workload(topo, 45, 29);
-  CostModel cm(apsp, flows);
+  // k=24 spans two switch blocks in the grouped base build, which is also
+  // run inside serially(…) and must match the full-width build.
+  for (const int k : {4, 24}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    const Topology topo = build_fat_tree(k);
+    const AllPairs apsp(topo.graph);
+    auto flows = workload(topo, 45, 29);
+    CostModel cm(apsp, flows);
 
-  const std::vector<double> base_rates = rates_of(flows);
-  std::vector<int> groups(flows.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    groups[i] = static_cast<int>(i % 3);
-  }
-  cm.enable_group_refresh(base_rates, groups);
-  const std::vector<double> scales = {1.0, 0.5, 2.25};
-  // Keep the bound flow vector coherent, as refresh_scaled documents.
-  std::vector<double> scaled = base_rates;
-  for (std::size_t i = 0; i < scaled.size(); ++i) {
-    scaled[i] *= scales[static_cast<std::size_t>(groups[i])];
-  }
-  set_rates(flows, scaled);
-  cm.refresh_scaled(scales);
-
-  // Λ recombines in *flow* order (bit-identical to refresh()).
-  double lambda = 0.0;
-  for (std::size_t i = 0; i < base_rates.size(); ++i) {
-    lambda += base_rates[i] * scales[static_cast<std::size_t>(groups[i])];
-  }
-  EXPECT_EQ(cm.total_rate(), lambda);
-
-  // Attractions recombine in *group* order over flow-order base vectors.
-  for (const NodeId sw : topo.graph.switches()) {
-    double a = 0.0, b = 0.0;
-    for (std::size_t g = 0; g < scales.size(); ++g) {
-      double ag = 0.0, bg = 0.0;
-      for (std::size_t i = 0; i < flows.size(); ++i) {
-        if (groups[i] != static_cast<int>(g)) continue;
-        ag += base_rates[i] * apsp.cost(flows[i].src_host, sw);
-        bg += base_rates[i] * apsp.cost(sw, flows[i].dst_host);
-      }
-      a += scales[g] * ag;
-      b += scales[g] * bg;
+    const std::vector<double> base_rates = rates_of(flows);
+    std::vector<int> groups(flows.size());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      groups[i] = static_cast<int>(i % 3);
     }
-    EXPECT_EQ(cm.ingress_attraction(sw), a) << "switch " << sw;
-    EXPECT_EQ(cm.egress_attraction(sw), b) << "switch " << sw;
+    cm.enable_group_refresh(base_rates, groups);
+    std::unique_ptr<CostModel> serial;
+    serially([&]() noexcept {
+      serial = std::make_unique<CostModel>(apsp, flows);
+      serial->enable_group_refresh(base_rates, groups);
+    });
+    const std::vector<double> scales = {1.0, 0.5, 2.25};
+    // Keep the bound flow vector coherent, as refresh_scaled documents.
+    std::vector<double> scaled = base_rates;
+    for (std::size_t i = 0; i < scaled.size(); ++i) {
+      scaled[i] *= scales[static_cast<std::size_t>(groups[i])];
+    }
+    set_rates(flows, scaled);
+    cm.refresh_scaled(scales);
+    serial->refresh_scaled(scales);
+
+    // Λ recombines in *flow* order (bit-identical to refresh()).
+    double lambda = 0.0;
+    for (std::size_t i = 0; i < base_rates.size(); ++i) {
+      lambda += base_rates[i] * scales[static_cast<std::size_t>(groups[i])];
+    }
+    EXPECT_EQ(cm.total_rate(), lambda);
+    EXPECT_EQ(serial->total_rate(), lambda);
+
+    // Attractions recombine in *group* order over flow-order base vectors.
+    for (const NodeId sw : topo.graph.switches()) {
+      double a = 0.0, b = 0.0;
+      for (std::size_t g = 0; g < scales.size(); ++g) {
+        double ag = 0.0, bg = 0.0;
+        for (std::size_t i = 0; i < flows.size(); ++i) {
+          if (groups[i] != static_cast<int>(g)) continue;
+          ag += base_rates[i] * apsp.cost(flows[i].src_host, sw);
+          bg += base_rates[i] * apsp.cost(sw, flows[i].dst_host);
+        }
+        a += scales[g] * ag;
+        b += scales[g] * bg;
+      }
+      EXPECT_EQ(cm.ingress_attraction(sw), a) << "switch " << sw;
+      EXPECT_EQ(cm.egress_attraction(sw), b) << "switch " << sw;
+      EXPECT_EQ(serial->ingress_attraction(sw), a) << "switch " << sw;
+      EXPECT_EQ(serial->egress_attraction(sw), b) << "switch " << sw;
+    }
   }
 }
 

@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/vm_migration.hpp"
@@ -899,23 +900,36 @@ TEST(ShardedEquivalence, ExperimentRunnerThreadInvariant) {
   NoMigrationPolicy none;
   const std::vector<const MigrationPolicy*> policies{&pareto, &none};
 
+  // (1, 4): one job at a time, so each job's shards run 4-wide on the
+  // executor's workers. (2, 4): the job pool holds the workers and each
+  // job solves its shards inline.
   const auto serial = run_experiment(topo, apsp, make(1, 1), policies);
-  const auto parallel = run_experiment(topo, apsp, make(2, 4), policies);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t p = 0; p < serial.size(); ++p) {
-    EXPECT_EQ(serial[p].name, parallel[p].name);
-    EXPECT_EQ(serial[p].total_cost.mean, parallel[p].total_cost.mean);
-    EXPECT_EQ(serial[p].comm_cost.mean, parallel[p].comm_cost.mean);
-    EXPECT_EQ(serial[p].migration_cost.mean, parallel[p].migration_cost.mean);
-    EXPECT_EQ(serial[p].vnf_migrations.mean, parallel[p].vnf_migrations.mean);
-    EXPECT_EQ(serial[p].shard_resolves.mean, parallel[p].shard_resolves.mean);
-    EXPECT_EQ(serial[p].shard_holds.mean, parallel[p].shard_holds.mean);
-    ASSERT_EQ(serial[p].hourly_cost.size(), parallel[p].hourly_cost.size());
-    for (std::size_t h = 0; h < serial[p].hourly_cost.size(); ++h) {
-      EXPECT_EQ(serial[p].hourly_cost[h].mean,
-                parallel[p].hourly_cost[h].mean);
+  for (const auto& [sim_threads, shard_threads] :
+       {std::pair{1, 4}, std::pair{2, 4}}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << sim_threads
+                                      << " shard threads " << shard_threads);
+    const auto parallel = run_experiment(
+        topo, apsp, make(sim_threads, shard_threads), policies);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t p = 0; p < serial.size(); ++p) {
+      EXPECT_EQ(serial[p].name, parallel[p].name);
+      EXPECT_EQ(serial[p].total_cost.mean, parallel[p].total_cost.mean);
+      EXPECT_EQ(serial[p].comm_cost.mean, parallel[p].comm_cost.mean);
+      EXPECT_EQ(serial[p].migration_cost.mean,
+                parallel[p].migration_cost.mean);
+      EXPECT_EQ(serial[p].vnf_migrations.mean,
+                parallel[p].vnf_migrations.mean);
+      EXPECT_EQ(serial[p].shard_resolves.mean,
+                parallel[p].shard_resolves.mean);
+      EXPECT_EQ(serial[p].shard_holds.mean, parallel[p].shard_holds.mean);
+      ASSERT_EQ(serial[p].hourly_cost.size(), parallel[p].hourly_cost.size());
+      for (std::size_t h = 0; h < serial[p].hourly_cost.size(); ++h) {
+        EXPECT_EQ(serial[p].hourly_cost[h].mean,
+                  parallel[p].hourly_cost[h].mean);
+      }
     }
+  }
+  for (std::size_t p = 0; p < serial.size(); ++p) {
     // The sharded streaming runner actually held shards under the 0.2
     // churn threshold (the feature is on, not silently bypassed).
     EXPECT_GT(serial[p].shard_resolves.mean, 0.0);

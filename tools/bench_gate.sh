@@ -47,11 +47,8 @@ ls "$BASELINES"/BENCH_*.json >/dev/null 2>&1 || skip "no committed baselines in 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# The committed baselines were recorded at one OpenMP thread, and
-# bench_compare rejects a thread-count mismatch as incomparable; pin the
-# emission to match on any core count.
-echo "bench_gate: emitting smoke artifacts from $MICRO (OMP_NUM_THREADS=1)"
-if ! OMP_NUM_THREADS=1 "$MICRO" --bench_json "$tmp" --smoke; then
+echo "bench_gate: emitting smoke artifacts from $MICRO"
+if ! "$MICRO" --bench_json "$tmp" --smoke; then
   echo "bench_gate: FAIL — pinned scenario emission failed" >&2
   exit 1
 fi

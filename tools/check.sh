@@ -140,24 +140,27 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-# Stage 5: ThreadSanitizer over the parallel experiment runner (optional;
-# needs the tsan preset built: cmake --preset tsan && cmake --build
-# --preset tsan). The experiment_parallel_test pins threads=4 explicitly,
-# so the SimJob pool's dispatch/merge paths run instrumented even though
-# PPDC_TSAN builds default auto-threads to 1.
+# Stage 5: ThreadSanitizer over the executor and everything that runs on
+# it (optional; needs the tsan preset built: cmake --preset tsan &&
+# cmake --build --preset tsan): the executor itself, the experiment job
+# pool, the sharded engine's shard pool, and the parallel APSP and
+# cost-model rescans the kernel suite builds at full width.
 # ---------------------------------------------------------------------------
-TSAN_RUNNER=build-tsan/tests/experiment_parallel_test
-if [ -x "$TSAN_RUNNER" ]; then
-  note "tsan: $TSAN_RUNNER"
-  if "$TSAN_RUNNER" >/dev/null; then
-    echo "   OK: parallel runner is race-free under TSan"
+for t in executor_test experiment_parallel_test sharded_equivalence_test \
+         kernel_equivalence_test; do
+  TSAN_RUNNER=build-tsan/tests/$t
+  if [ -x "$TSAN_RUNNER" ]; then
+    note "tsan: $TSAN_RUNNER"
+    if "$TSAN_RUNNER" >/dev/null; then
+      echo "   OK: $t is race-free under TSan"
+    else
+      echo "   FAIL: TSan flagged $t" >&2
+      failures=$((failures + 1))
+    fi
   else
-    echo "   FAIL: TSan flagged the parallel runner" >&2
-    failures=$((failures + 1))
+    note "tsan: SKIPPED (no $TSAN_RUNNER — build the tsan preset first)"
   fi
-else
-  note "tsan: SKIPPED (no $TSAN_RUNNER — build the tsan preset first)"
-fi
+done
 
 # The sharded streaming loop solves shards concurrently on its own worker
 # pool (sim/sharded.cpp); re-run the scale_smoke scenario instrumented so
