@@ -15,6 +15,7 @@ namespace ppdc {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int kPlanRounds = 3;  ///< PLAN improvement rounds
 
 /// One movable VM endpoint: flow id + whether it is the source side.
 struct Endpoint {
@@ -126,7 +127,7 @@ VmMigrationResult solve_vm_migration_plan(const AllPairs& apsp,
   std::vector<int> occ = occupancy(apsp, flows);
   const auto endpoints = all_endpoints(flows);
 
-  for (int round = 0; round < config.max_rounds; ++round) {
+  for (int round = 0; round < kPlanRounds; ++round) {
     // Best candidate move per endpoint, by utility (positive only).
     struct Move {
       std::size_t ep_index;

@@ -40,7 +40,6 @@ struct VmMigrationConfig {
   /// (plus the current host). 0 = consider every host. Bounds the MCF
   /// network and the PLAN scan on 1024-host PPDCs.
   int candidate_hosts = 0;
-  int max_rounds = 3;  ///< PLAN improvement rounds
 };
 
 /// Outcome of a VM-migration decision.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <new>
 #include <utility>
 
 #include "graph/graph.hpp"
@@ -85,8 +84,8 @@ std::size_t StrollMetric::bytes() const noexcept {
 // ---------------------------------------------------------------------------
 
 StrollLevels::StrollLevels(std::shared_ptr<const StrollMetric> metric,
-                           NodeId destination, Storage storage)
-    : metric_(std::move(metric)), t_(destination), storage_(storage) {
+                           NodeId destination)
+    : metric_(std::move(metric)), t_(destination) {
   PPDC_REQUIRE(metric_ != nullptr, "stroll levels need a metric");
   PPDC_REQUIRE(destination >= 0 &&
                    destination < metric_->apsp().graph().num_nodes(),
@@ -96,28 +95,17 @@ StrollLevels::StrollLevels(std::shared_ptr<const StrollMetric> metric,
 }
 
 StrollLevels::~StrollLevels() {
-  for (const auto& [p, bytes] : blocks_) {
-    if (storage_ == Storage::kSlabs) {
-      unmap_pages(p, bytes);
-    } else {
-      ::operator delete(p);
-    }
-  }
+  for (std::byte* slab : slabs_) unmap_pages(slab, slab_bytes());
 }
 
 std::byte* StrollLevels::carve() const {
-  if (blocks_.empty() || slab_used_ + level_bytes_ > blocks_.back().second) {
+  if (slabs_.empty() || slab_used_ + level_bytes_ > slab_bytes()) {
     // Fresh mappings are zero pages until written, so a slab's untouched
     // levels cost address space only.
-    const std::size_t bytes = storage_ == Storage::kSlabs
-                                  ? kSlabLevels * level_bytes_
-                                  : level_bytes_;
-    void* p = storage_ == Storage::kSlabs ? map_pages(bytes)
-                                          : ::operator new(bytes);
-    blocks_.emplace_back(static_cast<std::byte*>(p), bytes);
+    slabs_.push_back(static_cast<std::byte*>(map_pages(slab_bytes())));
     slab_used_ = 0;
   }
-  std::byte* at = blocks_.back().first + slab_used_;
+  std::byte* at = slabs_.back() + slab_used_;
   slab_used_ += level_bytes_;
   return at;
 }
@@ -412,8 +400,7 @@ std::shared_ptr<const StrollLevels> StrollTableCache::levels(
   } else {
     // Cheap to create: the levels themselves grow on first query, under
     // their own lock.
-    slot = std::make_shared<const StrollLevels>(
-        metric_, destination, StrollLevels::Storage::kSlabs);
+    slot = std::make_shared<const StrollLevels>(metric_, destination);
     ++stats_.levels_built;
   }
   return slot;

@@ -110,13 +110,11 @@ class StrollMetric {
 /// are appended on demand and never change or move once built, so any
 /// number of threads may read them while another appends.
 ///
-/// Where the level rows live follows the tables' lifetime (DESIGN.md §11).
-/// Cached tables live as long as their fabric but are often built on
-/// worker threads, whose malloc arenas would keep the memory after the
-/// fabric is gone; they carve their rows from page-mapped slabs of
-/// several levels each, and a slab only grows resident as its levels are
-/// written. Private tables die inside the solve, on the thread that built
-/// them, so plain heap blocks (one per level) serve them best.
+/// Level rows are carved from page-mapped slabs of kSlabLevels levels
+/// each (DESIGN.md §11). Tables are often built on worker threads, whose
+/// malloc arenas would keep the memory after the fabric is gone; a
+/// mapping goes back to the system when the table dies, and a slab only
+/// grows resident as its levels are written.
 class StrollLevels {
  public:
   /// Level e as flat rows over the universe: the candidate min-scan is a
@@ -127,14 +125,9 @@ class StrollLevels {
     const NodeId* succ = nullptr;  ///< its first hop (kInvalidNode: none)
   };
 
-  enum class Storage {
-    kHeap,   ///< one heap block per level (private, short-lived tables)
-    kSlabs,  ///< page-mapped slabs of kSlabLevels levels (cached tables)
-  };
   static constexpr std::size_t kSlabLevels = 8;
 
-  StrollLevels(std::shared_ptr<const StrollMetric> metric, NodeId destination,
-               Storage storage = Storage::kHeap);
+  StrollLevels(std::shared_ptr<const StrollMetric> metric, NodeId destination);
   ~StrollLevels();
   StrollLevels(const StrollLevels&) = delete;
   StrollLevels& operator=(const StrollLevels&) = delete;
@@ -160,15 +153,17 @@ class StrollLevels {
   /// Storage for one more level's rows, from the current slab or a new one.
   std::byte* carve() const;
 
+  std::size_t slab_bytes() const noexcept {
+    return kSlabLevels * level_bytes_;
+  }
+
   std::shared_ptr<const StrollMetric> metric_;
   NodeId t_;
-  Storage storage_;
   std::size_t level_bytes_;
   mutable std::mutex mu_;  ///< serializes appends; guards the fields below
   mutable std::vector<Level> levels_;
-  /// Owned blocks (slabs or heap levels) and the size of each.
-  mutable std::vector<std::pair<std::byte*, std::size_t>> blocks_;
-  mutable std::size_t slab_used_ = 0;  ///< bytes carved from blocks_.back()
+  mutable std::vector<std::byte*> slabs_;  ///< owned, slab_bytes() each
+  mutable std::size_t slab_used_ = 0;  ///< bytes carved from slabs_.back()
   mutable std::atomic<std::size_t> bytes_{0};
 };
 
@@ -225,8 +220,7 @@ StrollResult solve_top1_dp(const AllPairs& apsp, NodeId s, NodeId t, int n,
 /// switch set and one StrollLevels per destination, shared read-only by
 /// every solver thread across shards, epochs, trials and policies. It
 /// lives in the AllPairs' derived() slot, so it is built on first use and
-/// freed with the fabric; its levels live in page-mapped slabs
-/// (StrollLevels::Storage::kSlabs). Restricted (degraded) universes are
+/// freed with the fabric. Restricted (degraded) universes are
 /// not cached: each DegradedNetwork carries its own AllPairs, rebuilt on
 /// every topology change, so its tables rarely outlive a solve
 /// (DESIGN.md §11).

@@ -29,9 +29,15 @@ std::string format_violation(const AuditViolation& v) {
   return msg;
 }
 
-bool close(double a, double b, double rel_tol, double abs_tol) {
+/// Cost-conservation tolerance: the per-epoch comm cost may differ from
+/// the recomputed Σ flow_cost by kRelTol x magnitude + kAbsTol (the engine
+/// and the policies accumulate in different orders).
+constexpr double kRelTol = 1e-6;
+constexpr double kAbsTol = 1e-6;
+
+bool close(double a, double b) {
   const double diff = std::abs(a - b);
-  return diff <= abs_tol + rel_tol * std::max(std::abs(a), std::abs(b));
+  return diff <= kAbsTol + kRelTol * std::max(std::abs(a), std::abs(b));
 }
 
 /// The sampled stroll-cache check: for the model's cheapest ingress and
@@ -275,7 +281,7 @@ void ShardedInvariantAuditor::check_shard_conservation(
     if (f.rate == 0.0) continue;  // vacant or quarantined slot
     sum += ctx.model->flow_cost(f, *ctx.placement);
   }
-  if (!close(sum, ctx.charged_comm, options_.rel_tol, options_.abs_tol)) {
+  if (!close(sum, ctx.charged_comm)) {
     fail(ctx.epoch, "cost-conservation",
          "per-flow recomputation " + std::to_string(sum) +
              " disagrees with the shard's charged communication cost " +

@@ -41,11 +41,6 @@ namespace ppdc {
 /// every parallel simulation job).
 struct AuditOptions {
   bool enabled = false;
-  /// Cost-conservation tolerance: the per-epoch comm cost may differ from
-  /// the recomputed Σ flow_cost by rel_tol x magnitude + abs_tol (the
-  /// engine and the policies accumulate in different orders).
-  double rel_tol = 1e-6;
-  double abs_tol = 1e-6;
   /// Test-only breach hook: at this epoch the auditor checks a copy of
   /// the placement with its first VNF duplicated onto the second slot —
   /// a guaranteed feasibility violation — proving the detection and

@@ -42,10 +42,13 @@ constexpr char kMagic[8] = {'P', 'P', 'D', 'C', 'J', 'N', 'L', '1'};
 // intensities, resolve_churn_fraction, max_staleness). Version 4:
 // StatsBundle grew the shard failure-containment scalars
 // (shard_quarantines, shard_retries, shard_penalty) and the sim-config
-// fingerprint covers ShardedStreamingConfig::quarantine_sla. Older
-// journals are rejected with a clear message — their records cannot be
-// merged bit-exactly into the wider bundle.
-constexpr std::uint32_t kVersion = 4;
+// fingerprint covers ShardedStreamingConfig::quarantine_sla. Version 5:
+// the ladder's trips became constants and left the sim-config
+// fingerprint, so a version-4 journal is refused by version instead of by
+// a misleading fingerprint mismatch. Older journals are rejected with a
+// clear message — their records cannot be merged bit-exactly into the
+// wider bundle, or their fingerprints hash knobs that no longer exist.
+constexpr std::uint32_t kVersion = 5;
 
 // ---------------------------------------------------------------------------
 // Little serialization layer: fixed-width fields appended to a string,
@@ -201,26 +204,9 @@ std::string serialize_record(const JobRecord& rec) {
   if (has_stats) {
     put_u32(payload, checked_cast<std::uint32_t>(rec.stats.hourly_cost.size(),
                                                  "journal hours"));
-    put_running_stats(payload, rec.stats.total);
-    put_running_stats(payload, rec.stats.comm);
-    put_running_stats(payload, rec.stats.migration);
-    put_running_stats(payload, rec.stats.vnf_moves);
-    put_running_stats(payload, rec.stats.vm_moves);
-    put_running_stats(payload, rec.stats.recovery_moves);
-    put_running_stats(payload, rec.stats.recovery_cost);
-    put_running_stats(payload, rec.stats.quarantined);
-    put_running_stats(payload, rec.stats.penalty);
-    put_running_stats(payload, rec.stats.downtime);
-    put_running_stats(payload, rec.stats.truncated);
-    put_running_stats(payload, rec.stats.ladder_transitions);
-    put_running_stats(payload, rec.stats.refresh_only);
-    put_running_stats(payload, rec.stats.frozen);
-    put_running_stats(payload, rec.stats.policy_failures);
-    put_running_stats(payload, rec.stats.shard_resolves);
-    put_running_stats(payload, rec.stats.shard_holds);
-    put_running_stats(payload, rec.stats.shard_quarantines);
-    put_running_stats(payload, rec.stats.shard_retries);
-    put_running_stats(payload, rec.stats.shard_penalty);
+    for (const StatField& f : kStatFields) {
+      put_running_stats(payload, rec.stats.*f.bundle);
+    }
     for (const RunningStats& s : rec.stats.hourly_cost) {
       put_running_stats(payload, s);
     }
@@ -260,26 +246,9 @@ JobRecord parse_record(const std::string& bytes, std::size_t begin,
                      " hourly series entries for a " +
                      std::to_string(dims.hours) + "-hour horizon");
     rec.stats = StatsBundle(hours);
-    rec.stats.total = c.running_stats();
-    rec.stats.comm = c.running_stats();
-    rec.stats.migration = c.running_stats();
-    rec.stats.vnf_moves = c.running_stats();
-    rec.stats.vm_moves = c.running_stats();
-    rec.stats.recovery_moves = c.running_stats();
-    rec.stats.recovery_cost = c.running_stats();
-    rec.stats.quarantined = c.running_stats();
-    rec.stats.penalty = c.running_stats();
-    rec.stats.downtime = c.running_stats();
-    rec.stats.truncated = c.running_stats();
-    rec.stats.ladder_transitions = c.running_stats();
-    rec.stats.refresh_only = c.running_stats();
-    rec.stats.frozen = c.running_stats();
-    rec.stats.policy_failures = c.running_stats();
-    rec.stats.shard_resolves = c.running_stats();
-    rec.stats.shard_holds = c.running_stats();
-    rec.stats.shard_quarantines = c.running_stats();
-    rec.stats.shard_retries = c.running_stats();
-    rec.stats.shard_penalty = c.running_stats();
+    for (const StatField& f : kStatFields) {
+      rec.stats.*f.bundle = c.running_stats();
+    }
     for (std::uint32_t h = 0; h < hours; ++h) {
       rec.stats.hourly_cost[h] = c.running_stats();
     }
@@ -446,9 +415,6 @@ ExperimentFingerprint fingerprint_experiment(
     h.b(config.sim.fault.exhaustive_recovery);
     h.f64(config.sim.fault.budget.wall_ms);
     h.b(config.sim.ladder.enabled);
-    h.f64(config.sim.ladder.max_quarantined_fraction);
-    h.i64(config.sim.ladder.trip_truncations);
-    h.i64(config.sim.ladder.recovery_epochs);
     // Auditing changes no results, but a run that dies on an AuditError
     // must not silently resume as a non-audited run (and vice versa).
     h.b(config.sim.audit.enabled);
@@ -462,9 +428,8 @@ ExperimentFingerprint fingerprint_experiment(
     h.f64(config.sharded.resolve_churn_fraction);
     h.i64(config.sharded.max_staleness);
     // Shard failure containment: the quarantine SLA prices quarantined
-    // shard-epochs into total cost. The epoch-journal knobs
-    // (epoch_journal, epoch_checkpoint_every) stay excluded — they only
-    // decide durability, never results.
+    // shard-epochs into total cost. The epoch-journal path stays
+    // excluded — it only decides durability, never results.
     h.f64(config.sharded.quarantine_sla);
     fp.sim_config = h.value();
   }
@@ -853,9 +818,6 @@ std::uint64_t fingerprint_sharded_run(
   h.b(config.fault.exhaustive_recovery);
   h.f64(config.fault.budget.wall_ms);
   h.b(config.ladder.enabled);
-  h.f64(config.ladder.max_quarantined_fraction);
-  h.i64(config.ladder.trip_truncations);
-  h.i64(config.ladder.recovery_epochs);
   h.b(config.audit.enabled);
   return h.value();
 }

@@ -207,8 +207,8 @@ struct EpochJournalState {
 
 /// Identity of one sharded run for the epoch journal: the run's entry
 /// state (workload snapshot bytes before any epoch ran) plus every config
-/// knob that shapes its trace. Wall-clock knobs (threads, journal paths,
-/// checkpoint cadence) are excluded.
+/// knob that shapes its trace. Wall-clock knobs (threads, journal paths)
+/// are excluded.
 std::uint64_t fingerprint_sharded_run(
     const StreamingWorkload::Snapshot& entry_state, const SimConfig& config,
     const ShardedStreamingConfig& sharded, int n, int num_shards,

@@ -52,7 +52,7 @@
 
 namespace ppdc {
 
-/// Knobs of the graceful-degradation ladder (DESIGN.md §12). When
+/// Switch of the graceful-degradation ladder (DESIGN.md §12). When
 /// enabled, sustained stress steps the engine down one rung per stressed
 /// epoch — full re-solve (kFull) → refresh-only (kRefreshOnly, the
 /// placement is held and only the exact cost refresh runs) → frozen
@@ -61,17 +61,10 @@ namespace ppdc {
 /// back up one rung at a time. Every transition is emitted as a
 /// first-class EpochObserver event and counted in SimTrace. Quarantine,
 /// SLA penalties, downtime accounting, and emergency recovery (stranded
-/// VNFs must move) keep running at every rung.
+/// VNFs must move) keep running at every rung. The trips and the recovery
+/// streak are fixed constants of sim/sharded.cpp.
 struct LadderOptions {
   bool enabled = false;
-  /// Trip when more than this fraction of the flow population is
-  /// quarantined in one epoch.
-  double max_quarantined_fraction = 0.5;
-  /// Trip when the epoch's budget-truncated solves reach this count
-  /// (0 disables the truncation trip).
-  int trip_truncations = 1;
-  /// Clean (trip-free) epochs required at a rung before stepping back up.
-  int recovery_epochs = 2;
 };
 
 /// Knobs of the fault-handling machinery (only consulted when the

@@ -25,26 +25,9 @@
 namespace ppdc {
 
 void StatsBundle::add(const SimTrace& trace) {
-  total.add(trace.total_cost);
-  comm.add(trace.total_comm_cost);
-  migration.add(trace.total_migration_cost);
-  vnf_moves.add(static_cast<double>(trace.total_vnf_migrations));
-  vm_moves.add(static_cast<double>(trace.total_vm_migrations));
-  recovery_moves.add(static_cast<double>(trace.total_recovery_migrations));
-  recovery_cost.add(trace.total_recovery_cost);
-  quarantined.add(static_cast<double>(trace.quarantined_flow_epochs));
-  penalty.add(trace.total_quarantine_penalty);
-  downtime.add(static_cast<double>(trace.downtime_epochs));
-  truncated.add(static_cast<double>(trace.total_truncated_solves));
-  ladder_transitions.add(static_cast<double>(trace.ladder_transitions));
-  refresh_only.add(static_cast<double>(trace.refresh_only_epochs));
-  frozen.add(static_cast<double>(trace.frozen_epochs));
-  policy_failures.add(static_cast<double>(trace.policy_failures));
-  shard_resolves.add(static_cast<double>(trace.total_shard_resolves));
-  shard_holds.add(static_cast<double>(trace.total_shard_holds));
-  shard_quarantines.add(static_cast<double>(trace.quarantined_shard_epochs));
-  shard_retries.add(static_cast<double>(trace.total_shard_retries));
-  shard_penalty.add(trace.total_shard_penalty);
+  for (const StatField& f : kStatFields) {
+    (this->*f.bundle).add(f.sample(trace));
+  }
   for (std::size_t h = 0; h < hourly_cost.size(); ++h) {
     const EpochDecision& d = trace.epochs[h];
     hourly_cost[h].add(d.comm_cost + d.migration_cost);
@@ -54,26 +37,9 @@ void StatsBundle::add(const SimTrace& trace) {
 }
 
 void StatsBundle::merge(const StatsBundle& other) {
-  total.merge(other.total);
-  comm.merge(other.comm);
-  migration.merge(other.migration);
-  vnf_moves.merge(other.vnf_moves);
-  vm_moves.merge(other.vm_moves);
-  recovery_moves.merge(other.recovery_moves);
-  recovery_cost.merge(other.recovery_cost);
-  quarantined.merge(other.quarantined);
-  penalty.merge(other.penalty);
-  downtime.merge(other.downtime);
-  truncated.merge(other.truncated);
-  ladder_transitions.merge(other.ladder_transitions);
-  refresh_only.merge(other.refresh_only);
-  frozen.merge(other.frozen);
-  policy_failures.merge(other.policy_failures);
-  shard_resolves.merge(other.shard_resolves);
-  shard_holds.merge(other.shard_holds);
-  shard_quarantines.merge(other.shard_quarantines);
-  shard_retries.merge(other.shard_retries);
-  shard_penalty.merge(other.shard_penalty);
+  for (const StatField& f : kStatFields) {
+    (this->*f.bundle).merge(other.*f.bundle);
+  }
   for (std::size_t h = 0; h < hourly_cost.size(); ++h) {
     hourly_cost[h].merge(other.hourly_cost[h]);
     hourly_moves[h].merge(other.hourly_moves[h]);
@@ -391,26 +357,9 @@ std::vector<PolicyStats> run_experiment(
     const StatsBundle& b = acc[pi];
     PolicyStats s;
     s.name = policies[pi]->name();
-    s.total_cost = mean_ci_of(b.total);
-    s.comm_cost = mean_ci_of(b.comm);
-    s.migration_cost = mean_ci_of(b.migration);
-    s.vnf_migrations = mean_ci_of(b.vnf_moves);
-    s.vm_migrations = mean_ci_of(b.vm_moves);
-    s.recovery_migrations = mean_ci_of(b.recovery_moves);
-    s.recovery_cost = mean_ci_of(b.recovery_cost);
-    s.quarantined_flow_epochs = mean_ci_of(b.quarantined);
-    s.quarantine_penalty = mean_ci_of(b.penalty);
-    s.downtime_epochs = mean_ci_of(b.downtime);
-    s.truncated_solves = mean_ci_of(b.truncated);
-    s.ladder_transitions = mean_ci_of(b.ladder_transitions);
-    s.refresh_only_epochs = mean_ci_of(b.refresh_only);
-    s.frozen_epochs = mean_ci_of(b.frozen);
-    s.policy_failures = mean_ci_of(b.policy_failures);
-    s.shard_resolves = mean_ci_of(b.shard_resolves);
-    s.shard_holds = mean_ci_of(b.shard_holds);
-    s.quarantined_shard_epochs = mean_ci_of(b.shard_quarantines);
-    s.shard_retries = mean_ci_of(b.shard_retries);
-    s.shard_penalty = mean_ci_of(b.shard_penalty);
+    for (const StatField& f : kStatFields) {
+      s.*f.policy = mean_ci_of(b.*f.bundle);
+    }
     s.hourly_cost.reserve(hours);
     s.hourly_migrations.reserve(hours);
     for (std::size_t h = 0; h < hours; ++h) {

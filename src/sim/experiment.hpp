@@ -154,11 +154,72 @@ struct StatsBundle {
   explicit StatsBundle(std::size_t hours = 0)
       : hourly_cost(hours), hourly_moves(hours) {}
 
-  /// The 20 scalar accumulators, in journal serialization order.
-  static constexpr std::size_t kScalarFields = 20;
-
   void add(const SimTrace& trace);
   void merge(const StatsBundle& other);
+};
+
+/// One per-run statistic: its StatsBundle accumulator, the SimTrace total
+/// sampled into it once per run (a cost, or a count widened to double),
+/// and the PolicyStats mean it is reported as.
+struct StatField {
+  constexpr StatField(RunningStats StatsBundle::*acc, double SimTrace::*cost,
+                      MeanCi PolicyStats::*report)
+      : bundle(acc), real(cost), policy(report) {}
+  constexpr StatField(RunningStats StatsBundle::*acc, int SimTrace::*count_of,
+                      MeanCi PolicyStats::*report)
+      : bundle(acc), count(count_of), policy(report) {}
+
+  double sample(const SimTrace& trace) const {
+    return real != nullptr ? trace.*real : static_cast<double>(trace.*count);
+  }
+
+  RunningStats StatsBundle::*bundle;
+  double SimTrace::*real = nullptr;
+  int SimTrace::*count = nullptr;
+  MeanCi PolicyStats::*policy;
+};
+
+/// Every scalar statistic, in checkpoint-journal order (sim/checkpoint.hpp
+/// serializes the accumulators in this order, then the hourly series).
+inline constexpr StatField kStatFields[] = {
+    {&StatsBundle::total, &SimTrace::total_cost, &PolicyStats::total_cost},
+    {&StatsBundle::comm, &SimTrace::total_comm_cost, &PolicyStats::comm_cost},
+    {&StatsBundle::migration, &SimTrace::total_migration_cost,
+     &PolicyStats::migration_cost},
+    {&StatsBundle::vnf_moves, &SimTrace::total_vnf_migrations,
+     &PolicyStats::vnf_migrations},
+    {&StatsBundle::vm_moves, &SimTrace::total_vm_migrations,
+     &PolicyStats::vm_migrations},
+    {&StatsBundle::recovery_moves, &SimTrace::total_recovery_migrations,
+     &PolicyStats::recovery_migrations},
+    {&StatsBundle::recovery_cost, &SimTrace::total_recovery_cost,
+     &PolicyStats::recovery_cost},
+    {&StatsBundle::quarantined, &SimTrace::quarantined_flow_epochs,
+     &PolicyStats::quarantined_flow_epochs},
+    {&StatsBundle::penalty, &SimTrace::total_quarantine_penalty,
+     &PolicyStats::quarantine_penalty},
+    {&StatsBundle::downtime, &SimTrace::downtime_epochs,
+     &PolicyStats::downtime_epochs},
+    {&StatsBundle::truncated, &SimTrace::total_truncated_solves,
+     &PolicyStats::truncated_solves},
+    {&StatsBundle::ladder_transitions, &SimTrace::ladder_transitions,
+     &PolicyStats::ladder_transitions},
+    {&StatsBundle::refresh_only, &SimTrace::refresh_only_epochs,
+     &PolicyStats::refresh_only_epochs},
+    {&StatsBundle::frozen, &SimTrace::frozen_epochs,
+     &PolicyStats::frozen_epochs},
+    {&StatsBundle::policy_failures, &SimTrace::policy_failures,
+     &PolicyStats::policy_failures},
+    {&StatsBundle::shard_resolves, &SimTrace::total_shard_resolves,
+     &PolicyStats::shard_resolves},
+    {&StatsBundle::shard_holds, &SimTrace::total_shard_holds,
+     &PolicyStats::shard_holds},
+    {&StatsBundle::shard_quarantines, &SimTrace::quarantined_shard_epochs,
+     &PolicyStats::quarantined_shard_epochs},
+    {&StatsBundle::shard_retries, &SimTrace::total_shard_retries,
+     &PolicyStats::shard_retries},
+    {&StatsBundle::shard_penalty, &SimTrace::total_shard_penalty,
+     &PolicyStats::shard_penalty},
 };
 
 /// Thrown by run_experiment when SimConfig::cancel flips mid-grid (the

@@ -51,6 +51,7 @@ struct ShardRun {
 struct ShardEpochResult {
   EpochDecision d;
   int quarantined = 0;
+  int live = 0;  ///< non-vacant slots (counted while faults are active)
   double unserved = 0.0;
   double served_rate = 0.0;  ///< Σ served rates (quarantine-SLA base)
   int recovery_migrations = 0;
@@ -62,18 +63,27 @@ struct ShardEpochResult {
   bool retried = false;  ///< re-solve attempt of a failure-quarantined shard
 };
 
+// Degradation-ladder trips and recovery (DESIGN.md §12).
+/// A shard trips when more than this fraction of its live flows is
+/// quarantined in one epoch.
+constexpr double kMaxQuarantinedFraction = 0.5;
+/// A shard trips when its epoch's budget-truncated solves reach this count.
+constexpr int kTripTruncations = 1;
+/// Clean (trip-free) epochs required at a rung before stepping back up.
+constexpr int kRecoveryEpochs = 2;
+
 /// Clean epochs a shard must string together before climbing one rung:
-/// `recovery_epochs` after a first failure and after every non-throw
-/// trip. Repeat failures back off exponentially (capped) with a seeded
-/// jitter, so repeatedly-failing shards across a pod-sharded run do not
-/// retry in lockstep.
-int required_clean_epochs(int shard, int fail_streak, int recovery_epochs) {
-  if (fail_streak <= 1) return recovery_epochs;
+/// kRecoveryEpochs after a first failure and after every non-throw trip.
+/// Repeat failures back off exponentially (capped) with a seeded jitter,
+/// so repeatedly-failing shards across a pod-sharded run do not retry in
+/// lockstep.
+int required_clean_epochs(int shard, int fail_streak) {
+  if (fail_streak <= 1) return kRecoveryEpochs;
   const int backoff = (1 << std::min(fail_streak - 1, 4)) - 1;
   const int jitter = static_cast<int>(
       Hash64().i64(shard).i64(fail_streak).value() %
       static_cast<std::uint64_t>(fail_streak));
-  return recovery_epochs + backoff + jitter;
+  return kRecoveryEpochs + backoff + jitter;
 }
 
 /// Runs `work(s)` for every shard on a `pool`-wide region until `stop()`
@@ -121,15 +131,6 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
                "negative recovery migration coefficient");
   PPDC_REQUIRE(config.fault.quarantine_penalty >= 0.0,
                "negative quarantine penalty");
-  PPDC_REQUIRE(config.ladder.max_quarantined_fraction >= 0.0 &&
-                   config.ladder.max_quarantined_fraction <= 1.0,
-               "ladder quarantine trip must be a fraction in [0,1]");
-  PPDC_REQUIRE(config.ladder.trip_truncations >= 0,
-               "negative ladder truncation trip");
-  PPDC_REQUIRE(config.ladder.recovery_epochs >= 1,
-               "ladder recovery needs at least one clean epoch");
-  PPDC_REQUIRE(config.audit.rel_tol >= 0.0 && config.audit.abs_tol >= 0.0,
-               "negative audit tolerance");
   PPDC_REQUIRE(sharded.resolve_churn_fraction >= 0.0 &&
                    sharded.resolve_churn_fraction <= 1.0,
                "resolve_churn_fraction outside [0,1]");
@@ -137,8 +138,6 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
                "bounded staleness needs max_staleness >= 1");
   PPDC_REQUIRE(sharded.quarantine_sla >= 0.0,
                "negative shard quarantine SLA penalty");
-  PPDC_REQUIRE(sharded.epoch_checkpoint_every >= 1,
-               "epoch checkpoint cadence must be >= 1");
   // The journal's run fingerprint cannot hash a std::function, so a
   // journal written under one schedule would resume under another.
   PPDC_REQUIRE(!config.rate_schedule || sharded.epoch_journal.empty(),
@@ -491,6 +490,7 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
           if (!g.valid() || departed[static_cast<std::size_t>(g.value())]) {
             continue;  // vacant slot
           }
+          ++r.live;
           const bool served = !blackout && degraded->in_core(f.src_host) &&
                               degraded->in_core(f.dst_host);
           if (!served) {
@@ -773,26 +773,22 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
           if (healed) run.fail_streak = 0;
         }
         const char* trip = nullptr;
-        const ShardedCostModel::Shard& sh = shards.shard(s);
         if (r.d.policy_failed) {
           trip = "policy-throw";
         } else if (blackout) {
           trip = "blackout";
-        } else if (config.ladder.trip_truncations > 0 &&
-                   r.d.truncated_solves + r.recovery_truncations >=
-                       config.ladder.trip_truncations) {
+        } else if (r.d.truncated_solves + r.recovery_truncations >=
+                   kTripTruncations) {
           trip = "solve-budget";
         } else if (static_cast<double>(r.quarantined) >
-                   config.ladder.max_quarantined_fraction *
-                       static_cast<double>(sh.flows.size())) {
+                   kMaxQuarantinedFraction * static_cast<double>(r.live)) {
           trip = "quarantine";
         }
         if (trip != nullptr) {
           run.clean_streak = 0;
           if (r.d.policy_failed) {
             ++run.fail_streak;
-            const int need = required_clean_epochs(
-                s, run.fail_streak, config.ladder.recovery_epochs);
+            const int need = required_clean_epochs(s, run.fail_streak);
             emit([&](EpochObserver& o) {
               o.on_shard_quarantine(hour, s,
                                     shard_names[static_cast<std::size_t>(s)],
@@ -812,8 +808,7 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
           }
         } else {
           ++run.clean_streak;
-          const int need = required_clean_epochs(
-              s, run.fail_streak, config.ladder.recovery_epochs);
+          const int need = required_clean_epochs(s, run.fail_streak);
           if (run.rung != DegradationRung::kFull &&
               run.clean_streak >= need) {
             const DegradationRung from = run.rung;
@@ -864,18 +859,16 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
       auditor->check_epoch(gc);
     }
 
-    // 9. Epoch journal: append this epoch's record and, at the
-    // configured cadence, rewrite the file with a fresh resume-state
-    // frame (skipped after the final epoch — the run is complete and the
-    // caller deletes the journal once the cell lands durably upstream).
+    // 9. Epoch journal: append this epoch's record and rewrite the file
+    // with a fresh resume-state frame (skipped after the final epoch — the
+    // run is complete and the caller deletes the journal once the cell
+    // lands durably upstream).
     if (journaling) {
       EpochRecord rec;
       rec.decision = d;
       rec.ladder_steps = epoch_ladder_steps;
       journal.epochs.push_back(std::move(rec));
-      const bool last = hour.value() + 1 == config.hours;
-      if (!last &&
-          (hour.value() + 1) % sharded.epoch_checkpoint_every == 0) {
+      if (hour.value() + 1 < config.hours) {
         journal.shards.clear();
         journal.shards.reserve(static_cast<std::size_t>(num_shards));
         for (int s = 0; s < num_shards; ++s) {

@@ -37,9 +37,9 @@
 // Epoch checkpointing: with `epoch_journal` set, the run journals every
 // merged epoch decision plus a full resume-state frame (per-shard
 // placements, cost-model group state, RNG cursors, workload state) to a
-// CRC32-framed file, rewritten atomically every `epoch_checkpoint_every`
-// epochs. A killed run relaunched with the same journal path resumes
-// mid-horizon bit-identically at any thread count.
+// CRC32-framed file, rewritten atomically after every epoch but the last.
+// A killed run relaunched with the same journal path resumes mid-horizon
+// bit-identically at any thread count.
 #pragma once
 
 #include "core/sharded_cost_model.hpp"
@@ -85,10 +85,6 @@ struct ShardedStreamingConfig {
   /// (trial, policy) cell from this base. Rejected together with a custom
   /// SimConfig::rate_schedule, which the fingerprint cannot hash.
   std::string epoch_journal;
-  /// Journal rewrite cadence in epochs (>= 1). Each write is a full
-  /// atomic rewrite carrying the resume-state frame, so larger values
-  /// trade resume granularity for per-epoch I/O.
-  int epoch_checkpoint_every = 1;
 };
 
 /// Runs one policy prototype over the horizon, sharded by `map`. The

@@ -11,11 +11,15 @@
 #include <vector>
 
 #include "core/chain_search.hpp"
+#include "core/sharded_cost_model.hpp"
 #include "fault/fault.hpp"
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
+#include "sim/observer.hpp"
+#include "sim/sharded.hpp"
 #include "topology/fat_tree.hpp"
+#include "workload/streaming.hpp"
 #include "workload/vm_placement.hpp"
 
 namespace ppdc {
@@ -70,7 +74,6 @@ TEST(Ladder, StepsDownOnTruncationAndRecovers) {
   SimConfig cfg;
   cfg.hours = 10;
   cfg.ladder.enabled = true;
-  cfg.ladder.recovery_epochs = 2;
   cfg.audit.enabled = true;
   ExhaustiveMigrationPolicy policy = pressured_optimal();
   const SimTrace t = run_simulation(apsp, flows, 3, cfg, policy);
@@ -120,6 +123,81 @@ TEST(Ladder, ContainsPolicyThrowAndChargesHeldPlacement) {
   off.audit.enabled = false;
   FlakyPolicy flaky2(2);
   EXPECT_THROW(run_simulation(apsp, flows, 3, off, flaky2), PpdcError);
+}
+
+/// Records every per-shard ladder transition as (hour, shard name, reason).
+class ShardLadderLog : public EpochObserver {
+ public:
+  struct Step {
+    int hour;
+    std::string shard;
+    std::string reason;
+  };
+  void on_shard_ladder_transition(Hour hour, int /*shard*/,
+                                  const std::string& name,
+                                  DegradationRung /*from*/,
+                                  DegradationRung /*to*/,
+                                  const std::string& reason) override {
+    steps.push_back({hour.value(), name, reason});
+  }
+  std::vector<Step> steps;
+};
+
+TEST(Ladder, QuarantineTripIgnoresVacantSlots) {
+  // Departures without arrivals leave vacant slots in every shard; a pod
+  // outage then cuts off all of pod 0's remaining flows. The quarantine
+  // trip must weigh them against the shard's live flows, not its slots.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const ShardMap map = ShardMap::by_ingress_pod(topo);
+  VmPlacementConfig wl;
+  wl.num_pairs = 40;
+  wl.intra_rack_fraction = 0.8;
+  StreamingChurnConfig churn;
+  churn.departure_prob = 0.3;
+  constexpr int kOutage = 4;
+  constexpr std::uint64_t kSeed = 3;
+
+  // Precondition, on a replica of the workload: at the outage epoch pod
+  // 0's shard has more vacant slots than live flows, and some live ones.
+  StreamingWorkload replica(topo, wl, churn, Rng(kSeed));
+  for (int h = 0; h < kOutage; ++h) replica.advance();
+  std::vector<char> vacant(replica.flows().size(), 0);
+  for (const FlowId g : replica.free_slots()) {
+    vacant[static_cast<std::size_t>(g.value())] = 1;
+  }
+  int live = 0;
+  int empty = 0;
+  for (std::size_t g = 0; g < replica.flows().size(); ++g) {
+    if (map.shard_of(replica.flows()[g].src_host) != 0) continue;
+    ++(vacant[g] ? empty : live);
+  }
+  ASSERT_GT(live, 0);
+  ASSERT_GT(empty, live);
+
+  SimConfig sim;
+  sim.hours = kOutage + 2;
+  sim.ladder.enabled = true;
+  sim.audit.enabled = true;
+  FaultScheduleConfig fc;
+  fc.hours = sim.hours;
+  fc.maintenance = {{"pod0", Hour{kOutage}, Hour{kOutage + 2}}};
+  sim.faults = generate_fault_schedule(topo, fc);
+  ShardedStreamingConfig sharded;
+  sharded.enabled = true;
+  sharded.churn = churn;
+  StreamingWorkload workload(topo, wl, churn, Rng(kSeed));
+  NoMigrationPolicy proto;
+  ShardLadderLog log;
+  run_sharded_simulation(apsp, map, workload, 3, sim, sharded, proto, &log);
+
+  bool tripped = false;
+  for (const ShardLadderLog::Step& s : log.steps) {
+    tripped |= s.hour == kOutage && s.shard == map.names[0] &&
+               s.reason == "quarantine";
+  }
+  EXPECT_TRUE(tripped) << "pod 0's shard lost every live flow to the outage "
+                          "but its ladder did not trip on quarantine";
 }
 
 TEST(Auditor, CorruptedPlacementTripsNamedDiagnostic) {
@@ -266,25 +344,6 @@ TEST(ChaosSoak, PodOutageAcceptanceRunIsCleanAndThreadInvariant) {
   }
   // The soak actually degraded: the pressured policy's ladder moved.
   EXPECT_GT(serial[1].ladder_transitions.mean, 0.0);
-}
-
-TEST(Ladder, RejectsBadKnobs) {
-  const Topology topo = build_fat_tree(4);
-  const AllPairs apsp(topo.graph);
-  const auto flows = random_flows(topo, 6, 2);
-  NoMigrationPolicy policy;
-  SimConfig cfg;
-  cfg.hours = 2;
-  cfg.ladder.enabled = true;
-  cfg.ladder.max_quarantined_fraction = 1.5;
-  EXPECT_THROW(run_simulation(apsp, flows, 3, cfg, policy), PpdcError);
-  cfg.ladder.max_quarantined_fraction = 0.5;
-  cfg.ladder.recovery_epochs = 0;
-  EXPECT_THROW(run_simulation(apsp, flows, 3, cfg, policy), PpdcError);
-  cfg.ladder.recovery_epochs = 2;
-  cfg.audit.enabled = true;
-  cfg.audit.rel_tol = -1.0;
-  EXPECT_THROW(run_simulation(apsp, flows, 3, cfg, policy), PpdcError);
 }
 
 }  // namespace

@@ -217,6 +217,51 @@ TEST_F(CheckpointTest, JournalRecordsEveryCellOfTheGrid) {
   }
 }
 
+TEST_F(CheckpointTest, RecordFrameBytesArePinned) {
+  // The journal is an on-disk format: a fixed record, every statistic
+  // distinct, must serialize to the same frame bytes (length, CRC32, and
+  // the 20 scalar statistics in journal order, then the hourly series).
+  JobRecord rec;
+  rec.trial = 1;
+  rec.policy = 2;
+  rec.outcome = JobOutcome::kTruncated;
+  rec.attempts = 3;
+  rec.policy_name = "pinned";
+  rec.stats = StatsBundle(2);
+  StatsBundle& b = rec.stats;
+  RunningStats* const scalars[] = {
+      &b.total,          &b.comm,           &b.migration,
+      &b.vnf_moves,      &b.vm_moves,       &b.recovery_moves,
+      &b.recovery_cost,  &b.quarantined,    &b.penalty,
+      &b.downtime,       &b.truncated,      &b.ladder_transitions,
+      &b.refresh_only,   &b.frozen,         &b.policy_failures,
+      &b.shard_resolves, &b.shard_holds,    &b.shard_quarantines,
+      &b.shard_retries,  &b.shard_penalty};
+  for (std::size_t i = 0; i < std::size(scalars); ++i) {
+    scalars[i]->add(1.0 + static_cast<double>(i));
+    scalars[i]->add(0.5 * static_cast<double>(i * i));
+  }
+  for (std::size_t h = 0; h < 2; ++h) {
+    b.hourly_cost[h].add(10.0 + static_cast<double>(h));
+    b.hourly_moves[h].add(20.0 + static_cast<double>(h));
+  }
+
+  const std::string path = journal_path("pinned-record");
+  {
+    CheckpointJournal journal(path, ExperimentFingerprint{},
+                              JournalDims{4, 3, 2});
+    journal.append(rec);
+  }
+  const JournalContents contents = read_journal(path);
+  ASSERT_EQ(contents.records.size(), 1u);
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const std::string frame = bytes.substr(contents.record_offsets[0]);
+  EXPECT_EQ(frame.size(), 1000u);
+  EXPECT_EQ(hash64(frame), 0x1f0fca8c365adbddULL);
+}
+
 // ---------------------------------------------------------------------------
 // The headline contract: interrupt mid-grid, resume, bit-identical — at
 // one worker and at four.
@@ -464,12 +509,11 @@ TEST_F(CheckpointTest, ShardedConfigIsFingerprintedExceptThreads) {
                  CheckpointMismatchError);
   }
   {
-    // Shard worker threads and the epoch-journal knobs are wall-clock-only
+    // Shard worker threads and the epoch-journal path are wall-clock-only
     // (bit-identical results): they must NOT invalidate the journal.
     ExperimentConfig other = cfg;
     other.sharded.threads = 8;
     other.sharded.epoch_journal = journal_path("sharded-fp-epoch");
-    other.sharded.epoch_checkpoint_every = 3;
     EXPECT_NO_THROW(run_experiment(topo_, apsp_, other, policies));
   }
 }

@@ -276,7 +276,6 @@ TEST(ShardedEquivalence, SingleShardLadderTruncation) {
   c.hours = 10;
   c.tune = [](SimConfig& s) {
     s.ladder.enabled = true;
-    s.ladder.recovery_epochs = 2;
     s.audit.enabled = true;
   };
   // A node budget of 1 truncates every exponential re-solve.

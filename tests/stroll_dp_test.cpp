@@ -337,17 +337,30 @@ TEST(StrollDp, SlabLevelsStayPutWhenLaterLevelsSpill) {
     EXPECT_EQ(std::vector<NodeId>(early[e].succ, early[e].succ + rows),
               early_succ[e]);
   }
-  // One slab packs kSlabLevels consecutive levels.
-  for (std::size_t e = 0; e + 1 < StrollLevels::kSlabLevels; ++e) {
-    const auto* a = reinterpret_cast<const std::byte*>(all[e].cost);
-    const auto* b = reinterpret_cast<const std::byte*>(all[e + 1].cost);
-    EXPECT_EQ(static_cast<std::size_t>(b - a), cached->level_bytes());
-  }
+  // One slab packs kSlabLevels consecutive levels, in the cached tables
+  // and in a private table over a restricted (degraded) universe alike.
+  const auto expect_packed = [](const std::vector<StrollLevels::Level>& lv,
+                                std::size_t level_bytes) {
+    ASSERT_GE(lv.size(), StrollLevels::kSlabLevels);
+    for (std::size_t e = 0; e + 1 < StrollLevels::kSlabLevels; ++e) {
+      const auto* a = reinterpret_cast<const std::byte*>(lv[e].cost);
+      const auto* b = reinterpret_cast<const std::byte*>(lv[e + 1].cost);
+      EXPECT_EQ(static_cast<std::size_t>(b - a), level_bytes) << "level " << e;
+    }
+  };
+  expect_packed(all, cached->level_bytes());
+  std::vector<NodeId> universe = topo.graph.switches();
+  universe.resize(universe.size() - 2);
+  const StrollLevels restricted(
+      std::make_shared<const StrollMetric>(apsp, universe), t);
+  std::vector<StrollLevels::Level> restricted_levels;
+  restricted.at_least(count, restricted_levels);
+  expect_packed(restricted_levels, restricted.level_bytes());
 
-  // Heap-backed private levels are the same numbers.
-  const StrollLevels heap(std::make_shared<const StrollMetric>(apsp), t);
+  // Private levels over every switch are the same numbers.
+  const StrollLevels fresh(std::make_shared<const StrollMetric>(apsp), t);
   std::vector<StrollLevels::Level> want;
-  heap.at_least(count, want);
+  fresh.at_least(count, want);
   expect_same_levels(all, want, rows);
 }
 

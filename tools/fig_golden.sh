@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Golden-stdout check of the dynamic-simulation figure benches. Runs
-# bench_fig11_dynamic (all five Fig. 11 policies, PLAN/MCF included) and
-# bench_ablation_faults (switch/link failures, quarantine, recovery) at a
-# smoke size and diffs their stdout against the files recorded in
-# tests/golden/. Neither bench prints timings, --threads is pinned and the
-# measured "peak RSS:" line is dropped, so any difference is a change in
-# simulated results: an intentional one lands as a reviewed golden diff
-# (rerun with --update).
+# bench_fig11_dynamic (all five Fig. 11 policies, PLAN/MCF included),
+# bench_ablation_faults (switch/link failures, quarantine, recovery) and
+# bench_chaos, monolithic and sharded (degradation ladder, quarantine,
+# invariant auditor), at a smoke size and diffs their stdout against the
+# files recorded in tests/golden/. No bench prints timings, --threads is
+# pinned and the measured "peak RSS:" line is dropped, so any difference
+# is a change in simulated results: an intentional one lands as a
+# reviewed golden diff (rerun with --update).
 #
 # Usage: tools/fig_golden.sh [--build-dir DIR] [--update]
 #   --build-dir DIR   where to find bench/ (default: build)
@@ -38,12 +39,12 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 status=0
 
-# check NAME ARGS...: runs build/bench/NAME ARGS and compares its stdout
-# with tests/golden/NAME.txt.
+# check NAME ARGS...: runs build/bench/BENCH ARGS, where BENCH is NAME up
+# to its first '.', and compares its stdout with tests/golden/NAME.txt.
 check() {
   local name=$1
   shift
-  local bench=$BUILD_DIR/bench/$name
+  local bench=$BUILD_DIR/bench/${name%%.*}
   local golden=tests/golden/$name.txt
   if [ ! -x "$bench" ]; then
     echo "fig_golden: $bench not built (configure with PPDC_BUILD_BENCH=ON)" >&2
@@ -70,5 +71,7 @@ check bench_fig11_dynamic --k 8 --trials 2 --l 200 --n 5 --hours 12 \
   --lvalues 100,200 --nvalues 3,5 --mu 1000 --host-capacity 0 --seed 7 \
   --threads 2
 check bench_ablation_faults --trials 3 --hours 48 --seed 7 --threads 2
+check bench_chaos --smoke --threads 2
+check bench_chaos.sharded --smoke --sharded --threads 2
 
 exit $status
