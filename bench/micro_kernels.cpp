@@ -226,6 +226,46 @@ BenchRecord pin_stroll_dp() {
   return rec;
 }
 
+/// One cold level build of the stroll DP over a fabric's full switch set:
+/// the hour-0 hot path, which StrollDp (k=8, one query) barely reaches.
+/// The metric (a view of the transposed APSP core) is built once; every
+/// repetition grows fresh level tables toward the same destination.
+BenchRecord pin_stroll_levels() {
+  constexpr int kArity = 16;
+  constexpr int kLevels = 8;
+  BenchRecord rec;
+  rec.kernel = "StrollLevels";
+  rec.scenario = "fat-tree k=16, full switch universe, t = last switch, "
+                 "levels 1..8";
+  rec.fingerprint =
+      Hash64{}.str(rec.kernel).i64(kArity).i64(kLevels).value();
+  const Topology topo = build_fat_tree(kArity);
+  const AllPairs apsp(topo.graph);
+  const auto metric = std::make_shared<const StrollMetric>(apsp);
+  const NodeId t = topo.graph.switches().back();
+  std::vector<StrollLevels::Level> levels;
+  {
+    const StrollLevels ref(metric, t);
+    ref.at_least(kLevels, levels);
+    Hash64 h;
+    for (const StrollLevels::Level& level : levels) {
+      for (std::size_t i = 0; i < metric->rows(); ++i) {
+        h.f64(level.cost[i]).i64(level.succ[i]);
+      }
+    }
+    rec.checksum = h.value();
+  }
+  rec.timing = bench::time_kernel(
+      [&] {
+        const StrollLevels cold(metric, t);
+        cold.at_least(kLevels, levels);
+        benchmark::DoNotOptimize(levels.back().cost);
+        benchmark::ClobberMemory();
+      },
+      g_smoke);
+  return rec;
+}
+
 BenchRecord pin_placement_dp() {
   BenchRecord rec;
   rec.kernel = "PlacementDp";
@@ -324,8 +364,8 @@ int run_pinned(const std::string& dir) {
   serially([&]() noexcept {
     const bench::BenchBuildInfo build = bench::bench_build_info();
     const BenchRecord records[] = {
-        pin_all_pairs(), pin_stroll_dp(), pin_placement_dp(),
-        pin_pareto_migration(), pin_cost_refresh()};
+        pin_all_pairs(), pin_stroll_dp(), pin_stroll_levels(),
+        pin_placement_dp(), pin_pareto_migration(), pin_cost_refresh()};
     for (const BenchRecord& rec : records) {
       if (!bench::write_bench_json(dir, rec, build, g_smoke)) {
         rc = 1;

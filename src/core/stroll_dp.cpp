@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "graph/graph.hpp"
@@ -14,19 +15,26 @@ namespace ppdc {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Candidate-scan tile width of the level extension: the shared
-/// previous-level cost and successor segments (kBlock doubles + kBlock
-/// NodeIds) stay L1-hot while every row re-scans them.
-constexpr std::size_t kBlock = 256;
-
-/// Gathers one APSP core row through the universe into a metric row.
-/// __restrict is what lets the compiler emit the vectorized gather here —
-/// without it the mrow stores may alias the inputs and the loop stays
-/// scalar. tools/vec_gate.sh pins that this loop vectorizes.
-void build_metric_row(double* __restrict mrow, const double* __restrict arow,
+/// Gathers one APSP core column through the universe into a metric
+/// column. __restrict lets the compiler vectorize the gather (the stores
+/// may not alias the inputs); tools/vec_gate.sh pins that it does.
+void build_metric_col(double* __restrict mcol, const double* __restrict acol,
                       const std::int32_t* __restrict cols, std::size_t rows) {
-  for (std::size_t k = 0; k < rows; ++k) {  // ppdc-vec: metric-row-gather
-    mrow[k] = arow[static_cast<std::size_t>(cols[k])];
+  for (std::size_t i = 0; i < rows; ++i) {  // ppdc-vec: metric-row-gather
+    mcol[i] = acol[static_cast<std::size_t>(cols[i])];
+  }
+}
+
+/// Relaxes each row's best (cost, succ) with the stroll via w on a strict
+/// <. Selects, not branches, so that it vectorizes (tools/vec_gate.sh).
+void relax_column(double* __restrict cost, NodeId* __restrict succ,
+                  const double* __restrict col, double pw, NodeId w,
+                  std::size_t rows) {
+  for (std::size_t i = 0; i < rows; ++i) {  // ppdc-vec: level-relax
+    const double cand = col[i] + pw;
+    const bool better = cand < cost[i];
+    cost[i] = better ? cand : cost[i];
+    succ[i] = better ? w : succ[i];
   }
 }
 
@@ -54,19 +62,21 @@ StrollMetric::StrollMetric(const AllPairs& apsp, std::vector<NodeId> universe)
                        CandidateIdx::invalid());
   cols_.resize(rows_);
   for (const CandidateIdx i : switches_.ids()) {
-    switch_index_[static_cast<std::size_t>(switches_[i])] = i;
+    CandidateIdx& row = switch_index_[static_cast<std::size_t>(switches_[i])];
+    PPDC_REQUIRE(!row.valid(), "stroll universe entries must be distinct");
+    row = i;
     cols_[static_cast<std::size_t>(i.value())] = apsp.core_index(switches_[i]);
   }
   if (universe_is_all && rows_ > 0) {
-    base_ = apsp.cost_row(switches_.raw().front()).cost;
+    base_ = apsp.cost_col(switches_.raw().front()).cost;
     stride_ = static_cast<std::size_t>(apsp.num_core());
     return;
   }
   closure_.resize(rows_ * rows_);
   const NodeId* sw = switches().data();
-  for (std::size_t i = 0; i < rows_; ++i) {
-    // Switches are core vertices: their rows carry no leaf weight.
-    build_metric_row(closure_.data() + i * rows_, apsp.cost_row(sw[i]).cost,
+  for (std::size_t k = 0; k < rows_; ++k) {
+    // Switches are core vertices: their columns carry no leaf weight.
+    build_metric_col(closure_.data() + k * rows_, apsp.cost_col(sw[k]).cost,
                      cols_.data(), rows_);
   }
   base_ = closure_.data();
@@ -133,34 +143,24 @@ void StrollLevels::at_least(int count, std::vector<Level>& out) const {
     }
     const double* pc = levels_.back().cost;
     const NodeId* ps = levels_.back().succ;
-    // Tiled candidate min-scan: the k tile of the shared previous-level
-    // rows stays cache-resident while every row i streams its metric
-    // segment past it. ce/se are the running best per row; tiles arrive in
-    // increasing k, so the strict-< argmin picks the same candidate as a
-    // single left-to-right scan.
-    for (std::size_t k0 = 0; k0 < rows; k0 += kBlock) {
-      const std::size_t k1 = std::min(rows, k0 + kBlock);
-      for (std::size_t i = 0; i < rows; ++i) {
-        const NodeId u = sw[i];
-        const double* mrow = m.row(i);
-        double best = ce[i];
-        NodeId best_w = se[i];
-        for (std::size_t k = k0; k < k1; ++k) {
-          const NodeId w = sw[k];
-          // Line 6, branchless: intermediate w may be neither u itself nor
-          // t, and the stored continuation from w must not immediately
-          // return to u. An excluded (or unreachable) candidate costs +inf
-          // and never wins the strict <.
-          const bool ok = (w != u) && (w != t_) && (ps[k] != u);
-          const double cand = ok ? mrow[k] + pc[k] : kInf;
-          if (cand < best) {
-            best = cand;
-            best_w = w;
-          }
-        }
-        ce[i] = best;
-        se[i] = best_w;
-      }
+    // Candidate-major: one pass per candidate k, in increasing k, relaxes
+    // every row. Each row still meets k in increasing order and keeps the
+    // first strict-< minimum, so the level equals a row scan bit for bit.
+    for (std::size_t k = 0; k < rows; ++k) {
+      // Line 6 bars t as an intermediate, and w from its own row and from
+      // the row its continuation returns to: relax every row, then restore
+      // those two. An unreachable w never wins.
+      const NodeId w = sw[k];
+      if (w == t_ || pc[k] == kInf) continue;
+      const CandidateIdx back =
+          ps[k] == kInvalidNode ? CandidateIdx::invalid() : m.row_of(ps[k]);
+      const std::size_t b =
+          back.valid() ? static_cast<std::size_t>(back.value()) : k;
+      const std::pair keep_k{ce[k], se[k]};
+      const std::pair keep_b{ce[b], se[b]};
+      relax_column(ce, se, m.col(k), pc[k], w, rows);
+      std::tie(ce[b], se[b]) = keep_b;
+      std::tie(ce[k], se[k]) = keep_k;
     }
     levels_.push_back(Level{ce, se});
   }

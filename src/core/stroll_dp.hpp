@@ -61,21 +61,23 @@ struct StrollResult {
   bool used_fallback = false;     ///< true if the greedy completion kicked in
 };
 
-/// Unit-rate metric closure over the DP row universe:
-/// row(i)[k] = c(switches[i], switches[k]). Immutable once built. Over
-/// every switch the closure is the switch block of the AllPairs core
-/// (switch i sits at core position i), so rows point into it; a
-/// restricted universe gathers its own copy.
+/// Unit-rate metric closure over the DP row universe, column-major:
+/// col(k)[i] = c(switches[i], switches[k]). Immutable once built. Over
+/// every switch the closure is the switch block of the transposed
+/// AllPairs core (AllPairs::cost_col; switch i sits at core position i),
+/// so columns point into it; a restricted universe gathers its own copy.
+/// Columns, not rows: weighted metrics are not bit-symmetric, so a row
+/// never stands in for a column.
 class StrollMetric {
  public:
   /// A non-empty `universe` restricts the DP rows (and hence every
-  /// intermediate and fallback switch) to the given switches — the
+  /// intermediate and fallback switch) to the given distinct switches — the
   /// fault-tolerant solvers pass CostModel::placement_candidates() so
   /// strolls never route through failed switches; empty means every
   /// switch of the topology. `apsp` must outlive the metric.
   explicit StrollMetric(const AllPairs& apsp,
                         std::vector<NodeId> universe = {});
-  /// Rows may point into the metric's own storage.
+  /// Columns may point into the metric's own storage.
   StrollMetric(const StrollMetric&) = delete;
   StrollMetric& operator=(const StrollMetric&) = delete;
 
@@ -89,7 +91,8 @@ class StrollMetric {
   CandidateIdx row_of(NodeId u) const {
     return switch_index_[static_cast<std::size_t>(u)];
   }
-  const double* row(std::size_t i) const { return base_ + i * stride_; }
+  /// Column k, indexed by row: the level extension streams it.
+  const double* col(std::size_t k) const { return base_ + k * stride_; }
   /// Row -> AllPairs core position: where row k's switch sits in a core
   /// row (AllPairs::cost_row).
   const std::int32_t* core_cols() const noexcept { return cols_.data(); }
@@ -102,13 +105,15 @@ class StrollMetric {
   std::vector<std::int32_t> cols_;  ///< row -> core position
   std::size_t rows_ = 0;
   std::vector<double> closure_;  ///< rows_ × rows_ (restricted universe)
-  const double* base_ = nullptr;  ///< row 0 of the closure
-  std::size_t stride_ = 0;        ///< distance between rows
+  const double* base_ = nullptr;  ///< column 0 of the closure
+  std::size_t stride_ = 0;        ///< distance between columns
 };
 
 /// Unit-rate level tables of Algorithm 2 toward one destination. Levels
 /// are appended on demand and never change or move once built, so any
-/// number of threads may read them while another appends.
+/// number of threads may read them while another appends. A new level is
+/// built candidate by candidate: one pass per metric column relaxes every
+/// row (DESIGN.md §11).
 ///
 /// Level rows are carved from page-mapped slabs of kSlabLevels levels
 /// each (DESIGN.md §11). Tables are often built on worker threads, whose
@@ -117,8 +122,8 @@ class StrollMetric {
 /// grows resident as its levels are written.
 class StrollLevels {
  public:
-  /// Level e as flat rows over the universe: the candidate min-scan is a
-  /// plain index loop over contiguous rows. Both point into storage the
+  /// Level e as flat arrays over the universe rows, so the candidate
+  /// scans are plain index loops. Both point into storage the
   /// StrollLevels owns and stay valid as long as it does.
   struct Level {
     const double* cost = nullptr;  ///< cost[row]: best e-edge stroll from row

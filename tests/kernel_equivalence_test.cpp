@@ -15,6 +15,8 @@
 // Any EXPECT_EQ failure on a double below is a behaviour change, not
 // noise: tolerances would defeat the purpose.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -27,6 +29,7 @@
 #include "core/migration_pareto.hpp"
 #include "core/placement_dp.hpp"
 #include "core/stroll_dp.hpp"
+#include "fault/degraded.hpp"
 #include "graph/apsp.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/weights.hpp"
@@ -148,6 +151,17 @@ class RefStrollTable {
     out.placement = std::move(seq);
     out.edges_used = static_cast<int>(out.walk.size()) - 1;
     return out;
+  }
+
+  /// Seed level e (costs at the table's rate, successors), built on
+  /// demand: the reference for entry-by-entry level comparisons.
+  const std::vector<double>& level_cost(int e) {
+    extend(e);
+    return cost_[static_cast<std::size_t>(e - 1)].raw();
+  }
+  const std::vector<NodeId>& level_succ(int e) {
+    extend(e);
+    return succ_[static_cast<std::size_t>(e - 1)].raw();
   }
 
   bool satisfies_theorem3(const StrollResult& result) const {
@@ -616,6 +630,128 @@ TEST(KernelEquivalence, WeightedFabricMatchesSeedAtUnitRate) {
       expect_placement_eq(solve_top_dp(cm, n),
                           ref_solve_top_dp(cm, n, {}, /*unit_rate_tables=*/true));
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Level tables, entry by entry: every cost and successor of levels 1..L
+// must equal the seed's row-by-row recurrence bit for bit. The level
+// kernel streams metric columns, so the fabrics below are the ones where
+// a column is not a row: weighted metrics (c(u,v) and c(v,u) differ in
+// the last bits), restricted universes whose closure is gathered, and a
+// partitioned fabric with +inf entries and kInvalidNode successors.
+// ---------------------------------------------------------------------------
+struct LevelCounts {
+  std::size_t infinite = 0;  ///< +inf costs seen in the reference
+  std::size_t no_succ = 0;   ///< kInvalidNode successors seen
+};
+
+LevelCounts expect_levels_eq(const AllPairs& apsp, NodeId t,
+                             const std::vector<NodeId>& universe,
+                             int levels) {
+  const StrollLevels cur(std::make_shared<const StrollMetric>(apsp, universe),
+                         t);
+  RefStrollTable ref(apsp, t, 1.0, universe);
+  std::vector<StrollLevels::Level> got;
+  cur.at_least(levels, got);
+  EXPECT_EQ(got.size(), static_cast<std::size_t>(levels));
+  LevelCounts counts;
+  for (int e = 1; e <= levels; ++e) {
+    const std::vector<double>& want_cost = ref.level_cost(e);
+    const std::vector<NodeId>& want_succ = ref.level_succ(e);
+    const StrollLevels::Level& level = got[static_cast<std::size_t>(e - 1)];
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < want_cost.size(); ++i) {
+      const bool same =
+          std::bit_cast<std::uint64_t>(level.cost[i]) ==
+              std::bit_cast<std::uint64_t>(want_cost[i]) &&
+          level.succ[i] == want_succ[i];
+      if (!same && mismatches++ == 0) {
+        ADD_FAILURE() << "t=" << t << " level " << e << " row " << i
+                      << ": cost " << level.cost[i] << " succ "
+                      << level.succ[i] << ", seed " << want_cost[i] << " "
+                      << want_succ[i];
+      }
+      counts.infinite += want_cost[i] == kInf ? 1 : 0;
+      counts.no_succ += want_succ[i] == kInvalidNode ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << "t=" << t << " level " << e;
+  }
+  return counts;
+}
+
+TEST(KernelEquivalence, WeightedLevelTablesMatchSeedBitForBit) {
+  for (const std::uint64_t weight_seed : {3u, 9u}) {
+    SCOPED_TRACE(::testing::Message() << "weights=" << weight_seed);
+    Topology topo = build_fat_tree(8);
+    apply_uniform_delay_weights(topo.graph, weight_seed);
+    const AllPairs apsp(topo.graph);
+    const auto& switches = topo.graph.switches();
+    // The scenario must have columns that are not rows.
+    std::size_t asymmetric = 0;
+    for (const NodeId u : switches) {
+      for (const NodeId v : switches) {
+        asymmetric += apsp.cost(u, v) != apsp.cost(v, u) ? 1 : 0;
+      }
+    }
+    EXPECT_GT(asymmetric, 0u);
+    for (const NodeId t : {switches[7], topo.graph.hosts()[5]}) {
+      expect_levels_eq(apsp, t, {}, 10);
+    }
+    // Restricted universes gather their own column-major closure: once
+    // toward a host, once toward a switch outside the universe.
+    std::vector<NodeId> universe;
+    for (std::size_t i = 0; i < switches.size(); i += 3) {
+      universe.push_back(switches[i]);
+    }
+    expect_levels_eq(apsp, topo.graph.hosts().back(), universe, 10);
+    expect_levels_eq(apsp, switches[1], universe, 10);
+  }
+}
+
+TEST(KernelEquivalence, PartitionedLevelTablesMatchSeedBitForBit) {
+  const Topology topo = build_fat_tree(8);
+  const Graph& g = topo.graph;
+  // Cut every uplink of pod 0 and kill one core switch: pod 0's switches
+  // and the dead one cannot reach t, so their rows stay +inf with no
+  // successor, and their columns are +inf toward the rest of the fabric.
+  const std::vector<NodeId>& pod = topo.power_domains[0].switches;
+  std::vector<EdgeKey> cut;
+  for (const NodeId sw : pod) {
+    for (const auto& adj : g.neighbors(sw)) {
+      if (g.is_switch(adj.to) &&
+          std::find(pod.begin(), pod.end(), adj.to) == pod.end()) {
+        cut.push_back(make_edge_key(sw, adj.to));
+      }
+    }
+  }
+  ASSERT_FALSE(cut.empty());
+  std::vector<char> dead(static_cast<std::size_t>(g.num_nodes()), 0);
+  // Core switches belong to no pod's power domain.
+  NodeId dead_core = kInvalidNode;
+  for (const NodeId sw : g.switches()) {
+    bool in_pod = false;
+    for (const PowerDomain& d : topo.power_domains) {
+      in_pod = in_pod || std::find(d.switches.begin(), d.switches.end(),
+                                   sw) != d.switches.end();
+    }
+    if (!in_pod) dead_core = sw;
+  }
+  ASSERT_NE(dead_core, kInvalidNode);
+  dead[static_cast<std::size_t>(dead_core)] = 1;
+  const DegradedNetwork net(g, dead, cut);
+  const NodeId t = g.hosts().back();
+  ASSERT_TRUE(net.in_core(t));
+  // Every switch, and every alive switch (a gathered closure).
+  std::vector<NodeId> alive;
+  for (const NodeId sw : g.switches()) {
+    if (sw != dead_core) alive.push_back(sw);
+  }
+  for (const std::vector<NodeId>& universe : {std::vector<NodeId>{}, alive}) {
+    SCOPED_TRACE(::testing::Message() << "universe=" << universe.size());
+    const LevelCounts counts = expect_levels_eq(net.apsp(), t, universe, 8);
+    EXPECT_GT(counts.infinite, 0u);
+    EXPECT_GT(counts.no_succ, 0u);
   }
 }
 

@@ -433,6 +433,11 @@ TEST(StrollDp, RejectsImpossibleQuota) {
   EXPECT_THROW(solve_top1_dp(apsp, h1, h2, 4), PpdcError);  // only 3 switches
   EXPECT_THROW(solve_top1_dp(apsp, h1, h2, -1), PpdcError);
   EXPECT_THROW(solve_top1_dp(apsp, h1, h2, 2, 0.0), PpdcError);
+  // The level kernel excludes a candidate's own row, so a universe must
+  // name each switch once.
+  const NodeId sw = topo.graph.switches()[1];
+  EXPECT_THROW(StrollMetric(apsp, {sw, topo.graph.switches()[0], sw}),
+               PpdcError);
 }
 
 TEST(StrollDp, CostNondecreasingInQuota) {

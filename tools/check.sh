@@ -121,11 +121,12 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-# Stage 4b: vectorization gate over the PR-6 flat kernels (needs only
-# g++; SKIPs on non-GNU toolchains). Compiles the pinned
-# `// ppdc-vec:`-tagged candidate-scan loops in stroll_dp.cpp /
-# cost_model.cpp at -O3 -march=x86-64-v3 and fails if any of them stops
-# being reported as "loop vectorized".
+# Stage 4b: vectorization gate over the flat kernels (needs only g++;
+# SKIPs on non-GNU toolchains). Compiles the `// ppdc-vec:`-tagged loops
+# (stroll_dp.cpp: the level-relax column pass and the metric column
+# gather; cost_model.cpp: the attraction and churn row passes) at -O3
+# -march=x86-64-v3 and fails if any of them stops being reported as
+# "loop vectorized".
 # ---------------------------------------------------------------------------
 note "vec gate: tools/vec_gate.sh"
 tools/vec_gate.sh
