@@ -450,35 +450,6 @@ CostModel::GroupSnapshot CostModel::group_snapshot() const {
   return snap;
 }
 
-void CostModel::restore_group_snapshot(const GroupSnapshot& snap) {
-  PPDC_REQUIRE(snap.num_groups > 0, "group snapshot has no groups");
-  PPDC_REQUIRE(snap.base_rates.size() == flows_->size() &&
-                   snap.groups.size() == flows_->size() &&
-                   snap.snap_src.size() == flows_->size() &&
-                   snap.snap_dst.size() == flows_->size(),
-               "group snapshot sized for " +
-                   std::to_string(snap.base_rates.size()) + " flows, model "
-                   "bound to " + std::to_string(flows_->size()));
-  const std::size_t ns = num_switches();
-  PPDC_REQUIRE(snap.group_ingress.size() == snap.row_groups.size() * ns &&
-                   snap.group_egress.size() == snap.row_groups.size() * ns,
-               "group snapshot base vectors do not match the topology");
-  PPDC_REQUIRE(snap.last_scales.empty() ||
-                   snap.last_scales.size() ==
-                       static_cast<std::size_t>(snap.num_groups),
-               "group snapshot scale vector size mismatch");
-  num_groups_ = snap.num_groups;
-  base_rates_ = snap.base_rates;
-  groups_ = snap.groups;
-  group_rows_ = snap.group_rows;
-  row_groups_ = snap.row_groups;
-  group_ingress_ = snap.group_ingress;
-  group_egress_ = snap.group_egress;
-  last_scales_ = snap.last_scales;
-  snap_src_ = snap.snap_src;
-  snap_dst_ = snap.snap_dst;
-}
-
 double CostModel::ingress_attraction(NodeId a) const {
   PPDC_REQUIRE(apsp_->graph().is_switch(a), "ingress must be a switch");
   return ingress_[switch_slot(a)];

@@ -179,12 +179,12 @@ class CostModel {
   /// min_a A(a).
   double min_ingress_attraction() const noexcept { return min_ingress_; }
 
-  /// The incremental group-refresh state, for the epoch checkpoint
-  /// journal (sim/checkpoint.hpp). The per-group base vectors are patched
-  /// in place by rebase_flow()/endpoints_moved() and never rebuilt by
-  /// refresh(), so they carry the exact float history of every patch; a
-  /// resumed model must restore them verbatim — a from-scratch rebuild
-  /// would be mathematically equal but not bit-identical.
+  /// A copy of the incremental group-refresh state, for tests that
+  /// compare a patched model against a rebuilt one. The per-group base
+  /// vectors are patched in place by rebase_flow()/endpoints_moved() and
+  /// never rebuilt by refresh(), so they carry the exact float history of
+  /// every patch — a from-scratch rebuild is mathematically equal but not
+  /// bit-identical.
   struct GroupSnapshot {
     int num_groups = 0;
     std::vector<double> base_rates;
@@ -198,13 +198,6 @@ class CostModel {
     std::vector<NodeId> snap_dst;
   };
   GroupSnapshot group_snapshot() const;
-
-  /// Overwrites the group-refresh state with `snap` (taken from a model
-  /// bound to an identical flow vector over the same topology). The
-  /// combined Λ/A/B vectors are left untouched; callers recombine via
-  /// refresh_scaled() or refresh() before the next cost query, exactly as
-  /// after a batch of rebase_flow() patches.
-  void restore_group_snapshot(const GroupSnapshot& snap);
 
  private:
   /// Rebuilds the per-group base vectors and endpoint snapshot from

@@ -240,66 +240,4 @@ std::vector<int> ShardedCostModel::apply_churn(
   return touched;
 }
 
-ShardedCostModel::ShardSnapshot ShardedCostModel::shard_snapshot(
-    int s) const {
-  const Shard& sh = shard(s);
-  ShardSnapshot snap;
-  snap.flows = sh.flows;
-  snap.base_rates = sh.base_rates;
-  snap.groups = sh.groups;
-  snap.global_ids = sh.global_ids;
-  snap.free_locals = sh.free_locals;
-  snap.live = sh.live;
-  snap.model = sh.model->group_snapshot();
-  return snap;
-}
-
-void ShardedCostModel::restore_shards(
-    const std::vector<ShardSnapshot>& snaps) {
-  PPDC_REQUIRE(snaps.size() == shards_.size(),
-               "restoring " + std::to_string(snaps.size()) +
-                   " shard snapshots into " + std::to_string(shards_.size()) +
-                   " shards");
-  // Pass 1: find the global slot span and validate the id maps before
-  // mutating anything.
-  std::size_t slots = 0;
-  for (const ShardSnapshot& snap : snaps) {
-    PPDC_REQUIRE(snap.flows.size() == snap.base_rates.size() &&
-                     snap.flows.size() == snap.groups.size() &&
-                     snap.flows.size() == snap.global_ids.size(),
-                 "shard snapshot vectors disagree on the slot count");
-    for (const FlowId g : snap.global_ids) {
-      if (!g.valid()) continue;  // vacated by a cross-pod re-spawn
-      slots = std::max(slots, static_cast<std::size_t>(g.value()) + 1);
-    }
-  }
-  flow_shard_.assign(slots, -1);
-  flow_local_.assign(slots, FlowId::invalid());
-  for (std::size_t s = 0; s < snaps.size(); ++s) {
-    const ShardSnapshot& snap = snaps[s];
-    Shard& sh = *shards_[s];
-    sh.flows = snap.flows;
-    sh.base_rates = snap.base_rates;
-    sh.groups = snap.groups;
-    sh.global_ids = snap.global_ids;
-    sh.free_locals = snap.free_locals;
-    sh.live = snap.live;
-    for (std::size_t l = 0; l < sh.global_ids.size(); ++l) {
-      const FlowId g = sh.global_ids[l];
-      if (!g.valid()) continue;
-      const auto gi = static_cast<std::size_t>(g.value());
-      PPDC_REQUIRE(flow_shard_[gi] < 0,
-                   "global flow " + std::to_string(g.value()) +
-                       " mapped by two shard snapshots");
-      flow_shard_[gi] = static_cast<int>(s);
-      flow_local_[gi] = FlowId{static_cast<std::int32_t>(l)};
-    }
-    // Rebind the cost model to the restored flow vector and hand it the
-    // snapshotted group state verbatim (the base vectors carry patch
-    // history a rebuild would not reproduce bit for bit).
-    sh.model = std::make_unique<CostModel>(*apsp_, sh.flows);
-    sh.model->restore_group_snapshot(snap.model);
-  }
-}
-
 }  // namespace ppdc

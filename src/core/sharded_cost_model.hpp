@@ -110,28 +110,6 @@ class ShardedCostModel {
   /// Local slot of global flow `g` within flow_shard(g).
   FlowId flow_local(FlowId g) const;
 
-  /// One shard's full mutable state, for the epoch checkpoint journal
-  /// (sim/checkpoint.hpp). The CostModel group state is captured verbatim
-  /// — its base vectors carry patch history that a from-scratch rebuild
-  /// would not reproduce bit for bit.
-  struct ShardSnapshot {
-    std::vector<VmFlow> flows;
-    std::vector<double> base_rates;
-    std::vector<int> groups;
-    std::vector<FlowId> global_ids;
-    std::vector<FlowId> free_locals;
-    int live = 0;
-    CostModel::GroupSnapshot model;
-  };
-  ShardSnapshot shard_snapshot(int s) const;
-
-  /// Restores every shard from `snaps` (one per shard, same pod order as
-  /// construction) and rebuilds the global↔local id maps from the shards'
-  /// `global_ids`. Each shard's CostModel is reconstructed over the
-  /// restored flow vector and handed its snapshotted group state; as after
-  /// apply_churn(), callers must refresh each model before cost queries.
-  void restore_shards(const std::vector<ShardSnapshot>& snaps);
-
  private:
   /// Places flow `g` (endpoints+base from `f`) into shard `s`, re-using
   /// the smallest free local slot or appending, and patches the shard's

@@ -211,17 +211,6 @@ void ShardedInvariantAuditor::on_epoch_end(Hour hour,
   last_ended_ = hour;
 }
 
-void ShardedInvariantAuditor::note_resumed(
-    int epochs, int transitions, const std::vector<DegradationRung>& rungs) {
-  PPDC_REQUIRE(rungs.size() == shard_rungs_.size(),
-               "resumed rung vector does not match the shard count");
-  PPDC_REQUIRE(epochs >= 0 && transitions >= 0,
-               "resumed epoch/transition counts must be non-negative");
-  replayed_epochs_ = epochs;
-  transitions_seen_ = transitions;
-  shard_rungs_ = rungs;
-}
-
 void ShardedInvariantAuditor::check_shard_placement(
     const ShardAuditContext& ctx, const Placement& p) const {
   if (p.size() != static_cast<std::size_t>(ctx.n)) {
@@ -480,11 +469,9 @@ void ShardedInvariantAuditor::check_run(const SimTrace& trace) const {
          "trace has " + std::to_string(trace.epochs.size()) +
              " epochs for a horizon of " + std::to_string(horizon_.value()));
   }
-  if (horizon_.valid() &&
-      checked_epochs_ + replayed_epochs_ != horizon_.value()) {
+  if (horizon_.valid() && checked_epochs_ != horizon_.value()) {
     fail(last_ended_, "event-stream",
-         "audited " + std::to_string(checked_epochs_) + " + replayed " +
-             std::to_string(replayed_epochs_) +
+         "audited " + std::to_string(checked_epochs_) +
              " epochs do not cover the horizon of " +
              std::to_string(horizon_.value()));
   }

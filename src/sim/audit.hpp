@@ -132,13 +132,6 @@ class ShardedInvariantAuditor final : public EpochObserver {
                                   const std::string& reason) override;
   void on_epoch_end(Hour hour, const EpochDecision& decision) override;
 
-  /// Epoch-journal resume support: the first `epochs` epochs of the trace
-  /// were replayed from the journal (with `transitions` ladder steps and
-  /// the given per-shard rungs), not observed live. check_run accounts
-  /// for them; the stream checks start at the first live epoch.
-  void note_resumed(int epochs, int transitions,
-                    const std::vector<DegradationRung>& rungs);
-
   /// Validates one shard's fully costed epoch. Call in fixed shard order
   /// after the epoch's on_epoch_end, before check_epoch.
   void check_shard_epoch(const ShardAuditContext& ctx);
@@ -171,7 +164,6 @@ class ShardedInvariantAuditor final : public EpochObserver {
   std::vector<std::string> shard_names_;
   int checked_epochs_ = 0;
   int transitions_seen_ = 0;
-  int replayed_epochs_ = 0;
 
   // Stream state accumulated from the observer callbacks.
   Hour horizon_ = Hour::invalid();

@@ -320,12 +320,14 @@ std::string read_file(const std::string& path) {
   return std::move(buf).str();
 }
 
-/// Fault-injection hook for the kill-resume CI gate: when the environment
-/// variable PPDC_CHECKPOINT_CRASH_AFTER=N is set, the process hard-exits
-/// (no unwinding, no atexit — a SIGKILL stand-in) right after the N-th
-/// record of this run becomes durable.
-int crash_after_from_env() {
-  const char* v = std::getenv("PPDC_CHECKPOINT_CRASH_AFTER");
+/// Fault-injection hooks of the kill-resume gates: a positive integer in
+/// the environment variable `name` (PPDC_CHECKPOINT_CRASH_AFTER for the
+/// grid journal, PPDC_EPOCH_CRASH_AFTER for the epoch journal) makes the
+/// process hard-exit (no unwinding, no atexit — a SIGKILL stand-in) right
+/// after that many journal writes became durable. Anything else disables
+/// the hook.
+int crash_after_from_env(const char* name) {
+  const char* v = std::getenv(name);
   if (v == nullptr) return 0;
   // strtol instead of atoi so garbage ("", "abc", trailing junk) is
   // detectably rejected rather than silently parsed as 0-ish.
@@ -439,7 +441,8 @@ ExperimentFingerprint fingerprint_experiment(
 CheckpointJournal::CheckpointJournal(std::string path,
                                      const ExperimentFingerprint& fingerprint,
                                      const JournalDims& dims)
-    : path_(std::move(path)), crash_after_(crash_after_from_env()) {
+    : path_(std::move(path)),
+      crash_after_(crash_after_from_env("PPDC_CHECKPOINT_CRASH_AFTER")) {
   PPDC_REQUIRE(!path_.empty(), "checkpoint journal path is empty");
   if (file_exists(path_)) {
     JournalContents contents = read_journal(path_);
@@ -549,11 +552,12 @@ JournalContents read_journal(const std::string& path) {
 namespace {
 
 constexpr char kEpochMagic[8] = {'P', 'P', 'D', 'C', 'E', 'J', 'L', '1'};
-// Version 2: the per-shard CostModel::GroupSnapshot base vectors are
-// |V_s| wide (SwitchIdx-indexed), not |V| wide. A version-1 journal is
-// rejected, and the sharded engine warns and starts the run fresh rather
-// than restore misaligned vectors.
-constexpr std::uint32_t kEpochVersion = 2;
+// Version 2: the per-shard CostModel group base vectors were |V_s| wide
+// (SwitchIdx-indexed), not |V| wide. Version 3: the journal holds the
+// solvers' answers per epoch and shard instead of a dump of engine state,
+// and a resume re-executes the run from hour 0. An older journal is
+// rejected, and the sharded engine warns and starts the run fresh.
+constexpr std::uint32_t kEpochVersion = 3;
 
 void put_i32(std::string& out, std::int32_t v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof v);
@@ -575,60 +579,8 @@ std::vector<std::int32_t> cursor_i32_vec(Cursor& c) {
   return v;
 }
 
-void put_f64_vec(std::string& out, const std::vector<double>& v) {
-  put_u32(out, checked_cast<std::uint32_t>(v.size(), "epoch journal vector"));
-  for (const double x : v) put_f64(out, x);
-}
-
-std::vector<double> cursor_f64_vec(Cursor& c) {
-  const std::uint32_t size = c.u32();
-  std::vector<double> v(size);
-  for (std::uint32_t i = 0; i < size; ++i) v[i] = c.f64();
-  return v;
-}
-
-void put_flowid_vec(std::string& out, const std::vector<FlowId>& v) {
-  put_u32(out, checked_cast<std::uint32_t>(v.size(), "epoch journal vector"));
-  for (const FlowId id : v) put_i32(out, id.value());
-}
-
-std::vector<FlowId> cursor_flowid_vec(Cursor& c) {
-  const std::uint32_t size = c.u32();
-  std::vector<FlowId> v(size);
-  for (std::uint32_t i = 0; i < size; ++i) v[i] = FlowId{cursor_i32(c)};
-  return v;
-}
-
-void put_vm_flows(std::string& out, const std::vector<VmFlow>& flows) {
-  put_u32(out, checked_cast<std::uint32_t>(flows.size(),
-                                           "epoch journal flow vector"));
-  for (const VmFlow& f : flows) {
-    put_i32(out, f.src_host);
-    put_i32(out, f.dst_host);
-    put_f64(out, f.rate);
-    put_i32(out, f.group);
-  }
-}
-
-std::vector<VmFlow> cursor_vm_flows(Cursor& c) {
-  const std::uint32_t size = c.u32();
-  std::vector<VmFlow> flows(size);
-  for (std::uint32_t i = 0; i < size; ++i) {
-    flows[i].src_host = cursor_i32(c);
-    flows[i].dst_host = cursor_i32(c);
-    flows[i].rate = c.f64();
-    flows[i].group = cursor_i32(c);
-  }
-  return flows;
-}
-
 void put_decision(std::string& out, const EpochDecision& d) {
-  // moved_flows is deliberately not journaled: the engine applies every
-  // shard's moves before the merge, so a merged decision never carries
-  // any (the moved endpoints ride in the workload and shard snapshots).
-  PPDC_REQUIRE(d.moved_flows.empty(),
-               "epoch journal cannot persist moved_flows (only merged "
-               "epoch decisions are journaled)");
+  // moved_flows travels with its endpoints in put_answer.
   put_f64(out, d.comm_cost);
   put_f64(out, d.migration_cost);
   put_f64(out, d.migration_distance);
@@ -682,105 +634,72 @@ EpochDecision cursor_decision(Cursor& c) {
   return d;
 }
 
-void put_group_snapshot(std::string& out, const CostModel::GroupSnapshot& g) {
-  put_i32(out, g.num_groups);
-  put_f64_vec(out, g.base_rates);
-  put_i32_vec(out, g.groups);
-  put_i32_vec(out, g.group_rows);
-  put_i32_vec(out, g.row_groups);
-  put_f64_vec(out, g.group_ingress);
-  put_f64_vec(out, g.group_egress);
-  put_f64_vec(out, g.last_scales);
-  put_i32_vec(out, g.snap_src);
-  put_i32_vec(out, g.snap_dst);
+void put_answer(std::string& out, const ShardAnswer& a) {
+  put_u8(out, a.recovered ? 1 : 0);
+  if (a.recovered) {
+    put_u8(out, a.recovery_truncated ? 1 : 0);
+    put_i32_vec(out, a.recovery_target);
+  }
+  put_u8(out, static_cast<std::uint8_t>(a.policy));
+  if (a.policy != ShardAnswer::Policy::kAnswered) return;
+  const std::vector<FlowId>& ids = a.decision.moved_flows;
+  PPDC_REQUIRE(a.moved.size() == ids.size(),
+               "epoch journal answer has " + std::to_string(a.moved.size()) +
+                   " moved endpoints for " + std::to_string(ids.size()) +
+                   " moved flows");
+  put_decision(out, a.decision);
+  put_i32_vec(out, a.placement);
+  put_u32(out, checked_cast<std::uint32_t>(ids.size(), "epoch journal moves"));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    put_i32(out, ids[i].value());
+    put_i32(out, a.moved[i].src_host);
+    put_i32(out, a.moved[i].dst_host);
+  }
 }
 
-CostModel::GroupSnapshot cursor_group_snapshot(Cursor& c) {
-  CostModel::GroupSnapshot g;
-  g.num_groups = cursor_i32(c);
-  g.base_rates = cursor_f64_vec(c);
-  g.groups = cursor_i32_vec(c);
-  g.group_rows = cursor_i32_vec(c);
-  g.row_groups = cursor_i32_vec(c);
-  g.group_ingress = cursor_f64_vec(c);
-  g.group_egress = cursor_f64_vec(c);
-  g.last_scales = cursor_f64_vec(c);
-  g.snap_src = cursor_i32_vec(c);
-  g.snap_dst = cursor_i32_vec(c);
-  return g;
-}
-
-void put_shard_state(std::string& out, const ShardResumeState& s) {
-  put_vm_flows(out, s.shard.flows);
-  put_f64_vec(out, s.shard.base_rates);
-  put_i32_vec(out, s.shard.groups);
-  put_flowid_vec(out, s.shard.global_ids);
-  put_flowid_vec(out, s.shard.free_locals);
-  put_i32(out, s.shard.live);
-  put_group_snapshot(out, s.shard.model);
-  put_i32_vec(out, s.placement);
-  put_f64(out, s.last_comm);
-  put_i32(out, s.staleness);
-  put_i32(out, s.churned);
-  put_u8(out, s.resync_pending ? 1 : 0);
-  put_u8(out, s.rung);
-  put_i32(out, s.clean_streak);
-  put_i32(out, s.fail_streak);
-}
-
-ShardResumeState cursor_shard_state(Cursor& c) {
-  ShardResumeState s;
-  s.shard.flows = cursor_vm_flows(c);
-  s.shard.base_rates = cursor_f64_vec(c);
-  s.shard.groups = cursor_i32_vec(c);
-  s.shard.global_ids = cursor_flowid_vec(c);
-  s.shard.free_locals = cursor_flowid_vec(c);
-  s.shard.live = cursor_i32(c);
-  s.shard.model = cursor_group_snapshot(c);
-  s.placement = cursor_i32_vec(c);
-  s.last_comm = c.f64();
-  s.staleness = cursor_i32(c);
-  s.churned = cursor_i32(c);
-  s.resync_pending = c.u8() != 0;
-  s.rung = c.u8();
-  PPDC_REQUIRE(s.rung <= static_cast<std::uint8_t>(DegradationRung::kFrozen),
-               "epoch journal shard state carries unknown rung " +
-                   std::to_string(s.rung));
-  s.clean_streak = cursor_i32(c);
-  s.fail_streak = cursor_i32(c);
-  return s;
+ShardAnswer cursor_answer(Cursor& c) {
+  ShardAnswer a;
+  a.recovered = c.u8() != 0;
+  if (a.recovered) {
+    a.recovery_truncated = c.u8() != 0;
+    a.recovery_target = cursor_i32_vec(c);
+  }
+  const std::uint8_t policy = c.u8();
+  PPDC_REQUIRE(policy <= static_cast<std::uint8_t>(ShardAnswer::Policy::kThrew),
+               "epoch journal answer carries unknown policy outcome " +
+                   std::to_string(policy));
+  a.policy = static_cast<ShardAnswer::Policy>(policy);
+  if (a.policy != ShardAnswer::Policy::kAnswered) return a;
+  a.decision = cursor_decision(c);
+  a.placement = cursor_i32_vec(c);
+  const std::uint32_t moves = c.u32();
+  a.decision.moved_flows.resize(moves);
+  a.moved.resize(moves);
+  for (std::uint32_t i = 0; i < moves; ++i) {
+    a.decision.moved_flows[i] = FlowId{cursor_i32(c)};
+    a.moved[i].src_host = cursor_i32(c);
+    a.moved[i].dst_host = cursor_i32(c);
+  }
+  return a;
 }
 
 std::string serialize_workload_snapshot(
     const StreamingWorkload::Snapshot& snap) {
   std::string out;
-  put_vm_flows(out, snap.flows);
-  put_flowid_vec(out, snap.free_slots);
+  put_u32(out, checked_cast<std::uint32_t>(snap.flows.size(),
+                                           "epoch journal flow vector"));
+  for (const VmFlow& f : snap.flows) {
+    put_i32(out, f.src_host);
+    put_i32(out, f.dst_host);
+    put_f64(out, f.rate);
+    put_i32(out, f.group);
+  }
+  put_u32(out, checked_cast<std::uint32_t>(snap.free_slots.size(),
+                                           "epoch journal vector"));
+  for (const FlowId id : snap.free_slots) put_i32(out, id.value());
   put_i32(out, snap.next_index);
   for (const std::uint64_t s : snap.rng) put_u64(out, s);
   return out;
-}
-
-StreamingWorkload::Snapshot cursor_workload_snapshot(Cursor& c) {
-  StreamingWorkload::Snapshot snap;
-  snap.flows = cursor_vm_flows(c);
-  snap.free_slots = cursor_flowid_vec(c);
-  snap.next_index = cursor_i32(c);
-  for (std::uint64_t& s : snap.rng) s = c.u64();
-  return snap;
-}
-
-/// Kill-resume fault injection (PPDC_EPOCH_CRASH_AFTER=N): hard-exit after
-/// the N-th durable epoch-journal write of this process.
-int epoch_crash_after_from_env() {
-  const char* v = std::getenv("PPDC_EPOCH_CRASH_AFTER");
-  if (v == nullptr) return 0;
-  char* end = nullptr;
-  const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return 0;
-  return n > 0 && n <= std::numeric_limits<int>::max()
-             ? static_cast<int>(n)
-             : 0;
 }
 
 std::atomic<int> g_epoch_journal_writes{0};
@@ -831,29 +750,22 @@ void write_epoch_journal(const std::string& path,
     put_u32(header, kEpochVersion);
     put_u64(header, state.fingerprint);
     put_u32(header, state.hours);
-    put_u32(header, checked_cast<std::uint32_t>(state.epochs.size(),
-                                                "epoch journal epochs"));
-    put_u32(header, checked_cast<std::uint32_t>(state.shards.size(),
-                                                "epoch journal shards"));
+    put_u32(header, state.shards);
     put_i32_vec(header, state.merged_initial);
     append_frame(bytes, header);
   }
   for (const EpochRecord& rec : state.epochs) {
+    PPDC_REQUIRE(rec.shards.size() == state.shards,
+                 "epoch journal record holds " +
+                     std::to_string(rec.shards.size()) + " shard answers for " +
+                     std::to_string(state.shards) + " shards");
     std::string payload;
-    put_decision(payload, rec.decision);
-    put_u32(payload, rec.ladder_steps);
-    append_frame(bytes, payload);
-  }
-  {
-    std::string payload;
-    for (const ShardResumeState& s : state.shards) {
-      put_shard_state(payload, s);
-    }
-    payload += serialize_workload_snapshot(state.workload);
+    for (const ShardAnswer& a : rec.shards) put_answer(payload, a);
     append_frame(bytes, payload);
   }
   write_atomic(path, bytes);
-  static const int crash_after = epoch_crash_after_from_env();
+  static const int crash_after =
+      crash_after_from_env("PPDC_EPOCH_CRASH_AFTER");
   const int writes =
       g_epoch_journal_writes.fetch_add(1, std::memory_order_relaxed) + 1;
   if (crash_after > 0 && writes >= crash_after) {
@@ -871,8 +783,6 @@ bool read_epoch_journal(const std::string& path, EpochJournalState& out) {
                                sizeof kEpochMagic) == 0,
                "'" + path + "' is not a ppdc epoch journal (bad magic)");
   std::size_t pos = sizeof kEpochMagic;
-  std::uint32_t num_epochs = 0;
-  std::uint32_t num_shards = 0;
   {
     const auto [begin, end] = read_frame(bytes, pos);
     Cursor c(bytes, begin, end);
@@ -883,46 +793,29 @@ bool read_epoch_journal(const std::string& path, EpochJournalState& out) {
                      std::to_string(kEpochVersion));
     out.fingerprint = c.u64();
     out.hours = c.u32();
-    num_epochs = c.u32();
-    num_shards = c.u32();
+    out.shards = c.u32();
     out.merged_initial = cursor_i32_vec(c);
     PPDC_REQUIRE(c.exhausted(),
                  "epoch journal '" + path + "' header has trailing bytes");
-    PPDC_REQUIRE(num_epochs >= 1 && num_epochs <= out.hours,
-                 "epoch journal '" + path + "' claims " +
-                     std::to_string(num_epochs) + " epochs for a " +
-                     std::to_string(out.hours) + "-hour horizon");
   }
   out.epochs.clear();
-  out.epochs.reserve(num_epochs);
-  for (std::uint32_t e = 0; e < num_epochs; ++e) {
+  while (pos < bytes.size()) {
+    PPDC_REQUIRE(out.epochs.size() < out.hours,
+                 "epoch journal '" + path + "' holds more epochs than its " +
+                     std::to_string(out.hours) + "-hour horizon");
     const auto [begin, end] = read_frame(bytes, pos);
     Cursor c(bytes, begin, end);
     EpochRecord rec;
-    rec.decision = cursor_decision(c);
-    rec.ladder_steps = c.u32();
+    rec.shards.reserve(out.shards);
+    for (std::uint32_t s = 0; s < out.shards; ++s) {
+      rec.shards.push_back(cursor_answer(c));
+    }
     PPDC_REQUIRE(c.exhausted(),
-                 "epoch journal '" + path + "' epoch frame has trailing "
-                 "bytes");
+                 "epoch journal '" + path + "' epoch " +
+                     std::to_string(out.epochs.size()) +
+                     " frame has trailing bytes");
     out.epochs.push_back(std::move(rec));
   }
-  {
-    const auto [begin, end] = read_frame(bytes, pos);
-    Cursor c(bytes, begin, end);
-    out.shards.clear();
-    out.shards.reserve(num_shards);
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      out.shards.push_back(cursor_shard_state(c));
-    }
-    out.workload = cursor_workload_snapshot(c);
-    PPDC_REQUIRE(c.exhausted(),
-                 "epoch journal '" + path + "' state frame has trailing "
-                 "bytes");
-  }
-  PPDC_REQUIRE(pos == bytes.size(),
-               "epoch journal '" + path + "' has " +
-                   std::to_string(bytes.size() - pos) +
-                   " trailing byte(s) after the state frame");
   return true;
 }
 

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
-#include "core/sharded_cost_model.hpp"
+#include "graph/graph.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/policy.hpp"
@@ -161,48 +161,64 @@ JournalContents read_journal(const std::string& path);
 //
 // The grid journal above is cell-granular: a killed job reruns from epoch
 // 0. At l = 10^6 one cell is hours of work, so the sharded engine
-// additionally journals *within* the cell: every merged epoch decision
-// plus one trailing resume-state frame carrying everything mutable —
-// per-shard placements and ladder scalars, the CostModel group state
-// verbatim (its base vectors accumulate exact float patch history no
-// rebuild reproduces), the StreamingWorkload flows/free-list/RNG cursor.
-// The file is rewritten atomically (temp + fsync + rename) each
-// checkpoint epoch, CRC32-framed like the grid journal, and keyed by a
-// fingerprint of the run's entry state — a relaunch with a stale or
+// additionally journals *within* the cell. The engine is deterministic at
+// any thread count, so the journal holds no engine state: it records
+// what the solvers answered — the hour-0 placements, then per epoch and
+// per shard the recovery target of a stranded shard and the outcome of
+// its policy. A resumed run builds fresh state, re-executes every epoch
+// from hour 0 and takes those answers from the journal instead of
+// solving, so it reproduces the uninterrupted run by construction. A write
+// costs O(epochs · shards · n + moved flows) bytes, independent of the
+// flow count. The file is rewritten atomically (temp + fsync + rename)
+// each checkpoint epoch, CRC32-framed like the grid journal, and keyed by
+// a fingerprint of the run's entry state — a relaunch with a stale or
 // foreign journal warns and starts fresh instead of resuming garbage.
 // ---------------------------------------------------------------------------
 
-/// One journaled epoch of a sharded run.
-struct EpochRecord {
+/// New endpoints of one flow a VM-migration policy moved.
+struct MovedEndpoints {
+  NodeId src_host = kInvalidNode;
+  NodeId dst_host = kInvalidNode;
+  bool operator==(const MovedEndpoints&) const = default;
+};
+
+/// What the solvers answered for one shard in one epoch.
+struct ShardAnswer {
+  /// The shard had VNFs stranded outside the serving core, and emergency
+  /// recovery (solve_top_dp, optionally refined exhaustively) moved them
+  /// to `recovery_target`.
+  bool recovered = false;
+  bool recovery_truncated = false;  ///< the refinement ran out of budget
+  Placement recovery_target;
+
+  /// Outcome of the shard's policy: not asked (held, frozen, blackout,
+  /// hour 0), answered, or threw (contained by the ladder).
+  enum class Policy : std::uint8_t { kNone = 0, kAnswered = 1, kThrew = 2 };
+  Policy policy = Policy::kNone;
+  /// kAnswered: the decision exactly as on_epoch returned it (before the
+  /// engine adds downtime), the new placement, and the new endpoints of
+  /// each of decision.moved_flows, in the same order.
   EpochDecision decision;
-  /// Shard ladder transitions emitted after this epoch (replayed into the
-  /// TraceRecorder so SimTrace::ladder_transitions survives the resume).
-  std::uint32_t ladder_steps = 0;
-};
-
-/// One shard's full mutable engine state at the journal's checkpoint.
-struct ShardResumeState {
-  ShardedCostModel::ShardSnapshot shard;
   Placement placement;
-  double last_comm = 0.0;
-  std::int32_t staleness = 0;
-  std::int32_t churned = 0;
-  bool resync_pending = false;
-  std::uint8_t rung = 0;  ///< DegradationRung of the shard's ladder
-  std::int32_t clean_streak = 0;
-  std::int32_t fail_streak = 0;
+  std::vector<MovedEndpoints> moved;
 };
 
-/// Everything an epoch journal persists: the identity key, the replayable
-/// epoch prefix, and the state to continue from. `epochs.size()` is the
-/// first epoch a resumed run executes live.
+/// One journaled epoch: every shard's answers, in fixed pod order.
+struct EpochRecord {
+  std::vector<ShardAnswer> shards;
+};
+
+/// Everything an epoch journal persists: the identity key, the hour-0
+/// placements and the answers of each journaled epoch. `epochs.size()` is
+/// the first epoch a resumed run solves live.
 struct EpochJournalState {
   std::uint64_t fingerprint = 0;  ///< fingerprint_sharded_run of the run
   std::uint32_t hours = 0;        ///< horizon (sanity bound)
-  Placement merged_initial;       ///< on_run_begin payload of the trace
+  std::uint32_t shards = 0;       ///< shard count (sanity bound)
+  /// Hour-0 placements of every shard, concatenated in pod order (the
+  /// on_run_begin payload of the trace).
+  Placement merged_initial;
   std::vector<EpochRecord> epochs;
-  std::vector<ShardResumeState> shards;  ///< fixed pod order
-  StreamingWorkload::Snapshot workload;  ///< state *after* epoch epochs-1
 };
 
 /// Identity of one sharded run for the epoch journal: the run's entry
@@ -223,9 +239,10 @@ void write_epoch_journal(const std::string& path,
 
 /// Loads the epoch journal at `path` into `out`. Returns false when the
 /// file does not exist; throws PpdcError when it exists but is malformed
-/// (bad magic/version/CRC or truncated — callers typically warn and start
-/// fresh). A fingerprint mismatch is the caller's check: compare
-/// `out.fingerprint` against fingerprint_sharded_run.
+/// (bad magic/version/CRC, truncated, or an epoch frame whose shard count
+/// disagrees with the header — callers typically warn and start fresh).
+/// A fingerprint mismatch is the caller's check: compare `out.fingerprint`
+/// against fingerprint_sharded_run.
 bool read_epoch_journal(const std::string& path, EpochJournalState& out);
 
 /// Removes an epoch journal if present (idempotent; the runner calls this

@@ -63,15 +63,6 @@ class EpochObserver {
   /// ran out of budget and fell back to their incumbent.
   virtual void on_budget_truncation(Hour /*hour*/, int /*truncated_solves*/) {}
 
-  /// The graceful-degradation ladder stepped from rung `from` to `to`
-  /// after epoch `hour` executed (always one rung at a time; `reason` is
-  /// a short tag like "solve-budget", "policy-throw", "quarantine",
-  /// "blackout", or "recovered"). The epoch that *triggered* the step
-  /// still executed at `from`; the next epoch runs at `to`.
-  virtual void on_ladder_transition(Hour /*hour*/, DegradationRung /*from*/,
-                                    DegradationRung /*to*/,
-                                    const std::string& /*reason*/) {}
-
   /// The epoch's shard batch was solved (sim/sharded.hpp; a
   /// run_simulation run is one shard) — `resolved` shards re-ran their
   /// policy, `held` shards kept their placement (bounded staleness or a
@@ -80,19 +71,17 @@ class EpochObserver {
   virtual void on_shard_batch(Hour /*hour*/, int /*resolved*/, int /*held*/,
                               int /*churned*/) {}
 
-  /// Shard `shard` (named `name`) stepped its private degradation ladder
-  /// from `from` to `to` for `reason` (same tags as on_ladder_transition,
-  /// per shard). The default body forwards to on_ladder_transition, so
-  /// observers that only count rung changes — including TraceRecorder's
-  /// transition counter — see every per-shard step without overriding
-  /// anything new.
-  virtual void on_shard_ladder_transition(Hour hour, int /*shard*/,
+  /// Shard `shard` (named `name`) stepped its private graceful-degradation
+  /// ladder from rung `from` to `to` after epoch `hour` executed (always
+  /// one rung at a time; `reason` is a short tag like "solve-budget",
+  /// "policy-throw", "quarantine", "blackout", or "recovered"). The epoch
+  /// that *triggered* the step still executed at `from`; the shard's next
+  /// epoch runs at `to`.
+  virtual void on_shard_ladder_transition(Hour /*hour*/, int /*shard*/,
                                           const std::string& /*name*/,
-                                          DegradationRung from,
-                                          DegradationRung to,
-                                          const std::string& reason) {
-    on_ladder_transition(hour, from, to, reason);
-  }
+                                          DegradationRung /*from*/,
+                                          DegradationRung /*to*/,
+                                          const std::string& /*reason*/) {}
 
   /// Shard `shard` entered (or stayed in) failure quarantine after its
   /// policy clone threw for the `fail_streak`-th consecutive attempt;
@@ -179,9 +168,11 @@ class TraceRecorder final : public EpochObserver {
     trace_.epochs.reserve(static_cast<std::size_t>(horizon.value()));
   }
 
-  void on_ladder_transition(Hour /*hour*/, DegradationRung /*from*/,
-                            DegradationRung /*to*/,
-                            const std::string& /*reason*/) override {
+  void on_shard_ladder_transition(Hour /*hour*/, int /*shard*/,
+                                  const std::string& /*name*/,
+                                  DegradationRung /*from*/,
+                                  DegradationRung /*to*/,
+                                  const std::string& /*reason*/) override {
     ++trace_.ladder_transitions;
   }
 

@@ -61,6 +61,7 @@ struct ShardEpochResult {
   bool held = false;
   bool frozen = false;   ///< executed at kFrozen (stale charge, audit-exempt)
   bool retried = false;  ///< re-solve attempt of a failure-quarantined shard
+  ShardAnswer answer;    ///< what the solvers answered (the journal record)
 };
 
 // Degradation-ladder trips and recovery (DESIGN.md §12).
@@ -114,6 +115,47 @@ void rethrow_first(const std::vector<std::exception_ptr>& errors) {
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
+}
+
+/// True when a fingerprint-matched journal fits the run: its dimensions
+/// match and every journaled placement is a valid n-VNF chain on
+/// `graph`. A journal that does not fit is corrupt; the run starts fresh.
+bool journal_fits(const EpochJournalState& journal, const Graph& graph,
+                  int num_shards, int n, int hours) {
+  if (journal.shards != static_cast<std::uint32_t>(num_shards) ||
+      journal.hours != static_cast<std::uint32_t>(hours) ||
+      journal.merged_initial.size() !=
+          static_cast<std::size_t>(num_shards) * static_cast<std::size_t>(n)) {
+    return false;
+  }
+  auto chain = [&](const Placement& p) {
+    PPDC_REQUIRE(p.size() == static_cast<std::size_t>(n),
+                 "placement length differs from the chain length");
+    validate_placement(graph, p);
+  };
+  try {
+    for (int s = 0; s < num_shards; ++s) {
+      const auto first = journal.merged_initial.begin() + s * n;
+      chain(Placement(first, first + n));
+    }
+    for (const EpochRecord& rec : journal.epochs) {
+      for (const ShardAnswer& a : rec.shards) {
+        if (a.recovered) chain(a.recovery_target);
+        if (a.policy == ShardAnswer::Policy::kAnswered) chain(a.placement);
+      }
+    }
+  } catch (const PpdcError&) {
+    return false;
+  }
+  return true;
+}
+
+/// A replayed epoch whose solver calls disagree with the journal.
+[[noreturn]] void journal_diverged(Hour hour, const std::string& shard,
+                                   const std::string& what) {
+  throw PpdcError("epoch journal diverges from the run at epoch " +
+                  std::to_string(hour.value()) + ", shard '" + shard +
+                  "': " + what);
 }
 
 }  // namespace
@@ -229,95 +271,62 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
   // over the *entry* state — the workload before any epoch ran — plus
   // every result-shaping knob, so a journal from a different trial,
   // policy, or configuration warns and is ignored instead of resuming
-  // garbage.
+  // garbage. A resumed run re-executes every epoch from hour 0 and takes
+  // the solvers' answers from the journal for the epochs it holds.
   const bool journaling = !sharded.epoch_journal.empty();
   EpochJournalState journal;
-  std::uint64_t run_fp = 0;
   bool resumed = false;
   if (journaling) {
-    run_fp = fingerprint_sharded_run(workload.snapshot(), config, sharded, n,
-                                     num_shards, prototype.name());
-    EpochJournalState loaded;
+    const std::uint64_t run_fp = fingerprint_sharded_run(
+        workload.snapshot(), config, sharded, n, num_shards, prototype.name());
     bool have = false;
     try {
-      have = read_epoch_journal(sharded.epoch_journal, loaded);
+      have = read_epoch_journal(sharded.epoch_journal, journal);
     } catch (const PpdcError& e) {
       std::cerr << "warning: " << e.what()
                 << " — starting the sharded run fresh\n";
     }
     if (have) {
-      if (loaded.fingerprint != run_fp) {
+      if (journal.fingerprint != run_fp) {
         std::cerr << "warning: epoch journal '" << sharded.epoch_journal
                   << "' was written by a different sharded run — starting "
                      "fresh\n";
-      } else if (loaded.shards.size() !=
-                     static_cast<std::size_t>(num_shards) ||
-                 loaded.hours != static_cast<std::uint32_t>(config.hours)) {
+      } else if (!journal_fits(journal, graph, num_shards, n, config.hours)) {
         std::cerr << "warning: epoch journal '" << sharded.epoch_journal
-                  << "' dimensions disagree with a matching fingerprint "
-                     "(corrupt journal?) — starting fresh\n";
+                  << "' does not fit the run its fingerprint names (corrupt "
+                     "journal?) — starting fresh\n";
       } else {
-        journal = std::move(loaded);
         resumed = true;
+        std::cerr << "note: resuming sharded run from epoch journal '"
+                  << sharded.epoch_journal << "': " << journal.epochs.size()
+                  << " of " << config.hours << " epochs already journaled\n";
       }
     }
+    if (!resumed) {
+      journal = EpochJournalState{};
+      journal.fingerprint = run_fp;
+      journal.hours = static_cast<std::uint32_t>(config.hours);
+      journal.shards = static_cast<std::uint32_t>(num_shards);
+    }
   }
+  // Epochs before `replayed` take their solver answers from the journal.
+  const int replayed = static_cast<int>(journal.epochs.size());
 
   std::vector<ShardRun> runs(static_cast<std::size_t>(num_shards));
-  Placement merged_initial;
-  int start_epoch = 0;
   const int pool = std::min(resolve_experiment_threads(sharded.threads),
                             num_shards);
 
-  if (resumed) {
-    // Restore everything mutable from the journal's state frame. The
-    // shard cost models are rebuilt over the restored flow vectors and
-    // handed their group state verbatim — the base vectors carry exact
-    // float patch history, which is what makes the resumed trace
-    // bit-identical. Policies are re-cloned from the prototype: the
-    // placement-policy contract is stateless across epochs (each
-    // on_epoch derives everything from the model and state it is
-    // handed), so a fresh clone resumes exactly.
-    start_epoch = static_cast<int>(journal.epochs.size());
-    workload.restore(journal.workload);
-    std::vector<ShardedCostModel::ShardSnapshot> snaps;
-    snaps.reserve(journal.shards.size());
-    for (const ShardResumeState& st : journal.shards) {
-      snaps.push_back(st.shard);
-    }
-    shards.restore_shards(snaps);
-    for (int s = 0; s < num_shards; ++s) {
-      const ShardResumeState& st =
-          journal.shards[static_cast<std::size_t>(s)];
-      ShardRun& run = runs[static_cast<std::size_t>(s)];
-      run.placement = st.placement;
-      run.last_comm = st.last_comm;
-      run.staleness = st.staleness;
-      run.churned = st.churned;
-      run.resync_pending = st.resync_pending;
-      run.rung = static_cast<DegradationRung>(st.rung);
-      run.clean_streak = st.clean_streak;
-      run.fail_streak = st.fail_streak;
-      run.policy = prototype.clone();
-      PPDC_REQUIRE(run.policy != nullptr,
-                   "policy '" + prototype.name() +
-                       "' returned a null clone()");
-    }
-    merged_initial = journal.merged_initial;
-    std::cerr << "note: resuming sharded run from epoch journal '"
-              << sharded.epoch_journal << "': " << start_epoch << " of "
-              << config.hours << " epochs already journaled\n";
-  } else {
-    // Hour 0: per-shard initial traffic-optimal placement (TOP,
-    // Algorithm 3) on the pristine fabric, on the shard pool. Each shard
-    // touches only its own flows and model; the stroll tables its solve
-    // shares with other shards come from the fabric's cache, whose levels
-    // are a deterministic function of their destination, so the
-    // placements do not depend on the thread count.
-    // A parallel kernel called here (a full refresh) runs inline on its
-    // shard's worker when the shard pool is wider than one, and the cached
-    // levels live in page-mapped slabs rather than in the workers' malloc
-    // arenas (DESIGN.md §11).
+  // Hour 0: per-shard initial traffic-optimal placement (TOP, Algorithm
+  // 3) on the pristine fabric, on the shard pool — or the journaled one
+  // on a resume. Each shard touches only its own flows and model; the
+  // stroll tables its solve shares with other shards come from the
+  // fabric's cache, whose levels are a deterministic function of their
+  // destination, so the placements do not depend on the thread count.
+  // A parallel kernel called here (a full refresh) runs inline on its
+  // shard's worker when the shard pool is wider than one, and the cached
+  // levels live in page-mapped slabs rather than in the workers' malloc
+  // arenas (DESIGN.md §11).
+  {
     const std::vector<double> scales0 = scales_at(Hour{0});
     const std::vector<double> schedule0 = schedule_at(Hour{0});
     std::vector<std::exception_ptr> errors(
@@ -328,27 +337,32 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
           ShardedCostModel::Shard& sh = shards.shard(s);
           set_rates(sh.flows, shard_rates(sh, Hour{0}, schedule0));
           refresh(sh, scales0);
-          runs[static_cast<std::size_t>(s)].placement =
-              solve_top_dp(*sh.model, n, config.initial_placement).placement;
+          Placement& placement = runs[static_cast<std::size_t>(s)].placement;
+          if (resumed) {
+            const auto first = journal.merged_initial.begin() + s * n;
+            placement.assign(first, first + n);
+          } else {
+            placement =
+                solve_top_dp(*sh.model, n, config.initial_placement).placement;
+          }
         },
         [] { return false; });
     rethrow_first(errors);
-    for (ShardRun& run : runs) {
-      run.policy = prototype.clone();
-      PPDC_REQUIRE(run.policy != nullptr,
-                   "policy '" + prototype.name() + "' returned a null clone()");
-    }
-    merged_initial.reserve(static_cast<std::size_t>(num_shards * n));
-    for (const ShardRun& run : runs) {
-      merged_initial.insert(merged_initial.end(), run.placement.begin(),
-                            run.placement.end());
-    }
-    if (journaling) {
-      journal.fingerprint = run_fp;
-      journal.hours = static_cast<std::uint32_t>(config.hours);
-      journal.merged_initial = merged_initial;
-    }
   }
+  // A resumed run's clones never see the replayed epochs' on_epoch calls;
+  // the policy contract makes that exact (a policy is stateless across
+  // epochs: on_epoch derives everything from the model and state it is
+  // handed).
+  Placement merged_initial;
+  merged_initial.reserve(static_cast<std::size_t>(num_shards * n));
+  for (ShardRun& run : runs) {
+    run.policy = prototype.clone();
+    PPDC_REQUIRE(run.policy != nullptr,
+                 "policy '" + prototype.name() + "' returned a null clone()");
+    merged_initial.insert(merged_initial.end(), run.placement.begin(),
+                          run.placement.end());
+  }
+  if (journaling && !resumed) journal.merged_initial = merged_initial;
 
   // Sharded runtime invariant auditing (sim/audit.hpp, DESIGN.md §15):
   // one per-run checker that re-derives every shard's epoch from scratch.
@@ -370,43 +384,55 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
 
   std::unique_ptr<DegradedNetwork> degraded;
 
-  if (resumed) {
-    // Replay the journaled epoch prefix into the TraceRecorder only —
-    // external observers (and the auditor's stream checks) see live
-    // epochs exclusively; the auditor is told about the replay instead.
-    int replayed_transitions = 0;
-    for (std::size_t e = 0; e < journal.epochs.size(); ++e) {
-      const EpochRecord& rec = journal.epochs[e];
-      recorder.on_epoch_end(Hour{static_cast<std::int32_t>(e)},
-                            rec.decision);
-      for (std::uint32_t t = 0; t < rec.ladder_steps; ++t) {
-        recorder.on_ladder_transition(Hour{static_cast<std::int32_t>(e)},
-                                      DegradationRung::kFull,
-                                      DegradationRung::kRefreshOnly,
-                                      "replayed");
-        ++replayed_transitions;
+  // Runs one shard's policy clone on a copy of the shard's state, so a
+  // throw leaves nothing to roll back, and records the outcome in
+  // `answer`: the decision exactly as on_epoch returned it, the new
+  // placement and the moved flows' new endpoints. With the ladder enabled
+  // a throw — an invalid placement counts as one — is recorded as such;
+  // without the ladder it aborts the run.
+  auto solve_policy = [&](const ShardedCostModel::Shard& sh, ShardRun& run,
+                          const CostModel& m, bool faults_active, Hour hour,
+                          ShardAnswer& answer) {
+    SimState st;
+    st.flows = sh.flows;
+    st.placement = run.placement;
+    try {
+      answer.decision = run.policy->on_epoch(m, st);
+      try {
+        PPDC_REQUIRE(st.placement.size() == static_cast<std::size_t>(n),
+                     "placement length changed");
+        validate_placement(m.apsp().graph(), st.placement);
+        if (faults_active) {
+          for (const NodeId sw : st.placement) {
+            PPDC_REQUIRE(degraded->in_core(sw),
+                         "VNF placed on a dead or unreachable switch");
+          }
+        }
+      } catch (const PpdcError& e) {
+        throw PpdcError("policy '" + run.policy->name() +
+                        "' produced an invalid placement at epoch " +
+                        std::to_string(hour.value()) + " (shard '" + sh.name +
+                        "'): " + e.what());
       }
+    } catch (const PpdcError&) {
+      if (!config.ladder.enabled) throw;
+      answer.policy = ShardAnswer::Policy::kThrew;
+      answer.decision = EpochDecision{};
+      return;
     }
-    if (auditor) {
-      std::vector<DegradationRung> rungs;
-      rungs.reserve(runs.size());
-      for (const ShardRun& run : runs) rungs.push_back(run.rung);
-      auditor->note_resumed(start_epoch, replayed_transitions, rungs);
+    for (const FlowId i : answer.decision.moved_flows) {
+      PPDC_REQUIRE(i.valid() && i < flow_count(sh.flows),
+                   "policy '" + run.policy->name() + "' reported moved flow " +
+                       std::to_string(i.value()) +
+                       " outside its flow vector");
+      const VmFlow& moved = st.flows[static_cast<std::size_t>(i.value())];
+      answer.moved.push_back({moved.src_host, moved.dst_host});
     }
-    // Fast-forward the fault timeline to the resume point and rebuild the
-    // shared degraded view. Per-shard degraded models are reconstructed
-    // lazily — ctor and refresh() are both full rescans, so a fresh model
-    // bit-equals the evolved one wherever it is observed.
-    if (injector && start_epoch >= 2) {
-      (void)injector->advance_to(Hour{start_epoch - 1});
-    }
-    if (injector && injector->any_faults_active()) {
-      degraded = std::make_unique<DegradedNetwork>(
-          graph, injector->dead_nodes(), injector->dead_edges());
-    }
-  }
+    answer.policy = ShardAnswer::Policy::kAnswered;
+    answer.placement = std::move(st.placement);
+  };
 
-  for (const Hour hour : id_range(Hour{start_epoch}, Hour{config.hours})) {
+  for (const Hour hour : id_range(Hour{0}, Hour{config.hours})) {
     if (config.cancel != nullptr &&
         config.cancel->load(std::memory_order_relaxed)) {
       emit([&](EpochObserver& o) { o.on_interrupted(hour); });
@@ -480,6 +506,14 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
       const bool refresh_only =
           config.ladder.enabled && run.rung == DegradationRung::kRefreshOnly;
       r.frozen = frozen;
+      // The solvers' answers: a live epoch records them for the journal,
+      // a replayed one copies them from the journal instead of solving.
+      ShardAnswer& answer = r.answer;
+      const ShardAnswer* journaled =
+          hour.value() < replayed
+              ? &journal.epochs[static_cast<std::size_t>(hour.value())]
+                     .shards[static_cast<std::size_t>(s)]
+              : nullptr;
 
       // 2. This epoch's traffic; flows cut off from the core quarantine.
       std::vector<double> rates = shard_rates(sh, hour, schedule);
@@ -547,17 +581,29 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
         }
       }
       if (stranded) {
-        const PlacementResult rec =
-            solve_top_dp(*m, n, config.fault.placement);
-        Placement target = rec.placement;
-        if (config.fault.exhaustive_recovery) {
-          ChainSearchConfig cc;
-          cc.budget = config.fault.budget;
-          cc.initial = target;
-          const ChainSearchResult refined = solve_top_exhaustive(*m, n, cc);
-          if (!refined.proven_optimal) ++r.recovery_truncations;
-          target = refined.placement;
+        if (journaled != nullptr) {
+          if (!journaled->recovered) {
+            journal_diverged(hour, sh.name,
+                             "the shard is stranded but the journal holds "
+                             "no recovery target");
+          }
+          answer.recovery_truncated = journaled->recovery_truncated;
+          answer.recovery_target = journaled->recovery_target;
+        } else {
+          answer.recovery_target =
+              solve_top_dp(*m, n, config.fault.placement).placement;
+          if (config.fault.exhaustive_recovery) {
+            ChainSearchConfig cc;
+            cc.budget = config.fault.budget;
+            cc.initial = answer.recovery_target;
+            const ChainSearchResult refined = solve_top_exhaustive(*m, n, cc);
+            answer.recovery_truncated = !refined.proven_optimal;
+            answer.recovery_target = refined.placement;
+          }
         }
+        answer.recovered = true;
+        if (answer.recovery_truncated) ++r.recovery_truncations;
+        const Placement& target = answer.recovery_target;
         double distance = 0.0;
         for (std::size_t j = 0; j < run.placement.size(); ++j) {
           if (run.placement[j] == target[j]) continue;
@@ -565,14 +611,12 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
           distance += apsp.cost(run.placement[j], target[j]);
         }
         r.recovery_cost = config.fault.mu * distance;
-        run.placement = std::move(target);
+        run.placement = target;
       }
 
       // 5. Policy, or a bounded-staleness hold. Held shards charge the
       // exact communication cost of the kept placement on the *refreshed*
-      // model — never a stale estimate (kFrozen excepted). The policy
-      // works on a copy of the shard's state, so a throw leaves nothing
-      // to roll back.
+      // model — never a stale estimate (kFrozen excepted).
       EpochDecision& d = r.d;
       if (hour == Hour{0}) {
         d.comm_cost = sh.model->communication_cost(run.placement);
@@ -597,56 +641,48 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
           ++run.staleness;
         } else {
           if (run.fail_streak > 0) r.retried = true;
-          SimState st;
-          st.flows = sh.flows;
-          st.placement = run.placement;
-          try {
-            d = run.policy->on_epoch(*m, st);
-            try {
-              PPDC_REQUIRE(st.placement.size() == static_cast<std::size_t>(n),
-                           "placement length changed");
-              validate_placement(m->apsp().graph(), st.placement);
-              if (faults_active) {
-                for (const NodeId sw : st.placement) {
-                  PPDC_REQUIRE(degraded->in_core(sw),
-                               "VNF placed on a dead or unreachable switch");
-                }
-              }
-            } catch (const PpdcError& e) {
-              throw PpdcError("policy '" + run.policy->name() +
-                              "' produced an invalid placement at epoch " +
-                              std::to_string(hour.value()) + " (shard '" +
-                              sh.name + "'): " + e.what());
+          if (journaled != nullptr) {
+            if (journaled->policy == ShardAnswer::Policy::kNone) {
+              journal_diverged(hour, sh.name,
+                               "the shard re-solves but the journal holds "
+                               "no policy answer");
             }
-          } catch (const PpdcError&) {
-            // Failure containment: with the ladder enabled the throw is
-            // absorbed per shard — this shard holds its placement, gets
-            // charged the exactly refreshed cost, and the post-merge
-            // ladder block quarantines it; every other shard's epoch is
-            // untouched. Without the ladder the run aborts.
-            if (!config.ladder.enabled) throw;
+            for (const FlowId i : journaled->decision.moved_flows) {
+              if (!i.valid() || i >= flow_count(sh.flows)) {
+                journal_diverged(hour, sh.name,
+                                 "the journal moves flow " +
+                                     std::to_string(i.value()) +
+                                     " outside the shard's flow vector");
+              }
+            }
+            answer.policy = journaled->policy;
+            answer.decision = journaled->decision;
+            answer.placement = journaled->placement;
+            answer.moved = journaled->moved;
+          } else {
+            solve_policy(sh, run, *m, faults_active, hour, answer);
+          }
+          if (answer.policy == ShardAnswer::Policy::kThrew) {
+            // Failure containment: the throw was absorbed per shard — this
+            // shard holds its placement, gets charged the exactly
+            // refreshed cost, and the post-merge ladder block quarantines
+            // it; every other shard's epoch is untouched.
             d = EpochDecision{};
             d.policy_failed = true;
             d.comm_cost = m->communication_cost(run.placement);
-          }
-          if (!d.policy_failed) {
-            run.placement = st.placement;
+          } else {
+            d = answer.decision;
+            run.placement = answer.placement;
             if (!d.moved_flows.empty()) {
               // VM migration (PLAN/MCF): adopt the moved endpoints and
               // patch only those flows; the merge mirrors them into the
               // global flow vector. Shard models cost against the full
               // metric, so a VM may leave its ingress pod.
-              for (const FlowId i : d.moved_flows) {
-                PPDC_REQUIRE(i.valid() && i < flow_count(sh.flows),
-                             "policy '" + run.policy->name() +
-                                 "' reported moved flow " +
-                                 std::to_string(i.value()) +
-                                 " outside its flow vector");
-                VmFlow& f = sh.flows[static_cast<std::size_t>(i.value())];
-                const VmFlow& moved =
-                    st.flows[static_cast<std::size_t>(i.value())];
-                f.src_host = moved.src_host;
-                f.dst_host = moved.dst_host;
+              for (std::size_t k = 0; k < d.moved_flows.size(); ++k) {
+                const FlowId l = d.moved_flows[k];
+                VmFlow& f = sh.flows[static_cast<std::size_t>(l.value())];
+                f.src_host = answer.moved[k].src_host;
+                f.dst_host = answer.moved[k].dst_host;
               }
               m->endpoints_moved(d.moved_flows);
             }
@@ -682,6 +718,21 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     }
     // Deterministic error surfacing: first failing shard in pod order.
     rethrow_first(errors);
+    // A replayed shard that asked for no answer the journal holds (asking
+    // for one it lacks threw above).
+    if (hour.value() < replayed) {
+      const EpochRecord& rec =
+          journal.epochs[static_cast<std::size_t>(hour.value())];
+      for (int s = 0; s < num_shards; ++s) {
+        const ShardAnswer& got = results[static_cast<std::size_t>(s)].answer;
+        const ShardAnswer& want = rec.shards[static_cast<std::size_t>(s)];
+        if (got.recovered != want.recovered || got.policy != want.policy) {
+          journal_diverged(hour, shard_names[static_cast<std::size_t>(s)],
+                           "the journal holds an answer the shard did not "
+                           "ask for");
+        }
+      }
+    }
 
     // 6. Fixed-order merge: sums accumulate in shard order, so the
     // merged decision is a pure function of shard state — identical at
@@ -759,7 +810,6 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     // after the merge (many private control loops, one deterministic
     // event stream). Trip priority per shard: policy-throw > blackout >
     // solve-budget > quarantine.
-    std::uint32_t epoch_ladder_steps = 0;
     if (config.ladder.enabled) {
       for (int s = 0; s < num_shards; ++s) {
         ShardRun& run = runs[static_cast<std::size_t>(s)];
@@ -799,7 +849,6 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
             const DegradationRung from = run.rung;
             run.rung =
                 static_cast<DegradationRung>(static_cast<int>(run.rung) + 1);
-            ++epoch_ladder_steps;
             emit([&](EpochObserver& o) {
               o.on_shard_ladder_transition(
                   hour, s, shard_names[static_cast<std::size_t>(s)], from,
@@ -815,7 +864,6 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
             run.rung =
                 static_cast<DegradationRung>(static_cast<int>(run.rung) - 1);
             run.clean_streak = 0;
-            ++epoch_ladder_steps;
             emit([&](EpochObserver& o) {
               o.on_shard_ladder_transition(
                   hour, s, shard_names[static_cast<std::size_t>(s)], from,
@@ -859,33 +907,18 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
       auditor->check_epoch(gc);
     }
 
-    // 9. Epoch journal: append this epoch's record and rewrite the file
-    // with a fresh resume-state frame (skipped after the final epoch — the
-    // run is complete and the caller deletes the journal once the cell
-    // lands durably upstream).
-    if (journaling) {
+    // 9. Epoch journal: a live epoch appends its shards' answers and
+    // rewrites the file (skipped after the final epoch — the run is
+    // complete and the caller deletes the journal once the cell lands
+    // durably upstream). A replayed epoch is in the journal already.
+    if (journaling && hour.value() >= replayed) {
       EpochRecord rec;
-      rec.decision = d;
-      rec.ladder_steps = epoch_ladder_steps;
+      rec.shards.reserve(static_cast<std::size_t>(num_shards));
+      for (ShardEpochResult& r : results) {
+        rec.shards.push_back(std::move(r.answer));
+      }
       journal.epochs.push_back(std::move(rec));
       if (hour.value() + 1 < config.hours) {
-        journal.shards.clear();
-        journal.shards.reserve(static_cast<std::size_t>(num_shards));
-        for (int s = 0; s < num_shards; ++s) {
-          const ShardRun& run = runs[static_cast<std::size_t>(s)];
-          ShardResumeState st;
-          st.shard = shards.shard_snapshot(s);
-          st.placement = run.placement;
-          st.last_comm = run.last_comm;
-          st.staleness = run.staleness;
-          st.churned = run.churned;
-          st.resync_pending = run.resync_pending;
-          st.rung = static_cast<std::uint8_t>(run.rung);
-          st.clean_streak = run.clean_streak;
-          st.fail_streak = run.fail_streak;
-          journal.shards.push_back(std::move(st));
-        }
-        journal.workload = workload.snapshot();
         write_epoch_journal(sharded.epoch_journal, journal);
       }
     }

@@ -34,12 +34,14 @@
 // (SimConfig::audit) attaches a ShardedInvariantAuditor that re-derives
 // every shard's epoch from scratch.
 //
-// Epoch checkpointing: with `epoch_journal` set, the run journals every
-// merged epoch decision plus a full resume-state frame (per-shard
-// placements, cost-model group state, RNG cursors, workload state) to a
-// CRC32-framed file, rewritten atomically after every epoch but the last.
-// A killed run relaunched with the same journal path resumes mid-horizon
-// bit-identically at any thread count.
+// Epoch checkpointing: with `epoch_journal` set, the run journals what its
+// solvers answered — the hour-0 placements, then per epoch and shard the
+// recovery target of a stranded shard and the policy's outcome — to a
+// CRC32-framed file, rewritten atomically after every epoch but the last
+// (sim/checkpoint.hpp). A killed run relaunched with the same journal path
+// re-executes from hour 0 with fresh state and takes the journaled answers
+// instead of solving, so it is bit-identical to an uninterrupted run at any
+// thread count, and observers see every epoch as live.
 #pragma once
 
 #include "core/sharded_cost_model.hpp"

@@ -66,17 +66,10 @@ class Rng {
   /// Derives an independent child generator (for per-trial streams).
   Rng split() noexcept;
 
-  /// The full generator state, for checkpointing (sim/checkpoint.hpp):
-  /// restore_state() on a default-constructed Rng reproduces the exact
-  /// stream position of the generator state() was taken from.
+  /// The full generator state (part of the streaming workload snapshot
+  /// that fingerprints an epoch-journaled run, sim/checkpoint.hpp).
   std::array<std::uint64_t, 4> state() const noexcept {
     return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  void restore_state(const std::array<std::uint64_t, 4>& s) noexcept {
-    s_[0] = s[0];
-    s_[1] = s[1];
-    s_[2] = s[2];
-    s_[3] = s[3];
   }
 
  private:

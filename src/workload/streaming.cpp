@@ -105,17 +105,4 @@ StreamingWorkload::Snapshot StreamingWorkload::snapshot() const {
   return snap;
 }
 
-void StreamingWorkload::restore(const Snapshot& snap) {
-  PPDC_REQUIRE(snap.next_index >= 0, "negative streaming arrival cursor");
-  for (const FlowId id : snap.free_slots) {
-    PPDC_REQUIRE(id.value() >= 0 &&
-                     static_cast<std::size_t>(id.value()) < snap.flows.size(),
-                 "streaming snapshot free slot out of range");
-  }
-  flows_ = snap.flows;
-  free_ = snap.free_slots;
-  next_index_ = snap.next_index;
-  rng_.restore_state(snap.rng);
-}
-
 }  // namespace ppdc

@@ -90,10 +90,8 @@ class StreamingWorkload {
   /// A VM migration moved flow `id`'s endpoints; rate and group stay.
   void relocate(FlowId id, NodeId src_host, NodeId dst_host);
 
-  /// The full mutable workload state, for the epoch checkpoint journal
-  /// (sim/checkpoint.hpp). restore() on a workload built with the same
-  /// (topo, initial, churn) reproduces the exact churn stream: every
-  /// later advance() is bit-identical to the snapshotted instance.
+  /// The full mutable workload state. The epoch checkpoint journal
+  /// (sim/checkpoint.hpp) fingerprints a run by its entry snapshot.
   struct Snapshot {
     std::vector<VmFlow> flows;
     std::vector<FlowId> free_slots;  ///< sorted descending
@@ -101,7 +99,6 @@ class StreamingWorkload {
     std::array<std::uint64_t, 4> rng{};
   };
   Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
 
  private:
   std::optional<VmFlowSampler> sampler_;  ///< empty for churn-free sources

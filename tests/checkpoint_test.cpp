@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -651,6 +652,22 @@ TEST_F(CheckpointTest, BudgetTruncatedJobsJournalAsTruncated) {
 // Epoch-granular journal of the sharded engine (DESIGN.md §15).
 // ---------------------------------------------------------------------------
 
+void expect_same_answer(const ShardAnswer& a, const ShardAnswer& b) {
+  EXPECT_EQ(a.recovered, b.recovered);
+  EXPECT_EQ(a.recovery_truncated, b.recovery_truncated);
+  EXPECT_EQ(a.recovery_target, b.recovery_target);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.decision.comm_cost, b.decision.comm_cost);
+  EXPECT_EQ(a.decision.migration_cost, b.decision.migration_cost);
+  EXPECT_EQ(a.decision.migration_distance, b.decision.migration_distance);
+  EXPECT_EQ(a.decision.vnf_migrations, b.decision.vnf_migrations);
+  EXPECT_EQ(a.decision.vm_migrations, b.decision.vm_migrations);
+  EXPECT_EQ(a.decision.truncated_solves, b.decision.truncated_solves);
+  EXPECT_EQ(a.decision.moved_flows, b.decision.moved_flows);
+  EXPECT_EQ(a.placement, b.placement);
+  EXPECT_EQ(a.moved, b.moved);
+}
+
 TEST_F(CheckpointTest, EpochJournalRoundTripAndFingerprint) {
   const ShardMap map = ShardMap::by_ingress_pod(topo_);
   const std::string path = ::testing::TempDir() + "ppdc_epoch_rt.ejl";
@@ -669,22 +686,32 @@ TEST_F(CheckpointTest, EpochJournalRoundTripAndFingerprint) {
   StreamingWorkload workload(topo_, wl, StreamingChurnConfig{}, Rng(3));
   const std::uint64_t fp = fingerprint_sharded_run(
       workload.snapshot(), sim, sharded, 3, map.num_shards(), proto.name());
-  run_sharded_simulation(apsp_, map, workload, 3, sim, sharded, proto);
+  const SimTrace trace =
+      run_sharded_simulation(apsp_, map, workload, 3, sim, sharded, proto);
 
   EpochJournalState state;
   ASSERT_TRUE(read_epoch_journal(path, state));
   EXPECT_EQ(state.fingerprint, fp);
   EXPECT_EQ(state.hours, 6u);
+  EXPECT_EQ(state.shards, static_cast<std::uint32_t>(map.num_shards()));
+  EXPECT_EQ(state.merged_initial, trace.initial_placement);
   // Written after every epoch but the last (the run was about to finish).
-  EXPECT_EQ(state.epochs.size(), 5u);
-  ASSERT_EQ(state.shards.size(), static_cast<std::size_t>(map.num_shards()));
-  for (const ShardResumeState& st : state.shards) {
-    EXPECT_EQ(st.placement.size(), 3u);
-    EXPECT_EQ(st.rung, 0u);
-    EXPECT_EQ(st.fail_streak, 0);
+  ASSERT_EQ(state.epochs.size(), 5u);
+  for (std::size_t e = 0; e < state.epochs.size(); ++e) {
+    ASSERT_EQ(state.epochs[e].shards.size(), state.shards);
+    for (const ShardAnswer& a : state.epochs[e].shards) {
+      EXPECT_FALSE(a.recovered);
+      // Hour 0 asks no solver beyond the journaled hour-0 placement; on a
+      // pristine churn-free run every later epoch re-solves every shard.
+      if (e == 0) {
+        EXPECT_EQ(a.policy, ShardAnswer::Policy::kNone);
+        continue;
+      }
+      EXPECT_EQ(a.policy, ShardAnswer::Policy::kAnswered);
+      EXPECT_EQ(a.placement.size(), 3u);
+      EXPECT_TRUE(a.moved.empty());
+    }
   }
-  EXPECT_FALSE(state.workload.flows.empty());
-  EXPECT_FALSE(state.merged_initial.empty());
 
   // Byte-level round trip: writing the parsed state back and re-reading
   // reproduces every field.
@@ -692,19 +719,140 @@ TEST_F(CheckpointTest, EpochJournalRoundTripAndFingerprint) {
   EpochJournalState again;
   ASSERT_TRUE(read_epoch_journal(path, again));
   EXPECT_EQ(again.fingerprint, state.fingerprint);
+  EXPECT_EQ(again.hours, state.hours);
+  EXPECT_EQ(again.shards, state.shards);
   EXPECT_EQ(again.merged_initial, state.merged_initial);
   ASSERT_EQ(again.epochs.size(), state.epochs.size());
   for (std::size_t e = 0; e < state.epochs.size(); ++e) {
-    EXPECT_EQ(again.epochs[e].decision.comm_cost,
-              state.epochs[e].decision.comm_cost);
-    EXPECT_EQ(again.epochs[e].ladder_steps, state.epochs[e].ladder_steps);
+    for (std::size_t s = 0; s < state.shards; ++s) {
+      expect_same_answer(again.epochs[e].shards[s], state.epochs[e].shards[s]);
+    }
   }
-  EXPECT_EQ(again.shards[0].placement, state.shards[0].placement);
-  EXPECT_EQ(again.workload.rng, state.workload.rng);
-  EXPECT_EQ(again.workload.next_index, state.workload.next_index);
 
   remove_epoch_journal(path);
   EXPECT_FALSE(read_epoch_journal(path, again));  // gone: fresh start
+}
+
+TEST_F(CheckpointTest, EpochFrameBytesArePinned) {
+  // The epoch journal is an on-disk format: one fixed epoch frame — a
+  // recovered shard whose policy moved two VMs, a shard whose policy
+  // threw, and a shard that asked for nothing — must serialize to the
+  // same bytes (length, CRC32, then the three answers in pod order).
+  EpochJournalState state;
+  state.fingerprint = 0x0123456789abcdefULL;
+  state.hours = 4;
+  state.shards = 3;
+  state.merged_initial = {20, 21, 22, 23, 24, 25};
+  ShardAnswer answered;
+  answered.recovered = true;
+  answered.recovery_truncated = true;
+  answered.recovery_target = {26, 27};
+  answered.policy = ShardAnswer::Policy::kAnswered;
+  answered.decision.comm_cost = 1.5;
+  answered.decision.migration_cost = 2.25;
+  answered.decision.migration_distance = 3.0;
+  answered.decision.vnf_migrations = 1;
+  answered.decision.vm_migrations = 2;
+  answered.decision.truncated_solves = 1;
+  answered.decision.moved_flows = {FlowId{4}, FlowId{9}};
+  answered.placement = {28, 29};
+  answered.moved = {{40, 41}, {42, 43}};
+  ShardAnswer threw;
+  threw.policy = ShardAnswer::Policy::kThrew;
+  state.epochs.push_back(EpochRecord{{answered, threw, ShardAnswer{}}});
+
+  const std::string path = ::testing::TempDir() + "ppdc_epoch_pinned.ejl";
+  write_epoch_journal(path, state);
+  EpochJournalState again;
+  ASSERT_TRUE(read_epoch_journal(path, again));
+  ASSERT_EQ(again.epochs.size(), 1u);
+  for (std::size_t s = 0; s < 3; ++s) {
+    expect_same_answer(again.epochs[0].shards[s], state.epochs[0].shards[s]);
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  remove_epoch_journal(path);
+  constexpr std::size_t kMagic = 8;  // then [len][crc][payload] per frame
+  std::uint32_t header_len = 0;
+  std::memcpy(&header_len, bytes.data() + kMagic, sizeof header_len);
+  const std::string frame = bytes.substr(kMagic + 8 + header_len);
+  EXPECT_EQ(frame.size(), 166u);
+  EXPECT_EQ(hash64(frame), 0x61f268f8b7b9fbbaULL);
+}
+
+TEST_F(CheckpointTest, EpochJournalReplaysAnswersAndNamesDivergence) {
+  const ShardMap map = ShardMap::by_ingress_pod(topo_);
+  const std::string path = ::testing::TempDir() + "ppdc_epoch_diverge.ejl";
+  remove_epoch_journal(path);
+
+  SimConfig sim;
+  sim.hours = 6;
+  ShardedStreamingConfig sharded;
+  sharded.enabled = true;
+  sharded.threads = 2;
+  sharded.epoch_journal = path;
+  VmPlacementConfig wl;
+  wl.num_pairs = 40;
+  NoMigrationPolicy proto;
+  auto run = [&] {
+    StreamingWorkload w(topo_, wl, StreamingChurnConfig{}, Rng(3));
+    return run_sharded_simulation(apsp_, map, w, 3, sim, sharded, proto);
+  };
+
+  // The completed run leaves epochs 0-4 journaled; a rerun replays them
+  // and reproduces the trace.
+  const SimTrace reference = run();
+  EpochJournalState state;
+  ASSERT_TRUE(read_epoch_journal(path, state));
+  ASSERT_EQ(state.epochs.size(), 5u);
+  ASSERT_GE(state.shards, 3u);
+  EXPECT_EQ(run().total_cost, reference.total_cost);
+
+  auto expect_divergence = [&](const EpochJournalState& edited, int epoch,
+                               int shard, const std::string& what) {
+    write_epoch_journal(path, edited);
+    try {
+      run();
+      FAIL() << "a journal that disagrees with the run was replayed";
+    } catch (const PpdcError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("at epoch " + std::to_string(epoch) + ", shard '" +
+                         map.names[static_cast<std::size_t>(shard)] + "'"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+  };
+  // A resume takes its answers from the journal instead of solving: a
+  // doctored hour-0 placement and policy decision reach the trace.
+  {
+    EpochJournalState doctored = state;
+    std::reverse(doctored.merged_initial.begin(),
+                 doctored.merged_initial.begin() + 3);
+    doctored.epochs[3].shards[2].decision.comm_cost += 1000.0;
+    write_epoch_journal(path, doctored);
+    const SimTrace replayed = run();
+    EXPECT_EQ(replayed.initial_placement, doctored.merged_initial);
+    EXPECT_NE(replayed.initial_placement, reference.initial_placement);
+    EXPECT_GT(replayed.epochs[3].comm_cost, reference.epochs[3].comm_cost);
+  }
+
+  // The engine asks for an answer the journal lacks...
+  EpochJournalState missing = state;
+  missing.epochs[3].shards[2] = ShardAnswer{};
+  expect_divergence(missing, 3, 2, "holds no policy answer");
+  // ...or the journal holds one the engine never asks for (hour 0 runs
+  // no policy)...
+  EpochJournalState extra = state;
+  extra.epochs[0].shards[1].policy = ShardAnswer::Policy::kThrew;
+  expect_divergence(extra, 0, 1, "did not ask for");
+  // ...or an answer moves a flow the shard does not hold.
+  EpochJournalState stray = state;
+  stray.epochs[2].shards[0].decision.moved_flows = {FlowId{1 << 20}};
+  stray.epochs[2].shards[0].moved = {{0, 0}};
+  expect_divergence(stray, 2, 0, "outside the shard's flow vector");
+  remove_epoch_journal(path);
 }
 
 TEST_F(CheckpointTest, EpochJournalMismatchOrCorruptionStartsFresh) {
@@ -752,12 +900,28 @@ TEST_F(CheckpointTest, EpochJournalMismatchOrCorruptionStartsFresh) {
   const SimTrace after_corruption = run(5, true);
   EXPECT_EQ(after_corruption.total_cost, reference.total_cost);
   EXPECT_EQ(after_corruption.total_comm_cost, reference.total_comm_cost);
+
+  // A journal with a valid CRC and a matching fingerprint whose policy
+  // answer names no switch is corrupt too: warn and start fresh.
+  EpochJournalState state;
+  ASSERT_TRUE(read_epoch_journal(path, state));
+  ASSERT_GE(state.epochs.size(), 2u);
+  ShardAnswer& answer = state.epochs[1].shards[0];
+  ASSERT_EQ(answer.policy, ShardAnswer::Policy::kAnswered);
+  answer.placement[0] = -1;
+  write_epoch_journal(path, state);
+  ::testing::internal::CaptureStderr();
+  const SimTrace after_bad_answer = run(5, true);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("does not fit the run"), std::string::npos) << err;
+  EXPECT_EQ(after_bad_answer.total_cost, reference.total_cost);
+  EXPECT_EQ(after_bad_answer.total_comm_cost, reference.total_comm_cost);
   remove_epoch_journal(path);
 }
 
 TEST_F(CheckpointTest, EpochJournalFromOlderVersionStartsFresh) {
   const ShardMap map = ShardMap::by_ingress_pod(topo_);
-  const std::string path = ::testing::TempDir() + "ppdc_epoch_v1.ejl";
+  const std::string path = ::testing::TempDir() + "ppdc_epoch_v2.ejl";
   remove_epoch_journal(path);
 
   SimConfig sim;
@@ -781,8 +945,8 @@ TEST_F(CheckpointTest, EpochJournalFromOlderVersionStartsFresh) {
   };
   const SimTrace reference = run(false);
 
-  // A journal of this very run, restamped as version 1: the layout that
-  // stored |V|-wide group base vectors. The header frame's CRC is
+  // A journal of this very run, restamped as version 2: the layout that
+  // dumped the engine state every epoch. The header frame's CRC is
   // recomputed, so only the version tells it apart.
   run(true);
   std::string bytes;
@@ -793,7 +957,7 @@ TEST_F(CheckpointTest, EpochJournalFromOlderVersionStartsFresh) {
   constexpr std::size_t kHeader = 8;  // magic, then [len][crc][payload]
   std::uint32_t len = 0;
   std::memcpy(&len, bytes.data() + kHeader, sizeof len);
-  const std::uint32_t old_version = 1;
+  const std::uint32_t old_version = 2;
   std::memcpy(bytes.data() + kHeader + 8, &old_version, sizeof old_version);
   const std::uint32_t crc = crc32(bytes.data() + kHeader + 8, len);
   std::memcpy(bytes.data() + kHeader + 4, &crc, sizeof crc);
@@ -804,7 +968,7 @@ TEST_F(CheckpointTest, EpochJournalFromOlderVersionStartsFresh) {
   ::testing::internal::CaptureStderr();
   const SimTrace fresh = run(true);
   const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("has version 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("has version 2"), std::string::npos) << err;
   EXPECT_NE(err.find("starting the sharded run fresh"), std::string::npos)
       << err;
   EXPECT_EQ(err.find("resuming"), std::string::npos) << err;

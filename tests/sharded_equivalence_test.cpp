@@ -645,6 +645,95 @@ class CancelAtEpoch : public EpochObserver {
   int epoch_;
 };
 
+/// Hashes every callback of an event stream with its arguments.
+class EventStreamHash : public EpochObserver {
+ public:
+  void on_run_begin(Hour hour, const Placement& initial) override {
+    h_.str("begin").i64(hour.value());
+    for (const NodeId v : initial) h_.i64(v);
+  }
+  void on_epoch_begin(Hour hour) override { h_.str("epoch").i64(hour.value()); }
+  void on_faults(Hour hour, const EpochFaults& e) override {
+    h_.str("faults").i64(hour.value()).i64(e.switch_failures);
+    h_.i64(e.link_failures).i64(e.repairs).b(e.topology_changed);
+  }
+  void on_quarantine(Hour hour, int flows, double unserved,
+                     double penalty) override {
+    h_.str("quarantine").i64(hour.value()).i64(flows).f64(unserved);
+    h_.f64(penalty);
+  }
+  void on_blackout(Hour hour) override { h_.str("blackout").i64(hour.value()); }
+  void on_recovery(Hour hour, int migrations, double cost) override {
+    h_.str("recovery").i64(hour.value()).i64(migrations).f64(cost);
+  }
+  void on_budget_truncation(Hour hour, int truncated) override {
+    h_.str("truncation").i64(hour.value()).i64(truncated);
+  }
+  void on_shard_batch(Hour hour, int resolved, int held,
+                      int churned) override {
+    h_.str("batch").i64(hour.value()).i64(resolved).i64(held).i64(churned);
+  }
+  void on_shard_ladder_transition(Hour hour, int shard,
+                                  const std::string& name,
+                                  DegradationRung from, DegradationRung to,
+                                  const std::string& reason) override {
+    h_.str("ladder").i64(hour.value()).i64(shard).str(name);
+    h_.i64(static_cast<int>(from)).i64(static_cast<int>(to)).str(reason);
+  }
+  void on_shard_quarantine(Hour hour, int shard, const std::string& name,
+                           int fail_streak, int required_clean) override {
+    h_.str("shard-quarantine").i64(hour.value()).i64(shard).str(name);
+    h_.i64(fail_streak).i64(required_clean);
+  }
+  void on_shard_retry(Hour hour, int shard, const std::string& name,
+                      bool healed) override {
+    h_.str("retry").i64(hour.value()).i64(shard).str(name).b(healed);
+  }
+  void on_epoch_end(Hour hour, const EpochDecision& d) override {
+    h_.str("end").i64(hour.value()).f64(d.comm_cost).f64(d.migration_cost);
+  }
+  void on_run_end() override { h_.str("run-end"); }
+
+  std::uint64_t value() const noexcept { return h_.value(); }
+
+ private:
+  Hash64 h_;
+};
+
+/// Kills a journaled run at the end of epoch 4 (a cancel lands after the
+/// epoch's journal write), then resumes it from the journal at a
+/// different thread count — 1 -> 4 and 4 -> 1 — and requires the resumed
+/// trace bit-identical to the uninterrupted `reference`, with every epoch
+/// audited, and its event stream equal to an uninterrupted run's.
+/// `run(threads, sim, observer)` runs one fresh incarnation of the run
+/// journaling to `journal`.
+template <class Run>
+void expect_kill_resume_identical(const SimConfig& sim,
+                                  const SimTrace& reference,
+                                  const std::string& journal, Run&& run) {
+  remove_epoch_journal(journal);
+  EventStreamHash uninterrupted;
+  run(1, sim, &uninterrupted);
+  for (const auto& [kill_threads, resume_threads] :
+       {std::pair{1, 4}, std::pair{4, 1}}) {
+    remove_epoch_journal(journal);
+    {
+      std::atomic<bool> cancel{false};
+      CancelAtEpoch canceller(&cancel, 4);
+      SimConfig interrupted = sim;
+      interrupted.cancel = &cancel;
+      EXPECT_THROW(run(kill_threads, interrupted, &canceller),
+                   SimInterrupted);
+    }
+    EventStreamHash events;
+    const SimTrace resumed = run(resume_threads, sim, &events);
+    expect_equal_traces(resumed, reference);
+    EXPECT_EQ(resumed.audited_epochs, sim.hours);
+    EXPECT_EQ(events.value(), uninterrupted.value());
+  }
+  remove_epoch_journal(journal);
+}
+
 TEST(ShardedEpochJournal, KillResumeBitIdentityAcrossThreadCounts) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);
@@ -696,31 +785,14 @@ TEST(ShardedEpochJournal, KillResumeBitIdentityAcrossThreadCounts) {
   const SimTrace reference = uninterrupted(1);
   expect_equal_traces(reference, uninterrupted(4));
 
-  // Kill at the end of epoch 4, then resume from the journal — at a
-  // different thread count than the killed run — and require the resumed
-  // trace bit-identical to the uninterrupted reference.
-  auto kill_and_resume = [&](int kill_threads, int resume_threads) {
-    remove_epoch_journal(journal);
-    {
-      std::atomic<bool> cancel{false};
-      CancelAtEpoch canceller(&cancel, 4);
-      SimConfig interrupted = base;
-      interrupted.cancel = &cancel;
-      StreamingWorkload w = make_workload();
-      EXPECT_THROW(
-          run_sharded_simulation(apsp, map, w, 5, interrupted,
-                                 make_sharded(kill_threads, true), proto,
-                                 &canceller),
-          SimInterrupted);
-    }
-    StreamingWorkload w = make_workload();
-    const SimTrace resumed = run_sharded_simulation(
-        apsp, map, w, 5, base, make_sharded(resume_threads, true), proto);
-    expect_equal_traces(resumed, reference);
-  };
-  kill_and_resume(1, 4);
-  kill_and_resume(4, 1);
-  remove_epoch_journal(journal);
+  expect_kill_resume_identical(
+      base, reference, journal,
+      [&](int threads, const SimConfig& sim, EpochObserver* observer) {
+        StreamingWorkload w = make_workload();
+        return run_sharded_simulation(apsp, map, w, 5, sim,
+                                      make_sharded(threads, true), proto,
+                                      observer);
+      });
 }
 
 /// Pod-sharded stress setup of the VM-migration and rate-schedule tests:
@@ -796,8 +868,8 @@ TEST(ShardedVmMigration, JournaledPlanRunResumesBitIdentically) {
   const std::string journal = "sharded_plan_journal_test.bin";
   const PlanPolicy proto(vm_config());
   const SimTrace reference = ps.run(proto, 1);
-  // The kill lands after VMs moved, so the resume must restore moved
-  // endpoints from the journaled workload and shard snapshots.
+  // The kill lands after VMs moved, so the replay must re-apply the moved
+  // endpoints the journal recorded for each policy answer.
   int moved_before_kill = 0;
   for (int h = 0; h <= 4; ++h) {
     moved_before_kill += reference.epochs[static_cast<std::size_t>(h)]
@@ -805,28 +877,83 @@ TEST(ShardedVmMigration, JournaledPlanRunResumesBitIdentically) {
   }
   EXPECT_GT(moved_before_kill, 0);
 
-  auto kill_and_resume = [&](int kill_threads, int resume_threads) {
-    remove_epoch_journal(journal);
-    {
-      std::atomic<bool> cancel{false};
-      CancelAtEpoch canceller(&cancel, 4);
-      SimConfig interrupted = ps.sim;
-      interrupted.cancel = &cancel;
-      StreamingWorkload w = ps.workload();
-      EXPECT_THROW(run_sharded_simulation(ps.apsp, ps.map, w, 5, interrupted,
-                                          ps.sharded(kill_threads, journal),
-                                          proto, &canceller),
-                   SimInterrupted);
-    }
-    StreamingWorkload w = ps.workload();
-    const SimTrace resumed = run_sharded_simulation(
-        ps.apsp, ps.map, w, 5, ps.sim, ps.sharded(resume_threads, journal),
-        proto);
-    expect_equal_traces(resumed, reference);
+  expect_kill_resume_identical(
+      ps.sim, reference, journal,
+      [&](int threads, const SimConfig& sim, EpochObserver* observer) {
+        StreamingWorkload w = ps.workload();
+        return run_sharded_simulation(ps.apsp, ps.map, w, 5, sim,
+                                      ps.sharded(threads, journal), proto,
+                                      observer);
+      });
+}
+
+TEST(ShardedEpochJournal, ReplaysContainedPolicyThrows) {
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const ShardMap map = ShardMap::by_ingress_pod(topo);
+  const std::string journal = "sharded_throw_journal_test.bin";
+  SimConfig sim;
+  sim.hours = 12;
+  sim.ladder.enabled = true;
+  sim.audit.enabled = true;
+  auto run = [&](int threads, const SimConfig& cfg, EpochObserver* observer,
+                 const std::string& path) {
+    ShardedStreamingConfig sharded;
+    sharded.enabled = true;
+    sharded.threads = threads;
+    sharded.quarantine_sla = 3.0;
+    sharded.epoch_journal = path;
+    SelectiveThrowPolicy proto(2);  // shard 1 throws on every attempt
+    StreamingWorkload workload(topo, workload_config(140),
+                               StreamingChurnConfig{}, Rng(9));
+    return run_sharded_simulation(apsp, map, workload, 5, cfg, sharded,
+                                  proto, observer);
   };
-  kill_and_resume(1, 4);
-  kill_and_resume(4, 1);
-  remove_epoch_journal(journal);
+  const SimTrace reference = run(1, sim, nullptr, {});
+  // The replayed prefix holds contained throws and ladder steps.
+  int failures_before_kill = 0;
+  for (int h = 0; h <= 4; ++h) {
+    if (reference.epochs[static_cast<std::size_t>(h)].policy_failed) {
+      ++failures_before_kill;
+    }
+  }
+  EXPECT_GT(failures_before_kill, 0);
+  EXPECT_GT(reference.ladder_transitions, 0);
+
+  expect_kill_resume_identical(
+      sim, reference, journal,
+      [&](int threads, const SimConfig& cfg, EpochObserver* observer) {
+        return run(threads, cfg, observer, journal);
+      });
+}
+
+TEST(ShardedEpochJournal, ReplaysRecoveryOfStrandedVnfs) {
+  const PodStress ps;
+  const std::string journal = "sharded_recovery_journal_test.bin";
+  SimConfig sim = ps.sim;
+  sim.fault.exhaustive_recovery = true;
+  const ParetoMigrationPolicy proto(1e3);
+  auto run = [&](int threads, const SimConfig& cfg, EpochObserver* observer,
+                 const std::string& path) {
+    StreamingWorkload w = ps.workload();
+    return run_sharded_simulation(ps.apsp, ps.map, w, 5, cfg,
+                                  ps.sharded(threads, path), proto, observer);
+  };
+  const SimTrace reference = run(1, sim, nullptr, {});
+  // Switch faults strand VNFs before the kill, so the replay takes
+  // recovery targets from the journal.
+  int recovered_before_kill = 0;
+  for (int h = 0; h <= 4; ++h) {
+    recovered_before_kill += reference.epochs[static_cast<std::size_t>(h)]
+                                 .recovery_migrations;
+  }
+  EXPECT_GT(recovered_before_kill, 0);
+
+  expect_kill_resume_identical(
+      sim, reference, journal,
+      [&](int threads, const SimConfig& cfg, EpochObserver* observer) {
+        return run(threads, cfg, observer, journal);
+      });
 }
 
 TEST(ShardedRateSchedule, DiurnalScheduleMatchesGroupedRun) {

@@ -144,11 +144,12 @@ fi
 # Stage 5: ThreadSanitizer over the executor and everything that runs on
 # it (optional; needs the tsan preset built: cmake --preset tsan &&
 # cmake --build --preset tsan): the executor itself, the experiment job
-# pool, the sharded engine's shard pool, and the parallel APSP and
-# cost-model rescans the kernel suite builds at full width.
+# pool, the sharded engine's shard pool (epoch-journal resumes included:
+# a replay drives the same pool), and the parallel APSP and cost-model
+# rescans the kernel suite builds at full width.
 # ---------------------------------------------------------------------------
 for t in executor_test experiment_parallel_test sharded_equivalence_test \
-         kernel_equivalence_test; do
+         checkpoint_test kernel_equivalence_test; do
   TSAN_RUNNER=build-tsan/tests/$t
   if [ -x "$TSAN_RUNNER" ]; then
     note "tsan: $TSAN_RUNNER"
