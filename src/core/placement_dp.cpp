@@ -92,8 +92,8 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
   // candidates (§IV.3). The tables run at unit rate — Λ scales every
   // stroll alike, and candidates are scored by their true Eq. 1 cost — so
   // on the full switch set the fabric's table cache serves them to every
-  // shard and epoch. A restricted universe builds one private metric for
-  // this solve.
+  // shard and epoch. A restricted universe masks the same distances and
+  // builds its level tables for this solve only (DESIGN.md §11).
   const bool cached = !model.candidates_restricted();
   StrollTableCache* cache = cached ? &StrollTableCache::of(apsp) : nullptr;
   const std::shared_ptr<const StrollMetric> metric =

@@ -5,6 +5,7 @@
 #include <memory>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "util/pages.hpp"
@@ -14,16 +15,6 @@ namespace ppdc {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Gathers one APSP core column through the universe into a metric
-/// column. __restrict lets the compiler vectorize the gather (the stores
-/// may not alias the inputs); tools/vec_gate.sh pins that it does.
-void build_metric_col(double* __restrict mcol, const double* __restrict acol,
-                      const std::int32_t* __restrict cols, std::size_t rows) {
-  for (std::size_t i = 0; i < rows; ++i) {  // ppdc-vec: metric-row-gather
-    mcol[i] = acol[static_cast<std::size_t>(cols[i])];
-  }
-}
 
 /// Relaxes each row's best (cost, succ) with the stroll via w on a strict
 /// <. Selects, not branches, so that it vectorizes (tools/vec_gate.sh).
@@ -44,49 +35,23 @@ void relax_column(double* __restrict cost, NodeId* __restrict succ,
 // StrollMetric
 // ---------------------------------------------------------------------------
 
-StrollMetric::StrollMetric(const AllPairs& apsp, std::vector<NodeId> universe)
-    : apsp_(&apsp) {
-  const Graph& g = apsp.graph();
-  const bool universe_is_all = universe.empty();
-  if (universe_is_all) {
-    switches_ = IndexedVector<CandidateIdx, NodeId>(g.switches());
-  } else {
-    for (const NodeId u : universe) {
-      PPDC_REQUIRE(u >= 0 && u < g.num_nodes() && g.is_switch(u),
-                   "stroll universe entries must be switches");
-    }
-    switches_ = IndexedVector<CandidateIdx, NodeId>(std::move(universe));
+StrollMetric::StrollMetric(const AllPairs& apsp,
+                           const std::vector<NodeId>& universe)
+    : apsp_(&apsp),
+      member_(switches().size(), universe.empty() ? 1 : 0),
+      universe_size_(universe.empty() ? rows() : universe.size()) {
+  for (const NodeId u : universe) {
+    PPDC_REQUIRE(u >= 0 && u < apsp.num_nodes() && apsp.graph().is_switch(u),
+                 "stroll universe entries must be switches");
+    char& member = member_[static_cast<std::size_t>(row_of(u).value())];
+    PPDC_REQUIRE(!member, "stroll universe entries must be distinct");
+    member = 1;
   }
-  rows_ = switches_.size();
-  switch_index_.assign(static_cast<std::size_t>(g.num_nodes()),
-                       CandidateIdx::invalid());
-  cols_.resize(rows_);
-  for (const CandidateIdx i : switches_.ids()) {
-    CandidateIdx& row = switch_index_[static_cast<std::size_t>(switches_[i])];
-    PPDC_REQUIRE(!row.valid(), "stroll universe entries must be distinct");
-    row = i;
-    cols_[static_cast<std::size_t>(i.value())] = apsp.core_index(switches_[i]);
-  }
-  if (universe_is_all && rows_ > 0) {
-    base_ = apsp.cost_col(switches_.raw().front()).cost;
-    stride_ = static_cast<std::size_t>(apsp.num_core());
-    return;
-  }
-  closure_.resize(rows_ * rows_);
-  const NodeId* sw = switches().data();
-  for (std::size_t k = 0; k < rows_; ++k) {
+  if (rows() > 0) {
     // Switches are core vertices: their columns carry no leaf weight.
-    build_metric_col(closure_.data() + k * rows_, apsp.cost_col(sw[k]).cost,
-                     cols_.data(), rows_);
+    base_ = apsp.cost_col(switches().front()).cost;
+    stride_ = static_cast<std::size_t>(apsp.num_core());
   }
-  base_ = closure_.data();
-  stride_ = rows_;
-}
-
-std::size_t StrollMetric::bytes() const noexcept {
-  return closure_.size() * sizeof(double) +
-         switch_index_.size() * sizeof(CandidateIdx) +
-         rows_ * (sizeof(NodeId) + sizeof(std::int32_t));
 }
 
 // ---------------------------------------------------------------------------
@@ -125,6 +90,7 @@ void StrollLevels::at_least(int count, std::vector<Level>& out) const {
   const StrollMetric& m = *metric_;
   const std::size_t rows = m.rows();
   const NodeId* sw = m.switches().data();
+  const char* member = m.members();
   while (static_cast<int>(levels_.size()) < count) {
     std::byte* block = carve();
     double* ce = reinterpret_cast<double*>(block);
@@ -143,19 +109,26 @@ void StrollLevels::at_least(int count, std::vector<Level>& out) const {
     }
     const double* pc = levels_.back().cost;
     const NodeId* ps = levels_.back().succ;
+    // The row each candidate's continuation returns to (itself when it has
+    // none), looked up in one pass: between relax passes each lookup would
+    // stall on a cache miss.
+    std::vector<std::size_t> back(rows);
+    for (std::size_t k = 0; k < rows; ++k) {
+      const SwitchIdx r =
+          ps[k] == kInvalidNode ? SwitchIdx::invalid() : m.row_of(ps[k]);
+      back[k] = r.valid() ? static_cast<std::size_t>(r.value()) : k;
+    }
     // Candidate-major: one pass per candidate k, in increasing k, relaxes
     // every row. Each row still meets k in increasing order and keeps the
     // first strict-< minimum, so the level equals a row scan bit for bit.
     for (std::size_t k = 0; k < rows; ++k) {
-      // Line 6 bars t as an intermediate, and w from its own row and from
-      // the row its continuation returns to: relax every row, then restore
-      // those two. An unreachable w never wins.
+      // Only universe switches are candidates. Line 6 bars t as an
+      // intermediate, and w from its own row and from the row its
+      // continuation returns to: relax every row, then restore those two.
+      // An unreachable w never wins.
       const NodeId w = sw[k];
-      if (w == t_ || pc[k] == kInf) continue;
-      const CandidateIdx back =
-          ps[k] == kInvalidNode ? CandidateIdx::invalid() : m.row_of(ps[k]);
-      const std::size_t b =
-          back.valid() ? static_cast<std::size_t>(back.value()) : k;
+      if (!member[k] || w == t_ || pc[k] == kInf) continue;
+      const std::size_t b = back[k];
       const std::pair keep_k{ce[k], se[k]};
       const std::pair keep_b{ce[b], se[b]};
       relax_column(ce, se, m.col(k), pc[k], w, rows);
@@ -173,10 +146,9 @@ void StrollLevels::at_least(int count, std::vector<Level>& out) const {
 // ---------------------------------------------------------------------------
 
 StrollTable::StrollTable(const AllPairs& apsp, NodeId destination,
-                         double rate, std::vector<NodeId> universe)
+                         double rate, const std::vector<NodeId>& universe)
     : StrollTable(std::make_shared<const StrollLevels>(
-                      std::make_shared<const StrollMetric>(
-                          apsp, std::move(universe)),
+                      std::make_shared<const StrollMetric>(apsp, universe),
                       destination),
                   rate) {}
 
@@ -196,22 +168,20 @@ std::pair<double, NodeId> StrollTable::source_row(NodeId s, int e) const {
     if (s == t) return {kInf, kInvalidNode};
     return {m.apsp().cost(s, t), t};
   }
-  // c(s, w) = weight + row[col(w)]: s may be a leaf host.
+  // c(s, w) = weight + row[k]: s may be a leaf host, and switch w sits at
+  // core position k.
   const AllPairs::CoreRow srow = m.apsp().cost_row(s);
-  const std::int32_t* cols = m.core_cols();
   const std::size_t rows = m.rows();
   const double* pc = level(e - 1).cost;
   const NodeId* ps = level(e - 1).succ;
   const NodeId* sw = m.switches().data();
+  const char* member = m.members();
   double best = kInf;
   NodeId best_w = kInvalidNode;
   for (std::size_t k = 0; k < rows; ++k) {
     const NodeId w = sw[k];
-    const bool ok = (w != s) && (w != t) && (ps[k] != s);
-    const double cand =
-        ok ? (srow.weight + srow.cost[static_cast<std::size_t>(cols[k])]) +
-                 pc[k]
-           : kInf;
+    const bool ok = member[k] && (w != s) && (w != t) && (ps[k] != s);
+    const double cand = ok ? (srow.weight + srow.cost[k]) + pc[k] : kInf;
     if (cand < best) {
       best = cand;
       best_w = w;
@@ -223,14 +193,13 @@ std::pair<double, NodeId> StrollTable::source_row(NodeId s, int e) const {
 StrollResult StrollTable::find(NodeId s, int n_distinct) {
   const StrollMetric& m = levels_->metric();
   const AllPairs& apsp = m.apsp();
-  const Graph& g = apsp.graph();
   const NodeId t = levels_->destination();
-  PPDC_REQUIRE(s >= 0 && s < g.num_nodes(), "source out of range");
+  PPDC_REQUIRE(s >= 0 && s < apsp.num_nodes(), "source out of range");
   PPDC_REQUIRE(n_distinct >= 0, "negative distinct requirement");
-  // Switches available as intermediates (s and t do not count).
-  int usable = static_cast<int>(m.rows());
-  if (g.is_switch(s)) --usable;
-  if (g.is_switch(t) && t != s) --usable;
+  // Universe switches available as intermediates (s and t do not count).
+  int usable = static_cast<int>(m.universe_size());
+  if (m.contains(s)) --usable;
+  if (m.contains(t) && t != s) --usable;
   PPDC_REQUIRE(n_distinct <= usable,
                "not enough switches to host the requested VNFs");
 
@@ -252,6 +221,7 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
   }
 
   const std::size_t rows = m.rows();
+  const char* member = m.members();
   const int r_cap = n_distinct + 1 + std::max(16, n_distinct * 2);
   std::vector<NodeId> best_partial;  // longest distinct prefix seen so far
   // Membership bitmap over DP rows: dedups the walk's distinct switches in
@@ -274,19 +244,18 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
     int budget = r - 1;
     while (true) {
       walk.push_back(cur);
-      if (cur != s && cur != t && g.is_switch(cur)) {
-        const CandidateIdx row = m.row_of(cur);
-        PPDC_REQUIRE(row.valid(), "walk visits a non-universe switch");
-        char& mark = seen[static_cast<std::size_t>(row.value())];
-        if (!mark) {
-          mark = 1;
+      const SwitchIdx row = m.row_of(cur);  // invalid for a host
+      const auto k = static_cast<std::size_t>(row.value());
+      if (cur != s && cur != t && row.valid()) {
+        PPDC_REQUIRE(member[k], "walk visits a non-universe switch");
+        if (!seen[k]) {
+          seen[k] = 1;
           distinct.push_back(cur);
         }
       }
       if (budget == 0) break;
-      const CandidateIdx row = m.row_of(cur);
-      PPDC_REQUIRE(row.valid(), "walk stepped outside the switch universe");
-      cur = level(budget).succ[static_cast<std::size_t>(row.value())];
+      PPDC_REQUIRE(row.valid(), "walk stepped outside the switch rows");
+      cur = level(budget).succ[k];
       PPDC_REQUIRE(cur != kInvalidNode, "broken successor chain");
       --budget;
     }
@@ -323,7 +292,7 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
     std::size_t best_row = 0;
     for (std::size_t k = 0; k < rows; ++k) {
       const NodeId w = sw[k];
-      if (w == s || w == t || seen[k]) continue;
+      if (!member[k] || w == s || w == t || seen[k]) continue;
       const double d = apsp.cost(from, w);
       if (d < best_d) {
         best_d = d;
@@ -355,16 +324,20 @@ bool StrollTable::satisfies_theorem3(const StrollResult& result) const {
   // builds levels 1..r-1.
   if (seen_.empty() || r - 1 > static_cast<int>(seen_.size())) return false;
   const StrollMetric& m = levels_->metric();
+  const char* member = m.members();
   // For each position i >= 1 on the walk, the suffix starting there uses
   // (r - i) edges; Theorem 3 requires it to be the cheapest (r-i)-edge
-  // stroll into t over every possible start row (compared at unit rate).
+  // stroll into t over every possible start row of the universe (compared
+  // at unit rate).
   for (int i = 1; i < r; ++i) {
     const NodeId u = result.walk[static_cast<std::size_t>(i)];
-    const CandidateIdx row = m.row_of(u);
-    if (!row.valid()) return false;
+    if (!m.contains(u)) return false;
     const double* cost = level(r - i).cost;
-    const double suffix = cost[static_cast<std::size_t>(row.value())];
-    const double global_min = *std::min_element(cost, cost + m.rows());
+    const double suffix = cost[static_cast<std::size_t>(m.row_of(u).value())];
+    double global_min = kInf;
+    for (std::size_t k = 0; k < m.rows(); ++k) {
+      if (member[k]) global_min = std::min(global_min, cost[k]);
+    }
     if (suffix > global_min + 1e-9) return false;
   }
   return true;

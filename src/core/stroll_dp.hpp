@@ -11,7 +11,7 @@
 // closure it costs 6.
 //
 // The DP state splits into three layers (DESIGN.md §11):
-//  * StrollMetric — the unit-rate metric closure over a switch universe;
+//  * StrollMetric — the unit-rate metric closure, a masked AllPairs view;
 //  * StrollLevels — the unit-rate level tables toward one destination t,
 //    grown lazily and safe to share between threads;
 //  * StrollTable — a query view that scales the unit-rate answer by the
@@ -48,7 +48,6 @@
 #include "graph/apsp.hpp"
 #include "graph/graph.hpp"
 #include "util/ids.hpp"
-#include "util/indexed_vector.hpp"
 
 namespace ppdc {
 
@@ -61,52 +60,53 @@ struct StrollResult {
   bool used_fallback = false;     ///< true if the greedy completion kicked in
 };
 
-/// Unit-rate metric closure over the DP row universe, column-major:
-/// col(k)[i] = c(switches[i], switches[k]). Immutable once built. Over
-/// every switch the closure is the switch block of the transposed
-/// AllPairs core (AllPairs::cost_col; switch i sits at core position i),
-/// so columns point into it; a restricted universe gathers its own copy.
-/// Columns, not rows: weighted metrics are not bit-symmetric, so a row
-/// never stands in for a column.
+/// Unit-rate metric closure G'' as a view of the AllPairs core that owns
+/// no distances: row k is the switch Graph::switches()[k] at core
+/// position k, so column k, col(k)[i] = c(switches[i], switches[k]), is
+/// the switch block of the transposed core (AllPairs::cost_col). Columns,
+/// not rows: weighted metrics are not bit-symmetric.
 class StrollMetric {
  public:
-  /// A non-empty `universe` restricts the DP rows (and hence every
-  /// intermediate and fallback switch) to the given distinct switches — the
+  /// A non-empty `universe` masks the rows: only its distinct switches are
+  /// DP candidates, and hence intermediate or fallback switches — the
   /// fault-tolerant solvers pass CostModel::placement_candidates() so
   /// strolls never route through failed switches; empty means every
-  /// switch of the topology. `apsp` must outlive the metric.
+  /// switch. Masked rows are built, never read. `apsp` must outlive this.
   explicit StrollMetric(const AllPairs& apsp,
-                        std::vector<NodeId> universe = {});
-  /// Columns may point into the metric's own storage.
-  StrollMetric(const StrollMetric&) = delete;
-  StrollMetric& operator=(const StrollMetric&) = delete;
+                        const std::vector<NodeId>& universe = {});
 
   const AllPairs& apsp() const noexcept { return *apsp_; }
-  std::size_t rows() const noexcept { return rows_; }
-  /// Row -> switch, in universe order.
+  /// Every switch of the fabric, universe or not.
+  std::size_t rows() const noexcept { return member_.size(); }
+  /// Row -> switch, in Graph::switches() order.
   const std::vector<NodeId>& switches() const noexcept {
-    return switches_.raw();
+    return apsp_->graph().switches();
   }
-  /// Switch -> row; CandidateIdx::invalid() outside the universe.
-  CandidateIdx row_of(NodeId u) const {
-    return switch_index_[static_cast<std::size_t>(u)];
+  /// Switch -> row (its core position); invalid for a non-switch.
+  SwitchIdx row_of(NodeId u) const {
+    const std::int32_t k = apsp_->core_index(u);
+    const bool is_switch = k >= 0 && static_cast<std::size_t>(k) < rows();
+    return is_switch ? SwitchIdx{k} : SwitchIdx::invalid();
   }
+  /// Row mask: member[k] != 0 when row k's switch is in the universe.
+  const char* members() const noexcept { return member_.data(); }
+  /// True when `u` is a switch of the universe.
+  bool contains(NodeId u) const {
+    const SwitchIdx k = row_of(u);
+    return k.valid() && member_[static_cast<std::size_t>(k.value())] != 0;
+  }
+  /// Number of universe switches.
+  std::size_t universe_size() const noexcept { return universe_size_; }
   /// Column k, indexed by row: the level extension streams it.
   const double* col(std::size_t k) const { return base_ + k * stride_; }
-  /// Row -> AllPairs core position: where row k's switch sits in a core
-  /// row (AllPairs::cost_row).
-  const std::int32_t* core_cols() const noexcept { return cols_.data(); }
-  std::size_t bytes() const noexcept;
+  std::size_t bytes() const noexcept { return member_.size(); }
 
  private:
   const AllPairs* apsp_;
-  IndexedVector<CandidateIdx, NodeId> switches_;
-  std::vector<CandidateIdx> switch_index_;
-  std::vector<std::int32_t> cols_;  ///< row -> core position
-  std::size_t rows_ = 0;
-  std::vector<double> closure_;  ///< rows_ × rows_ (restricted universe)
-  const double* base_ = nullptr;  ///< column 0 of the closure
-  std::size_t stride_ = 0;        ///< distance between columns
+  std::vector<char> member_;  ///< one per row
+  std::size_t universe_size_ = 0;
+  const double* base_ = nullptr;  ///< column 0 of the transposed core
+  std::size_t stride_ = 0;        ///< core positions per column
 };
 
 /// Unit-rate level tables of Algorithm 2 toward one destination. Levels
@@ -122,8 +122,8 @@ class StrollMetric {
 /// grows resident as its levels are written.
 class StrollLevels {
  public:
-  /// Level e as flat arrays over the universe rows, so the candidate
-  /// scans are plain index loops. Both point into storage the
+  /// Level e as flat arrays over the metric's rows (every switch), so the
+  /// candidate scans are plain index loops. Both point into storage the
   /// StrollLevels owns and stay valid as long as it does.
   struct Level {
     const double* cost = nullptr;  ///< cost[row]: best e-edge stroll from row
@@ -179,7 +179,7 @@ class StrollTable {
   /// `universe`). `rate` scales every metric distance (the λ_1 of TOP-1,
   /// or Λ inside Algorithm 3's chain placement).
   StrollTable(const AllPairs& apsp, NodeId destination, double rate = 1.0,
-              std::vector<NodeId> universe = {});
+              const std::vector<NodeId>& universe = {});
 
   /// A view over shared level tables, e.g. from StrollTableCache.
   explicit StrollTable(std::shared_ptr<const StrollLevels> levels,
@@ -225,10 +225,10 @@ StrollResult solve_top1_dp(const AllPairs& apsp, NodeId s, NodeId t, int n,
 /// switch set and one StrollLevels per destination, shared read-only by
 /// every solver thread across shards, epochs, trials and policies. It
 /// lives in the AllPairs' derived() slot, so it is built on first use and
-/// freed with the fabric. Restricted (degraded) universes are
-/// not cached: each DegradedNetwork carries its own AllPairs, rebuilt on
-/// every topology change, so its tables rarely outlive a solve
-/// (DESIGN.md §11).
+/// freed with the fabric. A restricted (degraded) universe builds its
+/// levels per solve: a DegradedNetwork's AllPairs is rebuilt on every
+/// topology change, and caching its levels raised peak RSS without
+/// saving time (DESIGN.md §11).
 /// Cached and freshly built tables are the same deterministic function of
 /// their inputs, so cache state never changes a result.
 class StrollTableCache {

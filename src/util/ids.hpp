@@ -10,11 +10,12 @@
 //                 and every parallel per-flow array: rates, groups, base
 //                 vectors, endpoint snapshots).
 //   SwitchIdx     position in Graph::switches() — the full-fabric switch
-//                 universe (fault processes, per-switch bookkeeping).
+//                 universe (fault processes, per-switch bookkeeping, the
+//                 stroll DP's rows, which a restricted universe masks).
 //   CandidateIdx  row in a *solver's* candidate universe: the order of
-//                 CostModel::placement_candidates(), StrollTable's DP rows,
-//                 the branch-and-bound candidate tables, and the column
-//                 order of chain-search `extra` matrices. On a pristine
+//                 CostModel::placement_candidates(), the branch-and-bound
+//                 candidate tables, and the column order of chain-search
+//                 `extra` matrices. On a pristine
 //                 fabric this universe equals Graph::switches(); on a
 //                 degraded one it is the alive serving core — which is why
 //                 it must not be confused with SwitchIdx or NodeId.

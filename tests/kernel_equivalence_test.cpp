@@ -638,7 +638,7 @@ TEST(KernelEquivalence, WeightedFabricMatchesSeedAtUnitRate) {
 // must equal the seed's row-by-row recurrence bit for bit. The level
 // kernel streams metric columns, so the fabrics below are the ones where
 // a column is not a row: weighted metrics (c(u,v) and c(v,u) differ in
-// the last bits), restricted universes whose closure is gathered, and a
+// the last bits), restricted universes that mask candidates, and a
 // partitioned fabric with +inf entries and kInvalidNode successors.
 // ---------------------------------------------------------------------------
 struct LevelCounts {
@@ -652,6 +652,9 @@ LevelCounts expect_levels_eq(const AllPairs& apsp, NodeId t,
   const StrollLevels cur(std::make_shared<const StrollMetric>(apsp, universe),
                          t);
   RefStrollTable ref(apsp, t, 1.0, universe);
+  // The seed's row i is universe switch i; ours is that switch's row.
+  const std::vector<NodeId>& rows =
+      universe.empty() ? apsp.graph().switches() : universe;
   std::vector<StrollLevels::Level> got;
   cur.at_least(levels, got);
   EXPECT_EQ(got.size(), static_cast<std::size_t>(levels));
@@ -662,14 +665,16 @@ LevelCounts expect_levels_eq(const AllPairs& apsp, NodeId t,
     const StrollLevels::Level& level = got[static_cast<std::size_t>(e - 1)];
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < want_cost.size(); ++i) {
+      const auto row =
+          static_cast<std::size_t>(cur.metric().row_of(rows[i]).value());
       const bool same =
-          std::bit_cast<std::uint64_t>(level.cost[i]) ==
+          std::bit_cast<std::uint64_t>(level.cost[row]) ==
               std::bit_cast<std::uint64_t>(want_cost[i]) &&
-          level.succ[i] == want_succ[i];
+          level.succ[row] == want_succ[i];
       if (!same && mismatches++ == 0) {
-        ADD_FAILURE() << "t=" << t << " level " << e << " row " << i
-                      << ": cost " << level.cost[i] << " succ "
-                      << level.succ[i] << ", seed " << want_cost[i] << " "
+        ADD_FAILURE() << "t=" << t << " level " << e << " switch " << rows[i]
+                      << ": cost " << level.cost[row] << " succ "
+                      << level.succ[row] << ", seed " << want_cost[i] << " "
                       << want_succ[i];
       }
       counts.infinite += want_cost[i] == kInf ? 1 : 0;
@@ -698,8 +703,8 @@ TEST(KernelEquivalence, WeightedLevelTablesMatchSeedBitForBit) {
     for (const NodeId t : {switches[7], topo.graph.hosts()[5]}) {
       expect_levels_eq(apsp, t, {}, 10);
     }
-    // Restricted universes gather their own column-major closure: once
-    // toward a host, once toward a switch outside the universe.
+    // Restricted universes mask candidates out of the fabric's columns:
+    // once toward a host, once toward a switch outside the universe.
     std::vector<NodeId> universe;
     for (std::size_t i = 0; i < switches.size(); i += 3) {
       universe.push_back(switches[i]);
@@ -709,43 +714,57 @@ TEST(KernelEquivalence, WeightedLevelTablesMatchSeedBitForBit) {
   }
 }
 
-TEST(KernelEquivalence, PartitionedLevelTablesMatchSeedBitForBit) {
-  const Topology topo = build_fat_tree(8);
-  const Graph& g = topo.graph;
-  // Cut every uplink of pod 0 and kill one core switch: pod 0's switches
-  // and the dead one cannot reach t, so their rows stay +inf with no
-  // successor, and their columns are +inf toward the rest of the fabric.
-  const std::vector<NodeId>& pod = topo.power_domains[0].switches;
+/// The faults of a partitioned k=8 fabric: every uplink of pod 0 cut and
+/// one core switch dead. Pod 0's switches and the dead one cannot reach
+/// the rest of the fabric, so stroll rows toward it stay +inf with no
+/// successor, and their columns are +inf toward the rest of the fabric.
+struct PartitionFaults {
+  std::vector<char> dead;
   std::vector<EdgeKey> cut;
+  NodeId dead_core = kInvalidNode;
+};
+
+PartitionFaults partition_pod0(const Topology& topo) {
+  const Graph& g = topo.graph;
+  PartitionFaults f;
+  const std::vector<NodeId>& pod = topo.power_domains[0].switches;
   for (const NodeId sw : pod) {
     for (const auto& adj : g.neighbors(sw)) {
       if (g.is_switch(adj.to) &&
           std::find(pod.begin(), pod.end(), adj.to) == pod.end()) {
-        cut.push_back(make_edge_key(sw, adj.to));
+        f.cut.push_back(make_edge_key(sw, adj.to));
       }
     }
   }
-  ASSERT_FALSE(cut.empty());
-  std::vector<char> dead(static_cast<std::size_t>(g.num_nodes()), 0);
+  f.dead.assign(static_cast<std::size_t>(g.num_nodes()), 0);
   // Core switches belong to no pod's power domain.
-  NodeId dead_core = kInvalidNode;
   for (const NodeId sw : g.switches()) {
     bool in_pod = false;
     for (const PowerDomain& d : topo.power_domains) {
       in_pod = in_pod || std::find(d.switches.begin(), d.switches.end(),
                                    sw) != d.switches.end();
     }
-    if (!in_pod) dead_core = sw;
+    if (!in_pod) f.dead_core = sw;
   }
-  ASSERT_NE(dead_core, kInvalidNode);
-  dead[static_cast<std::size_t>(dead_core)] = 1;
-  const DegradedNetwork net(g, dead, cut);
+  if (f.dead_core != kInvalidNode) {
+    f.dead[static_cast<std::size_t>(f.dead_core)] = 1;
+  }
+  return f;
+}
+
+TEST(KernelEquivalence, PartitionedLevelTablesMatchSeedBitForBit) {
+  const Topology topo = build_fat_tree(8);
+  const Graph& g = topo.graph;
+  const PartitionFaults faults = partition_pod0(topo);
+  ASSERT_FALSE(faults.cut.empty());
+  ASSERT_NE(faults.dead_core, kInvalidNode);
+  const DegradedNetwork net(g, faults.dead, faults.cut);
   const NodeId t = g.hosts().back();
   ASSERT_TRUE(net.in_core(t));
-  // Every switch, and every alive switch (a gathered closure).
+  // Every switch, and every alive switch (a masked universe).
   std::vector<NodeId> alive;
   for (const NodeId sw : g.switches()) {
-    if (sw != dead_core) alive.push_back(sw);
+    if (sw != faults.dead_core) alive.push_back(sw);
   }
   for (const std::vector<NodeId>& universe : {std::vector<NodeId>{}, alive}) {
     SCOPED_TRACE(::testing::Message() << "universe=" << universe.size());
@@ -756,18 +775,44 @@ TEST(KernelEquivalence, PartitionedLevelTablesMatchSeedBitForBit) {
 }
 
 TEST(KernelEquivalence, RestrictedCandidatesPlacementMatchesSeed) {
-  const Topology topo = build_fat_tree(4);
-  const AllPairs apsp(topo.graph);
-  const auto flows = workload(topo, 60, 17);
-  CostModel cm(apsp, flows);
-  const auto& switches = topo.graph.switches();
-  std::vector<NodeId> alive;
-  for (std::size_t i = 0; i < switches.size(); ++i) {
-    if (i % 3 != 0) alive.push_back(switches[i]);
+  {
+    const Topology topo = build_fat_tree(4);
+    const AllPairs apsp(topo.graph);
+    const auto flows = workload(topo, 60, 17);
+    CostModel cm(apsp, flows);
+    const auto& switches = topo.graph.switches();
+    std::vector<NodeId> alive;
+    for (std::size_t i = 0; i < switches.size(); ++i) {
+      if (i % 3 != 0) alive.push_back(switches[i]);
+    }
+    cm.restrict_candidates(alive);
+    for (const int n : {1, 3, 5}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n);
+      expect_placement_eq(solve_top_dp(cm, n), ref_solve_top_dp(cm, n));
+    }
   }
-  cm.restrict_candidates(alive);
-  for (const int n : {1, 3, 5}) {
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
+  // A degraded fabric, set up as the fault-tolerant engine does: the cost
+  // model runs over the degraded metric, flows with an endpoint outside
+  // the serving core are quarantined at rate 0, and placements are
+  // restricted to the core's alive switches.
+  const Topology topo = build_fat_tree(8);
+  const PartitionFaults faults = partition_pod0(topo);
+  const DegradedNetwork net(topo.graph, faults.dead, faults.cut);
+  auto flows = workload(topo, 200, 29);
+  std::vector<double> rates = rates_of(flows);
+  std::size_t quarantined = 0;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (!net.in_core(flows[i].src_host) || !net.in_core(flows[i].dst_host)) {
+      rates[i] = 0.0;
+      ++quarantined;
+    }
+  }
+  EXPECT_GT(quarantined, 0u);
+  set_rates(flows, rates);
+  CostModel cm(net.apsp(), flows);
+  cm.restrict_candidates(net.core_switches());
+  for (const int n : {3, 5, 7}) {
+    SCOPED_TRACE(::testing::Message() << "degraded n=" << n);
     expect_placement_eq(solve_top_dp(cm, n), ref_solve_top_dp(cm, n));
   }
 }

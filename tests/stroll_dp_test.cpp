@@ -1,5 +1,6 @@
 #include "core/stroll_dp.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <iterator>
 #include <memory>
@@ -438,6 +439,29 @@ TEST(StrollDp, RejectsImpossibleQuota) {
   const NodeId sw = topo.graph.switches()[1];
   EXPECT_THROW(StrollMetric(apsp, {sw, topo.graph.switches()[0], sw}),
                PpdcError);
+}
+
+TEST(StrollDp, QuotaCountsOnlyUniverseEndpoints) {
+  // Ten universe switches less the destination leave nine intermediates,
+  // whether the source is a host or a switch outside the universe; only
+  // a source inside the universe takes one more.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const auto& sw = topo.graph.switches();
+  const std::vector<NodeId> universe(sw.begin(), sw.begin() + 10);
+  const NodeId t = universe.back();
+  StrollTable table(apsp, t, 1.0, universe);
+  for (const NodeId s : {topo.graph.hosts()[0], sw[15]}) {
+    SCOPED_TRACE(::testing::Message() << "s=" << s);
+    const StrollResult r = table.find(s, 9);
+    ASSERT_EQ(r.placement.size(), 9u);
+    for (const NodeId w : r.placement) {
+      EXPECT_NE(w, t);
+      EXPECT_NE(std::find(universe.begin(), universe.end(), w),
+                universe.end());
+    }
+  }
+  EXPECT_THROW(table.find(universe.front(), 9), PpdcError);
 }
 
 TEST(StrollDp, CostNondecreasingInQuota) {

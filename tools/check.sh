@@ -123,8 +123,8 @@ fi
 # ---------------------------------------------------------------------------
 # Stage 4b: vectorization gate over the flat kernels (needs only g++;
 # SKIPs on non-GNU toolchains). Compiles the `// ppdc-vec:`-tagged loops
-# (stroll_dp.cpp: the level-relax column pass and the metric column
-# gather; cost_model.cpp: the attraction and churn row passes) at -O3
+# (stroll_dp.cpp: the level-relax column pass; cost_model.cpp: the
+# attraction and churn row passes) at -O3
 # -march=x86-64-v3 and fails if any of them stops being reported as
 # "loop vectorized".
 # ---------------------------------------------------------------------------
@@ -220,6 +220,28 @@ for resume_build in build-asan build-tsan; do
   else
     note "sharded resume smoke ($resume_build): SKIPPED (no $RESUME_BIN —" \
          "build that preset first)"
+  fi
+done
+
+# ---------------------------------------------------------------------------
+# Stage 6b: the stroll DP and fault suites under ASan + UBSan (optional;
+# needs the sanitize preset built). The stroll DP reads the fabric's
+# AllPairs core through raw row and column pointers, masked by a
+# restricted (degraded) universe; the fault suite drives the degraded
+# fabrics that produce those masks.
+# ---------------------------------------------------------------------------
+for t in stroll_dp_test kernel_equivalence_test placement_test fault_test; do
+  ASAN_RUNNER=build-asan/tests/$t
+  if [ -x "$ASAN_RUNNER" ]; then
+    note "asan: $ASAN_RUNNER"
+    if "$ASAN_RUNNER" >/dev/null; then
+      echo "   OK: $t is clean under ASan+UBSan"
+    else
+      echo "   FAIL: ASan+UBSan flagged $t" >&2
+      failures=$((failures + 1))
+    fi
+  else
+    note "asan: SKIPPED (no $ASAN_RUNNER — build the sanitize preset first)"
   fi
 done
 

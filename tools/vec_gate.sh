@@ -7,8 +7,8 @@
 #
 # The gate is compile-only — nothing is executed — so it pins a fixed
 # ISA (-march=x86-64-v3: AVX2+FMA) regardless of the build machine: the
-# gathers need it, and so does the level-relax select, where a double
-# compare picks an int32 successor (plain SSE2 -O3 leaves it scalar). A kernel refactor that silently drops back to
+# level-relax select needs it, where a double compare picks an int32
+# successor (plain SSE2 -O3 leaves it scalar). A kernel refactor that silently drops back to
 # scalar code fails here instead of surfacing as a bench regression
 # three PRs later.
 #
