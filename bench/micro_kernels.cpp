@@ -355,6 +355,67 @@ BenchRecord pin_cost_refresh() {
   return rec;
 }
 
+/// One MCF VM re-assignment in the Fig. 11 shape: k=16, l=400 skewed
+/// pairs (80% intra-rack, rack Zipf 2.2), n=7, mu=1e4, the 16 hosts
+/// nearest each chain end as targets, 4 VMs per host, a 4-hour horizon.
+/// The chain ends sit on racks 3 and 100 (different pods), so VMs move
+/// and the host capacity binds. The checksum covers the objective and
+/// every moved endpoint; the min-cost-flow solver may choose another of
+/// two exactly equal-cost hosts, so it pins this implementation's choice.
+BenchRecord pin_vm_migration_mcf() {
+  constexpr int kArity = 16;
+  constexpr int kPairs = 400;
+  constexpr std::uint64_t kSeed = 41;
+  constexpr int kChain = 7;
+  BenchRecord rec;
+  rec.kernel = "VmMigrationMcf";
+  rec.scenario = "fat-tree k=16, l=400 seed 41 skewed, n=7, chain ends on "
+                 "racks 3 and 100, mu=1e4, limit 16, capacity 4, horizon 4";
+  rec.fingerprint = Hash64{}
+                        .str(rec.kernel)
+                        .i64(kArity)
+                        .i64(kPairs)
+                        .u64(kSeed)
+                        .i64(kChain)
+                        .f64(1e4)
+                        .i64(16)
+                        .i64(4)
+                        .f64(4.0)
+                        .value();
+  const Topology topo = build_fat_tree(kArity);
+  const AllPairs apsp(topo.graph);
+  VmPlacementConfig wl;
+  wl.num_pairs = kPairs;
+  wl.intra_rack_fraction = 0.8;
+  wl.rack_zipf_s = 2.2;
+  Rng rng(kSeed);
+  const auto flows = generate_vm_flows(topo, wl, rng);
+  CostModel cm(apsp, flows);
+  Placement p = solve_top_dp(cm, kChain).placement;
+  p.front() = topo.rack_switches[RackIdx{3}];
+  p.back() = topo.rack_switches[RackIdx{100}];
+  VmMigrationConfig cfg;
+  cfg.mu = 1e4;
+  cfg.candidate_hosts = 16;
+  cfg.host_capacity = 4;
+  cfg.horizon_hours = 4.0;
+  const VmMigrationResult ref = solve_vm_migration_mcf(apsp, flows, p, cfg);
+  Hash64 h;
+  h.f64(ref.total_cost).f64(ref.migration_cost).i64(ref.vms_moved);
+  for (const FlowId i : ref.moved_flow_indices) {
+    const VmFlow& f = ref.flows[static_cast<std::size_t>(i.value())];
+    h.i64(i.value()).i64(f.src_host).i64(f.dst_host);
+  }
+  rec.checksum = h.value();
+  rec.timing = bench::time_kernel(
+      [&] {
+        const VmMigrationResult r = solve_vm_migration_mcf(apsp, flows, p, cfg);
+        benchmark::DoNotOptimize(r.total_cost);
+      },
+      g_smoke);
+  return rec;
+}
+
 /// Emits the pinned artifacts. The committed baselines are
 /// single-threaded, so every kernel is timed (and the provenance taken)
 /// inside serially(), where the parallel APSP and refresh run on this
@@ -365,7 +426,8 @@ int run_pinned(const std::string& dir) {
     const bench::BenchBuildInfo build = bench::bench_build_info();
     const BenchRecord records[] = {
         pin_all_pairs(), pin_stroll_dp(), pin_stroll_levels(),
-        pin_placement_dp(), pin_pareto_migration(), pin_cost_refresh()};
+        pin_placement_dp(), pin_pareto_migration(), pin_cost_refresh(),
+        pin_vm_migration_mcf()};
     for (const BenchRecord& rec : records) {
       if (!bench::write_bench_json(dir, rec, build, g_smoke)) {
         rc = 1;

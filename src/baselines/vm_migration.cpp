@@ -91,26 +91,49 @@ void finalize_moved_indices(std::vector<FlowId>& moved) {
   moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
 }
 
-/// Candidate hosts for an endpoint: nearest `limit` hosts to its anchor
-/// switch plus its current host (limit 0 = all hosts).
-std::vector<NodeId> candidate_hosts(const AllPairs& apsp,
-                                    const std::vector<NodeId>& hosts,
-                                    NodeId anchor, NodeId current,
-                                    int limit) {
-  if (limit <= 0 || static_cast<std::size_t>(limit) >= hosts.size()) {
-    return hosts;
+/// The `limit` hosts nearest to `anchor`, in nth_element order over
+/// Graph::hosts() (limit 0 = every host, in that order).
+std::vector<NodeId> nearest_hosts(const AllPairs& apsp, NodeId anchor,
+                                  int limit) {
+  std::vector<NodeId> sorted = apsp.graph().hosts();
+  if (limit <= 0 || static_cast<std::size_t>(limit) >= sorted.size()) {
+    return sorted;
   }
-  std::vector<NodeId> sorted = hosts;
   std::nth_element(sorted.begin(), sorted.begin() + limit, sorted.end(),
                    [&](NodeId a, NodeId b) {
                      return apsp.cost(a, anchor) < apsp.cost(b, anchor);
                    });
   sorted.resize(static_cast<std::size_t>(limit));
-  if (std::find(sorted.begin(), sorted.end(), current) == sorted.end()) {
-    sorted.push_back(current);
-  }
   return sorted;
 }
+
+/// Candidate target hosts per chain end. Every source endpoint anchors at
+/// p.front() and every destination endpoint at p.back(), so the nearest
+/// hosts are selected once per end and call, not once per endpoint.
+class CandidateHosts {
+ public:
+  CandidateHosts(const AllPairs& apsp, const Placement& p, int limit)
+      : front_(nearest_hosts(apsp, p.front(), limit)),
+        back_(nearest_hosts(apsp, p.back(), limit)),
+        pruned_(front_.size() < apsp.graph().hosts().size()) {}
+
+  /// Calls f(h) for each candidate of `ep`, now on host `current`: the
+  /// hosts nearest its chain end, then `current` when it is not among
+  /// them.
+  template <class F>
+  void for_each(const Endpoint& ep, NodeId current, F&& f) const {
+    const std::vector<NodeId>& near = ep.is_source ? front_ : back_;
+    for (const NodeId h : near) f(h);
+    if (pruned_ && std::find(near.begin(), near.end(), current) == near.end()) {
+      f(current);
+    }
+  }
+
+ private:
+  std::vector<NodeId> front_;
+  std::vector<NodeId> back_;
+  bool pruned_;
+};
 
 }  // namespace
 
@@ -120,12 +143,12 @@ VmMigrationResult solve_vm_migration_plan(const AllPairs& apsp,
                                           const VmMigrationConfig& config) {
   PPDC_REQUIRE(!vnf_placement.empty(), "empty VNF placement");
   PPDC_REQUIRE(config.mu >= 0.0, "negative migration coefficient");
-  const auto& hosts = apsp.graph().hosts();
 
   VmMigrationResult result;
   result.flows = flows;
   std::vector<int> occ = occupancy(apsp, flows);
   const auto endpoints = all_endpoints(flows);
+  const CandidateHosts candidates(apsp, vnf_placement, config.candidate_hosts);
 
   for (int round = 0; round < kPlanRounds; ++round) {
     // Best candidate move per endpoint, by utility (positive only).
@@ -142,10 +165,8 @@ VmMigrationResult solve_vm_migration_plan(const AllPairs& apsp,
           endpoint_cost(apsp, result.flows, ep, vnf_placement, cur);
       double best_u = 0.0;
       NodeId best_h = kInvalidNode;
-      for (const NodeId h :
-           candidate_hosts(apsp, hosts, ep.anchor(vnf_placement), cur,
-                           config.candidate_hosts)) {
-        if (h == cur) continue;
+      candidates.for_each(ep, cur, [&](NodeId h) {
+        if (h == cur) return;
         const double u =
             config.horizon_hours *
                 (cur_cost -
@@ -155,7 +176,7 @@ VmMigrationResult solve_vm_migration_plan(const AllPairs& apsp,
           best_u = u;
           best_h = h;
         }
-      }
+      });
       if (best_h != kInvalidNode) {
         moves.push_back({e, best_h, best_u});
       }
@@ -207,6 +228,7 @@ VmMigrationResult solve_vm_migration_mcf(const AllPairs& apsp,
   PPDC_REQUIRE(config.mu >= 0.0, "negative migration coefficient");
   const auto& hosts = apsp.graph().hosts();
   const auto endpoints = all_endpoints(flows);
+  const CandidateHosts candidates(apsp, vnf_placement, config.candidate_hosts);
 
   if (config.host_capacity <= 0) {
     // Uncapacitated MCF decomposes exactly: with no coupling constraint,
@@ -220,9 +242,7 @@ VmMigrationResult solve_vm_migration_mcf(const AllPairs& apsp,
       double best = config.horizon_hours *
                     endpoint_cost(apsp, flows, ep, vnf_placement, cur);
       NodeId best_h = cur;
-      for (const NodeId h :
-           candidate_hosts(apsp, hosts, ep.anchor(vnf_placement), cur,
-                           config.candidate_hosts)) {
+      candidates.for_each(ep, cur, [&](NodeId h) {
         const double cost =
             config.horizon_hours *
                 endpoint_cost(apsp, flows, ep, vnf_placement, h) +
@@ -231,7 +251,7 @@ VmMigrationResult solve_vm_migration_mcf(const AllPairs& apsp,
           best = cost;
           best_h = h;
         }
-      }
+      });
       if (best_h != cur) {
         result.migration_cost += config.mu * apsp.cost(cur, best_h);
         result.migration_distance += apsp.cost(cur, best_h);
@@ -272,9 +292,7 @@ VmMigrationResult solve_vm_migration_mcf(const AllPairs& apsp,
   for (int e = 0; e < num_eps; ++e) {
     const Endpoint& ep = endpoints[static_cast<std::size_t>(e)];
     const NodeId cur = ep.host(flows);
-    for (const NodeId h :
-         candidate_hosts(apsp, hosts, ep.anchor(vnf_placement), cur,
-                         config.candidate_hosts)) {
+    candidates.for_each(ep, cur, [&](NodeId h) {
       const double cost =
           config.horizon_hours *
               endpoint_cost(apsp, flows, ep, vnf_placement, h) +
@@ -283,12 +301,12 @@ VmMigrationResult solve_vm_migration_mcf(const AllPairs& apsp,
       // arcs would poison the MCF potentials, so drop them. The
       // current-host arc is always finite (zero migration distance and a
       // guarded endpoint cost), keeping the status quo feasible.
-      if (!std::isfinite(cost)) continue;
+      if (!std::isfinite(cost)) return;
       const int row = host_row[static_cast<std::size_t>(h)];
       PPDC_REQUIRE(row >= 0, "candidate host missing from host table");
       refs.push_back(
           {mcf.add_arc(ep_base + e, host_base + row, 1, cost), e, h});
-    }
+    });
   }
   // Per-host capacity: the configured limit, but never below the host's
   // current occupancy — the status quo must stay feasible even when the

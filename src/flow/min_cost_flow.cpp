@@ -1,8 +1,8 @@
 #include "flow/min_cost_flow.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 
 namespace ppdc {
 
@@ -16,6 +16,7 @@ MinCostFlow::MinCostFlow(int num_nodes) : n_(num_nodes) {
 }
 
 int MinCostFlow::add_arc(int u, int v, std::int64_t capacity, double cost) {
+  PPDC_REQUIRE(potential_.empty(), "add_arc after solve");
   PPDC_REQUIRE(u >= 0 && u < n_ && v >= 0 && v < n_, "arc endpoint range");
   PPDC_REQUIRE(capacity >= 0, "negative capacity");
   if (cost < 0.0) has_negative_cost_ = true;
@@ -29,58 +30,66 @@ int MinCostFlow::add_arc(int u, int v, std::int64_t capacity, double cost) {
   return id;
 }
 
+void MinCostFlow::init_potentials(int source) {
+  potential_.assign(static_cast<std::size_t>(n_), 0.0);
+  source_ = source;
+  if (!has_negative_cost_) return;
+  std::vector<double> dist(static_cast<std::size_t>(n_), kInf);
+  dist[static_cast<std::size_t>(source)] = 0.0;
+  for (int iter = 0; iter < n_; ++iter) {
+    bool changed = false;
+    for (int u = 0; u < n_; ++u) {
+      const double du = dist[static_cast<std::size_t>(u)];
+      if (du == kInf) continue;
+      for (const Arc& a : graph_[static_cast<std::size_t>(u)]) {
+        if (a.cap <= 0) continue;
+        if (du + a.cost < dist[static_cast<std::size_t>(a.to)] - 1e-12) {
+          dist[static_cast<std::size_t>(a.to)] = du + a.cost;
+          changed = true;
+          PPDC_REQUIRE(iter + 1 < n_, "negative cycle detected");
+        }
+      }
+    }
+    if (!changed) break;
+  }
+  for (int v = 0; v < n_; ++v) {
+    if (dist[static_cast<std::size_t>(v)] != kInf) {
+      potential_[static_cast<std::size_t>(v)] =
+          dist[static_cast<std::size_t>(v)];
+    }
+  }
+}
+
 MinCostFlow::Result MinCostFlow::solve(int source, int sink,
                                        std::int64_t max_flow) {
   PPDC_REQUIRE(source >= 0 && source < n_ && sink >= 0 && sink < n_,
                "source/sink range");
   PPDC_REQUIRE(source != sink, "source == sink");
-
-  std::vector<double> potential(static_cast<std::size_t>(n_), 0.0);
-
-  // Bellman-Ford to initialize potentials when negative costs exist.
-  if (has_negative_cost_) {
-    std::vector<double> dist(static_cast<std::size_t>(n_), kInf);
-    dist[static_cast<std::size_t>(source)] = 0.0;
-    for (int iter = 0; iter < n_; ++iter) {
-      bool changed = false;
-      for (int u = 0; u < n_; ++u) {
-        const double du = dist[static_cast<std::size_t>(u)];
-        if (du == kInf) continue;
-        for (const Arc& a : graph_[static_cast<std::size_t>(u)]) {
-          if (a.cap <= 0) continue;
-          if (du + a.cost < dist[static_cast<std::size_t>(a.to)] - 1e-12) {
-            dist[static_cast<std::size_t>(a.to)] = du + a.cost;
-            changed = true;
-            PPDC_REQUIRE(iter + 1 < n_, "negative cycle detected");
-          }
-        }
-      }
-      if (!changed) break;
-    }
-    for (int v = 0; v < n_; ++v) {
-      if (dist[static_cast<std::size_t>(v)] != kInf) {
-        potential[static_cast<std::size_t>(v)] =
-            dist[static_cast<std::size_t>(v)];
-      }
-    }
-  }
+  // Nodes the first source cannot reach keep unchecked potentials, and no
+  // augmentation makes them reachable from it; another source could.
+  PPDC_REQUIRE(potential_.empty() || source == source_,
+               "solve from a different source");
+  if (potential_.empty()) init_potentials(source);
 
   Result result;
   std::vector<double> dist(static_cast<std::size_t>(n_));
   std::vector<int> prev_node(static_cast<std::size_t>(n_));
   std::vector<int> prev_arc(static_cast<std::size_t>(n_));
+  using Item = std::pair<double, int>;
+  std::vector<Item> heap;
 
   while (result.flow < max_flow) {
-    // Dijkstra on reduced costs.
+    // Dijkstra on reduced costs, stopped when the sink is popped: every
+    // node with a smaller label is settled by then.
     std::fill(dist.begin(), dist.end(), kInf);
     dist[static_cast<std::size_t>(source)] = 0.0;
-    using Item = std::pair<double, int>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-    pq.emplace(0.0, source);
-    while (!pq.empty()) {
-      const auto [du, u] = pq.top();
-      pq.pop();
+    heap.assign(1, Item{0.0, source});
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [du, u] = heap.back();
+      heap.pop_back();
       if (du > dist[static_cast<std::size_t>(u)] + 1e-12) continue;
+      if (u == sink) break;
       const auto& arcs = graph_[static_cast<std::size_t>(u)];
       for (int i = 0; i < static_cast<int>(arcs.size()); ++i) {
         const Arc& a = arcs[static_cast<std::size_t>(i)];
@@ -89,24 +98,26 @@ MinCostFlow::Result MinCostFlow::solve(int source, int sink,
         // in cost + π(u) - π(v) can leave a tiny negative residue that
         // would form spurious negative cycles and stall Dijkstra, so clamp.
         const double step =
-            std::max(0.0, a.cost + potential[static_cast<std::size_t>(u)] -
-                              potential[static_cast<std::size_t>(a.to)]);
+            std::max(0.0, a.cost + potential_[static_cast<std::size_t>(u)] -
+                              potential_[static_cast<std::size_t>(a.to)]);
         const double reduced = du + step;
         if (reduced < dist[static_cast<std::size_t>(a.to)] - 1e-12) {
           dist[static_cast<std::size_t>(a.to)] = reduced;
           prev_node[static_cast<std::size_t>(a.to)] = u;
           prev_arc[static_cast<std::size_t>(a.to)] = i;
-          pq.emplace(reduced, a.to);
+          heap.emplace_back(reduced, a.to);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
         }
       }
     }
-    if (dist[static_cast<std::size_t>(sink)] == kInf) break;  // saturated
+    const double d_sink = dist[static_cast<std::size_t>(sink)];
+    if (d_sink == kInf) break;  // saturated
 
+    // Settled nodes (label below the sink's) move by their own label,
+    // the rest (unreached ones too) by the sink's.
     for (int v = 0; v < n_; ++v) {
-      if (dist[static_cast<std::size_t>(v)] != kInf) {
-        potential[static_cast<std::size_t>(v)] +=
-            dist[static_cast<std::size_t>(v)];
-      }
+      potential_[static_cast<std::size_t>(v)] +=
+          std::min(dist[static_cast<std::size_t>(v)], d_sink);
     }
 
     // Bottleneck along the augmenting path.

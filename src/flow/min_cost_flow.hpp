@@ -5,6 +5,21 @@
 // problem. Implementation: successive shortest augmenting paths with
 // Johnson potentials — Bellman-Ford once to admit negative edge costs,
 // Dijkstra with reduced costs afterwards. Exact on integer capacities.
+//
+// Each Dijkstra stops when it pops the sink. The potentials then move the
+// standard way for an early exit: a settled node v gets π(v) += d(v), every
+// other node π(v) += d(sink). That keeps every residual reduced cost ≥ 0,
+// so each augmenting path is a shortest one and the flow stays min-cost.
+// The potentials live in the network and stay valid between calls, so a
+// second solve() continues optimally from the flow the first one left;
+// arcs cannot be added once a solve has run.
+//
+// Tie contract: the flow value and its optimal cost are those of a solver
+// that labels every node, but where two augmenting paths tie exactly in
+// reduced cost the early-exit potentials may steer a later Dijkstra onto
+// the other one. Callers get *an* optimal flow, not a fixed one among
+// equal-cost optima (the MCF baseline may then pick another host of
+// exactly equal cost; its objective is unchanged).
 #pragma once
 
 #include <cstdint>
@@ -22,6 +37,7 @@ class MinCostFlow {
 
   /// Adds a directed arc u -> v; returns the arc id (for flow queries).
   /// Capacity must be >= 0. Costs may be negative (no negative cycles).
+  /// Only before the first solve().
   int add_arc(int u, int v, std::int64_t capacity, double cost);
 
   /// Result of a solve: achieved flow value and its total cost.
@@ -30,8 +46,10 @@ class MinCostFlow {
     double cost = 0.0;
   };
 
-  /// Sends up to `max_flow` units from `source` to `sink` at minimum cost.
-  /// Pass max_flow = kInfiniteFlow for a full max-flow computation.
+  /// Sends up to `max_flow` more units from `source` to `sink` at minimum
+  /// cost, on top of the flow earlier calls routed (the result counts this
+  /// call's units only). Pass max_flow = kInfiniteFlow for a full max-flow
+  /// computation. Every call must use the same source.
   Result solve(int source, int sink,
                std::int64_t max_flow = kInfiniteFlow);
 
@@ -49,12 +67,19 @@ class MinCostFlow {
     int rev;  ///< index of the reverse arc in graph_[to]
   };
 
+  /// Johnson potentials from the source by Bellman-Ford (zero when no arc
+  /// cost is negative); run by the first solve().
+  void init_potentials(int source);
+
   int n_;
   std::vector<std::vector<Arc>> graph_;
   /// (node, index) locator for each externally added arc.
   std::vector<std::pair<int, int>> arc_locator_;
   std::vector<std::int64_t> initial_cap_;
   bool has_negative_cost_ = false;
+  /// Johnson potentials; empty until the first solve().
+  std::vector<double> potential_;
+  int source_ = -1;
 };
 
 }  // namespace ppdc

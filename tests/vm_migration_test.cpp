@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "core/placement_dp.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
+#include "util/checksum.hpp"
 #include "workload/vm_placement.hpp"
 
 namespace ppdc {
@@ -181,6 +185,87 @@ TEST(VmMigrationPlan, RespectsHostCapacityForTargets) {
     (void)f;
   }
   EXPECT_LE(r.total_cost, comm_cost_of(apsp, flows, p) + 1e-9);
+}
+
+/// The fig11 shape on k=16, where both baselines prune each endpoint's
+/// targets to the 16 hosts nearest its chain end. The chain ends sit on
+/// two racks in different pods, so many VMs want to move and the host
+/// capacity of 4 binds. The pinned values come from a nearest-host
+/// selection per endpoint and a min-cost-flow solver that labelled every
+/// node in each Dijkstra: sharing one list per chain end must keep PLAN's
+/// output, and the early exit must keep MCF's objective and move count.
+struct PrunedK16 {
+  Topology topo = build_fat_tree(16);
+  AllPairs apsp{topo.graph};
+  std::vector<VmFlow> flows;
+  Placement p;
+  VmMigrationConfig cfg;
+
+  PrunedK16() {
+    VmPlacementConfig vc;
+    vc.num_pairs = 400;
+    vc.intra_rack_fraction = 0.8;
+    vc.rack_zipf_s = 2.2;
+    Rng rng(41);
+    flows = generate_vm_flows(topo, vc, rng);
+    CostModel cm(apsp, flows);
+    p = solve_top_dp(cm, 7).placement;
+    p.front() = topo.rack_switches[RackIdx{3}];
+    p.back() = topo.rack_switches[RackIdx{100}];
+    cfg.mu = 1e4;
+    cfg.host_capacity = 4;
+    cfg.candidate_hosts = 16;
+    cfg.horizon_hours = 4.0;
+  }
+
+  std::vector<int> occupancy(const std::vector<VmFlow>& fs) const {
+    std::vector<int> occ(static_cast<std::size_t>(apsp.num_nodes()), 0);
+    for (const auto& f : fs) {
+      ++occ[static_cast<std::size_t>(f.src_host)];
+      ++occ[static_cast<std::size_t>(f.dst_host)];
+    }
+    return occ;
+  }
+};
+
+const PrunedK16& pruned_k16() {
+  static const PrunedK16 fixture;
+  return fixture;
+}
+
+TEST(VmMigrationPruned, PlanOutputIsPinned) {
+  const PrunedK16& s = pruned_k16();
+  const VmMigrationResult r =
+      solve_vm_migration_plan(s.apsp, s.flows, s.p, s.cfg);
+  Hash64 h;
+  h.f64(r.total_cost).f64(r.migration_cost).i64(r.vms_moved);
+  for (const VmFlow& f : r.flows) h.i64(f.src_host).i64(f.dst_host);
+  for (const FlowId i : r.moved_flow_indices) h.i64(i.value());
+  EXPECT_EQ(h.value(), 0x2381772b87e07315ULL) << std::hex << h.value();
+  EXPECT_EQ(r.vms_moved, 5);
+  // PLAN checks capacity on move targets only: a host that gained VMs
+  // ends at or below the limit.
+  const auto before = s.occupancy(s.flows);
+  const auto after = s.occupancy(r.flows);
+  for (std::size_t v = 0; v < after.size(); ++v) {
+    if (after[v] > before[v]) {
+      EXPECT_LE(after[v], s.cfg.host_capacity) << "host " << v;
+    }
+  }
+}
+
+TEST(VmMigrationPruned, McfObjectiveIsPinned) {
+  const PrunedK16& s = pruned_k16();
+  const VmMigrationResult r =
+      solve_vm_migration_mcf(s.apsp, s.flows, s.p, s.cfg);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.total_cost), 0x417e58acb627e8d6ULL)
+      << std::hex << std::bit_cast<std::uint64_t>(r.total_cost);
+  EXPECT_EQ(r.vms_moved, 60);
+  const auto before = s.occupancy(s.flows);
+  const auto after = s.occupancy(r.flows);
+  for (std::size_t v = 0; v < after.size(); ++v) {
+    EXPECT_LE(after[v], std::max(s.cfg.host_capacity, before[v]));
+  }
 }
 
 TEST(VmMigration, RejectsBadConfig) {

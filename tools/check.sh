@@ -224,13 +224,16 @@ for resume_build in build-asan build-tsan; do
 done
 
 # ---------------------------------------------------------------------------
-# Stage 6b: the stroll DP and fault suites under ASan + UBSan (optional;
-# needs the sanitize preset built). The stroll DP reads the fabric's
-# AllPairs core through raw row and column pointers, masked by a
-# restricted (degraded) universe; the fault suite drives the degraded
-# fabrics that produce those masks.
+# Stage 6b: the stroll DP, fault and min-cost-flow suites under ASan +
+# UBSan (optional; needs the sanitize preset built). The stroll DP reads
+# the fabric's AllPairs core through raw row and column pointers, masked
+# by a restricted (degraded) universe; the fault suite drives the degraded
+# fabrics that produce those masks. The min-cost-flow solver indexes its
+# residual arcs through predecessor arrays that an early-exit Dijkstra
+# leaves partly stale, and the VM-migration baselines drive it.
 # ---------------------------------------------------------------------------
-for t in stroll_dp_test kernel_equivalence_test placement_test fault_test; do
+for t in stroll_dp_test kernel_equivalence_test placement_test fault_test \
+         min_cost_flow_test vm_migration_test; do
   ASAN_RUNNER=build-asan/tests/$t
   if [ -x "$ASAN_RUNNER" ]; then
     note "asan: $ASAN_RUNNER"
