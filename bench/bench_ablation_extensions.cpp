@@ -13,7 +13,7 @@
 // Options: --k --trials --l --n --seed --csv
 //
 // This harness runs hand-rolled trial loops (no run_experiment), so the
-// shared checkpoint journal does not apply; it still honours
+// per-cell checkpoint journals do not apply; it still honours
 // SIGINT/SIGTERM cooperatively — an interrupted sweep prints the rows
 // aggregated so far (marked partial) instead of dying mid-table.
 #include <iostream>

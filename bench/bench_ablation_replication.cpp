@@ -9,7 +9,8 @@
 // replication could be beneficial ... when compared to VNF migration".
 //
 // Options: --k --trials --l --n --mu --replicas --zipf --seed --threads
-//          --csv --checkpoint --keep-going --retries  (robustness; see
+//          --csv --checkpoint BASE --keep-going --retries  (robustness:
+//          BASE.t<trial>p<policy> holds each cell's epoch journal; see
 //          EXPERIMENTS.md "Crash-safe checkpointing")
 #include <iostream>
 #include <sstream>
@@ -31,8 +32,13 @@ std::vector<int> parse_list(const std::string& csv) {
 
 namespace ppdc {
 
-/// Sim policy wrapper: static replicated placement chosen at hour 0;
-/// flows re-route (Viterbi) every hour at zero migration cost.
+/// Sim policy wrapper: a static replicated placement, provisioned for the
+/// tenant layout; flows re-route (Viterbi) every hour at zero migration
+/// cost. The replicas depend only on the flows' endpoints (each flow
+/// weighs one unit, not one hour's rate), so whichever epoch first asks
+/// computes the same placement — a run resumed mid-way from its epoch
+/// journal, whose clone skips the replayed epochs, matches an
+/// uninterrupted one.
 class ReplicationPolicy final : public MigrationPolicy {
  public:
   ReplicationPolicy(int replicas, TopDpOptions options)
@@ -46,7 +52,7 @@ class ReplicationPolicy final : public MigrationPolicy {
     return std::make_unique<ReplicationPolicy>(replicas_, options_);
   }
   EpochDecision on_epoch(const CostModel& model, SimState& state) override {
-    // Re-cluster once per run; the fingerprint also catches a flow set
+    // Cluster once per flow set; the fingerprint also catches a flow set
     // swapped mid-run (e.g. when driven manually through run_simulation).
     std::vector<NodeId> fingerprint;
     fingerprint.reserve(state.flows.size() * 2);
@@ -55,9 +61,11 @@ class ReplicationPolicy final : public MigrationPolicy {
       fingerprint.push_back(f.dst_host);
     }
     if (placement_.chains.empty() || fingerprint != fingerprint_) {
+      std::vector<VmFlow> unit = state.flows;
+      for (VmFlow& f : unit) f.rate = 1.0;
       placement_ = solve_replicated_top(
-          model, static_cast<int>(state.placement.size()), replicas_,
-          options_);
+          CostModel(model.apsp(), unit),
+          static_cast<int>(state.placement.size()), replicas_, options_);
       fingerprint_ = std::move(fingerprint);
     }
     EpochDecision d;

@@ -14,7 +14,9 @@
 // visible.
 //
 // Options: --k --trials --l --n --mu --svalues --seed --threads --csv
-//          --checkpoint --keep-going --retries  (robustness; see
+//          --checkpoint BASE --keep-going --retries  (robustness:
+//          BASE.<section>.t<trial>p<policy> holds each cell's epoch
+//          journal; see
 //          EXPERIMENTS.md "Crash-safe checkpointing")
 #include <algorithm>
 #include <iostream>

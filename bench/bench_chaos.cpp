@@ -23,16 +23,17 @@
 // (sim/sharded.hpp) on the two scenarios whose fault structure lines up
 // with ingress-pod shards — pod-outage and gray-links — with churn, the
 // per-shard containment ladder, the sharded invariant auditor, and a
-// quarantine SLA price on contained shard failures. --epoch-journal BASE
-// additionally journals every cell at epoch granularity so a killed soak
-// resumes mid-cell (tools/smoke_resume_sharded.sh drives that path with
+// quarantine SLA price on contained shard failures. --checkpoint BASE
+// journals every cell at epoch granularity, so a killed soak resumes
+// mid-cell (tools/smoke_resume_sharded.sh drives that path with
 // PPDC_EPOCH_CRASH_AFTER).
 //
 // Options: --k --trials --l --n --mu --hours --mtbf --mttr --penalty
 //          --node-budget --seed --threads --csv --smoke
 //          --sharded --shard-threads --resolve-frac --quarantine-sla
-//          --epoch-journal
-//          --checkpoint --keep-going --retries  (robustness; see
+//          --checkpoint BASE --keep-going --retries  (robustness:
+//          BASE.<section>.t<trial>p<policy> holds each cell's epoch
+//          journal; see
 //          EXPERIMENTS.md "Chaos soak")
 #include <algorithm>
 #include <iostream>
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
   opts.restrict_to({"k", "trials", "l", "n", "mu", "hours", "mtbf", "mttr",
                     "penalty", "node-budget", "seed", "threads", "csv",
                     "smoke", "sharded", "shard-threads", "resolve-frac",
-                    "quarantine-sla", "epoch-journal", "checkpoint",
+                    "quarantine-sla", "checkpoint",
                     "keep-going", "retries"});
   // Smoke mode is the tier-1 / sanitizer gate: one trial of every
   // scenario at the smallest fabric that still has four pods to fail.
@@ -86,7 +87,6 @@ int main(int argc, char** argv) {
       static_cast<int>(opts.get_int("shard-threads", 0));
   const double resolve_frac = opts.get_double("resolve-frac", 0.15);
   const double quarantine_sla = opts.get_double("quarantine-sla", 5.0);
-  const std::string epoch_journal = opts.get_string("epoch-journal", "");
   const bench::RobustnessOptions robust = bench::robustness_options(opts);
   bench::install_signal_handlers();
 
@@ -207,9 +207,7 @@ int main(int argc, char** argv) {
       if (sharded_mode) {
         // Pod-sharded streaming path: churn every epoch, re-solve on the
         // churn threshold, contain per-shard failures under the ladder,
-        // and price quarantined shard-epochs via the SLA. The epoch
-        // journal base is tagged per scenario so the per-cell derived
-        // paths of consecutive scenarios never collide.
+        // and price quarantined shard-epochs via the SLA.
         cfg.sharded.enabled = true;
         cfg.sharded.threads = shard_threads;
         cfg.sharded.resolve_churn_fraction = resolve_frac;
@@ -217,9 +215,6 @@ int main(int argc, char** argv) {
         cfg.sharded.churn.arrivals_per_epoch = std::max(1, l / 10);
         cfg.sharded.churn.departure_prob = 0.05;
         cfg.sharded.churn.rerate_prob = 0.1;
-        if (!epoch_journal.empty()) {
-          cfg.sharded.epoch_journal = epoch_journal + "." + sc.name;
-        }
       }
       bench::apply_robustness(cfg, robust, sc.name);
 

@@ -108,16 +108,16 @@ inline std::atomic<bool>& cancel_flag() {
 
 namespace detail {
 inline void request_cancel(int /*signum*/) {
-  // Lock-free atomic store: async-signal-safe. The experiment runner
-  // flushes the journal per completed job, so there is nothing else to
-  // save here — the workers notice the flag at the next epoch boundary.
+  // Lock-free atomic store: async-signal-safe. Every checkpointed cell
+  // rewrites its journal after each epoch, so there is nothing else to
+  // save here — the workers notice the flag at the next shard boundary.
   cancel_flag().store(true, std::memory_order_relaxed);
 }
 }  // namespace detail
 
 /// Installs SIGINT/SIGTERM handlers that request a cooperative stop: the
-/// run finishes its journal record in flight, then run_experiment throws
-/// ExperimentInterrupted (handled by run_or_exit below).
+/// cells in flight stop with their journals durable, then run_experiment
+/// throws ExperimentInterrupted (handled by run_or_exit below).
 inline void install_signal_handlers() {
   std::signal(SIGINT, &detail::request_cancel);
   std::signal(SIGTERM, &detail::request_cancel);
@@ -125,7 +125,7 @@ inline void install_signal_handlers() {
 
 /// The three robustness options every experiment driver exposes.
 struct RobustnessOptions {
-  std::string checkpoint;  ///< journal base path ("" = no checkpointing)
+  std::string checkpoint;  ///< cell-journal base path ("" = none)
   bool keep_going = false;
   int retries = 0;
 };
@@ -138,10 +138,11 @@ inline RobustnessOptions robustness_options(const Options& opts) {
   return r;
 }
 
-/// Derives the journal path of one experiment section from the driver's
+/// Derives the journal base of one experiment section from the driver's
 /// --checkpoint base. Drivers that run several differently-configured
-/// experiments (e.g. fig11's panels) must give each its own journal —
-/// they have different fingerprints and would reject a shared file.
+/// experiments (e.g. fig11's panels) must give each its own base — their
+/// cells would otherwise share journal paths, and each would warn about
+/// and overwrite the other's journals.
 inline std::string checkpoint_for(const std::string& base,
                                   const std::string& tag) {
   if (base.empty()) return "";
@@ -180,8 +181,8 @@ inline void report_failures(const std::vector<PolicyStats>& stats) {
 
 /// run_experiment with the drivers' shared interrupted-run exit path: on
 /// ExperimentInterrupted (SIGINT/SIGTERM), print the partial per-policy
-/// summary on stderr and exit 130 — the journal already holds every
-/// completed job, so rerunning the same command resumes. Failure reports
+/// summary on stderr and exit 130 — the cell journals already hold every
+/// finished epoch, so rerunning the same command resumes. Failure reports
 /// of keep-going runs are printed as a side effect.
 inline std::vector<PolicyStats> run_or_exit(
     const Topology& topo, const AllPairs& apsp, const ExperimentConfig& cfg,

@@ -18,7 +18,9 @@
 //
 // Options: --k --trials --l --n --mu --hours --lvalues --nvalues
 //          --true-optimal --seed --threads --csv
-//          --checkpoint --keep-going --retries  (robustness; see
+//          --checkpoint BASE --keep-going --retries  (robustness:
+//          BASE.<section>.t<trial>p<policy> holds each cell's epoch
+//          journal; see
 //          EXPERIMENTS.md "Crash-safe checkpointing")
 #include <iostream>
 #include <sstream>
@@ -83,8 +85,8 @@ int main(int argc, char** argv) {
   // mu = 1e4 and degenerate both baselines to NoMigration.
   vm_cfg.horizon_hours = 4.0;
 
-  // Each panel section is its own experiment with its own fingerprint, so
-  // each gets its own journal file derived from the --checkpoint base.
+  // Each panel section is its own experiment, so each gets its own cell
+  // journal base derived from the --checkpoint base.
   auto make_config = [&](int pairs, int sfc, const std::string& tag) {
     ExperimentConfig cfg;
     cfg.trials = trials;

@@ -15,40 +15,21 @@
 #include <utility>
 
 #include "core/cost_model.hpp"
+#include "core/sharded_cost_model.hpp"
 #include "fault/fault.hpp"
-#include "io/serialize.hpp"
+#include "graph/graph.hpp"
 #include "sim/engine.hpp"
 #include "sim/policy.hpp"
 #include "sim/sharded.hpp"
-#include "topology/topology.hpp"
 #include "util/checksum.hpp"
 #include "util/ids.hpp"
 #include "util/require.hpp"
-#include "util/stats.hpp"
 #include "workload/streaming.hpp"
 #include "workload/traffic.hpp"
-#include "workload/vm_placement.hpp"
 
 namespace ppdc {
 
 namespace {
-
-constexpr char kMagic[8] = {'P', 'P', 'D', 'C', 'J', 'N', 'L', '1'};
-// Version 2: StatsBundle grew the graceful-degradation ladder scalars
-// (ladder_transitions, refresh_only, frozen, policy_failures) and the
-// sim-config fingerprint covers the ladder/audit knobs. Version 3:
-// StatsBundle grew the shard scalars (shard_resolves, shard_holds) and
-// the sim-config fingerprint covers the sharded streaming knobs (churn
-// intensities, resolve_churn_fraction, max_staleness). Version 4:
-// StatsBundle grew the shard failure-containment scalars
-// (shard_quarantines, shard_retries, shard_penalty) and the sim-config
-// fingerprint covers ShardedStreamingConfig::quarantine_sla. Version 5:
-// the ladder's trips became constants and left the sim-config
-// fingerprint, so a version-4 journal is refused by version instead of by
-// a misleading fingerprint mismatch. Older journals are rejected with a
-// clear message — their records cannot be merged bit-exactly into the
-// wider bundle, or their fingerprints hash knobs that no longer exist.
-constexpr std::uint32_t kVersion = 5;
 
 // ---------------------------------------------------------------------------
 // Little serialization layer: fixed-width fields appended to a string,
@@ -70,20 +51,6 @@ void put_u8(std::string& out, std::uint8_t v) {
 
 void put_f64(std::string& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, checked_cast<std::uint32_t>(s.size(), "journal string length"));
-  out.append(s);
-}
-
-void put_running_stats(std::string& out, const RunningStats& s) {
-  const RunningStats::Raw raw = s.raw();
-  put_u64(out, raw.n);
-  put_f64(out, raw.mean);
-  put_f64(out, raw.m2);
-  put_f64(out, raw.min);
-  put_f64(out, raw.max);
 }
 
 /// Bounds-checked reader over a byte range; every overrun throws with the
@@ -120,25 +87,6 @@ class Cursor {
     return v;
   }
   double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint32_t len = u32();
-    PPDC_REQUIRE(len <= end_ - pos_,
-                 "journal string truncated at byte offset " +
-                     std::to_string(pos_));
-    std::string s(bytes_->data() + pos_, len);
-    pos_ += len;
-    return s;
-  }
-  RunningStats running_stats() {
-    RunningStats::Raw raw;
-    raw.n = u64();
-    raw.mean = f64();
-    raw.m2 = f64();
-    raw.min = f64();
-    raw.max = f64();
-    return RunningStats::from_raw(raw);
-  }
-
  private:
   const std::string* bytes_;
   std::size_t pos_;
@@ -174,92 +122,6 @@ std::pair<std::size_t, std::size_t> read_frame(const std::string& bytes,
                    ", computed " + std::to_string(actual_crc) + ")");
   pos = begin + len;
   return {begin, begin + len};
-}
-
-std::string serialize_header(const ExperimentFingerprint& fp,
-                             const JournalDims& dims) {
-  std::string payload;
-  put_u32(payload, kVersion);
-  put_u64(payload, fp.topology);
-  put_u64(payload, fp.workload);
-  put_u64(payload, fp.fault_schedule);
-  put_u64(payload, fp.policy_list);
-  put_u64(payload, fp.sim_config);
-  put_u32(payload, dims.trials);
-  put_u32(payload, dims.policies);
-  put_u32(payload, dims.hours);
-  return payload;
-}
-
-std::string serialize_record(const JobRecord& rec) {
-  std::string payload;
-  put_u32(payload, rec.trial);
-  put_u32(payload, rec.policy);
-  put_u8(payload, static_cast<std::uint8_t>(rec.outcome));
-  put_u32(payload, rec.attempts);
-  put_str(payload, rec.policy_name);
-  put_str(payload, rec.error);
-  const bool has_stats = rec.outcome != JobOutcome::kFailed;
-  put_u8(payload, has_stats ? 1 : 0);
-  if (has_stats) {
-    put_u32(payload, checked_cast<std::uint32_t>(rec.stats.hourly_cost.size(),
-                                                 "journal hours"));
-    for (const StatField& f : kStatFields) {
-      put_running_stats(payload, rec.stats.*f.bundle);
-    }
-    for (const RunningStats& s : rec.stats.hourly_cost) {
-      put_running_stats(payload, s);
-    }
-    for (const RunningStats& s : rec.stats.hourly_moves) {
-      put_running_stats(payload, s);
-    }
-  }
-  return payload;
-}
-
-JobRecord parse_record(const std::string& bytes, std::size_t begin,
-                       std::size_t end, const JournalDims& dims) {
-  Cursor c(bytes, begin, end);
-  JobRecord rec;
-  rec.trial = c.u32();
-  rec.policy = c.u32();
-  const std::uint8_t outcome = c.u8();
-  PPDC_REQUIRE(outcome <= static_cast<std::uint8_t>(JobOutcome::kFailed),
-               "journal record at byte offset " + std::to_string(begin) +
-                   " carries unknown outcome " + std::to_string(outcome));
-  rec.outcome = static_cast<JobOutcome>(outcome);
-  rec.attempts = c.u32();
-  rec.policy_name = c.str();
-  rec.error = c.str();
-  const bool has_stats = c.u8() != 0;
-  PPDC_REQUIRE(rec.trial < dims.trials && rec.policy < dims.policies,
-               "journal record at byte offset " + std::to_string(begin) +
-                   " addresses cell (" + std::to_string(rec.trial) + ", " +
-                   std::to_string(rec.policy) + ") outside the " +
-                   std::to_string(dims.trials) + "x" +
-                   std::to_string(dims.policies) + " grid");
-  if (has_stats) {
-    const std::uint32_t hours = c.u32();
-    PPDC_REQUIRE(hours == dims.hours,
-                 "journal record at byte offset " + std::to_string(begin) +
-                     " carries " + std::to_string(hours) +
-                     " hourly series entries for a " +
-                     std::to_string(dims.hours) + "-hour horizon");
-    rec.stats = StatsBundle(hours);
-    for (const StatField& f : kStatFields) {
-      rec.stats.*f.bundle = c.running_stats();
-    }
-    for (std::uint32_t h = 0; h < hours; ++h) {
-      rec.stats.hourly_cost[h] = c.running_stats();
-    }
-    for (std::uint32_t h = 0; h < hours; ++h) {
-      rec.stats.hourly_moves[h] = c.running_stats();
-    }
-  }
-  PPDC_REQUIRE(c.exhausted(),
-               "journal record at byte offset " + std::to_string(begin) +
-                   " has trailing bytes");
-  return rec;
 }
 
 // ---------------------------------------------------------------------------
@@ -320,14 +182,12 @@ std::string read_file(const std::string& path) {
   return std::move(buf).str();
 }
 
-/// Fault-injection hooks of the kill-resume gates: a positive integer in
-/// the environment variable `name` (PPDC_CHECKPOINT_CRASH_AFTER for the
-/// grid journal, PPDC_EPOCH_CRASH_AFTER for the epoch journal) makes the
-/// process hard-exit (no unwinding, no atexit — a SIGKILL stand-in) right
-/// after that many journal writes became durable. Anything else disables
-/// the hook.
-int crash_after_from_env(const char* name) {
-  const char* v = std::getenv(name);
+/// Fault-injection hook of the kill-resume gates: a positive integer in
+/// PPDC_EPOCH_CRASH_AFTER makes the process hard-exit (no unwinding, no
+/// atexit — a SIGKILL stand-in) right after that many journal writes
+/// became durable. Anything else disables the hook.
+int crash_after_from_env() {
+  const char* v = std::getenv("PPDC_EPOCH_CRASH_AFTER");
   if (v == nullptr) return 0;
   // strtol instead of atoi so garbage ("", "abc", trailing junk) is
   // detectably rejected rather than silently parsed as 0-ish.
@@ -339,225 +199,15 @@ int crash_after_from_env(const char* name) {
              : 0;
 }
 
-}  // namespace
-
-const char* to_string(JobOutcome outcome) noexcept {
-  switch (outcome) {
-    case JobOutcome::kOk:
-      return "ok";
-    case JobOutcome::kTruncated:
-      return "truncated";
-    case JobOutcome::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
-std::vector<std::string> ExperimentFingerprint::diff(
-    const ExperimentFingerprint& other) const {
-  std::vector<std::string> out;
-  if (topology != other.topology) out.emplace_back("topology");
-  if (workload != other.workload) out.emplace_back("workload");
-  if (fault_schedule != other.fault_schedule) {
-    out.emplace_back("fault schedule");
-  }
-  if (policy_list != other.policy_list) out.emplace_back("policy list");
-  if (sim_config != other.sim_config) out.emplace_back("sim config");
-  return out;
-}
-
-ExperimentFingerprint fingerprint_experiment(
-    const Topology& topo, const ExperimentConfig& config,
-    const std::vector<const MigrationPolicy*>& policies) {
-  ExperimentFingerprint fp;
-  {
-    // The serialized form captures nodes, labels, edges, weights and rack
-    // structure — everything the simulation can observe of the fabric.
-    std::ostringstream os;
-    save_topology(os, topo);
-    fp.topology = hash64(os.str());
-  }
-  {
-    Hash64 h;
-    h.u64(config.seed).i64(config.trials);
-    const VmPlacementConfig& w = config.workload;
-    h.i64(w.num_pairs).f64(w.intra_rack_fraction).b(w.spatial_coasts);
-    h.f64(w.rack_zipf_s);
-    const RateDistribution& r = w.rates;
-    h.f64(r.light_fraction).f64(r.medium_fraction).f64(r.heavy_fraction);
-    h.f64(r.light_lo).f64(r.light_hi).f64(r.medium_lo).f64(r.medium_hi);
-    h.f64(r.heavy_lo).f64(r.heavy_hi);
-    fp.workload = h.value();
-  }
-  {
-    Hash64 h;
-    h.u64(config.sim.faults.size());
-    for (const FaultEvent& e : config.sim.faults) {
-      h.i64(e.epoch.value()).u64(static_cast<std::uint64_t>(e.kind));
-      h.i64(e.node).i64(e.u).i64(e.v);
-    }
-    fp.fault_schedule = h.value();
-  }
-  {
-    Hash64 h;
-    h.u64(policies.size());
-    for (const MigrationPolicy* p : policies) h.str(p->name());
-    fp.policy_list = h.value();
-  }
-  {
-    Hash64 h;
-    h.i64(config.sfc_length).i64(config.sim.hours);
-    h.i64(config.sim.diurnal.hours_per_day).f64(config.sim.diurnal.tau_min);
-    h.i64(config.sim.diurnal.coast_offset);
-    h.i64(config.sim.initial_placement.candidate_limit);
-    h.b(static_cast<bool>(config.sim.rate_schedule));
-    h.f64(config.sim.downtime_factor);
-    h.f64(config.sim.fault.mu).f64(config.sim.fault.quarantine_penalty);
-    h.i64(config.sim.fault.placement.candidate_limit);
-    h.b(config.sim.fault.exhaustive_recovery);
-    h.f64(config.sim.fault.budget.wall_ms);
-    h.b(config.sim.ladder.enabled);
-    // Auditing changes no results, but a run that dies on an AuditError
-    // must not silently resume as a non-audited run (and vice versa).
-    h.b(config.sim.audit.enabled);
-    // Sharded streaming execution: the churn trace and the
-    // bounded-staleness re-solve schedule both shape results. Thread
-    // counts stay excluded (bit-identical by construction).
-    h.b(config.sharded.enabled);
-    h.i64(config.sharded.churn.arrivals_per_epoch);
-    h.f64(config.sharded.churn.departure_prob);
-    h.f64(config.sharded.churn.rerate_prob);
-    h.f64(config.sharded.resolve_churn_fraction);
-    h.i64(config.sharded.max_staleness);
-    // Shard failure containment: the quarantine SLA prices quarantined
-    // shard-epochs into total cost. The epoch-journal path stays
-    // excluded — it only decides durability, never results.
-    h.f64(config.sharded.quarantine_sla);
-    fp.sim_config = h.value();
-  }
-  return fp;
-}
-
-CheckpointJournal::CheckpointJournal(std::string path,
-                                     const ExperimentFingerprint& fingerprint,
-                                     const JournalDims& dims)
-    : path_(std::move(path)),
-      crash_after_(crash_after_from_env("PPDC_CHECKPOINT_CRASH_AFTER")) {
-  PPDC_REQUIRE(!path_.empty(), "checkpoint journal path is empty");
-  if (file_exists(path_)) {
-    JournalContents contents = read_journal(path_);
-    if (contents.fingerprint != fingerprint) {
-      const std::vector<std::string> diverged =
-          contents.fingerprint.diff(fingerprint);
-      std::string what = "checkpoint journal '" + path_ +
-                         "' was written by a different experiment — "
-                         "diverged component";
-      what += diverged.size() == 1 ? ": " : "s: ";
-      for (std::size_t i = 0; i < diverged.size(); ++i) {
-        if (i > 0) what += ", ";
-        what += diverged[i];
-      }
-      what += " (delete the journal or rerun the original configuration)";
-      throw CheckpointMismatchError(what);
-    }
-    PPDC_REQUIRE(contents.dims == dims,
-                 "checkpoint journal '" + path_ +
-                     "' header dimensions disagree with a matching "
-                     "fingerprint (corrupt header?)");
-    warning_ = contents.warning;
-    resumed_ = std::move(contents.records);
-    // Keep exactly the verified prefix: a dropped tail is rewritten by
-    // the first append, and the rerun jobs re-journal their records.
-    buffer_.assign(kMagic, sizeof kMagic);
-    append_frame(buffer_, serialize_header(fingerprint, dims));
-    for (const JobRecord& rec : resumed_) {
-      append_frame(buffer_, serialize_record(rec));
-    }
-  } else {
-    buffer_.assign(kMagic, sizeof kMagic);
-    append_frame(buffer_, serialize_header(fingerprint, dims));
-    write_atomic(path_, buffer_);
-  }
-}
-
-void CheckpointJournal::append(const JobRecord& record) {
-  const std::string payload = serialize_record(record);
-  const std::lock_guard<std::mutex> lock(mu_);
-  append_frame(buffer_, payload);
-  write_atomic(path_, buffer_);
-  ++appended_;
-  if (crash_after_ > 0 && appended_ >= crash_after_) {
-    // SIGKILL stand-in for the kill-resume gate: no unwinding, no
-    // flushing beyond what is already durable.
-    std::_Exit(37);
-  }
-}
-
-JournalContents read_journal(const std::string& path) {
-  PPDC_REQUIRE(file_exists(path),
-               "checkpoint journal '" + path + "' does not exist");
-  const std::string bytes = read_file(path);
-  JournalContents out;
-  PPDC_REQUIRE(bytes.size() >= sizeof kMagic &&
-                   std::memcmp(bytes.data(), kMagic, sizeof kMagic) == 0,
-               "'" + path + "' is not a ppdc checkpoint journal (bad magic)");
-  std::size_t pos = sizeof kMagic;
-  {
-    // Header corruption is not recoverable — without a trusted
-    // fingerprint nothing in the file can be believed.
-    const auto [begin, end] = read_frame(bytes, pos);
-    Cursor c(bytes, begin, end);
-    const std::uint32_t version = c.u32();
-    PPDC_REQUIRE(version == kVersion,
-                 "checkpoint journal '" + path + "' has version " +
-                     std::to_string(version) + ", this build reads version " +
-                     std::to_string(kVersion));
-    out.fingerprint.topology = c.u64();
-    out.fingerprint.workload = c.u64();
-    out.fingerprint.fault_schedule = c.u64();
-    out.fingerprint.policy_list = c.u64();
-    out.fingerprint.sim_config = c.u64();
-    out.dims.trials = c.u32();
-    out.dims.policies = c.u32();
-    out.dims.hours = c.u32();
-    PPDC_REQUIRE(c.exhausted(),
-                 "checkpoint journal '" + path + "' header has trailing bytes");
-  }
-  while (pos < bytes.size()) {
-    const std::size_t frame_start = pos;
-    try {
-      const auto [begin, end] = read_frame(bytes, pos);
-      JobRecord rec = parse_record(bytes, begin, end, out.dims);
-      out.record_offsets.push_back(frame_start);
-      out.records.push_back(std::move(rec));
-    } catch (const PpdcError& e) {
-      // A torn or corrupt record invalidates everything after it (frame
-      // boundaries can no longer be trusted). Drop the tail: the affected
-      // jobs rerun, which is always safe.
-      out.tail_dropped = true;
-      out.warning = "checkpoint journal '" + path + "': dropping " +
-                    std::to_string(bytes.size() - frame_start) +
-                    " byte(s) after record " +
-                    std::to_string(out.records.size()) + " — " + e.what();
-      break;
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-granular journal of one sharded run (DESIGN.md §15).
-// ---------------------------------------------------------------------------
-
-namespace {
-
 constexpr char kEpochMagic[8] = {'P', 'P', 'D', 'C', 'E', 'J', 'L', '1'};
 // Version 2: the per-shard CostModel group base vectors were |V_s| wide
 // (SwitchIdx-indexed), not |V| wide. Version 3: the journal holds the
 // solvers' answers per epoch and shard instead of a dump of engine state,
-// and a resume re-executes the run from hour 0. An older journal is
-// rejected, and the sharded engine warns and starts the run fresh.
-constexpr std::uint32_t kEpochVersion = 3;
+// and a resume re-executes the run from hour 0. Version 4: the header
+// records the retry attempt, and the fingerprint covers the fabric, the
+// shard map and the attempt. An older journal is rejected, and the engine
+// warns and starts the run fresh.
+constexpr std::uint32_t kEpochVersion = 4;
 
 void put_i32(std::string& out, std::int32_t v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof v);
@@ -707,10 +357,21 @@ std::atomic<int> g_epoch_journal_writes{0};
 }  // namespace
 
 std::uint64_t fingerprint_sharded_run(
+    const Graph& graph, const ShardMap& map,
     const StreamingWorkload::Snapshot& entry_state, const SimConfig& config,
-    const ShardedStreamingConfig& sharded, int n, int num_shards,
-    const std::string& policy_name) {
+    const ShardedStreamingConfig& sharded, int n,
+    const std::string& policy_name, int attempt) {
   Hash64 h;
+  // The fabric every cost is measured on, and how its hosts split into
+  // shards.
+  h.i64(graph.num_nodes());
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    h.b(graph.is_switch(v));
+    for (const Adjacency& a : graph.neighbors(v)) h.i64(a.to).f64(a.weight);
+  }
+  h.u64(map.names.size());
+  for (const std::string& name : map.names) h.str(name);
+  for (const int s : map.shard_of_host) h.i64(s);
   // The entry-state snapshot pins the exact initial draw; the churn knobs
   // pin how it evolves (the snapshot alone cannot — two configs share an
   // epoch-0 state but diverge from epoch 1).
@@ -721,8 +382,8 @@ std::uint64_t fingerprint_sharded_run(
   h.f64(sharded.resolve_churn_fraction);
   h.i64(sharded.max_staleness);
   h.f64(sharded.quarantine_sla);
-  h.str(policy_name);
-  h.i64(n).i64(num_shards).i64(config.hours);
+  h.str(policy_name).i64(attempt);
+  h.i64(n).i64(config.hours);
   h.i64(config.diurnal.hours_per_day).f64(config.diurnal.tau_min);
   h.i64(config.diurnal.coast_offset);
   h.i64(config.initial_placement.candidate_limit);
@@ -749,6 +410,7 @@ void write_epoch_journal(const std::string& path,
     std::string header;
     put_u32(header, kEpochVersion);
     put_u64(header, state.fingerprint);
+    put_u32(header, state.attempt);
     put_u32(header, state.hours);
     put_u32(header, state.shards);
     put_i32_vec(header, state.merged_initial);
@@ -764,12 +426,11 @@ void write_epoch_journal(const std::string& path,
     append_frame(bytes, payload);
   }
   write_atomic(path, bytes);
-  static const int crash_after =
-      crash_after_from_env("PPDC_EPOCH_CRASH_AFTER");
+  static const int crash_after = crash_after_from_env();
   const int writes =
       g_epoch_journal_writes.fetch_add(1, std::memory_order_relaxed) + 1;
   if (crash_after > 0 && writes >= crash_after) {
-    // SIGKILL stand-in for the sharded kill-resume gate: no unwinding, no
+    // SIGKILL stand-in for the kill-resume gates: no unwinding, no
     // flushing beyond what is already durable.
     std::_Exit(37);
   }
@@ -792,6 +453,7 @@ bool read_epoch_journal(const std::string& path, EpochJournalState& out) {
                      std::to_string(version) + ", this build reads version " +
                      std::to_string(kEpochVersion));
     out.fingerprint = c.u64();
+    out.attempt = c.u32();
     out.hours = c.u32();
     out.shards = c.u32();
     out.merged_initial = cursor_i32_vec(c);

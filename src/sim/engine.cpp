@@ -37,7 +37,8 @@ class BorrowedPolicy final : public MigrationPolicy {
 SimTrace run_simulation(const AllPairs& apsp,
                         const std::vector<VmFlow>& base_flows, int n,
                         const SimConfig& config, MigrationPolicy& policy,
-                        EpochObserver* observer) {
+                        EpochObserver* observer, const std::string& journal,
+                        int attempt) {
   // One shard holding every node, fed by a churn-free flow source.
   ShardMap map;
   map.names.push_back("all");
@@ -46,7 +47,8 @@ SimTrace run_simulation(const AllPairs& apsp,
   StreamingWorkload workload(base_flows);
   return run_sharded_simulation(apsp, map, workload, n, config,
                                 ShardedStreamingConfig{},
-                                BorrowedPolicy(policy), observer);
+                                BorrowedPolicy(policy), observer, journal,
+                                attempt);
 }
 
 }  // namespace ppdc

@@ -36,6 +36,7 @@
 
 #include <atomic>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/placement_dp.hpp"
@@ -120,11 +121,9 @@ struct SimConfig {
   /// Cooperative cancellation (SIGINT/SIGTERM plumbing of bench_common):
   /// when non-null and the pointee flips to true, the engine stops at the
   /// next epoch boundary by throwing SimInterrupted. A cancelled run
-  /// produced no trace and must be treated as never having happened —
-  /// the experiment runner reruns it from scratch on resume, which is
-  /// what keeps resumed results bit-identical. Not part of the
-  /// experiment fingerprint (it never influences results, only whether
-  /// they are produced).
+  /// produced no trace; its epoch journal, when it keeps one, resumes it
+  /// bit-identically. Not part of the run fingerprint (it never
+  /// influences results, only whether they are produced).
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -144,10 +143,12 @@ class SimInterrupted : public PpdcError {
 /// receive the structured epoch event stream (epoch boundaries, fault
 /// fires/repairs, recovery, budget truncation, quarantine, blackout,
 /// shard batches and ladder steps) while the run executes. The observer
-/// is invoked on the calling thread.
+/// is invoked on the calling thread. `journal` and `attempt` are the
+/// epoch journal's path and retry attempt, as for run_sharded_simulation.
 SimTrace run_simulation(const AllPairs& apsp,
                         const std::vector<VmFlow>& base_flows, int n,
                         const SimConfig& config, MigrationPolicy& policy,
-                        EpochObserver* observer = nullptr);
+                        EpochObserver* observer = nullptr,
+                        const std::string& journal = {}, int attempt = 0);
 
 }  // namespace ppdc

@@ -24,15 +24,16 @@
 // bundles merge() degenerates to Welford's add() on the mean, so the
 // reported means also match the historical serial runner bit for bit.
 //
-// Robustness (DESIGN.md §10): with `checkpoint_path` set, every completed
-// (trial, policy) job is journaled durably (sim/checkpoint.hpp) and a
-// relaunched run validates the config fingerprint, skips journaled cells
-// and merges them in the same fixed trial order — bit-identical to an
-// uninterrupted run at any thread count. `keep_going` quarantines
-// throwing policy clones into per-policy failure records instead of
-// aborting the grid; `retry_limit` bounds reruns of TransientError jobs;
-// SimConfig::cancel wires SIGINT/SIGTERM into a clean partial stop
-// (ExperimentInterrupted) with the journal already flushed.
+// Robustness (DESIGN.md §10): with `checkpoint_path` set, every
+// (trial, policy) cell keeps its own epoch journal (sim/checkpoint.hpp).
+// A relaunched run runs every cell again: a finished cell's journal
+// replays it without a solver call, an interrupted cell resumes
+// mid-run, and a missing or foreign journal starts the cell fresh — the
+// result is bit-identical to an uninterrupted run at any thread count.
+// `keep_going` quarantines throwing policy clones into per-policy failure
+// records instead of aborting the grid; `retry_limit` bounds reruns of
+// TransientError jobs; SimConfig::cancel wires SIGINT/SIGTERM into a
+// clean partial stop (ExperimentInterrupted) with every journal durable.
 #pragma once
 
 #include <string>
@@ -59,10 +60,10 @@ struct ExperimentConfig {
   /// Worker threads of the SimJob pool. 0 = auto: hardware concurrency.
   /// Any value yields bit-identical results; only wall-clock changes.
   int threads = 0;
-  /// Crash-safe journal path (empty = no checkpointing). When the file
-  /// exists its fingerprint is validated against this experiment and the
-  /// journaled jobs are skipped; when it does not, it is created. Never
-  /// part of the fingerprint itself.
+  /// Base path of the cell journals (empty = no checkpointing). Cell
+  /// (trial, policy) journals its epochs at `<base>.t<trial>p<policy>`;
+  /// a finished cell keeps its journal as its terminal record, a failed
+  /// cell's journal is deleted so the cell reruns on resume.
   std::string checkpoint_path;
   /// Failure containment: instead of rethrowing the first failing job in
   /// grid order, quarantine the failing (trial, policy) cell — record the
@@ -133,98 +134,9 @@ struct PolicyStats {
   std::vector<JobFailure> failures;
 };
 
-/// One simulation run's samples, and the per-policy accumulator: every
-/// field is a RunningStats so a job result and the reduction target are
-/// the same type, merged with RunningStats::merge. The reduction order is
-/// fixed (trial-major), never a function of worker interleaving — that
-/// alone makes every thread count bit-identical. On top of that, merging
-/// a single-sample bundle runs Welford's add() arithmetic on the mean
-/// (Chan's update degenerates for nb = 1), so reported means also match
-/// the historical serial loop bit for bit (see stats_test.cpp). Public
-/// because the checkpoint journal persists one bundle per completed job
-/// (raw IEEE bits, sim/checkpoint.hpp) and must restore it bit-exactly.
-struct StatsBundle {
-  RunningStats total, comm, migration, vnf_moves, vm_moves, recovery_moves,
-      recovery_cost, quarantined, penalty, downtime, truncated,
-      ladder_transitions, refresh_only, frozen, policy_failures,
-      shard_resolves, shard_holds, shard_quarantines, shard_retries,
-      shard_penalty;
-  std::vector<RunningStats> hourly_cost, hourly_moves;
-
-  explicit StatsBundle(std::size_t hours = 0)
-      : hourly_cost(hours), hourly_moves(hours) {}
-
-  void add(const SimTrace& trace);
-  void merge(const StatsBundle& other);
-};
-
-/// One per-run statistic: its StatsBundle accumulator, the SimTrace total
-/// sampled into it once per run (a cost, or a count widened to double),
-/// and the PolicyStats mean it is reported as.
-struct StatField {
-  constexpr StatField(RunningStats StatsBundle::*acc, double SimTrace::*cost,
-                      MeanCi PolicyStats::*report)
-      : bundle(acc), real(cost), policy(report) {}
-  constexpr StatField(RunningStats StatsBundle::*acc, int SimTrace::*count_of,
-                      MeanCi PolicyStats::*report)
-      : bundle(acc), count(count_of), policy(report) {}
-
-  double sample(const SimTrace& trace) const {
-    return real != nullptr ? trace.*real : static_cast<double>(trace.*count);
-  }
-
-  RunningStats StatsBundle::*bundle;
-  double SimTrace::*real = nullptr;
-  int SimTrace::*count = nullptr;
-  MeanCi PolicyStats::*policy;
-};
-
-/// Every scalar statistic, in checkpoint-journal order (sim/checkpoint.hpp
-/// serializes the accumulators in this order, then the hourly series).
-inline constexpr StatField kStatFields[] = {
-    {&StatsBundle::total, &SimTrace::total_cost, &PolicyStats::total_cost},
-    {&StatsBundle::comm, &SimTrace::total_comm_cost, &PolicyStats::comm_cost},
-    {&StatsBundle::migration, &SimTrace::total_migration_cost,
-     &PolicyStats::migration_cost},
-    {&StatsBundle::vnf_moves, &SimTrace::total_vnf_migrations,
-     &PolicyStats::vnf_migrations},
-    {&StatsBundle::vm_moves, &SimTrace::total_vm_migrations,
-     &PolicyStats::vm_migrations},
-    {&StatsBundle::recovery_moves, &SimTrace::total_recovery_migrations,
-     &PolicyStats::recovery_migrations},
-    {&StatsBundle::recovery_cost, &SimTrace::total_recovery_cost,
-     &PolicyStats::recovery_cost},
-    {&StatsBundle::quarantined, &SimTrace::quarantined_flow_epochs,
-     &PolicyStats::quarantined_flow_epochs},
-    {&StatsBundle::penalty, &SimTrace::total_quarantine_penalty,
-     &PolicyStats::quarantine_penalty},
-    {&StatsBundle::downtime, &SimTrace::downtime_epochs,
-     &PolicyStats::downtime_epochs},
-    {&StatsBundle::truncated, &SimTrace::total_truncated_solves,
-     &PolicyStats::truncated_solves},
-    {&StatsBundle::ladder_transitions, &SimTrace::ladder_transitions,
-     &PolicyStats::ladder_transitions},
-    {&StatsBundle::refresh_only, &SimTrace::refresh_only_epochs,
-     &PolicyStats::refresh_only_epochs},
-    {&StatsBundle::frozen, &SimTrace::frozen_epochs,
-     &PolicyStats::frozen_epochs},
-    {&StatsBundle::policy_failures, &SimTrace::policy_failures,
-     &PolicyStats::policy_failures},
-    {&StatsBundle::shard_resolves, &SimTrace::total_shard_resolves,
-     &PolicyStats::shard_resolves},
-    {&StatsBundle::shard_holds, &SimTrace::total_shard_holds,
-     &PolicyStats::shard_holds},
-    {&StatsBundle::shard_quarantines, &SimTrace::quarantined_shard_epochs,
-     &PolicyStats::quarantined_shard_epochs},
-    {&StatsBundle::shard_retries, &SimTrace::total_shard_retries,
-     &PolicyStats::shard_retries},
-    {&StatsBundle::shard_penalty, &SimTrace::total_shard_penalty,
-     &PolicyStats::shard_penalty},
-};
-
 /// Thrown by run_experiment when SimConfig::cancel flips mid-grid (the
-/// SIGINT/SIGTERM path of bench_common). Every job that completed before
-/// the stop is already durable in the journal (when one is configured);
+/// SIGINT/SIGTERM path of bench_common). With checkpointing configured,
+/// every cell's journal is durable up to its last finished epoch;
 /// partial_summary() reports per-policy completion so the harness can
 /// print what the interrupted campaign already knows.
 class ExperimentInterrupted : public PpdcError {

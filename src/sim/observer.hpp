@@ -109,7 +109,7 @@ class EpochObserver {
   /// (SimConfig::cancel): the run is being abandoned mid-horizon and
   /// SimInterrupted is about to be thrown. Neither on_epoch_end for this
   /// hour nor on_run_end follows — the partial run must not be mistaken
-  /// for a complete trace (the checkpoint layer reruns it on resume).
+  /// for a complete trace (its epoch journal, if any, resumes it).
   virtual void on_interrupted(Hour /*hour*/) {}
 };
 

@@ -105,7 +105,11 @@ struct EpochDecision {
 /// keeps is isolated per trial and safe to run in parallel. `clone()`
 /// must produce an independent instance carrying the configuration but
 /// none of the shared mutable state (a copy of `*this` is correct for
-/// value-semantic policies).
+/// value-semantic policies). `on_epoch` must derive its answer from the
+/// model and state it is handed: a run resumed from its epoch journal
+/// skips the replayed epochs' calls (DESIGN.md §10), so state carried
+/// across epochs diverges — unless it is a cache of a pure function of
+/// inputs every epoch sees alike.
 class MigrationPolicy {
  public:
   virtual ~MigrationPolicy() = default;

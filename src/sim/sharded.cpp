@@ -165,7 +165,9 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
                                 const SimConfig& config,
                                 const ShardedStreamingConfig& sharded,
                                 const MigrationPolicy& prototype,
-                                EpochObserver* observer) {
+                                EpochObserver* observer,
+                                const std::string& journal_path,
+                                int attempt) {
   PPDC_REQUIRE(!workload.flows().empty(),
                "simulation needs at least one flow");
   PPDC_REQUIRE(config.hours >= 1, "simulation needs at least one hour");
@@ -182,10 +184,10 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
                "negative shard quarantine SLA penalty");
   // The journal's run fingerprint cannot hash a std::function, so a
   // journal written under one schedule would resume under another.
-  PPDC_REQUIRE(!config.rate_schedule || sharded.epoch_journal.empty(),
+  PPDC_REQUIRE(!config.rate_schedule || journal_path.empty(),
                "a custom rate_schedule cannot be combined with an epoch "
                "journal (the journal cannot fingerprint the schedule); run "
-               "without epoch_journal, or use the built-in diurnal model");
+               "without a journal, or use the built-in diurnal model");
 
   const Graph& graph = apsp.graph();
   std::optional<FaultInjector> injector;
@@ -266,45 +268,46 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     shard_names.push_back(shards.shard(s).name);
   }
 
-  // Epoch journal (DESIGN.md §15): when configured, try to resume from a
+  // Epoch journal (DESIGN.md §10): when configured, try to resume from a
   // previous incarnation of this exact run. The fingerprint is computed
-  // over the *entry* state — the workload before any epoch ran — plus
-  // every result-shaping knob, so a journal from a different trial,
-  // policy, or configuration warns and is ignored instead of resuming
-  // garbage. A resumed run re-executes every epoch from hour 0 and takes
-  // the solvers' answers from the journal for the epochs it holds.
-  const bool journaling = !sharded.epoch_journal.empty();
+  // over the fabric and the *entry* state — the workload before any epoch
+  // ran — plus every result-shaping knob and the retry attempt, so a
+  // journal from a different fabric, trial, policy, attempt or
+  // configuration warns and is ignored instead of resuming garbage. A
+  // resumed run re-executes every epoch from hour 0 and takes the
+  // solvers' answers from the journal for the epochs it holds.
+  const bool journaling = !journal_path.empty();
   EpochJournalState journal;
   bool resumed = false;
   if (journaling) {
-    const std::uint64_t run_fp = fingerprint_sharded_run(
-        workload.snapshot(), config, sharded, n, num_shards, prototype.name());
+    const std::uint64_t run_fp =
+        fingerprint_sharded_run(graph, map, workload.snapshot(), config,
+                                sharded, n, prototype.name(), attempt);
     bool have = false;
     try {
-      have = read_epoch_journal(sharded.epoch_journal, journal);
+      have = read_epoch_journal(journal_path, journal);
     } catch (const PpdcError& e) {
-      std::cerr << "warning: " << e.what()
-                << " — starting the sharded run fresh\n";
+      std::cerr << "warning: " << e.what() << " — starting the run fresh\n";
     }
     if (have) {
       if (journal.fingerprint != run_fp) {
-        std::cerr << "warning: epoch journal '" << sharded.epoch_journal
-                  << "' was written by a different sharded run — starting "
-                     "fresh\n";
+        std::cerr << "warning: epoch journal '" << journal_path
+                  << "' was written by a different run — starting fresh\n";
       } else if (!journal_fits(journal, graph, num_shards, n, config.hours)) {
-        std::cerr << "warning: epoch journal '" << sharded.epoch_journal
+        std::cerr << "warning: epoch journal '" << journal_path
                   << "' does not fit the run its fingerprint names (corrupt "
                      "journal?) — starting fresh\n";
       } else {
         resumed = true;
-        std::cerr << "note: resuming sharded run from epoch journal '"
-                  << sharded.epoch_journal << "': " << journal.epochs.size()
-                  << " of " << config.hours << " epochs already journaled\n";
+        std::cerr << "note: resuming from epoch journal '" << journal_path
+                  << "': " << journal.epochs.size() << " of " << config.hours
+                  << " epochs already journaled\n";
       }
     }
     if (!resumed) {
       journal = EpochJournalState{};
       journal.fingerprint = run_fp;
+      journal.attempt = static_cast<std::uint32_t>(attempt);
       journal.hours = static_cast<std::uint32_t>(config.hours);
       journal.shards = static_cast<std::uint32_t>(num_shards);
     }
@@ -908,9 +911,8 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     }
 
     // 9. Epoch journal: a live epoch appends its shards' answers and
-    // rewrites the file (skipped after the final epoch — the run is
-    // complete and the caller deletes the journal once the cell lands
-    // durably upstream). A replayed epoch is in the journal already.
+    // rewrites the file — the final epoch too, so a finished run's journal
+    // replays it whole. A replayed epoch is in the journal already.
     if (journaling && hour.value() >= replayed) {
       EpochRecord rec;
       rec.shards.reserve(static_cast<std::size_t>(num_shards));
@@ -918,9 +920,7 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
         rec.shards.push_back(std::move(r.answer));
       }
       journal.epochs.push_back(std::move(rec));
-      if (hour.value() + 1 < config.hours) {
-        write_epoch_journal(sharded.epoch_journal, journal);
-      }
+      write_epoch_journal(journal_path, journal);
     }
   }
   emit([&](EpochObserver& o) { o.on_run_end(); });

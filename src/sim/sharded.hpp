@@ -34,15 +34,18 @@
 // (SimConfig::audit) attaches a ShardedInvariantAuditor that re-derives
 // every shard's epoch from scratch.
 //
-// Epoch checkpointing: with `epoch_journal` set, the run journals what its
+// Epoch checkpointing: with a journal path, the run journals what its
 // solvers answered — the hour-0 placements, then per epoch and shard the
 // recovery target of a stranded shard and the policy's outcome — to a
-// CRC32-framed file, rewritten atomically after every epoch but the last
-// (sim/checkpoint.hpp). A killed run relaunched with the same journal path
-// re-executes from hour 0 with fresh state and takes the journaled answers
-// instead of solving, so it is bit-identical to an uninterrupted run at any
-// thread count, and observers see every epoch as live.
+// CRC32-framed file, rewritten atomically after every epoch
+// (sim/checkpoint.hpp, DESIGN.md §10). A killed run relaunched with the
+// same journal path re-executes from hour 0 with fresh state and takes the
+// journaled answers instead of solving, so it is bit-identical to an
+// uninterrupted run at any thread count, and observers see every epoch as
+// live. A finished run's journal replays it without a solver call.
 #pragma once
+
+#include <string>
 
 #include "core/sharded_cost_model.hpp"
 #include "graph/apsp.hpp"
@@ -77,16 +80,9 @@ struct ShardedStreamingConfig {
   /// SLA penalty per unit of served traffic rate per quarantined
   /// shard-epoch (a shard sitting out its failure backoff still serves on
   /// a stale placement; this prices that staleness). Shapes results, so
-  /// it is part of the experiment fingerprint. 0 only counts quarantined
+  /// it is part of the run fingerprint. 0 only counts quarantined
   /// shard-epochs without charging them.
   double quarantine_sla = 0.0;
-  /// Intra-cell epoch journal path (empty = no epoch checkpointing).
-  /// Purely a wall-clock/durability knob — never fingerprinted; the
-  /// journal itself is fingerprint-keyed so a stale file from another run
-  /// is detected and ignored. The experiment runner derives one path per
-  /// (trial, policy) cell from this base. Rejected together with a custom
-  /// SimConfig::rate_schedule, which the fingerprint cannot hash.
-  std::string epoch_journal;
 };
 
 /// Runs one policy prototype over the horizon, sharded by `map`. The
@@ -95,11 +91,21 @@ struct ShardedStreamingConfig {
 /// are the fixed-order field-wise merge of the per-shard decisions;
 /// resolved/held shard counts land in EpochDecision::resolved_shards /
 /// held_shards and observers additionally see on_shard_batch.
+///
+/// `journal` is the epoch journal's path (empty = no checkpointing). An
+/// existing journal of this very run resumes it; a foreign, stale or
+/// corrupt one warns and the run starts fresh. `attempt` is the retry
+/// attempt the run belongs to (run_experiment's TransientError retries):
+/// it is recorded in the journal and keys its fingerprint. A custom
+/// SimConfig::rate_schedule cannot be journaled (the fingerprint cannot
+/// hash it) and is rejected together with a journal path.
 SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
                                 StreamingWorkload& workload, int n,
                                 const SimConfig& config,
                                 const ShardedStreamingConfig& sharded,
                                 const MigrationPolicy& prototype,
-                                EpochObserver* observer = nullptr);
+                                EpochObserver* observer = nullptr,
+                                const std::string& journal = {},
+                                int attempt = 0);
 
 }  // namespace ppdc

@@ -3,12 +3,12 @@
 // Two distinct jobs, two distinct tools:
 //
 //   * Crc32 / crc32() — the IEEE 802.3 CRC (reflected polynomial
-//     0xEDB88320), table-driven and incremental. Used to frame journal
-//     records (sim/checkpoint) and to footer serialized artifacts
+//     0xEDB88320), table-driven and incremental. Used to frame epoch
+//     journal records (sim/checkpoint) and to footer serialized artifacts
 //     (io/serialize), so torn writes and bit rot are *detected* instead
 //     of silently merged into results.
-//   * Hash64 — FNV-1a over typed fields, for configuration fingerprints
-//     (is this journal's experiment the same experiment I am running?).
+//   * Hash64 — FNV-1a over typed fields, for run fingerprints (is this
+//     journal's run the same run I am about to execute?).
 //     Not cryptographic; it guards against accidents, not adversaries.
 //
 // Both are header-only and allocation-free; doubles are hashed by IEEE

@@ -22,7 +22,7 @@ class PpdcError : public std::runtime_error {
 /// the cause is environmental (wall-clock pathology, external solver
 /// hiccup, resource pressure), not a deterministic contract violation.
 /// The experiment runner retries jobs that fail with TransientError up to
-/// ExperimentConfig::retry_limit extra attempts (sim/checkpoint.hpp);
+/// ExperimentConfig::retry_limit extra attempts (sim/experiment.hpp);
 /// plain PpdcError never triggers a retry.
 class TransientError : public PpdcError {
  public:

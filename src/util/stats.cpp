@@ -50,20 +50,6 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   n_ += other.n_;
 }
 
-RunningStats::Raw RunningStats::raw() const noexcept {
-  return Raw{static_cast<std::uint64_t>(n_), mean_, m2_, min_, max_};
-}
-
-RunningStats RunningStats::from_raw(const Raw& raw) noexcept {
-  RunningStats s;
-  s.n_ = static_cast<std::size_t>(raw.n);
-  s.mean_ = raw.mean;
-  s.m2_ = raw.m2;
-  s.min_ = raw.min;
-  s.max_ = raw.max;
-  return s;
-}
-
 double mean_of(const std::vector<double>& xs) noexcept {
   if (xs.empty()) return 0.0;
   double s = 0.0;

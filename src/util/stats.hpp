@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace ppdc {
@@ -16,18 +15,6 @@ namespace ppdc {
 /// Welford single-pass accumulator for mean / variance / extremes.
 class RunningStats {
  public:
-  /// Exact internal state, for bit-faithful (de)serialization — the
-  /// checkpoint journal must restore an accumulator that merges
-  /// identically to the original, so the raw IEEE doubles are exposed,
-  /// never derived quantities.
-  struct Raw {
-    std::uint64_t n = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-
   void add(double x) noexcept;
 
   std::size_t count() const noexcept { return n_; }
@@ -45,11 +32,6 @@ class RunningStats {
 
   /// Merges another accumulator into this one (parallel reduction).
   void merge(const RunningStats& other) noexcept;
-
-  /// Snapshot of the exact internal state (see Raw).
-  Raw raw() const noexcept;
-  /// Rebuilds an accumulator from a snapshot, bit for bit.
-  static RunningStats from_raw(const Raw& raw) noexcept;
 
  private:
   std::size_t n_ = 0;

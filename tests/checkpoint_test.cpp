@@ -1,9 +1,10 @@
-// Crash-safe checkpointing and failure containment of the experiment
-// runner (DESIGN.md §10): interrupted-then-resumed campaigns must be
-// bit-identical to uninterrupted ones at every thread count, corrupt
-// journals must degrade to rerunning the affected cells, fingerprint
-// mismatches must name the diverged component, and keep-going must
-// quarantine a failing policy without perturbing anyone else's numbers.
+// Crash-safe checkpointing and failure containment (DESIGN.md §10): every
+// (trial, policy) cell of the experiment runner keeps its own epoch
+// journal. Interrupted-then-resumed campaigns must be bit-identical to
+// uninterrupted ones at every thread count, a finished grid must replay
+// without a single policy call, corrupt or foreign journals must degrade
+// to rerunning the affected cells, and keep-going must quarantine a
+// failing policy without perturbing anyone else's numbers.
 #include "sim/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,23 +36,16 @@ namespace {
 // Test policies.
 // ---------------------------------------------------------------------------
 
-/// Always throws a deterministic (non-retryable) error. The display name
-/// is configurable so a test can impersonate a healthy policy (policy
-/// lists are fingerprinted by name) and prove a resumed cell never reran.
+/// Always throws a deterministic (non-retryable) error.
 class ThrowingPolicy final : public MigrationPolicy {
  public:
-  explicit ThrowingPolicy(std::string name = "Thrower")
-      : name_(std::move(name)) {}
-  std::string name() const override { return name_; }
+  std::string name() const override { return "Thrower"; }
   std::unique_ptr<MigrationPolicy> clone() const override {
     return std::make_unique<ThrowingPolicy>(*this);
   }
   EpochDecision on_epoch(const CostModel&, SimState&) override {
     throw PpdcError("boom: deterministic policy failure");
   }
-
- private:
-  std::string name_;
 };
 
 /// Fails with TransientError until the runner's retry path hands it a
@@ -79,8 +72,7 @@ class FlakyPolicy final : public MigrationPolicy {
   bool healed_ = false;
 };
 
-/// Completes cleanly but reports budget-truncated solves, so its jobs
-/// must journal as kTruncated rather than kOk.
+/// Completes cleanly but reports a budget-truncated solve every epoch.
 class TruncatingPolicy final : public MigrationPolicy {
  public:
   std::string name() const override { return "Truncating"; }
@@ -94,6 +86,98 @@ class TruncatingPolicy final : public MigrationPolicy {
     return d;
   }
 };
+
+/// Forwards to a real policy under its name (so journals match) and
+/// counts every on_epoch call; `cancel_after` > 0 raises `*cancel` on
+/// that call, which stops the run mid-cell.
+class CountingPolicy final : public MigrationPolicy {
+ public:
+  struct Shared {
+    std::atomic<int> calls{0};
+    std::atomic<int> cancel_after{0};
+    std::atomic<bool>* cancel = nullptr;
+  };
+  CountingPolicy(const MigrationPolicy& inner, Shared* shared)
+      : inner_(inner.clone()), shared_(shared) {}
+  std::string name() const override { return inner_->name(); }
+  std::unique_ptr<MigrationPolicy> clone() const override {
+    return std::make_unique<CountingPolicy>(*inner_, shared_);
+  }
+  EpochDecision on_epoch(const CostModel& model, SimState& state) override {
+    const int call = shared_->calls.fetch_add(1) + 1;
+    if (call == shared_->cancel_after.load()) shared_->cancel->store(true);
+    return inner_->on_epoch(model, state);
+  }
+
+ private:
+  std::unique_ptr<MigrationPolicy> inner_;
+  Shared* shared_;
+};
+
+/// A reseed-sensitive retry: a clone that was never reseeded (attempt 0)
+/// throws a TransientError while `transients` lasts; a reseeded clone adds
+/// the salt it drew from its attempt stream to every comm cost, so a
+/// resume under the wrong attempt reports different costs. The call that
+/// counts `cancel_after` down to zero raises `*cancel`.
+class ReseedSensitivePolicy final : public MigrationPolicy {
+ public:
+  struct Shared {
+    std::atomic<int> transients{0};
+    std::atomic<int> cancel_after{0};
+    std::atomic<bool>* cancel = nullptr;
+  };
+  explicit ReseedSensitivePolicy(Shared* shared) : shared_(shared) {}
+  std::string name() const override { return "ReseedSensitive"; }
+  std::unique_ptr<MigrationPolicy> clone() const override {
+    return std::make_unique<ReseedSensitivePolicy>(*this);
+  }
+  void reseed(Rng& attempt_rng) override {
+    salt_ = 1.0 + static_cast<double>(attempt_rng.uniform_int(0, 100));
+  }
+  EpochDecision on_epoch(const CostModel& model, SimState& state) override {
+    if (salt_ == 0.0 && shared_->transients.fetch_sub(1) > 0) {
+      throw TransientError("transient: attempt 0 hiccup");
+    }
+    if (shared_->cancel_after.fetch_sub(1) == 1) shared_->cancel->store(true);
+    EpochDecision d;
+    d.comm_cost = model.communication_cost(state.placement) + salt_;
+    return d;
+  }
+
+ private:
+  Shared* shared_;
+  double salt_ = 0.0;
+};
+
+/// Raises `*flag` at the end of epoch `hour`: the run stops before the
+/// next epoch, with epochs 0..hour journaled.
+class CancelAfterEpoch final : public EpochObserver {
+ public:
+  CancelAfterEpoch(std::atomic<bool>* flag, int hour)
+      : flag_(flag), hour_(hour) {}
+  void on_epoch_end(Hour hour, const EpochDecision&) override {
+    if (hour.value() == hour_) flag_->store(true);
+  }
+
+ private:
+  std::atomic<bool>* flag_;
+  int hour_;
+};
+
+/// `topo` with its first switch-to-switch link reweighted to `weight`: the
+/// same shape, node ids and shard map, another metric.
+Topology reweighted(const Topology& topo, double weight) {
+  Topology out = topo;
+  for (const NodeId sw : out.graph.switches()) {
+    for (const Adjacency& a : out.graph.neighbors(sw)) {
+      if (out.graph.is_switch(a.to)) {
+        out.graph.set_edge_weight(sw, a.to, weight);
+        return out;
+      }
+    }
+  }
+  throw PpdcError("no switch-to-switch link");
+}
 
 // ---------------------------------------------------------------------------
 // Fixture: a small grid whose full run takes well under a second.
@@ -114,15 +198,27 @@ class CheckpointTest : public ::testing::Test {
     return cfg;
   }
 
-  std::string journal_path(const std::string& name) const {
-    const std::string path = ::testing::TempDir() + "ppdc_" + name + ".jnl";
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
-    return path;
+  /// A fresh checkpoint base: removes every cell journal of a grid of up
+  /// to 4 trials x 4 policies below it.
+  static std::string journal_base(const std::string& name) {
+    const std::string base = ::testing::TempDir() + "ppdc_" + name + ".jnl";
+    for (int t = 0; t < 4; ++t) {
+      for (int p = 0; p < 4; ++p) {
+        remove_epoch_journal(cell(base, t, p));
+        remove_epoch_journal(cell(base, t, p) + ".tmp");
+      }
+    }
+    return base;
   }
 
-  static void truncate_file(const std::string& path, std::size_t size) {
-    std::filesystem::resize_file(path, size);
+  static std::string cell(const std::string& base, int trial, int policy) {
+    return base + ".t" + std::to_string(trial) + "p" + std::to_string(policy);
+  }
+
+  static EpochJournalState read(const std::string& path) {
+    EpochJournalState state;
+    EXPECT_TRUE(read_epoch_journal(path, state)) << path;
+    return state;
   }
 
   static void flip_byte(const std::string& path, std::size_t offset) {
@@ -191,145 +287,122 @@ void expect_same(const std::vector<PolicyStats>& a,
 }
 
 // ---------------------------------------------------------------------------
-// Journal contents after an uninterrupted checkpointed run.
+// Cell journals after an uninterrupted checkpointed run.
 // ---------------------------------------------------------------------------
 
-TEST_F(CheckpointTest, JournalRecordsEveryCellOfTheGrid) {
+TEST_F(CheckpointTest, EveryCellKeepsACompleteJournal) {
   ExperimentConfig cfg = base_config();
-  cfg.checkpoint_path = journal_path("full");
-  const std::vector<const MigrationPolicy*> policies{&none_, &pareto_};
-  run_experiment(topo_, apsp_, cfg, policies);
-
-  const JournalContents contents = read_journal(cfg.checkpoint_path);
-  EXPECT_FALSE(contents.tail_dropped);
-  EXPECT_EQ(contents.dims.trials, 3u);
-  EXPECT_EQ(contents.dims.policies, 2u);
-  EXPECT_EQ(contents.dims.hours, 4u);
-  EXPECT_EQ(contents.fingerprint, fingerprint_experiment(topo_, cfg, policies));
-  ASSERT_EQ(contents.records.size(), 6u);
-  ASSERT_EQ(contents.record_offsets.size(), 6u);
-  for (const JobRecord& rec : contents.records) {
-    EXPECT_EQ(rec.outcome, JobOutcome::kOk);
-    EXPECT_EQ(rec.attempts, 1u);
-    EXPECT_EQ(rec.policy_name,
-              policies[rec.policy]->name());
-    EXPECT_EQ(rec.stats.total.count(), 1u);  // single-trial bundle
-    EXPECT_TRUE(rec.error.empty());
+  cfg.checkpoint_path = journal_base("full");
+  run_experiment(topo_, apsp_, cfg, {&none_, &pareto_});
+  std::vector<std::uint64_t> fingerprints;
+  for (int t = 0; t < 3; ++t) {
+    for (int p = 0; p < 2; ++p) {
+      const EpochJournalState state = read(cell(cfg.checkpoint_path, t, p));
+      EXPECT_EQ(state.attempt, 0u);
+      EXPECT_EQ(state.hours, 4u);
+      EXPECT_EQ(state.shards, 1u);  // a monolithic cell is one shard
+      EXPECT_EQ(state.epochs.size(), 4u);  // the final epoch included
+      fingerprints.push_back(state.fingerprint);
+    }
   }
-}
-
-TEST_F(CheckpointTest, RecordFrameBytesArePinned) {
-  // The journal is an on-disk format: a fixed record, every statistic
-  // distinct, must serialize to the same frame bytes (length, CRC32, and
-  // the 20 scalar statistics in journal order, then the hourly series).
-  JobRecord rec;
-  rec.trial = 1;
-  rec.policy = 2;
-  rec.outcome = JobOutcome::kTruncated;
-  rec.attempts = 3;
-  rec.policy_name = "pinned";
-  rec.stats = StatsBundle(2);
-  StatsBundle& b = rec.stats;
-  RunningStats* const scalars[] = {
-      &b.total,          &b.comm,           &b.migration,
-      &b.vnf_moves,      &b.vm_moves,       &b.recovery_moves,
-      &b.recovery_cost,  &b.quarantined,    &b.penalty,
-      &b.downtime,       &b.truncated,      &b.ladder_transitions,
-      &b.refresh_only,   &b.frozen,         &b.policy_failures,
-      &b.shard_resolves, &b.shard_holds,    &b.shard_quarantines,
-      &b.shard_retries,  &b.shard_penalty};
-  for (std::size_t i = 0; i < std::size(scalars); ++i) {
-    scalars[i]->add(1.0 + static_cast<double>(i));
-    scalars[i]->add(0.5 * static_cast<double>(i * i));
-  }
-  for (std::size_t h = 0; h < 2; ++h) {
-    b.hourly_cost[h].add(10.0 + static_cast<double>(h));
-    b.hourly_moves[h].add(20.0 + static_cast<double>(h));
-  }
-
-  const std::string path = journal_path("pinned-record");
-  {
-    CheckpointJournal journal(path, ExperimentFingerprint{},
-                              JournalDims{4, 3, 2});
-    journal.append(rec);
-  }
-  const JournalContents contents = read_journal(path);
-  ASSERT_EQ(contents.records.size(), 1u);
-  std::ifstream in(path, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  const std::string frame = bytes.substr(contents.record_offsets[0]);
-  EXPECT_EQ(frame.size(), 1000u);
-  EXPECT_EQ(hash64(frame), 0x1f0fca8c365adbddULL);
+  // Every cell is its own run: no two journals share a fingerprint.
+  std::sort(fingerprints.begin(), fingerprints.end());
+  EXPECT_EQ(std::adjacent_find(fingerprints.begin(), fingerprints.end()),
+            fingerprints.end());
+  EXPECT_FALSE(std::filesystem::exists(cell(cfg.checkpoint_path, 3, 0)));
 }
 
 // ---------------------------------------------------------------------------
-// The headline contract: interrupt mid-grid, resume, bit-identical — at
+// The headline contract: interrupt mid-cell, resume, bit-identical — at
 // one worker and at four.
 // ---------------------------------------------------------------------------
 
-TEST_F(CheckpointTest, ResumeAfterMidRunInterruptionIsBitIdentical) {
+TEST_F(CheckpointTest, ResumeAfterMidCellInterruptionIsBitIdentical) {
   const std::vector<const MigrationPolicy*> policies{&none_, &pareto_};
   const std::vector<PolicyStats> reference =
       run_experiment(topo_, apsp_, base_config(), policies);
 
-  // Produce a complete journal once; its record offsets let us simulate a
-  // SIGKILL after exactly K durable appends (every prefix of a journal is
-  // a valid journal — that is the atomic-append contract).
-  ExperimentConfig cfg = base_config();
-  cfg.checkpoint_path = journal_path("resume");
-  run_experiment(topo_, apsp_, cfg, policies);
-  const JournalContents full = read_journal(cfg.checkpoint_path);
-  ASSERT_EQ(full.record_offsets.size(), 6u);
-  std::string bytes;
-  {
-    std::ifstream in(cfg.checkpoint_path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    bytes = std::move(buf).str();
-  }
-
   for (const int threads : {1, 4}) {
-    for (const std::size_t survivors : {std::size_t{1}, std::size_t{4}}) {
-      {
-        std::ofstream out(cfg.checkpoint_path,
-                          std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(
-                      full.record_offsets[survivors]));
-      }
-      ExperimentConfig resumed = base_config();
-      resumed.checkpoint_path = cfg.checkpoint_path;
-      resumed.threads = threads;
-      const std::vector<PolicyStats> stats =
-          run_experiment(topo_, apsp_, resumed, policies);
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " survivors=" +
-                   std::to_string(survivors));
-      expect_same(stats, reference);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // Kill the grid mid-cell: the 6th policy answer (cell (0, 1), epoch
+    // 3) raises the cancel flag.
+    ExperimentConfig cfg = base_config();
+    cfg.checkpoint_path = journal_base("resume");
+    cfg.threads = threads;
+    std::atomic<bool> cancel{false};
+    cfg.sim.cancel = &cancel;
+    CountingPolicy::Shared none_calls;
+    CountingPolicy::Shared pareto_calls;
+    pareto_calls.cancel_after = 3;
+    pareto_calls.cancel = &cancel;
+    const CountingPolicy none(none_, &none_calls);
+    const CountingPolicy pareto(pareto_, &pareto_calls);
+    EXPECT_THROW(run_experiment(topo_, apsp_, cfg, {&none, &pareto}),
+                 ExperimentInterrupted);
+    if (threads == 1) {
+      // Cell (0, 0) finished; cell (0, 1) stopped after epoch 2; nothing
+      // else started.
+      EXPECT_EQ(read(cell(cfg.checkpoint_path, 0, 0)).epochs.size(), 4u);
+      EXPECT_EQ(read(cell(cfg.checkpoint_path, 0, 1)).epochs.size(), 3u);
+      EXPECT_FALSE(std::filesystem::exists(cell(cfg.checkpoint_path, 1, 0)));
+    }
 
-      // The resumed run re-journals the rerun cells: the journal is
-      // complete again and a second resume runs zero jobs.
-      const JournalContents after = read_journal(cfg.checkpoint_path);
-      EXPECT_EQ(after.records.size(), 6u);
+    cancel.store(false);
+    const std::vector<PolicyStats> resumed =
+        run_experiment(topo_, apsp_, cfg, policies);
+    expect_same(resumed, reference);
+    // The resumed run completed every journal.
+    for (int t = 0; t < 3; ++t) {
+      for (int p = 0; p < 2; ++p) {
+        EXPECT_EQ(read(cell(cfg.checkpoint_path, t, p)).epochs.size(), 4u);
+      }
     }
   }
 }
 
-TEST_F(CheckpointTest, FullyJournaledRunResumesWithoutRunningAnyJob) {
-  ExperimentConfig cfg = base_config();
-  cfg.checkpoint_path = journal_path("noop");
+TEST_F(CheckpointTest, TruncatedCellJournalsResumeBitIdentically) {
+  // A kill can land after any epoch's write: cut every cell journal back
+  // to a different prefix (none, hour 0 only, ..., complete) and resume.
   const std::vector<const MigrationPolicy*> policies{&none_, &pareto_};
+  const std::vector<PolicyStats> reference =
+      run_experiment(topo_, apsp_, base_config(), policies);
+  ExperimentConfig cfg = base_config();
+  cfg.checkpoint_path = journal_base("truncated-cells");
+  run_experiment(topo_, apsp_, cfg, policies);
+  std::size_t keep = 0;
+  for (int t = 0; t < 3; ++t) {
+    for (int p = 0; p < 2; ++p) {
+      const std::string path = cell(cfg.checkpoint_path, t, p);
+      EpochJournalState state = read(path);
+      state.epochs.resize(std::min<std::size_t>(keep++ % 5, 4));
+      write_epoch_journal(path, state);
+    }
+  }
+  cfg.threads = 4;
+  expect_same(run_experiment(topo_, apsp_, cfg, policies), reference);
+}
+
+TEST_F(CheckpointTest, FullyJournaledGridReplaysWithoutAPolicyCall) {
+  ExperimentConfig cfg = base_config();
+  cfg.checkpoint_path = journal_base("noop");
+  CountingPolicy::Shared calls;
+  const CountingPolicy none(none_, &calls);
+  const CountingPolicy pareto(pareto_, &calls);
   const std::vector<PolicyStats> first =
-      run_experiment(topo_, apsp_, cfg, policies);
-  // Resume with impostor prototypes that carry the same names (so the
-  // fingerprint matches) but throw on first use: with every cell already
-  // journaled, no job runs, nothing throws, and the result comes purely
-  // from the journal — bit-identical to the first pass.
-  ThrowingPolicy fake_none("NoMigration");
-  ThrowingPolicy fake_pareto("mPareto");
+      run_experiment(topo_, apsp_, cfg, {&none, &pareto});
+  EXPECT_EQ(calls.calls.load(), 3 * 2 * 3);  // hours 1-3 of every cell
+
+  // Every cell replays from its journal: no policy call, and the result
+  // comes purely from the journaled answers — bit-identical.
+  calls.calls = 0;
+  ::testing::internal::CaptureStderr();
   const std::vector<PolicyStats> second =
-      run_experiment(topo_, apsp_, cfg, {&fake_none, &fake_pareto});
+      run_experiment(topo_, apsp_, cfg, {&none, &pareto});
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(calls.calls.load(), 0);
   expect_same(second, first);
+  EXPECT_NE(err.find("4 of 4 epochs already journaled"), std::string::npos)
+      << err;
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +415,7 @@ TEST_F(CheckpointTest, CancelledRunThrowsExperimentInterruptedAndResumes) {
       run_experiment(topo_, apsp_, base_config(), policies);
 
   ExperimentConfig cfg = base_config();
-  cfg.checkpoint_path = journal_path("cancel");
+  cfg.checkpoint_path = journal_base("cancel");
   std::atomic<bool> cancel{true};  // flag already raised: stop immediately
   cfg.sim.cancel = &cancel;
   try {
@@ -351,14 +424,14 @@ TEST_F(CheckpointTest, CancelledRunThrowsExperimentInterruptedAndResumes) {
   } catch (const ExperimentInterrupted& e) {
     EXPECT_NE(std::string(e.what()).find(cfg.checkpoint_path),
               std::string::npos)
-        << "the interruption message must name the journal";
+        << "the interruption message must name the journals";
     EXPECT_NE(e.partial_summary().find("NoMigration"), std::string::npos);
     EXPECT_NE(e.partial_summary().find("0/3"), std::string::npos);
   }
 
-  // Nothing completed, so nothing was journaled; the resume runs the full
-  // grid and matches the uninterrupted reference bit for bit.
-  EXPECT_TRUE(read_journal(cfg.checkpoint_path).records.empty());
+  // No cell started, so no journal exists; the resume runs the full grid
+  // and matches the uninterrupted reference bit for bit.
+  EXPECT_FALSE(std::filesystem::exists(cell(cfg.checkpoint_path, 0, 0)));
   cancel.store(false);
   const std::vector<PolicyStats> resumed =
       run_experiment(topo_, apsp_, cfg, policies);
@@ -382,153 +455,206 @@ TEST_F(CheckpointTest, CancellationWithoutJournalSaysWorkIsLost) {
 // Corruption handling.
 // ---------------------------------------------------------------------------
 
-TEST_F(CheckpointTest, CorruptRecordTailIsDroppedAndRerunOnResume) {
+TEST_F(CheckpointTest, CorruptCellJournalsWarnAndRerun) {
   const std::vector<const MigrationPolicy*> policies{&none_, &pareto_};
   const std::vector<PolicyStats> reference =
       run_experiment(topo_, apsp_, base_config(), policies);
 
   ExperimentConfig cfg = base_config();
-  cfg.checkpoint_path = journal_path("corrupt");
+  cfg.checkpoint_path = journal_base("corrupt");
   run_experiment(topo_, apsp_, cfg, policies);
-  const JournalContents full = read_journal(cfg.checkpoint_path);
-  ASSERT_EQ(full.records.size(), 6u);
 
-  // Flip one byte inside the 5th record: records 5 and 6 must be dropped
-  // (frame boundaries after a corrupt frame cannot be trusted).
-  flip_byte(cfg.checkpoint_path, full.record_offsets[4] + 12);
-  const JournalContents damaged = read_journal(cfg.checkpoint_path);
-  EXPECT_TRUE(damaged.tail_dropped);
-  EXPECT_EQ(damaged.records.size(), 4u);
-  EXPECT_NE(damaged.warning.find("CRC32"), std::string::npos);
-  EXPECT_NE(damaged.warning.find("byte offset"), std::string::npos);
+  // A torn epoch frame, a flipped header byte, and a file that is no
+  // journal at all: each cell warns, reruns fresh, and rewrites its
+  // journal; the campaign still matches bit for bit.
+  const std::string torn = cell(cfg.checkpoint_path, 0, 1);
+  flip_byte(torn, std::filesystem::file_size(torn) - 3);
+  flip_byte(cell(cfg.checkpoint_path, 1, 0), 16);
+  std::ofstream(cell(cfg.checkpoint_path, 2, 1)) << "not a journal\n";
 
+  ::testing::internal::CaptureStderr();
   const std::vector<PolicyStats> resumed =
       run_experiment(topo_, apsp_, cfg, policies);
+  const std::string err = ::testing::internal::GetCapturedStderr();
   expect_same(resumed, reference);
-  EXPECT_FALSE(read_journal(cfg.checkpoint_path).tail_dropped);
-}
-
-TEST_F(CheckpointTest, CorruptHeaderIsNotRecoverable) {
-  ExperimentConfig cfg = base_config();
-  cfg.checkpoint_path = journal_path("badheader");
-  const std::vector<const MigrationPolicy*> policies{&none_};
-  run_experiment(topo_, apsp_, cfg, policies);
-  flip_byte(cfg.checkpoint_path, 16);  // inside the header frame
-  EXPECT_THROW(read_journal(cfg.checkpoint_path), PpdcError);
-  EXPECT_THROW(run_experiment(topo_, apsp_, cfg, policies), PpdcError);
+  EXPECT_NE(err.find("CRC32"), std::string::npos) << err;
+  EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
+  EXPECT_NE(err.find("starting the run fresh"), std::string::npos) << err;
+  for (const auto& [t, p] : {std::pair{0, 1}, std::pair{1, 0}, std::pair{2, 1}}) {
+    EXPECT_EQ(read(cell(cfg.checkpoint_path, t, p)).epochs.size(), 4u);
+  }
 }
 
 TEST_F(CheckpointTest, NonJournalFileIsRejectedByMagic) {
-  const std::string path = journal_path("notajournal");
+  const std::string path = journal_base("notajournal");
   std::ofstream(path) << "this is not a journal\n";
-  EXPECT_THROW(read_journal(path), PpdcError);
+  EpochJournalState state;
+  EXPECT_THROW(read_epoch_journal(path, state), PpdcError);
+  remove_epoch_journal(path);
 }
 
 // ---------------------------------------------------------------------------
-// Fingerprint validation.
+// Fingerprint coverage: a cell journal resumes only its own run.
 // ---------------------------------------------------------------------------
 
-TEST_F(CheckpointTest, FingerprintMismatchNamesTheDivergedComponent) {
+TEST_F(CheckpointTest, CellJournalNeverResumesADivergedExperiment) {
   ExperimentConfig cfg = base_config();
-  cfg.checkpoint_path = journal_path("fingerprint");
-  const std::vector<const MigrationPolicy*> policies{&none_, &pareto_};
-  run_experiment(topo_, apsp_, cfg, policies);
+  cfg.checkpoint_path = journal_base("diverged");
+  CountingPolicy::Shared calls;
+  const CountingPolicy none(none_, &calls);
+  const CountingPolicy pareto(pareto_, &calls);
+  const std::vector<const MigrationPolicy*> policies{&none, &pareto};
+
+  // Runs `other` over journals written by `cfg` and requires every cell
+  // to warn and start fresh — equal to a journal-free run of `other`.
+  auto expect_fresh = [&](const ExperimentConfig& other, const Topology& topo,
+                          const AllPairs& apsp,
+                          const std::vector<const MigrationPolicy*>& ps,
+                          const std::string& what) {
+    SCOPED_TRACE(what);
+    run_experiment(topo_, apsp_, cfg, policies);  // journals of `cfg`
+    ExperimentConfig plain = other;
+    plain.checkpoint_path.clear();
+    const std::vector<PolicyStats> fresh =
+        run_experiment(topo, apsp, plain, ps);
+    ::testing::internal::CaptureStderr();
+    const std::vector<PolicyStats> stats = run_experiment(topo, apsp, other, ps);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    expect_same(stats, fresh);
+    EXPECT_EQ(err.find("resuming"), std::string::npos) << err;
+    EXPECT_NE(err.find("written by a different run"), std::string::npos)
+        << err;
+  };
 
   {
+    // Topology: the same fat-tree shape with one fabric link reweighted.
+    const Topology topo = reweighted(topo_, 3.0);
+    const AllPairs apsp(topo.graph);
+    expect_fresh(cfg, topo, apsp, policies, "topology");
+  }
+  {
     ExperimentConfig other = cfg;
-    other.workload.num_pairs = 13;  // different workload, same everything else
-    try {
-      run_experiment(topo_, apsp_, other, policies);
-      FAIL() << "expected CheckpointMismatchError";
-    } catch (const CheckpointMismatchError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("workload"), std::string::npos) << what;
-      EXPECT_EQ(what.find("topology"), std::string::npos) << what;
-      EXPECT_EQ(what.find("policy list"), std::string::npos) << what;
+    other.workload.num_pairs = 13;
+    expect_fresh(other, topo_, apsp_, policies, "workload");
+  }
+  {
+    ExperimentConfig other = cfg;
+    FaultEvent fail;
+    fail.epoch = Hour{2};
+    fail.kind = FaultKind::kSwitchFail;
+    fail.node = topo_.graph.switches().back();
+    other.sim.faults.push_back(fail);
+    expect_fresh(other, topo_, apsp_, policies, "fault schedule");
+  }
+  {
+    // Policy name: the same cell index runs another policy.
+    const CountingPolicy swapped_none(pareto_, &calls);
+    const CountingPolicy swapped_pareto(none_, &calls);
+    expect_fresh(cfg, topo_, apsp_, {&swapped_none, &swapped_pareto},
+                 "policy name");
+  }
+  for (int knob = 0; knob < 6; ++knob) {
+    ExperimentConfig other = cfg;
+    switch (knob) {
+      case 0: other.sim.hours = 5; break;
+      case 1: other.sfc_length = 3; break;
+      case 2: other.sim.ladder.enabled = true; break;
+      case 3: other.sim.fault.quarantine_penalty = 2.0; break;
+      case 4: other.sim.downtime_factor = 0.5; break;
+      default: other.sharded.enabled = true; break;  // pod shards
     }
+    expect_fresh(other, topo_, apsp_, policies,
+                 "sim config knob " + std::to_string(knob));
   }
-  {
-    try {
-      run_experiment(topo_, apsp_, cfg, {&pareto_, &none_});  // reordered
-      FAIL() << "expected CheckpointMismatchError";
-    } catch (const CheckpointMismatchError& e) {
-      EXPECT_NE(std::string(e.what()).find("policy list"), std::string::npos);
+
+  // Wall-clock knobs never invalidate a journal: the grid replays.
+  run_experiment(topo_, apsp_, cfg, policies);
+  ExperimentConfig other = cfg;
+  other.threads = 4;
+  other.keep_going = true;
+  other.retry_limit = 2;
+  other.sharded.threads = 8;
+  calls.calls = 0;
+  run_experiment(topo_, apsp_, other, policies);
+  EXPECT_EQ(calls.calls.load(), 0);
+}
+
+TEST_F(CheckpointTest, ShardedCellJournalCoversTheChurnKnobs) {
+  ExperimentConfig cfg = base_config();
+  cfg.sharded.enabled = true;
+  cfg.sharded.churn.arrivals_per_epoch = 2;
+  cfg.checkpoint_path = journal_base("sharded-knobs");
+  const std::vector<const MigrationPolicy*> policies{&none_, &pareto_};
+  for (int knob = 0; knob < 4; ++knob) {
+    run_experiment(topo_, apsp_, cfg, policies);
+    ExperimentConfig other = cfg;
+    switch (knob) {
+      case 0: other.sharded.churn.departure_prob = 0.1; break;
+      case 1: other.sharded.resolve_churn_fraction = 0.5; break;
+      case 2: other.sharded.max_staleness = 9; break;
+      default: other.sharded.quarantine_sla = 1.5; break;
     }
-  }
-  {
-    ExperimentConfig other = cfg;
-    other.sim.hours = 5;
-    EXPECT_THROW(run_experiment(topo_, apsp_, other, policies),
-                 CheckpointMismatchError);
-  }
-  {
-    // Thread count is wall-clock-only: it must NOT invalidate the journal.
-    ExperimentConfig other = cfg;
-    other.threads = 4;
-    other.keep_going = true;
-    other.retry_limit = 2;
-    EXPECT_NO_THROW(run_experiment(topo_, apsp_, other, policies));
+    ExperimentConfig plain = other;
+    plain.checkpoint_path.clear();
+    ::testing::internal::CaptureStderr();
+    const std::vector<PolicyStats> stats =
+        run_experiment(topo_, apsp_, other, policies);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    SCOPED_TRACE("sharded knob " + std::to_string(knob));
+    expect_same(stats, run_experiment(topo_, apsp_, plain, policies));
+    EXPECT_EQ(err.find("resuming"), std::string::npos) << err;
   }
 }
 
-TEST_F(CheckpointTest, ShardedConfigIsFingerprintedExceptThreads) {
-  ExperimentConfig cfg = base_config();
-  cfg.checkpoint_path = journal_path("sharded-fp");
-  const std::vector<const MigrationPolicy*> policies{&none_, &pareto_};
-  run_experiment(topo_, apsp_, cfg, policies);
+TEST_F(CheckpointTest, ReweightedFabricStartsTheRunFresh) {
+  // A journal written on one fabric must not resume on a fabric of the
+  // same shape whose link weights differ: every journaled answer was
+  // computed on the old metric.
+  const ShardMap map = ShardMap::by_ingress_pod(topo_);
+  const std::string path = ::testing::TempDir() + "ppdc_reweighted.ejl";
+  remove_epoch_journal(path);
+  SimConfig sim;
+  sim.hours = 6;
+  ShardedStreamingConfig sharded;
+  sharded.enabled = true;
+  sharded.threads = 1;
+  VmPlacementConfig wl;
+  wl.num_pairs = 40;
+  ParetoMigrationPolicy proto(1e3);
+  auto run = [&](const Topology& topo, const AllPairs& apsp,
+                 const SimConfig& cfg, EpochObserver* observer,
+                 const std::string& journal) {
+    StreamingWorkload w(topo, wl, StreamingChurnConfig{}, Rng(3));
+    return run_sharded_simulation(apsp, ShardMap::by_ingress_pod(topo), w, 3,
+                                  cfg, sharded, proto, observer, journal);
+  };
 
+  // Write a journal of the first three epochs, then stop.
   {
-    // Turning the sharded streaming engine on is a different experiment.
-    ExperimentConfig other = cfg;
-    other.sharded.enabled = true;
-    try {
-      run_experiment(topo_, apsp_, other, policies);
-      FAIL() << "expected CheckpointMismatchError";
-    } catch (const CheckpointMismatchError& e) {
-      EXPECT_NE(std::string(e.what()).find("sim config"), std::string::npos)
-          << e.what();
-    }
+    std::atomic<bool> cancel{false};
+    CancelAfterEpoch stop(&cancel, 2);
+    SimConfig interrupted = sim;
+    interrupted.cancel = &cancel;
+    EXPECT_THROW(run(topo_, apsp_, interrupted, &stop, path), SimInterrupted);
+    ASSERT_EQ(read(path).epochs.size(), 3u);
   }
-  {
-    // So is any churn / staleness knob, even with the engine off — stale
-    // journals must be rejected by name, never silently merged.
-    ExperimentConfig other = cfg;
-    other.sharded.churn.departure_prob = 0.1;
-    EXPECT_THROW(run_experiment(topo_, apsp_, other, policies),
-                 CheckpointMismatchError);
-    other = cfg;
-    other.sharded.resolve_churn_fraction = 0.5;
-    EXPECT_THROW(run_experiment(topo_, apsp_, other, policies),
-                 CheckpointMismatchError);
-    other = cfg;
-    other.sharded.max_staleness = 9;
-    EXPECT_THROW(run_experiment(topo_, apsp_, other, policies),
-                 CheckpointMismatchError);
-    other = cfg;
-    other.sharded.quarantine_sla = 1.5;  // shapes total cost
-    EXPECT_THROW(run_experiment(topo_, apsp_, other, policies),
-                 CheckpointMismatchError);
-  }
-  {
-    // Shard worker threads and the epoch-journal path are wall-clock-only
-    // (bit-identical results): they must NOT invalidate the journal.
-    ExperimentConfig other = cfg;
-    other.sharded.threads = 8;
-    other.sharded.epoch_journal = journal_path("sharded-fp-epoch");
-    EXPECT_NO_THROW(run_experiment(topo_, apsp_, other, policies));
-  }
-}
 
-TEST_F(CheckpointTest, FingerprintDiffReportsComponentsInFixedOrder) {
-  ExperimentFingerprint a;
-  ExperimentFingerprint b;
-  EXPECT_TRUE(a.diff(b).empty());
-  b.topology = 1;
-  b.sim_config = 2;
-  const std::vector<std::string> names = a.diff(b);
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "topology");
-  EXPECT_EQ(names[1], "sim config");
+  const Topology other = reweighted(topo_, 0.25);
+  const AllPairs apsp(other.graph);
+  ASSERT_EQ(ShardMap::by_ingress_pod(other).shard_of_host, map.shard_of_host);
+  const SimTrace fresh = run(other, apsp, sim, nullptr, {});
+  ASSERT_NE(fresh.total_cost, run(topo_, apsp_, sim, nullptr, {}).total_cost)
+      << "the reweighted link must matter to this workload";
+
+  ::testing::internal::CaptureStderr();
+  const SimTrace resumed = run(other, apsp, sim, nullptr, path);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("written by a different run"), std::string::npos) << err;
+  EXPECT_EQ(err.find("resuming"), std::string::npos) << err;
+  EXPECT_EQ(resumed.total_cost, fresh.total_cost);
+  EXPECT_EQ(resumed.total_comm_cost, fresh.total_comm_cost);
+  EXPECT_EQ(resumed.initial_placement, fresh.initial_placement);
+  remove_epoch_journal(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -573,51 +699,45 @@ TEST_F(CheckpointTest, WithoutKeepGoingTheFirstGridOrderErrorSurfaces) {
   }
 }
 
-TEST_F(CheckpointTest, FailedCellsJournalAsFailedAndRerunOnResume) {
+TEST_F(CheckpointTest, FailedCellsLeaveNoJournalAndRerunOnResume) {
   ThrowingPolicy thrower;
   ExperimentConfig cfg = base_config();
   cfg.keep_going = true;
-  cfg.checkpoint_path = journal_path("failed");
+  cfg.checkpoint_path = journal_base("failed");
   const std::vector<const MigrationPolicy*> policies{&none_, &thrower};
-  run_experiment(topo_, apsp_, cfg, policies);
-
-  const JournalContents contents = read_journal(cfg.checkpoint_path);
-  ASSERT_EQ(contents.records.size(), 6u);
-  int failed = 0;
-  for (const JobRecord& rec : contents.records) {
-    if (rec.outcome != JobOutcome::kFailed) continue;
-    ++failed;
-    EXPECT_EQ(rec.policy, 1u);
-    EXPECT_NE(rec.error.find("boom"), std::string::npos);
-    EXPECT_EQ(rec.stats.total.count(), 0u);  // stats absent, not zero
+  const std::vector<PolicyStats> first =
+      run_experiment(topo_, apsp_, cfg, policies);
+  for (int t = 0; t < 3; ++t) {
+    EXPECT_EQ(read(cell(cfg.checkpoint_path, t, 0)).epochs.size(), 4u);
+    EXPECT_FALSE(std::filesystem::exists(cell(cfg.checkpoint_path, t, 1)));
   }
-  EXPECT_EQ(failed, 3);
 
-  // Failed records are rerun on resume (they might have been transient);
-  // here they deterministically fail again and the result is unchanged.
+  // Failed cells rerun on resume (they might have been transient); here
+  // they deterministically fail again and the result is unchanged.
   const std::vector<PolicyStats> resumed =
       run_experiment(topo_, apsp_, cfg, policies);
   EXPECT_EQ(resumed[1].completed_trials, 0);
   EXPECT_EQ(resumed[1].failures.size(), 3u);
+  expect_same(resumed, first);
 }
 
 TEST_F(CheckpointTest, TransientErrorRetriesWithReseedAndSucceeds) {
   FlakyPolicy flaky;
   ExperimentConfig cfg = base_config();
   cfg.retry_limit = 1;
-  cfg.checkpoint_path = journal_path("retry");
+  cfg.checkpoint_path = journal_base("retry");
   const std::vector<const MigrationPolicy*> policies{&none_, &flaky};
   const std::vector<PolicyStats> stats =
       run_experiment(topo_, apsp_, cfg, policies);
   EXPECT_EQ(stats[1].completed_trials, 3);
   EXPECT_TRUE(stats[1].failures.empty());
-
-  const JournalContents contents = read_journal(cfg.checkpoint_path);
-  for (const JobRecord& rec : contents.records) {
-    if (rec.policy_name != "Flaky") continue;
-    EXPECT_EQ(rec.outcome, JobOutcome::kOk);
-    EXPECT_EQ(rec.attempts, 2u);  // attempt 0 threw, attempt 1 healed
+  for (int t = 0; t < 3; ++t) {
+    // Attempt 0 threw, attempt 1 healed and journaled the cell.
+    EXPECT_EQ(read(cell(cfg.checkpoint_path, t, 0)).attempt, 0u);
+    EXPECT_EQ(read(cell(cfg.checkpoint_path, t, 1)).attempt, 1u);
   }
+  // The replay continues the healed attempt: nothing throws.
+  expect_same(run_experiment(topo_, apsp_, cfg, policies), stats);
 }
 
 TEST_F(CheckpointTest, TransientErrorWithoutRetryBudgetFails) {
@@ -632,24 +752,64 @@ TEST_F(CheckpointTest, TransientErrorWithoutRetryBudgetFails) {
   EXPECT_NE(stats[0].failures[0].error.find("flaky"), std::string::npos);
 }
 
-TEST_F(CheckpointTest, BudgetTruncatedJobsJournalAsTruncated) {
+TEST_F(CheckpointTest, ResumedRetryAttemptContinuesItsReseededAttempt) {
+  // A sharded cell whose attempt 0 fails transiently and whose attempt 1
+  // is cancelled mid-run must resume as attempt 1 — reseeded as it was —
+  // or the live epochs after the resume point report other costs.
+  ExperimentConfig cfg = base_config();
+  cfg.trials = 1;
+  cfg.sim.hours = 6;
+  cfg.retry_limit = 1;
+  cfg.sharded.enabled = true;
+  cfg.sharded.threads = 1;
+  ReseedSensitivePolicy::Shared shared;
+  const ReseedSensitivePolicy policy(&shared);
+
+  shared.transients = 1;
+  const std::vector<PolicyStats> reference =
+      run_experiment(topo_, apsp_, cfg, {&policy});
+  ASSERT_EQ(reference[0].completed_trials, 1);
+
+  cfg.checkpoint_path = journal_base("attempt");
+  std::atomic<bool> cancel{false};
+  cfg.sim.cancel = &cancel;
+  shared.transients = 1;
+  shared.cancel_after = 10;  // attempt 0's hour-1 calls count too
+  shared.cancel = &cancel;
+  EXPECT_THROW(run_experiment(topo_, apsp_, cfg, {&policy}),
+               ExperimentInterrupted);
+  const EpochJournalState journal = read(cell(cfg.checkpoint_path, 0, 0));
+  EXPECT_EQ(journal.attempt, 1u);
+  EXPECT_GE(journal.epochs.size(), 2u);  // the resume replays a prefix...
+  EXPECT_LT(journal.epochs.size(), 6u);  // ...and solves the rest live
+
+  cancel.store(false);
+  shared.transients = 0;
+  shared.cancel_after = 0;
+  const std::vector<PolicyStats> resumed =
+      run_experiment(topo_, apsp_, cfg, {&policy});
+  expect_same(resumed, reference);
+}
+
+TEST_F(CheckpointTest, TruncatedSolvesSurviveTheReplay) {
   TruncatingPolicy truncating;
   ExperimentConfig cfg = base_config();
-  cfg.checkpoint_path = journal_path("truncated");
-  run_experiment(topo_, apsp_, cfg, {&truncating});
-  const JournalContents contents = read_journal(cfg.checkpoint_path);
-  ASSERT_EQ(contents.records.size(), 3u);
-  for (const JobRecord& rec : contents.records) {
-    EXPECT_EQ(rec.outcome, JobOutcome::kTruncated);
-    EXPECT_EQ(rec.stats.total.count(), 1u);  // truncated still has stats
+  cfg.checkpoint_path = journal_base("truncated");
+  const std::vector<PolicyStats> first =
+      run_experiment(topo_, apsp_, cfg, {&truncating});
+  EXPECT_EQ(first[0].truncated_solves.mean, 3.0);  // hours 1-3
+  for (const EpochRecord& rec :
+       read(cell(cfg.checkpoint_path, 1, 0)).epochs) {
+    const ShardAnswer& a = rec.shards.front();
+    if (a.policy == ShardAnswer::Policy::kAnswered) {
+      EXPECT_EQ(a.decision.truncated_solves, 1);
+    }
   }
-  EXPECT_STREQ(to_string(JobOutcome::kTruncated), "truncated");
-  EXPECT_STREQ(to_string(JobOutcome::kOk), "ok");
-  EXPECT_STREQ(to_string(JobOutcome::kFailed), "failed");
+  expect_same(run_experiment(topo_, apsp_, cfg, {&truncating}), first);
 }
 
 // ---------------------------------------------------------------------------
-// Epoch-granular journal of the sharded engine (DESIGN.md §15).
+// The epoch journal of one engine run.
 // ---------------------------------------------------------------------------
 
 void expect_same_answer(const ShardAnswer& a, const ShardAnswer& b) {
@@ -678,25 +838,27 @@ TEST_F(CheckpointTest, EpochJournalRoundTripAndFingerprint) {
   ShardedStreamingConfig sharded;
   sharded.enabled = true;
   sharded.threads = 1;
-  sharded.epoch_journal = path;
   VmPlacementConfig wl;
   wl.num_pairs = 40;
 
   NoMigrationPolicy proto;
   StreamingWorkload workload(topo_, wl, StreamingChurnConfig{}, Rng(3));
-  const std::uint64_t fp = fingerprint_sharded_run(
-      workload.snapshot(), sim, sharded, 3, map.num_shards(), proto.name());
-  const SimTrace trace =
-      run_sharded_simulation(apsp_, map, workload, 3, sim, sharded, proto);
+  const std::uint64_t fp =
+      fingerprint_sharded_run(topo_.graph, map, workload.snapshot(), sim,
+                              sharded, 3, proto.name(), 0);
+  EXPECT_NE(fp, fingerprint_sharded_run(topo_.graph, map, workload.snapshot(),
+                                        sim, sharded, 3, proto.name(), 1));
+  const SimTrace trace = run_sharded_simulation(apsp_, map, workload, 3, sim,
+                                                sharded, proto, nullptr, path);
 
-  EpochJournalState state;
-  ASSERT_TRUE(read_epoch_journal(path, state));
+  EpochJournalState state = read(path);
   EXPECT_EQ(state.fingerprint, fp);
+  EXPECT_EQ(state.attempt, 0u);
   EXPECT_EQ(state.hours, 6u);
   EXPECT_EQ(state.shards, static_cast<std::uint32_t>(map.num_shards()));
   EXPECT_EQ(state.merged_initial, trace.initial_placement);
-  // Written after every epoch but the last (the run was about to finish).
-  ASSERT_EQ(state.epochs.size(), 5u);
+  // Written after every epoch, the last one included.
+  ASSERT_EQ(state.epochs.size(), 6u);
   for (std::size_t e = 0; e < state.epochs.size(); ++e) {
     ASSERT_EQ(state.epochs[e].shards.size(), state.shards);
     for (const ShardAnswer& a : state.epochs[e].shards) {
@@ -715,10 +877,11 @@ TEST_F(CheckpointTest, EpochJournalRoundTripAndFingerprint) {
 
   // Byte-level round trip: writing the parsed state back and re-reading
   // reproduces every field.
+  state.attempt = 2;
   write_epoch_journal(path, state);
-  EpochJournalState again;
-  ASSERT_TRUE(read_epoch_journal(path, again));
+  const EpochJournalState again = read(path);
   EXPECT_EQ(again.fingerprint, state.fingerprint);
+  EXPECT_EQ(again.attempt, 2u);
   EXPECT_EQ(again.hours, state.hours);
   EXPECT_EQ(again.shards, state.shards);
   EXPECT_EQ(again.merged_initial, state.merged_initial);
@@ -730,7 +893,8 @@ TEST_F(CheckpointTest, EpochJournalRoundTripAndFingerprint) {
   }
 
   remove_epoch_journal(path);
-  EXPECT_FALSE(read_epoch_journal(path, again));  // gone: fresh start
+  EpochJournalState gone;
+  EXPECT_FALSE(read_epoch_journal(path, gone));  // gone: fresh start
 }
 
 TEST_F(CheckpointTest, EpochFrameBytesArePinned) {
@@ -763,8 +927,7 @@ TEST_F(CheckpointTest, EpochFrameBytesArePinned) {
 
   const std::string path = ::testing::TempDir() + "ppdc_epoch_pinned.ejl";
   write_epoch_journal(path, state);
-  EpochJournalState again;
-  ASSERT_TRUE(read_epoch_journal(path, again));
+  const EpochJournalState again = read(path);
   ASSERT_EQ(again.epochs.size(), 1u);
   for (std::size_t s = 0; s < 3; ++s) {
     expect_same_answer(again.epochs[0].shards[s], state.epochs[0].shards[s]);
@@ -791,21 +954,20 @@ TEST_F(CheckpointTest, EpochJournalReplaysAnswersAndNamesDivergence) {
   ShardedStreamingConfig sharded;
   sharded.enabled = true;
   sharded.threads = 2;
-  sharded.epoch_journal = path;
   VmPlacementConfig wl;
   wl.num_pairs = 40;
   NoMigrationPolicy proto;
   auto run = [&] {
     StreamingWorkload w(topo_, wl, StreamingChurnConfig{}, Rng(3));
-    return run_sharded_simulation(apsp_, map, w, 3, sim, sharded, proto);
+    return run_sharded_simulation(apsp_, map, w, 3, sim, sharded, proto,
+                                  nullptr, path);
   };
 
-  // The completed run leaves epochs 0-4 journaled; a rerun replays them
-  // and reproduces the trace.
+  // The completed run leaves every epoch journaled; a rerun replays them
+  // all and reproduces the trace.
   const SimTrace reference = run();
-  EpochJournalState state;
-  ASSERT_TRUE(read_epoch_journal(path, state));
-  ASSERT_EQ(state.epochs.size(), 5u);
+  const EpochJournalState state = read(path);
+  ASSERT_EQ(state.epochs.size(), 6u);
   ASSERT_GE(state.shards, 3u);
   EXPECT_EQ(run().total_cost, reference.total_cost);
 
@@ -871,24 +1033,21 @@ TEST_F(CheckpointTest, EpochJournalMismatchOrCorruptionStartsFresh) {
   sharded.enabled = true;
   sharded.threads = 2;
   sharded.churn = churn;
-  sharded.epoch_journal = path;
   VmPlacementConfig wl;
   wl.num_pairs = 40;
   ParetoMigrationPolicy proto(1e3);
 
   auto run = [&](std::uint64_t seed, bool with_journal) {
-    ShardedStreamingConfig cfg = sharded;
-    if (!with_journal) cfg.epoch_journal.clear();
     StreamingWorkload w(topo_, wl, churn, Rng(seed));
-    return run_sharded_simulation(apsp_, map, w, 3, sim, cfg, proto);
+    return run_sharded_simulation(apsp_, map, w, 3, sim, sharded, proto,
+                                  nullptr, with_journal ? path : "");
   };
 
   const SimTrace reference = run(5, false);
 
-  // A completed seed-9 run leaves its journal behind (the bare engine
-  // never deletes it; the experiment runner does). A seed-5 run handed
-  // that stale journal must detect the fingerprint mismatch and start
-  // fresh — bit-identical to the journal-free reference.
+  // A completed seed-9 run leaves its journal behind. A seed-5 run handed
+  // that journal must detect the fingerprint mismatch and start fresh —
+  // bit-identical to the journal-free reference.
   run(9, true);
   const SimTrace after_mismatch = run(5, true);
   EXPECT_EQ(after_mismatch.total_cost, reference.total_cost);
@@ -903,8 +1062,7 @@ TEST_F(CheckpointTest, EpochJournalMismatchOrCorruptionStartsFresh) {
 
   // A journal with a valid CRC and a matching fingerprint whose policy
   // answer names no switch is corrupt too: warn and start fresh.
-  EpochJournalState state;
-  ASSERT_TRUE(read_epoch_journal(path, state));
+  EpochJournalState state = read(path);
   ASSERT_GE(state.epochs.size(), 2u);
   ShardAnswer& answer = state.epochs[1].shards[0];
   ASSERT_EQ(answer.policy, ShardAnswer::Policy::kAnswered);
@@ -921,7 +1079,7 @@ TEST_F(CheckpointTest, EpochJournalMismatchOrCorruptionStartsFresh) {
 
 TEST_F(CheckpointTest, EpochJournalFromOlderVersionStartsFresh) {
   const ShardMap map = ShardMap::by_ingress_pod(topo_);
-  const std::string path = ::testing::TempDir() + "ppdc_epoch_v2.ejl";
+  const std::string path = ::testing::TempDir() + "ppdc_epoch_v3.ejl";
   remove_epoch_journal(path);
 
   SimConfig sim;
@@ -938,16 +1096,15 @@ TEST_F(CheckpointTest, EpochJournalFromOlderVersionStartsFresh) {
   wl.num_pairs = 40;
   NoMigrationPolicy proto;
   auto run = [&](bool with_journal) {
-    ShardedStreamingConfig cfg = sharded;
-    if (with_journal) cfg.epoch_journal = path;
     StreamingWorkload w(topo_, wl, churn, Rng(5));
-    return run_sharded_simulation(apsp_, map, w, 3, sim, cfg, proto);
+    return run_sharded_simulation(apsp_, map, w, 3, sim, sharded, proto,
+                                  nullptr, with_journal ? path : "");
   };
   const SimTrace reference = run(false);
 
-  // A journal of this very run, restamped as version 2: the layout that
-  // dumped the engine state every epoch. The header frame's CRC is
-  // recomputed, so only the version tells it apart.
+  // A journal of this very run, restamped as version 3: the layout
+  // without the retry attempt. The header frame's CRC is recomputed, so
+  // only the version tells it apart.
   run(true);
   std::string bytes;
   {
@@ -957,7 +1114,7 @@ TEST_F(CheckpointTest, EpochJournalFromOlderVersionStartsFresh) {
   constexpr std::size_t kHeader = 8;  // magic, then [len][crc][payload]
   std::uint32_t len = 0;
   std::memcpy(&len, bytes.data() + kHeader, sizeof len);
-  const std::uint32_t old_version = 2;
+  const std::uint32_t old_version = 3;
   std::memcpy(bytes.data() + kHeader + 8, &old_version, sizeof old_version);
   const std::uint32_t crc = crc32(bytes.data() + kHeader + 8, len);
   std::memcpy(bytes.data() + kHeader + 4, &crc, sizeof crc);
@@ -968,42 +1125,12 @@ TEST_F(CheckpointTest, EpochJournalFromOlderVersionStartsFresh) {
   ::testing::internal::CaptureStderr();
   const SimTrace fresh = run(true);
   const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("has version 2"), std::string::npos) << err;
-  EXPECT_NE(err.find("starting the sharded run fresh"), std::string::npos)
-      << err;
+  EXPECT_NE(err.find("has version 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("starting the run fresh"), std::string::npos) << err;
   EXPECT_EQ(err.find("resuming"), std::string::npos) << err;
   EXPECT_EQ(fresh.total_cost, reference.total_cost);
   EXPECT_EQ(fresh.total_comm_cost, reference.total_comm_cost);
   remove_epoch_journal(path);
-}
-
-TEST_F(CheckpointTest, ExperimentRunnerDerivesAndCleansEpochJournals) {
-  ExperimentConfig cfg = base_config();
-  cfg.sharded.enabled = true;
-  cfg.sharded.churn.arrivals_per_epoch = 3;
-  cfg.sharded.churn.departure_prob = 0.05;
-  const std::vector<const MigrationPolicy*> policies{&none_, &pareto_};
-  const std::vector<PolicyStats> reference =
-      run_experiment(topo_, apsp_, cfg, policies);
-
-  ExperimentConfig with = cfg;
-  with.sharded.epoch_journal = ::testing::TempDir() + "ppdc_cell.ejl";
-  // Pre-seed one derived cell path with garbage: that cell must warn,
-  // start fresh, and the campaign still matches bit for bit.
-  std::ofstream(with.sharded.epoch_journal + ".t1p0") << "not a journal";
-  const std::vector<PolicyStats> stats =
-      run_experiment(topo_, apsp_, with, policies);
-  expect_same(stats, reference);
-  // Epoch journals are per-cell scratch: every derived path is removed
-  // once its cell's terminal record lands.
-  for (int trial = 0; trial < 3; ++trial) {
-    for (int p = 0; p < 2; ++p) {
-      const std::string cell = with.sharded.epoch_journal + ".t" +
-                               std::to_string(trial) + "p" +
-                               std::to_string(p);
-      EXPECT_FALSE(std::filesystem::exists(cell)) << cell;
-    }
-  }
 }
 
 }  // namespace

@@ -95,15 +95,15 @@ TEST(ErrorContract, RateScheduleRejectsEpochJournal) {
   cfg.rate_schedule = [](Hour) { return std::vector<double>(6, 1.0); };
   ShardedStreamingConfig sharded;
   sharded.enabled = true;
-  sharded.epoch_journal = "error_contract_schedule_journal.bin";
+  const std::string journal = "error_contract_schedule_journal.bin";
   const std::string msg = error_of([&] {
     run_sharded_simulation(apsp, ShardMap::single(topo), workload, 2, cfg,
-                           sharded, policy);
+                           sharded, policy, nullptr, journal);
   });
   EXPECT_TRUE(mentions(msg, "rate_schedule")) << msg;
   EXPECT_TRUE(mentions(msg, "epoch journal")) << msg;
   EXPECT_TRUE(mentions(msg, "built-in diurnal model")) << msg;
-  EXPECT_FALSE(std::filesystem::exists(sharded.epoch_journal));
+  EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
 /// A policy that hands back a corrupt placement (duplicate switch).

@@ -758,7 +758,7 @@ TEST(ShardedEpochJournal, KillResumeBitIdentityAcrossThreadCounts) {
     base.faults = generate_fault_schedule(topo, fc);
   }
 
-  auto make_sharded = [&](int threads, bool with_journal) {
+  auto make_sharded = [&](int threads) {
     ShardedStreamingConfig cfg;
     cfg.enabled = true;
     cfg.threads = threads;
@@ -766,7 +766,6 @@ TEST(ShardedEpochJournal, KillResumeBitIdentityAcrossThreadCounts) {
     cfg.resolve_churn_fraction = 0.25;
     cfg.max_staleness = 3;
     cfg.quarantine_sla = 1.0;
-    if (with_journal) cfg.epoch_journal = journal;
     return cfg;
   };
   auto make_workload = [&]() {
@@ -780,7 +779,7 @@ TEST(ShardedEpochJournal, KillResumeBitIdentityAcrossThreadCounts) {
   auto uninterrupted = [&](int threads) {
     StreamingWorkload w = make_workload();
     return run_sharded_simulation(apsp, map, w, 5, base,
-                                  make_sharded(threads, false), proto);
+                                  make_sharded(threads), proto);
   };
   const SimTrace reference = uninterrupted(1);
   expect_equal_traces(reference, uninterrupted(4));
@@ -790,8 +789,8 @@ TEST(ShardedEpochJournal, KillResumeBitIdentityAcrossThreadCounts) {
       [&](int threads, const SimConfig& sim, EpochObserver* observer) {
         StreamingWorkload w = make_workload();
         return run_sharded_simulation(apsp, map, w, 5, sim,
-                                      make_sharded(threads, true), proto,
-                                      observer);
+                                      make_sharded(threads), proto, observer,
+                                      journal);
       });
 }
 
@@ -826,8 +825,7 @@ struct PodStress {
     return StreamingWorkload(topo, wl, churn, Rng(77));
   }
 
-  ShardedStreamingConfig sharded(int threads,
-                                 const std::string& journal = {}) const {
+  ShardedStreamingConfig sharded(int threads) const {
     ShardedStreamingConfig cfg;
     cfg.enabled = true;
     cfg.threads = threads;
@@ -835,7 +833,6 @@ struct PodStress {
     cfg.resolve_churn_fraction = 0.25;
     cfg.max_staleness = 3;
     cfg.quarantine_sla = 1.0;
-    cfg.epoch_journal = journal;
     return cfg;
   }
 
@@ -882,8 +879,8 @@ TEST(ShardedVmMigration, JournaledPlanRunResumesBitIdentically) {
       [&](int threads, const SimConfig& sim, EpochObserver* observer) {
         StreamingWorkload w = ps.workload();
         return run_sharded_simulation(ps.apsp, ps.map, w, 5, sim,
-                                      ps.sharded(threads, journal), proto,
-                                      observer);
+                                      ps.sharded(threads), proto, observer,
+                                      journal);
       });
 }
 
@@ -902,12 +899,11 @@ TEST(ShardedEpochJournal, ReplaysContainedPolicyThrows) {
     sharded.enabled = true;
     sharded.threads = threads;
     sharded.quarantine_sla = 3.0;
-    sharded.epoch_journal = path;
     SelectiveThrowPolicy proto(2);  // shard 1 throws on every attempt
     StreamingWorkload workload(topo, workload_config(140),
                                StreamingChurnConfig{}, Rng(9));
     return run_sharded_simulation(apsp, map, workload, 5, cfg, sharded,
-                                  proto, observer);
+                                  proto, observer, path);
   };
   const SimTrace reference = run(1, sim, nullptr, {});
   // The replayed prefix holds contained throws and ladder steps.
@@ -937,7 +933,7 @@ TEST(ShardedEpochJournal, ReplaysRecoveryOfStrandedVnfs) {
                  const std::string& path) {
     StreamingWorkload w = ps.workload();
     return run_sharded_simulation(ps.apsp, ps.map, w, 5, cfg,
-                                  ps.sharded(threads, path), proto, observer);
+                                  ps.sharded(threads), proto, observer, path);
   };
   const SimTrace reference = run(1, sim, nullptr, {});
   // Switch faults strand VNFs before the kill, so the replay takes

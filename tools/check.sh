@@ -181,13 +181,15 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-# Stage 6: kill-resume smoke under ASan (optional; needs the sanitize
-# preset built: cmake --preset sanitize && cmake --build --preset
-# sanitize). The default
-# build already runs tools/smoke_resume.sh as the tier1 resume_smoke
-# CTest; this stage repeats it instrumented, so the journal's
-# crash/resume paths (raw POSIX I/O, _Exit mid-run) are also exercised
-# under AddressSanitizer + UBSan.
+# Stage 6: kill-resume smokes under the sanitizers (optional; needs the
+# sanitize preset built: cmake --preset sanitize && cmake --build --preset
+# sanitize). The default build already runs tools/smoke_resume.sh and
+# tools/smoke_resume_sharded.sh as the tier1 resume_smoke and
+# resume_sharded_smoke CTests; this stage repeats them instrumented, so
+# the cell journals' crash/resume paths (raw POSIX I/O, _Exit mid-cell,
+# replay of journaled answers) are also exercised under AddressSanitizer
+# + UBSan — monolithic cells through bench_ablation_replication, sharded
+# cells through the chaos soak, the latter under TSan too.
 # ---------------------------------------------------------------------------
 ASAN_BENCH=build-asan/bench/bench_ablation_replication
 if [ -x "$ASAN_BENCH" ]; then
@@ -203,16 +205,12 @@ else
        "sanitize preset first)"
 fi
 
-# The sharded epoch journal gets the same treatment: kill the sharded
-# chaos soak between epoch-journal writes mid-cell and resume it, under
-# both sanitizer presets (raw POSIX I/O, _Exit mid-epoch, per-shard
-# resume-state restore).
 for resume_build in build-asan build-tsan; do
   RESUME_BIN=$resume_build/bench/bench_chaos
   if [ -x "$RESUME_BIN" ]; then
     note "sharded resume smoke ($resume_build): tools/smoke_resume_sharded.sh"
     if tools/smoke_resume_sharded.sh --build-dir "$resume_build" > /dev/null; then
-      echo "   OK: epoch-journal kill-resume is clean under $resume_build"
+      echo "   OK: sharded-cell kill-resume is clean under $resume_build"
     else
       echo "   FAIL: sharded kill-resume smoke failed under $resume_build" >&2
       failures=$((failures + 1))
