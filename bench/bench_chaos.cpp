@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   const double penalty = opts.get_double("penalty", 50.0);
   // Deliberate budget pressure: a node budget this small truncates every
   // full re-solve of the exhaustive policy, which trips the ladder. The
-  // node budget (not SolveBudget) keeps the trips deterministic.
+  // budget counts nodes, so the trips are the same at any thread count.
   const std::uint64_t node_budget =
       static_cast<std::uint64_t>(opts.get_int("node-budget", 1));
   const std::uint64_t seed =

@@ -30,8 +30,7 @@ class Searcher {
         switches_(model.placement_candidates()),
         n_(n),
         extra_(extra),
-        config_(config),
-        deadline_(config.budget) {
+        config_(config) {
     const std::size_t s = switches_.size();
     PPDC_REQUIRE(n_ >= 1, "need at least one VNF");
     PPDC_REQUIRE(static_cast<std::size_t>(n_) <= s,
@@ -169,15 +168,11 @@ class Searcher {
   void descend(int depth, CandidateIdx prev_row, double partial) {
     if (exhausted_) return;
     ++nodes_;
-    if (config_.node_budget != 0 && nodes_ > config_.node_budget) {
-      exhausted_ = true;
-      return;
-    }
-    // Wall-clock deadline, polled cheaply every 1024 nodes. Gated on an
-    // incumbent existing: the search never aborts before a first complete
-    // placement has been recorded, so run() always returns a valid answer
-    // (graceful degradation instead of a throw under a ~0 budget).
-    if ((nodes_ & 1023u) == 0 && best_cost_ < kInf && deadline_.expired()) {
+    // The node budget is gated on an incumbent existing: the search never
+    // stops before a first complete placement has been recorded, so run()
+    // always returns a valid answer, even under a budget smaller than n.
+    if (config_.node_budget != 0 && nodes_ > config_.node_budget &&
+        best_cost_ < kInf) {
       exhausted_ = true;
       return;
     }
@@ -245,7 +240,6 @@ class Searcher {
   double best_cost_ = kInf;
   std::uint64_t nodes_ = 0;
   bool exhausted_ = false;
-  Deadline deadline_;
 };
 
 }  // namespace

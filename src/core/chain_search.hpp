@@ -17,6 +17,8 @@
 // all of which lower-bound any completion, so the search stays exact.
 // A node budget bounds worst-case running time; when it is exhausted the
 // best placement found so far is returned with proven_optimal = false.
+// The budget is a count, so a truncated search is as reproducible as a
+// complete one, and it never stops before a first complete placement.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +26,6 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
-#include "core/solve_budget.hpp"
 #include "util/ids.hpp"
 #include "util/indexed_vector.hpp"
 
@@ -47,12 +48,10 @@ struct ChainSearchResult {
 /// Configuration of the branch-and-bound run.
 struct ChainSearchConfig {
   /// Max partial assignments expanded before giving up on proof of
-  /// optimality. 0 means unlimited.
+  /// optimality. 0 means unlimited. When it runs out the search stops at
+  /// the incumbent (proven_optimal = false), but never before a first
+  /// complete placement exists, so the result is always valid.
   std::uint64_t node_budget = 200'000'000;
-  /// Wall-clock budget. When it expires the search stops at the incumbent
-  /// (proven_optimal = false) — but never before a first full placement
-  /// exists, so the result is always valid. Default: unlimited.
-  SolveBudget budget;
   /// Optional warm-start placement (e.g. the DP solution); its objective
   /// seeds the incumbent so pruning bites immediately.
   std::optional<Placement> initial;

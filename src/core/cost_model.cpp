@@ -199,7 +199,8 @@ void CostModel::enable_group_refresh(const std::vector<double>& base_rates,
   rebuild_group_bases();
 }
 
-void CostModel::rebuild_group_bases() {
+// Hot kernel: 64-byte aligned (DESIGN.md §11).
+[[gnu::aligned(64)]] void CostModel::rebuild_group_bases() {
   const std::size_t ns = num_switches();
   // Row compaction: one dense base-vector row per *distinct* group id, in
   // ascending id order — a dense id set keeps the historical row == id

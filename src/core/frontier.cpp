@@ -70,15 +70,6 @@ std::int64_t MigrationFrontiers::frontier_count() const noexcept {
 void MigrationFrontiers::for_each_frontier(
     std::int64_t max_enumerated,
     const std::function<void(const Placement&)>& visit) const {
-  for_each_frontier_until(max_enumerated, [&](const Placement& fr) {
-    visit(fr);
-    return true;
-  });
-}
-
-void MigrationFrontiers::for_each_frontier_until(
-    std::int64_t max_enumerated,
-    const std::function<bool(const Placement&)>& visit) const {
   PPDC_REQUIRE(frontier_count() <= max_enumerated,
                "frontier space too large to enumerate");
   const std::size_t n = paths_.size();
@@ -89,7 +80,7 @@ void MigrationFrontiers::for_each_frontier_until(
       fr[static_cast<std::size_t>(j.value())] =
           paths_[j][static_cast<std::size_t>(odometer[j])];
     }
-    if (!visit(fr)) return;
+    visit(fr);
     // Increment odometer.
     ChainPos j{0};
     const ChainPos end = paths_.end_id();

@@ -56,12 +56,6 @@ class MigrationFrontiers {
   void for_each_frontier(std::int64_t max_enumerated,
                          const std::function<void(const Placement&)>& visit) const;
 
-  /// As above, but `visit` returns false to stop early (deadline-bounded
-  /// scans keep their best-so-far instead of finishing the enumeration).
-  void for_each_frontier_until(
-      std::int64_t max_enumerated,
-      const std::function<bool(const Placement&)>& visit) const;
-
   /// The migration path of the VNF at chain position `j`.
   const std::vector<NodeId>& path(ChainPos j) const;
 

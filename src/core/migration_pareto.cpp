@@ -72,17 +72,10 @@ MigrationResult solve_tom_pareto(const CostModel& model,
     consider(fr, /*record_point=*/true);
   }
   if (options.exhaustive_frontiers &&
-      frontiers.frontier_count() <= options.frontier_budget) {
-    // Deadline-bounded scan: polled every 256 rows; on expiry the best
-    // frontier seen so far stands (the parallel rows above guarantee a
-    // valid, never-worse-than-stay-put incumbent already exists).
-    const Deadline deadline(options.budget);
-    std::int64_t visited = 0;
-    frontiers.for_each_frontier_until(
-        options.frontier_budget, [&](const Placement& fr) {
-          consider(fr, /*record_point=*/false);
-          return (++visited & 255) != 0 || !deadline.expired();
-        });
+      frontiers.frontier_count() <= kFrontierScanLimit) {
+    frontiers.for_each_frontier(kFrontierScanLimit, [&](const Placement& fr) {
+      consider(fr, /*record_point=*/false);
+    });
   }
 
   PPDC_REQUIRE(best_total < kInf,

@@ -12,11 +12,11 @@
 // The frontier points are exposed for the Fig. 6(b) Pareto-front analysis.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/cost_model.hpp"
 #include "core/placement_dp.hpp"
-#include "core/solve_budget.hpp"
 
 namespace ppdc {
 
@@ -42,17 +42,15 @@ struct ParetoMigrationOptions {
   /// Forwarded to the inner Algorithm 3 run.
   TopDpOptions placement;
   /// When true, in addition to the h_max parallel frontiers, every general
-  /// frontier (Def. 1, Π h_j combinations) is scanned as long as the count
-  /// stays below `frontier_budget`. This is the FrontierExhaustive
+  /// frontier (Def. 1, Π h_j combinations) is scanned, provided the count
+  /// is at most kFrontierScanLimit. This is the FrontierExhaustive
   /// near-optimal reference used as the "Optimal" proxy at k = 16 scale.
   bool exhaustive_frontiers = false;
-  std::int64_t frontier_budget = 2'000'000;
-  /// Wall-clock budget for the exhaustive general-frontier scan. On expiry
-  /// the scan stops and the best frontier seen so far wins. The parallel
-  /// rows are always evaluated in full (row 1 is "stay put", so the result
-  /// is never worse than not migrating). Default: unlimited.
-  SolveBudget budget;
 };
+
+/// Largest general-frontier count the exhaustive scan enumerates; above
+/// it only the parallel rows are scanned.
+inline constexpr std::int64_t kFrontierScanLimit = 2'000'000;
 
 /// Algorithm 5 (and its frontier-exhaustive extension). `model` must
 /// already reflect the *new* traffic rates. The returned migration is

@@ -207,7 +207,8 @@ MultiSfcResult solve_multi_sfc_exhaustive(const MultiSfcCostModel& model,
 
   const std::function<void(int, double)> descend = [&](int j, double partial) {
     if (exhausted) return;
-    if (node_budget != 0 && ++nodes > node_budget) {
+    // Never stops before a first complete placement (as chain_search).
+    if (node_budget != 0 && ++nodes > node_budget && best_cost < kInf) {
       exhausted = true;
       return;
     }

@@ -85,7 +85,9 @@ std::byte* StrollLevels::carve() const {
   return at;
 }
 
-void StrollLevels::at_least(int count, std::vector<Level>& out) const {
+// Hot kernel: 64-byte aligned (DESIGN.md §11).
+[[gnu::aligned(64)]] void StrollLevels::at_least(
+    int count, std::vector<Level>& out) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const StrollMetric& m = *metric_;
   const std::size_t rows = m.rows();
@@ -159,7 +161,9 @@ StrollTable::StrollTable(std::shared_ptr<const StrollLevels> levels,
   PPDC_REQUIRE(rate > 0.0, "stroll rate must be positive");
 }
 
-std::pair<double, NodeId> StrollTable::source_row(NodeId s, int e) const {
+// Hot kernel: 64-byte aligned (DESIGN.md §11).
+[[gnu::aligned(64)]] std::pair<double, NodeId> StrollTable::source_row(
+    NodeId s, int e) const {
   PPDC_REQUIRE(e >= 1 && e - 1 <= static_cast<int>(seen_.size()),
                "edge budget not materialized");
   const StrollMetric& m = levels_->metric();

@@ -60,8 +60,9 @@ void MinCostFlow::init_potentials(int source) {
   }
 }
 
-MinCostFlow::Result MinCostFlow::solve(int source, int sink,
-                                       std::int64_t max_flow) {
+// Hot kernel: 64-byte aligned (DESIGN.md §11).
+[[gnu::aligned(64)]] MinCostFlow::Result MinCostFlow::solve(
+    int source, int sink, std::int64_t max_flow) {
   PPDC_REQUIRE(source >= 0 && source < n_ && sink >= 0 && sink < n_,
                "source/sink range");
   PPDC_REQUIRE(source != sink, "source == sink");

@@ -396,7 +396,6 @@ std::uint64_t fingerprint_sharded_run(
   h.f64(config.fault.mu).f64(config.fault.quarantine_penalty);
   h.i64(config.fault.placement.candidate_limit);
   h.b(config.fault.exhaustive_recovery);
-  h.f64(config.fault.budget.wall_ms);
   h.b(config.ladder.enabled);
   h.b(config.audit.enabled);
   return h.value();

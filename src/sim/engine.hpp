@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "core/placement_dp.hpp"
-#include "core/solve_budget.hpp"
 #include "fault/fault.hpp"
 #include "graph/apsp.hpp"
 #include "sim/audit.hpp"
@@ -82,11 +81,10 @@ struct FaultOptions {
   /// Knobs for the emergency re-placement DP on the degraded fabric.
   TopDpOptions placement;
   /// When true, the DP recovery answer is refined by branch-and-bound
-  /// (warm-started at the DP placement) under `budget`.
+  /// (warm-started at the DP placement) under ChainSearchConfig's default
+  /// node budget; a truncated refinement keeps the best placement found,
+  /// never worse than the DP answer.
   bool exhaustive_recovery = false;
-  /// Wall-clock budget of the exhaustive refinement; expiry falls back to
-  /// the best placement found so far (never worse than the DP answer).
-  SolveBudget budget;
 };
 
 /// Per-run configuration.

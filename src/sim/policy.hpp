@@ -161,10 +161,10 @@ class ParetoMigrationPolicy final : public MigrationPolicy {
 };
 
 /// Exhaustive Algorithm 6 via branch and bound (tractable small PPDCs).
-/// When the search is truncated (node or wall-clock budget exhausted,
-/// proven_optimal = false) the policy degrades gracefully to mPareto and
-/// keeps whichever answer is cheaper — both are warm-started at "stay
-/// put", so the result is never worse than NoMigration.
+/// When the search is truncated (node budget exhausted, proven_optimal =
+/// false) the policy degrades gracefully to mPareto and keeps whichever
+/// answer is cheaper — both are warm-started at "stay put", so the
+/// result is never worse than NoMigration.
 class ExhaustiveMigrationPolicy final : public MigrationPolicy {
  public:
   ExhaustiveMigrationPolicy(double mu, ChainSearchConfig config = {});

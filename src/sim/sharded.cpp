@@ -597,7 +597,6 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
               solve_top_dp(*m, n, config.fault.placement).placement;
           if (config.fault.exhaustive_recovery) {
             ChainSearchConfig cc;
-            cc.budget = config.fault.budget;
             cc.initial = answer.recovery_target;
             const ChainSearchResult refined = solve_top_exhaustive(*m, n, cc);
             answer.recovery_truncated = !refined.proven_optimal;

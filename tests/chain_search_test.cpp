@@ -132,6 +132,25 @@ TEST(ChainSearch, NodeBudgetTruncatesButStillReturns) {
   EXPECT_LE(r.objective, cm.communication_cost(*cfg.initial) + 1e-9);
 }
 
+TEST(ChainSearch, ColdStartNodeBudgetStillReturnsAPlacement) {
+  // Without a warm start the first complete placement costs n nodes; a
+  // smaller budget must still let the search reach it.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const auto flows = random_flows(topo, 8, 23);
+  CostModel cm(apsp, flows);
+  constexpr int n = 3;
+  for (std::uint64_t budget = 1; budget <= n; ++budget) {
+    ChainSearchConfig cfg;
+    cfg.node_budget = budget;
+    const ChainSearchResult r = solve_top_exhaustive(cm, n, cfg);
+    EXPECT_FALSE(r.proven_optimal) << "budget=" << budget;
+    ASSERT_EQ(r.placement.size(), static_cast<std::size_t>(n));
+    EXPECT_NO_THROW(validate_placement(topo.graph, r.placement));
+    EXPECT_DOUBLE_EQ(r.objective, cm.communication_cost(r.placement));
+  }
+}
+
 TEST(ChainSearch, RejectsBadShapes) {
   const Topology topo = build_linear(3);
   const AllPairs apsp(topo.graph);

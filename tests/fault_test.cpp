@@ -681,35 +681,7 @@ TEST(FaultSchedule, DomainKnobsRequireTopologyAndValidate) {
   }
 }
 
-TEST(SolveBudget, UnlimitedByDefault) {
-  const SolveBudget unlimited;
-  EXPECT_TRUE(unlimited.unlimited());
-  EXPECT_FALSE(Deadline(unlimited).expired());
-  SolveBudget tight;
-  tight.wall_ms = 1e-9;
-  EXPECT_FALSE(tight.unlimited());
-}
-
-TEST(SolveBudget, ExpiredDeadlineStillReturnsValidPlacement) {
-  const Topology topo = build_fat_tree(4);
-  const AllPairs apsp(topo.graph);
-  auto flows = random_flows(topo, 10, 5);
-  const CostModel model(apsp, flows);
-  const PlacementResult dp = solve_top_dp(model, 3);
-
-  ChainSearchConfig cc;
-  cc.budget.wall_ms = 1e-9;  // expires essentially immediately
-  cc.initial = dp.placement;
-  const ChainSearchResult res = solve_top_exhaustive(model, 3, cc);
-  ASSERT_EQ(res.placement.size(), 3u);
-  for (const NodeId s : res.placement) {
-    EXPECT_TRUE(topo.graph.is_switch(s));
-  }
-  // Warm-started at the DP answer, truncation can never do worse than it.
-  EXPECT_LE(res.objective, dp.comm_cost + 1e-9);
-}
-
-TEST(SolveBudget, ExhaustivePolicyDegradesGracefullyUnderTinyBudget) {
+TEST(NodeBudget, ExhaustivePolicyDegradesGracefullyUnderTinyBudget) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);
   const auto flows = random_flows(topo, 8, 6);
@@ -717,7 +689,7 @@ TEST(SolveBudget, ExhaustivePolicyDegradesGracefullyUnderTinyBudget) {
   cfg.hours = 6;
   NoMigrationPolicy none;
   ChainSearchConfig tiny;
-  tiny.budget.wall_ms = 1e-9;
+  tiny.node_budget = 1;
   ExhaustiveMigrationPolicy truncated(10.0, tiny);
   const SimTrace t_none = run_simulation(apsp, flows, 3, cfg, none);
   const SimTrace t_trunc = run_simulation(apsp, flows, 3, cfg, truncated);

@@ -356,9 +356,7 @@ PlacementResult ref_solve_top_dp(const CostModel& model, int n,
 }
 
 // Reference Algorithm 5 on top of ref_solve_top_dp and the public
-// frontier API. The deadline poll of the production scan is omitted: the
-// suite only runs it with the default (unlimited) budget, where the poll
-// never stops the enumeration.
+// frontier API.
 MigrationResult ref_solve_tom_pareto(
     const CostModel& model, const Placement& from, double mu,
     const ParetoMigrationOptions& options = {}) {
@@ -391,12 +389,10 @@ MigrationResult ref_solve_tom_pareto(
     consider(fr, /*record_point=*/true);
   }
   if (options.exhaustive_frontiers &&
-      frontiers.frontier_count() <= options.frontier_budget) {
-    frontiers.for_each_frontier_until(
-        options.frontier_budget, [&](const Placement& fr) {
-          consider(fr, /*record_point=*/false);
-          return true;
-        });
+      frontiers.frontier_count() <= kFrontierScanLimit) {
+    frontiers.for_each_frontier(kFrontierScanLimit, [&](const Placement& fr) {
+      consider(fr, /*record_point=*/false);
+    });
   }
 
   best.total_cost = best_total;

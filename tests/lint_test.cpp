@@ -284,7 +284,8 @@ TEST(LintCorpus, SarifIsWellFormed) {
 TEST(LintRegistry, NamesAreStable) {
   const std::vector<std::string> expected = {
       "unordered-iteration",    "nondet-source", "steady-clock-only",
-      "pointer-hash-order",     "policy-prototype-const",
+      "no-clock",               "pointer-hash-order",
+      "policy-prototype-const",
       "raw-index",              "no-new-delete", "no-float",
       "include-spell",          "include-layering",
   };

@@ -142,6 +142,23 @@ TEST(MultiSfc, WarmStartRespected) {
   ASSERT_TRUE(exact.proven_optimal);
 }
 
+TEST(MultiSfc, ColdStartNodeBudgetStillReturnsAPlacement) {
+  // The root and one node per position precede the first complete
+  // placement; a budget that small must not leave the search empty.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  constexpr int n = 3;
+  const auto ranged = ranged_workload(topo, 8, n, 13);
+  const MultiSfcCostModel msm(apsp, ranged, n);
+  for (std::uint64_t budget = 1; budget <= n; ++budget) {
+    const MultiSfcResult r = solve_multi_sfc_exhaustive(msm, budget);
+    EXPECT_FALSE(r.proven_optimal) << "budget=" << budget;
+    ASSERT_EQ(r.placement.size(), static_cast<std::size_t>(n));
+    EXPECT_NO_THROW(validate_placement(topo.graph, r.placement));
+    EXPECT_DOUBLE_EQ(r.comm_cost, msm.communication_cost(r.placement));
+  }
+}
+
 TEST(MultiSfc, RejectsBadRanges) {
   const Topology topo = build_linear(4);
   const AllPairs apsp(topo.graph);

@@ -204,6 +204,20 @@ void rule_steady_clock_only(const FileUnit& f, const ProjectContext&,
   }
 }
 
+/// no-clock: the library reads no clock. Solver bounds are counts, so a
+/// clock under src/ could only make a result depend on the host.
+void rule_no_clock(const FileUnit& f, const ProjectContext&,
+                   std::vector<Finding>* out) {
+  if (!starts_with(f.path, "src/")) return;
+  for (const Token& tk : f.lex.tokens) {
+    if (id_is(tk, "steady_clock") || id_is(tk, "system_clock") ||
+        id_is(tk, "high_resolution_clock")) {
+      out->push_back({f.path, tk.line, tk.col, "no-clock",
+                      "std::chrono::" + tk.text + " spelled in the library"});
+    }
+  }
+}
+
 /// pointer-hash-order: pointer identity leaking into hashes or keys.
 void rule_pointer_hash_order(const FileUnit& f, const ProjectContext&,
                              std::vector<Finding>* out) {
@@ -433,6 +447,10 @@ const std::vector<Rule>& rules() {
         "deadlines must use std::chrono::steady_clock — system_clock jumps "
         "under NTP slews and manual clock changes"},
        rule_steady_clock_only},
+      {{"no-clock",
+        "no clock value may feed a result: every solver bound is a count, so "
+        "a run is the same on any host, at any thread count and on resume"},
+       rule_no_clock},
       {{"pointer-hash-order",
         "allocation addresses differ run to run; hashing or keying on them "
         "makes iteration and tie-breaks nondeterministic"},
