@@ -16,12 +16,28 @@ namespace ppdc {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// The level kernel adds and compares doubles, with no multiply and no
+// reduction, so every instruction set gives the same bits. GCC on x86-64
+// ELF targets builds it twice, for the baseline ISA (where GCC leaves the
+// select scalar) and for x86-64-v3 (32-byte AVX2 vectors), and picks the
+// clone at load time; other compilers build the plain function. So do
+// ThreadSanitizer builds: TSan instruments the clone resolver, which runs
+// before its runtime is up, and the program crashes at start.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    defined(__ELF__) && !defined(__SANITIZE_THREAD__)
+#define PPDC_LEVEL_KERNEL_CLONES \
+  gnu::target_clones("arch=x86-64-v3", "default"),
+#else
+#define PPDC_LEVEL_KERNEL_CLONES
+#endif
+
+// Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
 /// Relaxes each row's best (cost, succ) with the stroll via w on a strict
 /// <. Selects, not branches, so that it vectorizes (tools/vec_gate.sh).
-void relax_column(double* __restrict cost, NodeId* __restrict succ,
-                  const double* __restrict col, double pw, NodeId w,
-                  std::size_t rows) {
-  for (std::size_t i = 0; i < rows; ++i) {  // ppdc-vec: level-relax
+[[PPDC_LEVEL_KERNEL_CLONES gnu::aligned(64)]] void relax_column(
+    double* __restrict cost, NodeId* __restrict succ,
+    const double* __restrict col, double pw, NodeId w, std::size_t rows) {
+  for (std::size_t i = 0; i < rows; ++i) {  // ppdc-vec: level-relax bytes=32
     const double cand = col[i] + pw;
     const bool better = cand < cost[i];
     cost[i] = better ? cand : cost[i];

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <utility>
 
 #include "util/executor.hpp"
 #include "util/rng.hpp"
@@ -29,6 +31,80 @@ bool is_core(const Graph& g, NodeId v) {
   if (nbrs.size() >= 2) return true;
   const NodeId a = nbrs[0].to;
   return !(g.is_switch(a) || g.degree(a) >= 2);
+}
+
+/// The core block's own edges, by core position, in CSR form: each core
+/// vertex's core neighbours in Graph::neighbors() order. Leaf edges are
+/// left out, since a leaf never relays a path.
+struct CoreAdjacency {
+  std::vector<std::size_t> first;  ///< |core| + 1 offsets into to/weight
+  std::vector<std::int32_t> to;    ///< core position of each neighbour
+  std::vector<double> weight;
+};
+
+// Hot kernel: out of line and 64-byte aligned (DESIGN.md §11).
+/// Unit-weight BFS from core position `src`, written in place into that
+/// source's rows of the distance and parent blocks (both preset to
+/// unreachable / -1). `queue` holds |core| slots. A leaf never discovers a
+/// vertex, so the core vertices are discovered in the order a full-graph
+/// BFS (bfs_shortest_paths) discovers them, with the same parents.
+[[gnu::noinline, gnu::aligned(64)]] void core_bfs(
+    const CoreAdjacency& adj, std::int32_t src, double* dist,
+    std::int32_t* parent, std::int32_t* queue) {
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  dist[src] = 0.0;
+  queue[tail++] = src;
+  while (head < tail) {
+    const auto u = static_cast<std::size_t>(queue[head++]);
+    const double du = dist[u];
+    for (std::size_t e = adj.first[u]; e < adj.first[u + 1]; ++e) {
+      const std::int32_t v = adj.to[e];
+      if (dist[v] == kUnreachable) {
+        dist[v] = du + 1.0;
+        parent[v] = static_cast<std::int32_t>(u);
+        queue[tail++] = v;
+      }
+    }
+  }
+}
+
+// Hot kernel: out of line and 64-byte aligned (DESIGN.md §11).
+/// Dijkstra from core position `src`, in place like core_bfs. The heap
+/// orders (distance, NodeId) exactly as dijkstra() does, so ties pop in
+/// the same order and every distance and parent equals the full-graph
+/// run's. Leaf entries, which dijkstra() pops without relaxing anything,
+/// never enter it.
+[[gnu::noinline, gnu::aligned(64)]] void core_dijkstra(
+    const CoreAdjacency& adj, const std::vector<NodeId>& core,
+    std::int32_t src, double* dist, std::int32_t* parent) {
+  using Item = std::pair<double, std::int32_t>;
+  const auto later = [&core](const Item& a, const Item& b) {
+    return a.first != b.first
+               ? a.first > b.first
+               : core[static_cast<std::size_t>(a.second)] >
+                     core[static_cast<std::size_t>(b.second)];
+  };
+  std::vector<Item> heap;
+  dist[src] = 0.0;
+  heap.emplace_back(0.0, src);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const auto [du, u] = heap.back();
+    heap.pop_back();
+    if (du > dist[u]) continue;  // stale entry
+    const auto uu = static_cast<std::size_t>(u);
+    for (std::size_t e = adj.first[uu]; e < adj.first[uu + 1]; ++e) {
+      const std::int32_t v = adj.to[e];
+      const double cand = du + adj.weight[e];
+      if (cand < dist[v]) {
+        dist[v] = cand;
+        parent[v] = u;
+        heap.emplace_back(cand, v);
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -70,23 +146,32 @@ AllPairs::AllPairs(const Graph& g, bool allow_disconnected)
   parent_.assign(m * m, -1);
   unreachable_row_.assign(m, kUnreachable);
 
+  // A leaf is never interior to a shortest path, so the core block's row
+  // of a core source is the core columns of its full-graph SSSP, and every
+  // core vertex's parent is itself core: one SSSP per source over the core
+  // edges alone gives the same rows. Each source writes only its own row.
+  CoreAdjacency adj;
+  adj.first.reserve(m + 1);
+  adj.first.push_back(0);
+  for (const NodeId x : core_) {
+    for (const auto& a : g.neighbors(x)) {
+      const std::int32_t y = core_index(a.to);
+      if (y < 0) continue;
+      adj.to.push_back(y);
+      adj.weight.push_back(a.weight);
+    }
+    adj.first.push_back(adj.to.size());
+  }
   const bool unit = all_unit_weights(g);
-  // A leaf is never interior to a shortest path, so the core columns of a
-  // full-graph SSSP from a core source are exactly the core block's row,
-  // and every core vertex's parent is itself core. Each source writes
-  // only its own row.
   parallel_for(m, 8, [&](std::size_t x) noexcept {
-    const NodeId src = core_[x];
-    const SsspResult r =
-        unit ? bfs_shortest_paths(g, src) : dijkstra(g, src);
+    const auto src = static_cast<std::int32_t>(x);
     double* drow = dist_.data() + x * m;
     std::int32_t* prow = parent_.data() + x * m;
-    for (std::size_t y = 0; y < m; ++y) {
-      const auto v = static_cast<std::size_t>(core_[y]);
-      drow[y] = r.dist[v];
-      const NodeId p = r.parent[v];
-      prow[y] = p == kInvalidNode ? -1
-                                  : anchor_[static_cast<std::size_t>(p)].core;
+    if (unit) {
+      std::vector<std::int32_t> queue(m);
+      core_bfs(adj, src, drow, prow, queue.data());
+    } else {
+      core_dijkstra(adj, core_, src, drow, prow);
     }
   });
 

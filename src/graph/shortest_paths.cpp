@@ -6,10 +6,7 @@
 
 namespace ppdc {
 
-// Hot kernel: 64-byte aligned (DESIGN.md §11).
-[[gnu::aligned(64)]] SsspResult bfs_shortest_paths(const Graph& g,
-                                                  NodeId source,
-                                                  double unit) {
+SsspResult bfs_shortest_paths(const Graph& g, NodeId source, double unit) {
   PPDC_REQUIRE(source >= 0 && source < g.num_nodes(), "bad source");
   PPDC_REQUIRE(unit > 0.0, "unit must be positive");
   const auto n = static_cast<std::size_t>(g.num_nodes());

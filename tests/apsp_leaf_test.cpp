@@ -19,6 +19,7 @@
 #include "topology/leaf_spine.hpp"
 #include "topology/vl2.hpp"
 #include "topology/weights.hpp"
+#include "util/rng.hpp"
 
 namespace ppdc {
 namespace {
@@ -47,9 +48,13 @@ double ref_cost(const std::vector<SsspResult>& ref, NodeId u, NodeId v) {
 }
 
 /// Every pair: cost() and reachable() bit-identical, path() identical.
-void expect_identical(const Graph& g, const AllPairs& apsp) {
+/// With `leaf_sources = false` only pairs from a core vertex are checked
+/// (weighted fabrics: see WeightedFatTreeWithinTwoUlpsAndExactIntoLeaves).
+void expect_identical(const Graph& g, const AllPairs& apsp,
+                      bool leaf_sources = true) {
   const auto ref = full_reference(g);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (!leaf_sources && apsp.core_index(u) < 0) continue;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       const double want = ref_cost(ref, u, v);
       ASSERT_EQ(apsp.cost(u, v), want) << "u=" << u << " v=" << v;
@@ -157,20 +162,18 @@ std::int64_t ulp_distance(double a, double b) {
   return x > y ? x - y : y - x;
 }
 
-TEST(ApspLeaf, WeightedFatTreeWithinTwoUlpsAndExactIntoLeaves) {
-  Topology t = build_fat_tree(8);
-  apply_uniform_delay_weights(t.graph, 17);
-  const AllPairs apsp(t.graph);
-  const auto ref = full_reference(t.graph);
-  const Graph& g = t.graph;
+/// Pairs from a leaf source on a weighted fabric: within two ulps of the
+/// reference, along a path that is shortest. Returns the worst distance.
+std::int64_t expect_leaf_rows_near(const Graph& g, const AllPairs& apsp) {
+  const auto ref = full_reference(g);
   std::int64_t worst = 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (apsp.core_index(u) >= 0) continue;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       const double want = ref_cost(ref, u, v);
       const double got = apsp.cost(u, v);
-      if (g.is_switch(u)) {
-        // Dijkstra relaxes c(x, leaf) = c(x, attach) + w: exact.
-        ASSERT_EQ(got, want) << "u=" << u << " v=" << v;
+      if (want == kUnreachable) {
+        EXPECT_EQ(got, kUnreachable) << "u=" << u << " v=" << v;
         continue;
       }
       // c(leaf, x) = w + c(attach, x) adds the same edge weights as the
@@ -178,17 +181,69 @@ TEST(ApspLeaf, WeightedFatTreeWithinTwoUlpsAndExactIntoLeaves) {
       worst = std::max(worst, ulp_distance(got, want));
       // Paths may break near-ties differently but stay shortest.
       const auto p = apsp.path(u, v);
-      ASSERT_EQ(p.front(), u);
-      ASSERT_EQ(p.back(), v);
+      EXPECT_EQ(p.front(), u);
+      EXPECT_EQ(p.back(), v);
       double len = 0.0;
       for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-        ASSERT_TRUE(g.has_edge(p[i], p[i + 1]));
+        EXPECT_TRUE(g.has_edge(p[i], p[i + 1]));
         len += g.edge_weight(p[i], p[i + 1]);
       }
       EXPECT_NEAR(len, want, 1e-9);
     }
   }
-  EXPECT_LE(worst, 2);
+  return worst;
+}
+
+TEST(ApspLeaf, WeightedFatTreeWithinTwoUlpsAndExactIntoLeaves) {
+  Topology t = build_fat_tree(8);
+  apply_uniform_delay_weights(t.graph, 17);
+  const AllPairs apsp(t.graph);
+  // Dijkstra relaxes c(x, leaf) = c(x, attach) + w: exact from a switch.
+  expect_identical(t.graph, apsp, /*leaf_sources=*/false);
+  EXPECT_LE(expect_leaf_rows_near(t.graph, apsp), 2);
+}
+
+/// `g` with every link of the listed nodes dropped, and the listed links.
+Graph without(const Graph& g, const std::vector<NodeId>& dead_nodes,
+              const std::vector<EdgeKey>& dead_edges = {}) {
+  std::vector<char> dead(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (const NodeId v : dead_nodes) dead[static_cast<std::size_t>(v)] = 1;
+  return masked_copy(g, dead, dead_edges);
+}
+
+/// Every link of `g` at an integer weight drawn from [lo, hi].
+void set_integer_weights(Graph& g, int lo, int hi, std::uint64_t seed) {
+  Rng rng(seed);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const auto& a : g.neighbors(u)) {
+      if (u >= a.to) continue;
+      const auto w = static_cast<double>(rng.uniform_int(lo, hi));
+      g.set_edge_weight(u, a.to, w);
+    }
+  }
+}
+
+TEST(ApspLeaf, TiedWeightsBreakTiesByNodeId) {
+  // Small integer weights run Dijkstra with exact sums and many equal
+  // distances, which pop by NodeId. DCell links hosts to hosts, so a host
+  // and a switch can tie as the last hop into a vertex; its core lists
+  // every switch first, though most hosts have lower ids than the last
+  // cell's switch, so popping by core position would pick other parents.
+  for (const int n : {3, 4}) {
+    Topology dcell = build_dcell1(n);
+    set_integer_weights(dcell.graph, 1, 2, 5);
+    ASSERT_LT(dcell.graph.hosts().front(), dcell.graph.switches().back());
+    const AllPairs a(dcell.graph);
+    expect_identical(dcell.graph, a);
+    expect_same_summaries(dcell.graph, a);
+  }
+  // On a masked fat-tree every leaf splices onto exact Dijkstra rows.
+  Topology ft = build_fat_tree(4);
+  set_integer_weights(ft.graph, 2, 2, 1);
+  const Graph g = without(ft.graph, {ft.rack_switches[RackIdx{0}]});
+  const AllPairs b(g, /*allow_disconnected=*/true);
+  expect_identical(g, b);
+  expect_same_summaries(g, b);
 }
 
 TEST(ApspLeaf, DegradedFabricKeepsUnreachableSemantics) {
@@ -220,6 +275,110 @@ TEST(ApspLeaf, DegradedFabricKeepsUnreachableSemantics) {
   EXPECT_FALSE(apsp.reachable(dead_tor, t.racks[RackIdx{1}][0]));
   expect_identical(g, apsp);
   expect_same_summaries(g, apsp);
+}
+
+TEST(ApspLeaf, BCubeDeadSwitchesTurnRelayHostsIntoLeaves) {
+  const Topology t = build_bcube(3, 1);
+  const NodeId h0 = t.graph.hosts().front();
+  // Both of h0's switches die: h0 is isolated, and every other host on
+  // them keeps one port and becomes a leaf of its other switch.
+  std::vector<NodeId> dead;
+  for (const auto& a : t.graph.neighbors(h0)) dead.push_back(a.to);
+  const Graph g = without(t.graph, dead);
+  const AllPairs apsp(g, /*allow_disconnected=*/true);
+  EXPECT_EQ(g.degree(h0), 0);
+  EXPECT_EQ(apsp.core_index(h0), -1);
+  int leaves = 0;
+  for (const NodeId h : g.hosts()) {
+    if (g.degree(h) != 1) continue;
+    ++leaves;
+    EXPECT_EQ(apsp.core_index(h), -1) << "h=" << h;
+  }
+  EXPECT_EQ(leaves, 4);
+  EXPECT_EQ(apsp.num_core(), g.num_nodes() - 5);
+  expect_identical(g, apsp);
+  expect_same_summaries(g, apsp);
+}
+
+TEST(ApspLeaf, DCellDeadSwitchesLeaveLeavesOnRelayHosts) {
+  const Topology t = build_dcell1(3);
+  const std::vector<NodeId> dead = {t.graph.switches()[0],
+                                    t.graph.switches()[1]};
+  const Graph g = without(t.graph, dead);
+  const AllPairs apsp(g, /*allow_disconnected=*/true);
+  // Cells 0 and 1 lose their switches. A host of theirs linked to a live
+  // cell becomes a leaf whose attach is a relay host; the two hosts linked
+  // to each other keep only that link, and both stay core.
+  int relay_leaves = 0;
+  int core_pairs = 0;
+  for (const NodeId h : g.hosts()) {
+    if (g.degree(h) != 1) continue;
+    const NodeId a = g.neighbors(h)[0].to;
+    if (g.degree(a) >= 2) {
+      ++relay_leaves;
+      EXPECT_EQ(apsp.core_index(h), -1) << "h=" << h;
+      EXPECT_GE(apsp.core_index(a), 0) << "a=" << a;
+    } else {
+      ++core_pairs;
+      EXPECT_GE(apsp.core_index(h), 0) << "h=" << h;
+    }
+  }
+  EXPECT_EQ(relay_leaves, 4);
+  EXPECT_EQ(core_pairs, 2);
+  EXPECT_FALSE(apsp.fully_connected());
+  expect_identical(g, apsp);
+  expect_same_summaries(g, apsp);
+}
+
+TEST(ApspLeaf, FatTreePodOutageIsolatesItsHosts) {
+  const int k = 8;
+  const Topology t = build_fat_tree(k);
+  const Graph g = without(t.graph, t.power_domains.front().switches);
+  const AllPairs apsp(g, /*allow_disconnected=*/true);
+  int isolated = 0;
+  for (const NodeId h : g.hosts()) {
+    if (g.degree(h) == 0) ++isolated;
+  }
+  EXPECT_EQ(isolated, k / 2 * k / 2);
+  expect_identical(g, apsp);
+  expect_same_summaries(g, apsp);
+}
+
+TEST(ApspLeaf, WeightedMaskedFatTreeIsExactFromTheCore) {
+  Topology t = build_fat_tree(8);
+  apply_uniform_delay_weights(t.graph, 23);
+  // A pod outage, one more dead aggregation switch and one cut core link.
+  std::vector<NodeId> dead = t.power_domains[1].switches;
+  const PowerDomain& pod0 = t.power_domains[0];
+  const NodeId agg = *std::find_if(
+      pod0.switches.begin(), pod0.switches.end(), [&](NodeId s) {
+        for (const auto& a : t.graph.neighbors(s)) {
+          if (t.graph.is_host(a.to)) return false;
+        }
+        return true;
+      });
+  dead.push_back(agg);
+  NodeId core = kInvalidNode;
+  NodeId up = kInvalidNode;
+  for (const NodeId s : t.power_domains[2].switches) {
+    for (const auto& a : t.graph.neighbors(s)) {
+      bool in_pod = false;
+      for (const PowerDomain& d : t.power_domains) {
+        in_pod = in_pod || std::count(d.switches.begin(), d.switches.end(),
+                                      a.to) != 0;
+      }
+      if (t.graph.is_switch(a.to) && !in_pod) {
+        up = s;
+        core = a.to;
+      }
+    }
+  }
+  ASSERT_NE(core, kInvalidNode);
+  const Graph g = without(t.graph, dead, {make_edge_key(up, core)});
+  const AllPairs apsp(g, /*allow_disconnected=*/true);
+  EXPECT_FALSE(apsp.fully_connected());
+  expect_identical(g, apsp, /*leaf_sources=*/false);
+  EXPECT_LE(expect_leaf_rows_near(g, apsp), 2);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyzer.hpp"
@@ -261,6 +262,49 @@ TEST(LintCorpus, BaselineFiltersAndFlagsStaleEntries) {
   EXPECT_EQ(key_of(filtered.baselined.front()), live_key);
   ASSERT_EQ(filtered.stale_baseline.size(), 1u);
   EXPECT_EQ(filtered.stale_baseline.front(), stale_key);
+}
+
+TEST(LintCorpus, StaleEntriesNeedTheirRuleAndFileScanned) {
+  const LintResult base = run_corpus();
+  const Finding* grandfathered = nullptr;
+  for (const Finding& f : base.findings) {
+    if (f.path == "src/util/precision.cpp" && f.rule == "no-float") {
+      grandfathered = &f;
+    }
+  }
+  ASSERT_NE(grandfathered, nullptr);
+  const std::string live_key = key_of(*grandfathered);
+  const std::string stale_key = "src/never/exists.cpp:1:no-float";
+
+  const fs::path tmp =
+      fs::temp_directory_path() / "ppdc_lint_test_subset.baseline";
+  {
+    std::ofstream out(tmp);
+    out << live_key << "\n" << stale_key << "\n";
+  }
+  const auto lint = [&](std::vector<std::string> rules,
+                        std::vector<std::string> paths) {
+    LintOptions options;
+    options.root = corpus_root();
+    options.rules = std::move(rules);
+    options.paths = std::move(paths);
+    options.baseline_path = tmp.string();
+    return ppdc::lint::run_lint(options);
+  };
+  // A rule subset that leaves no-float out cannot judge either entry.
+  const LintResult other_rule = lint({"no-clock"}, {});
+  // A path subset that leaves out src/util and src/never neither.
+  const LintResult other_dir = lint({}, {"src/core"});
+  // A run over the entries' rule and directory still flags the dead one.
+  const LintResult covering = lint({"no-float"}, {"./src/"});
+  fs::remove(tmp);
+
+  EXPECT_TRUE(other_rule.stale_baseline.empty());
+  EXPECT_TRUE(other_dir.stale_baseline.empty());
+  ASSERT_EQ(covering.stale_baseline.size(), 1u);
+  EXPECT_EQ(covering.stale_baseline.front(), stale_key);
+  ASSERT_EQ(covering.baselined.size(), 1u);
+  EXPECT_EQ(key_of(covering.baselined.front()), live_key);
 }
 
 TEST(LintCorpus, SarifIsWellFormed) {

@@ -122,11 +122,12 @@ fi
 
 # ---------------------------------------------------------------------------
 # Stage 4b: vectorization gate over the flat kernels (needs only g++;
-# SKIPs on non-GNU toolchains). Compiles the `// ppdc-vec:`-tagged loops
-# (stroll_dp.cpp: the level-relax column pass; cost_model.cpp: the
-# attraction and churn row passes) at -O3
-# -march=x86-64-v3 and fails if any of them stops being reported as
-# "loop vectorized".
+# SKIPs on non-GNU toolchains and non-x86-64 targets). Compiles the
+# `// ppdc-vec:`-tagged loops (stroll_dp.cpp: the level-relax column
+# pass; cost_model.cpp: the attraction and churn row passes) with the
+# library's Release flags, no -march, and fails if any of them stops being
+# reported as "loop vectorized". level-relax must report 32-byte vectors:
+# its runtime-dispatched x86-64-v3 clone.
 # ---------------------------------------------------------------------------
 note "vec gate: tools/vec_gate.sh"
 tools/vec_gate.sh
@@ -222,16 +223,18 @@ for resume_build in build-asan build-tsan; do
 done
 
 # ---------------------------------------------------------------------------
-# Stage 6b: the stroll DP, fault and min-cost-flow suites under ASan +
-# UBSan (optional; needs the sanitize preset built). The stroll DP reads
-# the fabric's AllPairs core through raw row and column pointers, masked
-# by a restricted (degraded) universe; the fault suite drives the degraded
-# fabrics that produce those masks. The min-cost-flow solver indexes its
-# residual arcs through predecessor arrays that an early-exit Dijkstra
-# leaves partly stale, and the VM-migration baselines drive it.
+# Stage 6b: the APSP, stroll DP, fault and min-cost-flow suites under
+# ASan + UBSan (optional; needs the sanitize preset built). The AllPairs
+# build indexes a core-only adjacency and writes each source's rows
+# through raw pointers, on masked fabrics too (apsp_leaf_test). The stroll
+# DP reads the fabric's AllPairs core through raw row and column pointers,
+# masked by a restricted (degraded) universe; the fault suite drives the
+# degraded fabrics that produce those masks. The min-cost-flow solver
+# indexes its residual arcs through predecessor arrays that an early-exit
+# Dijkstra leaves partly stale, and the VM-migration baselines drive it.
 # ---------------------------------------------------------------------------
-for t in stroll_dp_test kernel_equivalence_test placement_test fault_test \
-         min_cost_flow_test vm_migration_test; do
+for t in apsp_leaf_test stroll_dp_test kernel_equivalence_test \
+         placement_test fault_test min_cost_flow_test vm_migration_test; do
   ASAN_RUNNER=build-asan/tests/$t
   if [ -x "$ASAN_RUNNER" ]; then
     note "asan: $ASAN_RUNNER"

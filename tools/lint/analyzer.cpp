@@ -195,6 +195,22 @@ bool is_suppressed(const Finding& f, const std::vector<Suppression>& sups) {
   return false;
 }
 
+/// True when scanning `paths` (root-relative files or directories)
+/// visits `file` if it exists.
+bool scan_covers(const std::vector<std::string>& paths,
+                 const std::string& file) {
+  for (std::string p : paths) {
+    while (p.size() >= 2 && p.compare(0, 2, "./") == 0) p.erase(0, 2);
+    while (!p.empty() && p.back() == '/') p.pop_back();
+    if (p.empty() || p == "." || p == file) return true;
+    if (file.size() > p.size() && file.compare(0, p.size(), p) == 0 &&
+        file[p.size()] == '/') {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string baseline_key(const Finding& f) {
   return f.path + ":" + std::to_string(f.line) + ":" + f.rule;
 }
@@ -311,8 +327,22 @@ LintResult run_lint(const LintOptions& options) {
       result.findings.push_back(std::move(f));
     }
   }
+  // An unused entry is stale only if this run could have matched it: its
+  // rule ran and the scan covered its file. A --rules subset or a narrower
+  // path list says nothing about the entries it skipped.
   for (const std::string& entry : baseline) {
-    if (used_baseline.count(entry) == 0) {
+    if (used_baseline.count(entry) != 0) continue;
+    const std::size_t rule_at = entry.rfind(':');
+    const std::size_t line_at = rule_at == std::string::npos || rule_at == 0
+                                    ? std::string::npos
+                                    : entry.rfind(':', rule_at - 1);
+    if (line_at == std::string::npos) {
+      result.stale_baseline.push_back(entry);  // not path:line:rule
+      continue;
+    }
+    const std::string rule = entry.substr(rule_at + 1);
+    if (!enabled.empty() && enabled.count(rule) == 0) continue;
+    if (scan_covers(paths, entry.substr(0, line_at))) {
       result.stale_baseline.push_back(entry);
     }
   }
