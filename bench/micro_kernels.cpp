@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the library's computational kernels:
 // APSP construction, the DP-Stroll table, the Algorithm 3 placement sweep,
-// the mPareto frontier scan, and the min-cost-flow solver. These guard the
-// asymptotic behaviour the figure harnesses depend on.
+// the mPareto frontier scan, and the MCF baseline's assignment solver.
+// These guard the asymptotic behaviour the figure harnesses depend on.
 //
 // Two entry modes (own main below):
 //   * default: the usual google-benchmark CLI over the BM_* kernels;
@@ -18,7 +18,6 @@
 #include "core/migration_pareto.hpp"
 #include "core/placement_dp.hpp"
 #include "core/stroll_dp.hpp"
-#include "flow/min_cost_flow.hpp"
 #include "net/link_load.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/checksum.hpp"
@@ -104,7 +103,7 @@ void BM_VmMigrationMcf(benchmark::State& state) {
   const Placement p = solve_top_dp(cm, 7).placement;
   VmMigrationConfig cfg;
   cfg.mu = 1e4;
-  cfg.host_capacity = 4;  // force the full min-cost-flow path
+  cfg.host_capacity = 4;  // binds, so the assignment augments
   cfg.candidate_hosts = 16;
   for (auto _ : state) {
     const VmMigrationResult r = solve_vm_migration_mcf(apsp, flows, p, cfg);
@@ -140,26 +139,6 @@ void BM_LocalSearchPolish(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalSearchPolish)->Unit(benchmark::kMillisecond);
-
-void BM_MinCostFlowGrid(benchmark::State& state) {
-  // Classic transportation instance: n suppliers x n consumers.
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    MinCostFlow f(2 + 2 * n);
-    for (int i = 0; i < n; ++i) {
-      f.add_arc(0, 2 + i, 3, 0.0);
-      f.add_arc(2 + n + i, 1, 3, 0.0);
-      for (int j = 0; j < n; ++j) {
-        f.add_arc(2 + i, 2 + n + j,
-                  2, static_cast<double>((i * 7 + j * 13) % 10 + 1));
-      }
-    }
-    const auto r = f.solve(0, 1);
-    benchmark::DoNotOptimize(r.cost);
-  }
-}
-BENCHMARK(BM_MinCostFlowGrid)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Pinned BENCH_*.json scenarios. Every parameter below (arity, workload
@@ -360,8 +339,8 @@ BenchRecord pin_cost_refresh() {
 /// nearest each chain end as targets, 4 VMs per host, a 4-hour horizon.
 /// The chain ends sit on racks 3 and 100 (different pods), so VMs move
 /// and the host capacity binds. The checksum covers the objective and
-/// every moved endpoint; the min-cost-flow solver may choose another of
-/// two exactly equal-cost hosts, so it pins this implementation's choice.
+/// every moved endpoint; the assignment solver may choose another of two
+/// exactly equal-cost hosts, so it pins this implementation's choice.
 BenchRecord pin_vm_migration_mcf() {
   constexpr int kArity = 16;
   constexpr int kPairs = 400;

@@ -5,7 +5,7 @@
 #include <limits>
 #include <numeric>
 
-#include "flow/min_cost_flow.hpp"
+#include "flow/assignment.hpp"
 #include "graph/apsp.hpp"
 #include "graph/graph.hpp"
 #include "util/require.hpp"
@@ -230,113 +230,70 @@ VmMigrationResult solve_vm_migration_mcf(const AllPairs& apsp,
   const auto endpoints = all_endpoints(flows);
   const CandidateHosts candidates(apsp, vnf_placement, config.candidate_hosts);
 
-  if (config.host_capacity <= 0) {
-    // Uncapacitated MCF decomposes exactly: with no coupling constraint,
-    // every unit of flow independently takes its cheapest VM -> host arc,
-    // so the per-endpoint argmin *is* the min-cost flow optimum. This fast
-    // path keeps the 1024-host dynamic experiments tractable.
-    VmMigrationResult result;
-    result.flows = flows;
-    for (const Endpoint& ep : endpoints) {
-      const NodeId cur = ep.host(flows);
-      double best = config.horizon_hours *
-                    endpoint_cost(apsp, flows, ep, vnf_placement, cur);
-      NodeId best_h = cur;
-      candidates.for_each(ep, cur, [&](NodeId h) {
-        const double cost =
-            config.horizon_hours *
-                endpoint_cost(apsp, flows, ep, vnf_placement, h) +
-            config.mu * apsp.cost(cur, h);
-        if (cost < best) {
-          best = cost;
-          best_h = h;
-        }
-      });
-      if (best_h != cur) {
-        result.migration_cost += config.mu * apsp.cost(cur, best_h);
-        result.migration_distance += apsp.cost(cur, best_h);
-        ++result.vms_moved;
-        ep.set_host(result.flows, best_h);
-        result.moved_flow_indices.push_back(ep.flow);
-      }
-    }
-    finalize_moved_indices(result.moved_flow_indices);
-    result.comm_cost = full_comm_cost(apsp, result.flows, vnf_placement);
-    result.total_cost = result.comm_cost + result.migration_cost;
-    return result;
-  }
-
-  // Node layout: 0 = source, 1 = sink, [2, 2+E) = endpoints,
-  // [2+E, 2+E+H) = hosts.
-  const int num_eps = static_cast<int>(endpoints.size());
-  const int num_hosts = static_cast<int>(hosts.size());
-  const int ep_base = 2;
-  const int host_base = 2 + num_eps;
-  MinCostFlow mcf(2 + num_eps + num_hosts);
-
   std::vector<int> host_row(static_cast<std::size_t>(apsp.num_nodes()), -1);
-  for (int h = 0; h < num_hosts; ++h) {
+  for (int h = 0; h < static_cast<int>(hosts.size()); ++h) {
     host_row[static_cast<std::size_t>(hosts[static_cast<std::size_t>(h)])] = h;
   }
-
-  for (int e = 0; e < num_eps; ++e) {
-    mcf.add_arc(0, ep_base + e, 1, 0.0);
-  }
-  // VM -> candidate host arcs carry comm-at-host + migration cost.
-  struct ArcRef {
-    int arc_id;
-    int ep;
-    NodeId host;
+  const auto row_of = [&](NodeId h) {
+    const int row = host_row[static_cast<std::size_t>(h)];
+    PPDC_REQUIRE(row >= 0, "candidate host missing from host table");
+    return row;
   };
-  std::vector<ArcRef> refs;
-  for (int e = 0; e < num_eps; ++e) {
-    const Endpoint& ep = endpoints[static_cast<std::size_t>(e)];
+
+  // VM -> candidate host arcs carry comm-at-host + migration cost. The
+  // current host's arc comes first, so it wins an exact tie of the
+  // assignment's greedy start.
+  AssignmentArcs arcs;
+  for (const Endpoint& ep : endpoints) {
     const NodeId cur = ep.host(flows);
-    candidates.for_each(ep, cur, [&](NodeId h) {
-      const double cost =
-          config.horizon_hours *
-              endpoint_cost(apsp, flows, ep, vnf_placement, h) +
-          config.mu * apsp.cost(cur, h);
-      // On a degraded fabric an unreachable candidate costs +inf; such
-      // arcs would poison the MCF potentials, so drop them. The
-      // current-host arc is always finite (zero migration distance and a
-      // guarded endpoint cost), keeping the status quo feasible.
-      if (!std::isfinite(cost)) return;
-      const int row = host_row[static_cast<std::size_t>(h)];
-      PPDC_REQUIRE(row >= 0, "candidate host missing from host table");
-      refs.push_back(
-          {mcf.add_arc(ep_base + e, host_base + row, 1, cost), e, h});
-    });
+    const auto cost_at = [&](NodeId h) {
+      return config.horizon_hours *
+                 endpoint_cost(apsp, flows, ep, vnf_placement, h) +
+             config.mu * apsp.cost(cur, h);
+    };
+    const double stay = cost_at(cur);
+    // When the endpoint's host cannot reach its chain end, no host that
+    // can is reachable from it (the metric is symmetric), so every arc is
+    // infinite: one zero-cost arc keeps the endpoint where it is.
+    arcs.add(row_of(cur), std::isfinite(stay) ? stay : 0.0);
+    if (std::isfinite(stay)) {
+      candidates.for_each(ep, cur, [&](NodeId h) {
+        if (h == cur) return;
+        const double cost = cost_at(h);
+        // On a degraded fabric an unreachable candidate costs +inf; such
+        // arcs would poison the potentials, so drop them.
+        if (std::isfinite(cost)) arcs.add(row_of(h), cost);
+      });
+    }
+    arcs.end_vm();
   }
   // Per-host capacity: the configured limit, but never below the host's
   // current occupancy — the status quo must stay feasible even when the
   // initial workload already exceeds the nominal limit (hot racks under
-  // Zipf tenant skew do).
-  const std::vector<int> occ = occupancy(apsp, flows);
-  for (int h = 0; h < num_hosts; ++h) {
-    const NodeId host = hosts[static_cast<std::size_t>(h)];
-    const std::int64_t cap = std::max<std::int64_t>(
-        config.host_capacity, occ[static_cast<std::size_t>(host)]);
-    mcf.add_arc(host_base + h, 1, cap, 0.0);
+  // Zipf tenant skew do). Uncapacitated, every VM takes its cheapest arc.
+  std::vector<int> capacity(hosts.size(), std::numeric_limits<int>::max());
+  if (config.host_capacity > 0) {
+    const std::vector<int> occ = occupancy(apsp, flows);
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+      capacity[h] = std::max(config.host_capacity,
+                             occ[static_cast<std::size_t>(hosts[h])]);
+    }
   }
-
-  const auto solved = mcf.solve(0, 1);
-  PPDC_REQUIRE(solved.flow == num_eps,
-               "MCF could not place every VM (capacity too tight)");
+  const Assignment assignment = solve_assignment(arcs, capacity);
 
   VmMigrationResult result;
   result.flows = flows;
-  for (const ArcRef& ref : refs) {
-    if (mcf.flow_on(ref.arc_id) == 0) continue;
-    const Endpoint& ep = endpoints[static_cast<std::size_t>(ref.ep)];
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    const Endpoint& ep = endpoints[e];
     const NodeId cur = ep.host(flows);
-    if (ref.host != cur) {
-      result.migration_cost += config.mu * apsp.cost(cur, ref.host);
-      result.migration_distance += apsp.cost(cur, ref.host);
-      ++result.vms_moved;
-      ep.set_host(result.flows, ref.host);
-      result.moved_flow_indices.push_back(ep.flow);
-    }
+    const NodeId to = hosts[static_cast<std::size_t>(
+        arcs.host[static_cast<std::size_t>(assignment.arc[e])])];
+    if (to == cur) continue;
+    result.migration_cost += config.mu * apsp.cost(cur, to);
+    result.migration_distance += apsp.cost(cur, to);
+    ++result.vms_moved;
+    ep.set_host(result.flows, to);
+    result.moved_flow_indices.push_back(ep.flow);
   }
   finalize_moved_indices(result.moved_flow_indices);
   result.comm_cost = full_comm_cost(apsp, result.flows, vnf_placement);

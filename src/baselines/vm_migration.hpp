@@ -7,8 +7,8 @@
 //  * MCF (Flores et al., INFOCOM 2020 [24]): casts the joint
 //    "minimize communication + migration cost" VM re-assignment as a
 //    minimum-cost flow problem (source -> VM -> host -> sink with unit VM
-//    supply and host capacities) and solves it exactly with our
-//    flow::MinCostFlow substrate.
+//    supply and host capacities). That network is a capacitated
+//    assignment, and flow/assignment.hpp solves it exactly.
 //
 // Both baselines keep the VNF placement p fixed and move VM endpoints:
 // a source VM's cost term is λ_i c(s(v_i), p(1)), a destination VM's is
@@ -30,7 +30,12 @@ namespace ppdc {
 /// Shared knobs of the VM-migration baselines.
 struct VmMigrationConfig {
   double mu = 1.0;        ///< migration coefficient
-  int host_capacity = 0;  ///< max VMs per host; 0 = uncapacitated
+  /// Max VMs per host; 0 = uncapacitated. The limit binds the flows one
+  /// call sees. On a multi-shard map each shard's policy clone sees only
+  /// its shard's flows, so a host that serves two shards may hold up to
+  /// this many VMs of each: capacity counts per shard, not across the
+  /// fabric (sharded_equivalence_test pins it).
+  int host_capacity = 0;
   /// Hours a migrated VM is expected to stay put. The communication-cost
   /// reduction of a move is amortized over this horizon when weighed
   /// against the one-off migration cost (PLAN's utility and MCF's arc

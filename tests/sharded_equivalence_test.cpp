@@ -860,6 +860,73 @@ TEST(ShardedVmMigration, PlanAndMcfAreThreadInvariantOnPodShards) {
   }
 }
 
+TEST(ShardedVmMigration, HostCapacityCountsPerShard) {
+  // VmMigrationConfig::host_capacity binds per shard: each shard's policy
+  // clone sees only its own flows, so a host that serves two shards may
+  // take the limit from each. Two pod shards (pods 0-1 and 2-3) on k=4,
+  // a limit of one VM per host and nearly free migration, so both shards
+  // crowd the hosts nearest their chain ends.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  ShardMap map = ShardMap::by_ingress_pod(topo);
+  ASSERT_EQ(map.num_shards(), 4);
+  map.names = {"pods01", "pods23"};
+  for (int& s : map.shard_of_host) {
+    if (s >= 0) s /= 2;
+  }
+  VmMigrationConfig vm = vm_config();
+  vm.mu = 1e-3;
+  vm.host_capacity = 1;
+  SimConfig sim;
+  sim.hours = 3;
+  ShardedStreamingConfig sharded;
+  sharded.enabled = true;
+  const McfPolicy proto(vm);
+
+  std::vector<VmFlow> flows;
+  {
+    Rng rng(6);
+    flows = generate_vm_flows(topo, workload_config(12), rng);
+  }
+  // Without churn a flow stays in the shard of its initial source host.
+  std::vector<int> shard_of_flow;
+  for (const VmFlow& f : flows) {
+    shard_of_flow.push_back(map.shard_of(f.src_host));
+  }
+  const auto occupancy = [&](const std::vector<VmFlow>& fs, int shard) {
+    std::vector<int> occ(static_cast<std::size_t>(apsp.num_nodes()), 0);
+    for (std::size_t i = 0; i < fs.size(); ++i) {
+      if (shard >= 0 && shard_of_flow[i] != shard) continue;
+      ++occ[static_cast<std::size_t>(fs[i].src_host)];
+      ++occ[static_cast<std::size_t>(fs[i].dst_host)];
+    }
+    return occ;
+  };
+
+  StreamingWorkload workload(flows);
+  const SimTrace trace =
+      run_sharded_simulation(apsp, map, workload, 3, sim, sharded, proto);
+  EXPECT_GT(trace.total_vm_migrations, 0);
+  const std::vector<VmFlow>& after = workload.flows();
+  for (int shard = 0; shard < 2; ++shard) {
+    const auto before_s = occupancy(flows, shard);
+    const auto after_s = occupancy(after, shard);
+    for (std::size_t h = 0; h < after_s.size(); ++h) {
+      EXPECT_LE(after_s[h], std::max(vm.host_capacity, before_s[h]))
+          << "shard " << shard << " host " << h;
+    }
+  }
+  // Across the fabric the limit does not bind: some host ends above both
+  // the limit and its initial occupancy.
+  const auto before_all = occupancy(flows, -1);
+  const auto after_all = occupancy(after, -1);
+  int over = 0;
+  for (std::size_t h = 0; h < after_all.size(); ++h) {
+    if (after_all[h] > std::max(vm.host_capacity, before_all[h])) ++over;
+  }
+  EXPECT_GT(over, 0);
+}
+
 TEST(ShardedVmMigration, JournaledPlanRunResumesBitIdentically) {
   const PodStress ps;
   const std::string journal = "sharded_plan_journal_test.bin";

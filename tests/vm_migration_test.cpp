@@ -115,6 +115,30 @@ TEST_P(VmMigrationBothSolvers, CandidateLimitStillImproves) {
   EXPECT_LE(r.total_cost, comm_cost_of(apsp, flows, p) + 1e-9);
 }
 
+TEST_P(VmMigrationBothSolvers, UnreachableEndpointStaysPut) {
+  // A degraded fabric: host h3 sits on an island switch, so its VM cannot
+  // reach the chain's ingress from any host. Every target costs +inf, and
+  // it stays where it is, with or without a host capacity.
+  Graph g;
+  const NodeId s0 = g.add_node(NodeKind::kSwitch);
+  const NodeId s1 = g.add_node(NodeKind::kSwitch);
+  const NodeId s2 = g.add_node(NodeKind::kSwitch);
+  g.add_edge(s0, s1);
+  std::vector<NodeId> h;
+  for (const NodeId sw : {s0, s1, s0, s2}) {
+    h.push_back(g.add_node(NodeKind::kHost));
+    g.add_edge(h.back(), sw);
+  }
+  const AllPairs apsp(g, /*allow_disconnected=*/true);
+  const std::vector<VmFlow> flows{{h[3], h[1], 5.0}, {h[2], h[0], 1.0}};
+  for (const int capacity : {0, 1}) {
+    VmMigrationConfig cfg;
+    cfg.host_capacity = capacity;
+    const VmMigrationResult r = solve(apsp, flows, {s0, s1}, cfg);
+    EXPECT_EQ(r.flows[0].src_host, h[3]) << "capacity " << capacity;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Solvers, VmMigrationBothSolvers,
                          ::testing::Values(false, true));
 
@@ -191,9 +215,10 @@ TEST(VmMigrationPlan, RespectsHostCapacityForTargets) {
 /// targets to the 16 hosts nearest its chain end. The chain ends sit on
 /// two racks in different pods, so many VMs want to move and the host
 /// capacity of 4 binds. The pinned values come from a nearest-host
-/// selection per endpoint and a min-cost-flow solver that labelled every
-/// node in each Dijkstra: sharing one list per chain end must keep PLAN's
-/// output, and the early exit must keep MCF's objective and move count.
+/// selection per endpoint and a general min-cost-flow solver that
+/// labelled every node in each Dijkstra: sharing one list per chain end
+/// must keep PLAN's output, and the assignment solver must keep MCF's
+/// objective and move count.
 struct PrunedK16 {
   Topology topo = build_fat_tree(16);
   AllPairs apsp{topo.graph};
