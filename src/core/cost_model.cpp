@@ -61,11 +61,15 @@ void patch_flow_rows(double* __restrict gi, double* __restrict ge,
 
 void validate_placement(const Graph& g, const Placement& p) {
   PPDC_REQUIRE(!p.empty(), "placement is empty");
-  std::unordered_set<NodeId> seen;
-  for (const NodeId s : p) {
+  // Each entry is checked against the entries before it, which allocates
+  // nothing (the DP validates one placement per candidate pair). The scan
+  // stops at the first repeat, so it reads at most |switches|² pairs
+  // however long `p` is.
+  for (auto it = p.begin(); it != p.end(); ++it) {
+    const NodeId s = *it;
     PPDC_REQUIRE(s >= 0 && s < g.num_nodes(), "placement node out of range");
     PPDC_REQUIRE(g.is_switch(s), "VNFs may only be placed on switches");
-    PPDC_REQUIRE(seen.insert(s).second,
+    PPDC_REQUIRE(std::find(p.begin(), it, s) == it,
                  "VNFs of one SFC must sit on distinct switches");
   }
 }

@@ -45,6 +45,80 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
   }
 }
 
+// Lanes of the source-row argmin: four rows per step, as GCC generic
+// vectors (one AVX2 register each in the x86-64-v3 clone, two SSE2
+// halves in the baseline one).
+constexpr std::size_t kLanes = 4;
+using LaneCost [[gnu::vector_size(kLanes * sizeof(double))]] = double;
+using LaneRow [[gnu::vector_size(kLanes * sizeof(std::int64_t))]] =
+    std::int64_t;
+using LaneSucc [[gnu::vector_size(kLanes * sizeof(NodeId))]] = NodeId;
+using LaneMember [[gnu::vector_size(kLanes)]] = char;
+
+struct RowMin {
+  double cost;
+  std::int64_t row;  ///< -1 when every candidate is +inf
+};
+
+// Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
+/// The first row k minimizing (weight + srow[k]) + pc[k] over the rows
+/// that are members, are neither row ks nor row kt, and whose successor
+/// ps[k] is not s. Each lane keeps its strict-< minimum and the first row
+/// that reached it; merging the lanes by (cost, row) gives the bits of
+/// the increasing-row scan. Loads are unaligned; the last partial step
+/// runs on a copy whose missing lanes are non-members.
+// ppdc-ymm: source-row fn=argmin_row
+[[PPDC_LEVEL_KERNEL_CLONES gnu::aligned(64)]] RowMin argmin_row(
+    const double* srow, double weight, const double* pc, const NodeId* ps,
+    const char* member, NodeId s, std::int64_t ks, std::int64_t kt,
+    std::size_t rows) {
+  static_assert(kLanes == 4, "the lane initializers below name four lanes");
+  constexpr LaneCost kInfLanes = {kInf, kInf, kInf, kInf};
+  LaneCost best = kInfLanes;
+  LaneRow best_row = {-1, -1, -1, -1};
+  LaneRow row = {0, 1, 2, 3};
+  const auto step = [&](const double* c, const double* p, const NodeId* q,
+                        const char* m) {
+    LaneCost cv, pv;
+    LaneSucc qv;
+    LaneMember mv;
+    __builtin_memcpy(&cv, c, sizeof cv);
+    __builtin_memcpy(&pv, p, sizeof pv);
+    __builtin_memcpy(&qv, q, sizeof qv);
+    __builtin_memcpy(&mv, m, sizeof mv);
+    const LaneRow barred = __builtin_convertvector(mv == 0, LaneRow) |
+                           __builtin_convertvector(qv == s, LaneRow) |
+                           (row == ks) | (row == kt);
+    const LaneCost cand = barred ? kInfLanes : (weight + cv) + pv;
+    const LaneRow better = cand < best;
+    best = better ? cand : best;
+    best_row = better ? row : best_row;
+    row += static_cast<std::int64_t>(kLanes);
+  };
+  std::size_t k = 0;
+  for (; k + kLanes <= rows; k += kLanes) {
+    step(srow + k, pc + k, ps + k, member + k);
+  }
+  if (k < rows) {
+    const std::size_t n = rows - k;
+    double c[kLanes] = {}, p[kLanes] = {};
+    NodeId q[kLanes] = {};
+    char m[kLanes] = {};
+    __builtin_memcpy(c, srow + k, n * sizeof(double));
+    __builtin_memcpy(p, pc + k, n * sizeof(double));
+    __builtin_memcpy(q, ps + k, n * sizeof(NodeId));
+    __builtin_memcpy(m, member + k, n);
+    step(c, p, q, m);
+  }
+  RowMin out{kInf, -1};
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    if (best[j] < out.cost || (best[j] == out.cost && best_row[j] < out.row)) {
+      out = {best[j], best_row[j]};
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -189,25 +263,13 @@ StrollTable::StrollTable(std::shared_ptr<const StrollLevels> levels,
     return {m.apsp().cost(s, t), t};
   }
   // c(s, w) = weight + row[k]: s may be a leaf host, and switch w sits at
-  // core position k.
+  // core position k, its row, so w != s and w != t are row tests.
   const AllPairs::CoreRow srow = m.apsp().cost_row(s);
-  const std::size_t rows = m.rows();
-  const double* pc = level(e - 1).cost;
-  const NodeId* ps = level(e - 1).succ;
-  const NodeId* sw = m.switches().data();
-  const char* member = m.members();
-  double best = kInf;
-  NodeId best_w = kInvalidNode;
-  for (std::size_t k = 0; k < rows; ++k) {
-    const NodeId w = sw[k];
-    const bool ok = member[k] && (w != s) && (w != t) && (ps[k] != s);
-    const double cand = ok ? (srow.weight + srow.cost[k]) + pc[k] : kInf;
-    if (cand < best) {
-      best = cand;
-      best_w = w;
-    }
-  }
-  return {best, best_w};
+  const RowMin best = argmin_row(
+      srow.cost, srow.weight, level(e - 1).cost, level(e - 1).succ,
+      m.members(), s, m.row_of(s).value(), m.row_of(t).value(), m.rows());
+  if (best.row < 0) return {kInf, kInvalidNode};
+  return {best.cost, m.switches()[static_cast<std::size_t>(best.row)]};
 }
 
 StrollResult StrollTable::find(NodeId s, int n_distinct) {
@@ -245,8 +307,15 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
   const int r_cap = n_distinct + 1 + std::max(16, n_distinct * 2);
   std::vector<NodeId> best_partial;  // longest distinct prefix seen so far
   // Membership bitmap over DP rows: dedups the walk's distinct switches in
-  // O(1) per step instead of a linear scan of the growing vector.
-  std::vector<char> seen(rows, 0);
+  // O(1) per step instead of a linear scan of the growing vector. Its set
+  // bits are always those of distinct_: a failed round clears them for the
+  // next, and the guard clears them however this call exits, so the
+  // bitmap is all-clear between queries.
+  visited_.resize(rows, 0);
+  struct ClearVisited {
+    StrollTable& table;
+    ~ClearVisited() { table.clear_visited(); }
+  } const guard{*this};
 
   for (int r = n_distinct + 1; r <= r_cap; ++r) {
     // An r-edge query reads levels 1..r-1 (the source row itself is
@@ -258,19 +327,18 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
     if (total == kInf) continue;  // no r-edge stroll exists (tiny graphs)
 
     // Walk the successor chain (pseudocode lines 11-19).
-    std::vector<NodeId> walk{s};
-    std::vector<NodeId> distinct;
+    out.walk.assign(1, s);
     NodeId cur = first_hop;
     int budget = r - 1;
     while (true) {
-      walk.push_back(cur);
+      out.walk.push_back(cur);
       const SwitchIdx row = m.row_of(cur);  // invalid for a host
       const auto k = static_cast<std::size_t>(row.value());
       if (cur != s && cur != t && row.valid()) {
         PPDC_REQUIRE(member[k], "walk visits a non-universe switch");
-        if (!seen[k]) {
-          seen[k] = 1;
-          distinct.push_back(cur);
+        if (!visited_[k]) {
+          visited_[k] = 1;
+          distinct_.push_back(cur);
         }
       }
       if (budget == 0) break;
@@ -279,40 +347,34 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
       PPDC_REQUIRE(cur != kInvalidNode, "broken successor chain");
       --budget;
     }
-    PPDC_REQUIRE(walk.back() == t, "stroll must end at the destination");
+    PPDC_REQUIRE(out.walk.back() == t, "stroll must end at the destination");
 
-    if (distinct.size() > best_partial.size()) best_partial = distinct;
-    if (static_cast<int>(distinct.size()) >= n_distinct) {
+    if (static_cast<int>(distinct_.size()) >= n_distinct) {
       out.cost = rate_ * total;
-      out.walk = std::move(walk);
-      distinct.resize(static_cast<std::size_t>(n_distinct));
-      out.placement = std::move(distinct);
+      out.placement.assign(distinct_.begin(), distinct_.begin() + n_distinct);
       out.edges_used = r;
       return out;
     }
-    // Clear only the bits this round set (distinct is tiny next to rows).
-    for (const NodeId w : distinct) {
-      seen[static_cast<std::size_t>(m.row_of(w).value())] = 0;
-    }
+    if (distinct_.size() > best_partial.size()) best_partial = distinct_;
+    clear_visited();
   }
 
   // Cap hit: greedily complete the best partial cover with nearest unused
   // switches so callers always receive a valid placement.
   out.used_fallback = true;
-  std::vector<NodeId> seq = best_partial;
-  // `seen` is all-clear here; reuse it as the membership bitmap of `seq`.
-  for (const NodeId w : seq) {
-    seen[static_cast<std::size_t>(m.row_of(w).value())] = 1;
+  for (const NodeId w : best_partial) {
+    visited_[static_cast<std::size_t>(m.row_of(w).value())] = 1;
+    distinct_.push_back(w);
   }
   const NodeId* sw = m.switches().data();
-  while (static_cast<int>(seq.size()) < n_distinct) {
-    const NodeId from = seq.empty() ? s : seq.back();
+  while (static_cast<int>(distinct_.size()) < n_distinct) {
+    const NodeId from = distinct_.empty() ? s : distinct_.back();
     double best_d = kInf;
     NodeId best_sw = kInvalidNode;
     std::size_t best_row = 0;
     for (std::size_t k = 0; k < rows; ++k) {
       const NodeId w = sw[k];
-      if (!member[k] || w == s || w == t || seen[k]) continue;
+      if (!member[k] || w == s || w == t || visited_[k]) continue;
       const double d = apsp.cost(from, w);
       if (d < best_d) {
         best_d = d;
@@ -321,20 +383,28 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
       }
     }
     PPDC_REQUIRE(best_sw != kInvalidNode, "fallback ran out of switches");
-    seen[best_row] = 1;
-    seq.push_back(best_sw);
+    visited_[best_row] = 1;
+    distinct_.push_back(best_sw);
   }
   out.walk = {s};
-  out.walk.insert(out.walk.end(), seq.begin(), seq.end());
+  out.walk.insert(out.walk.end(), distinct_.begin(), distinct_.end());
   out.walk.push_back(t);
   double unit = 0.0;
   for (std::size_t i = 0; i + 1 < out.walk.size(); ++i) {
     unit += apsp.cost(out.walk[i], out.walk[i + 1]);
   }
   out.cost = rate_ * unit;
-  out.placement = std::move(seq);
+  out.placement = distinct_;
   out.edges_used = static_cast<int>(out.walk.size()) - 1;
   return out;
+}
+
+void StrollTable::clear_visited() {
+  const StrollMetric& m = levels_->metric();
+  for (const NodeId w : distinct_) {
+    visited_[static_cast<std::size_t>(m.row_of(w).value())] = 0;
+  }
+  distinct_.clear();
 }
 
 bool StrollTable::satisfies_theorem3(const StrollResult& result) const {

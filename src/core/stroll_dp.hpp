@@ -172,7 +172,8 @@ class StrollLevels {
   mutable std::atomic<std::size_t> bytes_{0};
 };
 
-/// Query view of Algorithm 2: unit-rate levels scaled by `rate`.
+/// Query view of Algorithm 2: unit-rate levels scaled by `rate`. One
+/// thread queries a table at a time: find() reuses per-table scratch.
 class StrollTable {
  public:
   /// Builds a private metric and level tables (see StrollMetric for
@@ -198,22 +199,31 @@ class StrollTable {
   /// nodes. True means the DP answer is provably optimal for this query.
   bool satisfies_theorem3(const StrollResult& result) const;
 
+  /// Unit cost of the best e-edge stroll from source `s` (possibly a
+  /// host, not in the switch rows) plus its first hop, the first switch
+  /// row on a tie; {+inf, kInvalidNode} when there is none. Reads level
+  /// e-1, which a find() needing at least e edges must have fetched.
+  std::pair<double, NodeId> source_row(NodeId s, int e) const;
+
   NodeId destination() const noexcept { return levels_->destination(); }
   double rate() const noexcept { return rate_; }
 
  private:
-  /// Unit cost of the best e-edge stroll from source `s` (possibly a
-  /// host, not in the switch rows) plus its first hop. Reads level e-1.
-  std::pair<double, NodeId> source_row(NodeId s, int e) const;
-
   /// Unit-rate level e of the stroll table (must be in seen_).
   const StrollLevels::Level& level(int e) const {
     return seen_[static_cast<std::size_t>(e - 1)];
   }
 
+  /// Clears the bits of visited_ that distinct_ names, then distinct_.
+  void clear_visited();
+
   std::shared_ptr<const StrollLevels> levels_;
   std::vector<StrollLevels::Level> seen_;  ///< levels fetched so far
   double rate_;
+  // find()'s scratch, kept across queries: a row bitmap, all-clear
+  // between queries, and the current walk's distinct switches.
+  std::vector<char> visited_;
+  std::vector<NodeId> distinct_;  ///< walk order; visited_'s set bits
 };
 
 /// Convenience wrapper for one-shot TOP-1 queries: builds the table for

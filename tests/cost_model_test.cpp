@@ -1,5 +1,8 @@
 #include "core/cost_model.hpp"
 
+#include <cstddef>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "topology/fat_tree.hpp"
@@ -131,6 +134,62 @@ TEST(ValidatePlacement, RejectsBadPlacements) {
   EXPECT_THROW(validate_placement(f.topo.graph, {f.s[0], f.s[0]}),
                PpdcError);
   EXPECT_NO_THROW(validate_placement(f.topo.graph, {f.s[0], f.s[1]}));
+}
+
+/// The message validate_placement throws for `p`, or "" when it accepts.
+std::string placement_error(const Graph& g, const Placement& p) {
+  try {
+    validate_placement(g, p);
+  } catch (const PpdcError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ValidatePlacement, ShortAndLongPlacementsReportTheFirstError) {
+  // A chain-length placement and one of all 125 fat-tree switches report
+  // the same first error: the entry's range, then its kind, then whether
+  // an earlier entry repeats it.
+  const Topology topo = build_fat_tree(10);
+  const Graph& g = topo.graph;
+  const auto& sw = g.switches();
+  ASSERT_GE(sw.size(), 100u);
+  const std::string dup = "VNFs of one SFC must sit on distinct switches";
+  const std::string host = "VNFs may only be placed on switches";
+  const std::string range = "placement node out of range";
+  const auto has = [](const std::string& what, const std::string& msg) {
+    return what.find(msg) != std::string::npos;
+  };
+  for (const std::size_t n : {std::size_t{5}, sw.size()}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    const Placement ok(sw.begin(), sw.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_EQ(placement_error(g, ok), "");
+    Placement p = ok;
+    p.back() = p.front();  // duplicate at the first and last positions
+    EXPECT_TRUE(has(placement_error(g, p), dup));
+    p = ok;
+    p[n / 2] = g.hosts()[0];
+    EXPECT_TRUE(has(placement_error(g, p), host));
+    for (const NodeId bad : {NodeId{-1}, g.num_nodes()}) {
+      p = ok;
+      p[n - 1] = bad;
+      EXPECT_TRUE(has(placement_error(g, p), range));
+    }
+    // An entry's errors come in placement order: a duplicate before a
+    // host reports the duplicate, and a host before a duplicate the host.
+    p = ok;
+    p[1] = p[0];
+    p[n - 1] = g.hosts()[0];
+    EXPECT_TRUE(has(placement_error(g, p), dup));
+    p = ok;
+    p[1] = g.hosts()[0];
+    p[n - 1] = p[0];
+    EXPECT_TRUE(has(placement_error(g, p), host));
+    p = ok;
+    p[1] = g.num_nodes();
+    p[n - 1] = p[0];
+    EXPECT_TRUE(has(placement_error(g, p), range));
+  }
 }
 
 TEST(CostModel, FlowCostValidatesPlacementLikeCommunicationCost) {

@@ -560,6 +560,135 @@ TEST(KernelEquivalence, FallbackCapPathMatchesSeed) {
 }
 
 // ---------------------------------------------------------------------------
+// The source-row readout is a lane-parallel argmin: each lane keeps its
+// first strict-< minimum and the lanes merge by (cost, row). It must
+// return the bits of the increasing-row scan below, the pre-vector
+// production loop. The fat-tree k=4 has 20 rows, five full 4-row steps;
+// k=6 has 45, which ends in a 1-row tail. Every node is a source:
+// hosts, switches, the destination itself (whose e=2 level is all +inf,
+// since every level-1 successor is s), and rows whose successor is s.
+// ---------------------------------------------------------------------------
+std::pair<double, NodeId> scan_source_row(const StrollMetric& m, NodeId t,
+                                          const StrollLevels::Level& prev,
+                                          NodeId s) {
+  const AllPairs::CoreRow srow = m.apsp().cost_row(s);
+  double best = kInf;
+  NodeId best_w = kInvalidNode;
+  for (std::size_t k = 0; k < m.rows(); ++k) {
+    const NodeId w = m.switches()[k];
+    const bool ok =
+        m.members()[k] && w != s && w != t && prev.succ[k] != s;
+    const double cand =
+        ok ? (srow.weight + srow.cost[k]) + prev.cost[k] : kInf;
+    if (cand < best) {
+      best = cand;
+      best_w = w;
+    }
+  }
+  return {best, best_w};
+}
+
+TEST(KernelEquivalence, SourceRowMatchesRowScan) {
+  constexpr int kEdges = 6;
+  for (const int k : {4, 6}) {
+    const Topology topo = build_fat_tree(k);
+    const AllPairs apsp(topo.graph);
+    const auto& switches = topo.graph.switches();
+    std::vector<NodeId> restricted;
+    for (std::size_t i = 0; i < switches.size(); ++i) {
+      if (i % 3 != 1) restricted.push_back(switches[i]);
+    }
+    for (const bool full : {true, false}) {
+      const std::vector<NodeId> universe =
+          full ? std::vector<NodeId>{} : restricted;
+      const auto metric = std::make_shared<const StrollMetric>(apsp, universe);
+      for (const NodeId t : {restricted[1], topo.graph.hosts()[2]}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "k=" << k << " full=" << full << " t=" << t);
+        const auto levels = std::make_shared<const StrollLevels>(metric, t);
+        StrollTable table(levels);
+        RefStrollTable ref(apsp, t, 1.0, universe);
+        // Sources: a host, a universe switch, a switch outside a
+        // restricted universe, and the destination.
+        for (const NodeId s : {topo.graph.hosts()[0], restricted[0],
+                               switches[1], t}) {
+          for (const int n : {1, 2, 3}) {
+            SCOPED_TRACE(::testing::Message() << "s=" << s << " n=" << n);
+            expect_stroll_eq(table.find(s, n), ref.find(s, n));
+          }
+        }
+        // Fetch kEdges - 1 levels, then read every source at every budget.
+        ASSERT_GE(table.find(topo.graph.hosts()[0], kEdges - 1).edges_used,
+                  kEdges);
+        std::vector<StrollLevels::Level> lv;
+        levels->at_least(kEdges - 1, lv);
+        int successor_is_source = 0;
+        int all_inf = 0;
+        for (NodeId s = 0; s < apsp.num_nodes(); ++s) {
+          const std::pair<double, NodeId> direct =
+              s == t ? std::pair{kInf, kInvalidNode}
+                     : std::pair{apsp.cost(s, t), t};
+          ASSERT_EQ(table.source_row(s, 1), direct);
+          for (int e = 2; e <= kEdges; ++e) {
+            const auto& prev = lv[static_cast<std::size_t>(e - 2)];
+            const auto got = table.source_row(s, e);
+            ASSERT_EQ(got, scan_source_row(*metric, t, prev, s))
+                << "s=" << s << " e=" << e;
+            successor_is_source += static_cast<int>(
+                std::count(prev.succ, prev.succ + metric->rows(), s));
+            if (got.second == kInvalidNode) {
+              ++all_inf;
+              EXPECT_EQ(got.first, kInf);
+            }
+          }
+        }
+        EXPECT_GT(successor_is_source, 0);
+        EXPECT_GT(all_inf, 0);
+        EXPECT_EQ(table.source_row(t, 2), (std::pair{kInf, kInvalidNode}));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact two-way ties at the minimum. Leaf switches L0..L8 hang off the
+// destination switch H (row 9), and a host s hangs off H with weight 1,
+// so the 2-edge stroll s, Li, H costs 1 + 2·wi. Exactly Li and Lj have
+// weight 1, all other leaves weight 2: rows i < j tie at the minimum 3,
+// and row i, the first, must win wherever the two fall among the lanes,
+// the 2-row tail included.
+// ---------------------------------------------------------------------------
+TEST(KernelEquivalence, SourceRowTieGoesToFirstRow) {
+  constexpr int kLeaves = 9;
+  for (int i = 0; i < kLeaves; ++i) {
+    for (int j = i + 1; j < kLeaves; ++j) {
+      SCOPED_TRACE(::testing::Message() << "tie rows " << i << ", " << j);
+      Graph g;
+      std::vector<NodeId> leaf;
+      for (int x = 0; x < kLeaves; ++x) {
+        leaf.push_back(g.add_node(NodeKind::kSwitch, "L"));
+      }
+      const NodeId h = g.add_node(NodeKind::kSwitch, "H");
+      const NodeId s = g.add_node(NodeKind::kHost, "s");
+      for (int x = 0; x < kLeaves; ++x) {
+        g.add_edge(leaf[static_cast<std::size_t>(x)], h,
+                   x == i || x == j ? 1.0 : 2.0);
+      }
+      g.add_edge(s, h, 1.0);
+      const AllPairs apsp(g);
+      StrollTable table(apsp, h);
+      RefStrollTable ref(apsp, h);
+      const StrollResult got = table.find(s, 1);
+      expect_stroll_eq(got, ref.find(s, 1));
+      EXPECT_EQ(got.placement,
+                std::vector<NodeId>{leaf[static_cast<std::size_t>(i)]});
+      EXPECT_EQ(table.source_row(s, 2),
+                (std::pair{3.0, leaf[static_cast<std::size_t>(i)]}));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Algorithm 3 equivalence across chain lengths (all three n branches),
 // candidate pruning, and restricted candidate universes.
 // ---------------------------------------------------------------------------

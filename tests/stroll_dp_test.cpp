@@ -206,6 +206,66 @@ TEST(StrollDp, TableIsReusableAcrossSources) {
   }
 }
 
+// find() keeps a row bitmap and the walk's distinct switches across
+// queries. A table that has already answered other sources and quotas,
+// the greedy cap fallback included, must answer every query like a fresh
+// table.
+void expect_same_stroll(const StrollResult& got, const StrollResult& want) {
+  EXPECT_EQ(got.cost, want.cost);
+  EXPECT_EQ(got.walk, want.walk);
+  EXPECT_EQ(got.placement, want.placement);
+  EXPECT_EQ(got.edges_used, want.edges_used);
+  EXPECT_EQ(got.used_fallback, want.used_fallback);
+}
+
+TEST(StrollDp, ReusedScratchMatchesFreshTable) {
+  {
+    const Topology topo = build_fat_tree(4);
+    const AllPairs apsp(topo.graph);
+    const auto& sw = topo.graph.switches();
+    const NodeId h = topo.graph.hosts()[3];
+    const NodeId t = sw[10];
+    StrollTable reused(apsp, t, 1.5);
+    const std::pair<NodeId, int> queries[] = {
+        {sw[0], 5}, {h, 2}, {sw[0], 1}, {t, 3},     {h, 9},
+        {sw[7], 0}, {t, 0}, {sw[0], 5}, {sw[19], 12}, {h, 2}};
+    for (const auto& [s, n] : queries) {
+      SCOPED_TRACE(::testing::Message() << "s=" << s << " n=" << n);
+      StrollTable fresh(apsp, t, 1.5);
+      expect_same_stroll(reused.find(s, n), fresh.find(s, n));
+    }
+  }
+  // The unit triangle A, B, C keeps every optimal stroll inside it, so a
+  // quota of four exhausts the edge cap and the greedy completion adds
+  // the far switch F (kernel_equivalence_test pins that result).
+  Graph g;
+  const NodeId a = g.add_node(NodeKind::kSwitch, "A");
+  const NodeId b = g.add_node(NodeKind::kSwitch, "B");
+  const NodeId c = g.add_node(NodeKind::kSwitch, "C");
+  const NodeId f = g.add_node(NodeKind::kSwitch, "F");
+  const NodeId s = g.add_node(NodeKind::kHost, "src");
+  const NodeId t = g.add_node(NodeKind::kHost, "dst");
+  g.add_edge(a, b, 1.0);
+  g.add_edge(b, c, 1.0);
+  g.add_edge(c, a, 1.0);
+  g.add_edge(a, f, 1000.0);
+  g.add_edge(s, a, 1.0);
+  g.add_edge(t, a, 1.0);
+  const AllPairs apsp(g);
+  StrollTable reused(apsp, t, 2.0);
+  const std::pair<NodeId, int> queries[] = {
+      {s, 4}, {s, 1}, {s, 4}, {s, 3}, {b, 2}, {b, 3}, {s, 4}, {s, 2}};
+  int fallbacks = 0;
+  for (const auto& [from, n] : queries) {
+    SCOPED_TRACE(::testing::Message() << "s=" << from << " n=" << n);
+    StrollTable fresh(apsp, t, 2.0);
+    const StrollResult got = reused.find(from, n);
+    expect_same_stroll(got, fresh.find(from, n));
+    fallbacks += got.used_fallback ? 1 : 0;
+  }
+  EXPECT_GE(fallbacks, 3);
+}
+
 TEST(StrollDp, SharedLevelsScaleByRateAtQueryTime) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);

@@ -127,7 +127,9 @@ fi
 # pass; cost_model.cpp: the attraction and churn row passes) with the
 # library's Release flags, no -march, and fails if any of them stops being
 # reported as "loop vectorized". level-relax must report 32-byte vectors:
-# its runtime-dispatched x86-64-v3 clone.
+# its runtime-dispatched x86-64-v3 clone. The source-row argmin is written
+# in generic vectors, which -fopt-info does not report; its `// ppdc-ymm:`
+# pin requires packed ymm compares in the x86-64-v3 clone's assembly.
 # ---------------------------------------------------------------------------
 note "vec gate: tools/vec_gate.sh"
 tools/vec_gate.sh
@@ -228,7 +230,10 @@ done
 # build indexes a core-only adjacency and writes each source's rows
 # through raw pointers, on masked fabrics too (apsp_leaf_test). The stroll
 # DP reads the fabric's AllPairs core through raw row and column pointers,
-# masked by a restricted (degraded) universe; the fault suite drives the
+# masked by a restricted (degraded) universe. Its source-row argmin reads
+# four rows per step through unaligned copies and runs the last
+# partial step on a padded copy, so no load reads past a row's end; the
+# find scratch is reused across queries. The fault suite drives the
 # degraded fabrics that produce those masks. The assignment solver walks
 # each augmenting path back through labels that only its current
 # early-exit Dijkstra set, and relinks per-host intrusive VM lists as it

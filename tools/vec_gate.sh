@@ -16,7 +16,15 @@
 # drops back to scalar code, or loses its clone, fails here instead of
 # surfacing as a bench regression three PRs later.
 #
-# Exit: 0 all pinned loops vectorize, 1 regression (or tags missing),
+# Kernels written with GCC generic vectors (`vector_size`) have no loop
+# for -fopt-info-vec to report, so they take a second tag,
+# `// ppdc-ymm: <name> fn=<function>`, anywhere in the file: the gate
+# compiles the file to assembly with the same flags and requires the
+# function's x86-64-v3 clone (`<mangled>.arch_x86_64_v3`) to compare
+# packed doubles in 32-byte ymm registers (`vcmp...pd ... %ymm`). Losing
+# the clone attribute, or code that GCC lowers to scalar, fails it.
+#
+# Exit: 0 all pinned kernels vectorize, 1 regression (or tags missing),
 # 77 skipped (non-GNU compiler or non-x86-64 target, same SKIPPED
 # degradation as the other optional check.sh stages).
 set -u
@@ -73,11 +81,40 @@ for f in $FILES; do
 $pins
 EOF
   rm -f "$report"
+
+  ymm_pins=$(grep -n 'ppdc-ymm:' "$f" |
+             sed -E 's/^([0-9]+):.*ppdc-ymm: *([A-Za-z0-9-]+) +fn=([A-Za-z0-9_]+).*/\1 \2 \3/')
+  [ -z "$ymm_pins" ] && continue
+  asm=$(mktemp)
+  if ! "$CXX" $FLAGS -S "$f" -o "$asm" 2>/dev/null; then
+    echo "vec_gate: FAIL: $f does not compile to assembly with $FLAGS" >&2
+    failures=$((failures + 1))
+    rm -f "$asm"
+    continue
+  fi
+  while read -r line name fn; do
+    checked=$((checked + 1))
+    # The clone's body runs from its label to the end of its CFI region.
+    if awk -v fn="$fn" '
+         $0 ~ ("^_Z[A-Za-z0-9_]*[0-9]" fn "E[A-Za-z0-9_]*[.]arch_x86_64_v3:$") { on = 1 }
+         on && /vcmp[a-z]*pd[ \t].*%ymm/ { found = 1 }
+         on && /[.]cfi_endproc/ { on = 0 }
+         END { exit found ? 0 : 1 }' "$asm"; then
+      echo "vec_gate: OK   $name ($f:$line, $fn's x86-64-v3 clone on ymm)"
+    else
+      echo "vec_gate: FAIL $name ($f:$line) $fn has no x86-64-v3 clone" \
+           "comparing packed doubles on ymm" >&2
+      failures=$((failures + 1))
+    fi
+  done <<EOF
+$ymm_pins
+EOF
+  rm -f "$asm"
 done
 
 if [ "$failures" -ne 0 ]; then
-  echo "vec_gate: $failures pinned loop(s) regressed" >&2
+  echo "vec_gate: $failures pinned kernel(s) regressed" >&2
   exit 1
 fi
-echo "vec_gate: all $checked pinned loop(s) vectorize"
+echo "vec_gate: all $checked pinned kernel(s) vectorize"
 exit 0
