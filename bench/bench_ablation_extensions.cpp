@@ -19,6 +19,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/chain_search.hpp"
 #include "core/colocation.hpp"
 #include "core/multi_sfc.hpp"
 #include "core/placement_dp.hpp"
@@ -108,8 +109,10 @@ int main(int argc, char** argv) {
       const MultiSfcResult relaxed = solve_multi_sfc_relaxed(msm);
       range_aware.add(relaxed.comm_cost);
       // (c) exact range-aware optimum (branch and bound).
-      const MultiSfcResult exact =
-          solve_multi_sfc_exhaustive(msm, 50'000'000, relaxed.placement);
+      ChainSearchConfig exact_cfg;
+      exact_cfg.node_budget = 50'000'000;
+      exact_cfg.initial = relaxed.placement;
+      const MultiSfcResult exact = solve_multi_sfc_exhaustive(msm, exact_cfg);
       proven = proven && exact.proven_optimal;
       range_exact.add(exact.comm_cost);
     }

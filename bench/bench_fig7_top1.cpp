@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
   } else {
     table.print(std::cout);
   }
-  std::cout << "\n(* = branch-and-bound node budget hit; Optimal is a lower "
-               "bound certified best-found)\n"
+  std::cout << "\n(* = branch-and-bound node budget hit; Optimal is the "
+               "best found (an upper bound))\n"
             << "paper shape: DP-Stroll within ~8% of Optimal, well below "
                "the 2+eps guarantee.\n";
   return 0;

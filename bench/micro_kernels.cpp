@@ -11,10 +11,8 @@
 //     committed baselines in bench/baselines/.
 #include <benchmark/benchmark.h>
 
-#include "baselines/steering.hpp"
 #include "baselines/vm_migration.hpp"
 #include "bench_common.hpp"
-#include "core/local_search.hpp"
 #include "core/migration_pareto.hpp"
 #include "core/placement_dp.hpp"
 #include "core/stroll_dp.hpp"
@@ -126,19 +124,6 @@ void BM_LinkLoadPolicyRouting(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkLoadPolicyRouting)->Arg(50)->Arg(200)
     ->Unit(benchmark::kMillisecond);
-
-void BM_LocalSearchPolish(benchmark::State& state) {
-  const Topology topo = build_fat_tree(8);
-  const AllPairs apsp(topo.graph);
-  const auto flows = workload(topo, 200, 29);
-  CostModel cm(apsp, flows);
-  const Placement start = solve_top_steering(cm, 5).placement;
-  for (auto _ : state) {
-    const LocalSearchResult r = improve_placement(cm, start);
-    benchmark::DoNotOptimize(r.comm_cost);
-  }
-}
-BENCHMARK(BM_LocalSearchPolish)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Pinned BENCH_*.json scenarios. Every parameter below (arity, workload

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "graph/apsp.hpp"
 #include "graph/graph.hpp"
@@ -15,41 +14,56 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Depth-first branch-and-bound state. Candidate-universe rows are the
-/// CandidateIdx domain throughout; NodeIds appear only at the cost-model
-/// boundary (attractions, distances). The candidate-to-candidate distance
-/// closure and the per-row candidate orderings are flat row-major matrices
-/// with stride |candidates| (DESIGN.md §11), so the descend() inner loop
-/// reads two contiguous rows instead of hopping per-candidate vectors and
-/// the big APSP matrix.
+/// CandidateIdx domain throughout; NodeIds appear only at the boundary
+/// (the distance closure, warm start and result). The candidate-to-candidate
+/// distance closure and the per-row candidate orderings are flat row-major
+/// matrices with stride |candidates| (DESIGN.md §11), so the descend() inner
+/// loop reads two contiguous rows instead of hopping per-candidate vectors
+/// and the big APSP matrix.
 class Searcher {
  public:
-  Searcher(const CostModel& model, int n, const ExtraMatrix& extra,
+  Searcher(const AllPairs& apsp, const ChainObjective& objective,
            const ChainSearchConfig& config)
-      : model_(model),
-        apsp_(model.apsp()),
-        switches_(model.placement_candidates()),
-        n_(n),
-        extra_(extra),
+      : apsp_(apsp),
+        obj_(objective),
+        switches_(objective.candidates),
+        n_(static_cast<int>(objective.unary.size())),
         config_(config) {
     const std::size_t s = switches_.size();
     PPDC_REQUIRE(n_ >= 1, "need at least one VNF");
     PPDC_REQUIRE(static_cast<std::size_t>(n_) <= s,
                  "more VNFs than eligible switches");
-    PPDC_REQUIRE(extra_.empty() ||
-                     (extra_.size() == static_cast<std::size_t>(n_) &&
-                      extra_[0].size() == s),
-                 "extra matrix has wrong shape");
-
-    // Suffix lower bounds of the extra term: Σ_{j'>=j} min_w extra[j'][w].
-    extra_suffix_min_.assign(static_cast<std::size_t>(n_) + 1, 0.0);
-    if (!extra_.empty()) {
-      for (int j = n_ - 1; j >= 0; --j) {
-        const auto& row = extra_[static_cast<std::size_t>(j)];
-        extra_suffix_min_[static_cast<std::size_t>(j)] =
-            extra_suffix_min_[static_cast<std::size_t>(j) + 1] +
-            *std::min_element(row.begin(), row.end());
-      }
+    PPDC_REQUIRE(obj_.leg_weight.size() + 1 == obj_.unary.size(),
+                 "chain objective needs one leg weight per adjacent pair");
+    PPDC_REQUIRE(obj_.unary.front().size() == s,
+                 "chain objective's ingress row has wrong shape");
+    for (const CandidateRow& row : obj_.unary) {
+      PPDC_REQUIRE(row.empty() || row.size() == s,
+                   "chain objective's unary row has wrong shape");
     }
+    PPDC_REQUIRE(obj_.tail.empty() || obj_.tail.size() == s,
+                 "chain objective's tail row has wrong shape");
+
+    // Per-depth bound terms, depth = positions fixed (1..n):
+    // Σ_{j>=depth} min U_j, and the remaining legs' weight times the least
+    // switch distance. The leg weights are summed in long double and
+    // rounded once, so n - depth equal weights Λ give exactly Λ·(n - depth).
+    const auto depths = static_cast<std::size_t>(n_) + 1;
+    unary_suffix_min_.assign(depths, 0.0);
+    leg_bound_.assign(depths, 0.0);
+    long double legs = 0.0L;
+    for (int j = n_ - 1; j >= 1; --j) {
+      const auto d = static_cast<std::size_t>(j);
+      const CandidateRow& row = obj_.unary[d];
+      unary_suffix_min_[d] =
+          unary_suffix_min_[d + 1] +
+          (row.empty() ? 0.0 : *std::min_element(row.begin(), row.end()));
+      legs += obj_.leg_weight[d - 1];
+      leg_bound_[d] = static_cast<double>(legs) * apsp_.min_switch_distance();
+    }
+    min_tail_ = obj_.tail.empty()
+                    ? 0.0
+                    : *std::min_element(obj_.tail.begin(), obj_.tail.end());
 
     // Flat candidate-distance closure dist_[i·s + k] = c(u_i, u_k) plus
     // the NodeId -> row map (replaces the linear row_of scan).
@@ -58,8 +72,14 @@ class Searcher {
     row_of_.assign(static_cast<std::size_t>(apsp_.num_nodes()),
                    CandidateIdx::invalid());
     std::vector<std::int32_t> cols(s);
-    for (std::size_t k = 0; k < s; ++k) cols[k] = apsp_.core_index(sw[k]);
+    for (std::size_t k = 0; k < s; ++k) {
+      PPDC_REQUIRE(apsp_.graph().is_switch(sw[k]),
+                   "chain search candidates must be switches");
+      cols[k] = apsp_.core_index(sw[k]);
+    }
     for (std::size_t i = 0; i < s; ++i) {
+      PPDC_REQUIRE(!row_of_[static_cast<std::size_t>(sw[i])].valid(),
+                   "chain search candidates must be distinct");
       // Candidates are switches, i.e. core vertices with no leaf weight.
       const double* arow = apsp_.cost_row(sw[i]).cost;
       double* drow = dist_.data() + i * s;
@@ -97,19 +117,18 @@ class Searcher {
   }
 
   ChainSearchResult run() {
-    // First position ordered by ingress attraction + its extra term.
+    // First position ordered by its unary term (ingress, plus any extra).
+    const CandidateRow& first = obj_.unary.front();
     std::vector<CandidateIdx> first_order;
     first_order.reserve(switches_.size());
     for (const CandidateIdx i : switches_.ids()) first_order.push_back(i);
     std::sort(first_order.begin(), first_order.end(),
               [&](CandidateIdx a, CandidateIdx b) {
-                return first_key(a) < first_key(b);
+                return first[a] < first[b];
               });
     exhausted_ = false;
     for (const CandidateIdx row : first_order) {
-      const NodeId w = switches_[row];
-      const double cost = model_.ingress_attraction(w) + extra_at(0, row);
-      descend(1, row, cost);
+      descend(1, row, first[row]);
       if (exhausted_) break;
     }
     ChainSearchResult r;
@@ -122,25 +141,35 @@ class Searcher {
   }
 
  private:
-  double extra_at(int j, CandidateIdx row) const {
-    return extra_.empty() ? 0.0
-                          : extra_[static_cast<std::size_t>(j)][row];
+  double tail_at(CandidateIdx row) const {
+    return obj_.tail.empty() ? 0.0 : obj_.tail[row];
   }
 
-  double first_key(CandidateIdx row) const {
-    return model_.ingress_attraction(switches_[row]) + extra_at(0, row);
-  }
-
+  /// The objective of a complete tuple, summed step by step exactly as
+  /// descend() sums it.
   double evaluate(const Placement& p) const {
     PPDC_REQUIRE(static_cast<int>(p.size()) == n_, "warm start wrong size");
-    double c = model_.communication_cost(p);
-    if (!extra_.empty()) {
-      for (int j = 0; j < n_; ++j) {
-        const CandidateIdx row = row_of(p[static_cast<std::size_t>(j)]);
-        c += extra_[static_cast<std::size_t>(j)][row];
-      }
+    validate_placement(apsp_.graph(), p);
+    CandidateIdx prev = row_of(p.front());
+    double c = obj_.unary.front()[prev];
+    for (int j = 1; j < n_; ++j) {
+      const CandidateIdx row = row_of(p[static_cast<std::size_t>(j)]);
+      c += step(j, prev, row);
+      prev = row;
     }
-    return c;
+    return c + tail_at(prev);
+  }
+
+  /// Cost of placing `row` at position `depth` after `prev_row`: the leg
+  /// into it plus its unary term.
+  double step(int depth, CandidateIdx prev_row, CandidateIdx row) const {
+    const auto d = static_cast<std::size_t>(depth);
+    const CandidateRow& unary = obj_.unary[d];
+    const std::size_t at =
+        static_cast<std::size_t>(prev_row.value()) * switches_.size() +
+        static_cast<std::size_t>(row.value());
+    return obj_.leg_weight[d - 1] * dist_[at] +
+           (unary.empty() ? 0.0 : unary[row]);
   }
 
   CandidateIdx row_of(NodeId w) const {
@@ -151,20 +180,14 @@ class Searcher {
   }
 
   /// Lower bound on any completion after `depth` positions are fixed with
-  /// accumulated cost `partial` (ingress + chain so far + extras so far).
+  /// accumulated cost `partial` (unary terms and legs so far).
   double completion_bound(int depth, double partial) const {
-    const int remaining_edges = n_ - depth;
-    double bound = partial + extra_suffix_min_[static_cast<std::size_t>(depth)];
-    if (remaining_edges > 0) {
-      bound += model_.total_rate() * static_cast<double>(remaining_edges) *
-               apsp_.min_switch_distance();
-    }
-    bound += model_.min_egress_attraction();
-    return bound;
+    const auto d = static_cast<std::size_t>(depth);
+    return partial + unary_suffix_min_[d] + leg_bound_[d] + min_tail_;
   }
 
   /// Expands position `depth` given the previous pick at `prev_row`.
-  /// `partial` excludes the final egress term.
+  /// `partial` excludes the tail term.
   void descend(int depth, CandidateIdx prev_row, double partial) {
     if (exhausted_) return;
     ++nodes_;
@@ -180,8 +203,7 @@ class Searcher {
     current_[static_cast<std::size_t>(depth - 1)] = switches_[prev_row];
 
     if (depth == n_) {
-      const double total =
-          partial + model_.egress_attraction(switches_[prev_row]);
+      const double total = partial + tail_at(prev_row);
       if (total < best_cost_) {
         best_cost_ = total;
         best_ = current_;
@@ -196,22 +218,18 @@ class Searcher {
     }
 
     const std::size_t s = switches_.size();
-    const std::size_t prev = static_cast<std::size_t>(prev_row.value());
-    const double* drow = dist_.data() + prev * s;
-    const CandidateIdx* order = by_distance_.data() + prev * s;
-    const double rate = model_.total_rate();
+    const CandidateIdx* order =
+        by_distance_.data() + static_cast<std::size_t>(prev_row.value()) * s;
+    const bool no_unary = obj_.unary[static_cast<std::size_t>(depth)].empty();
     for (std::size_t oi = 0; oi < s; ++oi) {
       const CandidateIdx row = order[oi];
       if (used_[row]) continue;
-      const double step =
-          rate * drow[static_cast<std::size_t>(row.value())] +
-          extra_at(depth, row);
-      const double next_partial = partial + step;
+      const double next_partial = partial + step(depth, prev_row, row);
       if (completion_bound(depth + 1, next_partial) >= best_cost_) {
-        // Candidates are sorted by distance from `prev`. Without an extra
-        // term the step cost is monotone in that order, so every later
-        // candidate fails the same bound; with extras prune only this one.
-        if (extra_.empty()) break;
+        // Candidates are sorted by distance from `prev_row`. Without a
+        // unary term here the step cost is monotone in that order, so every
+        // later candidate fails the same bound; with one prune only this one.
+        if (no_unary) break;
         continue;
       }
       descend(depth + 1, row, next_partial);
@@ -220,12 +238,10 @@ class Searcher {
     used_[prev_row] = 0;
   }
 
-  const CostModel& model_;
   const AllPairs& apsp_;
-  /// Candidate universe, copied once so rows are typed CandidateIdx.
-  IndexedVector<CandidateIdx, NodeId> switches_;
+  const ChainObjective& obj_;
+  const IndexedVector<CandidateIdx, NodeId>& switches_;
   int n_;
-  const ExtraMatrix& extra_;
   ChainSearchConfig config_;
 
   /// Flat |candidates|² matrices, row stride switches_.size().
@@ -233,7 +249,10 @@ class Searcher {
   std::vector<CandidateIdx> by_distance_;
   /// NodeId -> candidate row; invalid() outside the universe.
   std::vector<CandidateIdx> row_of_;
-  std::vector<double> extra_suffix_min_;
+  /// Per-depth completion-bound terms (index = positions fixed).
+  std::vector<double> unary_suffix_min_;
+  std::vector<double> leg_bound_;
+  double min_tail_ = 0.0;
   IndexedVector<CandidateIdx, char> used_;
   Placement current_;
   Placement best_;
@@ -244,34 +263,55 @@ class Searcher {
 
 }  // namespace
 
-ChainSearchResult chain_search(const CostModel& model, int n,
-                               const ExtraMatrix& extra,
+ChainSearchResult chain_search(const AllPairs& apsp,
+                               const ChainObjective& objective,
                                const ChainSearchConfig& config) {
-  Searcher s(model, n, extra, config);
+  Searcher s(apsp, objective, config);
   return s.run();
 }
 
+namespace {
+
+/// TOP's chain objective {U_0 = A, W_j = Λ, T = B} over the model's
+/// placement candidates; rows 1..n-1 are left empty (all zero).
+ChainObjective top_objective(const CostModel& model, int n) {
+  PPDC_REQUIRE(n >= 1, "need at least one VNF");
+  ChainObjective obj;
+  obj.candidates =
+      IndexedVector<CandidateIdx, NodeId>(model.placement_candidates());
+  const std::size_t s = obj.candidates.size();
+  obj.leg_weight.assign(static_cast<std::size_t>(n) - 1, model.total_rate());
+  obj.unary.resize(static_cast<std::size_t>(n));
+  obj.unary.front() = CandidateRow(s);
+  obj.tail = CandidateRow(s);
+  for (const CandidateIdx k : obj.candidates.ids()) {
+    obj.unary.front()[k] = model.ingress_attraction(obj.candidates[k]);
+    obj.tail[k] = model.egress_attraction(obj.candidates[k]);
+  }
+  return obj;
+}
+
+}  // namespace
+
 ChainSearchResult solve_top_exhaustive(const CostModel& model, int n,
                                        const ChainSearchConfig& config) {
-  static const ExtraMatrix kNoExtra;
-  return chain_search(model, n, kNoExtra, config);
+  return chain_search(model.apsp(), top_objective(model, n), config);
 }
 
 ChainSearchResult solve_tom_exhaustive(const CostModel& model,
                                        const Placement& from, double mu,
                                        const ChainSearchConfig& config) {
   PPDC_REQUIRE(mu >= 0.0, "negative migration coefficient");
-  const auto& switches = model.placement_candidates();
-  ExtraMatrix extra(
-      from.size(), IndexedVector<CandidateIdx, double>(switches.size(), 0.0));
+  ChainObjective obj = top_objective(model, static_cast<int>(from.size()));
+  const std::size_t s = obj.candidates.size();
   for (std::size_t j = 0; j < from.size(); ++j) {
-    for (const CandidateIdx k : id_range<CandidateIdx>(switches.size())) {
-      extra[j][k] = mu * model.apsp().cost(
-                             from[j],
-                             switches[static_cast<std::size_t>(k.value())]);
+    CandidateRow& row = obj.unary[j];
+    if (row.empty()) row = CandidateRow(s, 0.0);
+    for (const CandidateIdx k : obj.candidates.ids()) {
+      row[k] += mu * model.apsp().cost(from[j], obj.candidates[k]);
     }
   }
-  return chain_search(model, static_cast<int>(from.size()), extra, config);
+  return chain_search(model.apsp(), obj, config);
 }
 
 }  // namespace ppdc

@@ -1,24 +1,27 @@
-// Exact chain search shared by Algorithm 4 (Optimal TOP) and Algorithm 6
-// (Optimal TOM).
+// Exact chain search shared by Algorithm 4 (Optimal TOP), Algorithm 6
+// (Optimal TOM) and the §VII heterogeneous-SFC extension.
 //
-// Both exhaustive algorithms minimize, over ordered tuples of n distinct
-// switches (m_1 .. m_n):
+// All three minimize one chain objective over ordered tuples of n distinct
+// candidate switches (p_0 .. p_{n-1}):
 //
-//   A(m_1) + Λ Σ_j c(m_j, m_{j+1}) + B(m_n) + Σ_j extra(j, m_j)
+//   Σ_j U_j(p_j)  +  Σ_{j<n-1} W_j c(p_j, p_{j+1})  +  T(p_{n-1})
 //
-// where extra == 0 reproduces Eq. 1 (TOP) and extra(j, w) = μ c(p(j), w)
-// reproduces Eq. 8 (TOM). The paper runs these as plain enumeration in
-// O(|V_s|^n); we add admissible-bound pruning (depth-first branch and
-// bound) so the "Optimal" curves of Fig. 7/9/10 are computable at k = 8
-// scale. Pruning uses:
-//   * remaining chain >= (n - depth) * Λ * min switch-switch distance,
-//   * the egress term >= min_b B(b),
-//   * remaining extra >= Σ_{j>depth} min_w extra(j, w),
-// all of which lower-bound any completion, so the search stays exact.
-// A node budget bounds worst-case running time; when it is exhausted the
-// best placement found so far is returned with proven_optimal = false.
-// The budget is a count, so a truncated search is as reproducible as a
-// complete one, and it never stops before a first complete placement.
+// TOP (Eq. 1) is U_0 = A, W_j = Λ, T = B; TOM (Eq. 8) adds μ c(from_j, ·)
+// to every U_j; multi-SFC (core/multi_sfc.hpp) is W_j = leg load,
+// U_j = entry_j + exit_j and no T. The paper runs Algorithms 4 and 6 as
+// plain enumeration in O(|V_s|^n); we add admissible-bound pruning
+// (depth-first branch and bound) so the "Optimal" curves of Fig. 7/9/10
+// are computable at k = 8 scale. With `depth` positions fixed at cost
+// `partial`, every completion costs at least
+//
+//   partial + Σ_{j>=depth} min U_j + (Σ_{remaining legs} W_j) · min c + min T
+//
+// where min c is the least switch-switch distance, so the search stays
+// exact. A node budget bounds worst-case running time; when it is
+// exhausted the best placement found so far is returned with
+// proven_optimal = false. The budget is a count, so a truncated search is
+// as reproducible as a complete one, and it never stops before a first
+// complete placement.
 #pragma once
 
 #include <cstdint>
@@ -26,16 +29,30 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
+#include "graph/apsp.hpp"
+#include "graph/graph.hpp"
 #include "util/ids.hpp"
 #include "util/indexed_vector.hpp"
 
 namespace ppdc {
 
-/// Per-position additive cost term of the chain objective: extra[j] is a
-/// row over the candidate universe, subscripted by the CandidateIdx of a
-/// switch in model.placement_candidates() order. The typed subscript keeps
-/// raw NodeIds (a different domain) out of the matrix.
-using ExtraMatrix = std::vector<IndexedVector<CandidateIdx, double>>;
+/// A row of per-candidate costs, subscripted by the CandidateIdx of a
+/// switch in the objective's candidate order. The typed subscript keeps raw
+/// NodeIds (a different domain) out of the rows.
+using CandidateRow = IndexedVector<CandidateIdx, double>;
+
+/// The chain objective above, over an explicit candidate universe.
+struct ChainObjective {
+  /// Candidate universe: CandidateIdx k is the switch candidates[k].
+  IndexedVector<CandidateIdx, NodeId> candidates;
+  /// W_j of leg j -> j+1 (n - 1 values).
+  std::vector<double> leg_weight;
+  /// U_j, one row per position (n rows; n = unary.size()). Row 0 (the
+  /// ingress term) covers every candidate; an empty row j >= 1 is all zero.
+  std::vector<CandidateRow> unary;
+  /// T, added after the last position; empty is all zero.
+  CandidateRow tail;
+};
 
 /// Result of an exact (or budget-truncated) chain search.
 struct ChainSearchResult {
@@ -57,16 +74,15 @@ struct ChainSearchConfig {
   std::optional<Placement> initial;
 };
 
-/// Minimizes the chain objective. `extra` is either empty (TOP) or an
-/// n x |candidates| matrix indexed by [position][CandidateIdx] in the
-/// order of model.placement_candidates() (TOM). The search universe is
-/// placement_candidates(): all switches normally, only the alive serving
-/// partition on a degraded fabric.
-ChainSearchResult chain_search(const CostModel& model, int n,
-                               const ExtraMatrix& extra,
+/// Minimizes `objective` over tuples of distinct switches of its candidate
+/// universe; distances are read from `apsp`.
+ChainSearchResult chain_search(const AllPairs& apsp,
+                               const ChainObjective& objective,
                                const ChainSearchConfig& config = {});
 
-/// Algorithm 4: exhaustive traffic-optimal VNF placement.
+/// Algorithm 4: exhaustive traffic-optimal VNF placement. The search
+/// universe is placement_candidates(): all switches normally, only the
+/// alive serving partition on a degraded fabric.
 ChainSearchResult solve_top_exhaustive(const CostModel& model, int n,
                                        const ChainSearchConfig& config = {});
 

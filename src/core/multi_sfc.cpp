@@ -1,11 +1,11 @@
 #include "core/multi_sfc.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
-#include <numeric>
 
 #include "graph/graph.hpp"
+#include "util/ids.hpp"
+#include "util/indexed_vector.hpp"
 #include "util/require.hpp"
 
 namespace ppdc {
@@ -166,85 +166,27 @@ MultiSfcResult solve_multi_sfc_relaxed(const MultiSfcCostModel& model) {
 }
 
 MultiSfcResult solve_multi_sfc_exhaustive(const MultiSfcCostModel& model,
-                                          std::uint64_t node_budget,
-                                          std::optional<Placement> warm_start) {
-  const AllPairs& apsp = model.apsp();
-  const auto& switches = apsp.graph().switches();
+                                          const ChainSearchConfig& config) {
   const int n = model.sfc_length();
-  const std::size_t s = switches.size();
-  PPDC_REQUIRE(static_cast<std::size_t>(n) <= s, "more VNFs than switches");
-
-  // Admissible suffix bound: for every remaining position, at least its
-  // cheapest attraction over all switches; legs bounded by
-  // leg_load * min switch distance (0 when the load is 0).
-  std::vector<double> min_attraction(static_cast<std::size_t>(n), kInf);
+  ChainObjective obj;
+  obj.candidates =
+      IndexedVector<CandidateIdx, NodeId>(model.apsp().graph().switches());
+  for (int j = 0; j + 1 < n; ++j) obj.leg_weight.push_back(model.leg_load(j));
+  obj.unary.assign(static_cast<std::size_t>(n),
+                   CandidateRow(obj.candidates.size()));
   for (int j = 0; j < n; ++j) {
-    for (const NodeId w : switches) {
-      min_attraction[static_cast<std::size_t>(j)] =
-          std::min(min_attraction[static_cast<std::size_t>(j)],
-                   model.entry_attraction(j, w) + model.exit_attraction(j, w));
+    CandidateRow& row = obj.unary[static_cast<std::size_t>(j)];
+    for (const CandidateIdx k : obj.candidates.ids()) {
+      const NodeId w = obj.candidates[k];
+      row[k] = model.entry_attraction(j, w) + model.exit_attraction(j, w);
     }
   }
-  std::vector<double> suffix_bound(static_cast<std::size_t>(n) + 1, 0.0);
-  for (int j = n - 1; j >= 0; --j) {
-    suffix_bound[static_cast<std::size_t>(j)] =
-        suffix_bound[static_cast<std::size_t>(j) + 1] +
-        min_attraction[static_cast<std::size_t>(j)] +
-        (j > 0 ? model.leg_load(j - 1) * apsp.min_switch_distance() : 0.0);
-  }
-
-  double best_cost = kInf;
-  Placement best;
-  if (warm_start.has_value()) {
-    best = *warm_start;
-    best_cost = model.communication_cost(best);
-  }
-
-  Placement current(static_cast<std::size_t>(n), kInvalidNode);
-  std::vector<char> used(static_cast<std::size_t>(apsp.num_nodes()), 0);
-  std::uint64_t nodes = 0;
-  bool exhausted = false;
-
-  const std::function<void(int, double)> descend = [&](int j, double partial) {
-    if (exhausted) return;
-    // Never stops before a first complete placement (as chain_search).
-    if (node_budget != 0 && ++nodes > node_budget && best_cost < kInf) {
-      exhausted = true;
-      return;
-    }
-    if (j == n) {
-      if (partial < best_cost) {
-        best_cost = partial;
-        best = current;
-      }
-      return;
-    }
-    for (const NodeId w : switches) {
-      if (used[static_cast<std::size_t>(w)]) continue;
-      double step = model.entry_attraction(j, w) + model.exit_attraction(j, w);
-      if (j > 0) {
-        step += model.leg_load(j - 1) *
-                apsp.cost(current[static_cast<std::size_t>(j - 1)], w);
-      }
-      const double next = partial + step;
-      if (next + suffix_bound[static_cast<std::size_t>(j) + 1] >= best_cost) {
-        continue;
-      }
-      used[static_cast<std::size_t>(w)] = 1;
-      current[static_cast<std::size_t>(j)] = w;
-      descend(j + 1, next);
-      used[static_cast<std::size_t>(w)] = 0;
-      if (exhausted) return;
-    }
-  };
-  descend(0, 0.0);
-
-  PPDC_REQUIRE(best_cost < kInf, "search found no placement");
-  MultiSfcResult r;
-  r.placement = std::move(best);
-  r.comm_cost = best_cost;
-  r.proven_optimal = !exhausted;
-  return r;
+  ChainSearchResult r = chain_search(model.apsp(), obj, config);
+  MultiSfcResult out;
+  out.comm_cost = model.communication_cost(r.placement);
+  out.placement = std::move(r.placement);
+  out.proven_optimal = r.proven_optimal;
+  return out;
 }
 
 }  // namespace ppdc

@@ -16,16 +16,16 @@
 //  * `solve_multi_sfc_relaxed`: exact Viterbi DP over positions *without*
 //    the distinct-switch constraint, followed by greedy duplicate repair —
 //    the natural generalization of Algorithm 3's spirit.
-//  * `solve_multi_sfc_exhaustive`: branch-and-bound exact search with the
-//    distinctness constraint (the generalization of Algorithm 4).
+//  * `solve_multi_sfc_exhaustive`: the exact chain search of Algorithms 4
+//    and 6 (core/chain_search.hpp) with W_j the leg loads and
+//    U_j = A_j + B_j, over all switches.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "graph/apsp.hpp"
+#include "core/chain_search.hpp"
 #include "core/cost_model.hpp"
+#include "graph/apsp.hpp"
 #include "graph/graph.hpp"
 #include "workload/traffic.hpp"
 
@@ -84,10 +84,9 @@ struct MultiSfcResult {
 /// O(n |V_s|^2 + repairs).
 MultiSfcResult solve_multi_sfc_relaxed(const MultiSfcCostModel& model);
 
-/// Branch-and-bound exact solver with distinctness (node budget as in
-/// ChainSearchConfig; 0 = unlimited).
-MultiSfcResult solve_multi_sfc_exhaustive(
-    const MultiSfcCostModel& model, std::uint64_t node_budget = 50'000'000,
-    std::optional<Placement> warm_start = std::nullopt);
+/// Exact solver with distinctness: chain_search over the model's chain
+/// objective. comm_cost is model.communication_cost of the placement.
+MultiSfcResult solve_multi_sfc_exhaustive(const MultiSfcCostModel& model,
+                                          const ChainSearchConfig& config = {});
 
 }  // namespace ppdc

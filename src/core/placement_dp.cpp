@@ -105,15 +105,18 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
   const std::vector<NodeId> ingress_candidates = top_candidates(
       switches, options.candidate_limit,
       [&](NodeId w) { return model.ingress_attraction(w); });
+  // One candidate buffer for every (ingress, egress) pair; it is copied
+  // into `best` only when it wins.
+  Placement p;
+  p.reserve(static_cast<std::size_t>(n));
   for (const NodeId egress : egress_candidates) {
     StrollTable table(cached
                           ? cache->levels(egress)
                           : std::make_shared<const StrollLevels>(metric, egress));
     for (const NodeId ingress : ingress_candidates) {
       if (ingress == egress) continue;
-      StrollResult stroll = table.find(ingress, n - 2);
-      Placement p;
-      p.reserve(static_cast<std::size_t>(n));
+      const StrollResult stroll = table.find(ingress, n - 2);
+      p.clear();
       p.push_back(ingress);
       p.insert(p.end(), stroll.placement.begin(), stroll.placement.end());
       p.push_back(egress);
@@ -122,7 +125,7 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
       const double c = model.communication_cost(p);
       if (c < best_cost) {
         best_cost = c;
-        best.placement = std::move(p);
+        best.placement = p;
         best.used_fallback = stroll.used_fallback;
       }
     }

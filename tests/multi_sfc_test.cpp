@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/chain_search.hpp"
+#include "test_support.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
 #include "topology/misc.hpp"
+#include "topology/weights.hpp"
 #include "workload/vm_placement.hpp"
 
 namespace ppdc {
@@ -115,6 +117,36 @@ TEST(MultiSfc, ExhaustiveMatchesChainSearchOnFullRanges) {
   EXPECT_NEAR(general.comm_cost, plain.objective, 1e-9);
 }
 
+TEST(MultiSfc, ExhaustiveMatchesBruteForce) {
+  // k=4 fat-trees, hop and weighted metric. For n >= 3 no range crosses
+  // leg 1, so that leg carries zero load and its order is free.
+  for (const bool weighted : {false, true}) {
+    Topology topo = build_fat_tree(4);
+    if (weighted) apply_uniform_delay_weights(topo.graph, 21, 1.5, 0.5);
+    const AllPairs apsp(topo.graph);
+    for (const int n : {1, 3, 4}) {
+      auto ranged =
+          ranged_workload(topo, 8, n, 31 + static_cast<std::uint64_t>(n));
+      if (n >= 3) {
+        for (RangedFlow& rf : ranged) {
+          if (rf.first <= 1 && rf.last > 1) rf.last = 1;
+        }
+      }
+      const MultiSfcCostModel msm(apsp, ranged, n);
+      if (n >= 3) {
+        ASSERT_EQ(msm.leg_load(1), 0.0);
+      }
+      const MultiSfcResult r = solve_multi_sfc_exhaustive(msm);
+      const double opt = testing::brute_force_multi_sfc_cost(msm);
+      ASSERT_TRUE(r.proven_optimal);
+      EXPECT_NEAR(r.comm_cost, opt, 1e-9 * opt)
+          << "weighted=" << weighted << " n=" << n;
+      EXPECT_NO_THROW(validate_placement(topo.graph, r.placement));
+      EXPECT_EQ(r.comm_cost, msm.communication_cost(r.placement));
+    }
+  }
+}
+
 TEST(MultiSfc, ShortRangesMakePlacementCheaperThanFullChains) {
   // Serving each flow only its requested range can never cost more than
   // forcing everyone through the full catalogue on the same placement.
@@ -136,8 +168,10 @@ TEST(MultiSfc, WarmStartRespected) {
   const auto ranged = ranged_workload(topo, 6, 3, 13);
   const MultiSfcCostModel msm(apsp, ranged, 3);
   const MultiSfcResult relaxed = solve_multi_sfc_relaxed(msm);
-  const MultiSfcResult exact =
-      solve_multi_sfc_exhaustive(msm, 50'000'000, relaxed.placement);
+  ChainSearchConfig cfg;
+  cfg.node_budget = 50'000'000;
+  cfg.initial = relaxed.placement;
+  const MultiSfcResult exact = solve_multi_sfc_exhaustive(msm, cfg);
   EXPECT_LE(exact.comm_cost, relaxed.comm_cost + 1e-9);
   ASSERT_TRUE(exact.proven_optimal);
 }
@@ -151,7 +185,9 @@ TEST(MultiSfc, ColdStartNodeBudgetStillReturnsAPlacement) {
   const auto ranged = ranged_workload(topo, 8, n, 13);
   const MultiSfcCostModel msm(apsp, ranged, n);
   for (std::uint64_t budget = 1; budget <= n; ++budget) {
-    const MultiSfcResult r = solve_multi_sfc_exhaustive(msm, budget);
+    ChainSearchConfig cfg;
+    cfg.node_budget = budget;
+    const MultiSfcResult r = solve_multi_sfc_exhaustive(msm, cfg);
     EXPECT_FALSE(r.proven_optimal) << "budget=" << budget;
     ASSERT_EQ(r.placement.size(), static_cast<std::size_t>(n));
     EXPECT_NO_THROW(validate_placement(topo.graph, r.placement));

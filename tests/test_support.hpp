@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
+#include "core/multi_sfc.hpp"
 #include "graph/apsp.hpp"
+#include "graph/graph.hpp"
 
 namespace ppdc::testing {
 
@@ -45,16 +47,17 @@ inline double brute_force_stroll_cost(const AllPairs& apsp, NodeId s,
   return best;
 }
 
-/// Brute-force optimal TOP: min over ordered distinct switch tuples of the
-/// Eq. 1 cost. Exponential — tiny instances only.
-inline double brute_force_top_cost(const CostModel& model, int n) {
-  const auto& switches = model.apsp().graph().switches();
+/// Min of `cost(p)` over every ordered tuple p of n distinct switches of
+/// `g`. Exponential — tiny instances only.
+template <class Cost>
+double min_over_distinct_switch_tuples(const Graph& g, int n, Cost cost) {
+  const auto& switches = g.switches();
   double best = std::numeric_limits<double>::infinity();
   Placement p;
   std::vector<char> used(switches.size(), 0);
   const std::function<void(int)> rec = [&](int depth) {
     if (depth == n) {
-      best = std::min(best, model.communication_cost(p));
+      best = std::min(best, cost(p));
       return;
     }
     for (std::size_t i = 0; i < switches.size(); ++i) {
@@ -70,31 +73,27 @@ inline double brute_force_top_cost(const CostModel& model, int n) {
   return best;
 }
 
-/// Brute-force optimal TOM: min over ordered distinct switch tuples of the
-/// Eq. 8 cost C_t(from, m). Exponential — tiny instances only.
+/// Brute-force optimal TOP: the least Eq. 1 cost.
+inline double brute_force_top_cost(const CostModel& model, int n) {
+  return min_over_distinct_switch_tuples(
+      model.apsp().graph(), n,
+      [&](const Placement& p) { return model.communication_cost(p); });
+}
+
+/// Brute-force optimal TOM: the least Eq. 8 cost C_t(from, m).
 inline double brute_force_tom_cost(const CostModel& model,
                                    const Placement& from, double mu) {
-  const auto& switches = model.apsp().graph().switches();
-  const int n = static_cast<int>(from.size());
-  double best = std::numeric_limits<double>::infinity();
-  Placement p;
-  std::vector<char> used(switches.size(), 0);
-  const std::function<void(int)> rec = [&](int depth) {
-    if (depth == n) {
-      best = std::min(best, model.total_cost(from, p, mu));
-      return;
-    }
-    for (std::size_t i = 0; i < switches.size(); ++i) {
-      if (used[i]) continue;
-      used[i] = 1;
-      p.push_back(switches[i]);
-      rec(depth + 1);
-      p.pop_back();
-      used[i] = 0;
-    }
-  };
-  rec(0);
-  return best;
+  return min_over_distinct_switch_tuples(
+      model.apsp().graph(), static_cast<int>(from.size()),
+      [&](const Placement& p) { return model.total_cost(from, p, mu); });
+}
+
+/// Brute-force optimal heterogeneous-SFC placement: the least generalized
+/// Eq. 1 cost.
+inline double brute_force_multi_sfc_cost(const MultiSfcCostModel& model) {
+  return min_over_distinct_switch_tuples(
+      model.apsp().graph(), model.sfc_length(),
+      [&](const Placement& p) { return model.communication_cost(p); });
 }
 
 }  // namespace ppdc::testing

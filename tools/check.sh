@@ -225,8 +225,8 @@ for resume_build in build-asan build-tsan; do
 done
 
 # ---------------------------------------------------------------------------
-# Stage 6b: the APSP, stroll DP, fault and assignment suites under
-# ASan + UBSan (optional; needs the sanitize preset built). The AllPairs
+# Stage 6b: the APSP, stroll DP, chain search, fault and assignment suites
+# under ASan + UBSan (optional; needs the sanitize preset built). The AllPairs
 # build indexes a core-only adjacency and writes each source's rows
 # through raw pointers, on masked fabrics too (apsp_leaf_test). The stroll
 # DP reads the fabric's AllPairs core through raw row and column pointers,
@@ -237,10 +237,13 @@ done
 # degraded fabrics that produce those masks. The assignment solver walks
 # each augmenting path back through labels that only its current
 # early-exit Dijkstra set, and relinks per-host intrusive VM lists as it
-# goes; the VM-migration baselines drive it.
+# goes; the VM-migration baselines drive it. The exact chain search (TOP,
+# TOM and multi-SFC) reads flat s×s distance and order matrices through
+# raw row pointers.
 # ---------------------------------------------------------------------------
 for t in apsp_leaf_test stroll_dp_test kernel_equivalence_test \
-         placement_test fault_test assignment_test vm_migration_test; do
+         placement_test fault_test assignment_test vm_migration_test \
+         chain_search_test multi_sfc_test; do
   ASAN_RUNNER=build-asan/tests/$t
   if [ -x "$ASAN_RUNNER" ]; then
     note "asan: $ASAN_RUNNER"

@@ -3,8 +3,10 @@
 # bench_fig11_dynamic (all five Fig. 11 policies, PLAN/MCF included),
 # bench_ablation_faults (switch/link failures, quarantine, recovery) and
 # bench_chaos, monolithic and sharded (degradation ladder, quarantine,
-# invariant auditor), at a smoke size and diffs their stdout against the
-# files recorded in tests/golden/. No bench prints timings, --threads is
+# invariant auditor), and the exhaustive chain-search paths: the Fig. 3
+# worked example (its TOM tie pick), Fig. 7 and Fig. 10 Optimal columns
+# and the multi-SFC ablation. Runs each at a smoke size and diffs its
+# stdout against the file recorded in tests/golden/. No bench prints timings, --threads is
 # pinned and the measured "peak RSS:" line is dropped, so any difference
 # is a change in simulated results: an intentional one lands as a
 # reviewed golden diff (rerun with --update).
@@ -73,5 +75,9 @@ check bench_fig11_dynamic --k 8 --trials 2 --l 200 --n 5 --hours 12 \
 check bench_ablation_faults --trials 3 --hours 48 --seed 7 --threads 2
 check bench_chaos --smoke --threads 2
 check bench_chaos.sharded --smoke --sharded --threads 2
+check bench_fig3_example
+check bench_fig7_top1 --k 8 --trials 2 --nmax 7
+check bench_fig10_top_weighted --k 4 --trials 2
+check bench_ablation_extensions
 
 exit $status

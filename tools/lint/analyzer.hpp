@@ -50,7 +50,7 @@ struct ProjectContext {
   /// credit: a .cpp inherits its own .hpp's direct includes).
   std::map<std::string, std::set<std::string>> direct_includes;
   /// Namespace-scope aliases of IndexedVector found in src headers
-  /// (e.g. "ExtraMatrix"), so consumers of the alias are covered too.
+  /// (e.g. "CandidateRow"), so consumers of the alias are covered too.
   std::set<std::string> indexed_vector_aliases;
   /// Same for unordered containers (none expected; defensive).
   std::set<std::string> unordered_aliases;
