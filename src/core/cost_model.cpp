@@ -40,20 +40,42 @@ void accumulate_block(double* __restrict acc, const double* __restrict row,
   }
 }
 
-/// One churned flow's patch of its group's base-vector rows:
-/// gi[j] += sb · c(src, sw_j) and ge[j] += sb · c(sw_j, dst), both read
-/// as contiguous core rows. tools/vec_gate.sh pins that this loop
+/// One queued churn patch of a group's base-vector rows:
+/// gi[j] += a · c(src, sw_j) and ge[j] += a · c(sw_j, dst), both read as
+/// contiguous core rows. tools/vec_gate.sh pins that this loop
 /// vectorizes.
 void patch_flow_rows(double* __restrict gi, double* __restrict ge,
                      AllPairs::CoreRow src, AllPairs::CoreRow dst,
-                     std::size_t n, double signed_base) {
+                     std::size_t n, double a) {
   const double* __restrict srow = src.cost;
   const double* __restrict drow = dst.cost;
   const double sw = src.weight;
   const double dw = dst.weight;
   for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-row-patch
-    gi[j] += signed_base * (sw + srow[j]);
-    ge[j] += signed_base * (dw + drow[j]);
+    gi[j] += a * (sw + srow[j]);
+    ge[j] += a * (dw + drow[j]);
+  }
+}
+
+/// A re-rate in place as one pass: g = (g + a·c) + b·c per cell, where
+/// a = −old base and b = new base. These are the two roundings of the
+/// two one-term passes it replaces, in the same order, with half the row
+/// traffic. Both patch loops stay at the baseline ISA (no target_clones,
+/// no -march): x86-64-v3 has FMA, and GCC's default -ffp-contract=fast
+/// would contract them there and change the bits. tools/vec_gate.sh pins
+/// that this loop vectorizes.
+void rerate_flow_rows(double* __restrict gi, double* __restrict ge,
+                      AllPairs::CoreRow src, AllPairs::CoreRow dst,
+                      std::size_t n, double a, double b) {
+  const double* __restrict srow = src.cost;
+  const double* __restrict drow = dst.cost;
+  const double sw = src.weight;
+  const double dw = dst.weight;
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-rerate-patch
+    const double ci = sw + srow[j];
+    const double ce = dw + drow[j];
+    gi[j] = (gi[j] + a * ci) + b * ci;
+    ge[j] = (ge[j] + a * ce) + b * ce;
   }
 }
 
@@ -125,6 +147,7 @@ void CostModel::refresh() {
   });
   rescan_minima();
   if (group_refresh_enabled()) {
+    drain_patches();
     // Keep the base vectors coherent with any endpoint changes the caller
     // applied without an endpoints_moved() signal. A full refresh may also
     // carry rates that no longer decompose as base · scale, so the next
@@ -206,6 +229,9 @@ void CostModel::enable_group_refresh(const std::vector<double>& base_rates,
 // Hot kernel: 64-byte aligned (DESIGN.md §11).
 [[gnu::aligned(64)]] void CostModel::rebuild_group_bases() {
   const std::size_t ns = num_switches();
+  // Every row is rebuilt from the bookkeeping below, which queued patches
+  // have already reached.
+  patches_.clear();
   // Row compaction: one dense base-vector row per *distinct* group id, in
   // ascending id order — a dense id set keeps the historical row == id
   // layout (and recombination order) bit for bit, while a sparse set
@@ -286,6 +312,7 @@ void CostModel::patch_moved_flow(FlowId flow) {
 }
 
 void CostModel::recombine(const std::vector<double>& scales) {
+  drain_patches();
   const std::size_t ns = num_switches();
   // Λ is summed per flow in flow order — bit-identical to what refresh()
   // computes from rates set via diurnal_rates_grouped. Λ enters every
@@ -333,12 +360,29 @@ std::size_t CostModel::ensure_group_row(int group) {
   return static_cast<std::size_t>(row);
 }
 
-void CostModel::accumulate_flow_base(std::size_t row, double base, NodeId src,
-                                     NodeId dst, double sign) {
+void CostModel::queue_patch(std::size_t row, double first, double second,
+                            NodeId src, NodeId dst) {
+  PPDC_REQUIRE(src >= 0 && src < apsp_->num_nodes() && dst >= 0 &&
+                   dst < apsp_->num_nodes(),
+               "node out of range");
+  patches_.push_back({row, first, second, src, dst});
+}
+
+// Hot kernel: 64-byte aligned (DESIGN.md §11).
+[[gnu::aligned(64)]] void CostModel::drain_patches() {
   const std::size_t ns = num_switches();
-  patch_flow_rows(group_ingress_.data() + row * ns,
-                  group_egress_.data() + row * ns, apsp_->cost_row(src),
-                  apsp_->cost_col(dst), ns, sign * base);
+  for (const RowPatch& p : patches_) {
+    double* gi = group_ingress_.data() + p.row * ns;
+    double* ge = group_egress_.data() + p.row * ns;
+    const AllPairs::CoreRow src = apsp_->cost_row(p.src);
+    const AllPairs::CoreRow dst = apsp_->cost_col(p.dst);
+    if (p.second == 0.0) {
+      patch_flow_rows(gi, ge, src, dst, ns, p.first);
+    } else {
+      rerate_flow_rows(gi, ge, src, dst, ns, p.first, p.second);
+    }
+  }
+  patches_.clear();
 }
 
 void CostModel::rebase_flow(FlowId flow, double new_base, int new_group) {
@@ -357,18 +401,30 @@ void CostModel::rebase_flow(FlowId flow, double new_base, int new_group) {
                    " rebased to group id " + std::to_string(new_group) +
                    " outside the supported domain [0, 2^20)");
   const auto i = static_cast<std::size_t>(flow.value());
-  if (base_rates_[i] != 0.0) {
-    accumulate_flow_base(row_of(groups_[i]), base_rates_[i], snap_src_[i],
-                         snap_dst_[i], -1.0);
-  }
+  const double old_base = base_rates_[i];
+  const NodeId old_src = snap_src_[i];
+  const NodeId old_dst = snap_dst_[i];
+  const std::size_t old_row = old_base != 0.0 ? row_of(groups_[i]) : 0;
   const VmFlow& f = (*flows_)[i];
   base_rates_[i] = new_base;
   groups_[i] = new_group;
   snap_src_[i] = f.src_host;
   snap_dst_[i] = f.dst_host;
-  if (new_base != 0.0) {
-    accumulate_flow_base(ensure_group_row(new_group), new_base, f.src_host,
-                         f.dst_host, 1.0);
+  if (new_base == 0.0) {
+    if (old_base != 0.0) {
+      queue_patch(old_row, -old_base, 0.0, old_src, old_dst);
+    }
+    return;
+  }
+  const std::size_t new_row = ensure_group_row(new_group);
+  if (old_base == 0.0) {
+    queue_patch(new_row, new_base, 0.0, f.src_host, f.dst_host);
+  } else if (old_row == new_row && old_src == f.src_host &&
+             old_dst == f.dst_host) {
+    queue_patch(new_row, -old_base, new_base, old_src, old_dst);
+  } else {
+    queue_patch(old_row, -old_base, 0.0, old_src, old_dst);
+    queue_patch(new_row, new_base, 0.0, f.src_host, f.dst_host);
   }
 }
 
@@ -401,8 +457,8 @@ void CostModel::flows_appended(const std::vector<double>& new_bases,
     snap_src_.push_back(f.src_host);
     snap_dst_.push_back(f.dst_host);
     if (new_bases[j] != 0.0) {
-      accumulate_flow_base(ensure_group_row(new_groups[j]), new_bases[j],
-                           f.src_host, f.dst_host, 1.0);
+      queue_patch(ensure_group_row(new_groups[j]), new_bases[j], 0.0,
+                  f.src_host, f.dst_host);
     }
   }
 }
@@ -433,6 +489,7 @@ void CostModel::endpoints_moved(const std::vector<FlowId>& flow_ids) {
   if (flow_ids.size() * kDirtyRebuildDivisor >= flows_->size()) {
     rebuild_group_bases();
   } else {
+    drain_patches();
     for (const FlowId i : flow_ids) {
       patch_moved_flow(i);
     }
@@ -440,7 +497,8 @@ void CostModel::endpoints_moved(const std::vector<FlowId>& flow_ids) {
   recombine(last_scales_);
 }
 
-CostModel::GroupSnapshot CostModel::group_snapshot() const {
+CostModel::GroupSnapshot CostModel::group_snapshot() {
+  drain_patches();
   GroupSnapshot snap;
   snap.num_groups = num_groups_;
   snap.base_rates = base_rates_;

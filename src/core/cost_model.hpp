@@ -108,20 +108,33 @@ class CostModel {
 
   /// Streaming churn: flow `flow`'s base rate, group, and/or endpoints
   /// changed in place (arrival into a free slot, departure to base 0, a
-  /// re-rate). Subtracts the old base-vector contribution at the snapshot
-  /// endpoints, adds the new one at the flow's current endpoints, and
-  /// updates the snapshot — O(|V_s|). The combined attraction vectors are
-  /// left stale on purpose: callers batch rebase calls per epoch and
-  /// recombine once via refresh_scaled() (or refresh()) before the next
-  /// cost query.
+  /// re-rate). Updates the bookkeeping at once (base, group, endpoint
+  /// snapshot, a row for a new group) and queues the O(|V_s|) row patch:
+  /// subtract the old base-vector contribution at the snapshot endpoints,
+  /// add the new one at the flow's current endpoints. A re-rate that keeps
+  /// its row and endpoints queues one two-term patch. The queue is drained
+  /// in order by drain_patches() — ShardedCostModel::apply_churn drains
+  /// every churned shard in parallel — or by the next reader of the base
+  /// rows (refresh_scaled, refresh, endpoints_moved, group_snapshot). The
+  /// combined attraction vectors are left stale on purpose: callers batch
+  /// rebase calls per epoch and recombine once via refresh_scaled() (or
+  /// refresh()) before the next cost query.
   void rebase_flow(FlowId flow, double new_base, int new_group);
 
   /// Streaming churn: the bound flow vector grew by `new_bases.size()`
   /// tail slots (endpoints already set by the caller). Registers the new
-  /// flows' bases/groups and adds their base-vector contributions; same
-  /// recombine-before-query contract as rebase_flow().
+  /// flows' bases/groups at once and queues their base-vector patches;
+  /// same queue and recombine-before-query contract as rebase_flow().
   void flows_appended(const std::vector<double>& new_bases,
                       const std::vector<int>& new_groups);
+
+  /// Applies the queued churn patches to the base rows, in queue order,
+  /// and empties the queue. Touches only this model's rows, so models
+  /// may drain concurrently.
+  void drain_patches();
+
+  /// True while churn patches wait in the queue.
+  bool has_queued_patches() const noexcept { return !patches_.empty(); }
 
   /// Restricts the switches eligible to host VNFs (fault tolerance: only
   /// alive switches of the serving partition may be placement targets).
@@ -180,11 +193,11 @@ class CostModel {
   double min_ingress_attraction() const noexcept { return min_ingress_; }
 
   /// A copy of the incremental group-refresh state, for tests that
-  /// compare a patched model against a rebuilt one. The per-group base
-  /// vectors are patched in place by rebase_flow()/endpoints_moved() and
-  /// never rebuilt by refresh(), so they carry the exact float history of
-  /// every patch — a from-scratch rebuild is mathematically equal but not
-  /// bit-identical.
+  /// compare a patched model against a rebuilt one; drains the patch
+  /// queue first. The per-group base vectors are patched in place by
+  /// rebase_flow()/endpoints_moved() and never rebuilt by refresh(), so
+  /// they carry the exact float history of every patch — a from-scratch
+  /// rebuild is mathematically equal but not bit-identical.
   struct GroupSnapshot {
     int num_groups = 0;
     std::vector<double> base_rates;
@@ -197,7 +210,7 @@ class CostModel {
     std::vector<NodeId> snap_src;
     std::vector<NodeId> snap_dst;
   };
-  GroupSnapshot group_snapshot() const;
+  GroupSnapshot group_snapshot();
 
  private:
   /// Rebuilds the per-group base vectors and endpoint snapshot from
@@ -222,10 +235,10 @@ class CostModel {
   /// Dense base-vector row of a group id, allocating one (and widening
   /// the id domain) on first use.
   std::size_t ensure_group_row(int group);
-  /// Adds (sign = +1) or removes (sign = -1) one flow's base contribution
-  /// at the given endpoints from its group's base-vector row.
-  void accumulate_flow_base(std::size_t row, double base, NodeId src,
-                            NodeId dst, double sign);
+  /// Queues one base-row patch (see RowPatch) after checking its
+  /// endpoints.
+  void queue_patch(std::size_t row, double first, double second, NodeId src,
+                   NodeId dst);
   /// Derives Λ, A, B (and the argmins) from the base vectors and `scales`.
   void recombine(const std::vector<double>& scales);
   /// Recomputes best/min ingress+egress from the attraction vectors.
@@ -253,6 +266,19 @@ class CostModel {
   std::vector<double> last_scales_;    ///< scales of the last recombine
   std::vector<NodeId> snap_src_;       ///< endpoints the base vectors use
   std::vector<NodeId> snap_dst_;
+
+  /// One queued churn patch of base-vector row `row`: per switch j,
+  /// g = (g + first·c) + second·c, with c = c(src, sw_j) on the ingress
+  /// row and c = c(sw_j, dst) on the egress row. second == 0 marks a
+  /// one-term patch, g += first·c (a flow entering or leaving the row).
+  struct RowPatch {
+    std::size_t row;
+    double first;
+    double second;
+    NodeId src;
+    NodeId dst;
+  };
+  std::vector<RowPatch> patches_;  ///< drained in order by drain_patches()
 };
 
 }  // namespace ppdc

@@ -18,11 +18,11 @@ MultiSfcCostModel::MultiSfcCostModel(const AllPairs& apsp,
                                      std::vector<RangedFlow> flows, int n)
     : apsp_(&apsp), flows_(std::move(flows)), n_(n) {
   PPDC_REQUIRE(n_ >= 1, "catalogue must hold at least one VNF");
-  const Graph& g = apsp.graph();
-  const auto nodes = static_cast<std::size_t>(apsp.num_nodes());
+  const std::vector<NodeId>& switches = apsp.graph().switches();
+  const std::size_t ns = switches.size();
   leg_load_.assign(static_cast<std::size_t>(std::max(0, n_ - 1)), 0.0);
-  entry_.assign(static_cast<std::size_t>(n_), std::vector<double>(nodes, 0.0));
-  exit_.assign(static_cast<std::size_t>(n_), std::vector<double>(nodes, 0.0));
+  entry_.assign(static_cast<std::size_t>(n_) * ns, 0.0);
+  exit_.assign(static_cast<std::size_t>(n_) * ns, 0.0);
 
   for (const auto& rf : flows_) {
     PPDC_REQUIRE(rf.first >= 0 && rf.first <= rf.last && rf.last < n_,
@@ -31,11 +31,12 @@ MultiSfcCostModel::MultiSfcCostModel(const AllPairs& apsp,
     for (int j = rf.first; j < rf.last; ++j) {
       leg_load_[static_cast<std::size_t>(j)] += rf.flow.rate;
     }
-    for (const NodeId w : g.switches()) {
-      entry_[static_cast<std::size_t>(rf.first)][static_cast<std::size_t>(w)] +=
-          rf.flow.rate * apsp.cost(rf.flow.src_host, w);
-      exit_[static_cast<std::size_t>(rf.last)][static_cast<std::size_t>(w)] +=
-          rf.flow.rate * apsp.cost(w, rf.flow.dst_host);
+    // Switch k of Graph::switches() sits at SwitchIdx k.
+    double* entry = entry_.data() + static_cast<std::size_t>(rf.first) * ns;
+    double* exit = exit_.data() + static_cast<std::size_t>(rf.last) * ns;
+    for (std::size_t k = 0; k < ns; ++k) {
+      entry[k] += rf.flow.rate * apsp.cost(rf.flow.src_host, switches[k]);
+      exit[k] += rf.flow.rate * apsp.cost(switches[k], rf.flow.dst_host);
     }
   }
 }
@@ -45,14 +46,21 @@ double MultiSfcCostModel::leg_load(int j) const {
   return leg_load_[static_cast<std::size_t>(j)];
 }
 
-double MultiSfcCostModel::entry_attraction(int j, NodeId w) const {
+std::size_t MultiSfcCostModel::slot(int j, NodeId w) const {
   PPDC_REQUIRE(j >= 0 && j < n_, "position out of range");
-  return entry_[static_cast<std::size_t>(j)][static_cast<std::size_t>(w)];
+  PPDC_REQUIRE(apsp_->graph().is_switch(w),
+               "attractions are defined on switches only");
+  // A switch's core position is its SwitchIdx.
+  return static_cast<std::size_t>(j) * apsp_->graph().switches().size() +
+         static_cast<std::size_t>(apsp_->core_index(w));
+}
+
+double MultiSfcCostModel::entry_attraction(int j, NodeId w) const {
+  return entry_[slot(j, w)];
 }
 
 double MultiSfcCostModel::exit_attraction(int j, NodeId w) const {
-  PPDC_REQUIRE(j >= 0 && j < n_, "position out of range");
-  return exit_[static_cast<std::size_t>(j)][static_cast<std::size_t>(w)];
+  return exit_[slot(j, w)];
 }
 
 double MultiSfcCostModel::communication_cost(const Placement& p,

@@ -21,6 +21,7 @@
 //    U_j = A_j + B_j, over all switches.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/chain_search.hpp"
@@ -53,9 +54,9 @@ class MultiSfcCostModel {
 
   /// Chain-leg load W_j for the leg j -> j+1 (0 <= j < n-1).
   double leg_load(int j) const;
-  /// Entry attraction A_j(w).
+  /// Entry attraction A_j(w) of switch w.
   double entry_attraction(int j, NodeId w) const;
-  /// Exit attraction B_j(w).
+  /// Exit attraction B_j(w) of switch w.
   double exit_attraction(int j, NodeId w) const;
 
   /// Generalized Eq. 1. Requires a valid placement of n distinct switches
@@ -64,12 +65,15 @@ class MultiSfcCostModel {
                             bool allow_colocation = false) const;
 
  private:
+  /// Flat index of (position j, switch w) in entry_/exit_.
+  std::size_t slot(int j, NodeId w) const;
+
   const AllPairs* apsp_;
   std::vector<RangedFlow> flows_;
   int n_;
-  std::vector<double> leg_load_;                ///< size n-1
-  std::vector<std::vector<double>> entry_;      ///< [j][node]
-  std::vector<std::vector<double>> exit_;       ///< [j][node]
+  std::vector<double> leg_load_;  ///< size n-1
+  std::vector<double> entry_;     ///< [j · |V_s| + SwitchIdx] = A_j
+  std::vector<double> exit_;      ///< [j · |V_s| + SwitchIdx] = B_j
 };
 
 /// Result of a multi-SFC placement.

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "graph/graph.hpp"
+#include "util/executor.hpp"
 #include "util/require.hpp"
 
 namespace ppdc {
@@ -184,7 +185,6 @@ std::vector<int> ShardedCostModel::apply_churn(
   // Arrivals: a re-used global slot stays in its shard when the new
   // ingress pod matches, otherwise the old local slot is freed and the
   // flow allocates in its new shard. Appended global ids always allocate.
-  bool freed_any = false;
   for (const FlowId g : churn.arrived) {
     const auto gi = static_cast<std::size_t>(g.value());
     const VmFlow& f = flows[gi];
@@ -214,8 +214,12 @@ std::vector<int> ShardedCostModel::apply_churn(
       old_sh.flows[l].rate = 0.0;
       old_sh.base_rates[l] = 0.0;
       old_sh.global_ids[l] = FlowId::invalid();
-      old_sh.free_locals.push_back(local);
-      freed_any = true;
+      // Free-lists stay descending, so pop_back re-uses the smallest slot.
+      old_sh.free_locals.insert(
+          std::lower_bound(old_sh.free_locals.begin(),
+                           old_sh.free_locals.end(), local,
+                           std::greater<FlowId>()),
+          local);
       ++touched[static_cast<std::size_t>(old_shard)];
     } else if (gi >= flow_shard_.size()) {
       PPDC_REQUIRE(gi == flow_shard_.size(),
@@ -224,19 +228,21 @@ std::vector<int> ShardedCostModel::apply_churn(
       flow_shard_.push_back(-1);
       flow_local_.push_back(FlowId::invalid());
     }
-    if (freed_any) {
-      // Keep every free-list descending so pop_back re-uses the smallest
-      // slot first; sorting per arrival keeps the order independent of
-      // how departures and cross-pod moves interleaved.
-      for (auto& shard : shards_) {
-        std::sort(shard->free_locals.begin(), shard->free_locals.end(),
-                  std::greater<FlowId>());
-      }
-      freed_any = false;
-    }
     allocate_local(new_shard, g, f);
     ++touched[static_cast<std::size_t>(new_shard)];
   }
+
+  // The loops above only queued the O(|V_s|) row patches. Drain every
+  // churned shard at once, one shard per task: shards share no row, and
+  // each queue drains in the order it was filled, so every cell sees the
+  // same additions in the same order at any width.
+  std::vector<CostModel*> queued;
+  for (auto& shard : shards_) {
+    CostModel* model = shard->model.get();
+    if (model->has_queued_patches()) queued.push_back(model);
+  }
+  parallel_for(queued.size(), 1,
+               [&](std::size_t k) noexcept { queued[k]->drain_patches(); });
   return touched;
 }
 

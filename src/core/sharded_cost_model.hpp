@@ -16,7 +16,9 @@
 // apply_churn(): departures drop a slot's base to 0 in place, re-rates
 // rebase it, and arrivals re-use the departing slot — or move it to
 // another shard's free-list when the new flow's ingress pod changed. All
-// updates are O(|V_s|) CostModel::rebase_flow patches; the per-epoch
+// updates are O(|V_s|) CostModel::rebase_flow / flows_appended patches:
+// the serial bookkeeping queues them per shard, and apply_churn drains
+// every churned shard's queue at the end, shard-parallel. The per-epoch
 // recombination stays with the simulation loop (sim/sharded.hpp), which
 // refreshes every shard under the epoch's scales before any cost query.
 //
@@ -99,9 +101,10 @@ class ShardedCostModel {
   /// Mirrors one epoch of streaming churn into the shards. `flows` is the
   /// workload's global vector *after* advance() (base rates). Lists are
   /// applied departures → re-rates → arrivals, each in ascending global
-  /// id order. Returns the number of churned flows charged to each shard
-  /// (a cross-shard re-spawn counts on both sides) — the re-solve
-  /// predicate's staleness signal.
+  /// id order; the queued row patches are then drained one shard per
+  /// task on the executor. Returns the number of churned flows charged
+  /// to each shard (a cross-shard re-spawn counts on both sides) — the
+  /// re-solve predicate's staleness signal.
   std::vector<int> apply_churn(const std::vector<VmFlow>& flows,
                                const FlowChurn& churn);
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "baselines/vm_migration.hpp"
@@ -17,8 +19,12 @@
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
 #include "topology/misc.hpp"
+#include "util/checksum.hpp"
+#include "util/executor.hpp"
+#include "util/rng.hpp"
 #include "workload/diurnal.hpp"
 #include "workload/vm_placement.hpp"
+#include "test_support.hpp"
 
 namespace ppdc {
 namespace {
@@ -370,39 +376,59 @@ TEST(IncrementalRefresh, RebaseFlowPatchesBaseVectors) {
   expect_matches_rebuild(apsp, flows, cm);
 }
 
-TEST(IncrementalRefresh, ShardChurnPatchesEqualRebuildBitForBit) {
-  // Integer link weights (host links 2, fabric links 1) and integer base
-  // rates keep every partial sum an exact integer, so the order in which
-  // patches landed cannot matter: the churn-patched base vectors of each
-  // shard must equal a from-scratch rebuild exactly. The host links make
-  // the leaf weight of every endpoint visible in the sums.
+/// Fat-tree k=4 whose host links weigh 2 and fabric links 1: integer
+/// weights, with the leaf weight of every endpoint visible in the sums.
+Topology churn_fabric() {
   Topology topo = build_fat_tree(4);
   for (const NodeId h : topo.graph.hosts()) {
     topo.graph.set_edge_weight(h, topo.graph.neighbors(h)[0].to, 2.0);
   }
-  const AllPairs apsp(topo.graph);
-  const ShardMap map = ShardMap::by_ingress_pod(topo);
-  const std::vector<NodeId>& hosts = topo.graph.hosts();
-  constexpr int kGroups = 4;
-  Rng rng(29);
-  auto any_host = [&] {
+  return topo;
+}
+
+/// A pod-sharded model over 48 random flows and the ten-epoch churn
+/// history it is driven through: arrivals (re-spawns into vacant slots of
+/// any pod, two appended global slots per epoch), departures and
+/// re-rates, then one PLAN-style endpoint move per shard. Base rates are
+/// multiples of `rate_unit` (1 keeps every partial sum an exact integer).
+/// Not movable: the models bind to the members.
+struct ChurnHistory {
+  static constexpr int kGroups = 4;
+  static constexpr int kEpochs = 10;
+
+  explicit ChurnHistory(double unit)
+      : rate_unit(unit),
+        topo(churn_fabric()),
+        apsp(topo.graph),
+        map(ShardMap::by_ingress_pod(topo)),
+        rng(29),
+        flows(initial_flows()),
+        sharded(apsp, map, flows, kGroups) {}
+  ChurnHistory(const ChurnHistory&) = delete;
+  ChurnHistory& operator=(const ChurnHistory&) = delete;
+
+  NodeId any_host() {
+    const std::vector<NodeId>& hosts = topo.graph.hosts();
     return hosts[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
-  };
-  auto fresh_flow = [&] {
+  }
+  VmFlow fresh_flow() {
     VmFlow f;
     f.src_host = any_host();
     f.dst_host = any_host();
-    f.rate = static_cast<double>(rng.uniform_int(1, 9));
+    f.rate = rate_unit * static_cast<double>(rng.uniform_int(1, 9));
     f.group = static_cast<int>(rng.uniform_int(0, kGroups - 1));
     return f;
-  };
-  std::vector<VmFlow> flows;
-  for (int i = 0; i < 48; ++i) flows.push_back(fresh_flow());
-  ShardedCostModel sharded(apsp, map, flows, kGroups);
-  const std::vector<double> scales(kGroups, 1.0);
+  }
+  std::vector<VmFlow> initial_flows() {
+    std::vector<VmFlow> out;
+    for (int i = 0; i < 48; ++i) out.push_back(fresh_flow());
+    return out;
+  }
 
-  for (int epoch = 0; epoch < 10; ++epoch) {
+  /// Draws one epoch of churn into `flows` (the global vector) and
+  /// returns its lists; the caller mirrors them with apply_churn.
+  FlowChurn draw_churn() {
     FlowChurn churn;
     for (std::size_t g = 0; g < flows.size(); ++g) {
       const FlowId id{static_cast<std::int32_t>(g)};
@@ -416,7 +442,7 @@ TEST(IncrementalRefresh, ShardChurnPatchesEqualRebuildBitForBit) {
         flows[g].rate = 0.0;
         churn.departed.push_back(id);
       } else if (roll == 1) {
-        flows[g].rate = static_cast<double>(rng.uniform_int(1, 9));
+        flows[g].rate = rate_unit * static_cast<double>(rng.uniform_int(1, 9));
         churn.rerated.push_back(id);
       }
     }
@@ -424,11 +450,18 @@ TEST(IncrementalRefresh, ShardChurnPatchesEqualRebuildBitForBit) {
       churn.arrived.push_back(FlowId{static_cast<std::int32_t>(flows.size())});
       flows.push_back(fresh_flow());
     }
-    sharded.apply_churn(flows, churn);
+    return churn;
+  }
 
-    // PLAN-style VM moves: one live flow per shard changes endpoints (its
-    // source stays in the shard's pod) and the model is told through
-    // endpoints_moved(), mirrored into the global vector.
+  /// PLAN-style VM moves: one live flow per shard changes endpoints (its
+  /// source stays in the shard's pod), the model is told through
+  /// endpoints_moved() under unit scales, and the move is mirrored into
+  /// the global vector. Returns the moved local slot per shard (invalid
+  /// for a shard with no live flow).
+  std::vector<FlowId> move_endpoints() {
+    std::vector<FlowId> moved(static_cast<std::size_t>(sharded.num_shards()),
+                              FlowId::invalid());
+    const std::vector<double> scales(kGroups, 1.0);
     for (int s = 0; s < sharded.num_shards(); ++s) {
       ShardedCostModel::Shard& sh = sharded.shard(s);
       sh.model->refresh_scaled(scales);
@@ -441,11 +474,79 @@ TEST(IncrementalRefresh, ShardChurnPatchesEqualRebuildBitForBit) {
         const auto g = static_cast<std::size_t>(sh.global_ids[l].value());
         flows[g].src_host = sh.flows[l].src_host;
         flows[g].dst_host = sh.flows[l].dst_host;
-        sh.model->endpoints_moved({FlowId{static_cast<std::int32_t>(l)}});
+        const FlowId local{static_cast<std::int32_t>(l)};
+        sh.model->endpoints_moved({local});
+        moved[static_cast<std::size_t>(s)] = local;
         break;
       }
     }
+    return moved;
   }
+
+  /// The whole history with plain apply_churn calls.
+  void run() {
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      const FlowChurn churn = draw_churn();
+      sharded.apply_churn(flows, churn);
+      move_endpoints();
+    }
+  }
+
+  double rate_unit;
+  Topology topo;
+  AllPairs apsp;
+  ShardMap map;
+  Rng rng;
+  std::vector<VmFlow> flows;
+  ShardedCostModel sharded;
+};
+
+/// Hash of every field of every shard's group snapshot, doubles by bit
+/// pattern.
+std::uint64_t shard_snapshot_hash(ShardedCostModel& sharded) {
+  Hash64 h;
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    const CostModel::GroupSnapshot snap =
+        sharded.shard(s).model->group_snapshot();
+    h.i64(snap.num_groups);
+    for (const double v : snap.base_rates) h.f64(v);
+    for (const int v : snap.groups) h.i64(v);
+    for (const int v : snap.group_rows) h.i64(v);
+    for (const int v : snap.row_groups) h.i64(v);
+    for (const double v : snap.group_ingress) h.f64(v);
+    for (const double v : snap.group_egress) h.f64(v);
+    for (const double v : snap.last_scales) h.f64(v);
+    for (const NodeId v : snap.snap_src) h.i64(v);
+    for (const NodeId v : snap.snap_dst) h.i64(v);
+  }
+  return h.value();
+}
+
+TEST(IncrementalRefresh, ShardChurnSnapshotBitsArePinned) {
+  // The bits every shard's base rows hold after the churn history, with
+  // integer rates (exact sums) and with rates in tenths (inexact sums,
+  // so the order in which patches land shows). Recorded from the
+  // immediate-patch implementation that queued patches replaced; a
+  // change here means churn patches no longer land as before.
+  ChurnHistory exact(1.0);
+  exact.run();
+  EXPECT_EQ(shard_snapshot_hash(exact.sharded), 0xe3c3ccf6a5e293f4ULL);
+  ChurnHistory tenths(0.1);
+  tenths.run();
+  EXPECT_EQ(shard_snapshot_hash(tenths.sharded), 0x17dd2e762cf20fe1ULL);
+}
+
+TEST(IncrementalRefresh, ShardChurnPatchesEqualRebuildBitForBit) {
+  // Integer link weights and integer base rates keep every partial sum
+  // an exact integer, so the order in which patches landed cannot
+  // matter: the churn-patched base vectors of each shard must equal a
+  // from-scratch rebuild exactly.
+  ChurnHistory h(1.0);
+  h.run();
+  const Topology& topo = h.topo;
+  const AllPairs& apsp = h.apsp;
+  const ShardedCostModel& sharded = h.sharded;
+  constexpr int kGroups = ChurnHistory::kGroups;
 
   const std::size_t ns = topo.graph.switches().size();
   for (int s = 0; s < sharded.num_shards(); ++s) {
@@ -484,7 +585,7 @@ TEST(IncrementalRefresh, ShardChurnPatchesEqualRebuildBitForBit) {
 
 /// Asserts that two grouped models hold bit-identical state: the group
 /// snapshot, Λ, every attraction and the argmins.
-void expect_same_grouped_state(const CostModel& got, const CostModel& want) {
+void expect_same_grouped_state(CostModel& got, CostModel& want) {
   const CostModel::GroupSnapshot a = got.group_snapshot();
   const CostModel::GroupSnapshot b = want.group_snapshot();
   EXPECT_EQ(a.num_groups, b.num_groups);
@@ -637,6 +738,367 @@ TEST(IncrementalRefresh, RejectsBadInput) {
   EXPECT_THROW(cm.refresh_scaled({-0.5}), PpdcError);
   cm.refresh_scaled({0.5});
   EXPECT_THROW(cm.endpoints_moved({FlowId{7}}), PpdcError);  // index out of range
+}
+
+/// Asserts that two double vectors hold the same bits, element for
+/// element (so -0.0 differs from 0.0 and a NaN equals itself).
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << "[" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+/// Asserts that a model's base rows and their bookkeeping equal the
+/// oracle's bit for bit.
+void expect_rows_match(const CostModel::GroupSnapshot& got,
+                       const CostModel::GroupSnapshot& want) {
+  EXPECT_EQ(got.num_groups, want.num_groups);
+  EXPECT_EQ(got.groups, want.groups);
+  EXPECT_EQ(got.group_rows, want.group_rows);
+  EXPECT_EQ(got.row_groups, want.row_groups);
+  EXPECT_EQ(got.snap_src, want.snap_src);
+  EXPECT_EQ(got.snap_dst, want.snap_dst);
+  expect_same_bits(got.base_rates, want.base_rates, "base_rates");
+  expect_same_bits(got.group_ingress, want.group_ingress, "group_ingress");
+  expect_same_bits(got.group_egress, want.group_egress, "group_egress");
+}
+
+/// Where every global flow sat before an apply_churn call.
+struct SlotMap {
+  std::vector<int> shard;
+  std::vector<FlowId> local;
+};
+
+SlotMap slot_map(const ShardedCostModel& sharded, std::size_t num_flows) {
+  SlotMap m;
+  for (std::size_t g = 0; g < num_flows; ++g) {
+    const FlowId id{static_cast<std::int32_t>(g)};
+    m.shard.push_back(sharded.flow_shard(id));
+    m.local.push_back(m.shard.back() >= 0 ? sharded.flow_local(id)
+                                          : FlowId::invalid());
+  }
+  return m;
+}
+
+/// Replays one apply_churn call on per-shard oracles, in the order
+/// apply_churn issues its rebase/append calls. Slots are read off the
+/// model: `before` for flows it held, `after` for the slots arrivals got.
+void replay_churn(std::vector<testing::ImmediatePatchOracle>& oracles,
+                  const ShardMap& map, const ShardedCostModel& after,
+                  const SlotMap& before, const std::vector<VmFlow>& flows,
+                  const FlowChurn& churn) {
+  // Departures, re-rates and vacated slots keep their snapshot endpoints.
+  auto rebase_in_place = [&](int s, FlowId l, double base) {
+    testing::ImmediatePatchOracle& o = oracles[static_cast<std::size_t>(s)];
+    const auto i = static_cast<std::size_t>(l.value());
+    o.rebase(l, base, o.state().groups[i], o.state().snap_src[i],
+             o.state().snap_dst[i]);
+  };
+  for (const FlowId g : churn.departed) {
+    const auto gi = static_cast<std::size_t>(g.value());
+    rebase_in_place(before.shard[gi], before.local[gi], 0.0);
+  }
+  for (const FlowId g : churn.rerated) {
+    const auto gi = static_cast<std::size_t>(g.value());
+    rebase_in_place(before.shard[gi], before.local[gi], flows[gi].rate);
+  }
+  for (const FlowId g : churn.arrived) {
+    const auto gi = static_cast<std::size_t>(g.value());
+    const VmFlow& f = flows[gi];
+    const int s = map.shard_of(f.src_host);
+    if (gi < before.shard.size() && before.shard[gi] >= 0) {
+      const int old_s = before.shard[gi];
+      const FlowId old_l = before.local[gi];
+      testing::ImmediatePatchOracle& o =
+          oracles[static_cast<std::size_t>(old_s)];
+      if (old_s == s) {
+        o.rebase(old_l, f.rate, f.group, f.src_host, f.dst_host);
+        continue;
+      }
+      if (o.state().base_rates[static_cast<std::size_t>(old_l.value())] !=
+          0.0) {
+        rebase_in_place(old_s, old_l, 0.0);
+      }
+    }
+    ASSERT_EQ(after.flow_shard(g), s) << "flow " << g.value();
+    const FlowId l = after.flow_local(g);
+    testing::ImmediatePatchOracle& o = oracles[static_cast<std::size_t>(s)];
+    if (static_cast<std::size_t>(l.value()) < o.num_flows()) {
+      o.rebase(l, f.rate, f.group, f.src_host, f.dst_host);
+    } else {
+      ASSERT_EQ(static_cast<std::size_t>(l.value()), o.num_flows());
+      o.append(f.rate, f.group, f.src_host, f.dst_host);
+    }
+  }
+}
+
+TEST(ShardedChurn, QueuedDrainMatchesImmediatePatches) {
+  // Rates in tenths make the sums inexact, so a cell that saw its
+  // additions in another order, or a fused re-rate rounded differently
+  // from the subtract and add passes it replaces, shows in the bits.
+  ChurnHistory h(0.1);
+  ShardedCostModel& sharded = h.sharded;
+  const int shards = sharded.num_shards();
+  std::vector<testing::ImmediatePatchOracle> oracles;
+  for (int s = 0; s < shards; ++s) {
+    oracles.emplace_back(h.apsp, sharded.shard(s).model->group_snapshot());
+  }
+  auto apply = [&](const FlowChurn& churn) {
+    const SlotMap before = slot_map(sharded, h.flows.size());
+    sharded.apply_churn(h.flows, churn);
+    for (int s = 0; s < shards; ++s) {
+      EXPECT_FALSE(sharded.shard(s).model->has_queued_patches())
+          << "apply_churn left shard " << s << " undrained";
+    }
+    replay_churn(oracles, h.map, sharded, before, h.flows, churn);
+  };
+  auto expect_all_match = [&](const std::string& when) {
+    for (int s = 0; s < shards; ++s) {
+      SCOPED_TRACE(when + ", shard " + std::to_string(s));
+      expect_rows_match(sharded.shard(s).model->group_snapshot(),
+                        oracles[static_cast<std::size_t>(s)].state());
+    }
+  };
+
+  // The random history: departures, re-rates, re-spawns into vacant
+  // slots of the same or another pod (group changes with them), and
+  // appended global slots, then one endpoint move per shard.
+  for (int epoch = 0; epoch < ChurnHistory::kEpochs; ++epoch) {
+    apply(h.draw_churn());
+    expect_all_match("churn of epoch " + std::to_string(epoch));
+    const std::vector<FlowId> moved = h.move_endpoints();
+    for (int s = 0; s < shards; ++s) {
+      const FlowId l = moved[static_cast<std::size_t>(s)];
+      if (!l.valid()) continue;
+      const ShardedCostModel::Shard& sh = sharded.shard(s);
+      // One dirty flow in more than four takes the per-flow patch path
+      // that move() replays, not the rebuild fallback.
+      ASSERT_GT(sh.flows.size(), 4u);
+      const VmFlow& f = sh.flows[static_cast<std::size_t>(l.value())];
+      oracles[static_cast<std::size_t>(s)].move(l, f.src_host, f.dst_host);
+    }
+    expect_all_match("moves of epoch " + std::to_string(epoch));
+  }
+
+  // One hand-made epoch for what a random history may miss: live slots
+  // that depart and arrive in one epoch (same pod with new endpoints and
+  // group, same pod with only a new rate, and cross-pod), a local tail
+  // append, and a shard with no churn at all.
+  ASSERT_GE(shards, 4);
+  constexpr int kQuiet = 0;
+  std::vector<FlowId> taken;
+  auto live_flow = [&](int s) {
+    const ShardedCostModel::Shard& sh = sharded.shard(s);
+    for (std::size_t l = 0; l < sh.flows.size(); ++l) {
+      const FlowId g = sh.global_ids[l];
+      if (sh.base_rates[l] == 0.0 || !g.valid() ||
+          std::find(taken.begin(), taken.end(), g) != taken.end()) {
+        continue;
+      }
+      taken.push_back(g);
+      return g;
+    }
+    ADD_FAILURE() << "shard " << s << " has too few live flows";
+    return FlowId::invalid();
+  };
+  auto host_in = [&](int s, std::size_t skip) {
+    for (const NodeId host : h.topo.graph.hosts()) {
+      if (h.map.shard_of(host) == s && skip-- == 0) return host;
+    }
+    return kInvalidNode;
+  };
+  auto& flows = h.flows;
+  auto at = [&](FlowId g) -> VmFlow& {
+    return flows[static_cast<std::size_t>(g.value())];
+  };
+  FlowChurn churn;
+  const FlowId respawn = live_flow(1);  // same pod, new endpoints + group
+  at(respawn).src_host = host_in(1, 1);
+  at(respawn).dst_host = host_in(3, 2);
+  at(respawn).group = (at(respawn).group + 1) % ChurnHistory::kGroups;
+  at(respawn).rate = 0.7;
+  churn.arrived.push_back(respawn);
+  const FlowId same_slot = live_flow(1);  // same pod, only the rate
+  at(same_slot).rate += 0.3;
+  churn.arrived.push_back(same_slot);
+  const FlowId cross = live_flow(2);  // live slot re-spawned in pod 3
+  at(cross).src_host = host_in(3, 0);
+  churn.arrived.push_back(cross);
+  const FlowId rerate = live_flow(2);
+  at(rerate).rate += 0.2;
+  churn.rerated.push_back(rerate);
+  const FlowId depart = live_flow(3);
+  at(depart).rate = 0.0;
+  churn.departed.push_back(depart);
+  // Enough appended global slots into pod 2 to use up its free local
+  // slots (plus the one `cross` vacates first), so the last one appends
+  // a local tail slot.
+  const std::size_t free_in_2 = sharded.shard(2).free_locals.size() + 1;
+  for (std::size_t a = 0; a <= free_in_2; ++a) {
+    churn.arrived.push_back(FlowId{static_cast<std::int32_t>(flows.size())});
+    flows.push_back({host_in(2, a % 2), host_in(1, 0), 0.4, 1});
+  }
+  std::sort(churn.arrived.begin(), churn.arrived.end());
+  const std::size_t quiet_before = sharded.shard(kQuiet).flows.size();
+  const std::size_t tail_before = sharded.shard(2).flows.size();
+  apply(churn);
+  EXPECT_EQ(sharded.shard(kQuiet).flows.size(), quiet_before);
+  EXPECT_GT(sharded.shard(2).flows.size(), tail_before)
+      << "no local tail slot was appended";
+  expect_all_match("hand-made epoch");
+}
+
+TEST(ShardedChurn, ApplyChurnIsWidthInvariant) {
+  // The same history, once at full width and once with apply_churn (so
+  // its shard-parallel drain) inside serially(): every shard's snapshot
+  // must hold the same bits after every epoch.
+  ChurnHistory wide(0.1);
+  ChurnHistory narrow(0.1);
+  for (int epoch = 0; epoch < ChurnHistory::kEpochs; ++epoch) {
+    wide.sharded.apply_churn(wide.flows, wide.draw_churn());
+    const FlowChurn churn = narrow.draw_churn();
+    bool threw = false;
+    serially([&]() noexcept {
+      try {
+        narrow.sharded.apply_churn(narrow.flows, churn);
+      } catch (...) {
+        threw = true;
+      }
+    });
+    ASSERT_FALSE(threw);
+    for (int s = 0; s < wide.sharded.num_shards(); ++s) {
+      SCOPED_TRACE("epoch " + std::to_string(epoch) + ", shard " +
+                   std::to_string(s));
+      const CostModel::GroupSnapshot a =
+          wide.sharded.shard(s).model->group_snapshot();
+      const CostModel::GroupSnapshot b =
+          narrow.sharded.shard(s).model->group_snapshot();
+      expect_rows_match(a, b);
+      expect_same_bits(a.last_scales, b.last_scales, "last_scales");
+    }
+    wide.move_endpoints();
+    narrow.move_endpoints();
+  }
+}
+
+TEST(ShardedChurn, LoneModelReadersDrainFirst) {
+  // A lone model read right after churn, with its patches still queued,
+  // by each reader of the base rows. The reader must drain before it
+  // reads, so what it derives equals the oracle's immediate patches.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const std::vector<NodeId>& hosts = topo.graph.hosts();
+  const std::size_t ns = topo.graph.switches().size();
+  enum class Reader { kRefreshScaled, kEndpointsMoved, kRefresh, kSnapshot };
+  for (const Reader reader : {Reader::kRefreshScaled, Reader::kEndpointsMoved,
+                              Reader::kRefresh, Reader::kSnapshot}) {
+    SCOPED_TRACE(static_cast<int>(reader));
+    std::vector<VmFlow> flows = spatial_workload(topo, 40, 23);
+    std::vector<double> bases(flows.size());
+    std::vector<int> groups(flows.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      bases[i] = flows[i].rate;
+      groups[i] = flows[i].group;
+    }
+    CostModel cm(apsp, flows, bases, groups);
+    const std::vector<double> scales{0.75, 1.25};
+    ASSERT_EQ(cm.num_groups(), 2);
+    cm.refresh_scaled(scales);
+    testing::ImmediatePatchOracle oracle(apsp, cm.group_snapshot());
+
+    // A departure, a re-rate in place (a fused patch), a re-spawn with
+    // new endpoints and group, and an appended flow.
+    flows[3].rate = 0.0;
+    cm.rebase_flow(FlowId{3}, 0.0, groups[3]);
+    oracle.rebase(FlowId{3}, 0.0, groups[3], flows[3].src_host,
+                  flows[3].dst_host);
+    flows[5].rate = 2.5;
+    cm.rebase_flow(FlowId{5}, 2.5, groups[5]);
+    oracle.rebase(FlowId{5}, 2.5, groups[5], flows[5].src_host,
+                  flows[5].dst_host);
+    flows[3] = {hosts.front(), hosts.back(), 1.7, 1 - groups[3]};
+    cm.rebase_flow(FlowId{3}, 1.7, flows[3].group);
+    oracle.rebase(FlowId{3}, 1.7, flows[3].group, flows[3].src_host,
+                  flows[3].dst_host);
+    flows.push_back({hosts[1], hosts[hosts.size() - 2], 0.6, 0});
+    cm.flows_appended({0.6}, {0});
+    oracle.append(0.6, 0, hosts[1], hosts[hosts.size() - 2]);
+    ASSERT_TRUE(cm.has_queued_patches());
+
+    // Moves flow 9 to fresh endpoints in the bound vector and the oracle.
+    auto move_flow_9 = [&] {
+      flows[9].src_host = hosts[2];
+      flows[9].dst_host = hosts[3];
+      oracle.move(FlowId{9}, hosts[2], hosts[3]);
+    };
+    bool recombined = true;
+    switch (reader) {
+      case Reader::kRefreshScaled:
+        cm.refresh_scaled(scales);
+        break;
+      case Reader::kEndpointsMoved:
+        move_flow_9();
+        cm.endpoints_moved({FlowId{9}});
+        break;
+      case Reader::kRefresh:
+        // refresh() re-derives A and B from the rates, and resyncs the
+        // base rows to endpoints moved behind its back.
+        move_flow_9();
+        cm.refresh();
+        recombined = false;
+        break;
+      case Reader::kSnapshot:
+        recombined = false;
+        break;
+    }
+    if (reader != Reader::kSnapshot) {
+      EXPECT_FALSE(cm.has_queued_patches());
+    }
+    if (recombined) {
+      const auto [in, eg] = oracle.recombine(scales);
+      for (std::size_t j = 0; j < ns; ++j) {
+        const NodeId sw = topo.graph.switches()[j];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(cm.ingress_attraction(sw)),
+                  std::bit_cast<std::uint64_t>(in[j]))
+            << "ingress at switch slot " << j;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(cm.egress_attraction(sw)),
+                  std::bit_cast<std::uint64_t>(eg[j]))
+            << "egress at switch slot " << j;
+      }
+    }
+    expect_rows_match(cm.group_snapshot(), oracle.state());
+  }
+}
+
+TEST(ShardedChurn, RebuildFallbackDropsQueuedPatches) {
+  // endpoints_moved() over a large dirty set rebuilds every base row from
+  // the bookkeeping, which the queued patches have already reached; a
+  // queue it kept would land those patches a second time.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const std::vector<NodeId>& hosts = topo.graph.hosts();
+  std::vector<VmFlow> flows = spatial_workload(topo, 40, 23);
+  CostModel cm(apsp, flows, rates_of(flows), groups_of(flows));
+  const std::vector<double> scales{0.75, 1.25};
+  cm.refresh_scaled(scales);
+  flows[5].rate = 2.5;
+  cm.rebase_flow(FlowId{5}, 2.5, flows[5].group);
+  flows.push_back({hosts[1], hosts[hosts.size() - 2], 0.6, 0});
+  cm.flows_appended({0.6}, {0});
+  ASSERT_TRUE(cm.has_queued_patches());
+  std::vector<FlowId> dirty;
+  for (std::int32_t i = 10; i < 30; ++i) {
+    flows[static_cast<std::size_t>(i)].src_host = hosts[2];
+    dirty.push_back(FlowId{i});
+  }
+  cm.endpoints_moved(dirty);
+  EXPECT_FALSE(cm.has_queued_patches());
+  CostModel fresh(apsp, flows, rates_of(flows), groups_of(flows));
+  expect_rows_match(cm.group_snapshot(), fresh.group_snapshot());
 }
 
 }  // namespace

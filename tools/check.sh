@@ -124,10 +124,11 @@ fi
 # Stage 4b: vectorization gate over the flat kernels (needs only g++;
 # SKIPs on non-GNU toolchains and non-x86-64 targets). Compiles the
 # `// ppdc-vec:`-tagged loops (stroll_dp.cpp: the level-relax column
-# pass; cost_model.cpp: the attraction and churn row passes) with the
-# library's Release flags, no -march, and fails if any of them stops being
-# reported as "loop vectorized". level-relax must report 32-byte vectors:
-# its runtime-dispatched x86-64-v3 clone. The source-row argmin is written
+# pass; cost_model.cpp: the attraction pass and the one- and two-term
+# churn row patches) with the library's Release flags, no -march, and
+# fails if any of them stops being reported as "loop vectorized".
+# level-relax must report 32-byte vectors: its runtime-dispatched
+# x86-64-v3 clone. The source-row argmin is written
 # in generic vectors, which -fopt-info does not report; its `// ppdc-ymm:`
 # pin requires packed ymm compares in the x86-64-v3 clone's assembly.
 # ---------------------------------------------------------------------------
@@ -148,11 +149,12 @@ fi
 # it (optional; needs the tsan preset built: cmake --preset tsan &&
 # cmake --build --preset tsan): the executor itself, the experiment job
 # pool, the sharded engine's shard pool (epoch-journal resumes included:
-# a replay drives the same pool), and the parallel APSP and cost-model
-# rescans the kernel suite builds at full width.
+# a replay drives the same pool), the parallel APSP and cost-model
+# rescans the kernel suite builds at full width, and apply_churn's
+# shard-parallel drain of the queued churn patches.
 # ---------------------------------------------------------------------------
 for t in executor_test experiment_parallel_test sharded_equivalence_test \
-         checkpoint_test kernel_equivalence_test; do
+         checkpoint_test kernel_equivalence_test incremental_refresh_test; do
   TSAN_RUNNER=build-tsan/tests/$t
   if [ -x "$TSAN_RUNNER" ]; then
     note "tsan: $TSAN_RUNNER"
@@ -225,12 +227,13 @@ for resume_build in build-asan build-tsan; do
 done
 
 # ---------------------------------------------------------------------------
-# Stage 6b: the APSP, stroll DP, chain search, fault and assignment suites
-# under ASan + UBSan (optional; needs the sanitize preset built). The AllPairs
-# build indexes a core-only adjacency and writes each source's rows
-# through raw pointers, on masked fabrics too (apsp_leaf_test). The stroll
-# DP reads the fabric's AllPairs core through raw row and column pointers,
-# masked by a restricted (degraded) universe. Its source-row argmin reads
+# Stage 6b: the APSP, stroll DP, chain search, fault, assignment and
+# churn-patch suites under ASan + UBSan (optional; needs the sanitize
+# preset built). The AllPairs build indexes a core-only adjacency and
+# writes each source's rows through raw pointers, on masked fabrics too
+# (apsp_leaf_test). The stroll DP reads the fabric's AllPairs core
+# through raw row and column pointers, masked by a restricted (degraded)
+# universe. Its source-row argmin reads
 # four rows per step through unaligned copies and runs the last
 # partial step on a padded copy, so no load reads past a row's end; the
 # find scratch is reused across queries. The fault suite drives the
@@ -239,11 +242,14 @@ done
 # early-exit Dijkstra set, and relinks per-host intrusive VM lists as it
 # goes; the VM-migration baselines drive it. The exact chain search (TOP,
 # TOM and multi-SFC) reads flat s×s distance and order matrices through
-# raw row pointers.
+# raw row pointers. The queued churn patches are drained later than they
+# were queued, into base rows that may have grown meanwhile, and read the
+# AllPairs core rows and transposed columns through raw pointers
+# (incremental_refresh_test).
 # ---------------------------------------------------------------------------
 for t in apsp_leaf_test stroll_dp_test kernel_equivalence_test \
          placement_test fault_test assignment_test vm_migration_test \
-         chain_search_test multi_sfc_test; do
+         chain_search_test multi_sfc_test incremental_refresh_test; do
   ASAN_RUNNER=build-asan/tests/$t
   if [ -x "$ASAN_RUNNER" ]; then
     note "asan: $ASAN_RUNNER"
