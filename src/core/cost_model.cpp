@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_set>
+#include <utility>
 
 #include "graph/graph.hpp"
 #include "util/executor.hpp"
@@ -104,9 +105,39 @@ CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows)
 CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
                      const std::vector<double>& base_rates,
                      const std::vector<int>& groups, int min_groups)
-    : apsp_(&apsp), flows_(&flows) {
-  enable_group_refresh(base_rates, groups, min_groups);
+    : CostModel(apsp, flows, base_rates, groups, min_groups, Unbuilt{}) {
+  CostModel* self = this;
+  rebuild_group_bases({&self, 1});
   recombine(std::vector<double>(static_cast<std::size_t>(num_groups_), 1.0));
+}
+
+CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
+                     const std::vector<double>& base_rates,
+                     const std::vector<int>& groups, int min_groups,
+                     Unbuilt /*key*/)
+    : apsp_(&apsp), flows_(&flows) {
+  set_group_domain(base_rates, groups, min_groups);
+}
+
+std::vector<std::unique_ptr<CostModel>> CostModel::build_grouped(
+    const AllPairs& apsp, std::span<const GroupedFlows> sets,
+    int min_groups) {
+  std::vector<std::unique_ptr<CostModel>> models;
+  std::vector<CostModel*> raw;
+  models.reserve(sets.size());
+  raw.reserve(sets.size());
+  for (const GroupedFlows& set : sets) {
+    models.push_back(std::make_unique<CostModel>(
+        apsp, *set.flows, *set.base_rates, *set.groups, min_groups,
+        Unbuilt{}));
+    raw.push_back(models.back().get());
+  }
+  rebuild_group_bases(raw);
+  for (CostModel* m : raw) {
+    m->recombine(
+        std::vector<double>(static_cast<std::size_t>(m->num_groups_), 1.0));
+  }
+  return models;
 }
 
 void CostModel::refresh() {
@@ -197,6 +228,14 @@ void CostModel::restrict_candidates(std::vector<NodeId> candidates) {
 void CostModel::enable_group_refresh(const std::vector<double>& base_rates,
                                      const std::vector<int>& groups,
                                      int min_groups) {
+  set_group_domain(base_rates, groups, min_groups);
+  CostModel* self = this;
+  rebuild_group_bases({&self, 1});
+}
+
+void CostModel::set_group_domain(const std::vector<double>& base_rates,
+                                 const std::vector<int>& groups,
+                                 int min_groups) {
   PPDC_REQUIRE(base_rates.size() == flows_->size(),
                "base-rate vector size mismatch");
   PPDC_REQUIRE(groups.size() == flows_->size(), "group vector size mismatch");
@@ -223,11 +262,24 @@ void CostModel::enable_group_refresh(const std::vector<double>& base_rates,
   groups_ = groups;
   num_groups_ = std::max(max_group + 1, 1);
   last_scales_.clear();
-  rebuild_group_bases();
 }
 
-// Hot kernel: 64-byte aligned (DESIGN.md §11).
-[[gnu::aligned(64)]] void CostModel::rebuild_group_bases() {
+void CostModel::rebuild_group_bases(std::span<CostModel* const> models) {
+  // One task per (model, switch block): a pod shard's model has one or
+  // two blocks, so the tasks of all of them are what fills the executor.
+  std::vector<std::pair<CostModel*, std::size_t>> tasks;
+  for (CostModel* m : models) {
+    m->prepare_group_bases();
+    const std::size_t blocks =
+        (m->num_switches() + kSwitchBlock - 1) / kSwitchBlock;
+    for (std::size_t blk = 0; blk < blocks; ++blk) tasks.emplace_back(m, blk);
+  }
+  parallel_for(tasks.size(), 1, [&](std::size_t t) noexcept {
+    tasks[t].first->accumulate_group_block(tasks[t].second);
+  });
+}
+
+void CostModel::prepare_group_bases() {
   const std::size_t ns = num_switches();
   // Every row is rebuilt from the bookkeeping below, which queued patches
   // have already reached.
@@ -255,26 +307,32 @@ void CostModel::enable_group_refresh(const std::vector<double>& base_rates,
   }
   group_ingress_.assign(row_groups_.size() * ns, 0.0);
   group_egress_.assign(row_groups_.size() * ns, 0.0);
-  const std::size_t num_blocks = (ns + kSwitchBlock - 1) / kSwitchBlock;
+  // The first cost_col() builds the AllPairs' transposed core block: take
+  // that allocation here, on the calling thread, not in a block task.
+  if (ns > 0) apsp_->cost_col(apsp_->graph().switches().front());
+}
+
+// Hot kernel: 64-byte aligned (DESIGN.md §11).
+[[gnu::aligned(64)]] void CostModel::accumulate_group_block(
+    std::size_t blk) noexcept {
+  const std::size_t ns = num_switches();
+  const std::size_t b0 = blk * kSwitchBlock;
+  const std::size_t bn = std::min(ns, b0 + kSwitchBlock) - b0;
   // Same switch-blocked structure as refresh(): per (group, switch) cell
   // the contributions still land in flow order (bit-identical), and both
   // passes stream contiguous core row segments.
-  parallel_for(num_blocks, 1, [&](std::size_t blk) noexcept {
-    const std::size_t b0 = blk * kSwitchBlock;
-    const std::size_t bn = std::min(ns, b0 + kSwitchBlock) - b0;
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      // Zero-base flows (including fault-quarantined ones, whose distances
-      // may be +inf) contribute nothing.
-      if (base_rates_[i] == 0.0) continue;
-      const std::size_t row = row_of(groups_[i]) * ns + b0;
-      const AllPairs::CoreRow src = apsp_->cost_row(snap_src_[i]);
-      const AllPairs::CoreRow dst = apsp_->cost_col(snap_dst_[i]);
-      accumulate_block(group_ingress_.data() + row, src.cost + b0,
-                       src.weight, bn, base_rates_[i]);
-      accumulate_block(group_egress_.data() + row, dst.cost + b0,
-                       dst.weight, bn, base_rates_[i]);
-    }
-  });
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    // Zero-base flows (including fault-quarantined ones, whose distances
+    // may be +inf) contribute nothing.
+    if (base_rates_[i] == 0.0) continue;
+    const std::size_t row = row_of(groups_[i]) * ns + b0;
+    const AllPairs::CoreRow src = apsp_->cost_row(snap_src_[i]);
+    const AllPairs::CoreRow dst = apsp_->cost_col(snap_dst_[i]);
+    accumulate_block(group_ingress_.data() + row, src.cost + b0, src.weight,
+                     bn, base_rates_[i]);
+    accumulate_block(group_egress_.data() + row, dst.cost + b0, dst.weight,
+                     bn, base_rates_[i]);
+  }
 }
 
 void CostModel::patch_moved_flow(FlowId flow) {
@@ -476,7 +534,11 @@ void CostModel::refresh_scaled(const std::vector<double>& scales) {
 }
 
 void CostModel::endpoints_moved(const std::vector<FlowId>& flow_ids) {
-  if (!group_refresh_enabled() || last_scales_.empty()) {
+  // Scales shorter than the id domain come from before a churn call that
+  // introduced a new group id: recombining under them would read past
+  // their end, so they count as unknown, like no scales at all.
+  if (!group_refresh_enabled() ||
+      last_scales_.size() < static_cast<std::size_t>(num_groups_)) {
     refresh();
     return;
   }
@@ -487,7 +549,8 @@ void CostModel::endpoints_moved(const std::vector<FlowId>& flow_ids) {
                      " out of range [0, " + std::to_string(end.value()) + ")");
   }
   if (flow_ids.size() * kDirtyRebuildDivisor >= flows_->size()) {
-    rebuild_group_bases();
+    CostModel* self = this;
+    rebuild_group_bases({&self, 1});
   } else {
     drain_patches();
     for (const FlowId i : flow_ids) {

@@ -32,6 +32,8 @@
 // c(s(v), ·) from AllPairs::cost_row, c(·, s(v')) from cost_col.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/apsp.hpp"
@@ -65,6 +67,37 @@ class CostModel {
   CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
             const std::vector<double>& base_rates,
             const std::vector<int>& groups, int min_groups = 0);
+
+  /// The inputs of one grouped model: the flow vector it binds and the
+  /// per-flow base rates and groups of the grouped constructor.
+  struct GroupedFlows {
+    const std::vector<VmFlow>* flows;
+    const std::vector<double>* base_rates;
+    const std::vector<int>* groups;
+  };
+
+  /// Builds one grouped model per entry of `sets`, each bit-identical to
+  /// the grouped constructor over that entry. The base rows of all of
+  /// them accumulate in one parallel pass over their (model, switch
+  /// block) pairs, so a set of small models keeps every thread busy where
+  /// one model alone has one or two blocks. `apsp` and every entry's
+  /// vectors must outlive the models.
+  static std::vector<std::unique_ptr<CostModel>> build_grouped(
+      const AllPairs& apsp, std::span<const GroupedFlows> sets,
+      int min_groups);
+
+  /// Key of the constructor below; only CostModel can make one.
+  class Unbuilt {
+    friend class CostModel;
+    Unbuilt() = default;
+  };
+
+  /// Validates and stores the group domain of the grouped constructor
+  /// without building the base rows or the attractions: build_grouped()
+  /// builds them for all its models at once.
+  CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
+            const std::vector<double>& base_rates,
+            const std::vector<int>& groups, int min_groups, Unbuilt key);
 
   /// Re-derives Λ, A, B after the traffic rate vector changed in `flows`
   /// (full O(|V_s| · l) rescan, parallel over switch blocks). With
@@ -101,9 +134,12 @@ class CostModel {
   /// Signals that the flows at `flow_ids` changed endpoints (rates
   /// unchanged): subtracts their stale base-vector contributions, adds the
   /// moved ones, and recombines under the last scales. Falls back to a
-  /// full rebuild when the dirty set covers most of the flow population
-  /// (or when group refresh is disabled). Ids are validated against the
-  /// bound flow vector; the error names the offending flow.
+  /// full rebuild of the base rows when the dirty set covers most of the
+  /// flow population, and to refresh() when group refresh is disabled or
+  /// no scale is known for some group id (no refresh_scaled() yet, or a
+  /// rebase_flow()/flows_appended() since the last one widened the id
+  /// domain). Ids are validated against the bound flow vector; the error
+  /// names the offending flow.
   void endpoints_moved(const std::vector<FlowId>& flow_ids);
 
   /// Streaming churn: flow `flow`'s base rate, group, and/or endpoints
@@ -213,9 +249,20 @@ class CostModel {
   GroupSnapshot group_snapshot();
 
  private:
-  /// Rebuilds the per-group base vectors and endpoint snapshot from
-  /// scratch (parallel over switch blocks).
-  void rebuild_group_bases();
+  /// Validates and stores the base rates, groups and id domain.
+  void set_group_domain(const std::vector<double>& base_rates,
+                        const std::vector<int>& groups, int min_groups);
+  /// Rebuilds the per-group base vectors and endpoint snapshot of every
+  /// model from scratch: the bookkeeping of each on the calling thread,
+  /// then one parallel_for over all (model, switch block) pairs.
+  static void rebuild_group_bases(std::span<CostModel* const> models);
+  /// The allocating half of the rebuild: drops queued patches, maps group
+  /// ids to rows, snapshots the endpoints and zeroes the rows.
+  void prepare_group_bases();
+  /// The compute half: accumulates switch block `blk` of every base row
+  /// from the snapshot. Writes only that block's columns, allocates
+  /// nothing.
+  void accumulate_group_block(std::size_t blk) noexcept;
   /// Moves one flow's base-vector contributions from its snapshot
   /// endpoints to its current ones.
   void patch_moved_flow(FlowId flow);

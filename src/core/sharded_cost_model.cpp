@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "graph/graph.hpp"
 #include "util/executor.hpp"
@@ -104,9 +105,17 @@ ShardedCostModel::ShardedCostModel(const AllPairs& apsp, const ShardMap& map,
     if (f.rate != 0.0) ++sh.live;
   }
 
-  for (auto& shard : shards_) {
-    shard->model = std::make_unique<CostModel>(
-        apsp, shard->flows, shard->base_rates, shard->groups, min_groups_);
+  // Every shard's base rows accumulate in one parallel pass over the
+  // (shard, switch block) pairs.
+  std::vector<CostModel::GroupedFlows> sets;
+  sets.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    sets.push_back({&shard->flows, &shard->base_rates, &shard->groups});
+  }
+  std::vector<std::unique_ptr<CostModel>> models =
+      CostModel::build_grouped(apsp, sets, min_groups_);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->model = std::move(models[s]);
   }
 }
 

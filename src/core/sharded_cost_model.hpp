@@ -85,7 +85,7 @@ class ShardedCostModel {
 
   /// Partitions `flows` (a slot-dense global vector whose `rate` fields
   /// carry *base* rates) by ingress pod and builds one group-refresh
-  /// CostModel per shard. `min_groups` is the global diurnal group-domain
+  /// CostModel per shard, all in one CostModel::build_grouped() pass. `min_groups` is the global diurnal group-domain
   /// size — every shard accepts scale vectors of that length even when its
   /// local subset misses some groups. `apsp`, `topo`, and `map` must
   /// outlive the model.

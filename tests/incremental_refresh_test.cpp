@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -740,6 +741,42 @@ TEST(IncrementalRefresh, RejectsBadInput) {
   EXPECT_THROW(cm.endpoints_moved({FlowId{7}}), PpdcError);  // index out of range
 }
 
+TEST(IncrementalRefresh, EndpointsMovedAfterNewGroupIdRefreshes) {
+  // A rebase_flow() since the last refresh_scaled() that introduces a new
+  // group id leaves the last scales shorter than the id domain. No scale
+  // is known for the new id, so endpoints_moved() must fall back to the
+  // full rescan instead of recombining (which read past the scales' end).
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  std::vector<VmFlow> flows = spatial_workload(topo, 12, 5);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    flows[i].group = static_cast<int>(i % 2);
+  }
+  CostModel cm(apsp, flows, rates_of(flows), groups_of(flows));
+  cm.refresh_scaled({1.0, 1.0});
+  flows[3].rate = 2.0;
+  flows[3].group = 7;
+  cm.rebase_flow(FlowId{3}, 2.0, 7);
+  const std::vector<NodeId>& hosts = topo.graph.hosts();
+  flows[4].src_host = hosts.front();
+  flows[4].dst_host = hosts.back();
+  cm.endpoints_moved({FlowId{4}});
+  EXPECT_EQ(cm.num_groups(), 8);
+  EXPECT_TRUE(cm.group_snapshot().last_scales.empty());
+  // refresh() is the ungrouped constructor's rescan, bit for bit.
+  const CostModel ref(apsp, flows);
+  EXPECT_EQ(cm.total_rate(), ref.total_rate());
+  for (const NodeId sw : topo.graph.switches()) {
+    EXPECT_EQ(cm.ingress_attraction(sw), ref.ingress_attraction(sw))
+        << "ingress at switch " << sw;
+    EXPECT_EQ(cm.egress_attraction(sw), ref.egress_attraction(sw))
+        << "egress at switch " << sw;
+  }
+  // The base rows followed the move and the new group.
+  cm.refresh_scaled(std::vector<double>(8, 1.0));
+  expect_matches_rebuild(apsp, flows, cm);
+}
+
 /// Asserts that two double vectors hold the same bits, element for
 /// element (so -0.0 differs from 0.0 and a NaN equals itself).
 void expect_same_bits(const std::vector<double>& got,
@@ -1099,6 +1136,50 @@ TEST(ShardedChurn, RebuildFallbackDropsQueuedPatches) {
   EXPECT_FALSE(cm.has_queued_patches());
   CostModel fresh(apsp, flows, rates_of(flows), groups_of(flows));
   expect_rows_match(cm.group_snapshot(), fresh.group_snapshot());
+}
+
+TEST(ShardedBuild, BatchedShardModelsEqualLoneModelsBitForBit) {
+  // ShardedCostModel accumulates every shard's base rows in one parallel
+  // pass over (shard, switch block) pairs. Built at full width and inside
+  // serially(), each shard must hold the bits of a lone grouped model over
+  // its vectors. k=24 has 720 switches, so every shard spans two blocks;
+  // k=4 has one.
+  struct Case {
+    int k;
+    int flows;
+  };
+  constexpr int kGroups = 6;
+  for (const Case c : {Case{24, 3000}, Case{4, 60}}) {
+    SCOPED_TRACE("k=" + std::to_string(c.k));
+    const Topology topo = build_fat_tree(c.k);
+    const AllPairs apsp(topo.graph);
+    const ShardMap map = ShardMap::by_ingress_pod(topo);
+    std::vector<VmFlow> flows = spatial_workload(topo, c.flows, 17, 0.5);
+    // Sparse group ids (rows compact to 0, 2, 5) and some vacant slots.
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      flows[i].group = std::array{0, 2, 5}[i % 3];
+      if (i % 11 == 0) flows[i].rate = 0.0;
+    }
+    const ShardedCostModel wide(apsp, map, flows, kGroups);
+    std::unique_ptr<ShardedCostModel> narrow;
+    bool threw = false;
+    serially([&]() noexcept {
+      try {
+        narrow = std::make_unique<ShardedCostModel>(apsp, map, flows, kGroups);
+      } catch (...) {
+        threw = true;
+      }
+    });
+    ASSERT_FALSE(threw);
+    ASSERT_EQ(wide.num_shards(), narrow->num_shards());
+    for (int s = 0; s < wide.num_shards(); ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      const ShardedCostModel::Shard& sh = wide.shard(s);
+      CostModel lone(apsp, sh.flows, sh.base_rates, sh.groups, kGroups);
+      expect_same_grouped_state(*sh.model, lone);
+      expect_same_grouped_state(*narrow->shard(s).model, lone);
+    }
+  }
 }
 
 }  // namespace

@@ -150,8 +150,9 @@ fi
 # cmake --build --preset tsan): the executor itself, the experiment job
 # pool, the sharded engine's shard pool (epoch-journal resumes included:
 # a replay drives the same pool), the parallel APSP and cost-model
-# rescans the kernel suite builds at full width, and apply_churn's
-# shard-parallel drain of the queued churn patches.
+# rescans the kernel suite builds at full width, apply_churn's
+# shard-parallel drain of the queued churn patches, and the grouped
+# build's one (model, switch block) grid over every shard.
 # ---------------------------------------------------------------------------
 for t in executor_test experiment_parallel_test sharded_equivalence_test \
          checkpoint_test kernel_equivalence_test incremental_refresh_test; do
