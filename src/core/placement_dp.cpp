@@ -105,8 +105,10 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
   const std::vector<NodeId> ingress_candidates = top_candidates(
       switches, options.candidate_limit,
       [&](NodeId w) { return model.ingress_attraction(w); });
-  // One candidate buffer for every (ingress, egress) pair; it is copied
-  // into `best` only when it wins.
+  // One stroll and one candidate buffer for every (ingress, egress) pair,
+  // so the pair loop allocates nothing; `p` is copied into `best` only
+  // when it wins.
+  StrollResult stroll;
   Placement p;
   p.reserve(static_cast<std::size_t>(n));
   for (const NodeId egress : egress_candidates) {
@@ -115,7 +117,7 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
                           : std::make_shared<const StrollLevels>(metric, egress));
     for (const NodeId ingress : ingress_candidates) {
       if (ingress == egress) continue;
-      const StrollResult stroll = table.find(ingress, n - 2);
+      table.find(ingress, n - 2, stroll);
       p.clear();
       p.push_back(ingress);
       p.insert(p.end(), stroll.placement.begin(), stroll.placement.end());

@@ -176,9 +176,10 @@ std::byte* StrollLevels::carve() const {
 }
 
 // Hot kernel: 64-byte aligned (DESIGN.md §11).
-[[gnu::aligned(64)]] void StrollLevels::at_least(
+[[gnu::aligned(64)]] int StrollLevels::at_least(
     int count, std::vector<Level>& out) const {
   const std::lock_guard<std::mutex> lock(mu_);
+  const int held = static_cast<int>(levels_.size());
   const StrollMetric& m = *metric_;
   const std::size_t rows = m.rows();
   const NodeId* sw = m.switches().data();
@@ -231,6 +232,7 @@ std::byte* StrollLevels::carve() const {
   }
   bytes_.store(levels_.size() * level_bytes_, std::memory_order_relaxed);
   out = levels_;
+  return held;
 }
 
 // ---------------------------------------------------------------------------
@@ -272,7 +274,36 @@ StrollTable::StrollTable(std::shared_ptr<const StrollLevels> levels,
   return {best.cost, m.switches()[static_cast<std::size_t>(best.row)]};
 }
 
+void StrollTable::fetch(int count) {
+  if (static_cast<int>(seen_.size()) >= count) return;
+  const int held = levels_->at_least(count, seen_);
+  if (held_at_first_fetch_ < 0) held_at_first_fetch_ = held;
+}
+
+std::pair<double, NodeId> StrollTable::first_step(NodeId s, SwitchIdx ks,
+                                                  int r) {
+  // An r-edge query reads levels 1..r-1; the first fetch tells whether an
+  // earlier solve built them.
+  fetch(r - 1);
+  const bool warm = held_at_first_fetch_ >= r - 1;
+  if (!ks.valid() || (!warm && static_cast<int>(seen_.size()) < r)) {
+    return source_row(s, r);
+  }
+  // Level r's row for s relaxes the candidates source_row scans, with the
+  // same bars and in the same row order, and col(k)[ks] is the bits of
+  // cost_row(s)[k]: the cell is source_row(s, r).
+  fetch(r);
+  const auto k = static_cast<std::size_t>(ks.value());
+  return {level(r).cost[k], level(r).succ[k]};
+}
+
 StrollResult StrollTable::find(NodeId s, int n_distinct) {
+  StrollResult out;
+  find(s, n_distinct, out);
+  return out;
+}
+
+void StrollTable::find(NodeId s, int n_distinct, StrollResult& out) {
   const StrollMetric& m = levels_->metric();
   const AllPairs& apsp = m.apsp();
   const NodeId t = levels_->destination();
@@ -285,27 +316,30 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
   PPDC_REQUIRE(n_distinct <= usable,
                "not enough switches to host the requested VNFs");
 
-  StrollResult out;
+  out.cost = 0.0;
+  out.walk.clear();
+  out.placement.clear();
+  out.edges_used = 0;
+  out.used_fallback = false;
   if (n_distinct == 0) {
     if (s == t) {
       // Degenerate n-tour base: no edge is needed, and a {s, s} walk would
       // violate the consecutive-nodes-distinct invariant downstream
       // consumers (explain, Theorem-3 suffix checks) rely on.
-      out.cost = 0.0;
-      out.walk = {s};
-      out.edges_used = 0;
-      return out;
+      out.walk.push_back(s);
+      return;
     }
     out.cost = rate_ * apsp.cost(s, t);
-    out.walk = {s, t};
+    out.walk.assign({s, t});
     out.edges_used = 1;
-    return out;
+    return;
   }
 
   const std::size_t rows = m.rows();
   const char* member = m.members();
+  const SwitchIdx ks = m.row_of(s);  // invalid for a host
   const int r_cap = n_distinct + 1 + std::max(16, n_distinct * 2);
-  std::vector<NodeId> best_partial;  // longest distinct prefix seen so far
+  best_partial_.clear();  // longest distinct prefix seen so far
   // Membership bitmap over DP rows: dedups the walk's distinct switches in
   // O(1) per step instead of a linear scan of the growing vector. Its set
   // bits are always those of distinct_: a failed round clears them for the
@@ -318,12 +352,7 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
   } const guard{*this};
 
   for (int r = n_distinct + 1; r <= r_cap; ++r) {
-    // An r-edge query reads levels 1..r-1 (the source row itself is
-    // scanned in source_row).
-    if (static_cast<int>(seen_.size()) < r - 1) {
-      levels_->at_least(r - 1, seen_);
-    }
-    const auto [total, first_hop] = source_row(s, r);
+    const auto [total, first_hop] = first_step(s, ks, r);
     if (total == kInf) continue;  // no r-edge stroll exists (tiny graphs)
 
     // Walk the successor chain (pseudocode lines 11-19).
@@ -353,16 +382,16 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
       out.cost = rate_ * total;
       out.placement.assign(distinct_.begin(), distinct_.begin() + n_distinct);
       out.edges_used = r;
-      return out;
+      return;
     }
-    if (distinct_.size() > best_partial.size()) best_partial = distinct_;
+    if (distinct_.size() > best_partial_.size()) best_partial_ = distinct_;
     clear_visited();
   }
 
   // Cap hit: greedily complete the best partial cover with nearest unused
   // switches so callers always receive a valid placement.
   out.used_fallback = true;
-  for (const NodeId w : best_partial) {
+  for (const NodeId w : best_partial_) {
     visited_[static_cast<std::size_t>(m.row_of(w).value())] = 1;
     distinct_.push_back(w);
   }
@@ -386,7 +415,7 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
     visited_[best_row] = 1;
     distinct_.push_back(best_sw);
   }
-  out.walk = {s};
+  out.walk.assign(1, s);
   out.walk.insert(out.walk.end(), distinct_.begin(), distinct_.end());
   out.walk.push_back(t);
   double unit = 0.0;
@@ -396,7 +425,6 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
   out.cost = rate_ * unit;
   out.placement = distinct_;
   out.edges_used = static_cast<int>(out.walk.size()) - 1;
-  return out;
 }
 
 void StrollTable::clear_visited() {

@@ -141,8 +141,9 @@ class StrollLevels {
   NodeId destination() const noexcept { return t_; }
 
   /// Builds levels up to `count` if needed and sets `out` to every built
-  /// level, level e at out[e-1].
-  void at_least(int count, std::vector<Level>& out) const;
+  /// level, level e at out[e-1]. Returns how many levels were built
+  /// before this call.
+  int at_least(int count, std::vector<Level>& out) const;
 
   /// Bytes held by the built levels. Lock-free, so a cache can total its
   /// size while another thread is appending.
@@ -174,6 +175,13 @@ class StrollLevels {
 
 /// Query view of Algorithm 2: unit-rate levels scaled by `rate`. One
 /// thread queries a table at a time: find() reuses per-table scratch.
+///
+/// A switch source's best r-edge stroll is its own cell of level r, the
+/// argmin source_row() computes from level r-1 (DESIGN.md §11). A warm
+/// view — one whose shared levels already held r-1 levels when it first
+/// fetched them, so an earlier solve built them — reads that cell, and
+/// so does any view that already holds level r; otherwise a view scans
+/// source_row() and builds no level beyond r-1.
 class StrollTable {
  public:
   /// Builds a private metric and level tables (see StrollMetric for
@@ -193,6 +201,10 @@ class StrollTable {
   /// (cost 0, no edges), so the walk invariant "consecutive nodes are
   /// distinct" holds for every returned walk.
   StrollResult find(NodeId s, int n_distinct);
+
+  /// find() into a caller-owned result whose vectors keep their capacity
+  /// across queries.
+  void find(NodeId s, int n_distinct, StrollResult& out);
 
   /// Theorem 3 sufficient-optimality condition: every suffix of the found
   /// walk must be a minimum-cost (r-i)-edge stroll to t over *all* start
@@ -214,16 +226,28 @@ class StrollTable {
     return seen_[static_cast<std::size_t>(e - 1)];
   }
 
+  /// Fetches levels up to `count` into seen_ if it holds fewer.
+  void fetch(int count);
+
+  /// The best r-edge stroll from `s` (at row `ks` when a switch): level
+  /// r's cell when the view is warm or already holds level r, source_row
+  /// otherwise. Both give the same bits.
+  std::pair<double, NodeId> first_step(NodeId s, SwitchIdx ks, int r);
+
   /// Clears the bits of visited_ that distinct_ names, then distinct_.
   void clear_visited();
 
   std::shared_ptr<const StrollLevels> levels_;
   std::vector<StrollLevels::Level> seen_;  ///< levels fetched so far
+  /// Levels the shared tables held at this view's first fetch (-1 before).
+  int held_at_first_fetch_ = -1;
   double rate_;
   // find()'s scratch, kept across queries: a row bitmap, all-clear
-  // between queries, and the current walk's distinct switches.
+  // between queries, the current walk's distinct switches and the
+  // longest distinct prefix of the failed rounds.
   std::vector<char> visited_;
   std::vector<NodeId> distinct_;  ///< walk order; visited_'s set bits
+  std::vector<NodeId> best_partial_;
 };
 
 /// Convenience wrapper for one-shot TOP-1 queries: builds the table for

@@ -689,6 +689,191 @@ TEST(KernelEquivalence, SourceRowTieGoesToFirstRow) {
 }
 
 // ---------------------------------------------------------------------------
+// A warm table reads a switch source's r-edge answer from its cell of
+// level r instead of scanning source_row(s, r). The two must agree bit
+// for bit for every switch source — universe members or not, the
+// destination itself included — at every budget, all-+inf cells too: on
+// fat-trees k=4 and k=6, on a weighted fat-tree (whose columns are not
+// its rows), each over every switch and over a restricted universe.
+// ---------------------------------------------------------------------------
+TEST(KernelEquivalence, NextLevelRowMatchesSourceRow) {
+  constexpr int kEdges = 8;
+  struct Fabric {
+    int k;
+    std::uint64_t weight_seed;  ///< 0: the hop metric
+  };
+  for (const Fabric f : {Fabric{4, 0}, Fabric{6, 0}, Fabric{4, 9}}) {
+    Topology topo = build_fat_tree(f.k);
+    if (f.weight_seed != 0) {
+      apply_uniform_delay_weights(topo.graph, f.weight_seed);
+    }
+    const AllPairs apsp(topo.graph);
+    const auto& switches = topo.graph.switches();
+    if (f.weight_seed != 0) {
+      std::size_t asymmetric = 0;
+      for (const NodeId u : switches) {
+        for (const NodeId v : switches) {
+          asymmetric += apsp.cost(u, v) != apsp.cost(v, u) ? 1 : 0;
+        }
+      }
+      EXPECT_GT(asymmetric, 0u);
+    }
+    std::vector<NodeId> restricted;
+    for (std::size_t i = 0; i < switches.size(); ++i) {
+      if (i % 3 != 1) restricted.push_back(switches[i]);
+    }
+    for (const bool full : {true, false}) {
+      const std::vector<NodeId> universe =
+          full ? std::vector<NodeId>{} : restricted;
+      const auto metric = std::make_shared<const StrollMetric>(apsp, universe);
+      // A universe switch, a switch outside a restricted universe, a host.
+      for (const NodeId t :
+           {restricted[1], switches[1], topo.graph.hosts()[2]}) {
+        SCOPED_TRACE(::testing::Message() << "k=" << f.k << " weights="
+                                          << f.weight_seed << " full=" << full
+                                          << " t=" << t);
+        const auto levels = std::make_shared<const StrollLevels>(metric, t);
+        StrollTable table(levels);
+        // A host query scans source_row, so the table fetches kEdges - 1
+        // levels; level kEdges comes straight from the shared levels.
+        ASSERT_GE(table.find(topo.graph.hosts()[0], kEdges - 1).edges_used,
+                  kEdges);
+        std::vector<StrollLevels::Level> lv;
+        levels->at_least(kEdges, lv);
+        int non_members = 0;
+        int all_inf = 0;
+        for (const NodeId s : switches) {
+          const auto ks = static_cast<std::size_t>(metric->row_of(s).value());
+          non_members += metric->members()[ks] ? 0 : 1;
+          for (int e = 1; e <= kEdges; ++e) {
+            const StrollLevels::Level& level =
+                lv[static_cast<std::size_t>(e - 1)];
+            const std::pair<double, NodeId> want = table.source_row(s, e);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(level.cost[ks]),
+                      std::bit_cast<std::uint64_t>(want.first))
+                << "s=" << s << " e=" << e;
+            ASSERT_EQ(level.succ[ks], want.second) << "s=" << s << " e=" << e;
+            all_inf += want.second == kInvalidNode ? 1 : 0;
+          }
+        }
+        EXPECT_EQ(non_members > 0, !full);
+        if (topo.graph.is_switch(t)) {
+          // Every level-1 successor is t, so t has no 2-edge stroll.
+          EXPECT_EQ(table.source_row(t, 2), (std::pair{kInf, kInvalidNode}));
+          EXPECT_GT(all_inf, 0);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Warm and cold tables. Once an earlier solve has built a destination's
+// levels, a switch source reads its answer from level r; a fresh fabric's
+// tables scan source_row instead. Both must give the same placements,
+// costs and fallback flags, bit for bit: for Algorithm 3 and the Pareto
+// migration that calls it, after warming at the query's own chain length
+// (the readout builds level r) and at another (more or fewer levels than
+// the query reads), and per table for every switch source, queries that
+// need an r+1 round and the cap-hit fallback included.
+// ---------------------------------------------------------------------------
+TEST(KernelEquivalence, WarmAndColdTablesGiveSameResults) {
+  const Topology topo = build_fat_tree(8);
+  const auto flows = workload(topo, 200, 41);
+  // Reversed rates: the traffic shift that makes Pareto migration move.
+  auto shifted = flows;
+  std::vector<double> rates = rates_of(flows);
+  std::reverse(rates.begin(), rates.end());
+  set_rates(shifted, rates);
+  struct Case {
+    int n;
+    std::vector<int> warm_up;  ///< earlier solves on the warm fabric
+  };
+  for (const Case& c : {Case{5, {5}}, Case{5, {5, 3}}, Case{5, {7}},
+                        Case{7, {3}}, Case{3, {7, 5}}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << c.n);
+    const AllPairs warm_apsp(topo.graph);
+    const CostModel warm(warm_apsp, flows);
+    for (const int n : c.warm_up) solve_top_dp(warm, n);
+    // Each cold solve runs on a fabric of its own, whose cache is empty.
+    const auto cold = [&](const std::vector<VmFlow>& fl, auto&& solve) {
+      const AllPairs cold_apsp(topo.graph);
+      return solve(CostModel(cold_apsp, fl));
+    };
+    const PlacementResult got = solve_top_dp(warm, c.n);
+    expect_placement_eq(got, cold(flows, [&](const CostModel& m) {
+                          return solve_top_dp(m, c.n);
+                        }));
+    TopDpOptions pruned;
+    pruned.candidate_limit = 12;
+    expect_placement_eq(solve_top_dp(warm, c.n, pruned),
+                        cold(flows, [&](const CostModel& m) {
+                          return solve_top_dp(m, c.n, pruned);
+                        }));
+    // Same fabric, so the same warm tables, under the shifted traffic.
+    const CostModel warm_shifted(warm_apsp, shifted);
+    for (const double mu : {0.0, 1e4}) {
+      SCOPED_TRACE(::testing::Message() << "mu=" << mu);
+      expect_migration_eq(solve_tom_pareto(warm_shifted, got.placement, mu),
+                          cold(shifted, [&](const CostModel& m) {
+                            return solve_tom_pareto(m, got.placement, mu);
+                          }));
+    }
+  }
+
+  // Per table: a view over levels an earlier host query built against a
+  // fresh private table, for every switch source.
+  const Topology small = build_fat_tree(4);
+  const AllPairs apsp(small.graph);
+  const auto& sw = small.graph.switches();
+  int extra_rounds = 0;
+  for (const NodeId t : {sw[3], small.graph.hosts()[1]}) {
+    for (const int n : {2, 4, 6, 9}) {
+      SCOPED_TRACE(::testing::Message() << "t=" << t << " n=" << n);
+      const auto shared = std::make_shared<const StrollLevels>(
+          std::make_shared<const StrollMetric>(apsp), t);
+      StrollTable(shared).find(small.graph.hosts()[0], n);
+      StrollTable warm(shared, 1.5);
+      for (const NodeId s : sw) {
+        if (s == t) continue;
+        StrollTable cold(apsp, t, 1.5);
+        const StrollResult got = warm.find(s, n);
+        expect_stroll_eq(got, cold.find(s, n));
+        extra_rounds += got.edges_used > n + 1 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(extra_rounds, 0);
+
+  // The cap-hit fallback from a switch source (the triangle of
+  // FallbackCapPathMatchesSeed, entered from switch S): every round is
+  // read from a warm level and none covers F.
+  Graph g;
+  const NodeId a = g.add_node(NodeKind::kSwitch, "A");
+  const NodeId b = g.add_node(NodeKind::kSwitch, "B");
+  const NodeId cc = g.add_node(NodeKind::kSwitch, "C");
+  const NodeId f = g.add_node(NodeKind::kSwitch, "F");
+  const NodeId s = g.add_node(NodeKind::kSwitch, "S");
+  const NodeId t = g.add_node(NodeKind::kHost, "dst");
+  g.add_edge(a, b, 1.0);
+  g.add_edge(b, cc, 1.0);
+  g.add_edge(cc, a, 1.0);
+  g.add_edge(a, f, 1000.0);
+  g.add_edge(s, a, 1.0);
+  g.add_edge(t, a, 1.0);
+  const AllPairs tri(g);
+  const auto shared = std::make_shared<const StrollLevels>(
+      std::make_shared<const StrollMetric>(tri), t);
+  StrollTable(shared).find(s, 4);
+  StrollTable warm(shared, 2.0);
+  StrollTable cold(tri, t, 2.0);
+  const StrollResult got = warm.find(s, 4);
+  EXPECT_TRUE(got.used_fallback);
+  expect_stroll_eq(got, cold.find(s, 4));
+  expect_stroll_eq(got, RefStrollTable(tri, t, 2.0).find(s, 4));
+}
+
+// ---------------------------------------------------------------------------
 // Algorithm 3 equivalence across chain lengths (all three n branches),
 // candidate pruning, and restricted candidate universes.
 // ---------------------------------------------------------------------------

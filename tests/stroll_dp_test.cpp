@@ -301,19 +301,31 @@ TEST(StrollDp, ConcurrentQueriesOnSharedLevelsMatchSerial) {
   StrollTable serial(apsp, t);
   for (const auto& [s, n] : queries) want.push_back(serial.find(s, n));
 
-  // Four threads grow one shared table concurrently, each visiting the
-  // queries in its own rotation so the extensions interleave.
-  const auto shared = std::make_shared<const StrollLevels>(
-      std::make_shared<const StrollMetric>(apsp), t);
+  // Four threads grow two shared tables concurrently, each visiting the
+  // queries in its own rotation so the extensions interleave. The second
+  // table starts with the levels of a 3-switch query, so a view opened on
+  // it reads the n = 3 switch sources from level r (warm) and scans the
+  // rest; views on the first are warm or cold as the race falls, and
+  // every fifth query runs on a private table, which is always cold.
+  const auto metric = std::make_shared<const StrollMetric>(apsp);
+  const auto shared = std::make_shared<const StrollLevels>(metric, t);
+  const auto warmed = std::make_shared<const StrollLevels>(metric, t);
+  StrollTable(warmed).find(sw[0], 3);
   std::vector<std::vector<StrollResult>> got(4);
   std::vector<std::thread> threads;
   for (std::size_t w = 0; w < got.size(); ++w) {
     threads.emplace_back([&, w] {
       StrollTable view(shared);
+      StrollTable warm(warmed);
       std::vector<StrollResult> out(queries.size());
       for (std::size_t i = 0; i < queries.size(); ++i) {
         const std::size_t q = (i + w * 7) % queries.size();
-        out[q] = view.find(queries[q].first, queries[q].second);
+        const auto [s, n] = queries[q];
+        if (i % 5 == 4) {
+          out[q] = StrollTable(apsp, t).find(s, n);
+        } else {
+          (i % 2 == 0 ? view : warm).find(s, n, out[q]);
+        }
       }
       got[w] = std::move(out);
     });

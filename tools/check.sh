@@ -151,11 +151,14 @@ fi
 # pool, the sharded engine's shard pool (epoch-journal resumes included:
 # a replay drives the same pool), the parallel APSP and cost-model
 # rescans the kernel suite builds at full width, apply_churn's
-# shard-parallel drain of the queued churn patches, and the grouped
-# build's one (model, switch block) grid over every shard.
+# shard-parallel drain of the queued churn patches, the grouped
+# build's one (model, switch block) grid over every shard, and the
+# stroll levels that warm and cold tables on many threads extend while
+# others read them (a warm table builds level r for its readout).
 # ---------------------------------------------------------------------------
 for t in executor_test experiment_parallel_test sharded_equivalence_test \
-         checkpoint_test kernel_equivalence_test incremental_refresh_test; do
+         checkpoint_test kernel_equivalence_test incremental_refresh_test \
+         stroll_dp_test; do
   TSAN_RUNNER=build-tsan/tests/$t
   if [ -x "$TSAN_RUNNER" ]; then
     note "tsan: $TSAN_RUNNER"
