@@ -19,21 +19,10 @@
 //          journal; see
 //          EXPERIMENTS.md "Crash-safe checkpointing")
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "fault/fault.hpp"
 #include "sim/experiment.hpp"
-
-namespace {
-std::vector<double> parse_doubles(const std::string& csv) {
-  std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
-  return out;
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ppdc;
@@ -47,7 +36,7 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(opts.get_int("n", 3));
   const double mu = opts.get_double("mu", 1e4);
   const int hours = static_cast<int>(opts.get_int("hours", 48));
-  const auto mtbf_values = parse_doubles(opts.get_string("mtbf", "0,96,48,24"));
+  const auto mtbf_values = opts.get_double_list("mtbf", {0, 96, 48, 24});
   const double mttr = opts.get_double("mttr", 2.0);
   // Default prices an unserved rate unit above its typical serving cost
   // (a few weighted hops/epoch), so losing flows never looks like a win.

@@ -13,22 +13,11 @@
 //          BASE.t<trial>p<policy> holds each cell's epoch journal; see
 //          EXPERIMENTS.md "Crash-safe checkpointing")
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "core/replication.hpp"
 #include "sim/experiment.hpp"
 #include "workload/diurnal.hpp"
-
-namespace {
-std::vector<int> parse_list(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoi(item));
-  return out;
-}
-}  // namespace
 
 namespace ppdc {
 
@@ -94,7 +83,7 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(opts.get_int("n", 5));
   const double mu = opts.get_double("mu", 1e4);
   const double zipf = opts.get_double("zipf", 2.2);
-  const auto replica_counts = parse_list(opts.get_string("replicas", "2,3,4"));
+  const auto replica_counts = opts.get_int_list("replicas", {2, 3, 4});
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const int threads = bench::threads_option(opts);

@@ -20,20 +20,9 @@
 //          EXPERIMENTS.md "Crash-safe checkpointing")
 #include <algorithm>
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "sim/experiment.hpp"
-
-namespace {
-std::vector<double> parse_doubles(const std::string& csv) {
-  std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
-  return out;
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ppdc;
@@ -45,8 +34,7 @@ int main(int argc, char** argv) {
   const int l = static_cast<int>(opts.get_int("l", 200));
   const int n = static_cast<int>(opts.get_int("n", 3));
   const double mu = opts.get_double("mu", 1e4);
-  const auto s_values =
-      parse_doubles(opts.get_string("svalues", "0,1,1.5,2,2.5,3"));
+  const auto s_values = opts.get_double_list("svalues", {0, 1, 1.5, 2, 2.5, 3});
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const int threads = bench::threads_option(opts);

@@ -7,7 +7,6 @@
 //
 // Options: --k --trials --l --nvalues --seed --csv
 #include <iostream>
-#include <sstream>
 
 #include "baselines/greedy_liu.hpp"
 #include "baselines/steering.hpp"
@@ -16,16 +15,6 @@
 #include "core/placement_dp.hpp"
 #include "topology/weights.hpp"
 
-namespace {
-std::vector<int> parse_list(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoi(item));
-  return out;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
@@ -33,7 +22,7 @@ int main(int argc, char** argv) {
   const int k = static_cast<int>(opts.get_int("k", 8));
   const int trials = static_cast<int>(opts.get_int("trials", 20));
   const int l = static_cast<int>(opts.get_int("l", 200));
-  const auto n_values = parse_list(opts.get_string("nvalues", "3,5,7,9,11,13"));
+  const auto n_values = opts.get_int_list("nvalues", {3, 5, 7, 9, 11, 13});
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
 

@@ -23,20 +23,9 @@
 //          journal; see
 //          EXPERIMENTS.md "Crash-safe checkpointing")
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "sim/experiment.hpp"
-
-namespace {
-std::vector<int> parse_list(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoi(item));
-  return out;
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ppdc;
@@ -51,8 +40,8 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(opts.get_int("n", 7));
   const double mu = opts.get_double("mu", 1e4);
   const int hours = static_cast<int>(opts.get_int("hours", 12));
-  const auto l_values = parse_list(opts.get_string("lvalues", "250,500,1000,2000"));
-  const auto n_values = parse_list(opts.get_string("nvalues", "3,5,7,9,11,13"));
+  const auto l_values = opts.get_int_list("lvalues", {250, 500, 1000, 2000});
+  const auto n_values = opts.get_int_list("nvalues", {3, 5, 7, 9, 11, 13});
   const bool true_optimal = opts.get_bool("true-optimal", false);
   const double zipf = opts.get_double("zipf", 2.2);
   const std::uint64_t seed =

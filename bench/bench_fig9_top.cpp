@@ -10,27 +10,12 @@
 //
 // Options: --k --trials --n --l --lvalues --nvalues --seed --csv
 #include <iostream>
-#include <sstream>
 
 #include "baselines/greedy_liu.hpp"
 #include "baselines/steering.hpp"
 #include "bench_common.hpp"
 #include "core/chain_search.hpp"
 #include "core/placement_dp.hpp"
-
-namespace {
-
-std::vector<int> parse_list(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    out.push_back(std::stoi(item));
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ppdc;
@@ -41,9 +26,8 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(opts.get_int("trials", 20));
   const int fixed_n = static_cast<int>(opts.get_int("n", 5));
   const int fixed_l = static_cast<int>(opts.get_int("l", 200));
-  const auto l_values =
-      parse_list(opts.get_string("lvalues", "50,100,200,400,800"));
-  const auto n_values = parse_list(opts.get_string("nvalues", "3,5,7,9,11,13"));
+  const auto l_values = opts.get_int_list("lvalues", {50, 100, 200, 400, 800});
+  const auto n_values = opts.get_int_list("nvalues", {3, 5, 7, 9, 11, 13});
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const bool csv = opts.get_bool("csv", false);

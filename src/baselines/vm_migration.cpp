@@ -203,7 +203,6 @@ VmMigrationResult solve_vm_migration_plan(const AllPairs& apsp,
           config.mu * apsp.cost(cur, mv.target);
       if (u <= 0.0) continue;
       result.migration_cost += config.mu * apsp.cost(cur, mv.target);
-      result.migration_distance += apsp.cost(cur, mv.target);
       --occ[static_cast<std::size_t>(cur)];
       ++occ[static_cast<std::size_t>(mv.target)];
       ep.set_host(result.flows, mv.target);
@@ -290,7 +289,6 @@ VmMigrationResult solve_vm_migration_mcf(const AllPairs& apsp,
         arcs.host[static_cast<std::size_t>(assignment.arc[e])])];
     if (to == cur) continue;
     result.migration_cost += config.mu * apsp.cost(cur, to);
-    result.migration_distance += apsp.cost(cur, to);
     ++result.vms_moved;
     ep.set_host(result.flows, to);
     result.moved_flow_indices.push_back(ep.flow);

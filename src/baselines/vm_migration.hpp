@@ -51,7 +51,6 @@ struct VmMigrationConfig {
 struct VmMigrationResult {
   std::vector<VmFlow> flows;    ///< flows with updated endpoints
   double migration_cost = 0.0;  ///< Σ μ c(old, new)
-  double migration_distance = 0.0;  ///< Σ c(old, new) (no μ factor)
   double comm_cost = 0.0;       ///< total communication cost afterwards
   double total_cost = 0.0;      ///< sum of the two
   int vms_moved = 0;

@@ -104,15 +104,6 @@ CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows)
 
 CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
                      const std::vector<double>& base_rates,
-                     const std::vector<int>& groups, int min_groups)
-    : CostModel(apsp, flows, base_rates, groups, min_groups, Unbuilt{}) {
-  CostModel* self = this;
-  rebuild_group_bases({&self, 1});
-  recombine(std::vector<double>(static_cast<std::size_t>(num_groups_), 1.0));
-}
-
-CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
-                     const std::vector<double>& base_rates,
                      const std::vector<int>& groups, int min_groups,
                      Unbuilt /*key*/)
     : apsp_(&apsp), flows_(&flows) {

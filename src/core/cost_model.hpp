@@ -57,31 +57,25 @@ class CostModel {
   /// Builds the evaluator. `apsp` and `flows` must outlive the model.
   CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows);
 
-  /// Builds a grouped evaluator in one pass: enable_group_refresh(
-  /// base_rates, groups, min_groups), then Λ, A and B at unit scales.
-  /// It skips the rate rescan of the two-step path (constructor, then
-  /// enable_group_refresh), whose attractions the first refresh_scaled()
-  /// would overwrite anyway; after that call both paths hold bit-identical
-  /// state. Like after rebase_flow(), callers recombine via
-  /// refresh_scaled() before the first cost query.
-  CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
-            const std::vector<double>& base_rates,
-            const std::vector<int>& groups, int min_groups = 0);
-
   /// The inputs of one grouped model: the flow vector it binds and the
-  /// per-flow base rates and groups of the grouped constructor.
+  /// per-flow base rates and groups of enable_group_refresh().
   struct GroupedFlows {
     const std::vector<VmFlow>* flows;
     const std::vector<double>* base_rates;
     const std::vector<int>* groups;
   };
 
-  /// Builds one grouped model per entry of `sets`, each bit-identical to
-  /// the grouped constructor over that entry. The base rows of all of
-  /// them accumulate in one parallel pass over their (model, switch
-  /// block) pairs, so a set of small models keeps every thread busy where
-  /// one model alone has one or two blocks. `apsp` and every entry's
-  /// vectors must outlive the models.
+  /// Builds one grouped model per entry of `sets`, each holding the state
+  /// of the two-step path (constructor, then enable_group_refresh(
+  /// base_rates, groups, min_groups)) once both recombine under the same
+  /// scales — without the two-step path's rate rescan, whose attractions
+  /// the first refresh_scaled() would overwrite anyway. Like after
+  /// rebase_flow(), callers recombine via refresh_scaled() before the
+  /// first cost query. The base rows of all of them accumulate in one
+  /// parallel pass over their (model, switch block) pairs, so a set of
+  /// small models keeps every thread busy where one model alone has one
+  /// or two blocks. `apsp` and every entry's vectors must outlive the
+  /// models.
   static std::vector<std::unique_ptr<CostModel>> build_grouped(
       const AllPairs& apsp, std::span<const GroupedFlows> sets,
       int min_groups);
@@ -92,7 +86,7 @@ class CostModel {
     Unbuilt() = default;
   };
 
-  /// Validates and stores the group domain of the grouped constructor
+  /// Validates and stores the group domain of one build_grouped() entry
   /// without building the base rows or the attractions: build_grouped()
   /// builds them for all its models at once.
   CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,

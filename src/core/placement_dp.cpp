@@ -123,8 +123,12 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
       p.insert(p.end(), stroll.placement.begin(), stroll.placement.end());
       p.push_back(egress);
       // Score by the true Eq. 1 cost of the materialized placement (the
-      // stroll walk may detour; shortcutting it can only help).
-      const double c = model.communication_cost(p);
+      // stroll walk may detour; shortcutting it can only help), in
+      // communication_cost's own expression: `p` is built from distinct
+      // universe switches, so only the winner is validated, once.
+      const double c = model.total_rate() * model.chain_cost(p) +
+                       model.ingress_attraction(ingress) +
+                       model.egress_attraction(egress);
       if (c < best_cost) {
         best_cost = c;
         best.placement = p;
@@ -138,6 +142,7 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
     return solve_top_dp(model, n, TopDpOptions{});
   }
   PPDC_REQUIRE(best_cost < kInf, "no feasible placement found");
+  validate_placement(apsp.graph(), best.placement);
   best.comm_cost = best_cost;
   return best;
 }

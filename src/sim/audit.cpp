@@ -78,10 +78,8 @@ AuditError::AuditError(AuditViolation violation)
       violation_(std::move(violation)) {}
 
 ShardedInvariantAuditor::ShardedInvariantAuditor(
-    AuditOptions options, std::string policy_name,
-    std::vector<std::string> shard_names)
-    : options_(options),
-      policy_(std::move(policy_name)),
+    std::string policy_name, std::vector<std::string> shard_names)
+    : policy_(std::move(policy_name)),
       shard_names_(std::move(shard_names)) {
   PPDC_REQUIRE(!shard_names_.empty(),
                "sharded audit needs at least one shard");
@@ -212,7 +210,8 @@ void ShardedInvariantAuditor::on_epoch_end(Hour hour,
 }
 
 void ShardedInvariantAuditor::check_shard_placement(
-    const ShardAuditContext& ctx, const Placement& p) const {
+    const ShardAuditContext& ctx) const {
+  const Placement& p = *ctx.placement;
   if (p.size() != static_cast<std::size_t>(ctx.n)) {
     fail(ctx.epoch, "placement-feasibility",
          "shard placement length " + std::to_string(p.size()) +
@@ -286,15 +285,7 @@ void ShardedInvariantAuditor::check_shard_epoch(const ShardAuditContext& ctx) {
          ctx.shard);
   }
   if (!ctx.service_down) {
-    check_shard_placement(ctx, *ctx.placement);
-    if (options_.corrupt_placement_epoch == ctx.epoch && ctx.n >= 2 &&
-        shards_checked_ == 0) {
-      // Test-only breach on the first shard: prove the detection and
-      // shard-naming diagnostic path fires on a real sharded run.
-      Placement corrupted = *ctx.placement;
-      corrupted[1] = corrupted[0];
-      check_shard_placement(ctx, corrupted);
-    }
+    check_shard_placement(ctx);
     // Sampled: one shard per epoch, rotating, keeps the from-scratch DP
     // off every shard of every epoch.
     if (!ctx.frozen && static_cast<std::size_t>(ctx.epoch.value()) %

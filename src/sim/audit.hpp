@@ -41,12 +41,6 @@ namespace ppdc {
 /// every parallel simulation job).
 struct AuditOptions {
   bool enabled = false;
-  /// Test-only breach hook: at this epoch the auditor checks a copy of
-  /// the placement with its first VNF duplicated onto the second slot —
-  /// a guaranteed feasibility violation — proving the detection and
-  /// diagnostic path end to end. Leave invalid() (the default) outside
-  /// tests.
-  Hour corrupt_placement_epoch = Hour::invalid();
 };
 
 /// Structured description of one invariant violation.
@@ -117,7 +111,7 @@ struct ShardedAuditContext {
 /// on the finished trace. Violations throw AuditError naming the shard.
 class ShardedInvariantAuditor final : public EpochObserver {
  public:
-  ShardedInvariantAuditor(AuditOptions options, std::string policy_name,
+  ShardedInvariantAuditor(std::string policy_name,
                           std::vector<std::string> shard_names);
 
   // -- Event-stream sanity tracking (invariant "event-stream") ----------
@@ -153,13 +147,11 @@ class ShardedInvariantAuditor final : public EpochObserver {
                          FlowId flow = FlowId::invalid(),
                          NodeId node = kInvalidNode) const;
 
-  void check_shard_placement(const ShardAuditContext& ctx,
-                             const Placement& p) const;
+  void check_shard_placement(const ShardAuditContext& ctx) const;
   void check_shard_conservation(const ShardAuditContext& ctx) const;
   void check_idmap(const ShardedAuditContext& ctx) const;
   void check_injector(const ShardedAuditContext& ctx) const;
 
-  AuditOptions options_;
   std::string policy_;
   std::vector<std::string> shard_names_;
   int checked_epochs_ = 0;

@@ -205,9 +205,12 @@ constexpr char kEpochMagic[8] = {'P', 'P', 'D', 'C', 'E', 'J', 'L', '1'};
 // solvers' answers per epoch and shard instead of a dump of engine state,
 // and a resume re-executes the run from hour 0. Version 4: the header
 // records the retry attempt, and the fingerprint covers the fabric, the
-// shard map and the attempt. An older journal is rejected, and the engine
-// warns and starts the run fresh.
-constexpr std::uint32_t kEpochVersion = 4;
+// shard map and the attempt. Version 5: an answered decision carries only
+// the fields the engine reads back (costs, migration counts, truncated
+// solves, policy_failed), and a recovery target no truncation flag. An
+// older journal is rejected, and the engine warns and starts the run
+// fresh.
+constexpr std::uint32_t kEpochVersion = 5;
 
 void put_i32(std::string& out, std::int32_t v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof v);
@@ -230,66 +233,31 @@ std::vector<std::int32_t> cursor_i32_vec(Cursor& c) {
 }
 
 void put_decision(std::string& out, const EpochDecision& d) {
-  // moved_flows travels with its endpoints in put_answer.
+  // The fields the engine reads back from an answered decision; the
+  // engine stamps the rest itself, and moved_flows travels with its
+  // endpoints in put_answer.
   put_f64(out, d.comm_cost);
   put_f64(out, d.migration_cost);
-  put_f64(out, d.migration_distance);
   put_i32(out, d.vnf_migrations);
   put_i32(out, d.vm_migrations);
   put_i32(out, d.truncated_solves);
-  put_i32(out, d.switch_failures);
-  put_i32(out, d.link_failures);
-  put_i32(out, d.repairs);
-  put_i32(out, d.recovery_migrations);
-  put_f64(out, d.recovery_cost);
-  put_i32(out, d.quarantined_flows);
-  put_f64(out, d.quarantine_penalty);
-  put_u8(out, d.service_down ? 1 : 0);
-  put_u8(out, static_cast<std::uint8_t>(d.rung));
   put_u8(out, d.policy_failed ? 1 : 0);
-  put_i32(out, d.resolved_shards);
-  put_i32(out, d.held_shards);
-  put_i32(out, d.quarantined_shards);
-  put_i32(out, d.shard_retries);
-  put_f64(out, d.shard_penalty);
 }
 
 EpochDecision cursor_decision(Cursor& c) {
   EpochDecision d;
   d.comm_cost = c.f64();
   d.migration_cost = c.f64();
-  d.migration_distance = c.f64();
   d.vnf_migrations = cursor_i32(c);
   d.vm_migrations = cursor_i32(c);
   d.truncated_solves = cursor_i32(c);
-  d.switch_failures = cursor_i32(c);
-  d.link_failures = cursor_i32(c);
-  d.repairs = cursor_i32(c);
-  d.recovery_migrations = cursor_i32(c);
-  d.recovery_cost = c.f64();
-  d.quarantined_flows = cursor_i32(c);
-  d.quarantine_penalty = c.f64();
-  d.service_down = c.u8() != 0;
-  const std::uint8_t rung = c.u8();
-  PPDC_REQUIRE(rung <= static_cast<std::uint8_t>(DegradationRung::kFrozen),
-               "epoch journal decision carries unknown rung " +
-                   std::to_string(rung));
-  d.rung = static_cast<DegradationRung>(rung);
   d.policy_failed = c.u8() != 0;
-  d.resolved_shards = cursor_i32(c);
-  d.held_shards = cursor_i32(c);
-  d.quarantined_shards = cursor_i32(c);
-  d.shard_retries = cursor_i32(c);
-  d.shard_penalty = c.f64();
   return d;
 }
 
 void put_answer(std::string& out, const ShardAnswer& a) {
   put_u8(out, a.recovered ? 1 : 0);
-  if (a.recovered) {
-    put_u8(out, a.recovery_truncated ? 1 : 0);
-    put_i32_vec(out, a.recovery_target);
-  }
+  if (a.recovered) put_i32_vec(out, a.recovery_target);
   put_u8(out, static_cast<std::uint8_t>(a.policy));
   if (a.policy != ShardAnswer::Policy::kAnswered) return;
   const std::vector<FlowId>& ids = a.decision.moved_flows;
@@ -310,10 +278,7 @@ void put_answer(std::string& out, const ShardAnswer& a) {
 ShardAnswer cursor_answer(Cursor& c) {
   ShardAnswer a;
   a.recovered = c.u8() != 0;
-  if (a.recovered) {
-    a.recovery_truncated = c.u8() != 0;
-    a.recovery_target = cursor_i32_vec(c);
-  }
+  if (a.recovered) a.recovery_target = cursor_i32_vec(c);
   const std::uint8_t policy = c.u8();
   PPDC_REQUIRE(policy <= static_cast<std::uint8_t>(ShardAnswer::Policy::kThrew),
                "epoch journal answer carries unknown policy outcome " +
@@ -347,7 +312,6 @@ std::string serialize_workload_snapshot(
   put_u32(out, checked_cast<std::uint32_t>(snap.free_slots.size(),
                                            "epoch journal vector"));
   for (const FlowId id : snap.free_slots) put_i32(out, id.value());
-  put_i32(out, snap.next_index);
   for (const std::uint64_t s : snap.rng) put_u64(out, s);
   return out;
 }
@@ -387,7 +351,6 @@ std::uint64_t fingerprint_sharded_run(
   h.i64(config.diurnal.hours_per_day).f64(config.diurnal.tau_min);
   h.i64(config.diurnal.coast_offset);
   h.i64(config.initial_placement.candidate_limit);
-  h.f64(config.downtime_factor);
   h.u64(config.faults.size());
   for (const FaultEvent& e : config.faults) {
     h.i64(e.epoch.value()).u64(static_cast<std::uint64_t>(e.kind));
@@ -395,7 +358,6 @@ std::uint64_t fingerprint_sharded_run(
   }
   h.f64(config.fault.mu).f64(config.fault.quarantine_penalty);
   h.i64(config.fault.placement.candidate_limit);
-  h.b(config.fault.exhaustive_recovery);
   h.b(config.ladder.enabled);
   h.b(config.audit.enabled);
   return h.value();

@@ -7,8 +7,11 @@
 // fresh state, re-executes every epoch from hour 0 and takes those
 // answers from the journal instead of solving, so it reproduces the
 // uninterrupted run by construction; a complete journal replays the whole
-// run without a solver call. A write costs O(epochs · shards · n + moved
-// flows) bytes, independent of the flow count.
+// run without a solver call. What the engine stamps on a decision itself
+// (fault counts, recovery, quarantine, service_down, the rung, the shard
+// counters) the replay recomputes, so no frame carries it. A write costs
+// O(epochs · shards · n + moved flows) bytes, independent of the flow
+// count.
 //
 // With ExperimentConfig::checkpoint_path set, every (trial, policy) cell
 // of run_experiment keeps one such journal, and a finished cell's journal
@@ -50,19 +53,20 @@ struct MovedEndpoints {
 /// What the solvers answered for one shard in one epoch.
 struct ShardAnswer {
   /// The shard had VNFs stranded outside the serving core, and emergency
-  /// recovery (solve_top_dp, optionally refined exhaustively) moved them
-  /// to `recovery_target`.
+  /// recovery (solve_top_dp on the degraded model) moved them to
+  /// `recovery_target`.
   bool recovered = false;
-  bool recovery_truncated = false;  ///< the refinement ran out of budget
   Placement recovery_target;
 
   /// Outcome of the shard's policy: not asked (held, frozen, blackout,
   /// hour 0), answered, or threw (contained by the ladder).
   enum class Policy : std::uint8_t { kNone = 0, kAnswered = 1, kThrew = 2 };
   Policy policy = Policy::kNone;
-  /// kAnswered: the decision exactly as on_epoch returned it (before the
-  /// engine adds downtime), the new placement, and the new endpoints of
-  /// each of decision.moved_flows, in the same order.
+  /// kAnswered: the decision as on_epoch returned it — the journal keeps
+  /// the fields the engine reads back (comm and migration cost, migration
+  /// counts, truncated solves, policy_failed, moved_flows) — the new
+  /// placement, and the new endpoints of each of decision.moved_flows, in
+  /// the same order.
   EpochDecision decision;
   Placement placement;
   std::vector<MovedEndpoints> moved;

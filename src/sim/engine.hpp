@@ -80,11 +80,6 @@ struct FaultOptions {
   double quarantine_penalty = 0.0;
   /// Knobs for the emergency re-placement DP on the degraded fabric.
   TopDpOptions placement;
-  /// When true, the DP recovery answer is refined by branch-and-bound
-  /// (warm-started at the DP placement) under ChainSearchConfig's default
-  /// node budget; a truncated refinement keeps the best placement found,
-  /// never worse than the DP answer.
-  bool exhaustive_recovery = false;
 };
 
 /// Per-run configuration.
@@ -96,12 +91,6 @@ struct SimConfig {
   /// model: schedule(hour) must return the per-flow rates of that hour
   /// (validated: one non-negative rate per flow).
   std::function<std::vector<double>(Hour)> rate_schedule;
-  /// Optional service-downtime model (VNF migration literature [51], [20],
-  /// [32]): while instances are in flight, traffic through them is
-  /// disturbed. Each epoch is charged an extra
-  /// downtime_factor x Λ x (migration distance) on top of the migration
-  /// traffic itself. 0 (default) reproduces the paper's cost model.
-  double downtime_factor = 0.0;
   /// Switch/link failure timeline (empty = pristine run). Events must
   /// start at epoch 1: the initial placement always sees the full fabric.
   FaultSchedule faults;

@@ -135,8 +135,8 @@ struct SimTrace {
   int quarantined_flow_epochs = 0;  ///< Σ per-epoch quarantined flow count
   double total_quarantine_penalty = 0.0;
   int downtime_epochs = 0;  ///< epochs the core could not host the chain
-  /// Budget-truncated exponential solves across the run (policy fallbacks
-  /// plus exhaustive-recovery refinements).
+  /// Budget-truncated exponential solves across the run (the policies'
+  /// EpochDecision::truncated_solves).
   int total_truncated_solves = 0;
 
   // Graceful-degradation ladder accounting (all zero when the ladder is

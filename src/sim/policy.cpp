@@ -41,8 +41,6 @@ EpochDecision ParetoMigrationPolicy::on_epoch(const CostModel& model,
   EpochDecision d;
   d.comm_cost = r.comm_cost;
   d.migration_cost = r.migration_cost;
-  d.migration_distance =
-      model.migration_cost(state.placement, r.migration, 1.0);
   d.vnf_migrations = r.vnfs_moved;
   state.placement = r.migration;
   return d;
@@ -73,8 +71,6 @@ EpochDecision ExhaustiveMigrationPolicy::on_epoch(const CostModel& model,
   d.truncated_solves = r.proven_optimal ? 0 : 1;
   d.comm_cost = eval.comm_cost;
   d.migration_cost = eval.migration_cost;
-  d.migration_distance =
-      model.migration_cost(state.placement, eval.migration, 1.0);
   d.vnf_migrations = eval.vnfs_moved;
   state.placement = eval.migration;
   return d;
@@ -94,8 +90,6 @@ EpochDecision ResolvePlacementPolicy::on_epoch(const CostModel& model,
   EpochDecision d;
   d.comm_cost = eval.comm_cost;
   d.migration_cost = eval.migration_cost;
-  d.migration_distance =
-      model.migration_cost(state.placement, fresh.placement, 1.0);
   d.vnf_migrations = eval.vnfs_moved;
   state.placement = fresh.placement;
   return d;
@@ -110,7 +104,6 @@ EpochDecision PlanPolicy::on_epoch(const CostModel& model, SimState& state) {
   EpochDecision d;
   d.comm_cost = r.comm_cost;
   d.migration_cost = r.migration_cost;
-  d.migration_distance = r.migration_distance;
   d.vm_migrations = r.vms_moved;
   d.moved_flows = r.moved_flow_indices;
   return d;
@@ -125,7 +118,6 @@ EpochDecision McfPolicy::on_epoch(const CostModel& model, SimState& state) {
   EpochDecision d;
   d.comm_cost = r.comm_cost;
   d.migration_cost = r.migration_cost;
-  d.migration_distance = r.migration_distance;
   d.vm_migrations = r.vms_moved;
   d.moved_flows = r.moved_flow_indices;
   return d;

@@ -43,10 +43,6 @@ const char* to_string(DegradationRung rung);
 struct EpochDecision {
   double comm_cost = 0.0;       ///< C_a charged for the epoch
   double migration_cost = 0.0;  ///< migration traffic spent this epoch
-  /// Total topology distance covered by this epoch's migrations (the
-  /// Σ c(old, new) without the μ factor) — drives the optional downtime
-  /// model (SimConfig::downtime_factor).
-  double migration_distance = 0.0;
   int vnf_migrations = 0;
   int vm_migrations = 0;
   /// Ids of flows whose endpoints the policy relocated this epoch.
@@ -55,8 +51,8 @@ struct EpochDecision {
   /// instead of re-scanning every flow (CostModel::endpoints_moved).
   std::vector<FlowId> moved_flows;
   /// Exponential solves behind this decision that exhausted their budget
-  /// and fell back to the incumbent (the engine adds its own recovery
-  /// refinements; observers see the sum via on_budget_truncation).
+  /// and fell back to the incumbent (observers see the epoch's sum over
+  /// shards via on_budget_truncation).
   int truncated_solves = 0;
 
   // Fault bookkeeping, filled in by the engine (all zero on a pristine

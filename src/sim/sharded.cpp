@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/chain_search.hpp"
 #include "core/cost_model.hpp"
 #include "core/placement_dp.hpp"
 #include "fault/degraded.hpp"
@@ -56,7 +55,6 @@ struct ShardEpochResult {
   double served_rate = 0.0;  ///< Σ served rates (quarantine-SLA base)
   int recovery_migrations = 0;
   double recovery_cost = 0.0;
-  int recovery_truncations = 0;
   bool resolved = false;
   bool held = false;
   bool frozen = false;   ///< executed at kFrozen (stale charge, audit-exempt)
@@ -371,8 +369,8 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
   // one per-run checker that re-derives every shard's epoch from scratch.
   std::unique_ptr<ShardedInvariantAuditor> auditor;
   if (config.audit.enabled) {
-    auditor = std::make_unique<ShardedInvariantAuditor>(
-        config.audit, prototype.name(), shard_names);
+    auditor = std::make_unique<ShardedInvariantAuditor>(prototype.name(),
+                                                        shard_names);
   }
 
   TraceRecorder recorder;
@@ -590,21 +588,12 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
                              "the shard is stranded but the journal holds "
                              "no recovery target");
           }
-          answer.recovery_truncated = journaled->recovery_truncated;
           answer.recovery_target = journaled->recovery_target;
         } else {
           answer.recovery_target =
               solve_top_dp(*m, n, config.fault.placement).placement;
-          if (config.fault.exhaustive_recovery) {
-            ChainSearchConfig cc;
-            cc.initial = answer.recovery_target;
-            const ChainSearchResult refined = solve_top_exhaustive(*m, n, cc);
-            answer.recovery_truncated = !refined.proven_optimal;
-            answer.recovery_target = refined.placement;
-          }
         }
         answer.recovered = true;
-        if (answer.recovery_truncated) ++r.recovery_truncations;
         const Placement& target = answer.recovery_target;
         double distance = 0.0;
         for (std::size_t j = 0; j < run.placement.size(); ++j) {
@@ -688,10 +677,6 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
               }
               m->endpoints_moved(d.moved_flows);
             }
-            if (config.downtime_factor > 0.0) {
-              d.migration_cost += config.downtime_factor * m->total_rate() *
-                                  d.migration_distance;
-            }
           }
           r.resolved = true;
           run.staleness = 0;
@@ -761,10 +746,9 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
       recovery_cost += r.recovery_cost;
       d.comm_cost += r.d.comm_cost;
       d.migration_cost += r.d.migration_cost;
-      d.migration_distance += r.d.migration_distance;
       d.vnf_migrations += r.d.vnf_migrations;
       d.vm_migrations += r.d.vm_migrations;
-      d.truncated_solves += r.d.truncated_solves + r.recovery_truncations;
+      d.truncated_solves += r.d.truncated_solves;
       d.resolved_shards += r.resolved ? 1 : 0;
       d.held_shards += r.held ? 1 : 0;
       if (r.d.policy_failed) d.policy_failed = true;
@@ -829,8 +813,7 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
           trip = "policy-throw";
         } else if (blackout) {
           trip = "blackout";
-        } else if (r.d.truncated_solves + r.recovery_truncations >=
-                   kTripTruncations) {
+        } else if (r.d.truncated_solves >= kTripTruncations) {
           trip = "solve-budget";
         } else if (static_cast<double>(r.quarantined) >
                    kMaxQuarantinedFraction * static_cast<double>(r.live)) {

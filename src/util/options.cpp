@@ -7,6 +7,42 @@
 
 namespace ppdc {
 
+namespace {
+
+/// `text` as one whole integer; throws naming --key otherwise.
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
+  PPDC_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
+               "option --" + key + " expects an integer, got '" + text + "'");
+  return v;
+}
+
+/// `text` as one whole number; throws naming --key otherwise.
+double parse_double(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  PPDC_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
+               "option --" + key + " expects a number, got '" + text + "'");
+  return v;
+}
+
+/// Every comma-separated item of `csv` (empty ones included) through
+/// `parse_item`.
+template <class T, class Parse>
+std::vector<T> parse_list(const std::string& csv, Parse&& parse_item) {
+  std::vector<T> out;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t comma = csv.find(',', begin);
+    out.push_back(parse_item(csv.substr(begin, comma - begin)));
+    if (comma == std::string::npos) return out;
+    begin = comma + 1;
+  }
+}
+
+}  // namespace
+
 Options Options::parse(int argc, const char* const* argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
@@ -36,22 +72,31 @@ std::string Options::get_string(const std::string& key,
 std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
   const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  char* end = nullptr;
-  const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  PPDC_REQUIRE(end != nullptr && *end == '\0',
-               "option --" + key + " expects an integer, got " + it->second);
-  return v;
+  return it == kv_.end() ? fallback : parse_int(key, it->second);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
+  return it == kv_.end() ? fallback : parse_double(key, it->second);
+}
+
+std::vector<int> Options::get_int_list(const std::string& key,
+                                       const std::vector<int>& fallback) const {
+  const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  PPDC_REQUIRE(end != nullptr && *end == '\0',
-               "option --" + key + " expects a number, got " + it->second);
-  return v;
+  const std::string option = "option --" + key;
+  return parse_list<int>(it->second, [&](const std::string& item) {
+    return checked_cast<int>(parse_int(key, item), option.c_str());
+  });
+}
+
+std::vector<double> Options::get_double_list(
+    const std::string& key, const std::vector<double>& fallback) const {
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return fallback;
+  return parse_list<double>(it->second, [&](const std::string& item) {
+    return parse_double(key, item);
+  });
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {

@@ -23,6 +23,13 @@ class Options {
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
+  /// Comma-separated lists ("3,5,7"). Every item must parse whole: an
+  /// empty item ("5,,7", "5,") or a malformed one ("x", "7x") throws a
+  /// PpdcError that names the key.
+  std::vector<int> get_int_list(const std::string& key,
+                                const std::vector<int>& fallback) const;
+  std::vector<double> get_double_list(
+      const std::string& key, const std::vector<double>& fallback) const;
 
   /// Keys observed on the command line (for --help style listings).
   std::vector<std::string> keys() const;

@@ -21,9 +21,8 @@ StreamingWorkload::StreamingWorkload(const Topology& topo,
                "rerate_prob outside [0,1]");
   flows_.reserve(static_cast<std::size_t>(initial.num_pairs));
   for (int i = 0; i < initial.num_pairs; ++i) {
-    flows_.push_back(sampler_->sample(i, rng_));
+    flows_.push_back(sampler_->sample(rng_));
   }
-  next_index_ = initial.num_pairs;
 }
 
 StreamingWorkload::StreamingWorkload(std::vector<VmFlow> flows)
@@ -70,7 +69,7 @@ FlowChurn StreamingWorkload::advance() {
   // pop_back yields ascending ids), then append. Free-slot ids are all
   // smaller than appended ones, so `arrived` comes out ascending.
   for (int a = 0; a < churn_.arrivals_per_epoch; ++a) {
-    const VmFlow f = sampler_->sample(next_index_++, rng_);
+    const VmFlow f = sampler_->sample(rng_);
     if (!free_.empty()) {
       const FlowId id = free_.back();
       free_.pop_back();
@@ -100,7 +99,6 @@ StreamingWorkload::Snapshot StreamingWorkload::snapshot() const {
   Snapshot snap;
   snap.flows = flows_;
   snap.free_slots = free_;
-  snap.next_index = next_index_;
   snap.rng = rng_.state();
   return snap;
 }

@@ -95,7 +95,6 @@ class StreamingWorkload {
   struct Snapshot {
     std::vector<VmFlow> flows;
     std::vector<FlowId> free_slots;  ///< sorted descending
-    int next_index = 0;
     std::array<std::uint64_t, 4> rng{};
   };
   Snapshot snapshot() const;
@@ -106,7 +105,6 @@ class StreamingWorkload {
   Rng rng_;
   std::vector<VmFlow> flows_;
   std::vector<FlowId> free_;  ///< vacant slots, sorted descending
-  int next_index_ = 0;        ///< arrival counter feeding sampler groups
 };
 
 }  // namespace ppdc

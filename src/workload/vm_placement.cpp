@@ -72,7 +72,7 @@ RackIdx VmFlowSampler::pick_rack(int coast, Rng& rng) const {
   return racks[rng.weighted_index(w)];
 }
 
-VmFlow VmFlowSampler::sample(int index, Rng& rng) const {
+VmFlow VmFlowSampler::sample(Rng& rng) const {
   const RackIdx num_racks = topo_->num_racks();
   VmFlow f;
   const int coast = static_cast<int>(rng.bernoulli(0.5));
@@ -96,7 +96,7 @@ VmFlow VmFlowSampler::sample(int index, Rng& rng) const {
     f.dst_host = random_host(topo_->racks[dst_rack], rng);
   }
   f.rate = config_.rates.sample(rng);
-  f.group = config_.spatial_coasts ? coast : static_cast<int>(index % 2);
+  f.group = coast;
   return f;
 }
 
@@ -107,7 +107,7 @@ std::vector<VmFlow> generate_vm_flows(const Topology& topo,
   std::vector<VmFlow> flows;
   flows.reserve(static_cast<std::size_t>(config.num_pairs));
   for (int i = 0; i < config.num_pairs; ++i) {
-    flows.push_back(sampler.sample(i, rng));
+    flows.push_back(sampler.sample(rng));
   }
   return flows;
 }

@@ -21,13 +21,6 @@ struct VmPlacementConfig {
   int num_pairs = 100;              ///< l
   double intra_rack_fraction = 0.8; ///< share of pairs inside one rack
   RateDistribution rates;           ///< initial λ distribution
-  /// When true (default), flows whose source rack lies in the first half
-  /// of the rack list are "east coast" (group 0) and the rest "west coast"
-  /// (group 1) — tenants of one region are deployed together, so the
-  /// diurnal offset (§VI) physically moves the traffic center across the
-  /// fabric. When false, groups alternate by flow index (no spatial
-  /// correlation).
-  bool spatial_coasts = true;
   /// Zipf skew of rack popularity within each coast (0 = uniform, the
   /// paper's literal setup). Real tenants concentrate — the paper's own
   /// Zoom example packs hundreds of meetings onto one Meeting Connector VM
@@ -43,18 +36,21 @@ struct VmPlacementConfig {
 /// Extracted from generate_vm_flows() so streaming arrivals
 /// (StreamingWorkload) draw from the *same* distribution with the *same*
 /// per-flow RNG consumption order: generate_vm_flows(topo, c, rng) is
-/// bit-identical to constructing a sampler and calling sample(i, rng) for
-/// i = 0..num_pairs-1.
+/// bit-identical to constructing a sampler and calling sample(rng)
+/// num_pairs times.
+///
+/// Flows whose source rack lies in the first half of the rack list are
+/// "east coast" (group 0) and the rest "west coast" (group 1): tenants of
+/// one region are deployed together, so the diurnal offset (§VI)
+/// physically moves the traffic center across the fabric.
 class VmFlowSampler {
  public:
   /// Precomputes the per-coast rack lists and Zipf weights. `topo` must
   /// outlive the sampler. Validates `config` (fractions, exponents, racks).
   VmFlowSampler(const Topology& topo, const VmPlacementConfig& config);
 
-  /// Draws one flow. `index` only feeds the alternating group assignment
-  /// used when `spatial_coasts` is false (generate_vm_flows passes the
-  /// flow's position; streaming passes a monotone arrival counter).
-  VmFlow sample(int index, Rng& rng) const;
+  /// Draws one flow.
+  VmFlow sample(Rng& rng) const;
 
   const VmPlacementConfig& config() const noexcept { return config_; }
 

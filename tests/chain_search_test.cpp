@@ -14,13 +14,7 @@
 namespace ppdc {
 namespace {
 
-std::vector<VmFlow> random_flows(const Topology& topo, int l,
-                                 std::uint64_t seed) {
-  VmPlacementConfig cfg;
-  cfg.num_pairs = l;
-  Rng rng(seed);
-  return generate_vm_flows(topo, cfg, rng);
-}
+using testing::random_flows;
 
 TEST(ChainSearch, MatchesBruteForceTopOnSmallInstances) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {

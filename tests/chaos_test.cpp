@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/chain_search.hpp"
+#include "core/placement_dp.hpp"
 #include "core/sharded_cost_model.hpp"
 #include "fault/fault.hpp"
 #include "sim/audit.hpp"
@@ -18,6 +19,7 @@
 #include "sim/experiment.hpp"
 #include "sim/observer.hpp"
 #include "sim/sharded.hpp"
+#include "test_support.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/streaming.hpp"
 #include "workload/vm_placement.hpp"
@@ -25,14 +27,7 @@
 namespace ppdc {
 namespace {
 
-std::vector<VmFlow> random_flows(const Topology& topo, int l,
-                                 std::uint64_t seed) {
-  VmPlacementConfig cfg;
-  cfg.num_pairs = l;
-  cfg.intra_rack_fraction = 0.8;
-  Rng rng(seed);
-  return generate_vm_flows(topo, cfg, rng);
-}
+using testing::random_flows;
 
 /// Deterministic budget pressure: a node budget of 1 truncates every
 /// exponential re-solve (never the wall clock, which is nondeterministic).
@@ -204,24 +199,39 @@ TEST(Auditor, CorruptedPlacementTripsNamedDiagnostic) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);
   const auto flows = random_flows(topo, 10, 4);
-  SimConfig cfg;
-  cfg.hours = 6;
-  cfg.audit.enabled = true;
-  cfg.audit.corrupt_placement_epoch = Hour{3};
-  NoMigrationPolicy policy;
+  const CostModel model(apsp, flows);
+  const Placement good = solve_top_dp(model, 3).placement;
+  // The first VNF's switch duplicated onto the second slot.
+  Placement corrupted = good;
+  corrupted[1] = corrupted[0];
+
+  const std::vector<std::string> names{"pod-a", "pod-b"};
+  ShardedInvariantAuditor auditor("NoMigration", names);
+  auditor.on_run_begin(Hour{6}, good);
+  auditor.on_epoch_begin(Hour{3});
+  auditor.on_epoch_end(Hour{3}, EpochDecision{});
+  ShardAuditContext ctx;
+  ctx.epoch = Hour{3};
+  ctx.shard = 1;
+  ctx.name = &names[1];
+  ctx.model = &model;
+  ctx.flows = &flows;
+  ctx.placement = &corrupted;
+  ctx.charged_comm = model.communication_cost(good);
+  ctx.n = 3;
   try {
-    run_simulation(apsp, flows, 3, cfg, policy);
+    auditor.check_shard_epoch(ctx);
     FAIL() << "corrupted placement escaped the auditor";
   } catch (const AuditError& e) {
     EXPECT_EQ(e.violation().invariant, "placement-feasibility");
     EXPECT_EQ(e.violation().epoch, Hour{3});
     EXPECT_EQ(e.violation().policy, "NoMigration");
-    EXPECT_NE(e.violation().node, kInvalidNode);
-    EXPECT_NE(std::string(e.what()).find("placement-feasibility"),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("epoch 3"), std::string::npos)
-        << e.what();
+    EXPECT_EQ(e.violation().node, corrupted[0]);
+    EXPECT_EQ(e.violation().shard, "pod-b");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("placement-feasibility"), std::string::npos) << what;
+    EXPECT_NE(what.find("epoch 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("pod-b"), std::string::npos) << what;
   }
 }
 

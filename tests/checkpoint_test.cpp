@@ -560,7 +560,7 @@ TEST_F(CheckpointTest, CellJournalNeverResumesADivergedExperiment) {
       case 1: other.sfc_length = 3; break;
       case 2: other.sim.ladder.enabled = true; break;
       case 3: other.sim.fault.quarantine_penalty = 2.0; break;
-      case 4: other.sim.downtime_factor = 0.5; break;
+      case 4: other.sim.fault.mu = 2.0; break;
       default: other.sharded.enabled = true; break;  // pod shards
     }
     expect_fresh(other, topo_, apsp_, policies,
@@ -814,15 +814,14 @@ TEST_F(CheckpointTest, TruncatedSolvesSurviveTheReplay) {
 
 void expect_same_answer(const ShardAnswer& a, const ShardAnswer& b) {
   EXPECT_EQ(a.recovered, b.recovered);
-  EXPECT_EQ(a.recovery_truncated, b.recovery_truncated);
   EXPECT_EQ(a.recovery_target, b.recovery_target);
   EXPECT_EQ(a.policy, b.policy);
   EXPECT_EQ(a.decision.comm_cost, b.decision.comm_cost);
   EXPECT_EQ(a.decision.migration_cost, b.decision.migration_cost);
-  EXPECT_EQ(a.decision.migration_distance, b.decision.migration_distance);
   EXPECT_EQ(a.decision.vnf_migrations, b.decision.vnf_migrations);
   EXPECT_EQ(a.decision.vm_migrations, b.decision.vm_migrations);
   EXPECT_EQ(a.decision.truncated_solves, b.decision.truncated_solves);
+  EXPECT_EQ(a.decision.policy_failed, b.decision.policy_failed);
   EXPECT_EQ(a.decision.moved_flows, b.decision.moved_flows);
   EXPECT_EQ(a.placement, b.placement);
   EXPECT_EQ(a.moved, b.moved);
@@ -909,12 +908,10 @@ TEST_F(CheckpointTest, EpochFrameBytesArePinned) {
   state.merged_initial = {20, 21, 22, 23, 24, 25};
   ShardAnswer answered;
   answered.recovered = true;
-  answered.recovery_truncated = true;
   answered.recovery_target = {26, 27};
   answered.policy = ShardAnswer::Policy::kAnswered;
   answered.decision.comm_cost = 1.5;
   answered.decision.migration_cost = 2.25;
-  answered.decision.migration_distance = 3.0;
   answered.decision.vnf_migrations = 1;
   answered.decision.vm_migrations = 2;
   answered.decision.truncated_solves = 1;
@@ -940,8 +937,8 @@ TEST_F(CheckpointTest, EpochFrameBytesArePinned) {
   std::uint32_t header_len = 0;
   std::memcpy(&header_len, bytes.data() + kMagic, sizeof header_len);
   const std::string frame = bytes.substr(kMagic + 8 + header_len);
-  EXPECT_EQ(frame.size(), 166u);
-  EXPECT_EQ(hash64(frame), 0x61f268f8b7b9fbbaULL);
+  EXPECT_EQ(frame.size(), 95u);
+  EXPECT_EQ(hash64(frame), 0xb417b922f213ba44ULL);
 }
 
 TEST_F(CheckpointTest, EpochJournalReplaysAnswersAndNamesDivergence) {

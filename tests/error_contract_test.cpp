@@ -15,6 +15,7 @@
 #include "io/serialize.hpp"
 #include "sim/engine.hpp"
 #include "sim/sharded.hpp"
+#include "test_support.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
 #include "util/require.hpp"
@@ -40,13 +41,7 @@ bool mentions(const std::string& message, const std::string& needle) {
   return message.find(needle) != std::string::npos;
 }
 
-std::vector<VmFlow> random_flows(const Topology& topo, int l,
-                                 std::uint64_t seed) {
-  VmPlacementConfig cfg;
-  cfg.num_pairs = l;
-  Rng rng(seed);
-  return generate_vm_flows(topo, cfg, rng);
-}
+using testing::random_flows;
 
 TEST(ErrorContract, RateScheduleWrongSizeNamesHourAndCounts) {
   const Topology topo = build_linear(4);

@@ -18,6 +18,7 @@
 #include "sim/engine.hpp"
 #include "sim/observer.hpp"
 #include "sim/sharded.hpp"
+#include "test_support.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/streaming.hpp"
 #include "workload/vm_placement.hpp"
@@ -25,13 +26,7 @@
 namespace ppdc {
 namespace {
 
-std::vector<VmFlow> random_flows(const Topology& topo, int l,
-                                 std::uint64_t seed) {
-  VmPlacementConfig cfg;
-  cfg.num_pairs = l;
-  Rng rng(seed);
-  return generate_vm_flows(topo, cfg, rng);
-}
+using testing::random_flows;
 
 bool contains(const Placement& p, NodeId v) {
   return std::find(p.begin(), p.end(), v) != p.end();
@@ -298,7 +293,6 @@ TEST(FaultSimulation, EmptyScheduleIsBitIdenticalToPristineRun) {
   SimConfig faulty = plain;  // empty schedule; knobs set but never consulted
   faulty.fault.mu = 123.0;
   faulty.fault.quarantine_penalty = 9.0;
-  faulty.fault.exhaustive_recovery = true;
   const SimTrace ta = run_simulation(apsp, flows, 3, plain, a);
   const SimTrace tb = run_simulation(apsp, flows, 3, faulty, b);
   ASSERT_EQ(ta.epochs.size(), tb.epochs.size());

@@ -68,6 +68,17 @@ std::vector<VmFlow> spatial_workload(const Topology& topo, int l,
   return generate_vm_flows(topo, cfg, rng);
 }
 
+/// One grouped model over `flows`, built by CostModel::build_grouped.
+std::unique_ptr<CostModel> grouped_model(const AllPairs& apsp,
+                                         const std::vector<VmFlow>& flows,
+                                         const std::vector<double>& bases,
+                                         const std::vector<int>& groups,
+                                         int min_groups = 0) {
+  const CostModel::GroupedFlows set{&flows, &bases, &groups};
+  return std::move(
+      CostModel::build_grouped(apsp, {&set, 1}, min_groups).front());
+}
+
 TEST(IncrementalRefresh, MatchesFullRebuildAcrossDiurnalSchedule) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);
@@ -640,7 +651,9 @@ TEST(IncrementalRefresh, GroupedConstructorMatchesTwoStepPath) {
     std::vector<VmFlow> one_flows = base_flows;
     CostModel two_step(apsp, two_flows);
     two_step.enable_group_refresh(bases, groups, c.min_groups);
-    CostModel one_pass(apsp, one_flows, bases, groups, c.min_groups);
+    const std::unique_ptr<CostModel> one_pass_model =
+        grouped_model(apsp, one_flows, bases, groups, c.min_groups);
+    CostModel& one_pass = *one_pass_model;
     ASSERT_EQ(one_pass.num_groups(), two_step.num_groups());
 
     std::vector<double> scales(static_cast<std::size_t>(two_step.num_groups()),
@@ -752,7 +765,9 @@ TEST(IncrementalRefresh, EndpointsMovedAfterNewGroupIdRefreshes) {
   for (std::size_t i = 0; i < flows.size(); ++i) {
     flows[i].group = static_cast<int>(i % 2);
   }
-  CostModel cm(apsp, flows, rates_of(flows), groups_of(flows));
+  const std::unique_ptr<CostModel> model =
+      grouped_model(apsp, flows, rates_of(flows), groups_of(flows));
+  CostModel& cm = *model;
   cm.refresh_scaled({1.0, 1.0});
   flows[3].rate = 2.0;
   flows[3].group = 7;
@@ -1041,7 +1056,9 @@ TEST(ShardedChurn, LoneModelReadersDrainFirst) {
       bases[i] = flows[i].rate;
       groups[i] = flows[i].group;
     }
-    CostModel cm(apsp, flows, bases, groups);
+    const std::unique_ptr<CostModel> model =
+        grouped_model(apsp, flows, bases, groups);
+    CostModel& cm = *model;
     const std::vector<double> scales{0.75, 1.25};
     ASSERT_EQ(cm.num_groups(), 2);
     cm.refresh_scaled(scales);
@@ -1119,7 +1136,9 @@ TEST(ShardedChurn, RebuildFallbackDropsQueuedPatches) {
   const AllPairs apsp(topo.graph);
   const std::vector<NodeId>& hosts = topo.graph.hosts();
   std::vector<VmFlow> flows = spatial_workload(topo, 40, 23);
-  CostModel cm(apsp, flows, rates_of(flows), groups_of(flows));
+  const std::unique_ptr<CostModel> model =
+      grouped_model(apsp, flows, rates_of(flows), groups_of(flows));
+  CostModel& cm = *model;
   const std::vector<double> scales{0.75, 1.25};
   cm.refresh_scaled(scales);
   flows[5].rate = 2.5;
@@ -1134,8 +1153,9 @@ TEST(ShardedChurn, RebuildFallbackDropsQueuedPatches) {
   }
   cm.endpoints_moved(dirty);
   EXPECT_FALSE(cm.has_queued_patches());
-  CostModel fresh(apsp, flows, rates_of(flows), groups_of(flows));
-  expect_rows_match(cm.group_snapshot(), fresh.group_snapshot());
+  const std::unique_ptr<CostModel> fresh =
+      grouped_model(apsp, flows, rates_of(flows), groups_of(flows));
+  expect_rows_match(cm.group_snapshot(), fresh->group_snapshot());
 }
 
 TEST(ShardedBuild, BatchedShardModelsEqualLoneModelsBitForBit) {
@@ -1175,9 +1195,10 @@ TEST(ShardedBuild, BatchedShardModelsEqualLoneModelsBitForBit) {
     for (int s = 0; s < wide.num_shards(); ++s) {
       SCOPED_TRACE("shard " + std::to_string(s));
       const ShardedCostModel::Shard& sh = wide.shard(s);
-      CostModel lone(apsp, sh.flows, sh.base_rates, sh.groups, kGroups);
-      expect_same_grouped_state(*sh.model, lone);
-      expect_same_grouped_state(*narrow->shard(s).model, lone);
+      const std::unique_ptr<CostModel> lone =
+          grouped_model(apsp, sh.flows, sh.base_rates, sh.groups, kGroups);
+      expect_same_grouped_state(*sh.model, *lone);
+      expect_same_grouped_state(*narrow->shard(s).model, *lone);
     }
   }
 }

@@ -13,13 +13,7 @@
 namespace ppdc {
 namespace {
 
-std::vector<VmFlow> random_flows(const Topology& topo, int l,
-                                 std::uint64_t seed) {
-  VmPlacementConfig cfg;
-  cfg.num_pairs = l;
-  Rng rng(seed);
-  return generate_vm_flows(topo, cfg, rng);
-}
+using testing::random_flows;
 
 TEST(MPareto, Fig3EndToEnd) {
   // Example 1: traffic flips from <100,1> to <1,100>; mPareto must migrate

@@ -6,20 +6,14 @@
 
 #include "fault/fault.hpp"
 #include "sim/engine.hpp"
+#include "test_support.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/vm_placement.hpp"
 
 namespace ppdc {
 namespace {
 
-std::vector<VmFlow> random_flows(const Topology& topo, int l,
-                                 std::uint64_t seed) {
-  VmPlacementConfig cfg;
-  cfg.num_pairs = l;
-  cfg.intra_rack_fraction = 0.8;
-  Rng rng(seed);
-  return generate_vm_flows(topo, cfg, rng);
-}
+using testing::random_flows;
 
 /// Logs every callback so tests can replay the stream against the trace.
 class EventLog final : public EpochObserver {

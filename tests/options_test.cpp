@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/require.hpp"
 
 namespace ppdc {
@@ -79,6 +82,70 @@ TEST(Options, KeysLists) {
   ASSERT_EQ(ks.size(), 2u);
   EXPECT_EQ(ks[0], "a");
   EXPECT_EQ(ks[1], "b");
+}
+
+/// The PpdcError message of `fn`, or "" when it does not throw one.
+template <class Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const PpdcError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Options, IntListParsesEveryItem) {
+  const auto o = parse({"--lvalues=5,7,-2"});
+  EXPECT_EQ(o.get_int_list("lvalues", {}), (std::vector<int>{5, 7, -2}));
+}
+
+TEST(Options, ListFallsBackToDefault) {
+  const auto o = parse({});
+  EXPECT_EQ(o.get_int_list("lvalues", {50, 100}),
+            (std::vector<int>{50, 100}));
+  EXPECT_EQ(o.get_double_list("mtbf", {0, 1.5}),
+            (std::vector<double>{0.0, 1.5}));
+}
+
+TEST(Options, IntListRejectsNonIntegerItemNamingKey) {
+  const auto o = parse({"--lvalues=5,x"});
+  const std::string what = error_of([&] { o.get_int_list("lvalues", {}); });
+  EXPECT_NE(what.find("--lvalues"), std::string::npos) << what;
+  EXPECT_NE(what.find("'x'"), std::string::npos) << what;
+}
+
+TEST(Options, IntListRejectsTrailingJunk) {
+  const auto o = parse({"--lvalues=5,7x"});
+  const std::string what = error_of([&] { o.get_int_list("lvalues", {}); });
+  EXPECT_NE(what.find("--lvalues"), std::string::npos) << what;
+  EXPECT_NE(what.find("'7x'"), std::string::npos) << what;
+}
+
+TEST(Options, ListsRejectEmptyItems) {
+  for (const char* arg : {"--l=5,,7", "--l=5,", "--l=,5", "--l="}) {
+    const auto o = parse({arg});
+    EXPECT_NE(error_of([&] { o.get_int_list("l", {}); }).find("--l"),
+              std::string::npos)
+        << arg;
+    EXPECT_NE(error_of([&] { o.get_double_list("l", {}); }).find("--l"),
+              std::string::npos)
+        << arg;
+  }
+}
+
+TEST(Options, DoubleListParsesAndRejectsJunk) {
+  EXPECT_EQ(parse({"--s=0,1.5,2e1"}).get_double_list("s", {}),
+            (std::vector<double>{0.0, 1.5, 20.0}));
+  const auto o = parse({"--s=1.5,2.5y"});
+  EXPECT_NE(error_of([&] { o.get_double_list("s", {}); }).find("--s"),
+            std::string::npos);
+}
+
+TEST(Options, IntListRejectsOutOfRangeItem) {
+  const auto o = parse({"--l=1,99999999999"});
+  EXPECT_NE(error_of([&] { o.get_int_list("l", {}); }).find("--l"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hpp"
+#include "test_support.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
 #include "workload/vm_placement.hpp"
@@ -10,13 +11,7 @@
 namespace ppdc {
 namespace {
 
-std::vector<VmFlow> random_flows(const Topology& topo, int l,
-                                 std::uint64_t seed) {
-  VmPlacementConfig cfg;
-  cfg.num_pairs = l;
-  Rng rng(seed);
-  return generate_vm_flows(topo, cfg, rng);
-}
+using testing::random_flows;
 
 TEST(SimEngine, TraceShapeAndAccounting) {
   const Topology topo = build_fat_tree(4);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -13,9 +14,23 @@
 #include "core/multi_sfc.hpp"
 #include "graph/apsp.hpp"
 #include "graph/graph.hpp"
+#include "topology/topology.hpp"
 #include "util/ids.hpp"
+#include "util/rng.hpp"
+#include "workload/traffic.hpp"
+#include "workload/vm_placement.hpp"
 
 namespace ppdc::testing {
+
+/// `l` VM flows from generate_vm_flows under the default
+/// VmPlacementConfig (80% intra-rack, uniform racks), drawn from Rng(seed).
+inline std::vector<VmFlow> random_flows(const Topology& topo, int l,
+                                        std::uint64_t seed) {
+  VmPlacementConfig cfg;
+  cfg.num_pairs = l;
+  Rng rng(seed);
+  return generate_vm_flows(topo, cfg, rng);
+}
 
 /// Brute-force optimal n-stroll on the metric closure: the cheapest simple
 /// sequence of n distinct switches between s and t (triangle inequality

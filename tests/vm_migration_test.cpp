@@ -6,6 +6,7 @@
 #include <bit>
 
 #include "core/placement_dp.hpp"
+#include "test_support.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
 #include "util/checksum.hpp"
@@ -14,13 +15,7 @@
 namespace ppdc {
 namespace {
 
-std::vector<VmFlow> random_flows(const Topology& topo, int l,
-                                 std::uint64_t seed) {
-  VmPlacementConfig cfg;
-  cfg.num_pairs = l;
-  Rng rng(seed);
-  return generate_vm_flows(topo, cfg, rng);
-}
+using testing::random_flows;
 
 double comm_cost_of(const AllPairs& apsp, const std::vector<VmFlow>& flows,
                     const Placement& p) {
