@@ -24,15 +24,17 @@
 #include "core/multi_sfc.hpp"
 #include "core/placement_dp.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "trials", "l", "n", "seed", "csv"});
   bench::install_signal_handlers();
-  const int k = static_cast<int>(opts.get_int("k", 8));
-  const int trials = static_cast<int>(opts.get_int("trials", 10));
-  const int l = static_cast<int>(opts.get_int("l", 200));
-  const int n = static_cast<int>(opts.get_int("n", 6));
+  const int k = opts.get_int32("k", 8);
+  const int trials = opts.get_int32("trials", 10);
+  const int l = opts.get_int32("l", 200);
+  const int n = opts.get_int32("n", 6);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const bool csv = opts.get_bool("csv", false);
@@ -145,4 +147,10 @@ int main(int argc, char** argv) {
                "backplane hops; range-awareness shortens every flow's "
                "forced detour to exactly its own policy.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

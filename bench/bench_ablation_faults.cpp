@@ -24,18 +24,20 @@
 #include "fault/fault.hpp"
 #include "sim/experiment.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "trials", "l", "n", "mu", "hours", "mtbf", "mttr",
                     "penalty", "seed", "threads", "csv", "checkpoint",
                     "keep-going", "retries"});
-  const int k = static_cast<int>(opts.get_int("k", 4));
-  const int trials = static_cast<int>(opts.get_int("trials", 5));
-  const int l = static_cast<int>(opts.get_int("l", 100));
-  const int n = static_cast<int>(opts.get_int("n", 3));
+  const int k = opts.get_int32("k", 4);
+  const int trials = opts.get_int32("trials", 5);
+  const int l = opts.get_int32("l", 100);
+  const int n = opts.get_int32("n", 3);
   const double mu = opts.get_double("mu", 1e4);
-  const int hours = static_cast<int>(opts.get_int("hours", 48));
+  const int hours = opts.get_int32("hours", 48);
   const auto mtbf_values = opts.get_double_list("mtbf", {0, 96, 48, 24});
   const double mttr = opts.get_double("mttr", 2.0);
   // Default prices an unserved rate unit above its typical serving cost
@@ -117,4 +119,10 @@ int main(int argc, char** argv) {
                "total cost includes comm + migration + recovery + "
                "quarantine penalties (Eq. 8 extended).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

@@ -72,15 +72,17 @@ class ReplicationPolicy final : public MigrationPolicy {
 
 }  // namespace ppdc
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "trials", "l", "n", "mu", "replicas", "zipf", "seed",
                     "threads", "csv", "checkpoint", "keep-going", "retries"});
-  const int k = static_cast<int>(opts.get_int("k", 8));
-  const int trials = static_cast<int>(opts.get_int("trials", 5));
-  const int l = static_cast<int>(opts.get_int("l", 200));
-  const int n = static_cast<int>(opts.get_int("n", 5));
+  const int k = opts.get_int32("k", 8);
+  const int trials = opts.get_int32("trials", 5);
+  const int l = opts.get_int32("l", 200);
+  const int n = opts.get_int32("n", 5);
   const double mu = opts.get_double("mu", 1e4);
   const double zipf = opts.get_double("zipf", 2.2);
   const auto replica_counts = opts.get_int_list("replicas", {2, 3, 4});
@@ -144,4 +146,10 @@ int main(int argc, char** argv) {
                "adapts a single chain. Whichever wins here, the gap bounds "
                "how much §VII's replication extension can add.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

@@ -24,15 +24,17 @@
 #include "bench_common.hpp"
 #include "sim/experiment.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "trials", "l", "n", "mu", "svalues", "seed",
                     "threads", "csv", "checkpoint", "keep-going", "retries"});
-  const int k = static_cast<int>(opts.get_int("k", 8));
-  const int trials = static_cast<int>(opts.get_int("trials", 5));
-  const int l = static_cast<int>(opts.get_int("l", 200));
-  const int n = static_cast<int>(opts.get_int("n", 3));
+  const int k = opts.get_int32("k", 8);
+  const int trials = opts.get_int32("trials", 5);
+  const int l = opts.get_int32("l", 200);
+  const int n = opts.get_int32("n", 3);
   const double mu = opts.get_double("mu", 1e4);
   const auto s_values = opts.get_double_list("svalues", {0, 1, 1.5, 2, 2.5, 3});
   const std::uint64_t seed =
@@ -105,4 +107,10 @@ int main(int argc, char** argv) {
                "endpoint-leg share of Eq. 1 (the chain term (n-1)Λ is "
                "placement-invariant).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

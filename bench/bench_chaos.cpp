@@ -52,9 +52,7 @@ struct Scenario {
   ppdc::FaultScheduleConfig faults;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "trials", "l", "n", "mu", "hours", "mtbf", "mttr",
@@ -66,12 +64,12 @@ int main(int argc, char** argv) {
   // scenario at the smallest fabric that still has four pods to fail.
   const bool smoke = opts.get_bool("smoke", false);
   const bool sharded_mode = opts.get_bool("sharded", false);
-  const int k = static_cast<int>(opts.get_int("k", smoke ? 4 : 8));
-  const int trials = static_cast<int>(opts.get_int("trials", smoke ? 1 : 5));
-  const int l = static_cast<int>(opts.get_int("l", smoke ? 30 : 200));
-  const int n = static_cast<int>(opts.get_int("n", 3));
+  const int k = opts.get_int32("k", smoke ? 4 : 8);
+  const int trials = opts.get_int32("trials", smoke ? 1 : 5);
+  const int l = opts.get_int32("l", smoke ? 30 : 200);
+  const int n = opts.get_int32("n", 3);
   const double mu = opts.get_double("mu", 1e4);
-  const int hours = static_cast<int>(opts.get_int("hours", smoke ? 16 : 48));
+  const int hours = opts.get_int32("hours", smoke ? 16 : 48);
   const double mtbf = opts.get_double("mtbf", smoke ? 12.0 : 32.0);
   const double mttr = opts.get_double("mttr", 2.0);
   const double penalty = opts.get_double("penalty", 50.0);
@@ -83,8 +81,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const int threads = bench::threads_option(opts);
-  const int shard_threads =
-      static_cast<int>(opts.get_int("shard-threads", 0));
+  const int shard_threads = opts.get_int32("shard-threads", 0);
   const double resolve_frac = opts.get_double("resolve-frac", 0.15);
   const double quarantine_sla = opts.get_double("quarantine-sla", 5.0);
   const bench::RobustnessOptions robust = bench::robustness_options(opts);
@@ -178,94 +175,90 @@ int main(int argc, char** argv) {
                                      "Optimal", "quarantined", "downtime",
                                      "ladder", "refresh/frozen", "polfail"});
   int audit_violations = 0;
-  try {
-    for (const Scenario& sc : scenarios) {
-      const FaultSchedule schedule = generate_fault_schedule(topo, sc.faults);
-      int failures = 0, repairs = 0;
-      for (const FaultEvent& e : schedule) {
-        if (e.kind == FaultKind::kSwitchFail ||
-            e.kind == FaultKind::kLinkFail) {
-          ++failures;
-        } else {
-          ++repairs;
-        }
-      }
-
-      ExperimentConfig cfg;
-      cfg.trials = trials;
-      cfg.seed = seed;
-      cfg.workload.num_pairs = l;
-      cfg.workload.intra_rack_fraction = 0.8;
-      cfg.sfc_length = n;
-      cfg.sim.hours = hours;
-      cfg.sim.faults = schedule;
-      cfg.sim.fault.mu = mu;
-      cfg.sim.fault.quarantine_penalty = penalty;
-      cfg.sim.ladder.enabled = true;
-      cfg.sim.audit.enabled = true;
-      cfg.threads = threads;
-      if (sharded_mode) {
-        // Pod-sharded streaming path: churn every epoch, re-solve on the
-        // churn threshold, contain per-shard failures under the ladder,
-        // and price quarantined shard-epochs via the SLA.
-        cfg.sharded.enabled = true;
-        cfg.sharded.threads = shard_threads;
-        cfg.sharded.resolve_churn_fraction = resolve_frac;
-        cfg.sharded.quarantine_sla = quarantine_sla;
-        cfg.sharded.churn.arrivals_per_epoch = std::max(1, l / 10);
-        cfg.sharded.churn.departure_prob = 0.05;
-        cfg.sharded.churn.rerate_prob = 0.1;
-      }
-      bench::apply_robustness(cfg, robust, sc.name);
-
-      ParetoMigrationPolicy pareto(mu);
-      ChainSearchConfig pressured;
-      pressured.node_budget = node_budget;
-      ExhaustiveMigrationPolicy optimal(mu, pressured);
-      const auto stats =
-          bench::run_or_exit(topo, apsp, cfg, {&pareto, &optimal});
-      for (const PolicyStats& s : stats) {
-        for (const JobFailure& f : s.failures) {
-          if (f.error.find("invariant audit") != std::string::npos) {
-            ++audit_violations;
-          }
-        }
-      }
-
-      // The Optimal column is the pressured one — its ladder columns show
-      // the soak actually exercising the degradation machinery.
-      const PolicyStats& hot = stats[1];
-      if (sharded_mode) {
-        table.add_row(
-            {sc.name,
-             std::to_string(failures) + "/" + std::to_string(repairs),
-             bench::cell(stats[0], stats[0].total_cost),
-             bench::cell(hot, hot.total_cost),
-             bench::cell(hot, hot.quarantined_flow_epochs, 1),
-             bench::cell(hot, hot.ladder_transitions, 1),
-             bench::cell(hot, hot.quarantined_shard_epochs, 1),
-             bench::cell(hot, hot.shard_retries, 1),
-             bench::cell(hot, hot.shard_penalty, 1),
-             bench::cell(hot, hot.policy_failures, 1)});
+  // Without --keep-going the first audit violation (or any other
+  // failing job) throws out of the sweep; guarded_main prints it and
+  // fails the gate.
+  for (const Scenario& sc : scenarios) {
+    const FaultSchedule schedule = generate_fault_schedule(topo, sc.faults);
+    int failures = 0, repairs = 0;
+    for (const FaultEvent& e : schedule) {
+      if (e.kind == FaultKind::kSwitchFail ||
+          e.kind == FaultKind::kLinkFail) {
+        ++failures;
       } else {
-        table.add_row(
-            {sc.name,
-             std::to_string(failures) + "/" + std::to_string(repairs),
-             bench::cell(stats[0], stats[0].total_cost),
-             bench::cell(hot, hot.total_cost),
-             bench::cell(hot, hot.quarantined_flow_epochs, 1),
-             bench::cell(hot, hot.downtime_epochs, 1),
-             bench::cell(hot, hot.ladder_transitions, 1),
-             bench::cell(hot, hot.refresh_only_epochs, 1) + "/" +
-                 bench::cell(hot, hot.frozen_epochs, 1),
-             bench::cell(hot, hot.policy_failures, 1)});
+        ++repairs;
       }
     }
-  } catch (const PpdcError& e) {
-    // Without --keep-going the first audit violation (or any other
-    // failing job) aborts the sweep; surface it and fail the gate.
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
+
+    ExperimentConfig cfg;
+    cfg.trials = trials;
+    cfg.seed = seed;
+    cfg.workload.num_pairs = l;
+    cfg.workload.intra_rack_fraction = 0.8;
+    cfg.sfc_length = n;
+    cfg.sim.hours = hours;
+    cfg.sim.faults = schedule;
+    cfg.sim.fault.mu = mu;
+    cfg.sim.fault.quarantine_penalty = penalty;
+    cfg.sim.ladder.enabled = true;
+    cfg.sim.audit.enabled = true;
+    cfg.threads = threads;
+    if (sharded_mode) {
+      // Pod-sharded streaming path: churn every epoch, re-solve on the
+      // churn threshold, contain per-shard failures under the ladder,
+      // and price quarantined shard-epochs via the SLA.
+      cfg.sharded.enabled = true;
+      cfg.sharded.threads = shard_threads;
+      cfg.sharded.resolve_churn_fraction = resolve_frac;
+      cfg.sharded.quarantine_sla = quarantine_sla;
+      cfg.sharded.churn.arrivals_per_epoch = std::max(1, l / 10);
+      cfg.sharded.churn.departure_prob = 0.05;
+      cfg.sharded.churn.rerate_prob = 0.1;
+    }
+    bench::apply_robustness(cfg, robust, sc.name);
+
+    ParetoMigrationPolicy pareto(mu);
+    ChainSearchConfig pressured;
+    pressured.node_budget = node_budget;
+    ExhaustiveMigrationPolicy optimal(mu, pressured);
+    const auto stats =
+        bench::run_or_exit(topo, apsp, cfg, {&pareto, &optimal});
+    for (const PolicyStats& s : stats) {
+      for (const JobFailure& f : s.failures) {
+        if (f.error.find("invariant audit") != std::string::npos) {
+          ++audit_violations;
+        }
+      }
+    }
+
+    // The Optimal column is the pressured one — its ladder columns show
+    // the soak actually exercising the degradation machinery.
+    const PolicyStats& hot = stats[1];
+    if (sharded_mode) {
+      table.add_row(
+          {sc.name,
+           std::to_string(failures) + "/" + std::to_string(repairs),
+           bench::cell(stats[0], stats[0].total_cost),
+           bench::cell(hot, hot.total_cost),
+           bench::cell(hot, hot.quarantined_flow_epochs, 1),
+           bench::cell(hot, hot.ladder_transitions, 1),
+           bench::cell(hot, hot.quarantined_shard_epochs, 1),
+           bench::cell(hot, hot.shard_retries, 1),
+           bench::cell(hot, hot.shard_penalty, 1),
+           bench::cell(hot, hot.policy_failures, 1)});
+    } else {
+      table.add_row(
+          {sc.name,
+           std::to_string(failures) + "/" + std::to_string(repairs),
+           bench::cell(stats[0], stats[0].total_cost),
+           bench::cell(hot, hot.total_cost),
+           bench::cell(hot, hot.quarantined_flow_epochs, 1),
+           bench::cell(hot, hot.downtime_epochs, 1),
+           bench::cell(hot, hot.ladder_transitions, 1),
+           bench::cell(hot, hot.refresh_only_epochs, 1) + "/" +
+               bench::cell(hot, hot.frozen_epochs, 1),
+           bench::cell(hot, hot.policy_failures, 1)});
+    }
   }
   if (opts.get_bool("csv", false)) {
     table.write_csv(std::cout);
@@ -297,4 +290,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "audit: 0 violations\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

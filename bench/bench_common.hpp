@@ -24,12 +24,26 @@
 #include "util/checksum.hpp"
 #include "util/executor.hpp"
 #include "util/options.hpp"
+#include "util/require.hpp"
 #include "util/rss.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/vm_placement.hpp"
 
 namespace ppdc::bench {
+
+/// The bench drivers' main: runs `body`, and turns a PpdcError that
+/// escapes it (a bad option, an invalid input) into an `error: <what>`
+/// line on stderr and exit status 1, where it would otherwise end in
+/// std::terminate and SIGABRT.
+inline int guarded_main(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const PpdcError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+}
 
 /// Formats a byte count as MiB with one decimal, or "n/a" for the 0 the
 /// RSS probes return on platforms without /proc/self/status.
@@ -68,7 +82,7 @@ inline void header(const std::string& figure, const std::string& setup) {
 /// Shared --threads option of the experiment benches: worker threads of
 /// the SimJob pool (0 / absent = auto, see ExperimentConfig::threads).
 inline int threads_option(const Options& opts) {
-  return static_cast<int>(opts.get_int("threads", 0));
+  return opts.get_int32("threads", 0);
 }
 
 /// Header label for the resolved thread count: "4", or "auto(8)" when the
@@ -134,7 +148,7 @@ inline RobustnessOptions robustness_options(const Options& opts) {
   RobustnessOptions r;
   r.checkpoint = opts.get_string("checkpoint", "");
   r.keep_going = opts.get_bool("keep-going", false);
-  r.retries = static_cast<int>(opts.get_int("retries", 0));
+  r.retries = opts.get_int32("retries", 0);
   return r;
 }
 

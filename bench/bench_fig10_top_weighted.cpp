@@ -15,13 +15,15 @@
 #include "core/placement_dp.hpp"
 #include "topology/weights.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "trials", "l", "nvalues", "seed", "csv"});
-  const int k = static_cast<int>(opts.get_int("k", 8));
-  const int trials = static_cast<int>(opts.get_int("trials", 20));
-  const int l = static_cast<int>(opts.get_int("l", 200));
+  const int k = opts.get_int32("k", 8);
+  const int trials = opts.get_int32("trials", 20);
+  const int l = opts.get_int32("l", 200);
   const auto n_values = opts.get_int_list("nvalues", {3, 5, 7, 9, 11, 13});
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
             << "paper shape: DP/Opt in 1.06-1.12, DP 56-64% below "
                "Steering/Greedy (ratio 0.36-0.44).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

@@ -27,19 +27,21 @@
 #include "bench_common.hpp"
 #include "sim/experiment.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "trials", "l", "n", "mu", "hours", "lvalues",
                     "nvalues", "true-optimal", "seed", "zipf",
                     "vm-mu-factor", "host-capacity", "threads", "csv",
                     "checkpoint", "keep-going", "retries"});
-  const int k = static_cast<int>(opts.get_int("k", 16));
-  const int trials = static_cast<int>(opts.get_int("trials", 5));
-  const int l = static_cast<int>(opts.get_int("l", 1000));
-  const int n = static_cast<int>(opts.get_int("n", 7));
+  const int k = opts.get_int32("k", 16);
+  const int trials = opts.get_int32("trials", 5);
+  const int l = opts.get_int32("l", 1000);
+  const int n = opts.get_int32("n", 7);
   const double mu = opts.get_double("mu", 1e4);
-  const int hours = static_cast<int>(opts.get_int("hours", 12));
+  const int hours = opts.get_int32("hours", 12);
   const auto l_values = opts.get_int_list("lvalues", {250, 500, 1000, 2000});
   const auto n_values = opts.get_int_list("nvalues", {3, 5, 7, 9, 11, 13});
   const bool true_optimal = opts.get_bool("true-optimal", false);
@@ -68,7 +70,7 @@ int main(int argc, char** argv) {
   // PLAN migrates "to hosts with available resources" — without a host
   // capacity the baselines would pile every VM onto the hosts adjacent to
   // the chain, which no real data center allows.
-  vm_cfg.host_capacity = static_cast<int>(opts.get_int("host-capacity", 4));
+  vm_cfg.host_capacity = opts.get_int32("host-capacity", 4);
   // A migrated VM amortizes its move over several hours of the diurnal
   // cycle; a myopic 1-hour horizon would make PLAN/MCF never move at
   // mu = 1e4 and degenerate both baselines to NoMigration.
@@ -223,4 +225,10 @@ int main(int argc, char** argv) {
     bench::print_rss_footer(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

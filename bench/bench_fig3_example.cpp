@@ -10,7 +10,9 @@
 #include "core/placement_dp.hpp"
 #include "topology/linear.hpp"
 
-int main() {
+namespace {
+
+int bench_main(int /*argc*/, char** /*argv*/) {
   using namespace ppdc;
   bench::header("Fig. 1 / Fig. 3 / Example 1 — worked example",
                 "linear PPDC with 5 switches (== k=2 fat-tree), "
@@ -64,4 +66,10 @@ int main() {
   }
   std::cout << "(paper migrates to s5, s4; the mirror s4, s5 ties at 416)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

@@ -13,13 +13,15 @@
 #include "core/placement_dp.hpp"
 #include "workload/diurnal.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "l", "n", "mu", "seed", "zipf", "csv"});
-  const int k = static_cast<int>(opts.get_int("k", 16));
-  const int l = static_cast<int>(opts.get_int("l", 500));
-  const int n = static_cast<int>(opts.get_int("n", 6));
+  const int k = opts.get_int32("k", 16);
+  const int l = opts.get_int32("l", 500);
+  const int n = opts.get_int32("n", 6);
   const double mu = opts.get_double("mu", 200.0);
   const double zipf = opts.get_double("zipf", 2.2);
   const std::uint64_t seed =
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
                "the front is convex so Theorem 5's scalarization is "
                "optimal over the front.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

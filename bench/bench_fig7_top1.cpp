@@ -20,14 +20,16 @@
 #include "core/stroll_dp.hpp"
 #include "core/stroll_primal_dual.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "trials", "nmin", "nmax", "seed", "pd", "csv"});
-  const int k = static_cast<int>(opts.get_int("k", 8));
-  const int trials = static_cast<int>(opts.get_int("trials", 20));
-  const int nmin = static_cast<int>(opts.get_int("nmin", 2));
-  const int nmax = static_cast<int>(opts.get_int("nmax", 13));
+  const int k = opts.get_int32("k", 8);
+  const int trials = opts.get_int32("trials", 20);
+  const int nmin = opts.get_int32("nmin", 2);
+  const int nmax = opts.get_int32("nmax", 13);
   const bool run_pd = opts.get_bool("pd", true);
   const std::uint64_t seed = static_cast<std::uint64_t>(
       opts.get_int("seed", 42));
@@ -94,4 +96,10 @@ int main(int argc, char** argv) {
             << "paper shape: DP-Stroll within ~8% of Optimal, well below "
                "the 2+eps guarantee.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

@@ -7,14 +7,16 @@
 #include "bench_common.hpp"
 #include "workload/diurnal.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"hours", "tau_min", "offset", "csv"});
   DiurnalModel model;
-  model.hours_per_day = static_cast<int>(opts.get_int("hours", 12));
+  model.hours_per_day = opts.get_int32("hours", 12);
   model.tau_min = opts.get_double("tau_min", 0.2);
-  model.coast_offset = static_cast<int>(opts.get_int("offset", 3));
+  model.coast_offset = opts.get_int32("offset", 3);
 
   bench::header(
       "Fig. 8 — daily traffic rate pattern (Eq. 9)",
@@ -40,4 +42,10 @@ int main(int argc, char** argv) {
   std::cout << "\npaper shape: ramp from tau_min at 6AM to 1.0 at noon and "
                "back, west coast shifted 3 hours.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

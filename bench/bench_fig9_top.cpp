@@ -17,15 +17,17 @@
 #include "core/chain_search.hpp"
 #include "core/placement_dp.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to(
       {"k", "trials", "n", "l", "lvalues", "nvalues", "seed", "csv"});
-  const int k = static_cast<int>(opts.get_int("k", 8));
-  const int trials = static_cast<int>(opts.get_int("trials", 20));
-  const int fixed_n = static_cast<int>(opts.get_int("n", 5));
-  const int fixed_l = static_cast<int>(opts.get_int("l", 200));
+  const int k = opts.get_int32("k", 8);
+  const int trials = opts.get_int32("trials", 20);
+  const int fixed_n = opts.get_int32("n", 5);
+  const int fixed_l = opts.get_int32("l", 200);
   const auto l_values = opts.get_int_list("lvalues", {50, 100, 200, 400, 800});
   const auto n_values = opts.get_int_list("nvalues", {3, 5, 7, 9, 11, 13});
   const std::uint64_t seed =
@@ -86,4 +88,10 @@ int main(int argc, char** argv) {
   std::cout << "\n(* = node budget hit; Optimal column is best-found)\n"
             << "paper shape: DP ~ Optimal << Greedy, Steering.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

@@ -14,14 +14,16 @@
 #include "core/placement_dp.hpp"
 #include "net/link_load.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "l", "n", "trials", "seed", "csv"});
-  const int k = static_cast<int>(opts.get_int("k", 8));
-  const int l = static_cast<int>(opts.get_int("l", 200));
-  const int n = static_cast<int>(opts.get_int("n", 5));
-  const int trials = static_cast<int>(opts.get_int("trials", 10));
+  const int k = opts.get_int32("k", 8);
+  const int l = opts.get_int32("l", 200);
+  const int n = opts.get_int32("n", 5);
+  const int trials = opts.get_int32("trials", 10);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
 
@@ -86,4 +88,10 @@ int main(int argc, char** argv) {
                "lower peak, higher total. Bandwidth-aware VNF placement "
                "is a genuine open extension of the paper's model.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

@@ -87,9 +87,7 @@ class ScaleObserver final : public ppdc::EpochObserver {
   int epochs_ = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "flows", "hours", "n", "mu", "threads", "cand",
@@ -99,27 +97,26 @@ int main(int argc, char** argv) {
 
   // Smoke mode is the scale_smoke tier-1 gate: the same code path at a
   // size that finishes in seconds (and that build-tsan can re-run).
-  const int k = static_cast<int>(opts.get_int("k", smoke ? 4 : 32));
-  const int flows =
-      static_cast<int>(opts.get_int("flows", smoke ? 2000 : 1000000));
-  const int hours = static_cast<int>(opts.get_int("hours", smoke ? 4 : 12));
-  const int n = static_cast<int>(opts.get_int("n", 7));
+  const int k = opts.get_int32("k", smoke ? 4 : 32);
+  const int flows = opts.get_int32("flows", smoke ? 2000 : 1000000);
+  const int hours = opts.get_int32("hours", smoke ? 4 : 12);
+  const int n = opts.get_int32("n", 7);
   const double mu = opts.get_double("mu", 1e4);
-  const int threads = static_cast<int>(opts.get_int("threads", smoke ? 2 : 0));
+  const int threads = opts.get_int32("threads", smoke ? 2 : 0);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 42));
 
   ShardedStreamingConfig sharded;
   sharded.enabled = true;
   sharded.threads = threads;
-  sharded.churn.arrivals_per_epoch = static_cast<int>(
-      opts.get_int("arrivals", smoke ? 100 : flows / 200));
+  sharded.churn.arrivals_per_epoch =
+      opts.get_int32("arrivals", smoke ? 100 : flows / 200);
   sharded.churn.departure_prob =
       opts.get_double("depart", smoke ? 0.02 : 0.005);
   sharded.churn.rerate_prob = opts.get_double("rerate", smoke ? 0.1 : 0.05);
   sharded.resolve_churn_fraction =
       opts.get_double("resolve-fraction", smoke ? 0.05 : 0.02);
-  sharded.max_staleness = static_cast<int>(opts.get_int("staleness", 4));
+  sharded.max_staleness = opts.get_int32("staleness", 4);
 
   const auto t_build = Clock::now();
   const Topology topo = build_fat_tree(k);
@@ -139,8 +136,8 @@ int main(int argc, char** argv) {
       std::chrono::duration<double, std::milli>(Clock::now() - t_gen).count();
 
   TopDpOptions dp_opts;
-  dp_opts.candidate_limit = static_cast<int>(
-      opts.get_int("cand", topo.num_switches() > 100 ? 48 : 0));
+  dp_opts.candidate_limit =
+      opts.get_int32("cand", topo.num_switches() > 100 ? 48 : 0);
   ParetoMigrationOptions pareto_opts;
   pareto_opts.placement = dp_opts;
   ParetoMigrationPolicy policy(mu, pareto_opts);
@@ -197,4 +194,10 @@ int main(int argc, char** argv) {
             << bench::mib(cache.bytes) << " MiB\n";
   bench::print_rss_footer(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::bench::guarded_main(bench_main, argc, argv);
 }

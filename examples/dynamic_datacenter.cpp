@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"l", "n", "mu", "seed"});
-  const int l = static_cast<int>(opts.get_int("l", 200));
-  const int n = static_cast<int>(opts.get_int("n", 5));
+  const int l = opts.get_int32("l", 200);
+  const int n = opts.get_int32("n", 5);
   const double mu = opts.get_double("mu", 1e4);
 
   const Topology topo = build_fat_tree(8);

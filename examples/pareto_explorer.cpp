@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "l", "n", "seed"});
-  const int k = static_cast<int>(opts.get_int("k", 8));
-  const int l = static_cast<int>(opts.get_int("l", 100));
-  const int n = static_cast<int>(opts.get_int("n", 5));
+  const int k = opts.get_int32("k", 8);
+  const int l = opts.get_int32("l", 100);
+  const int n = opts.get_int32("n", 5);
 
   const Topology topo = build_fat_tree(k);
   const AllPairs apsp(topo.graph);

@@ -64,9 +64,9 @@ Placement read_placement(const std::string& path) {
 
 int cmd_generate(const Options& opts) {
   Topology topo = make_topology(opts.get_string("topo", "fat-tree"),
-                                static_cast<int>(opts.get_int("k", 8)));
+                                opts.get_int32("k", 8));
   VmPlacementConfig cfg;
-  cfg.num_pairs = static_cast<int>(opts.get_int("l", 100));
+  cfg.num_pairs = opts.get_int32("l", 100);
   cfg.rack_zipf_s = opts.get_double("zipf", 0.0);
   Rng rng(static_cast<std::uint64_t>(opts.get_int("seed", 42)));
   const auto flows = generate_vm_flows(topo, cfg, rng);
@@ -86,7 +86,7 @@ int cmd_place(const Options& opts) {
   const auto flows = read_flows(opts.get_string("flows-in", "flows.txt"));
   const AllPairs apsp(topo.graph);
   CostModel model(apsp, flows);
-  const int n = static_cast<int>(opts.get_int("n", 5));
+  const int n = opts.get_int32("n", 5);
   const std::string algo = opts.get_string("algo", "dp");
 
   Placement p;

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"flows", "n", "mu", "seed"});
-  const int num_flows = static_cast<int>(opts.get_int("flows", 24));
-  const int n = static_cast<int>(opts.get_int("n", 4));
+  const int num_flows = opts.get_int32("flows", 24);
+  const int n = opts.get_int32("n", 4);
   const double mu = opts.get_double("mu", 5000.0);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 11));
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "graph/graph.hpp"
+#include "util/clones.hpp"
 #include "util/executor.hpp"
 #include "util/require.hpp"
 
@@ -28,23 +29,33 @@ constexpr int kMaxGroupId = 1 << 20;
 /// list streams past, and blocks double as the parallel work unit.
 constexpr std::size_t kSwitchBlock = 512;
 
+// The attraction kernels below multiply and add. x86-64-v3 has FMA, and
+// GCC's default -ffp-contract=fast would contract a·c + g into one fused
+// rounding there and change the bits. AVX has 4-wide doubles and no FMA
+// instructions, so its clone runs every lane through the same multiply
+// and the same add, in the same order, as the baseline (SSE2) clone, and
+// the bits stay. The clones sit on the member kernels that loop over
+// flows or patches (refresh_block, accumulate_group_block, drain_patches,
+// patch_moved_flow), so these leaf loops inline into each clone and no
+// row pays an ifunc call. tools/vec_gate.sh pins each leaf loop to 32-byte
+// vectors and fails on any FMA instruction in this file's assembly.
+#define PPDC_ATTRACTION_CLONES PPDC_TARGET_CLONES("avx", "default")
+
 /// Accumulates one flow's contribution over a switch block into a dense
 /// accumulator: acc[j] += rate · c, where c = weight + row[j] is the
 /// flow's distance to (or from) switch j of the block, read off one
 /// contiguous core row (AllPairs::cost_row / cost_col). Per switch the
-/// flows still add in flow order. tools/vec_gate.sh pins that this loop
-/// vectorizes.
+/// flows still add in flow order.
 void accumulate_block(double* __restrict acc, const double* __restrict row,
                       double weight, std::size_t n, double rate) {
-  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: attraction-block
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: attraction-block bytes=32
     acc[j] += rate * (weight + row[j]);
   }
 }
 
 /// One queued churn patch of a group's base-vector rows:
 /// gi[j] += a · c(src, sw_j) and ge[j] += a · c(sw_j, dst), both read as
-/// contiguous core rows. tools/vec_gate.sh pins that this loop
-/// vectorizes.
+/// contiguous core rows.
 void patch_flow_rows(double* __restrict gi, double* __restrict ge,
                      AllPairs::CoreRow src, AllPairs::CoreRow dst,
                      std::size_t n, double a) {
@@ -52,7 +63,7 @@ void patch_flow_rows(double* __restrict gi, double* __restrict ge,
   const double* __restrict drow = dst.cost;
   const double sw = src.weight;
   const double dw = dst.weight;
-  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-row-patch
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-row-patch bytes=32
     gi[j] += a * (sw + srow[j]);
     ge[j] += a * (dw + drow[j]);
   }
@@ -61,10 +72,7 @@ void patch_flow_rows(double* __restrict gi, double* __restrict ge,
 /// A re-rate in place as one pass: g = (g + a·c) + b·c per cell, where
 /// a = −old base and b = new base. These are the two roundings of the
 /// two one-term passes it replaces, in the same order, with half the row
-/// traffic. Both patch loops stay at the baseline ISA (no target_clones,
-/// no -march): x86-64-v3 has FMA, and GCC's default -ffp-contract=fast
-/// would contract them there and change the bits. tools/vec_gate.sh pins
-/// that this loop vectorizes.
+/// traffic.
 void rerate_flow_rows(double* __restrict gi, double* __restrict ge,
                       AllPairs::CoreRow src, AllPairs::CoreRow dst,
                       std::size_t n, double a, double b) {
@@ -72,11 +80,24 @@ void rerate_flow_rows(double* __restrict gi, double* __restrict ge,
   const double* __restrict drow = dst.cost;
   const double sw = src.weight;
   const double dw = dst.weight;
-  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-rerate-patch
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-rerate-patch bytes=32
     const double ci = sw + srow[j];
     const double ce = dw + drow[j];
     gi[j] = (gi[j] + a * ci) + b * ci;
     ge[j] = (ge[j] + a * ce) + b * ce;
+  }
+}
+
+/// One endpoint move of a flow with base `base`:
+/// g[j] += base · (c_new(j) − c_old(j)), over one base-vector row.
+void move_flow_row(double* __restrict g, AllPairs::CoreRow to,
+                   AllPairs::CoreRow from, std::size_t n, double base) {
+  const double* __restrict trow = to.cost;
+  const double* __restrict frow = from.cost;
+  const double tw = to.weight;
+  const double fw = from.weight;
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: endpoint-move bytes=32
+    g[j] += base * ((tw + trow[j]) - (fw + frow[j]));
   }
 }
 
@@ -141,32 +162,8 @@ void CostModel::refresh() {
     lambda_sum_ += f.rate;
   }
   const std::size_t num_blocks = (ns + kSwitchBlock - 1) / kSwitchBlock;
-  // Switch-blocked rebuild. Per switch, each attraction still accumulates
-  // its flow contributions in flow order — bit-identical to the naive
-  // switch-outer scan — but both passes stream one contiguous core row
-  // segment per flow past a cache-resident block of accumulators: c(src,
-  // ·) for the ingress pass and the transposed c(·, dst) for the egress
-  // pass. Switch j's core position is j, so a block is a row segment.
-  parallel_for(num_blocks, 1, [&](std::size_t blk) noexcept {
-    const std::size_t b0 = blk * kSwitchBlock;
-    const std::size_t bn = std::min(ns, b0 + kSwitchBlock) - b0;
-    double in[kSwitchBlock];
-    double eg[kSwitchBlock];
-    std::fill_n(in, bn, 0.0);
-    std::fill_n(eg, bn, 0.0);
-    for (const auto& f : *flows_) {
-      // Zero-rate flows contribute nothing; skipping them also keeps the
-      // sums NaN-free on degraded fabrics, where a quarantined flow's
-      // endpoint distance is +inf (0 * inf = NaN).
-      if (f.rate == 0.0) continue;
-      const AllPairs::CoreRow src = apsp_->cost_row(f.src_host);
-      const AllPairs::CoreRow dst = apsp_->cost_col(f.dst_host);
-      accumulate_block(in, src.cost + b0, src.weight, bn, f.rate);
-      accumulate_block(eg, dst.cost + b0, dst.weight, bn, f.rate);
-    }
-    std::copy_n(in, bn, ingress_.begin() + static_cast<std::ptrdiff_t>(b0));
-    std::copy_n(eg, bn, egress_.begin() + static_cast<std::ptrdiff_t>(b0));
-  });
+  parallel_for(num_blocks, 1,
+               [&](std::size_t blk) noexcept { refresh_block(blk); });
   rescan_minima();
   if (group_refresh_enabled()) {
     drain_patches();
@@ -181,6 +178,36 @@ void CostModel::refresh() {
     }
     last_scales_.clear();
   }
+}
+
+// Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
+[[PPDC_ATTRACTION_CLONES gnu::aligned(64)]] void CostModel::refresh_block(
+    std::size_t blk) noexcept {
+  // Switch-blocked rebuild. Per switch, each attraction still accumulates
+  // its flow contributions in flow order — bit-identical to the naive
+  // switch-outer scan — but both passes stream one contiguous core row
+  // segment per flow past a cache-resident block of accumulators: c(src,
+  // ·) for the ingress pass and the transposed c(·, dst) for the egress
+  // pass. Switch j's core position is j, so a block is a row segment.
+  const std::size_t ns = num_switches();
+  const std::size_t b0 = blk * kSwitchBlock;
+  const std::size_t bn = std::min(ns, b0 + kSwitchBlock) - b0;
+  double in[kSwitchBlock];
+  double eg[kSwitchBlock];
+  std::fill_n(in, bn, 0.0);
+  std::fill_n(eg, bn, 0.0);
+  for (const auto& f : *flows_) {
+    // Zero-rate flows contribute nothing; skipping them also keeps the
+    // sums NaN-free on degraded fabrics, where a quarantined flow's
+    // endpoint distance is +inf (0 * inf = NaN).
+    if (f.rate == 0.0) continue;
+    const AllPairs::CoreRow src = apsp_->cost_row(f.src_host);
+    const AllPairs::CoreRow dst = apsp_->cost_col(f.dst_host);
+    accumulate_block(in, src.cost + b0, src.weight, bn, f.rate);
+    accumulate_block(eg, dst.cost + b0, dst.weight, bn, f.rate);
+  }
+  std::copy_n(in, bn, ingress_.begin() + static_cast<std::ptrdiff_t>(b0));
+  std::copy_n(eg, bn, egress_.begin() + static_cast<std::ptrdiff_t>(b0));
 }
 
 void CostModel::rescan_minima() {
@@ -303,8 +330,9 @@ void CostModel::prepare_group_bases() {
   if (ns > 0) apsp_->cost_col(apsp_->graph().switches().front());
 }
 
-// Hot kernel: 64-byte aligned (DESIGN.md §11).
-[[gnu::aligned(64)]] void CostModel::accumulate_group_block(
+// Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
+[[PPDC_ATTRACTION_CLONES gnu::aligned(64)]] void
+CostModel::accumulate_group_block(
     std::size_t blk) noexcept {
   const std::size_t ns = num_switches();
   const std::size_t b0 = blk * kSwitchBlock;
@@ -326,7 +354,9 @@ void CostModel::prepare_group_bases() {
   }
 }
 
-void CostModel::patch_moved_flow(FlowId flow) {
+// Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
+[[PPDC_ATTRACTION_CLONES gnu::aligned(64)]] void CostModel::patch_moved_flow(
+    FlowId flow) {
   const std::size_t ns = num_switches();
   const auto i = static_cast<std::size_t>(flow.value());
   const std::size_t row = row_of(groups_[i]) * ns;
@@ -339,23 +369,13 @@ void CostModel::patch_moved_flow(FlowId flow) {
     return;
   }
   if (f.src_host != snap_src_[i]) {
-    const AllPairs::CoreRow nrow = apsp_->cost_row(f.src_host);
-    const AllPairs::CoreRow orow = apsp_->cost_row(snap_src_[i]);
-    double* gi = group_ingress_.data() + row;
-    for (std::size_t j = 0; j < ns; ++j) {
-      gi[j] += base * ((nrow.weight + nrow.cost[j]) -
-                       (orow.weight + orow.cost[j]));
-    }
+    move_flow_row(group_ingress_.data() + row, apsp_->cost_row(f.src_host),
+                  apsp_->cost_row(snap_src_[i]), ns, base);
     snap_src_[i] = f.src_host;
   }
   if (f.dst_host != snap_dst_[i]) {
-    const AllPairs::CoreRow ncol = apsp_->cost_col(f.dst_host);
-    const AllPairs::CoreRow ocol = apsp_->cost_col(snap_dst_[i]);
-    double* ge = group_egress_.data() + row;
-    for (std::size_t j = 0; j < ns; ++j) {
-      ge[j] += base * ((ncol.weight + ncol.cost[j]) -
-                       (ocol.weight + ocol.cost[j]));
-    }
+    move_flow_row(group_egress_.data() + row, apsp_->cost_col(f.dst_host),
+                  apsp_->cost_col(snap_dst_[i]), ns, base);
     snap_dst_[i] = f.dst_host;
   }
 }
@@ -417,8 +437,8 @@ void CostModel::queue_patch(std::size_t row, double first, double second,
   patches_.push_back({row, first, second, src, dst});
 }
 
-// Hot kernel: 64-byte aligned (DESIGN.md §11).
-[[gnu::aligned(64)]] void CostModel::drain_patches() {
+// Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
+[[PPDC_ATTRACTION_CLONES gnu::aligned(64)]] void CostModel::drain_patches() {
   const std::size_t ns = num_switches();
   for (const RowPatch& p : patches_) {
     double* gi = group_ingress_.data() + p.row * ns;

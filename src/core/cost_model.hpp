@@ -250,6 +250,9 @@ class CostModel {
   /// model from scratch: the bookkeeping of each on the calling thread,
   /// then one parallel_for over all (model, switch block) pairs.
   static void rebuild_group_bases(std::span<CostModel* const> models);
+  /// refresh()'s compute task: accumulates switch block `blk` of the
+  /// ingress and egress attractions from the flows' current rates.
+  void refresh_block(std::size_t blk) noexcept;
   /// The allocating half of the rebuild: drops queued patches, maps group
   /// ids to rows, snapshots the endpoints and zeroes the rows.
   void prepare_group_bases();

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/clones.hpp"
 #include "util/pages.hpp"
 #include "util/require.hpp"
 
@@ -17,19 +18,10 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // The level kernel adds and compares doubles, with no multiply and no
-// reduction, so every instruction set gives the same bits. GCC on x86-64
-// ELF targets builds it twice, for the baseline ISA (where GCC leaves the
-// select scalar) and for x86-64-v3 (32-byte AVX2 vectors), and picks the
-// clone at load time; other compilers build the plain function. So do
-// ThreadSanitizer builds: TSan instruments the clone resolver, which runs
-// before its runtime is up, and the program crashes at start.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__ELF__) && !defined(__SANITIZE_THREAD__)
-#define PPDC_LEVEL_KERNEL_CLONES \
-  gnu::target_clones("arch=x86-64-v3", "default"),
-#else
-#define PPDC_LEVEL_KERNEL_CLONES
-#endif
+// reduction, so every instruction set gives the same bits. It is built
+// for the baseline ISA (where GCC leaves the select scalar) and for
+// x86-64-v3 (32-byte AVX2 vectors), where util/clones.hpp allows it.
+#define PPDC_LEVEL_KERNEL_CLONES PPDC_TARGET_CLONES("arch=x86-64-v3", "default")
 
 // Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
 /// Relaxes each row's best (cost, succ) with the stroll via w on a strict

@@ -1,6 +1,7 @@
 #include "util/options.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/require.hpp"
@@ -12,9 +13,12 @@ namespace {
 /// `text` as one whole integer; throws naming --key otherwise.
 std::int64_t parse_int(const std::string& key, const std::string& text) {
   char* end = nullptr;
+  errno = 0;
   const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
   PPDC_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
                "option --" + key + " expects an integer, got '" + text + "'");
+  PPDC_REQUIRE(errno != ERANGE, "option --" + key + " value '" + text +
+                                    "' is outside the 64-bit integer range");
   return v;
 }
 
@@ -73,6 +77,13 @@ std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
   const auto it = kv_.find(key);
   return it == kv_.end() ? fallback : parse_int(key, it->second);
+}
+
+int Options::get_int32(const std::string& key, int fallback) const {
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return fallback;
+  const std::string option = "option --" + key;
+  return checked_cast<int>(parse_int(key, it->second), option.c_str());
 }
 
 double Options::get_double(const std::string& key, double fallback) const {

@@ -21,6 +21,10 @@ class Options {
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// An int-sized option (an arity, a count, a thread number): get_int
+  /// range-checked into int, so 4294967300 throws a PpdcError that names
+  /// the key instead of wrapping.
+  int get_int32(const std::string& key, int fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
   /// Comma-separated lists ("3,5,7"). Every item must parse whole: an

@@ -77,12 +77,17 @@ double Rng::normal(double mean, double stddev) {
 }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  PPDC_REQUIRE(!weights.empty(), "weighted_index: empty weights");
   double total = 0.0;
   for (const double w : weights) {
     PPDC_REQUIRE(w >= 0.0, "weighted_index: negative weight");
     total += w;
   }
+  return weighted_index(std::span<const double>(weights), total);
+}
+
+std::size_t Rng::weighted_index(std::span<const double> weights,
+                                double total) {
+  PPDC_REQUIRE(!weights.empty(), "weighted_index: empty weights");
   PPDC_REQUIRE(total > 0.0, "weighted_index: weights sum to zero");
   double x = uniform_real(0.0, total);
   for (std::size_t i = 0; i < weights.size(); ++i) {

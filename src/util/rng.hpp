@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/require.hpp"
@@ -50,6 +51,11 @@ class Rng {
   /// Index in [0, weights.size()) drawn proportionally to `weights`.
   /// Weights must be non-negative with a positive sum.
   std::size_t weighted_index(const std::vector<double>& weights);
+
+  /// The same draw for a caller that validated `weights` and summed them
+  /// left to right into `total` once, ahead of many draws: returns what
+  /// weighted_index(weights) would, without the per-draw pass.
+  std::size_t weighted_index(std::span<const double> weights, double total);
 
   /// Fisher–Yates shuffle of an index-addressable container.
   template <typename Container>

@@ -51,8 +51,11 @@ VmFlowSampler::VmFlowSampler(const Topology& topo,
   }
   if (coast_racks_[1].empty()) coast_racks_[1] = coast_racks_[0];
 
-  // Zipf popularity within each coast (uniform when s == 0).
+  // Zipf popularity within each coast (uniform when s == 0), summed once
+  // here in the order Rng::weighted_index sums them. Every weight is
+  // positive (rank 1 weighs 1), so each total is a valid draw total.
   coast_weights_.resize(2);
+  coast_totals_.assign(2, 0.0);
   for (int coast = 0; coast < 2; ++coast) {
     const auto& racks = coast_racks_[static_cast<std::size_t>(coast)];
     auto& w = coast_weights_[static_cast<std::size_t>(coast)];
@@ -62,6 +65,7 @@ VmFlowSampler::VmFlowSampler(const Topology& topo,
                       ? 1.0
                       : std::pow(static_cast<double>(rank + 1),
                                  -config.rack_zipf_s));
+      coast_totals_[static_cast<std::size_t>(coast)] += w.back();
     }
   }
 }
@@ -69,7 +73,8 @@ VmFlowSampler::VmFlowSampler(const Topology& topo,
 RackIdx VmFlowSampler::pick_rack(int coast, Rng& rng) const {
   const auto& racks = coast_racks_[static_cast<std::size_t>(coast)];
   const auto& w = coast_weights_[static_cast<std::size_t>(coast)];
-  return racks[rng.weighted_index(w)];
+  return racks[rng.weighted_index(
+      w, coast_totals_[static_cast<std::size_t>(coast)])];
 }
 
 VmFlow VmFlowSampler::sample(Rng& rng) const {

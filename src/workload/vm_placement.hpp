@@ -61,6 +61,7 @@ class VmFlowSampler {
   VmPlacementConfig config_;
   std::vector<std::vector<RackIdx>> coast_racks_;
   std::vector<std::vector<double>> coast_weights_;
+  std::vector<double> coast_totals_;  ///< left-to-right weight sums
 };
 
 /// Generates `config.num_pairs` VM flows on the topology. Intra-rack pairs

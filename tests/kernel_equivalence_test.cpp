@@ -16,6 +16,7 @@
 // noise: tolerances would defeat the purpose.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -1313,6 +1314,245 @@ TEST(KernelEquivalence, GroupRecombineMatchesNaiveGroupOrderSums) {
       EXPECT_EQ(serial->ingress_attraction(sw), a) << "switch " << sw;
       EXPECT_EQ(serial->egress_attraction(sw), b) << "switch " << sw;
     }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Attraction-kernel clones (DESIGN.md §11). refresh(), the grouped base
+// build, the churn-patch drain and the endpoint move run on whichever
+// clone of their kernel the host picks (AVX or baseline). Each result must
+// equal, bit for bit, a plain scalar loop below that does the same
+// multiply and add in the same order. Fabrics: k=4 and k=8, a weighted
+// k=4, k=6 (45 switches, so a 4-wide clone ends on a tail lane), and a
+// degraded k=8 metric where quarantined zero-rate flows have +inf
+// distances.
+// ---------------------------------------------------------------------------
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// g[off + j] += a · (weight + cost[j]) for every switch j.
+void ref_add_row(std::vector<double>& g, std::size_t off,
+                 AllPairs::CoreRow c, std::size_t ns, double a) {
+  for (std::size_t j = 0; j < ns; ++j) {
+    g[off + j] += a * (c.weight + c.cost[j]);
+  }
+}
+
+/// The two-term re-rate: g = (g + a·c) + b·c.
+void ref_rerate_row(std::vector<double>& g, std::size_t off,
+                    AllPairs::CoreRow c, std::size_t ns, double a, double b) {
+  for (std::size_t j = 0; j < ns; ++j) {
+    const double cj = c.weight + c.cost[j];
+    g[off + j] = (g[off + j] + a * cj) + b * cj;
+  }
+}
+
+/// The endpoint move: g += base · (c_to − c_from).
+void ref_move_row(std::vector<double>& g, std::size_t off,
+                  AllPairs::CoreRow to, AllPairs::CoreRow from,
+                  std::size_t ns, double base) {
+  for (std::size_t j = 0; j < ns; ++j) {
+    g[off + j] += base * ((to.weight + to.cost[j]) -
+                          (from.weight + from.cost[j]));
+  }
+}
+
+/// Base rows of a grouped model as the scalar reference builds them: one
+/// row per distinct group id, ascending, flows added in flow order.
+struct RefBases {
+  std::vector<int> row_groups;
+  std::vector<double> gi, ge;
+
+  std::size_t row(int group) const {
+    return static_cast<std::size_t>(
+        std::find(row_groups.begin(), row_groups.end(), group) -
+        row_groups.begin());
+  }
+};
+
+RefBases ref_group_bases(const AllPairs& apsp,
+                         const std::vector<VmFlow>& flows,
+                         const std::vector<double>& base,
+                         const std::vector<int>& groups) {
+  const std::size_t ns = apsp.graph().switches().size();
+  RefBases ref;
+  ref.row_groups = groups;
+  std::sort(ref.row_groups.begin(), ref.row_groups.end());
+  ref.row_groups.erase(
+      std::unique(ref.row_groups.begin(), ref.row_groups.end()),
+      ref.row_groups.end());
+  ref.gi.assign(ref.row_groups.size() * ns, 0.0);
+  ref.ge.assign(ref.row_groups.size() * ns, 0.0);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (base[i] == 0.0) continue;
+    const std::size_t off = ref.row(groups[i]) * ns;
+    ref_add_row(ref.gi, off, apsp.cost_row(flows[i].src_host), ns, base[i]);
+    ref_add_row(ref.ge, off, apsp.cost_col(flows[i].dst_host), ns, base[i]);
+  }
+  return ref;
+}
+
+void expect_bases_eq(const CostModel::GroupSnapshot& got,
+                     const RefBases& want) {
+  ASSERT_EQ(got.row_groups, want.row_groups);
+  ASSERT_EQ(got.group_ingress.size(), want.gi.size());
+  ASSERT_EQ(got.group_egress.size(), want.ge.size());
+  for (std::size_t c = 0; c < want.gi.size(); ++c) {
+    EXPECT_EQ(bits(got.group_ingress[c]), bits(want.gi[c])) << "cell " << c;
+    EXPECT_EQ(bits(got.group_egress[c]), bits(want.ge[c])) << "cell " << c;
+  }
+}
+
+/// refresh() and build_grouped() on `apsp`, against the scalar loops.
+void check_refresh_and_build(const AllPairs& apsp,
+                             const std::vector<VmFlow>& flows) {
+  const std::vector<NodeId>& switches = apsp.graph().switches();
+  const std::size_t ns = switches.size();
+  const CostModel cm(apsp, flows);
+  for (std::size_t j = 0; j < ns; ++j) {
+    double a = 0.0, b = 0.0;
+    for (const VmFlow& f : flows) {
+      if (f.rate == 0.0) continue;
+      const AllPairs::CoreRow src = apsp.cost_row(f.src_host);
+      const AllPairs::CoreRow dst = apsp.cost_col(f.dst_host);
+      a += f.rate * (src.weight + src.cost[j]);
+      b += f.rate * (dst.weight + dst.cost[j]);
+    }
+    EXPECT_FALSE(std::isnan(cm.ingress_attraction(switches[j])));
+    EXPECT_EQ(bits(cm.ingress_attraction(switches[j])), bits(a))
+        << "switch " << switches[j];
+    EXPECT_EQ(bits(cm.egress_attraction(switches[j])), bits(b))
+        << "switch " << switches[j];
+  }
+
+  const std::vector<double> base = rates_of(flows);
+  std::vector<int> groups(flows.size());
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    groups[i] = static_cast<int>(i % 3);
+  }
+  const CostModel::GroupedFlows set{&flows, &base, &groups};
+  auto models = CostModel::build_grouped(apsp, {&set, 1}, 0);
+  expect_bases_eq(models.front()->group_snapshot(),
+                  ref_group_bases(apsp, flows, base, groups));
+}
+
+TEST(KernelEquivalence, AttractionClonesMatchScalarLoops) {
+  struct Fabric {
+    int k;
+    std::uint64_t weight_seed;  ///< 0 = hop metric
+  };
+  for (const Fabric fab : {Fabric{4, 0}, Fabric{6, 0}, Fabric{8, 0},
+                           Fabric{4, 3}}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << fab.k
+                                      << " weights=" << fab.weight_seed);
+    Topology topo = build_fat_tree(fab.k);
+    if (fab.weight_seed != 0) {
+      apply_uniform_delay_weights(topo.graph, fab.weight_seed);
+    }
+    const AllPairs apsp(topo.graph);
+    auto flows = workload(topo, 120, 31 + static_cast<std::uint64_t>(fab.k));
+    flows[5].rate = 0.0;  // a zero-rate flow in the base build
+    check_refresh_and_build(apsp, flows);
+  }
+}
+
+TEST(KernelEquivalence, DegradedAttractionClonesSkipInfiniteZeroRateFlows) {
+  const Topology topo = build_fat_tree(8);
+  const PartitionFaults faults = partition_pod0(topo);
+  const DegradedNetwork net(topo.graph, faults.dead, faults.cut);
+  auto flows = workload(topo, 200, 37);
+  std::vector<double> rates = rates_of(flows);
+  std::size_t infinite = 0;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (!net.in_core(flows[i].src_host) || !net.in_core(flows[i].dst_host)) {
+      rates[i] = 0.0;
+      const AllPairs::CoreRow src = net.apsp().cost_row(flows[i].src_host);
+      const AllPairs::CoreRow dst = net.apsp().cost_col(flows[i].dst_host);
+      for (std::size_t j = 0; j < topo.graph.switches().size(); ++j) {
+        if (std::isinf(src.weight + src.cost[j]) ||
+            std::isinf(dst.weight + dst.cost[j])) {
+          ++infinite;
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_GT(infinite, 0u) << "no quarantined flow sees +inf distances";
+  set_rates(flows, rates);
+  check_refresh_and_build(net.apsp(), flows);
+}
+
+TEST(KernelEquivalence, DrainedPatchesMatchScalarLoops) {
+  for (const int k : {4, 6, 8}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    const Topology topo = build_fat_tree(k);
+    const AllPairs apsp(topo.graph);
+    const std::vector<NodeId>& hosts = topo.graph.hosts();
+    const std::size_t ns = topo.graph.switches().size();
+    auto flows = workload(topo, 60, 41 + static_cast<std::uint64_t>(k));
+    std::vector<double> base = rates_of(flows);
+    std::vector<int> groups(flows.size());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      groups[i] = static_cast<int>(i % 3);
+    }
+    const CostModel::GroupedFlows set{&flows, &base, &groups};
+    auto models = CostModel::build_grouped(apsp, {&set, 1}, 0);
+    CostModel& cm = *models.front();
+    RefBases ref = ref_group_bases(apsp, flows, base, groups);
+    const auto ref_patch = [&](int group, const VmFlow& f, double a) {
+      const std::size_t off = ref.row(group) * ns;
+      ref_add_row(ref.gi, off, apsp.cost_row(f.src_host), ns, a);
+      ref_add_row(ref.ge, off, apsp.cost_col(f.dst_host), ns, a);
+    };
+
+    // A departure: flow 0 leaves (base → 0).
+    cm.rebase_flow(FlowId{0}, 0.0, groups[0]);
+    ref_patch(groups[0], flows[0], -base[0]);
+    // An arrival: a new flow appended to group 1.
+    VmFlow arrival = flows[7];
+    arrival.src_host = hosts[1];
+    arrival.dst_host = hosts[hosts.size() - 2];
+    flows.push_back(arrival);
+    cm.flows_appended({0.75}, {1});
+    ref_patch(1, arrival, 0.75);
+    // An in-place re-rate of flow 4: one two-term pass.
+    const double rerated = base[4] * 1.5;
+    cm.rebase_flow(FlowId{4}, rerated, groups[4]);
+    {
+      const std::size_t off = ref.row(groups[4]) * ns;
+      ref_rerate_row(ref.gi, off, apsp.cost_row(flows[4].src_host), ns,
+                     -base[4], rerated);
+      ref_rerate_row(ref.ge, off, apsp.cost_col(flows[4].dst_host), ns,
+                     -base[4], rerated);
+    }
+    // A group change: flow 2 moves from group 2 to group 0.
+    ASSERT_EQ(groups[2], 2);
+    cm.rebase_flow(FlowId{2}, base[2], 0);
+    ref_patch(2, flows[2], -base[2]);
+    ref_patch(0, flows[2], base[2]);
+
+    ASSERT_TRUE(cm.has_queued_patches());
+    cm.drain_patches();
+    EXPECT_FALSE(cm.has_queued_patches());
+    expect_bases_eq(cm.group_snapshot(), ref);
+
+    // An endpoint move of flow 9 (both ends), after a recombine so the
+    // move patches the rows instead of rebuilding them.
+    cm.refresh_scaled({1.0, 1.0, 1.0});
+    const VmFlow before = flows[9];
+    flows[9].src_host = hosts[hosts.size() - 1];
+    flows[9].dst_host = hosts[2];
+    ASSERT_NE(flows[9].src_host, before.src_host);
+    ASSERT_NE(flows[9].dst_host, before.dst_host);
+    cm.endpoints_moved({FlowId{9}});
+    {
+      const std::size_t off = ref.row(groups[9]) * ns;
+      ref_move_row(ref.gi, off, apsp.cost_row(flows[9].src_host),
+                   apsp.cost_row(before.src_host), ns, base[9]);
+      ref_move_row(ref.ge, off, apsp.cost_col(flows[9].dst_host),
+                   apsp.cost_col(before.dst_host), ns, base[9]);
+    }
+    expect_bases_eq(cm.group_snapshot(), ref);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,30 @@ TEST(Options, IntListRejectsOutOfRangeItem) {
   const auto o = parse({"--l=1,99999999999"});
   EXPECT_NE(error_of([&] { o.get_int_list("l", {}); }).find("--l"),
             std::string::npos);
+}
+
+TEST(Options, IntRejectsOverflowNamingKey) {
+  const auto o =
+      parse({"--seed=99999999999999999999", "--neg=-99999999999999999999"});
+  EXPECT_NE(error_of([&] { o.get_int("seed", 0); }).find("--seed"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { o.get_int("neg", 0); }).find("--neg"),
+            std::string::npos);
+  // The extremes themselves still parse.
+  const auto edge = parse({"--max=9223372036854775807"});
+  EXPECT_EQ(edge.get_int("max", 0), INT64_MAX);
+}
+
+TEST(Options, Int32RejectsOutOfIntValueNamingKey) {
+  const auto o = parse({"--k=4294967300", "--l=-2147483649", "--n=7"});
+  EXPECT_NE(error_of([&] { o.get_int32("k", 0); }).find("--k"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { o.get_int32("l", 0); }).find("--l"),
+            std::string::npos);
+  EXPECT_EQ(o.get_int32("n", 0), 7);
+  EXPECT_EQ(o.get_int32("missing", -3), -3);
+  EXPECT_EQ(parse({"--m=2147483647"}).get_int32("m", 0), INT32_MAX);
+  EXPECT_THROW(parse({"--k=abc"}).get_int32("k", 0), PpdcError);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -132,6 +133,26 @@ TEST(Rng, WeightedIndexRejectsBadInput) {
   EXPECT_THROW(rng.weighted_index(zeros), PpdcError);
   std::vector<double> negative{1.0, -1.0};
   EXPECT_THROW(rng.weighted_index(negative), PpdcError);
+}
+
+TEST(Rng, WeightedIndexWithTotalDrawsTheSameSequence) {
+  // Zipf weights as VmFlowSampler builds them, summed once left to right.
+  std::vector<double> w;
+  double total = 0.0;
+  for (int rank = 1; rank <= 144; ++rank) {
+    w.push_back(std::pow(static_cast<double>(rank), -1.2));
+    total += w.back();
+  }
+  Rng plain(77);
+  Rng with_total(77);
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(plain.weighted_index(w), with_total.weighted_index(w, total))
+        << "draw " << i;
+  }
+  EXPECT_EQ(plain(), with_total());  // same number of draws consumed
+  const std::vector<double> empty;
+  EXPECT_THROW(with_total.weighted_index(empty, 1.0), PpdcError);
+  EXPECT_THROW(with_total.weighted_index(w, 0.0), PpdcError);
 }
 
 TEST(Rng, ShufflePreservesElements) {

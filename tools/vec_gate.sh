@@ -8,13 +8,14 @@
 #
 # The gate is compile-only — nothing is executed — and compiles with the
 # library's Release flags (-std=c++20 -O3 -DNDEBUG, no -march), so it
-# checks the code that ships. The cost-model pins vectorize at the
-# baseline x86-64 ISA. The level-relax select, where a double compare
-# picks an int32 successor, stays scalar there; the kernel carries a
-# target_clones x86-64-v3 clone (stroll_dp.cpp), and its pin requires
-# that clone's 32-byte (AVX2) vectors. A kernel refactor that silently
-# drops back to scalar code, or loses its clone, fails here instead of
-# surfacing as a bench regression three PRs later.
+# checks the code that ships. The level-relax select, where a double
+# compare picks an int32 successor, stays scalar at the baseline x86-64
+# ISA; the kernel carries a target_clones x86-64-v3 clone (stroll_dp.cpp),
+# and its pin requires that clone's 32-byte (AVX2) vectors. The
+# cost-model loops inline into kernels with an AVX clone (cost_model.cpp),
+# and their pins require that clone's 32-byte vectors. A kernel refactor
+# that silently drops back to scalar code, or loses its clone, fails here
+# instead of surfacing as a bench regression three PRs later.
 #
 # Kernels written with GCC generic vectors (`vector_size`) have no loop
 # for -fopt-info-vec to report, so they take a second tag,
@@ -111,6 +112,34 @@ $ymm_pins
 EOF
   rm -f "$asm"
 done
+
+# The attraction kernels' AVX clones (cost_model.cpp, DESIGN.md §11)
+# give the baseline clone's bits only while they hold no fused
+# multiply-add: AVX has none, but a target or flag that brings FMA in
+# (x86-64-v3, avx+fma, -march=native) lets GCC contract a·c + g into one
+# rounding. The file must carry `.avx` clones, and no function in its
+# assembly, clone or not, may use an FMA mnemonic.
+f=src/core/cost_model.cpp
+checked=$((checked + 1))
+asm=$(mktemp)
+if ! "$CXX" $FLAGS -S "$f" -o "$asm" 2>/dev/null; then
+  echo "vec_gate: FAIL: $f does not compile to assembly with $FLAGS" >&2
+  failures=$((failures + 1))
+else
+  clones=$(grep -c '^_Z[A-Za-z0-9_]*[.]avx:$' "$asm")
+  fma=$(awk '/^[^.\t ][^ \t]*:$/ { fn = $0; next }
+             /^\tv(fn)?fm(add|sub)/ { print "  " fn " " $1 }' "$asm")
+  if [ "$clones" -eq 0 ]; then
+    echo "vec_gate: FAIL no-fma ($f) has no .avx clones" >&2
+    failures=$((failures + 1))
+  elif [ -n "$fma" ]; then
+    printf 'vec_gate: FAIL no-fma (%s) uses FMA:\n%s\n' "$f" "$fma" >&2
+    failures=$((failures + 1))
+  else
+    echo "vec_gate: OK   no-fma ($f, $clones .avx clone(s) without FMA)"
+  fi
+fi
+rm -f "$asm"
 
 if [ "$failures" -ne 0 ]; then
   echo "vec_gate: $failures pinned kernel(s) regressed" >&2
