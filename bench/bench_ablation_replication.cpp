@@ -151,5 +151,5 @@ int bench_main(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ppdc::bench::guarded_main(bench_main, argc, argv);
+  return ppdc::guarded_main(bench_main, argc, argv);
 }

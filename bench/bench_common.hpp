@@ -23,6 +23,7 @@
 #include "topology/fat_tree.hpp"
 #include "util/checksum.hpp"
 #include "util/executor.hpp"
+#include "util/guarded_main.hpp"
 #include "util/options.hpp"
 #include "util/require.hpp"
 #include "util/rss.hpp"
@@ -31,19 +32,6 @@
 #include "workload/vm_placement.hpp"
 
 namespace ppdc::bench {
-
-/// The bench drivers' main: runs `body`, and turns a PpdcError that
-/// escapes it (a bad option, an invalid input) into an `error: <what>`
-/// line on stderr and exit status 1, where it would otherwise end in
-/// std::terminate and SIGABRT.
-inline int guarded_main(int (*body)(int, char**), int argc, char** argv) {
-  try {
-    return body(argc, argv);
-  } catch (const PpdcError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-}
 
 /// Formats a byte count as MiB with one decimal, or "n/a" for the 0 the
 /// RSS probes return on platforms without /proc/self/status.

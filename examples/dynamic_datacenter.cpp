@@ -10,11 +10,14 @@
 
 #include "sim/engine.hpp"
 #include "topology/fat_tree.hpp"
+#include "util/guarded_main.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 #include "workload/vm_placement.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"l", "n", "mu", "seed"});
@@ -75,4 +78,10 @@ int main(int argc, char** argv) {
   }
   totals.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::guarded_main(example_main, argc, argv);
 }

@@ -14,12 +14,15 @@
 #include "core/pareto_front.hpp"
 #include "core/placement_dp.hpp"
 #include "topology/fat_tree.hpp"
+#include "util/guarded_main.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 #include "workload/diurnal.hpp"
 #include "workload/vm_placement.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"k", "l", "n", "seed"});
@@ -74,4 +77,10 @@ int main(int argc, char** argv) {
   std::cout << "\nas mu grows the pick slides from the fresh optimum (right "
                "end) back to the current placement (left end).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::guarded_main(example_main, argc, argv);
 }

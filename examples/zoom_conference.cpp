@@ -12,12 +12,15 @@
 
 #include "sim/engine.hpp"
 #include "topology/leaf_spine.hpp"
+#include "util/guarded_main.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 #include "workload/vm_placement.hpp"
 #include "workload/zoom.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   using namespace ppdc;
   const Options opts = Options::parse(argc, argv);
   opts.restrict_to({"flows", "n", "mu", "seed"});
@@ -78,4 +81,10 @@ int main(int argc, char** argv) {
                    100.0 * (1.0 - adaptive.total_cost / fixed.total_cost), 1)
             << "% saved)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ppdc::guarded_main(example_main, argc, argv);
 }

@@ -1,6 +1,7 @@
 #include "core/stroll_dp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
 #include <tuple>
@@ -19,17 +20,21 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // The level kernel adds and compares doubles, with no multiply and no
 // reduction, so every instruction set gives the same bits. It is built
-// for the baseline ISA (where GCC leaves the select scalar) and for
-// x86-64-v3 (32-byte AVX2 vectors), where util/clones.hpp allows it.
-#define PPDC_LEVEL_KERNEL_CLONES PPDC_TARGET_CLONES("arch=x86-64-v3", "default")
+// for the baseline ISA (where GCC leaves the select scalar), for
+// x86-64-v3 (32-byte AVX2 vectors) and for x86-64-v4 (64-byte AVX-512
+// vectors whose compares write k-masks that store cost and succ
+// directly), where util/clones.hpp allows it.
+#define PPDC_LEVEL_KERNEL_CLONES \
+  PPDC_TARGET_CLONES("arch=x86-64-v4", "arch=x86-64-v3", "default")
 
 // Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
 /// Relaxes each row's best (cost, succ) with the stroll via w on a strict
 /// <. Selects, not branches, so that it vectorizes (tools/vec_gate.sh).
+// ppdc-zmm: level-relax-mask fn=relax_column
 [[PPDC_LEVEL_KERNEL_CLONES gnu::aligned(64)]] void relax_column(
     double* __restrict cost, NodeId* __restrict succ,
     const double* __restrict col, double pw, NodeId w, std::size_t rows) {
-  for (std::size_t i = 0; i < rows; ++i) {  // ppdc-vec: level-relax bytes=32
+  for (std::size_t i = 0; i < rows; ++i) {  // ppdc-vec: level-relax bytes=64,32
     const double cand = col[i] + pw;
     const bool better = cand < cost[i];
     cost[i] = better ? cand : cost[i];
@@ -38,8 +43,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
 // Lanes of the source-row argmin: four rows per step, as GCC generic
-// vectors (one AVX2 register each in the x86-64-v3 clone, two SSE2
-// halves in the baseline one).
+// vectors (one AVX2 register each in the x86-64-v3 and x86-64-v4 clones,
+// two SSE2 halves in the baseline one). Eight lanes, one zmm register in
+// the v4 clone, measured slower on fig11_faults (DESIGN.md §11).
 constexpr std::size_t kLanes = 4;
 using LaneCost [[gnu::vector_size(kLanes * sizeof(double))]] = double;
 using LaneRow [[gnu::vector_size(kLanes * sizeof(std::int64_t))]] =
@@ -111,6 +117,68 @@ struct RowMin {
   return out;
 }
 
+// A thread's spare level slabs. A table that dies on a thread hands its
+// slabs to that thread's list, and the next table built there carves from
+// them instead of mapping fresh pages and faulting each one in: a fault
+// epoch builds a private table per egress candidate, each dying within its
+// solve. A recycled slab is not zeroed, because at_least() writes a level
+// in full before anything reads it. The list holds kSpareSlabs slabs, so
+// the rest of a dead fabric's slabs, and the list itself when its thread
+// exits, go back to the OS (DESIGN.md §11).
+constexpr std::size_t kSpareSlabs = 4;
+
+struct SpareSlabs {
+  struct Slab {
+    std::byte* at;
+    std::size_t bytes;
+  };
+  std::array<Slab, kSpareSlabs> slabs;
+  std::size_t count;
+  bool closed;  ///< the thread is exiting: unmap instead of keeping
+};
+
+// Trivially destructible, so a table that dies during thread exit, after
+// the drain below ran, still finds the list and its `closed` flag.
+thread_local SpareSlabs t_spare{};
+
+struct SpareSlabsDrain {
+  SpareSlabsDrain() = default;
+  SpareSlabsDrain(const SpareSlabsDrain&) = delete;
+  SpareSlabsDrain& operator=(const SpareSlabsDrain&) = delete;
+  ~SpareSlabsDrain() {
+    for (std::size_t i = 0; i < t_spare.count; ++i) {
+      unmap_pages(t_spare.slabs[i].at, t_spare.slabs[i].bytes);
+    }
+    t_spare.count = 0;
+    t_spare.closed = true;
+  }
+};
+
+/// A spare slab of exactly `bytes`, or nullptr.
+std::byte* take_spare_slab(std::size_t bytes) {
+  SpareSlabs& spare = t_spare;
+  for (std::size_t i = 0; i < spare.count; ++i) {
+    if (spare.slabs[i].bytes == bytes) {
+      std::byte* at = spare.slabs[i].at;
+      spare.slabs[i] = spare.slabs[--spare.count];
+      return at;
+    }
+  }
+  return nullptr;
+}
+
+/// Keeps a slab for this thread's next table, or unmaps it.
+void give_spare_slab(std::byte* at, std::size_t bytes) noexcept {
+  SpareSlabs& spare = t_spare;
+  if (spare.closed || spare.count == kSpareSlabs) {
+    unmap_pages(at, bytes);
+    return;
+  }
+  // Constructed the first time a thread gets here: runs at its exit.
+  thread_local const SpareSlabsDrain drain;
+  spare.slabs[spare.count++] = {at, bytes};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -152,14 +220,18 @@ StrollLevels::StrollLevels(std::shared_ptr<const StrollMetric> metric,
 }
 
 StrollLevels::~StrollLevels() {
-  for (std::byte* slab : slabs_) unmap_pages(slab, slab_bytes());
+  for (std::byte* slab : slabs_) give_spare_slab(slab, slab_bytes());
 }
 
 std::byte* StrollLevels::carve() const {
   if (slabs_.empty() || slab_used_ + level_bytes_ > slab_bytes()) {
-    // Fresh mappings are zero pages until written, so a slab's untouched
-    // levels cost address space only.
-    slabs_.push_back(static_cast<std::byte*>(map_pages(slab_bytes())));
+    // A spare slab is already resident. Fresh mappings are zero pages
+    // until written, so a slab's untouched levels cost address space only.
+    std::byte* slab = take_spare_slab(slab_bytes());
+    if (slab == nullptr) {
+      slab = static_cast<std::byte*>(map_pages(slab_bytes()));
+    }
+    slabs_.push_back(slab);
     slab_used_ = 0;
   }
   std::byte* at = slabs_.back() + slab_used_;

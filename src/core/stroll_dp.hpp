@@ -119,7 +119,9 @@ class StrollMetric {
 /// each (DESIGN.md §11). Tables are often built on worker threads, whose
 /// malloc arenas would keep the memory after the fabric is gone; a
 /// mapping goes back to the system when the table dies, and a slab only
-/// grows resident as its levels are written.
+/// grows resident as its levels are written. A dying table first offers
+/// its slabs to a small per-thread spare list, from which the thread's
+/// next table of the same row count carves before it maps new pages.
 class StrollLevels {
  public:
   /// Level e as flat arrays over the metric's rows (every switch), so the

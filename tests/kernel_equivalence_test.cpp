@@ -32,6 +32,9 @@
 #include "core/stroll_dp.hpp"
 #include "fault/degraded.hpp"
 #include "graph/apsp.hpp"
+#include "graph/graph.hpp"
+#include "topology/bcube.hpp"
+#include "topology/dcell.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/weights.hpp"
 #include "util/executor.hpp"
@@ -1082,6 +1085,164 @@ TEST(KernelEquivalence, PartitionedLevelTablesMatchSeedBitForBit) {
     const LevelCounts counts = expect_levels_eq(net.apsp(), t, universe, 8);
     EXPECT_GT(counts.infinite, 0u);
     EXPECT_GT(counts.no_succ, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Level tables against Algorithm 2's recurrence written plainly, row by
+// row: level 1 is the metric edge into t (none from t itself); level e
+// keeps, for each row i, the first strict-< minimum over candidates k in
+// increasing order of c(sw_i, sw_k) + cost_{e-1}[k], where k is a
+// universe switch other than t, and neither k itself nor k's
+// continuation succ_{e-1}[k] is sw_i. The row counts (20, 45, 6 and 4)
+// leave a partial tail after the last 16- or 8-row vector step of the
+// v4 and v3 relax_column clones, and the tables of one scenario are
+// built one after another on one thread, more levels than one slab
+// holds, so later tables carve from slabs an earlier table left dirty.
+// ---------------------------------------------------------------------------
+struct ScalarLevel {
+  std::vector<double> cost;
+  std::vector<NodeId> succ;
+};
+
+std::vector<ScalarLevel> scalar_levels(const AllPairs& apsp, NodeId t,
+                                       const std::vector<NodeId>& universe,
+                                       int levels) {
+  const std::vector<NodeId>& sw = apsp.graph().switches();
+  const std::size_t rows = sw.size();
+  std::vector<char> member(rows, universe.empty() ? 1 : 0);
+  for (const NodeId u : universe) {
+    member[static_cast<std::size_t>(
+        std::find(sw.begin(), sw.end(), u) - sw.begin())] = 1;
+  }
+  std::vector<ScalarLevel> out(static_cast<std::size_t>(levels));
+  for (ScalarLevel& level : out) {
+    level.cost.assign(rows, kInf);
+    level.succ.assign(rows, kInvalidNode);
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (sw[i] == t) continue;
+    out[0].cost[i] = apsp.cost(sw[i], t);
+    out[0].succ[i] = t;
+  }
+  for (std::size_t e = 1; e < out.size(); ++e) {
+    const ScalarLevel& prev = out[e - 1];
+    ScalarLevel& level = out[e];
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t k = 0; k < rows; ++k) {
+        if (!member[k] || sw[k] == t || k == i || prev.succ[k] == sw[i]) {
+          continue;
+        }
+        const double cand = apsp.cost(sw[i], sw[k]) + prev.cost[k];
+        if (cand < level.cost[i]) {
+          level.cost[i] = cand;
+          level.succ[i] = sw[k];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Builds `levels` levels toward every switch and the first and last host,
+/// one table after another, and compares every cell with scalar_levels().
+void expect_levels_match_scalar(const AllPairs& apsp,
+                                const std::vector<NodeId>& universe,
+                                int levels) {
+  const auto metric = std::make_shared<const StrollMetric>(apsp, universe);
+  const Graph& g = apsp.graph();
+  std::vector<NodeId> destinations = g.switches();
+  destinations.push_back(g.hosts().front());
+  destinations.push_back(g.hosts().back());
+  std::vector<StrollLevels::Level> got;
+  std::size_t finite = 0;
+  for (const NodeId t : destinations) {
+    const StrollLevels cur(metric, t);
+    cur.at_least(levels, got);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(levels));
+    const std::vector<ScalarLevel> want =
+        scalar_levels(apsp, t, universe, levels);
+    for (std::size_t e = 0; e < want.size(); ++e) {
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < metric->rows(); ++i) {
+        const bool same = std::bit_cast<std::uint64_t>(got[e].cost[i]) ==
+                              std::bit_cast<std::uint64_t>(want[e].cost[i]) &&
+                          got[e].succ[i] == want[e].succ[i];
+        if (!same && mismatches++ == 0) {
+          ADD_FAILURE() << "t=" << t << " level " << e + 1 << " row " << i
+                        << ": cost " << got[e].cost[i] << " succ "
+                        << got[e].succ[i] << ", scalar " << want[e].cost[i]
+                        << " " << want[e].succ[i];
+        }
+        finite += want[e].cost[i] < kInf ? 1 : 0;
+      }
+      EXPECT_EQ(mismatches, 0u) << "t=" << t << " level " << e + 1;
+    }
+  }
+  EXPECT_GT(finite, 0u);
+}
+
+/// Every switch of `g` that still has a link: the alive serving core.
+std::vector<NodeId> linked_switches(const Graph& g) {
+  std::vector<NodeId> out;
+  for (const NodeId sw : g.switches()) {
+    if (g.degree(sw) > 0) out.push_back(sw);
+  }
+  return out;
+}
+
+/// `g` with every link of the listed nodes dropped.
+Graph without_nodes(const Graph& g, const std::vector<NodeId>& dead_nodes) {
+  std::vector<char> dead(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (const NodeId v : dead_nodes) dead[static_cast<std::size_t>(v)] = 1;
+  return masked_copy(g, dead, {});
+}
+
+TEST(KernelEquivalence, LevelsMatchScalarRecurrence) {
+  constexpr int kLevels = StrollLevels::kSlabLevels + 2;
+  for (const int k : {4, 6}) {
+    SCOPED_TRACE(::testing::Message() << "fat-tree k=" << k);
+    const Topology topo = build_fat_tree(k);
+    const AllPairs apsp(topo.graph);
+    ASSERT_NE(topo.graph.switches().size() % 16, 0u);
+    std::vector<NodeId> every_other;
+    for (std::size_t i = 0; i < topo.graph.switches().size(); i += 2) {
+      every_other.push_back(topo.graph.switches()[i]);
+    }
+    expect_levels_match_scalar(apsp, {}, kLevels);
+    expect_levels_match_scalar(apsp, every_other, kLevels);
+  }
+  {
+    SCOPED_TRACE("weighted fat-tree k=4");
+    Topology topo = build_fat_tree(4);
+    apply_uniform_delay_weights(topo.graph, 5);
+    const AllPairs apsp(topo.graph);
+    const std::vector<NodeId>& sw = topo.graph.switches();
+    expect_levels_match_scalar(apsp, {}, kLevels);
+    expect_levels_match_scalar(apsp, {sw.begin() + 3, sw.end()}, kLevels);
+  }
+  {
+    // Both switches of the first host die (apsp_leaf_test's masked BCube).
+    SCOPED_TRACE("masked BCube(3,1)");
+    const Topology t = build_bcube(3, 1);
+    std::vector<NodeId> dead;
+    for (const auto& a : t.graph.neighbors(t.graph.hosts().front())) {
+      dead.push_back(a.to);
+    }
+    const Graph g = without_nodes(t.graph, dead);
+    const AllPairs apsp(g, /*allow_disconnected=*/true);
+    expect_levels_match_scalar(apsp, {}, kLevels);
+    expect_levels_match_scalar(apsp, linked_switches(g), kLevels);
+  }
+  {
+    // Cells 0 and 1 lose their switches (apsp_leaf_test's masked DCell).
+    SCOPED_TRACE("masked DCell1(3)");
+    const Topology t = build_dcell1(3);
+    const Graph g = without_nodes(
+        t.graph, {t.graph.switches()[0], t.graph.switches()[1]});
+    const AllPairs apsp(g, /*allow_disconnected=*/true);
+    expect_levels_match_scalar(apsp, {}, kLevels);
+    expect_levels_match_scalar(apsp, linked_switches(g), kLevels);
   }
 }
 

@@ -240,10 +240,13 @@ done
 # by a restricted (degraded) universe. Its source-row argmin reads four
 # rows per step through unaligned copies and runs the last partial step
 # on a padded copy, so no load reads past a row's end; the find scratch
-# is reused across queries. The fault suite drives the degraded fabrics
-# that produce those masks. The assignment solver walks each augmenting
-# path back through labels that only its current early-exit Dijkstra
-# set, and relinks per-host intrusive VM lists as it goes; the
+# is reused across queries. Its level kernel relaxes 4 to 16 rows a step
+# with a scalar tail, into slabs that later tables on the thread reuse
+# unzeroed (kernel_equivalence_test's LevelsMatchScalarRecurrence). The
+# fault suite drives the degraded fabrics that produce those masks. The
+# assignment solver walks each augmenting path back through labels that
+# only its current early-exit Dijkstra set, and relinks per-host
+# intrusive VM lists as it goes; the
 # VM-migration baselines drive it. The exact chain search (TOP, TOM and
 # multi-SFC) reads flat s×s distance and order matrices through raw row
 # pointers. The queued churn patches are drained later than they were

@@ -1,29 +1,38 @@
 #!/usr/bin/env bash
-# Vectorization gate over the PR-6 flat kernels (ROADMAP follow-up):
-# every loop tagged `// ppdc-vec: <name>` in the files below must be
-# reported as "loop vectorized" by the compiler. A tag may add
-# `bytes=<N>` to require N-byte vectors (`// ppdc-vec: <name> bytes=32`).
-# The tags sit on the `for` line, which is exactly where GCC's
+# Vectorization gate over the flat kernels: every loop tagged
+# `// ppdc-vec: <name>` in the files below must be reported as "loop
+# vectorized" by the compiler. A tag may add `bytes=<N>[,<N>...]` to
+# require vectors of each listed width (`// ppdc-vec: <name> bytes=64,32`
+# needs one 64-byte and one 32-byte vectorization of the loop, i.e. two
+# clones). The tags sit on the `for` line, which is exactly where GCC's
 # -fopt-info-vec attributes its records, so the match is by (file, line).
 #
 # The gate is compile-only — nothing is executed — and compiles with the
 # library's Release flags (-std=c++20 -O3 -DNDEBUG, no -march), so it
 # checks the code that ships. The level-relax select, where a double
 # compare picks an int32 successor, stays scalar at the baseline x86-64
-# ISA; the kernel carries a target_clones x86-64-v3 clone (stroll_dp.cpp),
-# and its pin requires that clone's 32-byte (AVX2) vectors. The
-# cost-model loops inline into kernels with an AVX clone (cost_model.cpp),
-# and their pins require that clone's 32-byte vectors. A kernel refactor
-# that silently drops back to scalar code, or loses its clone, fails here
-# instead of surfacing as a bench regression three PRs later.
+# ISA; the kernel carries target_clones x86-64-v4 and x86-64-v3 clones
+# (stroll_dp.cpp), and its pin requires their 64-byte (AVX-512) and
+# 32-byte (AVX2) vectors. The cost-model loops inline into kernels with
+# an AVX clone (cost_model.cpp), and their pins require that clone's
+# 32-byte vectors. A kernel refactor that silently drops back to scalar
+# code, or loses a clone, fails here instead of surfacing as a bench
+# regression three PRs later.
 #
-# Kernels written with GCC generic vectors (`vector_size`) have no loop
-# for -fopt-info-vec to report, so they take a second tag,
-# `// ppdc-ymm: <name> fn=<function>`, anywhere in the file: the gate
-# compiles the file to assembly with the same flags and requires the
-# function's x86-64-v3 clone (`<mangled>.arch_x86_64_v3`) to compare
-# packed doubles in 32-byte ymm registers (`vcmp...pd ... %ymm`). Losing
-# the clone attribute, or code that GCC lowers to scalar, fails it.
+# Two more tags name a function and check its clone's assembly, anywhere
+# in the file: the gate compiles the file to assembly with the same
+# flags and requires
+#   `// ppdc-ymm: <name> fn=<function>` — the function's x86-64-v3 clone
+#     (`<mangled>.arch_x86_64_v3`) compares packed doubles in 32-byte ymm
+#     registers (`vcmp...pd ... %ymm`). Kernels written with GCC generic
+#     vectors (`vector_size`) have no loop for -fopt-info-vec to report,
+#     so this is their only pin;
+#   `// ppdc-zmm: <name> fn=<function>` — the function's x86-64-v4 clone
+#     (`<mangled>.arch_x86_64_v4`) compares packed doubles in 64-byte zmm
+#     registers into a mask register (`vcmp...pd ... %zmm<i>, %k<j>`), the
+#     compare whose mask stores the selected lanes with no narrowing step.
+# Losing the clone attribute or a clone target, or code that GCC lowers
+# to scalar, fails them.
 #
 # Exit: 0 all pinned kernels vectorize, 1 regression (or tags missing),
 # 77 skipped (non-GNU compiler or non-x86-64 target, same SKIPPED
@@ -54,7 +63,7 @@ failures=0
 checked=0
 for f in $FILES; do
   pins=$(grep -n 'ppdc-vec:' "$f" |
-         sed -E 's/^([0-9]+):.*ppdc-vec: *([A-Za-z0-9-]+)( +bytes=([0-9]+))?.*/\1 \2 \4/')
+         sed -E 's/^([0-9]+):.*ppdc-vec: *([A-Za-z0-9-]+)( +bytes=([0-9,]+))?.*/\1 \2 \4/')
   if [ -z "$pins" ]; then
     echo "vec_gate: FAIL: no ppdc-vec pins found in $f (tags removed?)" >&2
     failures=$((failures + 1))
@@ -68,14 +77,22 @@ for f in $FILES; do
     rm -f "$report"
     continue
   fi
-  while read -r line name bytes; do
+  while read -r line name widths; do
     checked=$((checked + 1))
-    want="loop vectorized"
-    [ -n "$bytes" ] && want="loop vectorized using $bytes byte vectors"
-    if grep -q "^$f:$line:[0-9]*: optimized: $want" "$report"; then
-      echo "vec_gate: OK   $name ($f:$line${bytes:+, $bytes-byte vectors})"
+    at="^$f:$line:[0-9]*: optimized: loop vectorized"
+    missing=
+    if [ -z "$widths" ]; then
+      grep -q "$at" "$report" || missing=" any"
+    fi
+    for bytes in ${widths//,/ }; do
+      grep -q "$at using $bytes byte vectors" "$report" ||
+        missing="$missing $bytes-byte"
+    done
+    if [ -z "$missing" ]; then
+      echo "vec_gate: OK   $name ($f:$line${widths:+, $widths-byte vectors})"
     else
-      echo "vec_gate: FAIL $name ($f:$line) no longer reports \"$want\"" >&2
+      echo "vec_gate: FAIL $name ($f:$line) no longer reports" \
+           "\"loop vectorized\" with${missing} vectors" >&2
       failures=$((failures + 1))
     fi
   done <<EOF
@@ -83,9 +100,9 @@ $pins
 EOF
   rm -f "$report"
 
-  ymm_pins=$(grep -n 'ppdc-ymm:' "$f" |
-             sed -E 's/^([0-9]+):.*ppdc-ymm: *([A-Za-z0-9-]+) +fn=([A-Za-z0-9_]+).*/\1 \2 \3/')
-  [ -z "$ymm_pins" ] && continue
+  asm_pins=$(grep -n -E 'ppdc-(ymm|zmm):' "$f" |
+             sed -E 's/^([0-9]+):.*ppdc-(ymm|zmm): *([A-Za-z0-9-]+) +fn=([A-Za-z0-9_]+).*/\1 \2 \3 \4/')
+  [ -z "$asm_pins" ] && continue
   asm=$(mktemp)
   if ! "$CXX" $FLAGS -S "$f" -o "$asm" 2>/dev/null; then
     echo "vec_gate: FAIL: $f does not compile to assembly with $FLAGS" >&2
@@ -93,22 +110,30 @@ EOF
     rm -f "$asm"
     continue
   fi
-  while read -r line name fn; do
+  while read -r line reg name fn; do
     checked=$((checked + 1))
+    if [ "$reg" = zmm ]; then
+      arch=x86-64-v4
+      cmp='vcmp[a-z]*pd[ \t].*%zmm[0-9]+, *%k[0-7]$'
+      what="comparing packed doubles on zmm into a mask"
+    else
+      arch=x86-64-v3
+      cmp='vcmp[a-z]*pd[ \t].*%ymm'
+      what="comparing packed doubles on ymm"
+    fi
     # The clone's body runs from its label to the end of its CFI region.
-    if awk -v fn="$fn" '
-         $0 ~ ("^_Z[A-Za-z0-9_]*[0-9]" fn "E[A-Za-z0-9_]*[.]arch_x86_64_v3:$") { on = 1 }
-         on && /vcmp[a-z]*pd[ \t].*%ymm/ { found = 1 }
+    if awk -v fn="$fn" -v clone="${arch//-/_}" -v cmp="$cmp" '
+         $0 ~ ("^_Z[A-Za-z0-9_]*[0-9]" fn "E[A-Za-z0-9_]*[.]arch_" clone ":$") { on = 1 }
+         on && $0 ~ cmp { found = 1 }
          on && /[.]cfi_endproc/ { on = 0 }
          END { exit found ? 0 : 1 }' "$asm"; then
-      echo "vec_gate: OK   $name ($f:$line, $fn's x86-64-v3 clone on ymm)"
+      echo "vec_gate: OK   $name ($f:$line, $fn's $arch clone on $reg)"
     else
-      echo "vec_gate: FAIL $name ($f:$line) $fn has no x86-64-v3 clone" \
-           "comparing packed doubles on ymm" >&2
+      echo "vec_gate: FAIL $name ($f:$line) $fn has no $arch clone $what" >&2
       failures=$((failures + 1))
     fi
   done <<EOF
-$ymm_pins
+$asm_pins
 EOF
   rm -f "$asm"
 done
