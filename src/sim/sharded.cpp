@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -85,20 +86,30 @@ int required_clean_epochs(int shard, int fail_streak) {
   return kRecoveryEpochs + backoff + jitter;
 }
 
-/// Runs `work(s)` for every shard on a `pool`-wide region until `stop()`
-/// turns true. A throw lands in errors[s] and the remaining shards still
-/// run; callers surface errors in shard order, so every width fails the
-/// same way.
-template <class Work, class Stop>
+/// Runs `work(s)` for every shard and `extra()` once on a `pool`-wide
+/// region until `stop()` turns true. `extra` is the region's second item:
+/// a long one starts at once, on the first worker to arrive, and the
+/// calling thread, which claims first, still takes shard 0. `extra` must
+/// not throw. A throw from `work(s)` lands in errors[s] and the remaining
+/// shards still run; callers surface errors in shard order, so every
+/// width fails the same way.
+template <class Extra, class Work, class Stop>
 void for_each_shard(int num_shards, int pool,
-                    std::vector<std::exception_ptr>& errors, Work&& work,
-                    Stop&& stop) {
+                    std::vector<std::exception_ptr>& errors, Extra&& extra,
+                    Work&& work, Stop&& stop) {
+  static_assert(std::is_nothrow_invocable_v<Extra&>,
+                "for_each_shard extras must be noexcept");
   std::atomic<int> next{0};
   parallel_run(pool, [&]() noexcept {
     for (;;) {
       if (stop()) return;
-      const int s = next.fetch_add(1, std::memory_order_relaxed);
-      if (s >= num_shards) return;
+      const int item = next.fetch_add(1, std::memory_order_relaxed);
+      if (item > num_shards) return;
+      if (item == 1) {
+        extra();
+        continue;
+      }
+      const int s = item == 0 ? 0 : item - 1;
       try {
         work(s);
       } catch (...) {
@@ -314,8 +325,23 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
   const int replayed = static_cast<int>(journal.epochs.size());
 
   std::vector<ShardRun> runs(static_cast<std::size_t>(num_shards));
-  const int pool = std::min(resolve_experiment_threads(sharded.threads),
-                            num_shards);
+  const int threads = resolve_experiment_threads(sharded.threads);
+  const int pool = std::min(threads, num_shards);
+  // Churn pipeline (DESIGN.md §14): epoch h's shard region also draws
+  // epoch h+1's churn into `next_churn`, and epoch h+1 commits it where
+  // it would have called advance(). The draw reads only the workload's
+  // free list, slot count and generator, which nothing in the region
+  // writes, so every width draws the same bits. The epoch region takes
+  // one worker more than the shards need for it. The draw is the
+  // region's second item, not its first, so the calling thread keeps
+  // shard 0 and the shards' large per-epoch buffers stay in the malloc
+  // arenas they used before: drawing first raised peak RSS by 2 MiB on
+  // shard_resolve and 11 MiB on bench_scale k=32 (EXPERIMENTS.md).
+  const bool drawing = streaming && config.hours > 1;
+  const int epoch_pool = drawing ? std::min(threads, num_shards + 1) : pool;
+  ChurnDraw next_churn;
+  bool drawn = false;  // next_churn holds a draw of the current state
+  std::exception_ptr draw_error;
 
   // Hour 0: per-shard initial traffic-optimal placement (TOP, Algorithm
   // 3) on the pristine fabric, on the shard pool — or the journaled one
@@ -333,7 +359,7 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     std::vector<std::exception_ptr> errors(
         static_cast<std::size_t>(num_shards));
     for_each_shard(
-        num_shards, pool, errors,
+        num_shards, pool, errors, []() noexcept {},
         [&](int s) {
           ShardedCostModel::Shard& sh = shards.shard(s);
           set_rates(sh.flows, shard_rates(sh, Hour{0}, schedule0));
@@ -444,11 +470,18 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     emit([&](EpochObserver& o) { o.on_epoch_begin(hour); });
 
     // 0. Inter-epoch churn: a streaming workload advances once per epoch
-    // from hour 1 on, and the shards mirror the churn with O(|V_s|)
-    // patches.
+    // from hour 1 on, by committing the draw the previous epoch's region
+    // made (a draw that threw surfaces here, as advance() would have
+    // thrown here), and the shards mirror the churn with O(|V_s|) patches.
     int epoch_churn = 0;
     if (streaming && hour >= Hour{1}) {
-      const FlowChurn churn = workload.advance();
+      if (draw_error) std::rethrow_exception(draw_error);
+      // A region stopped by a cancel flag that was then cleared may not
+      // have reached its draw.
+      if (!drawn) workload.draw(next_churn);
+      workload.commit(next_churn);
+      drawn = false;
+      const FlowChurn& churn = next_churn.churn;
       epoch_churn = static_cast<int>(churn.total());
       if (epoch_churn > 0) {
         const std::vector<int> touched =
@@ -696,7 +729,18 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     auto cancelled = [&]() {
       return cancel != nullptr && cancel->load(std::memory_order_relaxed);
     };
-    for_each_shard(num_shards, pool, errors, shard_epoch, cancelled);
+    // The next epoch's churn draw; a cancelled run drops it uncommitted.
+    auto draw_next = [&]() noexcept {
+      if (!drawing || hour.value() + 1 >= config.hours) return;
+      try {
+        workload.draw(next_churn);
+        drawn = true;
+      } catch (...) {
+        draw_error = std::current_exception();
+      }
+    };
+    for_each_shard(num_shards, epoch_pool, errors, draw_next, shard_epoch,
+                   cancelled);
     if (cancelled()) {
       emit([&](EpochObserver& o) { o.on_interrupted(hour); });
       throw SimInterrupted("simulation cancelled inside epoch " +

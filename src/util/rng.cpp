@@ -25,18 +25,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   }
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   PPDC_REQUIRE(lo <= hi, "uniform_int: empty range");
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
@@ -51,18 +39,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
       return lo + static_cast<std::int64_t>(r % span);
     }
   }
-}
-
-double Rng::uniform_real(double lo, double hi) {
-  PPDC_REQUIRE(lo <= hi, "uniform_real: empty range");
-  const double unit =
-      static_cast<double>((*this)() >> 11) * 0x1.0p-53;  // [0,1)
-  return lo + unit * (hi - lo);
-}
-
-bool Rng::bernoulli(double p) {
-  PPDC_REQUIRE(p >= 0.0 && p <= 1.0, "bernoulli: p outside [0,1]");
-  return uniform_real(0.0, 1.0) < p;
 }
 
 double Rng::normal(double mean, double stddev) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -33,17 +34,41 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  /// Next raw 64-bit value. Inline, like the draws below: the streaming
+  /// workload calls them once per flow per epoch.
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
+
+  /// Uniform real in [0, 1): the top 53 bits of one raw value. It is
+  /// uniform_real(0, 1) and the draw under bernoulli() bit for bit, for a
+  /// caller that checked its bounds once ahead of many draws.
+  double unit() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Uniform real in [lo, hi).
-  double uniform_real(double lo, double hi);
+  double uniform_real(double lo, double hi) {
+    PPDC_REQUIRE(lo <= hi, "uniform_real: empty range");
+    return lo + unit() * (hi - lo);
+  }
 
   /// Bernoulli draw with success probability p in [0, 1].
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    PPDC_REQUIRE(p >= 0.0 && p <= 1.0, "bernoulli: p outside [0,1]");
+    return unit() < p;
+  }
 
   /// Normal draw via Marsaglia polar method.
   double normal(double mean, double stddev);

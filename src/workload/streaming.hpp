@@ -8,6 +8,11 @@
 // arrivals, all drawn from one seeded Rng in a fixed order, so the whole
 // trace is deterministic).
 //
+// advance() is draw() then commit(). draw() is const: it computes an
+// epoch's churn into caller-owned buffers from the free list, the slot
+// count and the generator alone, so the sharded engine draws epoch h+1
+// while epoch h's shards run, and commits it at h+1 (DESIGN.md §14).
+//
 // FlowId stability (the property the sharded cost model depends on):
 // departing flows do NOT compact the flow vector. Their slot keeps its
 // endpoints, drops to base rate 0, and enters a free-list; the next
@@ -51,6 +56,20 @@ struct FlowChurn {
   }
 };
 
+/// One epoch of churn, drawn but not applied (StreamingWorkload::draw).
+/// The caller owns it and reuses it, so its buffers keep their capacity
+/// from epoch to epoch.
+struct ChurnDraw {
+  /// What commit() changes, as advance() reports it.
+  FlowChurn churn;
+  std::vector<double> rerates;   ///< new base rate of churn.rerated[k]
+  std::vector<VmFlow> arrivals;  ///< the flow landing in churn.arrived[k]
+  /// The free list after the epoch, sorted descending.
+  std::vector<FlowId> free_slots;
+  Rng rng;  ///< the generator after the epoch
+  std::array<std::uint64_t, 4> drawn_from{};  ///< the generator before it
+};
+
 /// Seeded, deterministic flow source with inter-epoch churn.
 class StreamingWorkload {
  public:
@@ -79,8 +98,22 @@ class StreamingWorkload {
 
   /// Applies one epoch of churn: departures first (over live flows in
   /// ascending id order), then re-rates (over the survivors), then
-  /// arrivals (smallest free slot first, appends after).
+  /// arrivals (smallest free slot first, appends after). Same as
+  /// draw() followed by commit().
   FlowChurn advance();
+
+  /// Draws the next epoch's churn into `out` without changing the
+  /// workload. It reads only the free list, the slot count and the
+  /// generator, so it may run while another thread reads flows() or
+  /// calls relocate().
+  void draw(ChurnDraw& out) const;
+
+  /// Applies a draw of the workload's current state (throws PpdcError if
+  /// the generator has moved since): departed slots drop to rate 0,
+  /// re-rated ones take their new rate, arrivals overwrite or append
+  /// their slot, then the free list and the generator advance. `d.churn`
+  /// is left as advance() would return it; the other buffers are spent.
+  void commit(ChurnDraw& d);
 
   const StreamingChurnConfig& churn_config() const noexcept { return churn_; }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace ppdc {
@@ -175,6 +176,52 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (child() == parent_copy()) ++equal;
   }
   EXPECT_LT(equal, 4);
+}
+
+TEST(Rng, RawStreamIsPinned) {
+  // Regression pin of the xoshiro256** stream and the two draws every
+  // churn epoch makes per flow: a seeded run's workload, and with it every
+  // recorded trace, is a function of exactly these bits.
+  const std::uint64_t seed1[16] = {
+      0xb3f2af6d0fc710c5ULL, 0x853b559647364ceaULL, 0x92f89756082a4514ULL,
+      0x642e1c7bc266a3a7ULL, 0xb27a48e29a233673ULL, 0x24c123126ffda722ULL,
+      0x123004ef8df510e6ULL, 0x61954dcc47b1e89dULL, 0xddfdb48ab9ed4a21ULL,
+      0x8d3cdb8c3aa5b1d0ULL, 0xeebd114bd87226d1ULL, 0xf50c3ff1e7d7e8a6ULL,
+      0xeeca3115e23bc8f1ULL, 0xab49ed3db4c66435ULL, 0x99953c6c57808dd7ULL,
+      0xe3fa941b05219325ULL};
+  const std::uint64_t seed_default[16] = {
+      0x422ea740d0977210ULL, 0xe062b061b42e2928ULL, 0x5a071fc5930841b6ULL,
+      0x01334ef8ed3cc2bdULL, 0xe45cbd6a2d9e96dbULL, 0x3bc1fe841a5f292fULL,
+      0x60001d95ebbbd8e6ULL, 0xa0aee00b5b303762ULL, 0x9e23c8d7514cf750ULL,
+      0xfc79b675a1a76a3cULL, 0xd430797eb1952242ULL, 0x5d8c1e38c042f56dULL,
+      0x62192f394c129095ULL, 0xb66848e210a0f50dULL, 0x2d1d2eb24edaba45ULL,
+      0x794532bcac68202cULL};
+  Rng one(1);
+  Rng fallback;
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(one(), seed1[i]) << "Rng(1) output " << i;
+    EXPECT_EQ(fallback(), seed_default[i]) << "Rng() output " << i;
+  }
+
+  const double units[8] = {
+      0x1.67e55eda1f8e2p-1, 0x1.0a76ab2c8e6c9p-1, 0x1.25f12eac10548p-1,
+      0x1.90b871ef099a8p-2, 0x1.64f491c534466p-1, 0x1.260918937fedp-3,
+      0x1.23004ef8df51p-4,  0x1.865537311ec7ap-2};
+  Rng reals(1);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(reals.uniform_real(0.0, 1.0), units[i]) << "draw " << i;
+  }
+  Rng raw_units(1);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(raw_units.unit(), units[i]) << "unit() " << i;
+  }
+
+  const std::string coins =
+      "0000000000000000001000000000001000000000010000000000000000000000";
+  Rng flips(1);
+  std::string got;
+  for (int i = 0; i < 64; ++i) got += flips.bernoulli(0.05) ? '1' : '0';
+  EXPECT_EQ(got, coins);
 }
 
 TEST(Splitmix, KnownSequenceIsStable) {

@@ -15,6 +15,9 @@
 //     a placement-stable policy, the trace matches the resolve-every-epoch
 //     run bit for bit.
 //   * run_experiment's sharded path inherits the same thread invariance.
+//   * The next epoch's churn, drawn inside the shard region, leaves the
+//     trace and the workload the same bits at every width, and a cancelled
+//     run leaves no uncommitted draw behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -863,6 +866,82 @@ TEST(ShardedVmMigration, PlanAndMcfAreThreadInvariantOnPodShards) {
     EXPECT_GT(serial.total_vm_migrations, 0) << proto->name();
     EXPECT_GT(serial.total_switch_failures, 0) << proto->name();
     EXPECT_EQ(serial.audited_epochs, ps.sim.hours) << proto->name();
+  }
+}
+
+void expect_equal_snapshots(const StreamingWorkload::Snapshot& a,
+                            const StreamingWorkload::Snapshot& b) {
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  for (std::size_t i = 0; i < a.flows.size(); ++i) {
+    EXPECT_EQ(a.flows[i].src_host, b.flows[i].src_host) << "flow " << i;
+    EXPECT_EQ(a.flows[i].dst_host, b.flows[i].dst_host) << "flow " << i;
+    EXPECT_EQ(a.flows[i].rate, b.flows[i].rate) << "flow " << i;
+    EXPECT_EQ(a.flows[i].group, b.flows[i].group) << "flow " << i;
+  }
+  EXPECT_EQ(a.free_slots, b.free_slots);
+  EXPECT_EQ(a.rng, b.rng);
+}
+
+TEST(ShardedChurnPipeline, DrawInShardRegionIsWidthInvariant) {
+  // Each epoch's shard region also draws the next epoch's churn. Churn
+  // every epoch, PLAN moving VMs (relocate() writes the workload after
+  // the region), and a mix of held and re-solving shards: the trace and
+  // the final workload are the same bits at widths 1, 2 and 4.
+  PodStress ps;
+  ps.sim.faults.clear();  // faults would force every shard to re-solve
+  const PlanPolicy plan(vm_config());
+  auto run = [&](int threads, StreamingWorkload::Snapshot& end) {
+    StreamingWorkload w = ps.workload();
+    SimTrace t = run_sharded_simulation(ps.apsp, ps.map, w, 5, ps.sim,
+                                        ps.sharded(threads), plan);
+    end = w.snapshot();
+    return t;
+  };
+  StreamingWorkload::Snapshot serial_end;
+  const SimTrace serial = run(1, serial_end);
+  EXPECT_GT(serial.total_shard_holds, 0);
+  EXPECT_GT(serial.total_shard_resolves, ps.map.num_shards());
+  EXPECT_GT(serial.total_vm_migrations, 0);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    StreamingWorkload::Snapshot end;
+    expect_equal_traces(run(threads, end), serial);
+    expect_equal_snapshots(end, serial_end);
+  }
+
+  // Every epoch churned, so the run committed hours - 1 draws.
+  StreamingWorkload fresh = ps.workload();
+  for (int h = 1; h < ps.sim.hours; ++h) {
+    EXPECT_GT(fresh.advance().total(), 0u) << "epoch " << h;
+  }
+  EXPECT_EQ(fresh.snapshot().rng, serial_end.rng);
+  EXPECT_EQ(fresh.free_slots(), serial_end.free_slots);
+}
+
+TEST(ShardedChurnPipeline, CancelledRunLeavesNoUncommittedDraw) {
+  // Cancelling at the end of epoch h abandons the draw epoch h's region
+  // made for h+1: the workload is left exactly h epochs advanced.
+  PodStress ps;
+  ps.sim.faults.clear();
+  ps.sim.audit.enabled = false;
+  const ParetoMigrationPolicy proto(1e3);  // moves no VMs
+  for (const int threads : {1, 4}) {
+    for (const int h : {0, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", cancel at " +
+                   std::to_string(h));
+      std::atomic<bool> cancel{false};
+      SimConfig sim = ps.sim;
+      sim.cancel = &cancel;
+      CancelAtEpoch observer(&cancel, h);
+      StreamingWorkload w = ps.workload();
+      EXPECT_THROW(run_sharded_simulation(ps.apsp, ps.map, w, 5, sim,
+                                          ps.sharded(threads), proto,
+                                          &observer),
+                   SimInterrupted);
+      StreamingWorkload fresh = ps.workload();
+      for (int e = 1; e <= h; ++e) (void)fresh.advance();
+      expect_equal_snapshots(w.snapshot(), fresh.snapshot());
+    }
   }
 }
 

@@ -232,21 +232,21 @@ done
 
 # ---------------------------------------------------------------------------
 # Stage 6b: the APSP, stroll DP, chain search, fault, assignment,
-# churn-patch and epoch-journal suites under ASan + UBSan (optional;
-# needs the sanitize preset built). The AllPairs build indexes a
-# core-only adjacency and writes each source's rows through raw
-# pointers, on masked fabrics too (apsp_leaf_test). The stroll DP reads
-# the fabric's AllPairs core through raw row and column pointers, masked
-# by a restricted (degraded) universe. Its source-row argmin reads four
-# rows per step through unaligned copies and runs the last partial step
-# on a padded copy, so no load reads past a row's end; the find scratch
-# is reused across queries. Its level kernel relaxes 4 to 16 rows a step
-# with a scalar tail, into slabs that later tables on the thread reuse
-# unzeroed (kernel_equivalence_test's LevelsMatchScalarRecurrence). The
-# fault suite drives the degraded fabrics that produce those masks. The
-# assignment solver walks each augmenting path back through labels that
-# only its current early-exit Dijkstra set, and relinks per-host
-# intrusive VM lists as it goes; the
+# churn-patch, epoch-journal, streaming-workload and generator suites
+# under ASan + UBSan (optional; needs the sanitize preset built). The
+# AllPairs build indexes a core-only adjacency and writes each source's
+# rows through raw pointers, on masked fabrics too (apsp_leaf_test). The
+# stroll DP reads the fabric's AllPairs core through raw row and column
+# pointers, masked by a restricted (degraded) universe. Its source-row
+# argmin reads four rows per step through unaligned copies and runs the
+# last partial step on a padded copy, so no load reads past a row's end;
+# the find scratch is reused across queries. Its level kernel relaxes 4
+# to 16 rows a step with a scalar tail, into slabs that later tables on
+# the thread reuse unzeroed (kernel_equivalence_test's
+# LevelsMatchScalarRecurrence). The fault suite drives the degraded
+# fabrics that produce those masks. The assignment solver walks each
+# augmenting path back through labels that only its current early-exit
+# Dijkstra set, and relinks per-host intrusive VM lists as it goes; the
 # VM-migration baselines drive it. The exact chain search (TOP, TOM and
 # multi-SFC) reads flat s×s distance and order matrices through raw row
 # pointers. The queued churn patches are drained later than they were
@@ -255,12 +255,15 @@ done
 # (incremental_refresh_test). The epoch-journal codec appends raw field
 # bytes and reads them back through a bounds-checked cursor with raw
 # memcpy, from frames whose length and CRC come off the disk
-# (checkpoint_test).
+# (checkpoint_test). The streaming workload's churn draw computes
+# re-spawned and appended slot ids from its free list by arithmetic, and
+# its commit writes flows through them (streaming_test); rng_test pins
+# the inline generator the draw runs on.
 # ---------------------------------------------------------------------------
 for t in apsp_leaf_test stroll_dp_test kernel_equivalence_test \
          placement_test fault_test assignment_test vm_migration_test \
          chain_search_test multi_sfc_test incremental_refresh_test \
-         checkpoint_test; do
+         checkpoint_test streaming_test rng_test; do
   ASAN_RUNNER=build-asan/tests/$t
   if [ -x "$ASAN_RUNNER" ]; then
     note "asan: $ASAN_RUNNER"
