@@ -29,17 +29,27 @@ constexpr int kMaxGroupId = 1 << 20;
 /// list streams past, and blocks double as the parallel work unit.
 constexpr std::size_t kSwitchBlock = 512;
 
-// The attraction kernels below multiply and add. x86-64-v3 has FMA, and
-// GCC's default -ffp-contract=fast would contract a·c + g into one fused
-// rounding there and change the bits. AVX has 4-wide doubles and no FMA
-// instructions, so its clone runs every lane through the same multiply
-// and the same add, in the same order, as the baseline (SSE2) clone, and
-// the bits stay. The clones sit on the member kernels that loop over
-// flows or patches (refresh_block, accumulate_group_block, drain_patches,
-// patch_moved_flow), so these leaf loops inline into each clone and no
-// row pays an ifunc call. tools/vec_gate.sh pins each leaf loop to 32-byte
-// vectors and fails on any FMA instruction in this file's assembly.
-#define PPDC_ATTRACTION_CLONES PPDC_TARGET_CLONES("avx", "default")
+// The attraction kernels below multiply and add. x86-64-v3 and v4 have
+// FMA, and GCC's default -ffp-contract=fast would contract a·c + g into
+// one fused rounding there and change the bits, so this file is built
+// with -ffp-contract=off (src/CMakeLists.txt): every clone then runs each
+// lane through the same multiply and the same add, in the same order, as
+// the baseline (SSE2) clone, and the bits stay. The x86-64-v4 clone does
+// it on 8-wide doubles, the AVX clone (AVX has no FMA instructions at
+// all) on 4-wide ones. The clones sit on the member kernels that loop
+// over flows or patches (refresh_block, accumulate_group_block,
+// drain_patches, patch_moved_flow), so these leaf loops inline into each
+// clone and no row pays an ifunc call. tools/vec_gate.sh pins each leaf
+// loop to 64- and 32-byte vectors and fails on any FMA instruction in
+// this file's assembly.
+#define PPDC_ATTRACTION_CLONES \
+  PPDC_TARGET_CLONES("arch=x86-64-v4", "avx", "default")
+
+/// Grows `v`'s capacity to at least `n` the way push_back would.
+template <class T>
+void grow_capacity(std::vector<T>& v, std::size_t n) {
+  if (n > v.capacity()) v.reserve(std::max(n, 2 * v.size()));
+}
 
 /// Accumulates one flow's contribution over a switch block into a dense
 /// accumulator: acc[j] += rate · c, where c = weight + row[j] is the
@@ -48,7 +58,7 @@ constexpr std::size_t kSwitchBlock = 512;
 /// flows still add in flow order.
 void accumulate_block(double* __restrict acc, const double* __restrict row,
                       double weight, std::size_t n, double rate) {
-  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: attraction-block bytes=32
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: attraction-block bytes=64,32
     acc[j] += rate * (weight + row[j]);
   }
 }
@@ -63,7 +73,7 @@ void patch_flow_rows(double* __restrict gi, double* __restrict ge,
   const double* __restrict drow = dst.cost;
   const double sw = src.weight;
   const double dw = dst.weight;
-  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-row-patch bytes=32
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-row-patch bytes=64,32
     gi[j] += a * (sw + srow[j]);
     ge[j] += a * (dw + drow[j]);
   }
@@ -80,7 +90,7 @@ void rerate_flow_rows(double* __restrict gi, double* __restrict ge,
   const double* __restrict drow = dst.cost;
   const double sw = src.weight;
   const double dw = dst.weight;
-  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-rerate-patch bytes=32
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: churn-rerate-patch bytes=64,32
     const double ci = sw + srow[j];
     const double ce = dw + drow[j];
     gi[j] = (gi[j] + a * ci) + b * ci;
@@ -96,7 +106,7 @@ void move_flow_row(double* __restrict g, AllPairs::CoreRow to,
   const double* __restrict frow = from.cost;
   const double tw = to.weight;
   const double fw = from.weight;
-  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: endpoint-move bytes=32
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: endpoint-move bytes=64,32
     g[j] += base * ((tw + trow[j]) - (fw + frow[j]));
   }
 }
@@ -438,6 +448,7 @@ void CostModel::queue_patch(std::size_t row, double first, double second,
 }
 
 // Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
+// ppdc-zmm: churn-patch-drain fn=drain_patches insn=vmulpd
 [[PPDC_ATTRACTION_CLONES gnu::aligned(64)]] void CostModel::drain_patches() {
   const std::size_t ns = num_switches();
   for (const RowPatch& p : patches_) {
@@ -530,6 +541,14 @@ void CostModel::flows_appended(const std::vector<double>& new_bases,
                   f.src_host, f.dst_host);
     }
   }
+}
+
+void CostModel::reserve_churn(std::size_t flows, std::size_t patches) {
+  grow_capacity(base_rates_, flows);
+  grow_capacity(groups_, flows);
+  grow_capacity(snap_src_, flows);
+  grow_capacity(snap_dst_, flows);
+  grow_capacity(patches_, patches_.size() + patches);
 }
 
 void CostModel::refresh_scaled(const std::vector<double>& scales) {

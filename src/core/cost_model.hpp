@@ -143,12 +143,12 @@ class CostModel {
   /// subtract the old base-vector contribution at the snapshot endpoints,
   /// add the new one at the flow's current endpoints. A re-rate that keeps
   /// its row and endpoints queues one two-term patch. The queue is drained
-  /// in order by drain_patches() — ShardedCostModel::apply_churn drains
-  /// every churned shard in parallel — or by the next reader of the base
-  /// rows (refresh_scaled, refresh, endpoints_moved, group_snapshot). The
-  /// combined attraction vectors are left stale on purpose: callers batch
-  /// rebase calls per epoch and recombine once via refresh_scaled() (or
-  /// refresh()) before the next cost query.
+  /// in order by drain_patches() — each shard's churn apply ends with it
+  /// (ShardedCostModel::apply_shard_churn) — or by the next reader of the
+  /// base rows (refresh_scaled, refresh, endpoints_moved, group_snapshot).
+  /// The combined attraction vectors are left stale on purpose: callers
+  /// batch rebase calls per epoch and recombine once via refresh_scaled()
+  /// (or refresh()) before the next cost query.
   void rebase_flow(FlowId flow, double new_base, int new_group);
 
   /// Streaming churn: the bound flow vector grew by `new_bases.size()`
@@ -157,6 +157,12 @@ class CostModel {
   /// same queue and recombine-before-query contract as rebase_flow().
   void flows_appended(const std::vector<double>& new_bases,
                       const std::vector<int>& new_groups);
+
+  /// Makes room for a batch of churn: `flows` flows in the per-flow
+  /// bookkeeping that flows_appended() extends, and `patches` patches in
+  /// the queue, each grown at least geometrically, as push_back grows
+  /// it. Churn within both counts then allocates nothing.
+  void reserve_churn(std::size_t flows, std::size_t patches);
 
   /// Applies the queued churn patches to the base rows, in queue order,
   /// and empties the queue. Touches only this model's rows, so models

@@ -12,22 +12,29 @@
 // sees only east-coast flows still accepts the global diurnal scale
 // vector).
 //
-// Streaming churn (workload/streaming.hpp) is mirrored into the shards by
-// apply_churn(): departures drop a slot's base to 0 in place, re-rates
-// rebase it, and arrivals re-use the departing slot — or move it to
-// another shard's free-list when the new flow's ingress pod changed. All
-// updates are O(|V_s|) CostModel::rebase_flow / flows_appended patches:
-// the serial bookkeeping queues them per shard, and apply_churn drains
-// every churned shard's queue at the end, shard-parallel. The per-epoch
-// recombination stays with the simulation loop (sim/sharded.hpp), which
-// refreshes every shard under the epoch's scales before any cost query.
+// Streaming churn (workload/streaming.hpp) is mirrored into the shards in
+// two steps. route_churn(), on one thread, reads the global maps and
+// sorts the epoch's events into one bucket per shard: departures drop a
+// slot's base to 0 in place, re-rates rebase it, and arrivals re-use the
+// departing slot — or, when the new flow's ingress pod changed, vacate it
+// (an event of the old shard) and allocate a slot in the new shard (an
+// event of the new one). apply_shard_churn(s) then applies shard s's
+// bucket as O(|V_s|) CostModel::rebase_flow / flows_appended patches and
+// drains them; buckets of distinct shards apply concurrently (the sharded
+// engine runs each one at the start of its shard's epoch task). The
+// per-epoch recombination stays with the simulation loop
+// (sim/sharded.hpp), which refreshes every shard under the epoch's scales
+// before any cost query.
 //
 // Determinism: shards are stored and always iterated in fixed pod order,
-// churn lists are applied in ascending global-FlowId order, and free local
-// slots are re-used smallest-first — the shard state after any churn
-// history is a pure function of that history, independent of thread count.
+// churn lists are routed in ascending global-FlowId order, every bucket
+// keeps that order, and free local slots are re-used smallest-first — a
+// shard's state after any churn history is a pure function of its own
+// events in that order, independent of thread count and of the order in
+// which the shards apply their buckets.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,15 +105,32 @@ class ShardedCostModel {
     return *shards_[static_cast<std::size_t>(s)];
   }
 
-  /// Mirrors one epoch of streaming churn into the shards. `flows` is the
-  /// workload's global vector *after* advance() (base rates). Lists are
-  /// applied departures → re-rates → arrivals, each in ascending global
-  /// id order; the queued row patches are then drained one shard per
-  /// task on the executor. Returns the number of churned flows charged
-  /// to each shard (a cross-shard re-spawn counts on both sides) — the
-  /// re-solve predicate's staleness signal.
+  /// Mirrors one epoch of streaming churn into the shards: route_churn(),
+  /// then apply_shard_churn() for every shard with events, one shard per
+  /// task on the executor. Returns what route_churn() returns.
   std::vector<int> apply_churn(const std::vector<VmFlow>& flows,
                                const FlowChurn& churn);
+
+  /// Routes one epoch of streaming churn into per-shard event buckets.
+  /// `flows` is the workload's global vector after the churn was
+  /// committed (base rates). Lists are routed departures → re-rates →
+  /// arrivals, each in ascending global id order (arrivals strictly
+  /// ascending), and every input check runs here, before any shard
+  /// changes. Mutates no shard: it extends the global maps for appended
+  /// ids (their entries stay unmapped until their shard applies its
+  /// bucket) and makes room in each shard for the slots it will append;
+  /// a route that throws leaves the model as it was. Returns the number of events routed to each shard (a cross-shard
+  /// re-spawn counts on both sides) — the re-solve predicate's staleness
+  /// signal. Every bucket must be applied before the next call.
+  std::vector<int> route_churn(const std::vector<VmFlow>& flows,
+                               const FlowChurn& churn);
+
+  /// Applies shard `s`'s routed events in order and drains the row
+  /// patches they queued. `flows` is the vector route_churn() was given,
+  /// unchanged since. Touches only shard `s` and the global map entries
+  /// of the ids it allocates, and reads neither global map, so distinct
+  /// shards may apply concurrently, in any order.
+  void apply_shard_churn(int s, const std::vector<VmFlow>& flows);
 
   /// Shard currently holding global flow `g` (-1 for never-seen ids).
   int flow_shard(FlowId g) const;
@@ -114,15 +138,32 @@ class ShardedCostModel {
   FlowId flow_local(FlowId g) const;
 
  private:
+  /// One routed churn event of one shard: what happens to global flow
+  /// `global` (whose committed state is flows[global]) and the local
+  /// slot it held before the epoch.
+  struct ChurnEvent {
+    enum class Kind : std::uint8_t {
+      kDepart,    ///< slot `local` drops to base 0
+      kRerate,    ///< slot `local` takes the flow's new base
+      kRespawn,   ///< slot `local` takes the flow (same-pod re-spawn)
+      kVacate,    ///< slot `local` frees (cross-pod re-spawn, old side)
+      kAllocate,  ///< the flow takes a free or appended slot
+    };
+    Kind kind;
+    FlowId local;  ///< invalid for kAllocate
+    FlowId global;
+  };
+
   /// Places flow `g` (endpoints+base from `f`) into shard `s`, re-using
   /// the smallest free local slot or appending, and patches the shard's
-  /// cost model. Updates the global→local map.
+  /// cost model. Writes `g`'s global map entries.
   void allocate_local(int s, FlowId g, const VmFlow& f);
 
   const AllPairs* apsp_;
   const ShardMap* map_;
   int min_groups_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::vector<ChurnEvent>> buckets_;  ///< routed, per shard
   std::vector<int> flow_shard_;      ///< global id -> shard (-1 unmapped)
   std::vector<FlowId> flow_local_;   ///< global id -> local slot
 };

@@ -86,30 +86,37 @@ int required_clean_epochs(int shard, int fail_streak) {
   return kRecoveryEpochs + backoff + jitter;
 }
 
-/// Runs `work(s)` for every shard and `extra()` once on a `pool`-wide
-/// region until `stop()` turns true. `extra` is the region's second item:
-/// a long one starts at once, on the first worker to arrive, and the
-/// calling thread, which claims first, still takes shard 0. `extra` must
-/// not throw. A throw from `work(s)` lands in errors[s] and the remaining
-/// shards still run; callers surface errors in shard order, so every
-/// width fails the same way.
+/// Runs `work(s)` for every shard, claimed in the sequence `order`, and
+/// `extra()` once on a `pool`-wide region until `stop()` turns true.
+/// `extra` is the region's second item: a long one starts at once, on
+/// the first worker to arrive, and the calling thread, which claims
+/// first, still takes order[0]. `extra` must not throw. A throw from
+/// `work(s)` lands in errors[s] and the remaining shards still run;
+/// callers surface errors in shard order, so every width fails the same
+/// way. Returns whether any worker saw stop(): only then may an item
+/// have been left unrun.
 template <class Extra, class Work, class Stop>
-void for_each_shard(int num_shards, int pool,
+bool for_each_shard(const std::vector<int>& order, int pool,
                     std::vector<std::exception_ptr>& errors, Extra&& extra,
                     Work&& work, Stop&& stop) {
   static_assert(std::is_nothrow_invocable_v<Extra&>,
                 "for_each_shard extras must be noexcept");
+  const int num_shards = static_cast<int>(order.size());
   std::atomic<int> next{0};
+  std::atomic<bool> stopped{false};
   parallel_run(pool, [&]() noexcept {
     for (;;) {
-      if (stop()) return;
+      if (stop()) {
+        stopped.store(true, std::memory_order_relaxed);
+        return;
+      }
       const int item = next.fetch_add(1, std::memory_order_relaxed);
       if (item > num_shards) return;
       if (item == 1) {
         extra();
         continue;
       }
-      const int s = item == 0 ? 0 : item - 1;
+      const int s = order[static_cast<std::size_t>(item == 0 ? 0 : item - 1)];
       try {
         work(s);
       } catch (...) {
@@ -117,6 +124,27 @@ void for_each_shard(int num_shards, int pool,
       }
     }
   });
+  return stopped.load(std::memory_order_relaxed);
+}
+
+/// The shards' claim order: heaviest first, by live slots plus the
+/// epoch's routed churn events (`touched`), ties by shard index. A
+/// region's wall is at least its slowest shard, so that shard starts
+/// first, on the calling thread.
+std::vector<int> heaviest_first(const ShardedCostModel& shards,
+                                const std::vector<int>& touched) {
+  std::vector<long long> weight;
+  std::vector<int> order;
+  for (int s = 0; s < shards.num_shards(); ++s) {
+    weight.push_back(static_cast<long long>(shards.shard(s).live) +
+                     touched[static_cast<std::size_t>(s)]);
+    order.push_back(s);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return weight[static_cast<std::size_t>(a)] >
+           weight[static_cast<std::size_t>(b)];
+  });
+  return order;
 }
 
 /// Rethrows the first error in shard order, if any.
@@ -247,21 +275,21 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     }
     return r;
   };
-  // One shard's per-slot rates for the epoch: its base rates under the
-  // group scales, or the schedule mapped through global_ids (vacant
-  // slots carry nothing).
-  auto shard_rates = [&](const ShardedCostModel::Shard& sh, Hour hour,
-                         const std::vector<double>& schedule) {
-    if (!scheduled) {
-      return diurnal_rates_grouped(config.diurnal, sh.base_rates, sh.groups,
-                                   hour);
+  // Writes one shard's per-slot rates for the epoch into its flows: its
+  // base rates under the group scales, or the schedule mapped through
+  // global_ids (vacant slots carry nothing).
+  auto set_shard_rates = [&](ShardedCostModel::Shard& sh, Hour hour,
+                             const std::vector<double>& schedule) {
+    for (std::size_t i = 0; i < sh.flows.size(); ++i) {
+      double rate = 0.0;
+      if (!scheduled) {
+        rate = sh.base_rates[i] *
+               config.diurnal.scale_for_group(hour, sh.groups[i]);
+      } else if (const FlowId g = sh.global_ids[i]; g.valid()) {
+        rate = schedule[static_cast<std::size_t>(g.value())];
+      }
+      sh.flows[i].rate = rate;
     }
-    std::vector<double> r(sh.flows.size(), 0.0);
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      const FlowId g = sh.global_ids[i];
-      if (g.valid()) r[i] = schedule[static_cast<std::size_t>(g.value())];
-    }
-    return r;
   };
   auto refresh = [&](ShardedCostModel::Shard& sh,
                      const std::vector<double>& scales) {
@@ -340,7 +368,6 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
   const bool drawing = streaming && config.hours > 1;
   const int epoch_pool = drawing ? std::min(threads, num_shards + 1) : pool;
   ChurnDraw next_churn;
-  bool drawn = false;  // next_churn holds a draw of the current state
   std::exception_ptr draw_error;
 
   // Hour 0: per-shard initial traffic-optimal placement (TOP, Algorithm
@@ -359,10 +386,12 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     std::vector<std::exception_ptr> errors(
         static_cast<std::size_t>(num_shards));
     for_each_shard(
-        num_shards, pool, errors, []() noexcept {},
+        heaviest_first(shards, std::vector<int>(
+                                   static_cast<std::size_t>(num_shards), 0)),
+        pool, errors, []() noexcept {},
         [&](int s) {
           ShardedCostModel::Shard& sh = shards.shard(s);
-          set_rates(sh.flows, shard_rates(sh, Hour{0}, schedule0));
+          set_shard_rates(sh, Hour{0}, schedule0);
           refresh(sh, scales0);
           Placement& placement = runs[static_cast<std::size_t>(s)].placement;
           if (resumed) {
@@ -472,24 +501,19 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     // 0. Inter-epoch churn: a streaming workload advances once per epoch
     // from hour 1 on, by committing the draw the previous epoch's region
     // made (a draw that threw surfaces here, as advance() would have
-    // thrown here), and the shards mirror the churn with O(|V_s|) patches.
+    // thrown here). The churn is routed into per-shard buckets here, and
+    // each shard task below applies its own bucket with O(|V_s|) patches
+    // before anything else; nothing in the region writes the workload's
+    // flows, which the buckets are applied from.
     int epoch_churn = 0;
+    std::vector<int> touched(static_cast<std::size_t>(num_shards), 0);
     if (streaming && hour >= Hour{1}) {
       if (draw_error) std::rethrow_exception(draw_error);
-      // A region stopped by a cancel flag that was then cleared may not
-      // have reached its draw.
-      if (!drawn) workload.draw(next_churn);
       workload.commit(next_churn);
-      drawn = false;
       const FlowChurn& churn = next_churn.churn;
       epoch_churn = static_cast<int>(churn.total());
       if (epoch_churn > 0) {
-        const std::vector<int> touched =
-            shards.apply_churn(workload.flows(), churn);
-        for (int s = 0; s < num_shards; ++s) {
-          runs[static_cast<std::size_t>(s)].churned +=
-              touched[static_cast<std::size_t>(s)];
-        }
+        touched = shards.route_churn(workload.flows(), churn);
       }
     }
 
@@ -535,6 +559,11 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
       ShardedCostModel::Shard& sh = shards.shard(s);
       ShardRun& run = runs[static_cast<std::size_t>(s)];
       ShardEpochResult& r = results[static_cast<std::size_t>(s)];
+      const int churned = touched[static_cast<std::size_t>(s)];
+      if (churned > 0) {
+        shards.apply_shard_churn(s, workload.flows());
+        run.churned += churned;
+      }
       const bool frozen =
           config.ladder.enabled && run.rung == DegradationRung::kFrozen;
       const bool refresh_only =
@@ -550,10 +579,10 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
               : nullptr;
 
       // 2. This epoch's traffic; flows cut off from the core quarantine.
-      std::vector<double> rates = shard_rates(sh, hour, schedule);
+      set_shard_rates(sh, hour, schedule);
       if (faults_active) {
         for (std::size_t i = 0; i < sh.flows.size(); ++i) {
-          const VmFlow& f = sh.flows[i];
+          VmFlow& f = sh.flows[i];
           const FlowId g = sh.global_ids[i];
           if (!g.valid() || departed[static_cast<std::size_t>(g.value())]) {
             continue;  // vacant slot
@@ -563,13 +592,12 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
                               degraded->in_core(f.dst_host);
           if (!served) {
             ++r.quarantined;
-            r.unserved += rates[i];
-            rates[i] = 0.0;
+            r.unserved += f.rate;
+            f.rate = 0.0;
           }
         }
       }
-      set_rates(sh.flows, rates);
-      for (const double rate : rates) r.served_rate += rate;
+      for (const VmFlow& f : sh.flows) r.served_rate += f.rate;
 
       if (blackout) {
         // Nothing is served and nothing is charged; the stale estimate a
@@ -722,9 +750,12 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     // Cooperative cancellation is honored at *shard* boundaries: a worker
     // stops pulling shards the moment the flag flips, so a SIGINT during
     // a million-flow epoch responds in milliseconds instead of waiting
-    // out the epoch. The partially solved epoch is abandoned wholesale
-    // (SimInterrupted below) — mutated state never escapes because a
-    // cancelled run is rerun (or journal-resumed) from a clean snapshot.
+    // out the epoch. A region a worker stopped may have left shards (and
+    // their churn) or the draw unrun, so the epoch is abandoned wholesale
+    // (SimInterrupted below) even if the flag was cleared since —
+    // mutated state never escapes because a cancelled run is rerun (or
+    // journal-resumed) from a clean snapshot. A region that no worker
+    // stopped ran every shard and the draw.
     const std::atomic<bool>* cancel = config.cancel;
     auto cancelled = [&]() {
       return cancel != nullptr && cancel->load(std::memory_order_relaxed);
@@ -734,14 +765,12 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
       if (!drawing || hour.value() + 1 >= config.hours) return;
       try {
         workload.draw(next_churn);
-        drawn = true;
       } catch (...) {
         draw_error = std::current_exception();
       }
     };
-    for_each_shard(num_shards, epoch_pool, errors, draw_next, shard_epoch,
-                   cancelled);
-    if (cancelled()) {
+    if (for_each_shard(heaviest_first(shards, touched), epoch_pool, errors,
+                       draw_next, shard_epoch, cancelled)) {
       emit([&](EpochObserver& o) { o.on_interrupted(hour); });
       throw SimInterrupted("simulation cancelled inside epoch " +
                            std::to_string(hour.value()) + " of " +

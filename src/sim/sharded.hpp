@@ -76,10 +76,11 @@ struct ShardedStreamingConfig {
   /// concurrency). A run_experiment job on a multi-worker job pool solves
   /// its shards inline (util/executor.hpp). Any value is bit-identical —
   /// the merge order is fixed — so threads are never fingerprinted.
-  /// This sizes the shard pool only. The kernels the main thread runs
-  /// between shard phases — the APSP build, the shard-model build,
-  /// apply_churn's patch drain and full refreshes — run at executor width
-  /// whatever the value, so a 1-thread run is not a serial run.
+  /// This sizes the shard pool, which also applies each epoch's churn
+  /// (every shard task applies its own). The kernels the main thread
+  /// runs between shard phases — the APSP build, the shard-model build
+  /// and full refreshes — run at executor width whatever the value, so a
+  /// 1-thread run is not a serial run.
   int threads = 1;
   /// SLA penalty per unit of served traffic rate per quarantined
   /// shard-epoch (a shard sitting out its failure backoff still serves on

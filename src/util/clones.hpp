@@ -8,13 +8,15 @@
 // at start. The macro expands to the attribute and a trailing comma, so it
 // opens an attribute list.
 //
-// Which tiers a kernel lists depends on whether its bits can change with
-// the instruction set. Kernels that only add and compare (the stroll level
-// kernels) take "arch=x86-64-v4", "arch=x86-64-v3", "default": AVX-512,
-// AVX2 or baseline, the widest the CPU has. Kernels that multiply and add
-// (the cost model's attraction kernels) take "avx", "default" only: both
-// x86-64 levels include FMA, and a contracted multiply-add rounds once
-// where the baseline clone rounds twice.
+// A kernel lists "arch=x86-64-v4" (AVX-512), then "arch=x86-64-v3"
+// (AVX2) or "avx", then "default": the widest tier the CPU has runs.
+// Every tier must give the baseline clone's bits. Kernels that only add
+// and compare (the stroll level kernels) get them from any instruction
+// set and take "arch=x86-64-v4", "arch=x86-64-v3", "default". Kernels
+// that multiply and add (the cost model's attraction kernels) take
+// "arch=x86-64-v4", "avx", "default", and their file is built with
+// -ffp-contract=off: both x86-64 levels include FMA, and a contracted
+// multiply-add rounds once where the baseline clone rounds twice.
 #pragma once
 
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \

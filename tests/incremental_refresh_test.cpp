@@ -1006,8 +1006,8 @@ TEST(ShardedChurn, QueuedDrainMatchesImmediatePatches) {
 
 TEST(ShardedChurn, ApplyChurnIsWidthInvariant) {
   // The same history, once at full width and once with apply_churn (so
-  // its shard-parallel drain) inside serially(): every shard's snapshot
-  // must hold the same bits after every epoch.
+  // its shard-parallel apply and drain) inside serially(): every shard's
+  // snapshot must hold the same bits after every epoch.
   ChurnHistory wide(0.1);
   ChurnHistory narrow(0.1);
   for (int epoch = 0; epoch < ChurnHistory::kEpochs; ++epoch) {
@@ -1035,6 +1035,170 @@ TEST(ShardedChurn, ApplyChurnIsWidthInvariant) {
     wide.move_endpoints();
     narrow.move_endpoints();
   }
+}
+
+/// Asserts that two sharded models hold the same shards, bit for bit,
+/// and map the first `num_flows` global ids the same way.
+void expect_same_shards(ShardedCostModel& a, ShardedCostModel& b,
+                        std::size_t num_flows) {
+  ASSERT_EQ(a.num_shards(), b.num_shards());
+  for (int s = 0; s < a.num_shards(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ShardedCostModel::Shard& x = a.shard(s);
+    ShardedCostModel::Shard& y = b.shard(s);
+    ASSERT_EQ(x.flows.size(), y.flows.size());
+    for (std::size_t l = 0; l < x.flows.size(); ++l) {
+      EXPECT_EQ(x.flows[l].src_host, y.flows[l].src_host) << "slot " << l;
+      EXPECT_EQ(x.flows[l].dst_host, y.flows[l].dst_host) << "slot " << l;
+      EXPECT_EQ(x.flows[l].group, y.flows[l].group) << "slot " << l;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x.flows[l].rate),
+                std::bit_cast<std::uint64_t>(y.flows[l].rate))
+          << "slot " << l;
+    }
+    expect_same_bits(x.base_rates, y.base_rates, "base_rates");
+    EXPECT_EQ(x.groups, y.groups);
+    EXPECT_EQ(x.global_ids, y.global_ids);
+    EXPECT_EQ(x.free_locals, y.free_locals);
+    EXPECT_EQ(x.live, y.live);
+    const CostModel::GroupSnapshot gx = x.model->group_snapshot();
+    const CostModel::GroupSnapshot gy = y.model->group_snapshot();
+    expect_rows_match(gx, gy);
+    expect_same_bits(gx.last_scales, gy.last_scales, "last_scales");
+  }
+  for (std::size_t g = 0; g < num_flows; ++g) {
+    const FlowId id{static_cast<std::int32_t>(g)};
+    ASSERT_EQ(a.flow_shard(id), b.flow_shard(id)) << "flow " << g;
+    if (a.flow_shard(id) >= 0) {
+      EXPECT_EQ(a.flow_local(id), b.flow_local(id)) << "flow " << g;
+    }
+  }
+}
+
+TEST(ShardedCostModel, PerShardApplyMatchesApplyChurn) {
+  // The sharded engine routes each epoch's churn on one thread and lets
+  // every shard task apply its own bucket, in whatever order the tasks
+  // run. Applying the buckets in reverse shard order must leave every
+  // shard and both global maps the same bits as apply_churn.
+  ChurnHistory whole(0.1);
+  ChurnHistory split(0.1);
+  const int shards = whole.sharded.num_shards();
+  ASSERT_GE(shards, 4);
+  auto apply = [&](const FlowChurn& churn) {
+    ASSERT_EQ(whole.flows.size(), split.flows.size());
+    const std::vector<int> want = whole.sharded.apply_churn(whole.flows,
+                                                            churn);
+    const std::vector<int> got = split.sharded.route_churn(split.flows,
+                                                           churn);
+    EXPECT_EQ(got, want);
+    for (int s = shards - 1; s >= 0; --s) {
+      split.sharded.apply_shard_churn(s, split.flows);
+    }
+    expect_same_shards(whole.sharded, split.sharded, whole.flows.size());
+  };
+  for (int epoch = 0; epoch < ChurnHistory::kEpochs; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    const FlowChurn churn = whole.draw_churn();
+    EXPECT_EQ(split.draw_churn().total(), churn.total());
+    apply(churn);
+    whole.move_endpoints();
+    split.move_endpoints();
+  }
+
+  // Hand-made epochs, the same edits on both histories.
+  auto host_in = [&](int s, std::size_t skip) {
+    for (const NodeId host : whole.topo.graph.hosts()) {
+      if (whole.map.shard_of(host) == s && skip-- == 0) return host;
+    }
+    return kInvalidNode;
+  };
+  std::vector<FlowId> taken;
+  auto live_flow = [&](int s) {
+    const ShardedCostModel::Shard& sh = whole.sharded.shard(s);
+    for (std::size_t l = 0; l < sh.flows.size(); ++l) {
+      const FlowId g = sh.global_ids[l];
+      if (sh.base_rates[l] == 0.0 || !g.valid() ||
+          std::find(taken.begin(), taken.end(), g) != taken.end()) {
+        continue;
+      }
+      taken.push_back(g);
+      return g;
+    }
+    ADD_FAILURE() << "shard " << s << " has too few live flows";
+    return FlowId::invalid();
+  };
+  auto edit = [&](FlowId g, auto&& fn) {
+    fn(whole.flows[static_cast<std::size_t>(g.value())]);
+    fn(split.flows[static_cast<std::size_t>(g.value())]);
+  };
+  auto append = [&](const VmFlow& f, FlowChurn& churn) {
+    churn.arrived.push_back(
+        FlowId{static_cast<std::int32_t>(whole.flows.size())});
+    whole.flows.push_back(f);
+    split.flows.push_back(f);
+  };
+
+  // A PLAN-style move takes a flow's source to another pod without
+  // moving it to that pod's shard.
+  const FlowId relocated = live_flow(1);
+  for (ChurnHistory* h : {&whole, &split}) {
+    const int s = h->sharded.flow_shard(relocated);
+    const FlowId l = h->sharded.flow_local(relocated);
+    ShardedCostModel::Shard& sh = h->sharded.shard(s);
+    sh.flows[static_cast<std::size_t>(l.value())].src_host = host_in(2, 1);
+    h->flows[static_cast<std::size_t>(relocated.value())].src_host =
+        host_in(2, 1);
+    sh.model->endpoints_moved({l});
+  }
+  ASSERT_EQ(split.sharded.flow_shard(relocated), 1);
+
+  FlowChurn churn;
+  // The relocated flow departs from the shard that still holds it.
+  edit(relocated, [](VmFlow& f) { f.rate = 0.0; });
+  churn.departed.push_back(relocated);
+  // One live flow departs and arrives in the same epoch, in another pod.
+  const FlowId bounced = live_flow(3);
+  churn.departed.push_back(bounced);
+  edit(bounced, [&](VmFlow& f) {
+    f.src_host = host_in(0, 1);
+    f.rate = 0.6;
+  });
+  churn.arrived.push_back(bounced);
+  // A cross-pod re-spawn out of pod 2, then enough appends into pod 2 to
+  // use up its free slots, so the last of them re-uses the slot the
+  // re-spawn vacated in this epoch.
+  const FlowId cross = live_flow(2);
+  edit(cross, [&](VmFlow& f) { f.src_host = host_in(1, 0); });
+  churn.arrived.push_back(cross);
+  std::sort(churn.departed.begin(), churn.departed.end());
+  std::sort(churn.arrived.begin(), churn.arrived.end());
+  const std::size_t free_in_2 = whole.sharded.shard(2).free_locals.size();
+  for (std::size_t a = 0; a <= free_in_2; ++a) {
+    append({host_in(2, a % 2), host_in(3, 0), 0.4, 1}, churn);
+  }
+  // Appends into every other pod too.
+  for (int s : {0, 1, 3}) append({host_in(s, 0), host_in(2, 0), 0.3, 2}, churn);
+  const FlowId cross_slot = whole.sharded.flow_local(cross);
+  apply(churn);
+  const ShardedCostModel::Shard& pod2 = split.sharded.shard(2);
+  EXPECT_TRUE(pod2.global_ids[static_cast<std::size_t>(cross_slot.value())]
+                  .valid())
+      << "no append re-used the slot the re-spawn vacated";
+  EXPECT_EQ(split.sharded.flow_shard(cross), 1);
+  EXPECT_EQ(split.sharded.flow_shard(bounced), 0);
+
+  // A route that throws changes nothing: the next epoch applies as if it
+  // had never been called.
+  FlowChurn bad;
+  bad.departed.push_back(FlowId{0});
+  const auto end = static_cast<std::int32_t>(split.flows.size());
+  bad.arrived = {FlowId{end}, FlowId{end + 2}};  // skips an unmapped id
+  std::vector<VmFlow> grown = split.flows;
+  grown.resize(grown.size() + 3, {host_in(0, 0), host_in(1, 0), 0.5, 0});
+  EXPECT_THROW((void)split.sharded.route_churn(grown, bad), PpdcError);
+  EXPECT_EQ(split.sharded.flow_shard(FlowId{end}), -1);
+  FlowChurn next;
+  append({host_in(1, 1), host_in(0, 0), 0.5, 0}, next);
+  apply(next);
 }
 
 TEST(ShardedChurn, LoneModelReadersDrainFirst) {

@@ -17,7 +17,8 @@
 //   * run_experiment's sharded path inherits the same thread invariance.
 //   * The next epoch's churn, drawn inside the shard region, leaves the
 //     trace and the workload the same bits at every width, and a cancelled
-//     run leaves no uncommitted draw behind.
+//     run leaves no uncommitted draw behind. So does each shard task
+//     applying its own churn, down to the shard states the policy sees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -916,6 +918,87 @@ TEST(ShardedChurnPipeline, DrawInShardRegionIsWidthInvariant) {
   }
   EXPECT_EQ(fresh.snapshot().rng, serial_end.rng);
   EXPECT_EQ(fresh.free_slots(), serial_end.free_slots);
+}
+
+/// Forwards to a policy, and first adds a hash of the shard state each
+/// on_epoch call is handed — the shard's local flows in slot order and
+/// the refreshed model's attractions, tagged with the clone's call count —
+/// to one multiset shared by every clone.
+class ShardStateProbe final : public MigrationPolicy {
+ public:
+  struct Sink {
+    std::mutex mu;
+    std::vector<std::uint64_t> states;
+  };
+
+  ShardStateProbe(const MigrationPolicy& inner, std::shared_ptr<Sink> sink)
+      : inner_(inner.clone()), sink_(std::move(sink)) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::unique_ptr<MigrationPolicy> clone() const override {
+    return std::make_unique<ShardStateProbe>(*inner_, sink_);
+  }
+  EpochDecision on_epoch(const CostModel& model, SimState& state) override {
+    Hash64 h;
+    h.i64(calls_++);
+    for (const VmFlow& f : state.flows) {
+      h.i64(f.src_host).i64(f.dst_host).f64(f.rate).i64(f.group);
+    }
+    for (const NodeId sw : model.apsp().graph().switches()) {
+      h.f64(model.ingress_attraction(sw)).f64(model.egress_attraction(sw));
+    }
+    {
+      const std::lock_guard<std::mutex> lock(sink_->mu);
+      sink_->states.push_back(h.value());
+    }
+    return inner_->on_epoch(model, state);
+  }
+
+ private:
+  std::unique_ptr<MigrationPolicy> inner_;
+  std::shared_ptr<Sink> sink_;
+  int calls_ = 0;
+};
+
+TEST(ShardedChurnPipeline, PerShardChurnApplyIsWidthInvariant) {
+  // Each shard task applies its own churn bucket, the shards are claimed
+  // heaviest first, and PLAN moves VMs out of their pods. With every
+  // shard re-solving every epoch, the shard states the policy is handed
+  // (slot order, free-slot re-use, model bits), the trace and the final
+  // workload are the same at widths 1, 2 and 4.
+  PodStress ps;
+  ps.sim.faults.clear();
+  const PlanPolicy plan(vm_config());
+  auto run = [&](int threads, StreamingWorkload::Snapshot& end,
+                 std::vector<std::uint64_t>& states) {
+    auto sink = std::make_shared<ShardStateProbe::Sink>();
+    const ShardStateProbe probe(plan, sink);
+    ShardedStreamingConfig cfg = ps.sharded(threads);
+    cfg.resolve_churn_fraction = 0.0;
+    StreamingWorkload w = ps.workload();
+    SimTrace t = run_sharded_simulation(ps.apsp, ps.map, w, 5, ps.sim, cfg,
+                                        probe);
+    end = w.snapshot();
+    states = std::move(sink->states);
+    std::sort(states.begin(), states.end());
+    return t;
+  };
+  StreamingWorkload::Snapshot serial_end;
+  std::vector<std::uint64_t> serial_states;
+  const SimTrace serial = run(1, serial_end, serial_states);
+  EXPECT_GT(serial.total_vm_migrations, 0);
+  EXPECT_EQ(serial.audited_epochs, ps.sim.hours);
+  EXPECT_EQ(serial_states.size(),
+            static_cast<std::size_t>((ps.sim.hours - 1) *
+                                     ps.map.num_shards()));
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    StreamingWorkload::Snapshot end;
+    std::vector<std::uint64_t> states;
+    expect_equal_traces(run(threads, end, states), serial);
+    expect_equal_snapshots(end, serial_end);
+    EXPECT_EQ(states, serial_states);
+  }
 }
 
 TEST(ShardedChurnPipeline, CancelledRunLeavesNoUncommittedDraw) {

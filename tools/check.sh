@@ -150,8 +150,9 @@ fi
 # cmake --build --preset tsan): the executor itself, the experiment job
 # pool, the sharded engine's shard pool (epoch-journal resumes included:
 # a replay drives the same pool), the parallel APSP and cost-model
-# rescans the kernel suite builds at full width, apply_churn's
-# shard-parallel drain of the queued churn patches, the grouped
+# rescans the kernel suite builds at full width, the per-shard churn
+# apply (routed on one thread, then applied and drained by each shard's
+# own epoch task, or by apply_churn's tasks, in any order), the grouped
 # build's one (model, switch block) grid over every shard, and the
 # stroll levels that warm and cold tables on many threads extend while
 # others read them (a warm table builds level r for its readout).
@@ -252,7 +253,10 @@ done
 # pointers. The queued churn patches are drained later than they were
 # queued, into base rows that may have grown meanwhile, and read the
 # AllPairs core rows and transposed columns through raw pointers
-# (incremental_refresh_test). The epoch-journal codec appends raw field
+# (incremental_refresh_test). Routed churn events carry the local slots
+# they touch, and each shard applies them into vectors the router grew
+# for it (incremental_refresh_test, and sharded_equivalence_test through
+# the engine, VM moves included). The epoch-journal codec appends raw field
 # bytes and reads them back through a bounds-checked cursor with raw
 # memcpy, from frames whose length and CRC come off the disk
 # (checkpoint_test). The streaming workload's churn draw computes
@@ -263,7 +267,7 @@ done
 for t in apsp_leaf_test stroll_dp_test kernel_equivalence_test \
          placement_test fault_test assignment_test vm_migration_test \
          chain_search_test multi_sfc_test incremental_refresh_test \
-         checkpoint_test streaming_test rng_test; do
+         sharded_equivalence_test checkpoint_test streaming_test rng_test; do
   ASAN_RUNNER=build-asan/tests/$t
   if [ -x "$ASAN_RUNNER" ]; then
     note "asan: $ASAN_RUNNER"

@@ -8,16 +8,18 @@
 # -fopt-info-vec attributes its records, so the match is by (file, line).
 #
 # The gate is compile-only — nothing is executed — and compiles with the
-# library's Release flags (-std=c++20 -O3 -DNDEBUG, no -march), so it
-# checks the code that ships. The level-relax select, where a double
+# library's Release flags (-std=c++20 -O3 -DNDEBUG, no -march) plus the
+# file's own options from src/CMakeLists.txt (a one-line
+# `set_source_files_properties(<file> PROPERTIES COMPILE_OPTIONS ...)`),
+# so it checks the code that ships. The level-relax select, where a double
 # compare picks an int32 successor, stays scalar at the baseline x86-64
 # ISA; the kernel carries target_clones x86-64-v4 and x86-64-v3 clones
 # (stroll_dp.cpp), and its pin requires their 64-byte (AVX-512) and
 # 32-byte (AVX2) vectors. The cost-model loops inline into kernels with
-# an AVX clone (cost_model.cpp), and their pins require that clone's
-# 32-byte vectors. A kernel refactor that silently drops back to scalar
-# code, or loses a clone, fails here instead of surfacing as a bench
-# regression three PRs later.
+# x86-64-v4 and AVX clones (cost_model.cpp), and their pins require
+# those clones' 64- and 32-byte vectors. A kernel refactor that silently
+# drops back to scalar code, or loses a clone, fails here instead of
+# surfacing as a bench regression three PRs later.
 #
 # Two more tags name a function and check its clone's assembly, anywhere
 # in the file: the gate compiles the file to assembly with the same
@@ -30,7 +32,11 @@
 #   `// ppdc-zmm: <name> fn=<function>` — the function's x86-64-v4 clone
 #     (`<mangled>.arch_x86_64_v4`) compares packed doubles in 64-byte zmm
 #     registers into a mask register (`vcmp...pd ... %zmm<i>, %k<j>`), the
-#     compare whose mask stores the selected lanes with no narrowing step.
+#     compare whose mask stores the selected lanes with no narrowing step;
+#   `// ppdc-zmm: <name> fn=<function> insn=<mnemonic>` — that clone
+#     runs the packed instruction <mnemonic> on zmm registers, for
+#     kernels that compute without comparing (the attraction kernels'
+#     `vmulpd`).
 # Losing the clone attribute or a clone target, or code that GCC lowers
 # to scalar, fails them.
 #
@@ -44,6 +50,12 @@ cd "$(dirname "$0")/.." || exit 1
 CXX=${CXX:-g++}
 FILES="src/core/stroll_dp.cpp src/core/cost_model.cpp"
 FLAGS="-std=c++20 -O3 -DNDEBUG -I. -Isrc"
+
+# The per-source COMPILE_OPTIONS src/CMakeLists.txt gives file $1.
+file_flags() {
+  sed -n -E "s|^set_source_files_properties\(${1#src/} +PROPERTIES +COMPILE_OPTIONS +([^)]*)\)\$|\1|p" \
+    src/CMakeLists.txt
+}
 
 if ! command -v "$CXX" >/dev/null 2>&1; then
   echo "vec_gate: SKIPPED ($CXX not found)"
@@ -69,10 +81,11 @@ for f in $FILES; do
     failures=$((failures + 1))
     continue
   fi
+  fflags="$FLAGS $(file_flags "$f")"
   report=$(mktemp)
-  if ! "$CXX" $FLAGS -c "$f" -o /dev/null \
+  if ! "$CXX" $fflags -c "$f" -o /dev/null \
        -fopt-info-vec-optimized="$report" 2>/dev/null; then
-    echo "vec_gate: FAIL: $f does not compile with $FLAGS" >&2
+    echo "vec_gate: FAIL: $f does not compile with $fflags" >&2
     failures=$((failures + 1))
     rm -f "$report"
     continue
@@ -101,16 +114,16 @@ EOF
   rm -f "$report"
 
   asm_pins=$(grep -n -E 'ppdc-(ymm|zmm):' "$f" |
-             sed -E 's/^([0-9]+):.*ppdc-(ymm|zmm): *([A-Za-z0-9-]+) +fn=([A-Za-z0-9_]+).*/\1 \2 \3 \4/')
+             sed -E 's/^([0-9]+):.*ppdc-(ymm|zmm): *([A-Za-z0-9-]+) +fn=([A-Za-z0-9_]+)( +insn=([a-z0-9]+))?.*/\1 \2 \3 \4 \6/')
   [ -z "$asm_pins" ] && continue
   asm=$(mktemp)
-  if ! "$CXX" $FLAGS -S "$f" -o "$asm" 2>/dev/null; then
-    echo "vec_gate: FAIL: $f does not compile to assembly with $FLAGS" >&2
+  if ! "$CXX" $fflags -S "$f" -o "$asm" 2>/dev/null; then
+    echo "vec_gate: FAIL: $f does not compile to assembly with $fflags" >&2
     failures=$((failures + 1))
     rm -f "$asm"
     continue
   fi
-  while read -r line reg name fn; do
+  while read -r line reg name fn insn; do
     checked=$((checked + 1))
     if [ "$reg" = zmm ]; then
       arch=x86-64-v4
@@ -120,6 +133,10 @@ EOF
       arch=x86-64-v3
       cmp='vcmp[a-z]*pd[ \t].*%ymm'
       what="comparing packed doubles on ymm"
+    fi
+    if [ -n "$insn" ]; then
+      cmp="$insn[ \t].*%$reg"
+      what="running $insn on $reg"
     fi
     # The clone's body runs from its label to the end of its CFI region.
     if awk -v fn="$fn" -v clone="${arch//-/_}" -v cmp="$cmp" '
@@ -138,17 +155,20 @@ EOF
   rm -f "$asm"
 done
 
-# The attraction kernels' AVX clones (cost_model.cpp, DESIGN.md §11)
-# give the baseline clone's bits only while they hold no fused
-# multiply-add: AVX has none, but a target or flag that brings FMA in
-# (x86-64-v3, avx+fma, -march=native) lets GCC contract a·c + g into one
-# rounding. The file must carry `.avx` clones, and no function in its
-# assembly, clone or not, may use an FMA mnemonic.
+# The attraction kernels' clones (cost_model.cpp, DESIGN.md §11) give
+# the baseline clone's bits only while they hold no fused multiply-add.
+# AVX has none; x86-64-v4 has FMA, and so do the targets and flags that
+# bring it in (x86-64-v3, avx+fma, -march=native), and there GCC
+# contracts a·c + g into one rounding unless the file is built with
+# -ffp-contract=off (src/CMakeLists.txt). The file must carry `.avx`
+# clones, and no function in its assembly, clone or not, may use an FMA
+# mnemonic.
 f=src/core/cost_model.cpp
+fflags="$FLAGS $(file_flags "$f")"
 checked=$((checked + 1))
 asm=$(mktemp)
-if ! "$CXX" $FLAGS -S "$f" -o "$asm" 2>/dev/null; then
-  echo "vec_gate: FAIL: $f does not compile to assembly with $FLAGS" >&2
+if ! "$CXX" $fflags -S "$f" -o "$asm" 2>/dev/null; then
+  echo "vec_gate: FAIL: $f does not compile to assembly with $fflags" >&2
   failures=$((failures + 1))
 else
   clones=$(grep -c '^_Z[A-Za-z0-9_]*[.]avx:$' "$asm")
