@@ -335,8 +335,9 @@ void CostModel::prepare_group_bases() {
   }
   group_ingress_.assign(row_groups_.size() * ns, 0.0);
   group_egress_.assign(row_groups_.size() * ns, 0.0);
-  // The first cost_col() builds the AllPairs' transposed core block: take
-  // that allocation here, on the calling thread, not in a block task.
+  // On a weighted metric the first cost_col() builds the AllPairs'
+  // transposed core block: take that allocation here, on the calling
+  // thread, not in a block task (a hop metric serves its rows).
   if (ns > 0) apsp_->cost_col(apsp_->graph().switches().front());
 }
 

@@ -63,8 +63,9 @@ struct StrollResult {
 /// Unit-rate metric closure G'' as a view of the AllPairs core that owns
 /// no distances: row k is the switch Graph::switches()[k] at core
 /// position k, so column k, col(k)[i] = c(switches[i], switches[k]), is
-/// the switch block of the transposed core (AllPairs::cost_col). Columns,
-/// not rows: weighted metrics are not bit-symmetric.
+/// the switch block of AllPairs::cost_col (the core block itself on a hop
+/// metric, its transposed copy otherwise). Columns, not rows: weighted
+/// metrics are not bit-symmetric.
 class StrollMetric {
  public:
   /// A non-empty `universe` masks the rows: only its distinct switches are
@@ -105,7 +106,7 @@ class StrollMetric {
   const AllPairs* apsp_;
   std::vector<char> member_;  ///< one per row
   std::size_t universe_size_ = 0;
-  const double* base_ = nullptr;  ///< column 0 of the transposed core
+  const double* base_ = nullptr;  ///< column 0 of the core (cost_col)
   std::size_t stride_ = 0;        ///< core positions per column
 };
 

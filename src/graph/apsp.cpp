@@ -1,8 +1,10 @@
 #include "graph/apsp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "util/executor.hpp"
@@ -33,36 +35,98 @@ bool is_core(const Graph& g, NodeId v) {
   return !(g.is_switch(a) || g.degree(a) >= 2);
 }
 
-/// The core block's own edges, by core position, in CSR form: each core
-/// vertex's core neighbours in Graph::neighbors() order. Leaf edges are
-/// left out, since a leaf never relays a path.
-struct CoreAdjacency {
-  std::vector<std::size_t> first;  ///< |core| + 1 offsets into to/weight
-  std::vector<std::int32_t> to;    ///< core position of each neighbour
-  std::vector<double> weight;
-};
+/// Over row[lo, hi) of the block: raises `far` to the largest
+/// (lx + d) + leaf[y] of a reachable d, and sets `cut` if some d is
+/// unreachable. A max is exact, so the scan order cannot change it.
+void scan_pairs(const double* row, const double* leaf, double lx,
+                std::size_t lo, std::size_t hi, double& far, bool& cut) {
+  double f = far;
+  bool c = false;
+  for (std::size_t y = lo; y < hi; ++y) {
+    const double d = row[y];
+    c |= d == kUnreachable;
+    f = std::max(f, d == kUnreachable ? 0.0 : (lx + d) + leaf[y]);
+  }
+  far = f;
+  cut = cut || c;
+}
+
+/// Smallest entry of row[lo, hi), +inf when the range is empty.
+double row_min(const double* row, std::size_t lo, std::size_t hi) {
+  double best = kUnreachable;
+  for (std::size_t y = lo; y < hi; ++y) best = std::min(best, row[y]);
+  return best;
+}
+
+/// Stripe width of the multi-source BFS: one bit per source.
+constexpr std::size_t kStripe = 64;
 
 // Hot kernel: out of line and 64-byte aligned (DESIGN.md §11).
-/// Unit-weight BFS from core position `src`, written in place into that
-/// source's rows of the distance and parent blocks (both preset to
-/// unreachable / -1). `queue` holds |core| slots. A leaf never discovers a
-/// vertex, so the core vertices are discovered in the order a full-graph
-/// BFS (bfs_shortest_paths) discovers them, with the same parents.
-[[gnu::noinline, gnu::aligned(64)]] void core_bfs(
-    const CoreAdjacency& adj, std::int32_t src, double* dist,
-    std::int32_t* parent, std::int32_t* queue) {
+/// Bit-parallel BFS (Then et al., VLDB 2014) from the core positions
+/// [first, first + count), count <= 64, over a unit-weight core: bit i of
+/// a word stands for source first + i. Level L's frontier of v is every
+/// source that reaches v first at hop L, so d(s, v) = L, written into
+/// row v at column s of the m x m block `dist` (preset to unreachable).
+/// The core graph is undirected and hop counts are small integers, so
+/// d(s, v) is d(v, s) bit for bit: the stripes fill the block's columns
+/// [first, first + count), and no two stripes write the same element.
+/// `words` holds 3m scratch words.
+[[gnu::noinline, gnu::aligned(64)]] void core_msbfs(
+    const CoreAdjacency& adj, std::size_t first, std::size_t count,
+    std::size_t m, double* dist, std::uint64_t* words) {
+  std::uint64_t* seen = words;
+  std::uint64_t* frontier = words + m;
+  std::uint64_t* next = words + 2 * m;
+  std::fill(words, words + 2 * m, std::uint64_t{0});
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t s = first + i;
+    seen[s] = frontier[s] = std::uint64_t{1} << i;
+    dist[s * m + s] = 0.0;
+  }
+  // A BFS over m vertices is done within m - 1 levels.
+  for (std::size_t level = 1; level < m; ++level) {
+    const auto hops = static_cast<double>(level);
+    bool grew = false;
+    for (std::size_t v = 0; v < m; ++v) {
+      std::uint64_t reach = 0;
+      for (std::size_t e = adj.first[v]; e < adj.first[v + 1]; ++e) {
+        reach |= frontier[static_cast<std::size_t>(adj.to[e])];
+      }
+      reach &= ~seen[v];
+      next[v] = reach;
+      if (reach == 0) continue;
+      grew = true;
+      seen[v] |= reach;
+      double* row = dist + v * m + first;
+      for (; reach != 0; reach &= reach - 1) {
+        row[std::countr_zero(reach)] = hops;
+      }
+    }
+    if (!grew) return;
+    std::swap(frontier, next);
+  }
+}
+
+/// Unit-weight BFS from core position `src` until `target` is discovered,
+/// into `parent` (preset to -1; the source becomes its own parent) with
+/// `queue` holding |core| slots. A leaf never discovers a vertex, so the
+/// core vertices are discovered in the order a full-graph BFS
+/// (bfs_shortest_paths) discovers them, with the same parents, and a
+/// parent is final once set.
+void core_bfs(const CoreAdjacency& adj, std::int32_t src, std::int32_t target,
+              std::int32_t* parent, std::int32_t* queue) {
   std::size_t head = 0;
   std::size_t tail = 0;
-  dist[src] = 0.0;
+  parent[src] = src;
   queue[tail++] = src;
   while (head < tail) {
-    const auto u = static_cast<std::size_t>(queue[head++]);
-    const double du = dist[u];
-    for (std::size_t e = adj.first[u]; e < adj.first[u + 1]; ++e) {
+    const std::int32_t u = queue[head++];
+    const auto uu = static_cast<std::size_t>(u);
+    for (std::size_t e = adj.first[uu]; e < adj.first[uu + 1]; ++e) {
       const std::int32_t v = adj.to[e];
-      if (dist[v] == kUnreachable) {
-        dist[v] = du + 1.0;
-        parent[v] = static_cast<std::int32_t>(u);
+      if (parent[v] < 0) {
+        parent[v] = u;
+        if (v == target) return;
         queue[tail++] = v;
       }
     }
@@ -70,14 +134,17 @@ struct CoreAdjacency {
 }
 
 // Hot kernel: out of line and 64-byte aligned (DESIGN.md §11).
-/// Dijkstra from core position `src`, in place like core_bfs. The heap
-/// orders (distance, NodeId) exactly as dijkstra() does, so ties pop in
-/// the same order and every distance and parent equals the full-graph
-/// run's. Leaf entries, which dijkstra() pops without relaxing anything,
-/// never enter it.
+/// Dijkstra from core position `src` into `dist` (preset to unreachable),
+/// and into `parent` unless it is null; it stops once `target` pops (-1:
+/// never), when its distance and every parent on its chain are final.
+/// The heap orders (distance, NodeId) exactly as dijkstra() does, so ties
+/// pop in the same order and every distance and parent equals the
+/// full-graph run's. Leaf entries, which dijkstra() pops without relaxing
+/// anything, never enter it.
 [[gnu::noinline, gnu::aligned(64)]] void core_dijkstra(
     const CoreAdjacency& adj, const std::vector<NodeId>& core,
-    std::int32_t src, double* dist, std::int32_t* parent) {
+    std::int32_t src, std::int32_t target, double* dist,
+    std::int32_t* parent) {
   using Item = std::pair<double, std::int32_t>;
   const auto later = [&core](const Item& a, const Item& b) {
     return a.first != b.first
@@ -93,13 +160,14 @@ struct CoreAdjacency {
     const auto [du, u] = heap.back();
     heap.pop_back();
     if (du > dist[u]) continue;  // stale entry
+    if (u == target) return;
     const auto uu = static_cast<std::size_t>(u);
     for (std::size_t e = adj.first[uu]; e < adj.first[uu + 1]; ++e) {
       const std::int32_t v = adj.to[e];
       const double cand = du + adj.weight[e];
       if (cand < dist[v]) {
         dist[v] = cand;
-        parent[v] = u;
+        if (parent != nullptr) parent[v] = u;
         heap.emplace_back(cand, v);
         std::push_heap(heap.begin(), heap.end(), later);
       }
@@ -143,37 +211,39 @@ AllPairs::AllPairs(const Graph& g, bool allow_disconnected)
 
   const std::size_t m = core_.size();
   dist_.assign(m * m, kUnreachable);
-  parent_.assign(m * m, -1);
   unreachable_row_.assign(m, kUnreachable);
 
   // A leaf is never interior to a shortest path, so the core block's row
-  // of a core source is the core columns of its full-graph SSSP, and every
-  // core vertex's parent is itself core: one SSSP per source over the core
-  // edges alone gives the same rows. Each source writes only its own row.
-  CoreAdjacency adj;
-  adj.first.reserve(m + 1);
-  adj.first.push_back(0);
+  // of a core source is the core columns of its full-graph SSSP: the
+  // searches run over the core edges alone.
+  adj_.first.reserve(m + 1);
+  adj_.first.push_back(0);
   for (const NodeId x : core_) {
     for (const auto& a : g.neighbors(x)) {
       const std::int32_t y = core_index(a.to);
       if (y < 0) continue;
-      adj.to.push_back(y);
-      adj.weight.push_back(a.weight);
+      adj_.to.push_back(y);
+      adj_.weight.push_back(a.weight);
     }
-    adj.first.push_back(adj.to.size());
+    adj_.first.push_back(adj_.to.size());
   }
-  const bool unit = all_unit_weights(g);
-  parallel_for(m, 8, [&](std::size_t x) noexcept {
-    const auto src = static_cast<std::int32_t>(x);
-    double* drow = dist_.data() + x * m;
-    std::int32_t* prow = parent_.data() + x * m;
-    if (unit) {
-      std::vector<std::int32_t> queue(m);
-      core_bfs(adj, src, drow, prow, queue.data());
-    } else {
-      core_dijkstra(adj, core_, src, drow, prow);
-    }
-  });
+  unit_ = all_unit_weights(g);
+  if (unit_) {
+    // Each stripe of 64 sources writes only its own columns.
+    const std::size_t stripes = (m + kStripe - 1) / kStripe;
+    parallel_for(stripes, 1, [&](std::size_t stripe) noexcept {
+      std::vector<std::uint64_t> words(3 * m);
+      const std::size_t first = stripe * kStripe;
+      core_msbfs(adj_, first, std::min(kStripe, m - first), m, dist_.data(),
+                 words.data());
+    });
+  } else {
+    // Each source writes only its own row.
+    parallel_for(m, 8, [&](std::size_t x) noexcept {
+      core_dijkstra(adj_, core_, static_cast<std::int32_t>(x), -1,
+                    dist_.data() + x * m, nullptr);
+    });
+  }
 
   // Reachability and diameter. Per core vertex, the two heaviest attached
   // leaves bound every pair through it: fp addition is monotone, so
@@ -194,30 +264,24 @@ AllPairs::AllPairs(const Graph& g, bool allow_disconnected)
     }
   }
   if (isolated > 0 && n_ > 1) fully_connected_ = false;
+  // One pass over the block; the row scans leave the diagonal out.
+  const std::size_t num_switches = g.switches().size();
+  bool cut = false;
   for (std::size_t x = 0; x < m; ++x) {
-    for (std::size_t y = 0; y < m; ++y) {
-      const double d = dist_[x * m + y];
-      if (d == kUnreachable) {
-        fully_connected_ = false;
-        continue;
-      }
-      if (x == y) {
-        if (leaves[x] >= 1) diameter_ = std::max(diameter_, leaf1[x]);
-        if (leaves[x] >= 2) diameter_ = std::max(diameter_, leaf1[x] + leaf2[x]);
-        continue;
-      }
-      diameter_ = std::max(diameter_, leaf1[x] + d + leaf1[y]);
+    const double* row = dist_.data() + x * m;
+    scan_pairs(row, leaf1.data(), leaf1[x], 0, x, diameter_, cut);
+    scan_pairs(row, leaf1.data(), leaf1[x], x + 1, m, diameter_, cut);
+    if (leaves[x] >= 1) diameter_ = std::max(diameter_, leaf1[x]);
+    if (leaves[x] >= 2) diameter_ = std::max(diameter_, leaf1[x] + leaf2[x]);
+    if (x < num_switches) {
+      min_switch_dist_ = std::min({min_switch_dist_, row_min(row, 0, x),
+                                   row_min(row, x + 1, num_switches)});
     }
   }
+  if (cut) fully_connected_ = false;
   PPDC_REQUIRE(allow_disconnected || fully_connected_,
                "graph must be connected");
 
-  const std::size_t num_switches = g.switches().size();
-  for (std::size_t a = 0; a < num_switches; ++a) {
-    for (std::size_t b = 0; b < num_switches; ++b) {
-      if (a != b) min_switch_dist_ = std::min(min_switch_dist_, dist_[a * m + b]);
-    }
-  }
   if (min_switch_dist_ == kUnreachable) {
     // Fewer than two switches: no inter-switch hop exists, so the cheapest
     // possible chain hop is 0. Leaving it +inf would blow up every
@@ -243,7 +307,8 @@ AllPairs::CoreRow AllPairs::cost_col(NodeId v) const {
   check_node(v);
   const Anchor& a = anchor_[static_cast<std::size_t>(v)];
   if (a.core < 0) return {unreachable_row_.data(), 0.0};
-  return {transposed() + block_index(a.core, 0), a.weight};
+  const double* block = unit_ ? dist_.data() : transposed();
+  return {block + block_index(a.core, 0), a.weight};
 }
 
 std::vector<NodeId> AllPairs::path(NodeId u, NodeId v) const {
@@ -254,14 +319,23 @@ std::vector<NodeId> AllPairs::path(NodeId u, NodeId v) const {
   // Built backwards: v's leaf edge, the core path b -> a, u's leaf edge.
   std::vector<NodeId> p;
   if (core_[static_cast<std::size_t>(b.core)] != v) p.push_back(v);
-  const std::size_t row = block_index(a.core, 0);
-  for (std::int32_t cur = b.core; cur >= 0;
-       cur = parent_[row + static_cast<std::size_t>(cur)]) {
-    p.push_back(core_[static_cast<std::size_t>(cur)]);
-    if (cur == a.core) break;
+  if (a.core != b.core) {
+    const std::size_t m = core_.size();
+    std::vector<std::int32_t> parent(m, -1);
+    if (unit_) {
+      std::vector<std::int32_t> queue(m);
+      core_bfs(adj_, a.core, b.core, parent.data(), queue.data());
+    } else {
+      std::vector<double> dist(m, kUnreachable);
+      core_dijkstra(adj_, core_, a.core, b.core, dist.data(), parent.data());
+    }
+    for (std::int32_t cur = b.core; cur != a.core;
+         cur = parent[static_cast<std::size_t>(cur)]) {
+      PPDC_REQUIRE(cur >= 0, "broken parent chain");
+      p.push_back(core_[static_cast<std::size_t>(cur)]);
+    }
   }
-  PPDC_REQUIRE(p.back() == core_[static_cast<std::size_t>(a.core)],
-               "broken parent chain");
+  p.push_back(core_[static_cast<std::size_t>(a.core)]);
   if (p.back() != u) p.push_back(u);
   std::reverse(p.begin(), p.end());
   return p;

@@ -2,9 +2,10 @@
 //
 // Everything in the paper's cost model is expressed through c(u,v), the
 // shortest-path cost between two devices (§III, Table I). AllPairs
-// precomputes the metric once per topology (parallel across sources, on
-// util/executor.hpp) and serves c(u,v) in O(1) plus shortest-path vertex
-// sequences for migration frontiers.
+// precomputes the distances once per topology (parallel across sources, on
+// util/executor.hpp) and serves c(u,v) in O(1). Shortest-path vertex
+// sequences for migration frontiers are found on demand, one early-exit
+// search per path() call.
 //
 // Only the *core* block is stored. The core is every switch plus every
 // host of degree >= 2 (BCube and DCell hosts relay traffic); every other
@@ -28,11 +29,21 @@
 
 namespace ppdc {
 
-/// Precomputed all-pairs shortest path distances and parents.
+/// The core block's own edges, by core position, in CSR form: each core
+/// vertex's core neighbours in Graph::neighbors() order (AllPairs keeps
+/// one). Leaf edges are left out, since a leaf never relays a path.
+struct CoreAdjacency {
+  std::vector<std::size_t> first;  ///< |core| + 1 offsets into to/weight
+  std::vector<std::int32_t> to;    ///< core position of each neighbour
+  std::vector<double> weight;
+};
+
+/// Precomputed all-pairs shortest path distances.
 class AllPairs {
  public:
-  /// Runs one SSSP per core vertex. Uses BFS when every edge weight equals
-  /// 1 (hop metric) and Dijkstra otherwise. Requires a connected graph.
+  /// Fills the core block with a bit-parallel BFS from 64 core sources at
+  /// a time when every edge weight equals 1 (hop metric), and with one
+  /// Dijkstra per core source otherwise. Requires a connected graph.
   explicit AllPairs(const Graph& g);
 
   /// As above, but `allow_disconnected = true` accepts graphs with
@@ -73,10 +84,12 @@ class AllPairs {
   }
 
   /// Contiguous column c(·, v) over the core, indexed by core position,
-  /// for any node v. Served from a transposed copy of the core block that
-  /// is built on first use and kept for the life of the AllPairs; the
-  /// cost model's egress attraction B(b) = Σ λ c(b, dst) reads it so churn
-  /// patches stream rows instead of striding down columns.
+  /// for any node v; the cost model's egress attraction
+  /// B(b) = Σ λ c(b, dst) reads it so churn patches stream rows instead of
+  /// striding down columns. On a hop metric the block is symmetric bit for
+  /// bit (small integers on an undirected graph), so this is v's row. A
+  /// weighted metric serves it from a transposed copy of the block that is
+  /// built on first use and kept for the life of the AllPairs.
   CoreRow cost_col(NodeId v) const;
 
   /// Number of core vertices. Positions 0 .. |V_s|-1 are the switches in
@@ -102,7 +115,10 @@ class AllPairs {
   /// True when every pair is reachable.
   bool fully_connected() const noexcept { return fully_connected_; }
 
-  /// Shortest-path vertex sequence u -> v (inclusive of both endpoints).
+  /// Shortest-path vertex sequence u -> v (inclusive of both endpoints):
+  /// the parent chain of a BFS (hop metric) or Dijkstra rooted at u's core
+  /// position, run over the core adjacency until v's is discovered or
+  /// popped. O(|core| + core edges) per call; safe from many threads.
   std::vector<NodeId> path(NodeId u, NodeId v) const;
 
   /// Number of vertices on the shortest path from u to v, i.e. the h_j of
@@ -169,8 +185,9 @@ class AllPairs {
     mutable std::shared_ptr<void> data;
   };
 
-  /// The transposed core block behind cost_col(); built once, on first
-  /// use, and like the derived() slot never carried by a copy or a move.
+  /// The transposed core block behind a weighted metric's cost_col();
+  /// built once, on first use, and like the derived() slot never carried
+  /// by a copy or a move. A hop metric never fills it.
   struct TransposeSlot {
     struct Block {
       std::once_flag once;
@@ -191,13 +208,12 @@ class AllPairs {
   NodeId n_ = 0;
   std::vector<Anchor> anchor_;  ///< one per vertex
   std::vector<NodeId> core_;    ///< core position -> vertex
+  CoreAdjacency adj_;           ///< path() searches it
   /// Row-major |core| x |core|, page-mapped (util/pages.hpp): fault
-  /// epochs rebuild these on worker threads.
+  /// epochs rebuild it on worker threads.
   std::vector<double, PageAllocator<double>> dist_;
-  /// parent_[x*|core|+y]: core position of y's predecessor on x->y, -1
-  /// for y == x or unreachable y.
-  std::vector<std::int32_t, PageAllocator<std::int32_t>> parent_;
   std::vector<double> unreachable_row_;  ///< |core| x +inf
+  bool unit_ = false;  ///< every edge weight is 1: a hop metric
   double diameter_ = 0.0;
   double min_switch_dist_ = kUnreachable;
   bool fully_connected_ = true;

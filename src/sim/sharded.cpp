@@ -276,19 +276,30 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
     return r;
   };
   // Writes one shard's per-slot rates for the epoch into its flows: its
-  // base rates under the group scales, or the schedule mapped through
-  // global_ids (vacant slots carry nothing).
-  auto set_shard_rates = [&](ShardedCostModel::Shard& sh, Hour hour,
+  // base rates under the epoch's group scales, or the schedule mapped
+  // through global_ids (vacant slots carry nothing). Every group id of a
+  // shard's slots is below its model's num_groups(), so one check that
+  // the scales cover that domain bounds every read.
+  auto set_shard_rates = [&](ShardedCostModel::Shard& sh,
+                             const std::vector<double>& scales,
                              const std::vector<double>& schedule) {
-    for (std::size_t i = 0; i < sh.flows.size(); ++i) {
-      double rate = 0.0;
-      if (!scheduled) {
-        rate = sh.base_rates[i] *
-               config.diurnal.scale_for_group(hour, sh.groups[i]);
-      } else if (const FlowId g = sh.global_ids[i]; g.valid()) {
-        rate = schedule[static_cast<std::size_t>(g.value())];
+    if (!scheduled) {
+      PPDC_REQUIRE(static_cast<std::size_t>(sh.model->num_groups()) <=
+                       scales.size(),
+                   "shard " + sh.name + " has " +
+                       std::to_string(sh.model->num_groups()) +
+                       " diurnal groups but the epoch scales only " +
+                       std::to_string(scales.size()));
+      for (std::size_t i = 0; i < sh.flows.size(); ++i) {
+        sh.flows[i].rate =
+            sh.base_rates[i] * scales[static_cast<std::size_t>(sh.groups[i])];
       }
-      sh.flows[i].rate = rate;
+      return;
+    }
+    for (std::size_t i = 0; i < sh.flows.size(); ++i) {
+      const FlowId g = sh.global_ids[i];
+      sh.flows[i].rate =
+          g.valid() ? schedule[static_cast<std::size_t>(g.value())] : 0.0;
     }
   };
   auto refresh = [&](ShardedCostModel::Shard& sh,
@@ -391,7 +402,7 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
         pool, errors, []() noexcept {},
         [&](int s) {
           ShardedCostModel::Shard& sh = shards.shard(s);
-          set_shard_rates(sh, Hour{0}, schedule0);
+          set_shard_rates(sh, scales0, schedule0);
           refresh(sh, scales0);
           Placement& placement = runs[static_cast<std::size_t>(s)].placement;
           if (resumed) {
@@ -579,7 +590,7 @@ SimTrace run_sharded_simulation(const AllPairs& apsp, const ShardMap& map,
               : nullptr;
 
       // 2. This epoch's traffic; flows cut off from the core quarantine.
-      set_shard_rates(sh, hour, schedule);
+      set_shard_rates(sh, scales, schedule);
       if (faults_active) {
         for (std::size_t i = 0; i < sh.flows.size(); ++i) {
           VmFlow& f = sh.flows[i];

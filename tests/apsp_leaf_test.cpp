@@ -17,8 +17,10 @@
 #include "topology/dcell.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/leaf_spine.hpp"
+#include "topology/misc.hpp"
 #include "topology/vl2.hpp"
 #include "topology/weights.hpp"
+#include "util/executor.hpp"
 #include "util/rng.hpp"
 
 namespace ppdc {
@@ -134,22 +136,170 @@ TEST(ApspLeaf, RelayHostFabricsAreAllCore) {
   expect_same_summaries(dcell.graph, b);
 }
 
-TEST(ApspLeaf, CoreRowsAndColumnsMatchCost) {
-  Topology t = build_fat_tree(4);
-  apply_uniform_delay_weights(t.graph, 5);
-  const AllPairs apsp(t.graph);
-  ASSERT_EQ(static_cast<std::size_t>(apsp.num_core()),
-            t.graph.switches().size());
-  for (NodeId u = 0; u < t.graph.num_nodes(); ++u) {
-    const AllPairs::CoreRow row = apsp.cost_row(u);
-    const AllPairs::CoreRow col = apsp.cost_col(u);
-    for (std::size_t k = 0; k < t.graph.switches().size(); ++k) {
-      const NodeId x = t.graph.switches()[k];
-      if (x == u) continue;
-      EXPECT_EQ(row.weight + row.cost[k], apsp.cost(u, x));
-      EXPECT_EQ(col.weight + col.cost[k], apsp.cost(x, u));
+/// `g` with every link of the listed nodes dropped, and the listed links.
+Graph without(const Graph& g, const std::vector<NodeId>& dead_nodes,
+              const std::vector<EdgeKey>& dead_edges = {}) {
+  std::vector<char> dead(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (const NodeId v : dead_nodes) dead[static_cast<std::size_t>(v)] = 1;
+  return masked_copy(g, dead, dead_edges);
+}
+
+/// Every link of `g` at an integer weight drawn from [lo, hi].
+void set_integer_weights(Graph& g, int lo, int hi, std::uint64_t seed) {
+  Rng rng(seed);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const auto& a : g.neighbors(u)) {
+      if (u >= a.to) continue;
+      const auto w = static_cast<double>(rng.uniform_int(lo, hi));
+      g.set_edge_weight(u, a.to, w);
     }
   }
+}
+
+/// Core position -> vertex, from core_index().
+std::vector<NodeId> core_vertices(const AllPairs& apsp) {
+  std::vector<NodeId> core(static_cast<std::size_t>(apsp.num_core()),
+                           kInvalidNode);
+  for (NodeId v = 0; v < apsp.num_nodes(); ++v) {
+    const std::int32_t k = apsp.core_index(v);
+    if (k >= 0) core[static_cast<std::size_t>(k)] = v;
+  }
+  return core;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The core block, row by row through cost_row(), against one
+/// bfs_shortest_paths/dijkstra run per core source, bit for bit.
+void expect_block_matches_oracle(const Graph& g, const AllPairs& apsp) {
+  const bool unit = unit_metric(g);
+  const std::vector<NodeId> core = core_vertices(apsp);
+  for (std::size_t x = 0; x < core.size(); ++x) {
+    const SsspResult ref =
+        unit ? bfs_shortest_paths(g, core[x]) : dijkstra(g, core[x]);
+    const AllPairs::CoreRow row = apsp.cost_row(core[x]);
+    ASSERT_EQ(row.weight, 0.0);
+    for (std::size_t y = 0; y < core.size(); ++y) {
+      const double want = ref.dist[static_cast<std::size_t>(core[y])];
+      ASSERT_TRUE(same_bits(row.cost[y], want))
+          << "x=" << core[x] << " y=" << core[y] << " got " << row.cost[y]
+          << " want " << want;
+    }
+  }
+}
+
+TEST(ApspLeaf, HopBlockMatchesPerSourceBfsAcrossStripeWidths) {
+  // The hop build fills the block 64 sources at a time: cores below one
+  // stripe, exactly one, and a partial last stripe, plus a ring whose
+  // 130 switches sit up to 65 hops apart.
+  const Topology ft4 = build_fat_tree(4);
+  const Topology ft8 = build_fat_tree(8);
+  const Topology ls = build_leaf_spine(48, 16, 2);
+  const Topology ring = build_ring(130);
+  const Topology bcube = build_bcube(4, 1);
+  const Topology dcell = build_dcell1(4);
+  const Topology vl2 = build_vl2(4, 8, 12, 2);
+  const std::vector<std::pair<const Topology*, std::int32_t>> cases = {
+      {&ft4, 20},   {&ft8, 80},   {&ls, 64}, {&ring, 130},
+      {&bcube, 24}, {&dcell, 25}, {&vl2, 24}};
+  for (const auto& [t, core] : cases) {
+    const AllPairs apsp(t->graph);
+    EXPECT_EQ(apsp.num_core(), core);
+    expect_block_matches_oracle(t->graph, apsp);
+  }
+  // path()'s early-exit BFS on the ring walks chains up to 65 hops long.
+  expect_identical(ring.graph, AllPairs(ring.graph));
+  // Masks: a pod outage isolates its hosts, a dead ToR isolates a rack.
+  const Graph pod = without(ft8.graph, ft8.power_domains.front().switches);
+  const AllPairs a(pod, /*allow_disconnected=*/true);
+  EXPECT_FALSE(a.fully_connected());
+  expect_block_matches_oracle(pod, a);
+  const Graph rack = without(ft4.graph, {ft4.rack_switches[RackIdx{0}]});
+  const AllPairs b(rack, /*allow_disconnected=*/true);
+  expect_block_matches_oracle(rack, b);
+}
+
+/// Every core row's bits, from a build entered serially and at full width.
+void expect_same_block_serially(const Graph& g) {
+  std::vector<std::vector<double>> wide;
+  std::vector<std::vector<double>> serial;
+  auto dump = [&g](std::vector<std::vector<double>>& out) noexcept {
+    const AllPairs apsp(g, /*allow_disconnected=*/true);
+    const auto m = static_cast<std::size_t>(apsp.num_core());
+    for (const NodeId x : core_vertices(apsp)) {
+      const double* row = apsp.cost_row(x).cost;
+      out.emplace_back(row, row + m);
+    }
+  };
+  dump(wide);
+  serially([&]() noexcept { dump(serial); });
+  ASSERT_EQ(wide.size(), serial.size());
+  for (std::size_t x = 0; x < wide.size(); ++x) {
+    ASSERT_EQ(std::memcmp(wide[x].data(), serial[x].data(),
+                          wide[x].size() * sizeof(double)),
+              0)
+        << "row " << x;
+  }
+}
+
+TEST(ApspLeaf, BlockIsTheSameSeriallyAndAtFullWidth) {
+  // k=16: five full stripes; the weighted k=8 build runs per source.
+  const Topology ft16 = build_fat_tree(16);
+  expect_same_block_serially(ft16.graph);
+  const Topology ring = build_ring(130);
+  expect_same_block_serially(ring.graph);
+  Topology ft8 = build_fat_tree(8);
+  apply_uniform_delay_weights(ft8.graph, 9);
+  expect_same_block_serially(ft8.graph);
+}
+
+/// cost_row(u)[k] and cost_col(u)[k] carry the bits of cost(u, x) and
+/// cost(x, u) for every node u and core vertex x at position k.
+void expect_rows_and_columns_match_cost(const Graph& g, const AllPairs& apsp) {
+  const std::vector<NodeId> core = core_vertices(apsp);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const AllPairs::CoreRow row = apsp.cost_row(u);
+    const AllPairs::CoreRow col = apsp.cost_col(u);
+    for (std::size_t k = 0; k < core.size(); ++k) {
+      const NodeId x = core[k];
+      if (x == u) continue;
+      ASSERT_TRUE(same_bits(row.weight + row.cost[k], apsp.cost(u, x)))
+          << "u=" << u << " x=" << x;
+      ASSERT_TRUE(same_bits(col.weight + col.cost[k], apsp.cost(x, u)))
+          << "u=" << u << " x=" << x;
+    }
+  }
+}
+
+TEST(ApspLeaf, CoreRowsAndColumnsMatchCost) {
+  // Weighted metrics serve columns from a transposed copy.
+  Topology t = build_fat_tree(4);
+  apply_uniform_delay_weights(t.graph, 5);
+  const AllPairs weighted(t.graph);
+  ASSERT_EQ(static_cast<std::size_t>(weighted.num_core()),
+            t.graph.switches().size());
+  expect_rows_and_columns_match_cost(t.graph, weighted);
+  const NodeId sw = t.graph.switches().front();
+  EXPECT_NE(weighted.cost_col(sw).cost, weighted.cost_row(sw).cost);
+  Topology dcell = build_dcell1(3);
+  set_integer_weights(dcell.graph, 1, 3, 7);
+  const AllPairs relay(dcell.graph);
+  expect_rows_and_columns_match_cost(dcell.graph, relay);
+
+  // A hop metric's column is its row: no copy is made.
+  for (const Topology& hop : {build_fat_tree(8), build_bcube(3, 1)}) {
+    const AllPairs apsp(hop.graph);
+    expect_rows_and_columns_match_cost(hop.graph, apsp);
+    for (const NodeId x : core_vertices(apsp)) {
+      EXPECT_EQ(apsp.cost_col(x).cost, apsp.cost_row(x).cost);
+    }
+  }
+  const Topology ft = build_fat_tree(4);
+  const Graph masked = without(ft.graph, {ft.rack_switches[RackIdx{1}]});
+  const AllPairs apsp(masked, /*allow_disconnected=*/true);
+  expect_rows_and_columns_match_cost(masked, apsp);
 }
 
 /// Distance between two finite non-negative doubles in units in the last
@@ -201,26 +351,6 @@ TEST(ApspLeaf, WeightedFatTreeWithinTwoUlpsAndExactIntoLeaves) {
   // Dijkstra relaxes c(x, leaf) = c(x, attach) + w: exact from a switch.
   expect_identical(t.graph, apsp, /*leaf_sources=*/false);
   EXPECT_LE(expect_leaf_rows_near(t.graph, apsp), 2);
-}
-
-/// `g` with every link of the listed nodes dropped, and the listed links.
-Graph without(const Graph& g, const std::vector<NodeId>& dead_nodes,
-              const std::vector<EdgeKey>& dead_edges = {}) {
-  std::vector<char> dead(static_cast<std::size_t>(g.num_nodes()), 0);
-  for (const NodeId v : dead_nodes) dead[static_cast<std::size_t>(v)] = 1;
-  return masked_copy(g, dead, dead_edges);
-}
-
-/// Every link of `g` at an integer weight drawn from [lo, hi].
-void set_integer_weights(Graph& g, int lo, int hi, std::uint64_t seed) {
-  Rng rng(seed);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (const auto& a : g.neighbors(u)) {
-      if (u >= a.to) continue;
-      const auto w = static_cast<double>(rng.uniform_int(lo, hi));
-      g.set_edge_weight(u, a.to, w);
-    }
-  }
 }
 
 TEST(ApspLeaf, TiedWeightsBreakTiesByNodeId) {

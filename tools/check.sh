@@ -153,13 +153,15 @@ fi
 # rescans the kernel suite builds at full width, the per-shard churn
 # apply (routed on one thread, then applied and drained by each shard's
 # own epoch task, or by apply_churn's tasks, in any order), the grouped
-# build's one (model, switch block) grid over every shard, and the
-# stroll levels that warm and cold tables on many threads extend while
-# others read them (a warm table builds level r for its readout).
+# build's one (model, switch block) grid over every shard, the stroll
+# levels that warm and cold tables on many threads extend while others
+# read them (a warm table builds level r for its readout), and the hop
+# APSP build, whose 64-source stripes write disjoint columns of one block
+# concurrently (apsp_leaf_test builds it serially and at full width).
 # ---------------------------------------------------------------------------
 for t in executor_test experiment_parallel_test sharded_equivalence_test \
          checkpoint_test kernel_equivalence_test incremental_refresh_test \
-         stroll_dp_test; do
+         stroll_dp_test apsp_leaf_test; do
   TSAN_RUNNER=build-tsan/tests/$t
   if [ -x "$TSAN_RUNNER" ]; then
     note "tsan: $TSAN_RUNNER"
@@ -235,8 +237,11 @@ done
 # Stage 6b: the APSP, stroll DP, chain search, fault, assignment,
 # churn-patch, epoch-journal, streaming-workload and generator suites
 # under ASan + UBSan (optional; needs the sanitize preset built). The
-# AllPairs build indexes a core-only adjacency and writes each source's
-# rows through raw pointers, on masked fabrics too (apsp_leaf_test). The
+# AllPairs build indexes a core-only adjacency; its hop kernel scatters
+# each 64-source stripe's distances into that stripe's columns of every
+# row, and its weighted kernel writes each source's row, through raw
+# pointers, on masked fabrics too; path() walks parent chains of an
+# early-exit search over the same adjacency (apsp_leaf_test). The
 # stroll DP reads the fabric's AllPairs core through raw row and column
 # pointers, masked by a restricted (degraded) universe. Its source-row
 # argmin reads four rows per step through unaligned copies and runs the
@@ -252,7 +257,8 @@ done
 # multi-SFC) reads flat s×s distance and order matrices through raw row
 # pointers. The queued churn patches are drained later than they were
 # queued, into base rows that may have grown meanwhile, and read the
-# AllPairs core rows and transposed columns through raw pointers
+# AllPairs core rows and columns (a hop metric's rows, a weighted
+# metric's transposed copy) through raw pointers
 # (incremental_refresh_test). Routed churn events carry the local slots
 # they touch, and each shard applies them into vectors the router grew
 # for it (incremental_refresh_test, and sharded_equivalence_test through
