@@ -745,6 +745,84 @@ void expect_kill_resume_identical(const SimConfig& sim,
   remove_epoch_journal(journal);
 }
 
+TEST(ShardedEquivalence, MultiShardRunIsPinned) {
+  // Every other multi-shard test compares two widths, or a resume, against
+  // the same binary, so a change that moved every width the same way
+  // would pass them. This run has every engine feature on (churn with
+  // held shards, a pod outage, the ladder with shard 1's policy throwing,
+  // the audit) and its trace and event stream are pinned to constants at
+  // 1 and 4 threads, and after a kill at epoch 4 and a journal resume.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const ShardMap map = ShardMap::by_ingress_pod(topo);
+  const std::string journal = "sharded_pinned_journal_test.bin";
+  StreamingChurnConfig churn;
+  churn.arrivals_per_epoch = 10;
+  churn.departure_prob = 0.05;
+  churn.rerate_prob = 0.1;
+  SimConfig sim;
+  sim.hours = 10;
+  sim.ladder.enabled = true;
+  sim.audit.enabled = true;
+  {
+    FaultScheduleConfig fc;
+    fc.hours = sim.hours;
+    fc.maintenance = {{"pod0", Hour{3}, Hour{6}}};
+    sim.faults = generate_fault_schedule(topo, fc);
+  }
+  auto run = [&](int threads, const SimConfig& cfg, EpochObserver* observer,
+                 const std::string& path) {
+    ShardedStreamingConfig sharded;
+    sharded.enabled = true;
+    sharded.threads = threads;
+    sharded.churn = churn;
+    sharded.resolve_churn_fraction = 0.3;
+    sharded.max_staleness = 3;
+    sharded.quarantine_sla = 2.0;
+    SelectiveThrowPolicy proto(2);  // shard 1 throws on every attempt
+    StreamingWorkload w(topo, workload_config(160), churn, Rng(31));
+    return run_sharded_simulation(apsp, map, w, 5, cfg, sharded, proto,
+                                  observer, path);
+  };
+  constexpr std::uint64_t kTrace = 0x02f25ccd0c3f4034ULL;
+  constexpr std::uint64_t kEvents = 0xeae38c0e23ac81a2ULL;
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    EventStreamHash events;
+    const SimTrace t = run(threads, sim, &events, {});
+    EXPECT_EQ(trace_hash(t), kTrace);
+    EXPECT_EQ(events.value(), kEvents);
+    // The pinned run exercises what it claims to.
+    EXPECT_GT(t.total_shard_holds, 0);
+    EXPECT_GT(t.quarantined_flow_epochs, 0);
+    EXPECT_GT(t.total_recovery_migrations, 0);
+    EXPECT_GT(t.policy_failures, 0);
+    EXPECT_GT(t.ladder_transitions, 0);
+    EXPECT_EQ(t.audited_epochs, sim.hours);
+  }
+  for (const auto& [kill_threads, resume_threads] :
+       {std::pair{1, 4}, std::pair{4, 1}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "kill at " << kill_threads << ", resume at "
+                 << resume_threads);
+    remove_epoch_journal(journal);
+    {
+      std::atomic<bool> cancel{false};
+      CancelAtEpoch canceller(&cancel, 4);
+      SimConfig interrupted = sim;
+      interrupted.cancel = &cancel;
+      EXPECT_THROW(run(kill_threads, interrupted, &canceller, journal),
+                   SimInterrupted);
+    }
+    EventStreamHash events;
+    const SimTrace resumed = run(resume_threads, sim, &events, journal);
+    EXPECT_EQ(trace_hash(resumed), kTrace);
+    EXPECT_EQ(events.value(), kEvents);
+  }
+  remove_epoch_journal(journal);
+}
+
 TEST(ShardedEpochJournal, KillResumeBitIdentityAcrossThreadCounts) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);
