@@ -14,6 +14,15 @@
 // under the epoch's diurnal scales and the epoch charges
 // communication_cost(placement), never a stale estimate.
 //
+// The loop is a file-local runner in sharded.cpp with one member
+// function per phase (DESIGN.md §14). It opens the journal and solves
+// hour 0 on the shard pool. Then, per epoch, the main thread commits the
+// churn and applies the faults, one executor region runs every shard's
+// task (churn apply, traffic and quarantine, model maintenance, recovery,
+// policy or hold) and draws the next epoch's churn, and the main thread
+// checks a replayed epoch against the journal, merges, steps the ladders,
+// audits and appends to the journal.
+//
 // Determinism contract: shard state is exact per shard and decisions
 // merge field-wise in fixed pod order, so the trace is bit-identical at
 // any thread count. Over ShardMap::single with a churn-free workload the

@@ -9,7 +9,9 @@
 # stdout against the file recorded in tests/golden/. No bench prints timings, --threads is
 # pinned and the measured "peak RSS:" line is dropped, so any difference
 # is a change in simulated results: an intentional one lands as a
-# reviewed golden diff (rerun with --update).
+# reviewed golden diff (rerun with --update). The streaming engine's
+# bench_scale prints timings, so only its total-cost line is pinned, at
+# 1 and at 4 threads against one golden file.
 #
 # Usage: tools/fig_golden.sh [--build-dir DIR] [--update]
 #   --build-dir DIR   where to find bench/ (default: build)
@@ -41,9 +43,16 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 status=0
 
-# check NAME ARGS...: runs build/bench/BENCH ARGS, where BENCH is NAME up
-# to its first '.', and compares its stdout with tests/golden/NAME.txt.
+# check [--keep PATTERN] NAME ARGS...: runs build/bench/BENCH ARGS, where
+# BENCH is NAME up to its first '.', and compares its stdout with
+# tests/golden/NAME.txt. With --keep, only the stdout lines matching the
+# grep PATTERN are compared.
 check() {
+  local keep=
+  if [ "$1" = --keep ]; then
+    keep=$2
+    shift 2
+  fi
   local name=$1
   shift
   local bench=$BUILD_DIR/bench/${name%%.*}
@@ -57,7 +66,11 @@ check() {
     status=1
     return
   }
-  grep -v '^peak RSS:' "$WORK/$name.raw" > "$WORK/$name.out"
+  if [ -n "$keep" ]; then
+    grep -e "$keep" "$WORK/$name.raw" > "$WORK/$name.out"
+  else
+    grep -v '^peak RSS:' "$WORK/$name.raw" > "$WORK/$name.out"
+  fi
   if [ "$UPDATE" -eq 1 ]; then
     cp "$WORK/$name.out" "$golden"
     echo "== fig_golden: rewrote $golden"
@@ -79,5 +92,7 @@ check bench_fig3_example
 check bench_fig7_top1 --k 8 --trials 2 --nmax 7
 check bench_fig10_top_weighted --k 4 --trials 2
 check bench_ablation_extensions
+check --keep '^total cost ' bench_scale.smoke --smoke --threads 1
+check --keep '^total cost ' bench_scale.smoke --smoke --threads 4
 
 exit $status
