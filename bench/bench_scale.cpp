@@ -11,7 +11,8 @@
 // churn, resolved/held shard split, communication cost, epoch latency,
 // and current RSS. The footer adds the engine set-up wall (shard cost
 // models and hour-0 solves: from the run_sharded_simulation call to
-// on_run_begin), the fabric's stroll-table cache totals, and peak RSS.
+// on_run_begin), the fabric's stroll-table cache totals (also as they
+// stood after hour 0 and after hour 1), and peak RSS.
 //
 // Options: --k --flows --hours --n --mu --threads --cand --seed
 //          --arrivals --depart --rerate --resolve-fraction --staleness
@@ -36,12 +37,14 @@ using Clock = std::chrono::steady_clock;
 /// on_epoch_begin to on_epoch_end and when the run began iterating.
 class ScaleObserver final : public ppdc::EpochObserver {
  public:
-  explicit ScaleObserver(const ppdc::StreamingWorkload& workload)
-      : workload_(workload) {}
+  ScaleObserver(const ppdc::StreamingWorkload& workload,
+                const ppdc::StrollTableCache& cache)
+      : workload_(workload), cache_(cache) {}
 
   void on_run_begin(ppdc::Hour /*horizon*/,
                     const ppdc::Placement& /*initial*/) override {
     run_begin_ = Clock::now();
+    after_hour_[0] = cache_.stats();
   }
 
   void on_epoch_begin(ppdc::Hour /*hour*/) override {
@@ -69,15 +72,22 @@ class ScaleObserver final : public ppdc::EpochObserver {
                 held_, d.comm_cost,
                 ms, ppdc::bench::mib(ppdc::current_rss_bytes()).c_str());
     std::fflush(stdout);
+    if (hour.value() == 1) after_hour_[1] = cache_.stats();
   }
 
   double mean_epoch_ms() const {
     return epochs_ == 0 ? 0.0 : total_ms_ / epochs_;
   }
   Clock::time_point run_begin() const { return run_begin_; }
+  /// The stroll-table cache after hour 0 (h = 0) and after hour 1 (h = 1).
+  const ppdc::StrollTableCache::Stats& cache_after(int h) const {
+    return after_hour_[h];
+  }
 
  private:
   const ppdc::StreamingWorkload& workload_;
+  const ppdc::StrollTableCache& cache_;
+  ppdc::StrollTableCache::Stats after_hour_[2];
   Clock::time_point run_begin_{};
   Clock::time_point epoch_start_{};
   int churned_ = 0;
@@ -165,7 +175,7 @@ int bench_main(int argc, char** argv) {
   std::printf("%5s  %9s  %8s  %11s  %14s  %10s  %9s\n", "hour", "live",
               "churned", "rslv/held", "comm cost", "epoch ms", "RSS MiB");
 
-  ScaleObserver observer(workload);
+  ScaleObserver observer(workload, StrollTableCache::of(apsp));
   const auto t_run = Clock::now();
   const SimTrace trace = run_sharded_simulation(apsp, map, workload, n, sim,
                                                 sharded, policy, &observer);
@@ -192,6 +202,12 @@ int bench_main(int argc, char** argv) {
   std::cout << "stroll-table cache: " << cache.levels_built
             << " level tables built, " << cache.level_hits << " hits, "
             << bench::mib(cache.bytes) << " MiB\n";
+  for (const int h : {0, 1}) {
+    const StrollTableCache::Stats& at = observer.cache_after(h);
+    std::cout << "stroll-table cache after hour " << h << ": "
+              << at.levels_built << " tables, " << bench::mib(at.bytes)
+              << " MiB\n";
+  }
   bench::print_rss_footer(std::cout);
   return 0;
 }

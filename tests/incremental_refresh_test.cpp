@@ -20,6 +20,7 @@
 #include "topology/fat_tree.hpp"
 #include "topology/linear.hpp"
 #include "topology/misc.hpp"
+#include "topology/weights.hpp"
 #include "util/checksum.hpp"
 #include "util/executor.hpp"
 #include "util/rng.hpp"
@@ -1322,23 +1323,91 @@ TEST(ShardedChurn, RebuildFallbackDropsQueuedPatches) {
   expect_rows_match(cm.group_snapshot(), fresh->group_snapshot());
 }
 
+/// Asserts that `model`'s base rows hold the plain flow-order sums
+/// base · (weight + row[j]) of every flow with a nonzero base, per group
+/// row, starting from 0.0: what the block kernel computes, bit for bit.
+void expect_base_rows_are_flow_order_sums(CostModel& model,
+                                          const std::vector<VmFlow>& flows,
+                                          const std::vector<double>& bases) {
+  const AllPairs& apsp = model.apsp();
+  const CostModel::GroupSnapshot snap = model.group_snapshot();
+  const std::size_t ns = apsp.graph().switches().size();
+  std::vector<double> in(snap.row_groups.size() * ns, 0.0);
+  std::vector<double> eg(in.size(), 0.0);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (bases[i] == 0.0) continue;
+    const std::size_t row = static_cast<std::size_t>(
+        snap.group_rows[static_cast<std::size_t>(snap.groups[i])]);
+    const AllPairs::CoreRow src = apsp.cost_row(flows[i].src_host);
+    const AllPairs::CoreRow dst = apsp.cost_col(flows[i].dst_host);
+    for (std::size_t j = 0; j < ns; ++j) {
+      in[row * ns + j] += bases[i] * (src.weight + src.cost[j]);
+      eg[row * ns + j] += bases[i] * (dst.weight + dst.cost[j]);
+    }
+  }
+  EXPECT_EQ(snap.group_ingress, in);
+  EXPECT_EQ(snap.group_egress, eg);
+}
+
+/// `l` flows whose ingress hosts sit in shard 0 for 45% of them, in shard
+/// 1 for another 45%, and in the other shards for the rest: the shape of
+/// a rack-skewed tenant mix, where two pods carry most of the build.
+std::vector<VmFlow> two_pod_workload(const Topology& topo,
+                                     const ShardMap& map, int l) {
+  std::vector<std::vector<NodeId>> hosts(
+      static_cast<std::size_t>(map.num_shards()));
+  for (const NodeId h : topo.graph.hosts()) {
+    hosts[static_cast<std::size_t>(map.shard_of(h))].push_back(h);
+  }
+  const std::vector<NodeId>& all = topo.graph.hosts();
+  const auto pick = [](Rng& rng, const std::vector<NodeId>& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  std::vector<VmFlow> flows;
+  Rng rng(29);
+  for (int i = 0; i < l; ++i) {
+    const int slot = i % 20;
+    const std::size_t shard =
+        slot < 9    ? 0
+        : slot < 18 ? 1
+                    : 2 + static_cast<std::size_t>(i) % (hosts.size() - 2);
+    const NodeId src = pick(rng, hosts[shard]);
+    NodeId dst = pick(rng, all);
+    while (dst == src) dst = pick(rng, all);
+    flows.push_back({src, dst, rng.uniform_real(0.25, 1.25), 0});
+  }
+  return flows;
+}
+
 TEST(ShardedBuild, BatchedShardModelsEqualLoneModelsBitForBit) {
   // ShardedCostModel accumulates every shard's base rows in one parallel
   // pass over (shard, switch block) pairs. Built at full width and inside
   // serially(), each shard must hold the bits of a lone grouped model over
-  // its vectors. k=24 has 720 switches, so every shard spans two blocks;
-  // k=4 has one.
+  // its vectors, and those are the plain flow-order sums. k=24 has 720
+  // switches, so every shard spans two blocks; k=4 has one. The weighted
+  // k=24 fabric reads its egress rows from the transposed core, and the
+  // two-pod workload puts at least 45% of the flows in each of two shards.
   struct Case {
+    const char* name;
     int k;
     int flows;
+    bool weighted;
+    bool two_pods;
   };
   constexpr int kGroups = 6;
-  for (const Case c : {Case{24, 3000}, Case{4, 60}}) {
-    SCOPED_TRACE("k=" + std::to_string(c.k));
-    const Topology topo = build_fat_tree(c.k);
+  for (const Case c : {Case{"k=24", 24, 3000, false, false},
+                       Case{"k=4", 4, 60, false, false},
+                       Case{"weighted k=24", 24, 3000, true, false},
+                       Case{"two-pod k=24", 24, 4000, false, true}}) {
+    SCOPED_TRACE(c.name);
+    Topology topo = build_fat_tree(c.k);
+    if (c.weighted) apply_uniform_delay_weights(topo.graph, 7);
     const AllPairs apsp(topo.graph);
     const ShardMap map = ShardMap::by_ingress_pod(topo);
-    std::vector<VmFlow> flows = spatial_workload(topo, c.flows, 17, 0.5);
+    std::vector<VmFlow> flows = c.two_pods
+                                    ? two_pod_workload(topo, map, c.flows)
+                                    : spatial_workload(topo, c.flows, 17, 0.5);
     // Sparse group ids (rows compact to 0, 2, 5) and some vacant slots.
     for (std::size_t i = 0; i < flows.size(); ++i) {
       flows[i].group = std::array{0, 2, 5}[i % 3];
@@ -1356,6 +1425,11 @@ TEST(ShardedBuild, BatchedShardModelsEqualLoneModelsBitForBit) {
     });
     ASSERT_FALSE(threw);
     ASSERT_EQ(wide.num_shards(), narrow->num_shards());
+    if (c.two_pods) {
+      for (const int s : {0, 1}) {
+        EXPECT_GE(wide.shard(s).flows.size() * 100, flows.size() * 45);
+      }
+    }
     for (int s = 0; s < wide.num_shards(); ++s) {
       SCOPED_TRACE("shard " + std::to_string(s));
       const ShardedCostModel::Shard& sh = wide.shard(s);
@@ -1363,6 +1437,7 @@ TEST(ShardedBuild, BatchedShardModelsEqualLoneModelsBitForBit) {
           grouped_model(apsp, sh.flows, sh.base_rates, sh.groups, kGroups);
       expect_same_grouped_state(*sh.model, *lone);
       expect_same_grouped_state(*narrow->shard(s).model, *lone);
+      expect_base_rows_are_flow_order_sums(*lone, sh.flows, sh.base_rates);
     }
   }
 }
