@@ -105,17 +105,46 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
   const std::vector<NodeId> ingress_candidates = top_candidates(
       switches, options.candidate_limit,
       [&](NodeId w) { return model.ingress_attraction(w); });
+  // Each row tries its ingress candidates by ascending A (a stable sort,
+  // so equal A keep candidate order) and stops at the first whose bound
+  // (Λ·L + A) + B exceeds the best cost so far, where L is the cheapest
+  // chain: n - 1 hops of min_switch_distance(), summed as chain_cost
+  // sums. A placement's n switches are distinct, so each hop costs at
+  // least min_switch_distance(), and fp addition and multiplication by
+  // Λ >= 0 are monotone: every skipped pair costs strictly more than the
+  // final minimum (DESIGN.md §11). A tie goes to the pair that comes
+  // first in (egress, ingress) candidate order, as in the full loop.
+  const double lambda = model.total_rate();
+  double cheapest_chain = 0.0;
+  for (int hop = 1; hop < n; ++hop) {
+    cheapest_chain += apsp.min_switch_distance();
+  }
+  const double chain_floor = lambda * cheapest_chain;
+  std::vector<double> ingress_a(ingress_candidates.size());
+  for (std::size_t i = 0; i < ingress_candidates.size(); ++i) {
+    ingress_a[i] = model.ingress_attraction(ingress_candidates[i]);
+  }
+  std::vector<std::size_t> by_a(ingress_candidates.size());
+  std::iota(by_a.begin(), by_a.end(), std::size_t{0});
+  std::stable_sort(by_a.begin(), by_a.end(), [&](std::size_t x, std::size_t y) {
+    return ingress_a[x] < ingress_a[y];
+  });
   // One stroll and one candidate buffer for every (ingress, egress) pair,
   // so the pair loop allocates nothing; `p` is copied into `best` only
   // when it wins.
   StrollResult stroll;
   Placement p;
   p.reserve(static_cast<std::size_t>(n));
-  for (const NodeId egress : egress_candidates) {
+  std::size_t best_pair = 0;  // (egress, ingress) order of the winner
+  for (std::size_t e = 0; e < egress_candidates.size(); ++e) {
+    const NodeId egress = egress_candidates[e];
+    const double b = model.egress_attraction(egress);
     StrollTable table(cached
                           ? cache->levels(egress)
                           : std::make_shared<const StrollLevels>(metric, egress));
-    for (const NodeId ingress : ingress_candidates) {
+    for (const std::size_t i : by_a) {
+      if ((chain_floor + ingress_a[i]) + b > best_cost) break;
+      const NodeId ingress = ingress_candidates[i];
       if (ingress == egress) continue;
       table.find(ingress, n - 2, stroll);
       p.clear();
@@ -126,11 +155,11 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
       // stroll walk may detour; shortcutting it can only help), in
       // communication_cost's own expression: `p` is built from distinct
       // universe switches, so only the winner is validated, once.
-      const double c = model.total_rate() * model.chain_cost(p) +
-                       model.ingress_attraction(ingress) +
-                       model.egress_attraction(egress);
-      if (c < best_cost) {
+      const double c = lambda * model.chain_cost(p) + ingress_a[i] + b;
+      const std::size_t pair = e * ingress_candidates.size() + i;
+      if (c < best_cost || (c == best_cost && pair < best_pair)) {
         best_cost = c;
+        best_pair = pair;
         best.placement = p;
         best.used_fallback = stroll.used_fallback;
       }

@@ -23,9 +23,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // for the baseline ISA (where GCC leaves the select scalar), for
 // x86-64-v3 (32-byte AVX2 vectors) and for x86-64-v4 (64-byte AVX-512
 // vectors whose compares write k-masks that store cost and succ
-// directly), where util/clones.hpp allows it.
-#define PPDC_LEVEL_KERNEL_CLONES \
-  PPDC_TARGET_CLONES("arch=x86-64-v4", "arch=x86-64-v3", "default")
+// directly), where util/clones.hpp allows it (PPDC_LEVEL_KERNEL_CLONES).
 
 // Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
 /// Relaxes each row's best (cost, succ) with the stroll via w on a strict

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "util/clones.hpp"
 #include "util/executor.hpp"
 #include "util/rng.hpp"
 
@@ -35,27 +36,42 @@ bool is_core(const Graph& g, NodeId v) {
   return !(g.is_switch(a) || g.degree(a) >= 2);
 }
 
-/// Over row[lo, hi) of the block: raises `far` to the largest
-/// (lx + d) + leaf[y] of a reachable d, and sets `cut` if some d is
-/// unreachable. A max is exact, so the scan order cannot change it.
-void scan_pairs(const double* row, const double* leaf, double lx,
-                std::size_t lo, std::size_t hi, double& far, bool& cut) {
-  double f = far;
-  bool c = false;
-  for (std::size_t y = lo; y < hi; ++y) {
+// Hot kernel: 64-byte aligned, every clone (DESIGN.md §11). It only adds
+// and takes maxima, so it takes the level kernels' clone tiers.
+/// Folds row x's entries [lo, hi) of the block into per-column lanes:
+/// far[y] keeps the largest (lx + d) + leaf[y] of a reachable d and
+/// top[y] the largest d, so the block holds an unreachable pair iff some
+/// top[y] is +inf. An unreachable d adds d - d = NaN to its candidate,
+/// and `c > far[y] ? c : far[y]` keeps far[y] for a NaN c. Each column
+/// is its own lane, so the loop is elementwise (GCC vectorizes no double
+/// max reduction without -ffast-math), and a max is exact, so the order
+/// in which rows fold cannot change a lane.
+// ppdc-ymm: pair-scan fn=scan_pairs insn=vmaxpd
+// ppdc-zmm: pair-scan-zmm fn=scan_pairs insn=vmaxpd
+[[PPDC_LEVEL_KERNEL_CLONES gnu::aligned(64)]] void scan_pairs(
+    const double* __restrict row, const double* __restrict leaf, double lx,
+    std::size_t lo, std::size_t hi, double* __restrict far,
+    double* __restrict top) {
+  for (std::size_t y = lo; y < hi; ++y) {  // ppdc-vec: pair-scan bytes=64,32
     const double d = row[y];
-    c |= d == kUnreachable;
-    f = std::max(f, d == kUnreachable ? 0.0 : (lx + d) + leaf[y]);
+    const double c = ((lx + d) + leaf[y]) + (d - d);
+    far[y] = c > far[y] ? c : far[y];
+    top[y] = d > top[y] ? d : top[y];
   }
-  far = f;
-  cut = cut || c;
 }
 
-/// Smallest entry of row[lo, hi), +inf when the range is empty.
-double row_min(const double* row, std::size_t lo, std::size_t hi) {
-  double best = kUnreachable;
-  for (std::size_t y = lo; y < hi; ++y) best = std::min(best, row[y]);
-  return best;
+// Hot kernel: 64-byte aligned, every clone (DESIGN.md §11).
+/// Lowers low[y] to row[y] over [lo, hi): per-column lanes of the
+/// smallest entry, exact in any order.
+// ppdc-ymm: row-min fn=row_min insn=vminpd
+// ppdc-zmm: row-min-zmm fn=row_min insn=vminpd
+[[PPDC_LEVEL_KERNEL_CLONES gnu::aligned(64)]] void row_min(
+    const double* __restrict row, std::size_t lo, std::size_t hi,
+    double* __restrict low) {
+  for (std::size_t y = lo; y < hi; ++y) {  // ppdc-vec: row-min bytes=64,32
+    const double d = row[y];
+    low[y] = d < low[y] ? d : low[y];
+  }
 }
 
 /// Stripe width of the multi-source BFS: one bit per source.
@@ -264,20 +280,29 @@ AllPairs::AllPairs(const Graph& g, bool allow_disconnected)
     }
   }
   if (isolated > 0 && n_ > 1) fully_connected_ = false;
-  // One pass over the block; the row scans leave the diagonal out.
+  // One pass over the block into per-column lanes, folded once at the
+  // end; the row scans leave the diagonal out.
   const std::size_t num_switches = g.switches().size();
-  bool cut = false;
+  std::vector<double> far(m, 0.0);
+  std::vector<double> top(m, 0.0);
+  std::vector<double> low(num_switches, kUnreachable);
   for (std::size_t x = 0; x < m; ++x) {
     const double* row = dist_.data() + x * m;
-    scan_pairs(row, leaf1.data(), leaf1[x], 0, x, diameter_, cut);
-    scan_pairs(row, leaf1.data(), leaf1[x], x + 1, m, diameter_, cut);
+    scan_pairs(row, leaf1.data(), leaf1[x], 0, x, far.data(), top.data());
+    scan_pairs(row, leaf1.data(), leaf1[x], x + 1, m, far.data(), top.data());
     if (leaves[x] >= 1) diameter_ = std::max(diameter_, leaf1[x]);
     if (leaves[x] >= 2) diameter_ = std::max(diameter_, leaf1[x] + leaf2[x]);
     if (x < num_switches) {
-      min_switch_dist_ = std::min({min_switch_dist_, row_min(row, 0, x),
-                                   row_min(row, x + 1, num_switches)});
+      row_min(row, 0, x, low.data());
+      row_min(row, x + 1, num_switches, low.data());
     }
   }
+  bool cut = false;
+  for (std::size_t y = 0; y < m; ++y) {
+    diameter_ = std::max(diameter_, far[y]);
+    cut = cut || top[y] == kUnreachable;
+  }
+  for (const double d : low) min_switch_dist_ = std::min(min_switch_dist_, d);
   if (cut) fully_connected_ = false;
   PPDC_REQUIRE(allow_disconnected || fully_connected_,
                "graph must be connected");

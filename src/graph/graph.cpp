@@ -98,22 +98,32 @@ Graph masked_copy(const Graph& g, const std::vector<char>& dead_node,
     PPDC_REQUIRE(u < v, "dead edges must be normalized (u < v)");
     PPDC_REQUIRE(g.has_edge(u, v), "dead edge does not exist in the graph");
   }
+  std::vector<EdgeKey> cut = dead_edges;
+  std::sort(cut.begin(), cut.end());
   Graph out;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    out.add_node(g.kind(v), g.label(v));
+  out.kind_ = g.kind_;
+  out.labels_ = g.labels_;
+  out.hosts_ = g.hosts_;
+  out.switches_ = g.switches_;
+  out.adj_.resize(g.adj_.size());
+  for (std::size_t v = 0; v < g.adj_.size(); ++v) {
+    if (!dead_node[v]) out.adj_[v].reserve(g.adj_[v].size());
   }
-  const auto edge_dead = [&](NodeId u, NodeId v) {
-    const EdgeKey key = make_edge_key(u, v);
-    return std::find(dead_edges.begin(), dead_edges.end(), key) !=
-           dead_edges.end();
-  };
+  // The add_edge() loop's order, without its parallel-edge scan: the
+  // source has none, and each link is visited once, from its lower end.
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (dead_node[static_cast<std::size_t>(u)]) continue;
-    for (const auto& a : g.neighbors(u)) {
-      if (u >= a.to) continue;  // each undirected edge once
-      if (dead_node[static_cast<std::size_t>(a.to)]) continue;
-      if (edge_dead(u, a.to)) continue;
-      out.add_edge(u, a.to, a.weight);
+    const auto uu = static_cast<std::size_t>(u);
+    if (dead_node[uu]) continue;
+    for (const Adjacency& a : g.adj_[uu]) {
+      const auto vv = static_cast<std::size_t>(a.to);
+      if (u >= a.to || dead_node[vv]) continue;
+      if (!cut.empty() &&
+          std::binary_search(cut.begin(), cut.end(), EdgeKey{u, a.to})) {
+        continue;
+      }
+      out.adj_[uu].push_back({a.to, a.weight});
+      out.adj_[vv].push_back({u, a.weight});
+      ++out.edge_count_;
     }
   }
   return out;

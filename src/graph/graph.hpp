@@ -92,6 +92,10 @@ class Graph {
   /// Sum of all edge weights (each undirected edge counted once).
   double total_edge_weight() const noexcept;
 
+  friend Graph masked_copy(const Graph& g, const std::vector<char>& dead_node,
+                           const std::vector<std::pair<NodeId, NodeId>>&
+                               dead_edges);
+
  private:
   void check_node(NodeId v) const {
     PPDC_REQUIRE(v >= 0 && v < num_nodes(), "node id out of range");
@@ -119,6 +123,12 @@ inline EdgeKey make_edge_key(NodeId u, NodeId v) {
 /// result may be disconnected (pair it with the allow-disconnected
 /// AllPairs mode). `dead_node` must have one entry per node; `dead_edges`
 /// entries must be normalized (u < v) and name existing links of `g`.
+///
+/// A filtered copy: the node tables are copied whole and each surviving
+/// link is pushed onto both endpoints' lists in the order an add_edge()
+/// loop over u ascending, then u's neighbours v > u in list order, would
+/// add it, so every neighbour list (and hence every search tie-break
+/// over the copy) equals that of a graph built edge by edge.
 Graph masked_copy(const Graph& g, const std::vector<char>& dead_node,
                   const std::vector<EdgeKey>& dead_edges);
 

@@ -25,3 +25,9 @@
 #else
 #define PPDC_TARGET_CLONES(...)
 #endif
+
+// The tiers of kernels that only add, compare and take maxima or minima
+// (the stroll level kernels in core/stroll_dp.cpp, the AllPairs summary
+// scans in graph/apsp.cpp): every instruction set gives their bits.
+#define PPDC_LEVEL_KERNEL_CLONES \
+  PPDC_TARGET_CLONES("arch=x86-64-v4", "arch=x86-64-v3", "default")

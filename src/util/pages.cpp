@@ -6,10 +6,19 @@
 
 namespace ppdc {
 
-void* map_pages(std::size_t bytes) {
+namespace {
+#ifdef MAP_POPULATE
+constexpr int kPopulate = MAP_POPULATE;
+#else
+constexpr int kPopulate = 0;  // first-touch faults, as a lazy mapping
+#endif
+}  // namespace
+
+void* map_pages(std::size_t bytes, bool prefault) {
   if (bytes == 0) return nullptr;
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  const int flags =
+      MAP_PRIVATE | MAP_ANONYMOUS | (prefault ? kPopulate : 0);
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, flags, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
   return p;
 }

@@ -10,6 +10,13 @@
 // of a multi-worker experiment grid varies from run to run. PageAllocator
 // maps and unmaps each buffer directly, so its pages go back to the OS
 // when the buffer is freed and never move the threshold.
+//
+// A PageAllocator block is written in full as soon as it is built (the
+// all-pairs block, its transposed copy), so it is mapped prefaulted:
+// the kernel populates the whole range in one call instead of taking
+// one page fault per 4 KiB on the first write. Stroll level slabs map
+// lazily (map_pages' default): a slab only grows resident as its levels
+// are written, and most slabs never fill.
 #pragma once
 
 #include <cstddef>
@@ -17,15 +24,17 @@
 namespace ppdc {
 
 /// `bytes` of zero-filled memory mapped from the OS; nullptr for 0.
-/// Throws std::bad_alloc when the mapping fails.
-void* map_pages(std::size_t bytes);
+/// `prefault` populates every page up front (MAP_POPULATE); otherwise a
+/// page becomes resident on its first touch. Throws std::bad_alloc when
+/// the mapping fails.
+void* map_pages(std::size_t bytes, bool prefault = false);
 
 /// Unmaps a block from map_pages() of the same size.
 void unmap_pages(void* p, std::size_t bytes) noexcept;
 
-/// Standard allocator over map_pages(), for containers that are sized
-/// once and large (hundreds of KiB and up): each allocation is rounded up
-/// to whole pages.
+/// Standard allocator over prefaulted map_pages(), for containers that
+/// are sized once, large (hundreds of KiB and up) and written in full
+/// right away: each allocation is rounded up to whole pages.
 template <class T>
 struct PageAllocator {
   using value_type = T;
@@ -35,7 +44,7 @@ struct PageAllocator {
   PageAllocator(const PageAllocator<U>& /*other*/) noexcept {}
 
   T* allocate(std::size_t n) {
-    return static_cast<T*>(map_pages(n * sizeof(T)));
+    return static_cast<T*>(map_pages(n * sizeof(T), /*prefault=*/true));
   }
   void deallocate(T* p, std::size_t n) noexcept {
     unmap_pages(p, n * sizeof(T));

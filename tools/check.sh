@@ -268,12 +268,18 @@ done
 # (checkpoint_test). The streaming workload's churn draw computes
 # re-spawned and appended slot ids from its free list by arithmetic, and
 # its commit writes flows through them (streaming_test); rng_test pins
-# the inline generator the draw runs on.
+# the inline generator the draw runs on. masked_copy builds a degraded
+# graph's neighbour lists straight into its private storage, and the
+# AllPairs summary scans fold each block row into per-column lanes
+# through raw pointers (masked_copy_test). Algorithm 3's pair loop walks
+# its ingress candidates through a sorted index permutation and stops
+# rows early (pair_loop_test).
 # ---------------------------------------------------------------------------
 for t in apsp_leaf_test stroll_dp_test kernel_equivalence_test \
          placement_test fault_test assignment_test vm_migration_test \
          chain_search_test multi_sfc_test incremental_refresh_test \
-         sharded_equivalence_test checkpoint_test streaming_test rng_test; do
+         sharded_equivalence_test checkpoint_test streaming_test rng_test \
+         masked_copy_test pair_loop_test; do
   ASAN_RUNNER=build-asan/tests/$t
   if [ -x "$ASAN_RUNNER" ]; then
     note "asan: $ASAN_RUNNER"

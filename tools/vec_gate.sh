@@ -17,7 +17,10 @@
 # (stroll_dp.cpp), and its pin requires their 64-byte (AVX-512) and
 # 32-byte (AVX2) vectors. The cost-model loops inline into kernels with
 # x86-64-v4 and AVX clones (cost_model.cpp), and their pins require
-# those clones' 64- and 32-byte vectors. A kernel refactor that silently
+# those clones' 64- and 32-byte vectors. The AllPairs summary scans
+# (apsp.cpp) fold block rows into per-column max and min lanes under the
+# level kernels' clone tiers; their pins require the v4 and v3 clones'
+# vectors and their packed vmaxpd / vminpd. A kernel refactor that silently
 # drops back to scalar code, or loses a clone, fails here instead of
 # surfacing as a bench regression three PRs later.
 #
@@ -48,7 +51,7 @@ set -u
 cd "$(dirname "$0")/.." || exit 1
 
 CXX=${CXX:-g++}
-FILES="src/core/stroll_dp.cpp src/core/cost_model.cpp"
+FILES="src/core/stroll_dp.cpp src/core/cost_model.cpp src/graph/apsp.cpp"
 FLAGS="-std=c++20 -O3 -DNDEBUG -I. -Isrc"
 
 # The per-source COMPILE_OPTIONS src/CMakeLists.txt gives file $1.
